@@ -119,11 +119,6 @@ def as_tensor(value) -> DiffTensor:
     return value if isinstance(value, DiffTensor) else DiffTensor(value)
 
 
-def constant(value) -> DiffTensor:
-    """Alias of :func:`as_tensor` for readability at call sites."""
-    return as_tensor(value)
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 

@@ -193,6 +193,8 @@ def _cmd_align(args) -> int:
     canonical = CANONICAL_LANDMARKS
     if args.canonical:
         canonical_frames = read_landmarks(args.canonical)
+        if not canonical_frames:
+            raise ConfigError(f"{args.canonical}: no landmark rows")
         canonical = next(iter(canonical_frames.values()))
     aligned = {}
     residuals = []

@@ -27,7 +27,7 @@ from ..losses import (
     multitask_loss,
     soft_target_cce,
 )
-from ..models import Model, SequenceBatch, au_probs, build, expr_probs, load_parameters
+from ..models import Model, SequenceBatch, au_probs, expr_probs, load_parameters
 from ..relatedness import (
     coannotate_aus_to_emotion,
     coannotate_emotion_to_aus,
@@ -216,7 +216,7 @@ def train_run(config: RunConfig) -> TrainResult:
     if pools.compound_ids and "COMPOUND" not in spec.heads:
         raise IncompatibleHeads("dataset is compound-labeled but the model has no COMPOUND head")
 
-    model = build(spec, config.input_dims(), seed=config.seed)
+    model = Model(spec, config.input_dims(), seed=config.seed)
     if config.init_from:
         load_parameters(model, load_checkpoint(config.init_from), strict=False)
 
@@ -266,15 +266,17 @@ def train_run(config: RunConfig) -> TrainResult:
             preds.has_va = has["va"]
             preds.has_compound = has["compound"]
             loss = multitask_loss(preds, labels, weights)
-            if soft_rows and preds.expr_logits is not None:
-                soft = np.stack([pools.soft_expr[ids[r]] for r in soft_rows])
-                p = ad.take_rows(expr_probs(preds), np.asarray(soft_rows))
-                loss = loss + soft_target_cce(p, soft)
-            if use_dm and preds.expr_logits is not None and preds.au_logits is not None:
-                loss = loss + distribution_matching_loss(
-                    expr_probs(preds), au_probs(preds), table,
-                    reweight=config.reweight_mixture,
-                )
+            dm = use_dm and preds.au_logits is not None
+            if preds.expr_logits is not None and (soft_rows or dm):
+                probs = expr_probs(preds)
+                if soft_rows:
+                    soft = np.stack([pools.soft_expr[ids[r]] for r in soft_rows])
+                    p = ad.take_rows(probs, np.asarray(soft_rows))
+                    loss = loss + soft_target_cce(p, soft)
+                if dm:
+                    loss = loss + distribution_matching_loss(
+                        probs, au_probs(preds), table, reweight=config.reweight_mixture,
+                    )
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")
@@ -327,6 +329,6 @@ def _write_history(path: str, history: List[Dict[str, float]]) -> None:
 
 def load_model(config: RunConfig, checkpoint_path: str) -> Model:
     """Rebuild the configured architecture and load trained parameters."""
-    model = build(config.model_spec(), config.input_dims(), seed=config.seed)
+    model = Model(config.model_spec(), config.input_dims(), seed=config.seed)
     load_parameters(model, load_checkpoint(checkpoint_path), strict=True)
     return model

@@ -12,13 +12,16 @@ Composite specs (``members`` set) concatenate several member trunks into
 one fusion trunk - recurrent or dense - and train the whole stack
 end-to-end.
 
-Frame rows produced by ``forward`` are time-major: row = t * B + b.
+Frame rows produced by ``forward`` are time-major: row = t * B + b. Every
+stateless layer (backbone, taps, stream and landmark concatenation, ``fc``
+fusion, heads) runs once over all T*B rows; only the GRU stacks and the
+``rnn`` fusion layer loop over time, one frame's B rows per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -236,55 +239,44 @@ class _Trunk:
             d = rec.hidden
         return cells
 
-    def init_state(self, batch: int) -> List[List[DiffTensor]]:
-        return [[cell.initial_state(batch) for cell in stack] for stack in self.branches]
-
-    def step(self, xs, lmk, state, train, rng):
+    def forward(self, xs, lmk, b_size, t_len, train, rng) -> DiffTensor:
+        """Run the trunk once over time-major (T*B, d) rows."""
         spec = self.spec
         tap_outs: List[List[DiffTensor]] = []
-        for s, x in enumerate(xs):
-            h = x
+        for s, h in enumerate(xs):
             outs = []
             for i, (w, b) in enumerate(self.layers[s]):
-                h = ad.relu(ad.dense(h, w, b))
-                if train and spec.dropout > 0:
-                    h = ad.dropout(h, spec.dropout, True, rng)
+                h = ad.dropout(ad.relu(ad.dense(h, w, b)), spec.dropout, train, rng)
                 if i in self._tap_set:
                     outs.append(h)
-            if not self._tap_set:
-                outs = [h]
-            tap_outs.append(outs)
-        n_taps = len(tap_outs[0])
-        fused = [
-            tap_outs[0][j]
-            if spec.streams == 1
-            else ad.concat([tap_outs[s][j] for s in range(spec.streams)], axis=1)
-            for j in range(n_taps)
-        ]
+            tap_outs.append(outs or [h])
+        fused = [_cat(list(streams)) for streams in zip(*tap_outs)]
         if spec.landmark_concat:
             fused[-1] = ad.concat([fused[-1], lmk], axis=1)
-
         if spec.recurrent is None:
-            out = fused[0] if len(fused) == 1 else ad.concat(fused, axis=1)
-            return out, state
+            return _cat(fused)
+        branch_ins = [_cat(fused)] if spec.recurrent.kind == "single" else fused
+        return _cat([
+            _recur(stack, ad.dropout(x, spec.recurrent_dropout, train, rng), b_size, t_len)
+            for stack, x in zip(self.branches, branch_ins)
+        ])
 
-        branch_ins = [ad.concat(fused, axis=1) if len(fused) > 1 else fused[0]] \
-            if spec.recurrent.kind == "single" else fused
-        new_state = []
-        branch_outs = []
-        for j, (stack, h_prevs) in enumerate(zip(self.branches, state)):
-            x_in = branch_ins[j]
-            hs = []
-            for k, cell in enumerate(stack):
-                if k == 0 and train and spec.recurrent_dropout > 0:
-                    x_in = ad.dropout(x_in, spec.recurrent_dropout, True, rng)
-                h = ad.gru_step(cell, x_in, h_prevs[k])
-                hs.append(h)
-                x_in = h
-            new_state.append(hs)
-            branch_outs.append(hs[-1])
-        out = branch_outs[0] if len(branch_outs) == 1 else ad.concat(branch_outs, axis=1)
-        return out, new_state
+
+def _cat(tensors: List[DiffTensor], axis: int = 1) -> DiffTensor:
+    return ad.concat(tensors, axis=axis) if len(tensors) != 1 else tensors[0]
+
+
+def _recur(cells: List[GruCell], x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
+    """Walk a GRU stack over time-major rows, the only loop over t: frame t
+    is rows [t*B, (t+1)*B), so state row b only ever sees sequence b."""
+    states = [cell.initial_state(b_size) for cell in cells]
+    outs = []
+    for t in range(t_len):
+        h = ad.slice_axis(x, t * b_size, (t + 1) * b_size, axis=0)
+        for k, cell in enumerate(cells):
+            h = states[k] = ad.gru_step(cell, h, states[k])
+        outs.append(h)
+    return _cat(outs, axis=0)
 
 
 class Model:
@@ -381,61 +373,30 @@ class Model:
         """Run all frames; returns per-row head outputs (row = t*B + b)."""
         self._check_batch(batch)
         b_size, t_len = batch.batch_size, batch.seq_len
-        states = [t.init_state(b_size) for t in self.trunks]
-        fusion_state = None
-        if self.fusion_layer is not None and self.fusion_layer[0] == "rnn":
-            fusion_state = self.fusion_layer[1].initial_state(b_size)
 
-        per_head_rows: Dict[str, List[DiffTensor]] = {n: [] for n in self.heads}
-        for t in range(t_len):
-            lmk = (
-                DiffTensor(batch.landmarks[:, t, :])
-                if batch.landmarks is not None
-                else None
-            )
-            outs = []
-            for i, trunk in enumerate(self.trunks):
-                xs = [DiffTensor(batch.features[:, t, :])]
-                if trunk.spec.streams == 2:
-                    xs.append(DiffTensor(batch.audio[:, t, :]))
-                out, states[i] = trunk.step(xs, lmk, states[i], train, rng)
-                outs.append(out)
-            feat = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
-            if self.fusion_layer is not None:
-                if self.fusion_layer[0] == "fc":
-                    _, w, b = self.fusion_layer
-                    feat = ad.relu(ad.dense(feat, w, b))
-                else:
-                    fusion_state = ad.gru_step(self.fusion_layer[1], feat, fusion_state)
-                    feat = fusion_state
-            for name, (w, b) in self.heads.items():
-                per_head_rows[name].append(ad.dense(feat, w, b))
-
-        def stack(name):
-            rows = per_head_rows.get(name)
-            if not rows:
+        def rows(arr):
+            if arr is None:
                 return None
-            return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+            return DiffTensor(arr.transpose(1, 0, 2).reshape(t_len * b_size, arr.shape[2]))
 
+        feats, audio, lmk = rows(batch.features), rows(batch.audio), rows(batch.landmarks)
+        feat = _cat([
+            trunk.forward([feats, audio][: trunk.spec.streams], lmk, b_size, t_len, train, rng)
+            for trunk in self.trunks
+        ])
+        if self.fusion_layer is not None:
+            if self.fusion_layer[0] == "fc":
+                _, w, b = self.fusion_layer
+                feat = ad.relu(ad.dense(feat, w, b))
+            else:
+                feat = _recur([self.fusion_layer[1]], feat, b_size, t_len)
+        out = {name: ad.dense(feat, w, b) for name, (w, b) in self.heads.items()}
         return BatchPredictions(
-            expr_logits=stack("EXPR"),
-            au_logits=stack("AU"),
-            va=stack("VA"),
-            compound_logits=stack("COMPOUND"),
+            expr_logits=out.get("EXPR"),
+            au_logits=out.get("AU"),
+            va=out.get("VA"),
+            compound_logits=out.get("COMPOUND"),
         )
-
-
-def build(spec: ModelSpec, dims: InputDims, seed: int) -> Model:
-    return Model(spec, dims, seed)
-
-
-def forward(
-    model: Model,
-    batch: SequenceBatch,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> BatchPredictions:
-    return model.forward(batch, train=train, rng=rng)
 
 
 def expr_probs(preds: BatchPredictions) -> DiffTensor:

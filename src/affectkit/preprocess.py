@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BadRange,
+    ConfigError,
     DegenerateLandmarks,
     SignalTooShort,
     ValueOutOfRange,
@@ -187,20 +188,28 @@ def read_audio(path) -> Tuple[int, np.ndarray]:
 
 
 def read_landmarks(path) -> Dict[int, LandmarkSet]:
-    """CSV with header ``frame,x1,y1,...,x5,y5`` -> per-frame LandmarkSet."""
+    """CSV with header ``frame,x1,y1,...,x5,y5`` -> per-frame LandmarkSet.
+    A missing header, a short row or a bad value raises ConfigError at
+    ``path:line``."""
     import csv
 
     out: Dict[int, LandmarkSet] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
+        if next(reader, None) is None:
+            raise ConfigError(f"{path}:1: empty file, expected a landmark header")
         for row in reader:
             if not row:
                 continue
-            frame = int(row[0])
-            coords = [float(c) for c in row[1:11]]
-            pts = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(5))
-            out[frame] = LandmarkSet(points=pts)
+            where = f"{path}:{reader.line_num}"
+            if len(row) < 11:
+                raise ConfigError(f"{where}: expected 11 fields, got {len(row)}")
+            try:
+                coords = [float(c) for c in row[1:11]]
+                pts = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(5))
+                out[int(row[0])] = LandmarkSet(points=pts)
+            except (ValueError, ValueOutOfRange) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
     return out
 
 

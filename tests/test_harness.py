@@ -30,7 +30,7 @@ from affectkit.harness.dataio import (
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.harness.training import load_model, train_run
-from affectkit.models import build
+from affectkit.models import Model
 from affectkit.types import (
     AUVector,
     AnnotatedSample,
@@ -504,7 +504,7 @@ class TestEvaluate:
     def test_constant_model_hits_chance_recall(self):
         from affectkit.models import InputDims, ModelSpec, load_parameters
 
-        model = build(
+        model = Model(
             ModelSpec(backbone=(4,), heads=("EXPR",)), InputDims(features=10), seed=0
         )
         zeros = {n: np.zeros_like(p.data) for n, p in model.named_parameters().items()}
@@ -567,6 +567,30 @@ class TestCLI:
         missing = tmp_path / "nope.cfg"
         assert self.run_cli("train", "--config", missing) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("canonical_text", ["", "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"])
+    def test_align_with_empty_canonical_is_exit_2(self, tmp_path, capsys, canonical_text):
+        landmarks = tmp_path / "faces.landmarks"
+        landmarks.write_text(
+            "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n0,30,40,66,40,48,56,34,76,62,76\n"
+        )
+        canonical = tmp_path / "canonical.landmarks"
+        canonical.write_text(canonical_text)
+        code = self.run_cli(
+            "align", "--landmarks", landmarks, "--canonical", canonical,
+            "--out", tmp_path / "out.landmarks",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "canonical.landmarks" in err and "Traceback" not in err
+
+    def test_align_with_short_landmark_row_is_exit_2(self, tmp_path, capsys):
+        landmarks = tmp_path / "faces.landmarks"
+        landmarks.write_text("frame,x1,y1\n0,30,40\n")
+        code = self.run_cli("align", "--landmarks", landmarks, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "faces.landmarks:2:" in err and "Traceback" not in err
 
     def test_full_pipeline(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -23,7 +23,6 @@ from affectkit.metrics import (
     macro_f1,
     mean_diagonal,
     mse,
-    uar,
 )
 
 # Independent moment-by-moment evaluation of the concordance formula for
@@ -139,18 +138,14 @@ class TestConfusionAndRecall:
         with pytest.raises(EmptyRow):
             mean_diagonal([[1, 0], [0, 0]])
 
-    def test_uar_alias(self):
-        cm = [[3, 1], [2, 2]]
-        assert uar(cm) == mean_diagonal(cm)
-
     def test_uar_hand(self):
-        assert uar(confusion_matrix([0, 1, 1], [0, 0, 1], 2)) == pytest.approx(0.75)
+        assert mean_diagonal(confusion_matrix([0, 1, 1], [0, 0, 1], 2)) == pytest.approx(0.75)
 
     def test_uar_random_limit(self):
         rng = np.random.default_rng(0)
         pred = rng.integers(0, 2, size=10_000)
         truth = rng.integers(0, 2, size=10_000)
-        assert uar(confusion_matrix(pred, truth, 2)) == pytest.approx(0.5, abs=0.05)
+        assert mean_diagonal(confusion_matrix(pred, truth, 2)) == pytest.approx(0.5, abs=0.05)
 
 
 class TestComposites:

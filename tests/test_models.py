@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from affectkit import autodiff as ad
+from affectkit.autodiff import DiffTensor, backward
 from affectkit.errors import (
     BadCheckpoint,
     EmptySequence,
@@ -16,20 +18,20 @@ from affectkit.models import (
     RecurrentSpec,
     SequenceBatch,
     au_probs,
-    build,
     expr_probs,
     load_parameters,
     predict_sequence,
     rows_to_btk,
     single_task_spec,
 )
+from affectkit.harness.checks import GRAD_TOLERANCE, max_relative_error
 
 DIMS = InputDims(features=5)
 
 
 def tiny_model(**kwargs):
     spec = ModelSpec(backbone=(6,), heads=("EXPR", "AU", "VA"), **kwargs)
-    return build(spec, DIMS, seed=0)
+    return Model(spec, DIMS, seed=0)
 
 
 class TestSpecValidation:
@@ -126,7 +128,7 @@ class TestForward:
         # passthrough trunk (no backbone) with a known head weight lets the
         # row layout be checked against a direct matrix product
         spec = ModelSpec(backbone=(), heads=("VA",))
-        model = build(spec, DIMS, seed=0)
+        model = Model(spec, DIMS, seed=0)
         rng = np.random.default_rng(0)
         w = rng.normal(size=(5, 2))
         b = rng.normal(size=(2,))
@@ -144,8 +146,8 @@ class TestForward:
             assert np.array_equal(p.data, b.named_parameters()[name].data)
 
     def test_different_seeds_differ(self):
-        a = build(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=0)
-        b = build(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=1)
+        a = Model(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=0)
+        b = Model(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=1)
         assert not np.array_equal(
             a.named_parameters()["backbone.s0.l0.w"].data,
             b.named_parameters()["backbone.s0.l0.w"].data,
@@ -173,7 +175,7 @@ class TestForward:
             model.forward(SequenceBatch(features=np.zeros((1, 2, 9))))
 
     def test_zero_parameters_give_uniform_expressions(self):
-        model = build(ModelSpec(backbone=(4,), heads=("EXPR",)), DIMS, seed=0)
+        model = Model(ModelSpec(backbone=(4,), heads=("EXPR",)), DIMS, seed=0)
         zeros = {n: np.zeros_like(p.data) for n, p in model.named_parameters().items()}
         load_parameters(model, zeros)
         preds = model.forward(SequenceBatch(features=np.ones((2, 2, 5))))
@@ -186,7 +188,7 @@ class TestRecurrence:
         spec = ModelSpec(
             backbone=(6,), recurrent=RecurrentSpec("single", 8, layers=2), heads=("VA",)
         )
-        model = build(spec, DIMS, seed=3)
+        model = Model(spec, DIMS, seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 5, 5))
         fwd = model.forward(SequenceBatch(features=x)).va.data
@@ -195,7 +197,7 @@ class TestRecurrence:
         assert not np.allclose(fwd[-1], rev[0])
 
     def test_stateless_trunk_ignores_order(self):
-        model = build(ModelSpec(backbone=(6,), heads=("EXPR",)), DIMS, seed=3)
+        model = Model(ModelSpec(backbone=(6,), heads=("EXPR",)), DIMS, seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 5, 5))
         fwd = model.forward(SequenceBatch(features=x)).expr_logits.data
@@ -209,7 +211,7 @@ class TestRecurrence:
             recurrent=RecurrentSpec("per_tap", 3),
             heads=("VA",),
         )
-        model = build(spec, DIMS, seed=0)
+        model = Model(spec, DIMS, seed=0)
         assert model.trunk_width == 6
         names = model.named_parameters()
         assert any(n.startswith("recurrent.b0.") for n in names)
@@ -217,7 +219,7 @@ class TestRecurrence:
 
     def test_tap_concat_width(self):
         spec = ModelSpec(backbone=(6, 4), taps=(0, 1), heads=("VA",))
-        model = build(spec, DIMS, seed=0)
+        model = Model(spec, DIMS, seed=0)
         assert model.trunk_width == 10
 
 
@@ -225,7 +227,7 @@ class TestStreamsAndLandmarks:
     def test_two_stream_needs_audio(self):
         dims = InputDims(features=5, audio=3)
         spec = ModelSpec(backbone=(6,), streams=2, heads=("VA",))
-        model = build(spec, dims, seed=0)
+        model = Model(spec, dims, seed=0)
         with pytest.raises(ShapeMismatch):
             model.forward(SequenceBatch(features=np.zeros((1, 2, 5))))
         preds = model.forward(
@@ -235,12 +237,12 @@ class TestStreamsAndLandmarks:
 
     def test_two_stream_without_audio_dims(self):
         with pytest.raises(InvalidSpec):
-            build(ModelSpec(streams=2, heads=("VA",)), InputDims(features=5), seed=0)
+            Model(ModelSpec(streams=2, heads=("VA",)), InputDims(features=5), seed=0)
 
     def test_landmark_concat_widens_trunk(self):
         dims = InputDims(features=5, landmarks=4)
         spec = ModelSpec(backbone=(6,), landmark_concat=True, heads=("VA",))
-        model = build(spec, dims, seed=0)
+        model = Model(spec, dims, seed=0)
         assert model.trunk_width == 10
         with pytest.raises(ShapeMismatch):
             model.forward(SequenceBatch(features=np.zeros((1, 2, 5))))
@@ -264,20 +266,20 @@ class TestComposite:
 
     @pytest.mark.parametrize("fusion", ["fc", "rnn"])
     def test_forward_shapes(self, fusion):
-        model = build(self.composite_spec(fusion), DIMS, seed=0)
+        model = Model(self.composite_spec(fusion), DIMS, seed=0)
         preds = model.forward(SequenceBatch(features=np.ones((2, 3, 5))))
         assert preds.expr_logits.shape == (6, 7)
         assert preds.va.shape == (6, 2)
 
     def test_member_parameter_prefixes(self):
-        model = build(self.composite_spec("fc"), DIMS, seed=0)
+        model = Model(self.composite_spec("fc"), DIMS, seed=0)
         names = set(model.named_parameters())
         assert any(n.startswith("member0.backbone") for n in names)
         assert any(n.startswith("member1.backbone") for n in names)
         assert "fusion.w" in names
 
     def test_members_initialized_independently(self):
-        model = build(self.composite_spec("fc"), DIMS, seed=0)
+        model = Model(self.composite_spec("fc"), DIMS, seed=0)
         params = model.named_parameters()
         assert not np.array_equal(
             params["member0.backbone.s0.l0.w"].data,
@@ -294,7 +296,7 @@ class TestParameterAccess:
         assert len(heads) == 6  # three heads, weight and bias each
 
     def test_parameter_count(self):
-        model = build(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=0)
+        model = Model(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=0)
         # dense 5->6 plus head 6->2 with biases
         assert model.parameter_count() == 5 * 6 + 6 + 6 * 2 + 2
 
@@ -302,7 +304,7 @@ class TestParameterAccess:
 class TestLoadParameters:
     def test_strict_round_trip(self):
         src = tiny_model()
-        dst = build(src.spec, DIMS, seed=9)
+        dst = Model(src.spec, DIMS, seed=9)
         values = {n: p.data for n, p in src.named_parameters().items()}
         loaded, skipped = load_parameters(dst, values)
         assert not skipped and len(loaded) == len(values)
@@ -315,8 +317,8 @@ class TestLoadParameters:
             load_parameters(model, {"nope": np.zeros(2)})
 
     def test_partial_load(self):
-        trunk_donor = build(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=1)
-        model = build(ModelSpec(backbone=(6,), heads=("EXPR",)), DIMS, seed=2)
+        trunk_donor = Model(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=1)
+        model = Model(ModelSpec(backbone=(6,), heads=("EXPR",)), DIMS, seed=2)
         values = {n: p.data for n, p in trunk_donor.named_parameters().items()}
         loaded, skipped = load_parameters(model, values, strict=False)
         assert "backbone.s0.l0.w" in loaded
@@ -338,7 +340,7 @@ class TestPredictSequence:
     def make_va_identity_model(self):
         # passthrough trunk, head projects feature 0 to valence, 1 to arousal
         spec = ModelSpec(backbone=(), heads=("VA",))
-        model = build(spec, InputDims(features=2), seed=0)
+        model = Model(spec, InputDims(features=2), seed=0)
         w = np.eye(2)
         load_parameters(model, {"head.va.w": w, "head.va.b": np.zeros(2)})
         return model
@@ -364,7 +366,7 @@ class TestPredictSequence:
         assert np.all((out.au_probs >= 0) & (out.au_probs <= 1))
 
     def test_missing_heads_are_none(self):
-        model = build(ModelSpec(backbone=(4,), heads=("EXPR",)), DIMS, seed=0)
+        model = Model(ModelSpec(backbone=(4,), heads=("EXPR",)), DIMS, seed=0)
         out = predict_sequence(model, np.ones((2, 5)))
         assert out.va is None and out.va_median is None
         assert out.au_probs is None
@@ -386,3 +388,141 @@ class TestSingleTaskSpec:
     def test_unknown_head(self):
         with pytest.raises(InvalidSpec):
             single_task_spec(ModelSpec(), "FACE")
+
+
+def per_frame_forward(model, batch):
+    """Reference forward that runs every layer on one (B, d) frame at a
+    time, carrying GRU state from frame to frame."""
+    b_size = batch.batch_size
+    states = [
+        [[cell.initial_state(b_size) for cell in stack] for stack in trunk.branches]
+        for trunk in model.trunks
+    ]
+    fusion_h = None
+    if model.fusion_layer is not None and model.fusion_layer[0] == "rnn":
+        fusion_h = model.fusion_layer[1].initial_state(b_size)
+    rows = {name: [] for name in model.heads}
+    for t in range(batch.seq_len):
+        outs = []
+        for trunk, state in zip(model.trunks, states):
+            spec = trunk.spec
+            taps = []
+            for s, x in enumerate([batch.features, batch.audio][: spec.streams]):
+                h, tapped = DiffTensor(x[:, t]), []
+                for i, (w, b) in enumerate(trunk.layers[s]):
+                    h = ad.relu(ad.dense(h, w, b))
+                    if i in spec.taps:
+                        tapped.append(h)
+                taps.append(tapped or [h])
+            fused = [ad.concat(list(group), axis=1) for group in zip(*taps)]
+            if spec.landmark_concat:
+                lmk = DiffTensor(batch.landmarks[:, t])
+                fused[-1] = ad.concat([fused[-1], lmk], axis=1)
+            if spec.recurrent is None:
+                outs.append(ad.concat(fused, axis=1))
+                continue
+            single = spec.recurrent.kind == "single"
+            ins = [ad.concat(fused, axis=1)] if single else fused
+            for stack, hs, x in zip(trunk.branches, state, ins):
+                for k, cell in enumerate(stack):
+                    hs[k] = x = ad.gru_step(cell, x, hs[k])
+            outs.append(ad.concat([hs[-1] for hs in state], axis=1))
+        feat = ad.concat(outs, axis=1)
+        if model.fusion_layer is not None and model.fusion_layer[0] == "fc":
+            feat = ad.relu(ad.dense(feat, model.fusion_layer[1], model.fusion_layer[2]))
+        elif fusion_h is not None:
+            feat = fusion_h = ad.gru_step(model.fusion_layer[1], feat, fusion_h)
+        for name, (w, b) in model.heads.items():
+            rows[name].append(ad.dense(feat, w, b))
+    return {name: ad.concat(r, axis=0) for name, r in rows.items()}
+
+
+ALL_DIMS = InputDims(features=5, audio=3, landmarks=4)
+_REC = ModelSpec(backbone=(6,), recurrent=RecurrentSpec("single", 4))
+EQUIVALENCE_SPECS = {
+    "dense": ModelSpec(backbone=(6, 5), heads=("EXPR", "AU", "VA")),
+    "tapped": ModelSpec(backbone=(6, 4), taps=(0, 1), heads=("VA", "COMPOUND")),
+    "two_stream_landmark": ModelSpec(
+        backbone=(6,), streams=2, landmark_concat=True, heads=("VA", "AU")
+    ),
+    "single_2_layers": ModelSpec(
+        backbone=(6,), recurrent=RecurrentSpec("single", 4, layers=2), heads=("VA", "EXPR")
+    ),
+    "per_tap": ModelSpec(
+        backbone=(6, 4), taps=(0, 1), recurrent=RecurrentSpec("per_tap", 3), heads=("VA",)
+    ),
+    "composite_fc": ModelSpec(
+        members=(ModelSpec(backbone=(6,)), _REC), fusion="fc", fusion_width=5,
+        heads=("EXPR", "VA"),
+    ),
+    "composite_rnn": ModelSpec(
+        members=(ModelSpec(backbone=(6,), streams=2), _REC), fusion="rnn",
+        fusion_width=5, heads=("AU", "VA"),
+    ),
+}
+_PRED_FIELDS = {"VA": "va", "EXPR": "expr_logits", "AU": "au_logits", "COMPOUND": "compound_logits"}
+
+
+def random_batch(rng, b, t, dims=ALL_DIMS):
+    return SequenceBatch(
+        features=rng.normal(size=(b, t, dims.features)),
+        audio=rng.normal(size=(b, t, dims.audio)),
+        landmarks=rng.normal(size=(b, t, dims.landmarks)),
+    )
+
+
+def outputs_and_grads(model, heads, rng):
+    """Head outputs and every parameter gradient of a random linear
+    functional of them."""
+    weights = {n: rng.normal(size=h.shape) for n, h in sorted(heads.items())}
+    loss = sum(ad.tsum(heads[n] * w) for n, w in weights.items())
+    for p in model.parameters():
+        p.zero_grad()
+    backward(loss)
+    grads = {n: p.grad.copy() for n, p in model.named_parameters().items()}
+    return {n: h.data.copy() for n, h in heads.items()}, grads
+
+
+class TestBatchedForwardMatchesPerFrame:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SPECS))
+    @pytest.mark.parametrize("b,t", [(1, 1), (1, 7), (3, 1), (3, 7)])
+    def test_outputs_and_gradients(self, name, b, t):
+        model = Model(EQUIVALENCE_SPECS[name], ALL_DIMS, seed=5)
+        batch = random_batch(np.random.default_rng(6), b, t)
+        preds = model.forward(batch)
+        batched = {n: getattr(preds, _PRED_FIELDS[n]) for n in model.heads}
+        got = outputs_and_grads(model, batched, np.random.default_rng(7))
+        want = outputs_and_grads(model, per_frame_forward(model, batch), np.random.default_rng(7))
+        for got_part, want_part in zip(got, want):
+            assert set(got_part) == set(want_part)
+            for key in want_part:
+                np.testing.assert_allclose(got_part[key], want_part[key], rtol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("name", ["single_2_layers", "per_tap", "composite_rnn"])
+    def test_state_never_crosses_batch_rows(self, name):
+        model = Model(EQUIVALENCE_SPECS[name], ALL_DIMS, seed=5)
+        batch = random_batch(np.random.default_rng(8), 3, 6)
+        together = rows_to_btk(model.forward(batch).va.data, 3, 6)
+        for b in range(3):
+            alone = SequenceBatch(
+                features=batch.features[b : b + 1],
+                audio=batch.audio[b : b + 1],
+                landmarks=batch.landmarks[b : b + 1],
+            )
+            np.testing.assert_allclose(
+                together[b], model.forward(alone).va.data, rtol=1e-12, atol=1e-15
+            )
+
+    def test_recurrent_two_stream_finite_differences(self):
+        spec = ModelSpec(
+            backbone=(6,), streams=2, landmark_concat=True,
+            recurrent=RecurrentSpec("single", 4), heads=("VA", "EXPR"),
+        )
+        model = Model(spec, ALL_DIMS, seed=2)
+        batch = random_batch(np.random.default_rng(3), 2, 4)
+
+        def objective():
+            preds = model.forward(batch)
+            return ad.tsum(preds.va * preds.va) + ad.tsum(expr_probs(preds) * preds.expr_logits)
+
+        assert max_relative_error(objective, model.parameters(), n_points=80) < GRAD_TOLERANCE

@@ -5,6 +5,7 @@ import pytest
 
 from affectkit.errors import (
     BadRange,
+    ConfigError,
     DegenerateLandmarks,
     SignalTooShort,
     ValueOutOfRange,
@@ -204,3 +205,18 @@ class TestFileFormats:
         assert set(loaded) == {0, 3, 7}
         for i, lm in frames.items():
             assert np.array_equal(loaded[i].as_array(), lm.as_array())
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("", ":1:"),
+            ("frame,x1,y1\n0,1,2\n", ":2:"),
+            ("h\n0,1,2,3,4,5,6,7,8,9,10\n1,1,2,3,4,x,6,7,8,9,10\n", ":3:"),
+            ("h\nzero,1,2,3,4,5,6,7,8,9,10\n", ":2:"),
+        ],
+    )
+    def test_malformed_landmarks_name_the_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.landmarks"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad.landmarks{where}"):
+            read_landmarks(path)
