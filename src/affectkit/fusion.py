@@ -1,9 +1,9 @@
 """Ensemble combination and temporal post-processing of VA predictions.
 
 Decision-level fusion averages member predictions weighted by each
-member's validation concordance, per dimension. Model-level fusion is a
-spec transformation: member trunks are concatenated into one composite
-model with a shared fusion stage, trained end-to-end. The temporal tools
+member's validation concordance, per dimension. Model-level fusion is not
+here: ``RunConfig.model_spec`` builds the composite spec whose member
+trunks feed one shared fusion stage, trained end-to-end. The temporal tools
 (median filter, exponential smoothing, utterance aggregation) operate on
 plain series and are kept only when they help validation scores; that
 gating lives in the harness.
@@ -12,7 +12,7 @@ gating lives in the harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     NegativeWeight,
     ZeroWeightSum,
 )
-from .models import ModelSpec
 
 
 @dataclass(frozen=True)
@@ -69,24 +68,6 @@ def decision_level_fuse(members: Sequence[EnsembleMember]) -> Dict:
         a = sum(m.val_ccc_a * m.predictions[k][1] for m in members) / t_a
         fused[k] = (v, a)
     return fused
-
-
-def model_level_fuse_spec(
-    member_specs: Sequence[ModelSpec],
-    mode: str,
-    fusion_width: int = 16,
-    heads: Optional[Tuple[str, ...]] = None,
-) -> ModelSpec:
-    """Composite spec whose members' trunk outputs concatenate into one
-    fusion stage: a recurrent layer (``rnn``) or a dense layer (``fc``)."""
-    spec = ModelSpec(
-        members=tuple(member_specs),
-        fusion=mode,
-        fusion_width=fusion_width,
-        heads=tuple(heads) if heads else (member_specs[0].heads if member_specs else ("VA",)),
-    )
-    spec.validate()
-    return spec
 
 
 def median_filter(series, window: int) -> np.ndarray:

@@ -152,6 +152,8 @@ def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
 
 
 def read_features(path) -> Dict[str, np.ndarray]:
+    """Feature vectors by sample id. A short row or a repeated id raises
+    ConfigError at ``path:line``."""
     out: Dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -163,6 +165,8 @@ def read_features(path) -> Dict[str, np.ndarray]:
                 continue
             if len(row) != len(header):
                 raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
+            if row[0] in out:
+                raise ConfigError(f"{path}:{lineno}: duplicate sample id {row[0]!r}")
             out[row[0]] = np.array([float(v) for v in row[1:]], dtype=np.float64)
     return out
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DegenerateInputWarning, EmptyRow, IncompatibleHeads
+from ..errors import DegenerateInputWarning, IncompatibleHeads
 from ..metrics import (
     accuracy,
     binarize,
@@ -23,9 +23,10 @@ from ..metrics import (
     e_total_expr,
     f1_binary,
     macro_f1,
-    mean_diagonal,
+    mean_diagonal,  # unused; perfbench/tracing.py wraps evaluate.mean_diagonal
     mse,
 )
+from ..losses import label_arrays
 from ..models import Model, SequenceBatch, au_probs, compound_probs, expr_probs
 from ..types import (
     NUM_EXPRESSIONS,
@@ -33,7 +34,7 @@ from ..types import (
     PredictionRecord,
 )
 
-_TASK_TO_HEAD = {"VA": "VA", "EXPR": "EXPR", "AU": "AU", "COMPOUND": "COMPOUND"}
+_TASK_TO_KEY = {"VA": "va", "EXPR": "expr", "AU": "au", "COMPOUND": "compound"}
 
 
 def _forward_all(model: Model, samples: Sequence[AnnotatedSample], chunk: int):
@@ -60,16 +61,14 @@ def _forward_all(model: Model, samples: Sequence[AnnotatedSample], chunk: int):
 
 
 def _mean_recall(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> float:
-    """Mean per-class recall; classes absent from the truth are skipped."""
+    """Mean per-class recall over the classes present in the truth; with
+    every class present this is ``mean_diagonal`` of the confusion matrix."""
     cm = confusion_matrix(pred, truth, num_classes)
-    try:
-        return mean_diagonal(cm)
-    except EmptyRow:
-        row_sums = cm.sum(axis=1)
-        present = row_sums > 0
-        if not present.any():
-            return 0.0
-        return float(np.mean(np.diag(cm)[present] / row_sums[present]))
+    row_sums = cm.sum(axis=1)
+    present = row_sums > 0
+    if not present.any():
+        return 0.0
+    return float(np.mean(np.diag(cm)[present] / row_sums[present]))
 
 
 def evaluate_model(
@@ -87,13 +86,17 @@ def evaluate_model(
     (or present) task has no matching model head.
     """
     samples = list(samples)
-    present = {s.task for s in samples}
+    labels, has = label_arrays(samples)
+    present = {task for task, key in _TASK_TO_KEY.items() if has[key].any()}
+    # an AU row with no annotated unit carries no flag at all
+    if not np.all(has["va"] + has["expr"] + has["au"] + has["compound"]):
+        present.add("AU")
     wanted = set(tasks) if tasks is not None else present
     for task in sorted(wanted):
-        if task not in _TASK_TO_HEAD:
+        if task not in _TASK_TO_KEY:
             raise IncompatibleHeads(f"unknown task {task!r}")
-        if _TASK_TO_HEAD[task] not in model.spec.heads:
-            raise IncompatibleHeads(f"task {task} needs a {_TASK_TO_HEAD[task]} head")
+        if task not in model.spec.heads:
+            raise IncompatibleHeads(f"task {task} needs a {task} head")
 
     rows = _forward_all(model, samples, chunk)
     records = [
@@ -114,19 +117,19 @@ def evaluate_model(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateInputWarning)
 
-        idx = [i for i, s in enumerate(samples) if s.task == "VA"]
+        idx = np.flatnonzero(has["va"])
         if "VA" in wanted and len(idx) >= 2:
             pred = rows["va"][idx]
-            truth = np.array([samples[i].label.as_array() for i in idx])
+            truth = labels.va[idx]
             metrics["va.ccc_v"] = ccc(pred[:, 0], truth[:, 0])
             metrics["va.ccc_a"] = ccc(pred[:, 1], truth[:, 1])
             metrics["va.mse_v"] = mse(pred[:, 0], truth[:, 0])
             metrics["va.mse_a"] = mse(pred[:, 1], truth[:, 1])
 
-        idx = [i for i, s in enumerate(samples) if s.task == "EXPR"]
-        if "EXPR" in wanted and idx:
+        idx = np.flatnonzero(has["expr"])
+        if "EXPR" in wanted and idx.size:
             pred = rows["expr"][idx].argmax(axis=1)
-            truth = np.array([samples[i].label.class_id for i in idx])
+            truth = labels.expr[idx]
             metrics["expr.accuracy"] = accuracy(pred, truth)
             metrics["expr.f1"] = macro_f1(pred, truth, NUM_EXPRESSIONS)
             metrics["expr.mean_diagonal"] = _mean_recall(pred, truth, NUM_EXPRESSIONS)
@@ -134,11 +137,11 @@ def evaluate_model(
                 metrics["expr.f1"], metrics["expr.accuracy"]
             )
 
-        idx = [i for i, s in enumerate(samples) if s.task == "AU"]
-        if "AU" in wanted and idx:
+        idx = np.flatnonzero(has["au"])
+        if "AU" in wanted and idx.size:
             pred = binarize(rows["au"][idx], au_threshold)
-            truth = np.array([samples[i].label.values for i in idx])
-            mask = np.array([samples[i].label.mask for i in idx])
+            truth = labels.au_targets[idx]
+            mask = labels.au_mask[idx]
             f1s, accs = [], []
             for col in range(truth.shape[1]):
                 keep = mask[:, col] == 1
@@ -154,10 +157,10 @@ def evaluate_model(
                     metrics["au.macro_f1"], metrics["au.total_acc"]
                 )
 
-        idx = [i for i, s in enumerate(samples) if s.task == "COMPOUND"]
-        if "COMPOUND" in wanted and idx:
+        idx = np.flatnonzero(has["compound"])
+        if "COMPOUND" in wanted and idx.size:
             pred = rows["compound"][idx].argmax(axis=1)
-            truth = np.array([samples[i].label.class_id for i in idx])
+            truth = labels.compound[idx]
             metrics["compound.accuracy"] = accuracy(pred, truth)
             metrics["compound.f1"] = macro_f1(
                 pred, truth, model.spec.compound_classes

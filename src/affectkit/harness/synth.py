@@ -25,6 +25,7 @@ from ..types import (
     AUVector,
     ExpressionLabel,
     ValenceArousal,
+    au_index,
 )
 from .dataio import write_annotations, write_features
 
@@ -42,9 +43,6 @@ VA_MEANS = np.array(
         [0.25, 0.8],
     ]
 )
-
-_AU_INDEX = {au: i for i, au in enumerate(AU_IDS)}
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -78,7 +76,7 @@ def _au_pattern(latent: int, table: RelatednessTable, kappa: float, rng) -> np.n
     if row is not None:  # neutral has no associated units
         for au, weight in row.weighted_aus():
             if rng.random() < weight:
-                pattern[_AU_INDEX[au]] = 1
+                pattern[au_index(au)] = 1
     flip = rng.random(len(AU_IDS)) < (1.0 - kappa)
     pattern[flip] = 1 - pattern[flip]
     return pattern

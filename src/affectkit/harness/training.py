@@ -1,10 +1,13 @@
 """Training orchestration: multi-source batching, coupling, logging.
 
 A run loads its datasets, builds the model from the config, then walks
-sampler-driven epochs. Every batch concatenates one chunk from each
-label-type pool and is pushed through the network as a single sequence,
-so the concordance term sees the whole valence/arousal chunk at once.
-Everything downstream of the seed is deterministic.
+sampler-driven epochs. The training set becomes one row table per job:
+stacked features, every label and coupling target as row arrays, and the
+label-type pools as row numbers. Every batch concatenates one chunk from
+each pool, is gathered from the table by index and is pushed through the
+network as a single sequence, so the concordance term sees the whole
+valence/arousal chunk at once. Everything downstream of the seed is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,18 +15,19 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import Adam, DiffTensor, backward, load_checkpoint, save_checkpoint
+from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
 from ..errors import ConfigError, DivergedLoss, IncompatibleHeads, MissingMask
 from ..losses import (
     BatchLabels,
     LossWeights,
     distribution_matching_loss,
+    label_arrays,
     multitask_loss,
     soft_target_cce,
 )
@@ -34,12 +38,10 @@ from ..relatedness import (
     soft_coannotate,
 )
 from ..sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
-from ..types import AU_IDS, NUM_AUS, AnnotatedSample
+from ..types import NUM_EXPRESSIONS, AnnotatedSample, au_index
 from .config import RunConfig
 from .dataio import load_dataset
 from .evaluate import evaluate_model
-
-_AU_COL = {au: i for i, au in enumerate(AU_IDS)}
 
 
 @dataclass
@@ -59,140 +61,119 @@ def _load_split(annotations_path: str, features_path: str, split: str) -> List[A
 
 
 @dataclass
-class _Pools:
-    """Per-label-type sample pools plus precomputed coupling targets."""
+class _TrainTable:
+    """The training set as row arrays, built once per job.
 
-    by_id: Dict[str, AnnotatedSample]
-    va_ids: Tuple[str, ...]
-    au_ids: Tuple[str, ...]
-    expr_ids: Tuple[str, ...]
-    compound_ids: Tuple[str, ...]
-    # hard co-annotation: extra labels planted before training starts
-    extra_au: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    extra_expr: Dict[str, int] = field(default_factory=dict)
-    # soft co-annotation: per-AU-sample emotion distributions
-    soft_expr: Dict[str, np.ndarray] = field(default_factory=dict)
+    Row i is sample i in file order. ``labels``/``has`` hold each row's own
+    label plus the hard co-annotation targets; ``soft`` holds the soft
+    co-annotation emotion target of the rows flagged in ``has_soft``. The
+    pools are row numbers, in file order.
+    """
+
+    features: np.ndarray
+    audio: Optional[np.ndarray]
+    labels: BatchLabels
+    has: Dict[str, np.ndarray]
+    soft: np.ndarray
+    has_soft: np.ndarray
+    va_rows: Tuple[int, ...]
+    au_rows: Tuple[int, ...]
+    expr_rows: Tuple[int, ...]
+    compound_rows: Tuple[int, ...]
+
+    def gather(self, rows: Tuple[int, ...]):
+        """One batch as a (1, N, D) sequence plus its labels and flags.
+
+        Also returns the batch positions that carry a soft emotion target
+        and those targets, one row each.
+        """
+        idx = np.asarray(rows)
+        has = {k: v[idx] for k, v in self.has.items()}
+        # concordance is undefined on a single point; drop a lone VA row
+        if 0 < has["va"].sum() < 2:
+            has["va"][:] = 0.0
+        batch = SequenceBatch(
+            features=self.features[idx][None],
+            audio=None if self.audio is None else self.audio[idx][None],
+        )
+        labels = BatchLabels(
+            expr=self.labels.expr[idx],
+            au_targets=self.labels.au_targets[idx],
+            au_mask=self.labels.au_mask[idx],
+            va=self.labels.va[idx],
+            compound=self.labels.compound[idx],
+        )
+        soft_rows = np.flatnonzero(self.has_soft[idx])
+        return batch, labels, has, soft_rows, self.soft[idx[soft_rows]]
 
 
-def _build_pools(samples: List[AnnotatedSample], config: RunConfig) -> _Pools:
-    by_id = {}
-    va, au, expr, compound = [], [], [], []
+def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTable:
+    seen = set()
     for s in samples:
-        if s.id in by_id:
+        if s.id in seen:
             raise ConfigError(f"duplicate sample id {s.id!r}")
-        by_id[s.id] = s
-        {"VA": va, "AU": au, "EXPR": expr, "COMPOUND": compound}[s.task].append(s.id)
-    pools = _Pools(
-        by_id=by_id,
-        va_ids=tuple(va),
-        au_ids=tuple(au),
-        expr_ids=tuple(expr),
-        compound_ids=tuple(compound),
+        seen.add(s.id)
+    audio = None
+    if config.input_dims().audio:
+        for s in samples:
+            if s.audio_features is None:
+                raise ConfigError(f"{s.id}: audio_dim set but sample has no audio")
+        audio = np.array([s.audio_features for s in samples])
+
+    labels, has = label_arrays(samples)
+    va, expr, compound = (
+        tuple(np.flatnonzero(has[k]).tolist()) for k in ("va", "expr", "compound")
     )
-    if pools.compound_ids and (va or au or expr):
+    # each sample has one label, so every row without a VA, EXPR or
+    # COMPOUND flag is an AU row, including those with an all-zero mask
+    au = tuple(np.flatnonzero(has["va"] + has["expr"] + has["compound"] == 0).tolist())
+    if compound and (va or au or expr):
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
         )
 
+    soft = np.zeros((len(samples), NUM_EXPRESSIONS))
+    has_soft = np.zeros(len(samples), dtype=bool)
     table = config.relatedness_table()
     if config.coupling == "coannotation":
-        for sid in pools.expr_ids:
-            label = by_id[sid].label
-            implied = coannotate_emotion_to_aus(label, table)
+        for r in expr:
+            implied = coannotate_emotion_to_aus(samples[r].label, table)
             if implied:
-                targets = np.zeros(NUM_AUS)
-                weightv = np.zeros(NUM_AUS)
+                has["au"][r] = 1.0
                 for au_id, target, weight in implied:
-                    targets[_AU_COL[au_id]] = target
-                    weightv[_AU_COL[au_id]] = weight
-                pools.extra_au[sid] = (targets, weightv)
-        for sid in pools.au_ids:
-            implied = coannotate_aus_to_emotion(by_id[sid].label, table)
+                    labels.au_targets[r, au_index(au_id)] = target
+                    labels.au_mask[r, au_index(au_id)] = weight
+        for r in au:
+            implied = coannotate_aus_to_emotion(samples[r].label, table)
             if implied is not None:
-                pools.extra_expr[sid] = implied.class_id
+                has["expr"][r] = 1.0
+                labels.expr[r] = implied.class_id
     elif config.coupling in ("soft_coannotation", "soft+distr"):
-        for sid in pools.au_ids:
+        for r in au:
             try:
-                soft = soft_coannotate(
-                    by_id[sid].label, table, reweight=config.reweight_soft
+                target = soft_coannotate(
+                    samples[r].label, table, reweight=config.reweight_soft
                 )
             except MissingMask:
                 continue  # partially annotated sample: no soft target
-            pools.soft_expr[sid] = soft.as_array()
-    return pools
-
-
-def _assemble_batch(
-    ids: Tuple[str, ...], pools: _Pools, config: RunConfig
-) -> Tuple[SequenceBatch, BatchLabels, Dict[str, np.ndarray], List[int]]:
-    """Pack one iteration's ids into a (1, N, D) sequence plus labels.
-
-    Returns the batch, the labels, the availability flags, and the row
-    indices that carry a precomputed soft emotion target.
-    """
-    n = len(ids)
-    dims = config.input_dims()
-    feats = np.zeros((n, dims.features))
-    audio = np.zeros((n, dims.audio)) if dims.audio else None
-    has = {k: np.zeros(n) for k in ("expr", "au", "va", "compound")}
-    expr_ids = np.zeros(n, dtype=np.int64)
-    au_targets = np.zeros((n, NUM_AUS))
-    au_mask = np.zeros((n, NUM_AUS))
-    va = np.zeros((n, 2))
-    compound_ids = np.zeros(n, dtype=np.int64)
-    soft_rows: List[int] = []
-
-    for row, sid in enumerate(ids):
-        sample = pools.by_id[sid]
-        feats[row] = sample.features
-        if audio is not None:
-            if sample.audio_features is None:
-                raise ConfigError(f"{sid}: audio_dim set but sample has no audio")
-            audio[row] = sample.audio_features
-        label = sample.label
-        if sample.task == "VA":
-            has["va"][row] = 1.0
-            va[row] = (label.valence, label.arousal)
-        elif sample.task == "EXPR":
-            has["expr"][row] = 1.0
-            expr_ids[row] = label.class_id
-            if sid in pools.extra_au:
-                has["au"][row] = 1.0
-                au_targets[row], au_mask[row] = pools.extra_au[sid]
-        elif sample.task == "AU":
-            if label.mask.sum() > 0:
-                has["au"][row] = 1.0
-                au_targets[row] = label.values
-                au_mask[row] = label.mask
-            if sid in pools.extra_expr:
-                has["expr"][row] = 1.0
-                expr_ids[row] = pools.extra_expr[sid]
-            if sid in pools.soft_expr:
-                soft_rows.append(row)
-        else:
-            has["compound"][row] = 1.0
-            compound_ids[row] = label.class_id
-
-    # concordance is undefined on a single point; drop a lone VA row
-    if 0 < has["va"].sum() < 2:
-        has["va"][:] = 0.0
-
-    batch = SequenceBatch(
-        features=feats[None],
-        audio=None if audio is None else audio[None],
+            soft[r] = target.as_array()
+            has_soft[r] = True
+    return _TrainTable(
+        features=np.array([s.features for s in samples]),
+        audio=audio,
+        labels=labels,
+        has=has,
+        soft=soft,
+        has_soft=has_soft,
+        va_rows=va,
+        au_rows=au,
+        expr_rows=expr,
+        compound_rows=compound,
     )
-    labels = BatchLabels(
-        expr=expr_ids,
-        au_targets=au_targets,
-        au_mask=au_mask,
-        va=va,
-        compound=compound_ids,
-    )
-    return batch, labels, has, soft_rows
 
 
-def _compound_chunks(ids: Tuple[str, ...], batch: int, seed: int, epoch: int, shuffle: bool):
-    order = list(ids)
+def _compound_chunks(rows: Tuple[int, ...], batch: int, seed: int, epoch: int, shuffle: bool):
+    order = list(rows)
     if shuffle:
         rng = np.random.default_rng([int(seed), int(epoch)])
         order = [order[i] for i in rng.permutation(len(order))]
@@ -211,9 +192,9 @@ def train_run(config: RunConfig) -> TrainResult:
     if config.val_annotations and config.val_features:
         val_samples = _load_split(config.val_annotations, config.val_features, "val")
 
-    pools = _build_pools(train_samples, config)
+    data = _build_table(train_samples, config)
     spec = config.model_spec()
-    if pools.compound_ids and "COMPOUND" not in spec.heads:
+    if data.compound_rows and "COMPOUND" not in spec.heads:
         raise IncompatibleHeads("dataset is compound-labeled but the model has no COMPOUND head")
 
     model = Model(spec, config.input_dims(), seed=config.seed)
@@ -227,15 +208,15 @@ def train_run(config: RunConfig) -> TrainResult:
     use_dm = config.coupling in ("distr_matching", "soft+distr")
     dropout_rng = np.random.default_rng([int(config.seed), 7])
 
-    if pools.compound_ids:
+    if data.compound_rows:
         partition = None
     else:
-        sizes = (len(pools.va_ids), len(pools.au_ids), len(pools.expr_ids))
+        sizes = (len(data.va_rows), len(data.au_rows), len(data.expr_rows))
         batch_sizes = aligned_batch_sizes(sizes, config.total_batch)
         partition = TaskPartition(
-            va_ids=pools.va_ids,
-            au_ids=pools.au_ids,
-            expr_ids=pools.expr_ids,
+            va_ids=data.va_rows,
+            au_ids=data.au_rows,
+            expr_ids=data.expr_rows,
             batch_sizes=batch_sizes,
         )
 
@@ -244,22 +225,22 @@ def train_run(config: RunConfig) -> TrainResult:
         if epoch >= config.lr_decay_start:
             opt.lr *= config.lr_decay
         if partition is not None:
-            id_batches = (
+            row_batches = (
                 b.all_ids()
                 for b in epoch_iterator(
                     partition, seed=config.seed, epoch=epoch, shuffle=config.shuffle
                 )
             )
         else:
-            id_batches = _compound_chunks(
-                pools.compound_ids, config.total_batch, config.seed, epoch, config.shuffle
+            row_batches = _compound_chunks(
+                data.compound_rows, config.total_batch, config.seed, epoch, config.shuffle
             )
 
         losses: List[float] = []
-        for step, ids in enumerate(id_batches):
-            if not ids:
+        for step, batch_rows in enumerate(row_batches):
+            if not batch_rows:
                 continue
-            batch, labels, has, soft_rows = _assemble_batch(ids, pools, config)
+            batch, labels, has, soft_rows, soft = data.gather(batch_rows)
             preds = model.forward(batch, train=True, rng=dropout_rng)
             preds.has_expr = has["expr"]
             preds.has_au = has["au"]
@@ -267,11 +248,10 @@ def train_run(config: RunConfig) -> TrainResult:
             preds.has_compound = has["compound"]
             loss = multitask_loss(preds, labels, weights)
             dm = use_dm and preds.au_logits is not None
-            if preds.expr_logits is not None and (soft_rows or dm):
+            if preds.expr_logits is not None and (soft_rows.size or dm):
                 probs = expr_probs(preds)
-                if soft_rows:
-                    soft = np.stack([pools.soft_expr[ids[r]] for r in soft_rows])
-                    p = ad.take_rows(probs, np.asarray(soft_rows))
+                if soft_rows.size:
+                    p = ad.take_rows(probs, soft_rows)
                     loss = loss + soft_target_cce(p, soft)
                 if dm:
                     loss = loss + distribution_matching_loss(

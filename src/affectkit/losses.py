@@ -7,12 +7,16 @@ produced the predictions. Probabilities that feed a log are clamped to
 [1e-7, 1-1e-7] after the sigmoid/softmax; the categorical term instead
 uses a shifted log-softmax directly, which stays exact for saturated
 logits.
+
+``label_arrays`` is the one place where annotated samples become the row
+arrays of a BatchLabels; training and evaluation both build their truth
+with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .relatedness import RelatednessTable
-from .types import AUVector, NUM_AUS, NUM_EXPRESSIONS
+from .types import NUM_AUS, NUM_EXPRESSIONS, AnnotatedSample
 
 PROB_EPS = 1e-7
 
@@ -78,17 +82,42 @@ class BatchLabels:
     compound: Optional[np.ndarray] = None  # (N,) int compound class ids
 
 
-def au_targets_and_mask(aus: Sequence[Optional[AUVector]]):
-    """Stack AUVectors into (targets, mask) arrays; None rows get zero mask."""
-    n = len(aus)
-    targets = np.zeros((n, NUM_AUS), dtype=np.float64)
-    mask = np.zeros((n, NUM_AUS), dtype=np.float64)
-    for i, au in enumerate(aus):
-        if au is None:
-            continue
-        targets[i] = au.values
-        mask[i] = au.mask
-    return targets, mask
+def label_arrays(
+    samples: Sequence[AnnotatedSample],
+) -> Tuple[BatchLabels, Dict[str, np.ndarray]]:
+    """Write each sample's own label into row i of a BatchLabels.
+
+    Returns the labels and {0,1} flags keyed ``va``, ``expr``, ``au`` and
+    ``compound``. A sample carries exactly one label, so a row has at most
+    one flag; an AU row with no annotated unit has none and keeps a zero
+    mask, because the masked cross-entropy has nothing to weigh in it.
+    """
+    n = len(samples)
+    labels = BatchLabels(
+        expr=np.zeros(n, dtype=np.int64),
+        au_targets=np.zeros((n, NUM_AUS)),
+        au_mask=np.zeros((n, NUM_AUS)),
+        va=np.zeros((n, 2)),
+        compound=np.zeros(n, dtype=np.int64),
+    )
+    has = {k: np.zeros(n) for k in ("expr", "au", "va", "compound")}
+    for row, sample in enumerate(samples):
+        label, task = sample.label, sample.task
+        if task == "VA":
+            has["va"][row] = 1.0
+            labels.va[row] = (label.valence, label.arousal)
+        elif task == "EXPR":
+            has["expr"][row] = 1.0
+            labels.expr[row] = label.class_id
+        elif task == "AU":
+            if label.mask.any():
+                has["au"][row] = 1.0
+                labels.au_targets[row] = label.values
+                labels.au_mask[row] = label.mask
+        else:
+            has["compound"][row] = 1.0
+            labels.compound[row] = label.class_id
+    return labels, has
 
 
 # ---------------------------------------------------------------------------

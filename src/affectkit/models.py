@@ -121,8 +121,8 @@ class ModelSpec:
 
 @dataclass
 class SequenceBatch:
-    """B sequences of T frames. ``features`` is (B,T,D); ``audio`` and
-    ``landmarks`` are optional parallel (B,T,*) arrays."""
+    """B sequences of T frames. ``features`` is (B,T,D) with B, T >= 1;
+    ``audio`` and ``landmarks`` are optional parallel (B,T,*) arrays."""
 
     features: np.ndarray
     audio: Optional[np.ndarray] = None
@@ -133,6 +133,8 @@ class SequenceBatch:
         if self.features.ndim != 3:
             raise ShapeMismatch(f"features must be (B,T,D), got {self.features.shape}")
         b, t = self.features.shape[:2]
+        if b == 0 or t == 0:
+            raise EmptySequence(f"batch needs B >= 1 and T >= 1, got {self.features.shape}")
         for name in ("audio", "landmarks"):
             arr = getattr(self, name)
             if arr is None:

@@ -189,8 +189,8 @@ def read_audio(path) -> Tuple[int, np.ndarray]:
 
 def read_landmarks(path) -> Dict[int, LandmarkSet]:
     """CSV with header ``frame,x1,y1,...,x5,y5`` -> per-frame LandmarkSet.
-    A missing header, a short row or a bad value raises ConfigError at
-    ``path:line``."""
+    A missing header, a short row, a bad value or a repeated frame raises
+    ConfigError at ``path:line``."""
     import csv
 
     out: Dict[int, LandmarkSet] = {}
@@ -207,9 +207,13 @@ def read_landmarks(path) -> Dict[int, LandmarkSet]:
             try:
                 coords = [float(c) for c in row[1:11]]
                 pts = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(5))
-                out[int(row[0])] = LandmarkSet(points=pts)
+                landmarks = LandmarkSet(points=pts)
+                frame = int(row[0])
             except (ValueError, ValueOutOfRange) as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            if frame in out:
+                raise ConfigError(f"{where}: duplicate frame {frame}")
+            out[frame] = landmarks
     return out
 
 

@@ -234,53 +234,46 @@ def coannotate_aus_to_emotion(
     return ExpressionLabel(best[1])
 
 
-def soft_coannotate(
-    aus: AUVector, table: RelatednessTable, reweight: bool = True
-) -> SoftExpressionLabel:
-    """Soft emotion distribution implied by an AU pattern.
-
-    Per emotion the score is sum(w_i * y_i) / sum(w_i) over that emotion's
-    prototypical+observational AUs (all weights 1 when ``reweight`` is
-    false); neutral scores 0. The 7 scores pass through a softmax.
-
-    Raises MissingMask when any table AU is unannotated.
-    """
-    scores = np.zeros(NUM_EXPRESSIONS, dtype=np.float64)
-    for cid, row in table.rows:
-        num = 0.0
-        den = 0.0
-        for au, w in row.weighted_aus():
-            if not aus.is_annotated(au):
-                raise MissingMask(
-                    f"AU{au} required by {EXPRESSION_NAMES[cid]} is unannotated"
-                )
-            weight = w if reweight else 1.0
-            num += weight * aus.value_of(au)
-            den += weight
-        scores[cid] = num / den if den > 0 else 0.0
-    e = np.exp(scores - scores.max())
-    probs = e / e.sum()
-    return SoftExpressionLabel(probabilities=tuple(float(p) for p in probs))
-
-
 def soft_scores(
     aus: AUVector, table: RelatednessTable, reweight: bool = True
 ) -> np.ndarray:
-    """Pre-softmax per-emotion scores used by :func:`soft_coannotate`."""
+    """Per-emotion scores behind :func:`soft_coannotate`.
+
+    Per emotion the score is sum(w_i * y_i) / sum(w_i) over that emotion's
+    prototypical+observational AUs (all weights 1 when ``reweight`` is
+    false); neutral scores 0.
+
+    Raises MissingMask when any table AU is unannotated.
+    """
+    # plain lists: indexing them is much cheaper than is_annotated/value_of
+    values, mask = aus.values.tolist(), aus.mask.tolist()
     scores = np.zeros(NUM_EXPRESSIONS, dtype=np.float64)
     for cid, row in table.rows:
         num = 0.0
         den = 0.0
         for au, w in row.weighted_aus():
-            if not aus.is_annotated(au):
+            i = au_index(au)
+            if not mask[i]:
                 raise MissingMask(
                     f"AU{au} required by {EXPRESSION_NAMES[cid]} is unannotated"
                 )
             weight = w if reweight else 1.0
-            num += weight * aus.value_of(au)
+            num += weight * values[i]
             den += weight
         scores[cid] = num / den if den > 0 else 0.0
     return scores
+
+
+def soft_coannotate(
+    aus: AUVector, table: RelatednessTable, reweight: bool = True
+) -> SoftExpressionLabel:
+    """Soft emotion distribution implied by an AU pattern: the softmax of
+    :func:`soft_scores`. Raises MissingMask when any table AU is
+    unannotated."""
+    scores = soft_scores(aus, table, reweight=reweight)
+    e = np.exp(scores - scores.max())
+    probs = e / e.sum()
+    return SoftExpressionLabel(probabilities=tuple(float(p) for p in probs))
 
 
 def emotion_au_mixture(

@@ -16,12 +16,12 @@ from affectkit.fusion import (
     EnsembleMember,
     decision_level_fuse,
     median_filter,
-    model_level_fuse_spec,
     read_manifest,
     smooth,
     utterance_aggregate,
 )
-from affectkit.models import ModelSpec
+from affectkit.harness.config import RunConfig
+from affectkit.models import InputDims, Model, ModelSpec, SequenceBatch
 
 
 def member(mid, ccc_v, ccc_a, preds):
@@ -83,21 +83,43 @@ class TestDecisionLevelFuse:
 
 
 class TestModelLevelFuseSpec:
+    """Model-level fusion specs come from ``RunConfig.model_spec``."""
+
     def test_composite_spec(self):
-        m = ModelSpec(backbone=(8,))
-        spec = model_level_fuse_spec([m, m], mode="rnn", fusion_width=12)
-        assert spec.members == (m, m)
+        cfg = RunConfig(
+            backbone=(8,), ensemble_members=2, ensemble_fusion="rnn", fusion_width=12
+        )
+        spec = cfg.model_spec()
+        member = ModelSpec(backbone=(8,), heads=cfg.heads)
+        assert spec.members == (member, member)
         assert spec.fusion == "rnn"
         assert spec.fusion_width == 12
 
     def test_heads_default_to_first_member(self):
-        m = ModelSpec(backbone=(8,), heads=("EXPR", "VA"))
-        spec = model_level_fuse_spec([m], mode="fc")
-        assert spec.heads == ("EXPR", "VA")
+        spec = RunConfig(
+            backbone=(8,), heads=("EXPR", "VA"), ensemble_members=2
+        ).model_spec()
+        assert spec.heads == spec.members[0].heads == ("EXPR", "VA")
 
     def test_invalid_mode(self):
         with pytest.raises(InvalidSpec):
-            model_level_fuse_spec([ModelSpec()], mode="sum")
+            ModelSpec(members=(ModelSpec(),), fusion="sum").validate()
+
+    @pytest.mark.parametrize("fusion", ["fc", "rnn"])
+    def test_compound_ensemble_head_width(self, fusion):
+        cfg = RunConfig(
+            feature_dim=6,
+            backbone=(8,),
+            heads=("COMPOUND",),
+            compound_classes=5,
+            ensemble_members=2,
+            ensemble_fusion=fusion,
+        )
+        spec = cfg.model_spec()
+        assert spec.compound_classes == 5
+        model = Model(spec, InputDims(features=6), seed=0)
+        preds = model.forward(SequenceBatch(features=np.zeros((1, 3, 6))))
+        assert preds.compound_logits.shape == (3, 5)
 
 
 class TestMedianFilter:

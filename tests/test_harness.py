@@ -276,6 +276,12 @@ class TestDataFiles:
         assert [s.id for s in loaded] == ["s0", "s2", "s3"]
         assert np.array_equal(loaded[0].features, samples[0].features)
 
+    def test_duplicate_feature_id_names_the_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,f0,f1\ns0,1,2\ns1,3,4\ns0,5,6\n")
+        with pytest.raises(ConfigError, match=r"f\.csv:4: duplicate sample id 's0'"):
+            read_features(path)
+
     def test_load_dataset_missing_feature(self, tmp_path):
         samples = self.make_samples()
         write_annotations(tmp_path / "a.csv", samples)
@@ -591,6 +597,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "faces.landmarks:2:" in err and "Traceback" not in err
+
+    def test_align_with_duplicate_frame_is_exit_2(self, tmp_path, capsys):
+        landmarks = tmp_path / "faces.landmarks"
+        row = "0,30,40,66,40,48,56,34,76,62,76\n"
+        landmarks.write_text("frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n" + row + row)
+        code = self.run_cli("align", "--landmarks", landmarks, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "faces.landmarks:3: duplicate frame 0" in err and "Traceback" not in err
 
     def test_full_pipeline(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -17,17 +17,25 @@ from affectkit.losses import (
     BatchLabels,
     BatchPredictions,
     LossWeights,
-    au_targets_and_mask,
     ccc_loss,
     cce_loss,
     distribution_matching_loss,
+    label_arrays,
     log_softmax,
     masked_bce_loss,
     multitask_loss,
     soft_target_cce,
 )
 from affectkit.relatedness import COGNITIVE
-from affectkit.types import AUVector, ExpressionLabel, au_index, expression_id
+from affectkit.types import (
+    AnnotatedSample,
+    AUVector,
+    CompoundLabel,
+    ExpressionLabel,
+    ValenceArousal,
+    au_index,
+    expression_id,
+)
 
 LN7 = math.log(7.0)
 
@@ -201,13 +209,83 @@ class TestMaskedBCE:
         assert loss.item() == pytest.approx(math.log(2.0))
 
 
+def sample(label, sid="s"):
+    return AnnotatedSample(id=sid, split="train", features=np.zeros(3), label=label)
+
+
 class TestAUStacking:
     def test_none_rows_get_zero_mask(self):
+        # rows with no AU label, or with no annotated unit, keep a zero mask
         values = np.zeros(17, dtype=np.uint8)
         values[0] = 1
-        targets, mask = au_targets_and_mask([AUVector(values=values), None])
-        assert targets[0, 0] == 1.0 and mask[0].sum() == 17.0
-        assert mask[1].sum() == 0.0
+        labels, has = label_arrays(
+            [
+                sample(AUVector(values=values)),
+                sample(ValenceArousal(0.1, 0.2)),
+                sample(AUVector(values=np.zeros(17), mask=np.zeros(17))),
+            ]
+        )
+        assert labels.au_targets[0, 0] == 1.0 and labels.au_mask[0].sum() == 17.0
+        assert labels.au_mask[1].sum() == 0.0 and labels.au_mask[2].sum() == 0.0
+        assert has["au"].tolist() == [1.0, 0.0, 0.0]
+
+
+class TestLabelArrays:
+    FLAGS = ("va", "expr", "au", "compound")
+
+    def only_flag(self, has, key, n=1):
+        for k in self.FLAGS:
+            assert has[k].tolist() == [1.0 if k == key else 0.0] * n
+
+    def test_va_row(self):
+        labels, has = label_arrays([sample(ValenceArousal(0.25, -0.5))])
+        assert labels.va.tolist() == [[0.25, -0.5]]
+        self.only_flag(has, "va")
+
+    def test_expr_row(self):
+        labels, has = label_arrays([sample(ExpressionLabel(expression_id("fear")))])
+        assert labels.expr.dtype == np.int64
+        assert labels.expr.tolist() == [expression_id("fear")]
+        self.only_flag(has, "expr")
+
+    def test_au_row(self):
+        values = np.zeros(17, dtype=np.uint8)
+        values[au_index(12)] = 1
+        mask = np.ones(17, dtype=np.uint8)
+        mask[au_index(4)] = 0
+        labels, has = label_arrays([sample(AUVector(values=values, mask=mask))])
+        assert np.array_equal(labels.au_targets[0], values.astype(float))
+        assert np.array_equal(labels.au_mask[0], mask.astype(float))
+        self.only_flag(has, "au")
+
+    def test_zero_mask_au_row_has_no_flag(self):
+        labels, has = label_arrays([sample(AUVector(np.zeros(17), np.zeros(17)))])
+        for k in self.FLAGS:
+            assert has[k].tolist() == [0.0]
+        assert not labels.au_mask.any() and not labels.au_targets.any()
+
+    def test_compound_row(self):
+        label = CompoundLabel(9, ExpressionLabel(4), ExpressionLabel(6))
+        labels, has = label_arrays([sample(label)])
+        assert labels.compound.dtype == np.int64
+        assert labels.compound.tolist() == [9]
+        self.only_flag(has, "compound")
+
+    def test_rows_follow_sample_order(self):
+        samples = [
+            sample(ExpressionLabel(3), "a"),
+            sample(ValenceArousal(0.5, 0.5), "b"),
+            sample(ExpressionLabel(5), "c"),
+        ]
+        labels, has = label_arrays(samples)
+        assert has["expr"].tolist() == [1.0, 0.0, 1.0]
+        assert has["va"].tolist() == [0.0, 1.0, 0.0]
+        assert labels.expr.tolist() == [3, 0, 5]
+
+    def test_empty(self):
+        labels, has = label_arrays([])
+        assert labels.au_targets.shape == (0, 17) and labels.va.shape == (0, 2)
+        assert all(has[k].shape == (0,) for k in self.FLAGS)
 
 
 class TestMultitask:

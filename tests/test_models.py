@@ -376,6 +376,14 @@ class TestPredictSequence:
         with pytest.raises(EmptySequence):
             predict_sequence(model, np.zeros((0, 5)))
 
+    @pytest.mark.parametrize("recurrent", [None, RecurrentSpec("single", 3)])
+    @pytest.mark.parametrize("shape", [(2, 0, 5), (0, 3, 5)])
+    def test_empty_batch_rejected(self, recurrent, shape):
+        # dense and recurrent (single:3x1) specs fail alike, before any work
+        model = tiny_model(recurrent=recurrent)
+        with pytest.raises(EmptySequence):
+            model.forward(SequenceBatch(features=np.zeros(shape)))
+
 
 class TestSingleTaskSpec:
     def test_restricts_heads(self):

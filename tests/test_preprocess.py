@@ -213,6 +213,7 @@ class TestFileFormats:
             ("frame,x1,y1\n0,1,2\n", ":2:"),
             ("h\n0,1,2,3,4,5,6,7,8,9,10\n1,1,2,3,4,x,6,7,8,9,10\n", ":3:"),
             ("h\nzero,1,2,3,4,5,6,7,8,9,10\n", ":2:"),
+            ("h\n0,1,2,3,4,5,6,7,8,9,10\n0,1,2,3,4,5,6,7,8,9,10\n", ":3:"),
         ],
     )
     def test_malformed_landmarks_name_the_line(self, tmp_path, text, where):
