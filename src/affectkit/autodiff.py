@@ -7,11 +7,13 @@ the output gradient to the contribution for one parent, so ``backward``
 is a reverse-topological sweep calling closures in construction order,
 which makes repeated runs on the same graph bit-identical.
 
-The op set is exactly what the model zoo and loss stack need: dense
-layers, the usual activations, softmax, concatenation/slicing, inverted
-dropout, a gated recurrent cell, reductions, and elementwise arithmetic
-with numpy-style broadcasting. The Adam optimizer and a binary checkpoint
-format for named parameter sets live here too.
+The op set is exactly what the model zoo needs: dense layers, relu, tanh,
+sigmoid and softmax, concatenation, slicing and row gathers, inverted
+dropout, a gated recurrent cell, a sum reduction, and add/sub/mul with
+numpy-style broadcasting. Each training loss is one ``fused`` node whose
+gradients were computed in closed form together with its value. The Adam
+optimizer and a binary checkpoint format for named parameter sets live
+here too.
 
 Floats are 64-bit throughout; at this scale gradient-check fidelity is
 worth more than speed.
@@ -86,33 +88,10 @@ class DiffTensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(value) -> DiffTensor:
@@ -165,28 +144,6 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     )
 
 
-def div(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    try:
-        out_data = a.data / b.data
-    except ValueError as exc:
-        raise ShapeMismatch(f"div {a.shape} vs {b.shape}") from exc
-    return DiffTensor(
-        out_data,
-        edges=(
-            (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        ),
-    )
-
-
-def power(a: DiffTensor, exponent: float) -> DiffTensor:
-    n = float(exponent)
-    out_data = a.data**n
-    return DiffTensor(
-        out_data, edges=((a, lambda g: g * n * a.data ** (n - 1.0)),)
-    )
-
-
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
@@ -214,7 +171,8 @@ def tanh(x: DiffTensor) -> DiffTensor:
     return DiffTensor(t, edges=((x, lambda g: g * (1.0 - t * t)),))
 
 
-def _sigmoid_values(v: np.ndarray) -> np.ndarray:
+def sigmoid_values(v: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large negative inputs."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
@@ -224,7 +182,7 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: DiffTensor) -> DiffTensor:
-    s = _sigmoid_values(x.data)
+    s = sigmoid_values(x.data)
     return DiffTensor(s, edges=((x, lambda g: g * s * (1.0 - s)),))
 
 
@@ -239,23 +197,6 @@ def softmax(x: DiffTensor, axis: int = -1) -> DiffTensor:
     return DiffTensor(s, edges=((x, vjp),))
 
 
-def log(x: DiffTensor) -> DiffTensor:
-    return DiffTensor(np.log(x.data), edges=((x, lambda g: g / x.data),))
-
-
-def exp(x: DiffTensor) -> DiffTensor:
-    e = np.exp(x.data)
-    return DiffTensor(e, edges=((x, lambda g: g * e),))
-
-
-def clip(x: DiffTensor, lo: float, hi: float) -> DiffTensor:
-    """Clamp values to [lo, hi]; gradient is zero where clamping bit."""
-    inside = (x.data >= lo) & (x.data <= hi)
-    return DiffTensor(
-        np.clip(x.data, lo, hi), edges=((x, lambda g: g * inside),)
-    )
-
-
 def tsum(x: DiffTensor, axis: Optional[int] = None, keepdims: bool = False) -> DiffTensor:
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
 
@@ -265,11 +206,6 @@ def tsum(x: DiffTensor, axis: Optional[int] = None, keepdims: bool = False) -> D
         return np.broadcast_to(g, x.shape)
 
     return DiffTensor(out_data, edges=((x, vjp),))
-
-
-def tmean(x: DiffTensor, axis: Optional[int] = None, keepdims: bool = False) -> DiffTensor:
-    count = x.size if axis is None else x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), as_tensor(1.0 / count))
 
 
 def concat(tensors: Sequence[DiffTensor], axis: int = -1) -> DiffTensor:
@@ -346,6 +282,12 @@ def dropout(
         raise ConfigError("dropout in training mode needs a random generator")
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return DiffTensor(x.data * mask, edges=((x, lambda g: g * mask),))
+
+
+def fused(value, grads: Sequence[Tuple[DiffTensor, np.ndarray]]) -> DiffTensor:
+    """Scalar node from a value and its closed-form gradient to each parent;
+    backward only scales each precomputed gradient by the upstream one."""
+    return DiffTensor(value, edges=tuple((p, lambda g, d=d: g * d) for p, d in grads))
 
 
 # ---------------------------------------------------------------------------

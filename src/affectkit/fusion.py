@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BadAlpha,
+    ConfigError,
     EmptyUtterance,
     EvenWindow,
     KeyMisalignment,
@@ -110,7 +111,8 @@ def smooth(series, alpha: float) -> np.ndarray:
 
 def read_manifest(path) -> List[Tuple[str, float, float, str]]:
     """Parse a member manifest: CSV rows ``member_id, ccc_v, ccc_a, path``
-    with a header line; paths point at prediction files."""
+    with a header line; paths point at prediction files. A short row or a
+    bad number raises ConfigError at ``path:line``."""
     import csv
 
     rows = []
@@ -122,6 +124,12 @@ def read_manifest(path) -> List[Tuple[str, float, float, str]]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) < 4:
+                raise ConfigError(f"{where}: expected 4 fields, got {len(row)}")
             member_id, ccc_v, ccc_a, pred_path = (c.strip() for c in row[:4])
-            rows.append((member_id, float(ccc_v), float(ccc_a), pred_path))
+            try:
+                rows.append((member_id, float(ccc_v), float(ccc_a), pred_path))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
     return rows

@@ -14,6 +14,7 @@ Optional columns round-trip ``None`` as the empty string.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -69,7 +70,11 @@ def _encode_payload(sample: AnnotatedSample) -> str:
 def _decode_payload(task: str, payload: str, where: str):
     if task == "VA":
         v, _, a = payload.partition(";")
-        return ValenceArousal(valence=float(v), arousal=float(a))
+        label = ValenceArousal(valence=float(v), arousal=float(a))
+        for value in (label.valence, label.arousal):
+            if not -1.0 <= value <= 1.0:  # also false for nan
+                raise ConfigError(f"{where}: valence/arousal {value} outside [-1, 1]")
+        return label
     if task == "EXPR":
         class_id = int(payload)
         if not 0 <= class_id < NUM_EXPRESSIONS:
@@ -112,7 +117,9 @@ def write_annotations(path, samples: Iterable[AnnotatedSample]) -> None:
 
 
 def read_annotations(path) -> List[AnnotatedSample]:
-    """Read annotation rows; ``features`` are left empty until attached."""
+    """Read annotation rows; ``features`` are left empty until attached.
+    A malformed row, or a VA value outside [-1, 1], raises an
+    AffectKitError at ``path:line``."""
     samples: List[AnnotatedSample] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -122,18 +129,24 @@ def read_annotations(path) -> List[AnnotatedSample]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}:{lineno}"
             if len(row) != len(ANNOTATION_FIELDS):
-                raise ConfigError(f"{path}:{lineno}: expected {len(ANNOTATION_FIELDS)} columns")
+                raise ConfigError(f"{where}: expected {len(ANNOTATION_FIELDS)} columns")
             sid, split, seq, utt, frame, task, payload = row
+            try:
+                label = _decode_payload(task, payload, where)
+                frame_index = int(frame) if frame else None
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
             samples.append(
                 AnnotatedSample(
                     id=sid,
                     split=split,
                     features=np.empty(0),
-                    label=_decode_payload(task, payload, f"{path}:{lineno}"),
+                    label=label,
                     sequence_id=seq or None,
                     utterance_id=utt or None,
-                    frame_index=int(frame) if frame else None,
+                    frame_index=frame_index,
                 )
             )
     return samples
@@ -152,8 +165,8 @@ def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
 
 
 def read_features(path) -> Dict[str, np.ndarray]:
-    """Feature vectors by sample id. A short row or a repeated id raises
-    ConfigError at ``path:line``."""
+    """Feature vectors by sample id. A short row, a repeated id or a value
+    that is not a finite number raises ConfigError at ``path:line``."""
     out: Dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -167,7 +180,16 @@ def read_features(path) -> Dict[str, np.ndarray]:
                 raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
             if row[0] in out:
                 raise ConfigError(f"{path}:{lineno}: duplicate sample id {row[0]!r}")
-            out[row[0]] = np.array([float(v) for v in row[1:]], dtype=np.float64)
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            # a nan or inf makes the sum non-finite; finite values that
+            # overflow it are told apart by the slower per-value check
+            if not math.isfinite(sum(values)):
+                if not all(map(math.isfinite, values)):
+                    raise ConfigError(f"{path}:{lineno}: non-finite feature value")
+            out[row[0]] = np.array(values, dtype=np.float64)
     return out
 
 
@@ -216,6 +238,8 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
 
 
 def read_predictions(path) -> List[PredictionRecord]:
+    """Read prediction rows; a malformed row raises ConfigError at
+    ``path:line``."""
     records: List[PredictionRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -228,8 +252,8 @@ def read_predictions(path) -> List[PredictionRecord]:
             if len(row) != len(PREDICTION_FIELDS):
                 raise ConfigError(f"{path}:{lineno}: expected {len(PREDICTION_FIELDS)} columns")
             sid, frame, valence, arousal, expr, au = row
-            records.append(
-                PredictionRecord(
+            try:
+                record = PredictionRecord(
                     id=sid,
                     frame_index=int(frame) if frame else None,
                     valence=float(valence) if valence else None,
@@ -237,7 +261,9 @@ def read_predictions(path) -> List[PredictionRecord]:
                     expr_probs=np.array([float(p) for p in expr.split(";")]) if expr else None,
                     au_probs=np.array([float(p) for p in au.split(";")]) if au else None,
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            records.append(record)
     return records
 
 

@@ -2,11 +2,13 @@
 and masked binary cross-entropy, the weighted multi-task total, and the two
 coupling losses (soft-target cross-entropy and distribution matching).
 
-All losses build DiffTensor graphs, so gradients flow back to whatever
-produced the predictions. Probabilities that feed a log are clamped to
-[1e-7, 1-1e-7] after the sigmoid/softmax; the categorical term instead
-uses a shifted log-softmax directly, which stays exact for saturated
-logits.
+Each loss computes its value and its gradient in closed form with plain
+numpy and returns one ``autodiff.fused`` node, so gradients flow back to
+whatever produced the predictions without a graph of scalar ops.
+Probabilities that feed a log are clamped to [1e-7, 1-1e-7] after the
+sigmoid/softmax, and no gradient passes where the clamp bites; the
+categorical term instead uses a max-shifted log-sum-exp, which stays exact
+for saturated logits.
 
 ``label_arrays`` is the one place where annotated samples become the row
 arrays of a BatchLabels; training and evaluation both build their truth
@@ -124,47 +126,39 @@ def label_arrays(
 # individual objectives
 
 
-def _ccc_1d(pred: DiffTensor, truth: DiffTensor) -> DiffTensor:
-    """Differentiable concordance of two (N,) tensors, population moments."""
-    mean_p = ad.tmean(pred)
-    mean_t = ad.tmean(truth)
-    dp = pred - mean_p
-    dt = truth - mean_t
-    var_p = ad.tmean(dp * dp)
-    var_t = ad.tmean(dt * dt)
-    cov = ad.tmean(dp * dt)
-    diff = mean_p - mean_t
-    return (2.0 * cov) / (var_p + var_t + diff * diff)
+def _clamp(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Probabilities clamped to [PROB_EPS, 1-PROB_EPS], and where the clamp
+    did not bite (the only entries whose gradient passes)."""
+    inside = (probs >= PROB_EPS) & (probs <= 1.0 - PROB_EPS)
+    return np.clip(probs, PROB_EPS, 1.0 - PROB_EPS), inside
 
 
 def ccc_loss(pred_va: DiffTensor, truth_va) -> DiffTensor:
-    """1 - mean of the valence and arousal concordance coefficients.
+    """1 - mean of the valence and arousal concordance coefficients,
+    population moments per column.
 
     Concordance needs a sequence, so the batch must have at least 2 rows.
     """
     truth = np.asarray(truth_va, dtype=np.float64)
     if pred_va.ndim != 2 or pred_va.shape[1] != 2 or truth.shape != pred_va.shape:
         raise ShapeMismatch(f"va shapes {pred_va.shape} vs {truth.shape}")
-    if pred_va.shape[0] < 2:
+    n = pred_va.shape[0]
+    if n < 2:
         raise BatchTooSmall("concordance needs at least 2 samples")
-    ccc_v = _ccc_1d(
-        ad.slice_axis(pred_va, 0, 1, axis=1), as_tensor(truth[:, 0:1])
-    )
-    ccc_a = _ccc_1d(
-        ad.slice_axis(pred_va, 1, 2, axis=1), as_tensor(truth[:, 1:2])
-    )
-    return 1.0 - 0.5 * (ccc_v + ccc_a)
-
-
-def log_softmax(logits: DiffTensor, axis: int = 1) -> DiffTensor:
-    """Shifted log-softmax; the max shift is a constant, so the gradient is
-    exactly softmax - onehot without any clamping."""
-    shift = logits - as_tensor(logits.data.max(axis=axis, keepdims=True))
-    return shift - ad.log(ad.tsum(ad.exp(shift), axis=axis, keepdims=True))
+    mean_p = pred_va.data.mean(axis=0)
+    mean_t = truth.mean(axis=0)
+    dp = pred_va.data - mean_p
+    dt = truth - mean_t
+    diff = mean_p - mean_t
+    denom = (dp * dp).mean(axis=0) + (dt * dt).mean(axis=0) + diff * diff
+    rho = 2.0 * (dp * dt).mean(axis=0) / denom
+    grad = (rho * (dp + diff) - dt) / (n * denom)
+    return ad.fused(1.0 - 0.5 * (rho[0] + rho[1]), ((pred_va, grad),))
 
 
 def cce_loss(expr_logits: DiffTensor, truth) -> DiffTensor:
-    """Mean over samples of -log softmax(logits)[true class]."""
+    """Mean over samples of -log softmax(logits)[true class], from the
+    max-shifted log-sum-exp, so saturated logits stay exact."""
     truth_ids = np.asarray(
         [t if isinstance(t, (int, np.integer)) else t.class_id for t in np.atleast_1d(truth)],
         dtype=np.int64,
@@ -174,10 +168,14 @@ def cce_loss(expr_logits: DiffTensor, truth) -> DiffTensor:
         raise ShapeMismatch(f"{truth_ids.shape[0]} labels for {n} rows")
     if np.any(truth_ids < 0) or np.any(truth_ids >= k):
         raise ValueOutOfRange(f"class ids must be in [0,{k})")
-    onehot = np.zeros((n, k), dtype=np.float64)
-    onehot[np.arange(n), truth_ids] = 1.0
-    picked = ad.tsum(log_softmax(expr_logits) * as_tensor(onehot), axis=1)
-    return -ad.tmean(picked)
+    rows = np.arange(n)
+    shift = expr_logits.data - expr_logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    total = e.sum(axis=1, keepdims=True)
+    value = np.mean(np.log(total[:, 0]) - shift[rows, truth_ids])
+    grad = e / total
+    grad[rows, truth_ids] -= 1.0
+    return ad.fused(value, ((expr_logits, grad / n),))
 
 
 def masked_bce_loss(au_logits: DiffTensor, targets, mask) -> DiffTensor:
@@ -200,13 +198,16 @@ def masked_bce_loss(au_logits: DiffTensor, targets, mask) -> DiffTensor:
     keep = np.flatnonzero(row_weight > 0)
     if keep.size == 0:
         raise EmptyMaskBatch("no sample has an annotated AU")
-    logits = ad.take_rows(au_logits, keep)
+    s = ad.sigmoid_values(au_logits.data[keep])
     t = targets[keep]
     w = mask[keep]
-    p = ad.clip(ad.sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
-    terms = as_tensor(t) * ad.log(p) + as_tensor(1.0 - t) * ad.log(1.0 - p)
-    per_sample = ad.tsum(terms * as_tensor(w), axis=1) / as_tensor(row_weight[keep])
-    return -ad.tmean(per_sample)
+    kept_weight = row_weight[keep]
+    p, inside = _clamp(s)
+    terms = t * np.log(p) + (1.0 - t) * np.log(1.0 - p)
+    value = -np.mean((terms * w).sum(axis=1) / kept_weight)
+    grad = np.zeros(au_logits.shape)
+    grad[keep] = (s - t) * inside * w / (kept_weight[:, None] * keep.size)
+    return ad.fused(value, ((au_logits, grad),))
 
 
 def multitask_loss(
@@ -309,10 +310,14 @@ def distribution_matching_loss(
     _check_rows_are_distributions(expr_probs.data, "emotion probability")
     if np.any(au_probs.data < 0) or np.any(au_probs.data > 1):
         raise BadDistribution("AU probabilities must lie in [0,1]")
-    mixture = expr_probs @ as_tensor(table.conditional_matrix(reweight=reweight))
-    q = ad.clip(mixture, PROB_EPS, 1.0 - PROB_EPS)
-    per_sample = ad.tsum(au_probs * ad.log(q), axis=1)
-    return -ad.tmean(per_sample)
+    n = expr_probs.shape[0]
+    cond = table.conditional_matrix(reweight=reweight)
+    q, inside = _clamp(expr_probs.data @ cond)
+    log_q = np.log(q)
+    a = au_probs.data
+    value = -np.mean((a * log_q).sum(axis=1))
+    grad_expr = -((a / q * inside) @ cond.T) / n
+    return ad.fused(value, ((expr_probs, grad_expr), (au_probs, -log_q / n)))
 
 
 def soft_target_cce(expr_probs: DiffTensor, soft_labels) -> DiffTensor:
@@ -322,6 +327,7 @@ def soft_target_cce(expr_probs: DiffTensor, soft_labels) -> DiffTensor:
         raise ShapeMismatch(f"soft labels {soft.shape} vs probs {expr_probs.shape}")
     _check_rows_are_distributions(soft, "soft label")
     _check_rows_are_distributions(expr_probs.data, "emotion probability")
-    p = ad.clip(expr_probs, PROB_EPS, 1.0 - PROB_EPS)
-    per_sample = ad.tsum(as_tensor(soft) * ad.log(p), axis=1)
-    return -ad.tmean(per_sample)
+    n = expr_probs.shape[0]
+    p, inside = _clamp(expr_probs.data)
+    value = -np.mean((soft * np.log(p)).sum(axis=1))
+    return ad.fused(value, ((expr_probs, -soft / p * inside / n),))

@@ -175,11 +175,17 @@ def write_audio(path, rate: int, samples) -> None:
 
 
 def read_audio(path) -> Tuple[int, np.ndarray]:
+    """Read the format of :func:`write_audio`; a malformed header raises
+    ConfigError."""
     with open(path, "rb") as fh:
-        header = [fh.readline().decode("ascii").strip() for _ in range(2)]
-        fields = dict(line.split() for line in header)
-        rate = int(fields["rate"])
-        length = int(fields["length"])
+        try:
+            fields = dict(fh.readline().decode("ascii").split() for _ in range(2))
+            rate = int(fields["rate"])
+            length = int(fields["length"])
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}: bad audio header: {exc!r}") from exc
+        if rate <= 0 or length < 0:
+            raise ConfigError(f"{path}: bad audio header: rate {rate}, length {length}")
         raw = fh.read(8 * length)
         if len(raw) != 8 * length:
             raise SignalTooShort(f"audio body has {len(raw)} bytes, expected {8 * length}")

@@ -1,0 +1,271 @@
+"""Each fused loss against the composite graph it replaced.
+
+The references below rebuild every objective from elementwise autodiff ops
+(log, exp, clip, division, mean, negation), as the losses were first
+written; the fused losses must match their values and input gradients at
+rtol 1e-12, with an absolute floor scaled to the largest entry.
+"""
+
+import numpy as np
+import pytest
+
+from affectkit import autodiff as ad
+from affectkit.autodiff import DiffTensor, as_tensor, backward
+from affectkit.losses import (
+    PROB_EPS,
+    ccc_loss,
+    cce_loss,
+    distribution_matching_loss,
+    masked_bce_loss,
+    soft_target_cce,
+)
+from affectkit.relatedness import COGNITIVE, EMPIRICAL
+from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
+
+RTOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# test-only elementwise ops and the composite losses built from them
+
+
+def _log(x):
+    return DiffTensor(np.log(x.data), edges=((x, lambda g: g / x.data),))
+
+
+def _exp(x):
+    e = np.exp(x.data)
+    return DiffTensor(e, edges=((x, lambda g: g * e),))
+
+
+def _clip(x, lo, hi):
+    inside = (x.data >= lo) & (x.data <= hi)
+    return DiffTensor(np.clip(x.data, lo, hi), edges=((x, lambda g: g * inside),))
+
+
+def _div(a, b):
+    """Quotient of two same-shape tensors."""
+    return DiffTensor(
+        a.data / b.data,
+        edges=(
+            (a, lambda g: g / b.data),
+            (b, lambda g: -g * a.data / (b.data * b.data)),
+        ),
+    )
+
+
+def _mean(x):
+    return ad.mul(ad.tsum(x), as_tensor(1.0 / x.size))
+
+
+def _neg(x):
+    return ad.mul(x, as_tensor(-1.0))
+
+
+def _ccc_1d(pred, truth):
+    mean_p = _mean(pred)
+    mean_t = _mean(truth)
+    dp = ad.sub(pred, mean_p)
+    dt = ad.sub(truth, mean_t)
+    var_p = _mean(dp * dp)
+    var_t = _mean(dt * dt)
+    cov = _mean(dp * dt)
+    diff = ad.sub(mean_p, mean_t)
+    return _div(2.0 * cov, var_p + var_t + diff * diff)
+
+
+def ref_ccc(pred_va, truth):
+    ccc_v = _ccc_1d(ad.slice_axis(pred_va, 0, 1, axis=1), as_tensor(truth[:, 0:1]))
+    ccc_a = _ccc_1d(ad.slice_axis(pred_va, 1, 2, axis=1), as_tensor(truth[:, 1:2]))
+    return ad.sub(as_tensor(1.0), 0.5 * (ccc_v + ccc_a))
+
+
+def log_softmax(logits):
+    shift = ad.sub(logits, as_tensor(logits.data.max(axis=1, keepdims=True)))
+    return ad.sub(shift, _log(ad.tsum(_exp(shift), axis=1, keepdims=True)))
+
+
+def ref_cce(logits, truth_ids):
+    n, k = logits.shape
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), truth_ids] = 1.0
+    return _neg(_mean(ad.tsum(log_softmax(logits) * as_tensor(onehot), axis=1)))
+
+
+def ref_bce(au_logits, targets, mask):
+    row_weight = mask.sum(axis=1)
+    keep = np.flatnonzero(row_weight > 0)
+    t = targets[keep]
+    p = _clip(ad.sigmoid(ad.take_rows(au_logits, keep)), PROB_EPS, 1.0 - PROB_EPS)
+    terms = as_tensor(t) * _log(p) + as_tensor(1.0 - t) * _log(ad.sub(as_tensor(1.0), p))
+    per_sample = _div(ad.tsum(terms * as_tensor(mask[keep]), axis=1), as_tensor(row_weight[keep]))
+    return _neg(_mean(per_sample))
+
+
+def ref_soft(expr_probs, soft):
+    p = _clip(expr_probs, PROB_EPS, 1.0 - PROB_EPS)
+    return _neg(_mean(ad.tsum(as_tensor(soft) * _log(p), axis=1)))
+
+
+def ref_dm(expr_probs, au_probs, table, reweight=False):
+    mixture = ad.matmul(expr_probs, as_tensor(table.conditional_matrix(reweight=reweight)))
+    q = _clip(mixture, PROB_EPS, 1.0 - PROB_EPS)
+    return _neg(_mean(ad.tsum(au_probs * _log(q), axis=1)))
+
+
+# ---------------------------------------------------------------------------
+# comparison helpers
+
+
+def run(loss_fn, arrays, *args, **kwargs):
+    """Value and input gradients of loss_fn on fresh leaves."""
+    leaves = [DiffTensor(a.copy()) for a in arrays]
+    root = loss_fn(*leaves, *args, **kwargs)
+    backward(root)
+    return root, [leaf.grad for leaf in leaves]
+
+
+def assert_matches(fused_fn, ref_fn, arrays, *args, **kwargs):
+    root, grads = run(fused_fn, arrays, *args, **kwargs)
+    ref_root, ref_grads = run(ref_fn, arrays, *args, **kwargs)
+    assert len(root._edges) == len(arrays)
+    assert all(parent._edges == () for parent, _ in root._edges)
+    value, ref_value = root.item(), ref_root.item()
+    np.testing.assert_allclose(value, ref_value, rtol=RTOL, atol=RTOL * abs(ref_value))
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=RTOL, atol=RTOL * np.abs(ref).max())
+
+
+def probs(rng, n, k):
+    logits = rng.normal(0.0, 2.0, size=(n, k))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+SIZES = [2, 3, 17, 60]
+
+
+# ---------------------------------------------------------------------------
+# the five losses
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_ccc(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        pred = rng.normal(0.0, 0.5, size=(n, 2))
+        truth = np.clip(rng.normal(0.0, 0.5, size=(n, 2)), -1.0, 1.0)
+        assert_matches(ccc_loss, ref_ccc, [pred], truth)
+
+
+def test_ccc_constant_prediction():
+    truth = np.array([[0.2, -0.1], [0.4, 0.3], [-0.6, 0.9]])
+    assert_matches(ccc_loss, ref_ccc, [np.full((3, 2), 0.25)], truth)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_cce(n):
+    rng = np.random.default_rng(100 + n)
+    for scale in (0.5, 3.0, 40.0):
+        logits = rng.normal(0.0, scale, size=(n, NUM_EXPRESSIONS))
+        truth = rng.integers(0, NUM_EXPRESSIONS, size=n)
+        assert_matches(cce_loss, ref_cce, [logits], truth)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_masked_bce(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(10):
+        logits = rng.normal(0.0, 2.0, size=(n, NUM_AUS))
+        targets = (rng.random((n, NUM_AUS)) < 0.5).astype(float)
+        mask = (rng.random((n, NUM_AUS)) < 0.7).astype(float)
+        mask[0, 0] = 1.0
+        assert_matches(masked_bce_loss, ref_bce, [logits], targets, mask)
+
+
+def test_masked_bce_saturated_logits_hit_the_clamp():
+    rng = np.random.default_rng(300)
+    logits = rng.normal(0.0, 2.0, size=(6, NUM_AUS))
+    logits[:, :5] = rng.choice([-40.0, 40.0], size=(6, 5))
+    targets = (rng.random((6, NUM_AUS)) < 0.5).astype(float)
+    mask = np.ones((6, NUM_AUS))
+    s = ad.sigmoid_values(logits)
+    assert np.any((s < PROB_EPS) | (s > 1.0 - PROB_EPS))
+    assert_matches(masked_bce_loss, ref_bce, [logits], targets, mask)
+    _, (grad,) = run(masked_bce_loss, [logits], targets, mask)
+    assert np.all(grad[:, :5] == 0.0)
+
+
+def test_masked_bce_zero_weight_rows_and_fractional_weights():
+    rng = np.random.default_rng(301)
+    logits = rng.normal(0.0, 2.0, size=(5, NUM_AUS))
+    targets = (rng.random((5, NUM_AUS)) < 0.5).astype(float)
+    mask = rng.random((5, NUM_AUS)) * 2.0
+    mask[mask < 0.6] = 0.0
+    mask[1] = 0.0
+    mask[3] = 0.0
+    assert_matches(masked_bce_loss, ref_bce, [logits], targets, mask)
+    _, (grad,) = run(masked_bce_loss, [logits], targets, mask)
+    assert np.all(grad[[1, 3]] == 0.0)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_soft_target(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(10):
+        assert_matches(
+            soft_target_cce, ref_soft, [probs(rng, n, NUM_EXPRESSIONS)],
+            probs(rng, n, NUM_EXPRESSIONS),
+        )
+
+
+def test_soft_target_clamp_active():
+    rng = np.random.default_rng(401)
+    p = probs(rng, 4, NUM_EXPRESSIONS)
+    p[0] = np.eye(NUM_EXPRESSIONS)[2]  # zeros clamp up, the one clamps down
+    soft = probs(rng, 4, NUM_EXPRESSIONS)
+    assert_matches(soft_target_cce, ref_soft, [p], soft)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=["cognitive", "empirical"])
+@pytest.mark.parametrize("reweight", [False, True])
+def test_distribution_matching(n, table, reweight):
+    rng = np.random.default_rng(500 + n)
+    for _ in range(5):
+        expr = probs(rng, n, NUM_EXPRESSIONS)
+        au = ad.sigmoid_values(rng.normal(0.0, 2.0, size=(n, NUM_AUS)))
+        assert_matches(
+            distribution_matching_loss, ref_dm, [expr, au], table, reweight=reweight
+        )
+
+
+def test_distribution_matching_neutral_row_hits_the_clamp():
+    # a one-hot neutral row gives a mixture of exact zeros (clamped), and
+    # one-hot rows of other emotions give mixture entries of 0 and 1
+    rng = np.random.default_rng(501)
+    expr = probs(rng, 4, NUM_EXPRESSIONS)
+    expr[0] = np.eye(NUM_EXPRESSIONS)[0]
+    expr[1] = np.eye(NUM_EXPRESSIONS)[4]
+    au = rng.random((4, NUM_AUS))
+    mixture = expr @ COGNITIVE.conditional_matrix()
+    assert np.any(mixture == 0.0)
+    assert_matches(distribution_matching_loss, ref_dm, [expr, au], COGNITIVE)
+
+
+def test_losses_compose_with_upstream_gradient():
+    # a scaled, summed root scales each precomputed gradient
+    rng = np.random.default_rng(600)
+    logits = rng.normal(size=(5, NUM_EXPRESSIONS))
+    truth = rng.integers(0, NUM_EXPRESSIONS, size=5)
+
+    def twice(x, ids):
+        return 0.5 * cce_loss(x, ids) + 1.5 * cce_loss(x, ids)
+
+    def ref_twice(x, ids):
+        return 0.5 * ref_cce(x, ids) + 1.5 * ref_cce(x, ids)
+
+    root, (grad,) = run(twice, [logits], truth)
+    ref_root, (ref_grad,) = run(ref_twice, [logits], truth)
+    np.testing.assert_allclose(root.item(), ref_root.item(), rtol=RTOL)
+    np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=RTOL * np.abs(ref_grad).max())

@@ -5,6 +5,7 @@ import pytest
 
 from affectkit.errors import (
     BadAlpha,
+    ConfigError,
     EmptyUtterance,
     EvenWindow,
     InvalidSpec,
@@ -199,6 +200,16 @@ class TestManifest:
             ("m0", 0.5, 0.3, "preds0.csv"),
             ("m1", 0.55, 0.45, "preds1.csv"),
         ]
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [("m1,0.5,0.3", "expected 4 fields, got 3"), ("m1,0.5,high,p.csv", "could not convert")],
+    )
+    def test_malformed_row_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "members.csv"
+        path.write_text(f"member_id,ccc_v,ccc_a,path\nm0,0.5,0.3,p0.csv\n{row}\n")
+        with pytest.raises(ConfigError, match=rf"members\.csv:3: {message}"):
+            read_manifest(path)
 
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "members.csv"

@@ -282,6 +282,48 @@ class TestDataFiles:
         with pytest.raises(ConfigError, match=r"f\.csv:4: duplicate sample id 's0'"):
             read_features(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("s1,train,,,x,EXPR,3", "invalid literal"),
+            ("s1,train,,,,VA,abc", "could not convert"),
+            ("s1,train,,,,VA,0.5", "could not convert"),
+            ("s1,train,,,,VA,7.5;0.1", r"valence/arousal 7\.5 outside"),
+            ("s1,train,,,,VA,0.1;-1.5", r"valence/arousal -1\.5 outside"),
+            ("s1,train,,,,VA,nan;0.1", "valence/arousal nan outside"),
+            ("s1,train,,,,VA,0.1;inf", "valence/arousal inf outside"),
+            ("s1,train,,,,COMPOUND,a;1;2", "invalid literal"),
+            ("s1,train,,,,COMPOUND,1;2;b", "invalid literal"),
+        ],
+    )
+    def test_malformed_annotation_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "a.csv"
+        header = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
+        path.write_text(header + "s0,train,,,,VA,1.0;-1.0\n" + row + "\n")
+        with pytest.raises(ConfigError, match=rf"a\.csv:3: .*{message}"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    def test_bad_feature_value_names_the_line(self, tmp_path, value):
+        path = tmp_path / "f.csv"
+        path.write_text(f"id,f0,f1\ns0,1,2\ns1,3,{value}\n")
+        with pytest.raises(ConfigError, match=r"f\.csv:3: "):
+            read_features(path)
+
+    def test_huge_finite_features_accepted(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,f0,f1\ns0,1e308,1e308\n")
+        assert np.array_equal(read_features(path)["s0"], [1e308, 1e308])
+
+    def test_bad_prediction_value_names_the_line(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text(
+            "id,frame_index,valence,arousal,expr_probs,au_probs\n"
+            "p0,1,0.5,0.25,0.5;zz;0.5,\n"
+        )
+        with pytest.raises(ConfigError, match=r"preds\.csv:2: .*zz"):
+            read_predictions(path)
+
     def test_load_dataset_missing_feature(self, tmp_path):
         samples = self.make_samples()
         write_annotations(tmp_path / "a.csv", samples)
@@ -365,8 +407,9 @@ class TestTraining:
         assert lrs[3] == pytest.approx(2.5e-3)
 
     def test_diverged_loss_detected(self, tmp_path):
-        # a non-finite feature value turns the first loss into NaN, which
-        # the training loop must refuse to optimize through
+        # features at the float maximum overflow the head to inf, which turns
+        # the first loss into NaN; the training loop must refuse to optimize
+        # through it (a non-finite value in the file is rejected at load)
         rng = np.random.default_rng(0)
         samples = [
             AnnotatedSample(
@@ -377,8 +420,7 @@ class TestTraining:
             )
             for i in range(8)
         ]
-        broken = samples[0].features
-        broken[0] = float("nan")
+        samples[0].features[:] = 1e308
         write_annotations(tmp_path / "ann.csv", samples)
         write_features(tmp_path / "feat.csv", samples)
         cfg = RunConfig(
@@ -391,7 +433,7 @@ class TestTraining:
             train_features=str(tmp_path / "feat.csv"),
             out_dir=str(tmp_path / "diverged"),
         )
-        with pytest.raises(DivergedLoss):
+        with pytest.raises(DivergedLoss), np.errstate(over="ignore", invalid="ignore"):
             train_run(cfg)
 
     def test_coupling_modes_run(self, tmp_path):
@@ -606,6 +648,14 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "faces.landmarks:3: duplicate frame 0" in err and "Traceback" not in err
+
+    def test_spectrogram_with_bad_audio_header_is_exit_2(self, tmp_path, capsys):
+        audio = tmp_path / "clip.audio"
+        audio.write_bytes(b"rate 16000\nlen 4\n" + bytes(32))
+        code = self.run_cli("spectrogram", "--audio", audio, "--out", tmp_path / "s.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "clip.audio: bad audio header" in err and "Traceback" not in err
 
     def test_full_pipeline(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -21,7 +21,6 @@ from affectkit.losses import (
     cce_loss,
     distribution_matching_loss,
     label_arrays,
-    log_softmax,
     masked_bce_loss,
     multitask_loss,
     soft_target_cce,
@@ -122,14 +121,24 @@ class TestCCELoss:
 
 
 class TestLogSoftmax:
+    """The max-shifted log-sum-exp inside cce_loss."""
+
     def test_rows_normalize(self):
+        # the gradient rows are (softmax - onehot) / N, so each sums to 0
         rng = np.random.default_rng(2)
-        ls = log_softmax(as_tensor(rng.normal(size=(4, 7)) * 50))
-        assert np.exp(ls.data).sum(axis=1) == pytest.approx(np.ones(4))
+        logits = as_tensor(rng.normal(size=(4, 7)) * 50)
+        backward(cce_loss(logits, [0, 3, 6, 2]))
+        assert logits.grad.sum(axis=1) == pytest.approx(np.zeros(4), abs=1e-15)
+        assert (4.0 * logits.grad + onehot([0, 3, 6, 2])).sum(axis=1) == pytest.approx(
+            np.ones(4)
+        )
 
     def test_huge_logits_stay_finite(self):
-        logits = np.array([[1000.0, 0.0, -1000.0]])
-        assert np.all(np.isfinite(log_softmax(as_tensor(logits)).data[0, :2]))
+        logits = as_tensor(np.array([[1000.0, 0.0, -1000.0], [0.0, -1000.0, 1000.0]]))
+        loss = cce_loss(logits, [1, 1])
+        backward(loss)
+        assert loss.item() == pytest.approx(1500.0)
+        assert np.all(np.isfinite(logits.grad))
 
 
 class TestMaskedBCE:

@@ -1,5 +1,7 @@
 """Model construction, forward semantics, and parameter handling."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -483,7 +485,7 @@ def outputs_and_grads(model, heads, rng):
     """Head outputs and every parameter gradient of a random linear
     functional of them."""
     weights = {n: rng.normal(size=h.shape) for n, h in sorted(heads.items())}
-    loss = sum(ad.tsum(heads[n] * w) for n, w in weights.items())
+    loss = functools.reduce(ad.add, (ad.tsum(heads[n] * w) for n, w in weights.items()))
     for p in model.parameters():
         p.zero_grad()
     backward(loss)

@@ -193,6 +193,17 @@ class TestFileFormats:
         assert rate == 16000
         assert np.array_equal(loaded, samples)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"rate 16000\nlen 4\n", b"rate 16000\n", b"", b"rate x\nlength 4\n",
+         b"rate 16000 1\nlength 4\n", b"rate 16000\nlength -4\n", b"rate \xff\nlength 4\n"],
+    )
+    def test_malformed_audio_header(self, tmp_path, header):
+        path = tmp_path / "clip.audio"
+        path.write_bytes(header + bytes(32))
+        with pytest.raises(ConfigError, match="clip.audio: bad audio header"):
+            read_audio(path)
+
     def test_landmark_round_trip(self, tmp_path):
         path = tmp_path / "faces.landmarks"
         rng = np.random.default_rng(6)
