@@ -20,10 +20,6 @@ class DegenerateInputWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # label-space / sample validation
 
-class DimensionMismatch(AffectKitError):
-    """Feature vector length differs from the dataset's feature dimension."""
-
-
 class ValueOutOfRange(AffectKitError):
     """A value lies outside its documented range (e.g. valence outside [-1,1])."""
 

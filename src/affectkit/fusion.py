@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .csvfile import open_rows
 from .errors import (
     BadAlpha,
     ConfigError,
@@ -113,18 +114,12 @@ def read_manifest(path) -> List[Tuple[str, float, float, str]]:
     """Parse a member manifest: CSV rows ``member_id, ccc_v, ccc_a, path``
     with a header line; paths point at prediction files. A short row or a
     bad number raises ConfigError at ``path:line``."""
-    import csv
-
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open_rows(path) as (header, records):
         if header is None:
             raise ZeroWeightSum("empty manifest")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
+        for line, row in records:
+            where = f"{path}:{line}"
             if len(row) < 4:
                 raise ConfigError(f"{where}: expected 4 fields, got {len(row)}")
             member_id, ccc_v, ccc_a, pred_path = (c.strip() for c in row[:4])

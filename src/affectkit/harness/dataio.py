@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..csvfile import open_rows
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
 from ..types import (
     NUM_AUS,
@@ -90,10 +91,18 @@ def _decode_payload(task: str, payload: str, where: str):
         parts = payload.split(";")
         if len(parts) != 3:
             raise ConfigError(f"{where}: compound payload needs 3 fields")
+        class_id, emo1, emo2 = (int(p) for p in parts)
+        if class_id < 0:
+            raise ConfigError(f"{where}: negative compound class id {class_id}")
+        if emo1 == emo2 or not (0 < emo1 < NUM_EXPRESSIONS and 0 < emo2 < NUM_EXPRESSIONS):
+            raise ConfigError(
+                f"{where}: compound constituents {emo1};{emo2} must be two "
+                f"distinct emotions in 1..{NUM_EXPRESSIONS - 1}"
+            )
         return CompoundLabel(
-            class_id=int(parts[0]),
-            emo1=ExpressionLabel(class_id=int(parts[1])),
-            emo2=ExpressionLabel(class_id=int(parts[2])),
+            class_id=class_id,
+            emo1=ExpressionLabel(class_id=emo1),
+            emo2=ExpressionLabel(class_id=emo2),
         )
     raise ConfigError(f"{where}: unknown task {task!r}")
 
@@ -118,18 +127,15 @@ def write_annotations(path, samples: Iterable[AnnotatedSample]) -> None:
 
 def read_annotations(path) -> List[AnnotatedSample]:
     """Read annotation rows; ``features`` are left empty until attached.
-    A malformed row, or a VA value outside [-1, 1], raises an
+    A malformed row, a VA value outside [-1, 1] or a compound payload that
+    is not a class id >= 0 and two distinct emotions in 1..6 raises an
     AffectKitError at ``path:line``."""
     samples: List[AnnotatedSample] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open_rows(path) as (header, rows):
         if header is None or tuple(header) != ANNOTATION_FIELDS:
             raise ConfigError(f"{path}: bad annotation header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
+        for line, row in rows:
+            where = f"{path}:{line}"
             if len(row) != len(ANNOTATION_FIELDS):
                 raise ConfigError(f"{where}: expected {len(ANNOTATION_FIELDS)} columns")
             sid, split, seq, utt, frame, task, payload = row
@@ -168,27 +174,23 @@ def read_features(path) -> Dict[str, np.ndarray]:
     """Feature vectors by sample id. A short row, a repeated id or a value
     that is not a finite number raises ConfigError at ``path:line``."""
     out: Dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0] != "id":
+    with open_rows(path) as (header, rows):
+        if not header or header[0] != "id":
             raise ConfigError(f"{path}: bad feature header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for line, row in rows:
             if len(row) != len(header):
-                raise ConfigError(f"{path}:{lineno}: expected {len(header)} columns")
+                raise ConfigError(f"{path}:{line}: expected {len(header)} columns")
             if row[0] in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate sample id {row[0]!r}")
+                raise ConfigError(f"{path}:{line}: duplicate sample id {row[0]!r}")
             try:
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                raise ConfigError(f"{path}:{line}: {exc}") from exc
             # a nan or inf makes the sum non-finite; finite values that
             # overflow it are told apart by the slower per-value check
             if not math.isfinite(sum(values)):
                 if not all(map(math.isfinite, values)):
-                    raise ConfigError(f"{path}:{lineno}: non-finite feature value")
+                    raise ConfigError(f"{path}:{line}: non-finite feature value")
             out[row[0]] = np.array(values, dtype=np.float64)
     return out
 
@@ -241,16 +243,12 @@ def read_predictions(path) -> List[PredictionRecord]:
     """Read prediction rows; a malformed row raises ConfigError at
     ``path:line``."""
     records: List[PredictionRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open_rows(path) as (header, rows):
         if header is None or tuple(header) != PREDICTION_FIELDS:
             raise ConfigError(f"{path}: bad prediction header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for line, row in rows:
             if len(row) != len(PREDICTION_FIELDS):
-                raise ConfigError(f"{path}:{lineno}: expected {len(PREDICTION_FIELDS)} columns")
+                raise ConfigError(f"{path}:{line}: expected {len(PREDICTION_FIELDS)} columns")
             sid, frame, valence, arousal, expr, au = row
             try:
                 record = PredictionRecord(
@@ -262,7 +260,7 @@ def read_predictions(path) -> List[PredictionRecord]:
                     au_probs=np.array([float(p) for p in au.split(";")]) if au else None,
                 )
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                raise ConfigError(f"{path}:{line}: {exc}") from exc
             records.append(record)
     return records
 

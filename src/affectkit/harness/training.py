@@ -131,6 +131,12 @@ def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTab
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
         )
+    for r in compound:
+        if labels.compound[r] >= config.compound_classes:
+            raise ConfigError(
+                f"{samples[r].id}: compound class id {labels.compound[r]} is not "
+                f"below compound_classes = {config.compound_classes}"
+            )
 
     soft = np.zeros((len(samples), NUM_EXPRESSIONS))
     has_soft = np.zeros(len(samples), dtype=bool)

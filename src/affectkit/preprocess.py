@@ -16,6 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .csvfile import open_rows
 from .errors import (
     BadRange,
     ConfigError,
@@ -197,17 +198,12 @@ def read_landmarks(path) -> Dict[int, LandmarkSet]:
     """CSV with header ``frame,x1,y1,...,x5,y5`` -> per-frame LandmarkSet.
     A missing header, a short row, a bad value or a repeated frame raises
     ConfigError at ``path:line``."""
-    import csv
-
     out: Dict[int, LandmarkSet] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
+    with open_rows(path) as (header, rows):
+        if header is None:
             raise ConfigError(f"{path}:1: empty file, expected a landmark header")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
+        for line, row in rows:
+            where = f"{path}:{line}"
             if len(row) < 11:
                 raise ConfigError(f"{where}: expected 11 fields, got {len(row)}")
             try:

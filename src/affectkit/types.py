@@ -2,9 +2,9 @@
 
 Three annotation families live here: continuous valence-arousal, the seven
 basic expression classes, and binary action-unit (AU) vectors with per-entry
-annotation masks. Values are plain dataclasses; invariants are checked
-explicitly through :func:`validate_sample` so malformed inputs can be
-represented and then rejected with a precise error.
+annotation masks. Values are plain dataclasses and check nothing on
+construction: the file readers validate every value at load and name the
+``path:line`` of a bad one.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    BadMask,
-    DimensionMismatch,
-    UnknownAU,
-    UnknownClass,
-    ValueOutOfRange,
-)
+from .errors import UnknownAU, UnknownClass
 
 # Canonical expression ordering: neutral first, then the basic emotions
 # alphabetically. Fixed here once; every softmax head and confusion matrix
@@ -227,52 +221,3 @@ class PredictionRecord:
     expr_probs: Optional[np.ndarray] = None
     au_probs: Optional[np.ndarray] = None
 
-
-def validate_sample(sample: AnnotatedSample, feature_dim: int) -> None:
-    """Check all type invariants; raise the first violation found.
-
-    Raises DimensionMismatch, ValueOutOfRange or BadMask.
-    """
-    feats = np.asarray(sample.features, dtype=np.float64)
-    if feats.ndim != 1 or feats.shape[0] != feature_dim:
-        raise DimensionMismatch(
-            f"sample {sample.id}: feature length {feats.shape} != {feature_dim}"
-        )
-    if not np.all(np.isfinite(feats)):
-        raise ValueOutOfRange(f"sample {sample.id}: non-finite feature value")
-    if sample.split not in ("train", "val", "test"):
-        raise ValueOutOfRange(f"sample {sample.id}: bad split {sample.split!r}")
-
-    label = sample.label
-    if isinstance(label, ValenceArousal):
-        for axis, value in (("valence", label.valence), ("arousal", label.arousal)):
-            if not np.isfinite(value) or not -1.0 <= value <= 1.0:
-                raise ValueOutOfRange(
-                    f"sample {sample.id}: {axis}={value} outside [-1,1]"
-                )
-    elif isinstance(label, ExpressionLabel):
-        expression_name(label.class_id)  # raises UnknownClass
-    elif isinstance(label, AUVector):
-        if label.values.shape != (NUM_AUS,) or label.mask.shape != (NUM_AUS,):
-            raise DimensionMismatch(
-                f"sample {sample.id}: AU vector must have {NUM_AUS} entries"
-            )
-        if not np.all((label.values == 0) | (label.values == 1)):
-            raise ValueOutOfRange(f"sample {sample.id}: AU values must be binary")
-        if not np.all((label.mask == 0) | (label.mask == 1)):
-            raise ValueOutOfRange(f"sample {sample.id}: AU mask must be binary")
-        if np.any((label.values == 1) & (label.mask == 0)):
-            raise BadMask(f"sample {sample.id}: AU value set where mask=0")
-    elif isinstance(label, CompoundLabel):
-        if label.class_id < 0:
-            raise ValueOutOfRange(f"sample {sample.id}: negative compound class id")
-        if label.emo1.class_id == label.emo2.class_id:
-            raise ValueOutOfRange(f"sample {sample.id}: compound constituents equal")
-        for emo in (label.emo1, label.emo2):
-            expression_name(emo.class_id)
-            if emo.class_id == 0:
-                raise ValueOutOfRange(
-                    f"sample {sample.id}: compound constituents must be basic emotions"
-                )
-    else:
-        raise TypeError(f"unsupported label type {type(label)!r}")

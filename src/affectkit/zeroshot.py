@@ -15,15 +15,19 @@ in the class's set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .csvfile import open_rows
 from .errors import (
     BadTableFile,
     EmptyDefs,
     MissingAUPrediction,
+    UnknownAU,
+    UnknownClass,
     ValueOutOfRange,
 )
 from .relatedness import COGNITIVE, RelatednessTable
@@ -45,6 +49,8 @@ _DEFAULT_CLASSES = (
     ("disgustedly_surprised", "disgust", "surprise", False),
 )
 
+_BONUS_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 @dataclass(frozen=True)
 class CompoundClassDef:
@@ -65,8 +71,8 @@ class CompoundClassDef:
             raise ValueOutOfRange(f"{self.name}: AU set must be nonempty")
         for au, w in self.au_set:
             au_index(au)
-            if w <= 0:
-                raise ValueOutOfRange(f"{self.name}: AU{au} weight {w} must be > 0")
+            if not 0.0 < w < math.inf:
+                raise ValueOutOfRange(f"{self.name}: AU{au} weight {w} must be finite and > 0")
 
 
 def _union_au_set(
@@ -158,21 +164,25 @@ def load_compound_defs(
     """Parse a CSV of ``name, emo1, emo2, bonus_flag[, au:w, ...]`` rows.
 
     Rows without an explicit AU list fall back to the table union. A
-    header line is required; '#' lines are skipped.
+    header line is required; '#' lines are skipped. The bonus flag is one
+    of 1/true/yes/0/false/no in any case. A bad number, an unknown emotion
+    or AU, equal constituents, a weight that is not a finite number > 0 or
+    an unknown bonus flag raises BadTableFile at ``path:line``.
     """
-    import csv
-
     defs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open_rows(path) as (header, rows):
         if header is None:
             raise EmptyDefs(f"{path}: empty definition file")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or row[0].lstrip().startswith("#"):
+        for line, row in rows:
+            if row[0].lstrip().startswith("#"):
                 continue
             try:
                 name, e1, e2, bonus = (c.strip() for c in row[:4])
+                valence_bonus = _BONUS_FLAGS.get(bonus.lower())
+                if valence_bonus is None:
+                    raise BadTableFile(
+                        f"{path}:{line}: bonus flag {bonus!r} not in {'/'.join(_BONUS_FLAGS)}"
+                    )
                 emo1 = ExpressionLabel(expression_id(e1))
                 emo2 = ExpressionLabel(expression_id(e2))
                 au_set: Tuple[Tuple[int, float], ...]
@@ -193,11 +203,11 @@ def load_compound_defs(
                         emo1=emo1,
                         emo2=emo2,
                         au_set=au_set,
-                        valence_bonus=bonus.lower() in ("1", "true", "yes"),
+                        valence_bonus=valence_bonus,
                     )
                 )
-            except (ValueError, IndexError) as exc:
-                raise BadTableFile(f"{path}:{lineno}: {exc}") from exc
+            except (ValueError, UnknownClass, UnknownAU, ValueOutOfRange) as exc:
+                raise BadTableFile(f"{path}:{line}: {exc}") from exc
     if not defs:
         raise EmptyDefs(f"{path}: no definitions")
     return defs

@@ -8,10 +8,12 @@ import pytest
 
 from affectkit.autodiff import DiffTensor, as_tensor, backward, load_checkpoint, tsum
 from affectkit.errors import (
+    BadMask,
     ConfigError,
     DivergedLoss,
     IncompatibleHeads,
     KeyMisalignment,
+    UnknownClass,
 )
 from affectkit.harness.checks import CHECKS, max_relative_error, run_grad_checks
 from affectkit.harness.cli import main
@@ -294,6 +296,10 @@ class TestDataFiles:
             ("s1,train,,,,VA,0.1;inf", "valence/arousal inf outside"),
             ("s1,train,,,,COMPOUND,a;1;2", "invalid literal"),
             ("s1,train,,,,COMPOUND,1;2;b", "invalid literal"),
+            ("s1,train,,,,COMPOUND,-1;1;4", "negative compound class id -1"),
+            ("s1,train,,,,COMPOUND,3;2;2", "constituents 2;2 must be two distinct"),
+            ("s1,train,,,,COMPOUND,3;0;4", "constituents 0;4 must be two distinct"),
+            ("s1,train,,,,COMPOUND,3;1;9", "constituents 1;9 must be two distinct"),
         ],
     )
     def test_malformed_annotation_names_the_line(self, tmp_path, row, message):
@@ -301,6 +307,22 @@ class TestDataFiles:
         header = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
         path.write_text(header + "s0,train,,,,VA,1.0;-1.0\n" + row + "\n")
         with pytest.raises(ConfigError, match=rf"a\.csv:3: .*{message}"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize(
+        "payload,error,message",
+        [
+            ("EXPR,7", UnknownClass, "expression class 7"),
+            ("EXPR,-1", UnknownClass, "expression class -1"),
+            ("AU,1-0101-0000000002", BadMask, "AU payload must be 17 chars"),
+            ("AU,1-0101", BadMask, "AU payload must be 17 chars"),
+        ],
+    )
+    def test_bad_class_label_names_the_line(self, tmp_path, payload, error, message):
+        path = tmp_path / "a.csv"
+        header = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
+        path.write_text(header + f"s0,train,,,,EXPR,6\ns1,train,,,,{payload}\n")
+        with pytest.raises(error, match=rf"a\.csv:3: {message}"):
             read_annotations(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
@@ -656,6 +678,55 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "clip.audio: bad audio header" in err and "Traceback" not in err
+
+    def write_expr_data(self, tmp_path, feature_dim):
+        rng = np.random.default_rng(0)
+        samples = [
+            AnnotatedSample(
+                id=f"x{i}", split="train", features=rng.normal(size=10),
+                label=ExpressionLabel(i % 7),
+            )
+            for i in range(8)
+        ]
+        write_annotations(tmp_path / "ann.csv", samples)
+        write_features(tmp_path / "feat.csv", samples)
+        cfg_file = tmp_path / "run.cfg"
+        RunConfig(
+            feature_dim=feature_dim,
+            backbone=(),
+            heads=("EXPR",),
+            epochs=1,
+            total_batch=8,
+            train_annotations=str(tmp_path / "ann.csv"),
+            train_features=str(tmp_path / "feat.csv"),
+            out_dir=str(tmp_path / "run"),
+        ).to_file(cfg_file)
+        return cfg_file
+
+    def test_train_with_wrong_feature_dim_is_exit_2(self, tmp_path, capsys):
+        cfg_file = self.write_expr_data(tmp_path, feature_dim=16)
+        code = self.run_cli("train", "--config", cfg_file)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "features dim 10, model expects 16" in err and "Traceback" not in err
+
+    def test_eval_with_non_utf8_features_is_exit_2(self, tmp_path, capsys):
+        cfg_file = self.write_expr_data(tmp_path, feature_dim=10)
+        assert self.run_cli("train", "--config", cfg_file) == 0
+        bad = tmp_path / "bad_feat.csv"
+        bad.write_bytes((tmp_path / "feat.csv").read_bytes().replace(b"x3", b"x\xff3"))
+        capsys.readouterr()
+        code = self.run_cli(
+            "eval",
+            "--config", tmp_path / "run" / "config.txt",
+            "--checkpoint", tmp_path / "run" / "model.ckpt",
+            "--annotations", tmp_path / "ann.csv",
+            "--features", bad,
+            "--out", tmp_path / "report.txt",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad_feat.csv: not UTF-8" in err and "Traceback" not in err
 
     def test_full_pipeline(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -1,0 +1,129 @@
+"""Every CSV reader at the input boundary: lines named after a quoted
+newline, bytes that are not UTF-8, unparsable CSV, and mutated files."""
+
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from affectkit.errors import AffectKitError, ConfigError
+from affectkit.fusion import read_manifest
+from affectkit.harness.dataio import read_annotations, read_features, read_predictions
+from affectkit.preprocess import read_landmarks
+from affectkit.zeroshot import load_compound_defs
+
+ANNOTATION_HEADER = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
+PREDICTION_HEADER = "id,frame_index,valence,arousal,expr_probs,au_probs\n"
+MANIFEST_HEADER = "member_id,ccc_v,ccc_a,path\n"
+LANDMARK_HEADER = "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"
+DEFS_HEADER = "name,emo1,emo2,bonus,aus\n"
+
+# name -> (reader, a valid file, a file whose line 4 is bad after a quoted
+# field that spans lines 2-3)
+READERS = {
+    "annotations": (
+        read_annotations,
+        ANNOTATION_HEADER
+        + "s0,train,seq1,utt1,4,VA,0.25;-0.5\n"
+        + "s1,val,,,,EXPR,3\n"
+        + "s2,train,,,,AU,1-0101-0000000001\n"
+        + "s3,test,,,,COMPOUND,2;5;2\n",
+        ANNOTATION_HEADER + '"a\nb",train,,,,VA,0.1;0.2\ns1,train,,,,VA,7.5;0.1\n',
+    ),
+    "features": (
+        read_features,
+        "id,f0,f1\ns0,0.5,-1.25\ns1,3,4e2\n",
+        'id,f0,f1\n"a\nb",1,2\ns1,3,nan\n',
+    ),
+    "predictions": (
+        read_predictions,
+        PREDICTION_HEADER + "p0,1,0.5,-0.25,0.1;0.9,0.2;0.8\np1,,,,,\n",
+        PREDICTION_HEADER + '"a\nb",1,0.5,0.25,,\np1,1,zz,,,\n',
+    ),
+    "manifest": (
+        read_manifest,
+        MANIFEST_HEADER + "m0,0.5,0.3,p0.csv\nm1,0.55,-0.45,p1.csv\n",
+        MANIFEST_HEADER + '"m\n0",0.5,0.3,p0.csv\nm1,0.5,high,p.csv\n',
+    ),
+    "landmarks": (
+        read_landmarks,
+        LANDMARK_HEADER
+        + "0,30,40,66,40,48,56,34,76,62,76\n1,31,41,65,-40,48,57,34,75,62,77\n",
+        LANDMARK_HEADER
+        + '0,30,40,66,40,48,56,34,76,62,76,"x\ny"\n1,30,40,66,40,48,56,34,76,62,zz\n',
+    ),
+    "compound_defs": (
+        load_compound_defs,
+        DEFS_HEADER
+        + "happily_surprised,happiness,surprise,true,12:1.0,5:0.66\n"
+        + "sadly_angry,sadness,anger,0\n",
+        DEFS_HEADER
+        + '"happily\nsurprised",happiness,surprise,true\nx,happiness,surprise,no,12:oops\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_errors_name_the_path_and_the_file_line(tmp_path, name):
+    reader, valid, located = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(located)
+    with pytest.raises(AffectKitError, match=rf"{name}\.csv:4: "):
+        reader(path)
+
+    path.write_bytes(valid.encode()[:-4] + b"\xff" + valid.encode()[-4:])
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: not UTF-8"):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_unparsable_csv_names_the_path(tmp_path, name):
+    # an unclosed quote swallows the rest of the file into one field,
+    # which the csv module refuses beyond its field size limit
+    reader, valid, _ = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(valid + '"' + "1\n" * 70_000)
+    with pytest.raises(ConfigError, match=rf"{name}\.csv:\d+: field larger than field limit"):
+        reader(path)
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "replace")),
+        st.integers(min_value=0, max_value=1 << 16),
+        st.sampled_from(list(b'",;\n-0123456789\xff')),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "insert":
+            out.insert(pos % (len(out) + 1), byte)
+        elif out and op == "delete":
+            del out[pos % len(out)]
+        elif out:
+            out[pos % len(out)] = byte
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name", READERS)
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=EDITS)
+def test_mutated_file_returns_or_raises_affectkit_error(tmp_path, name, edits):
+    reader, valid, _ = READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(mutate(valid.encode(), edits))
+    try:
+        reader(path)
+    except AffectKitError:
+        pass

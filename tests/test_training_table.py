@@ -264,6 +264,15 @@ def test_compound_mixed_with_basic_raises():
         _build_table(samples, config(audio_dim=0))
 
 
+def test_compound_class_beyond_head_raises():
+    samples = compound_samples()
+    samples[4].label = CompoundLabel(12, ExpressionLabel(1), ExpressionLabel(6))
+    with pytest.raises(
+        ConfigError, match=r"c004: compound class id 12 is not below compound_classes = 11"
+    ):
+        _build_table(samples, config(heads=("COMPOUND",), audio_dim=0))
+
+
 def test_zero_mask_au_row_stays_in_au_pool():
     samples = basic_samples()
     table = _build_table(samples, config())

@@ -1,9 +1,9 @@
-"""Label-space types: canonical orders, invariants, validation."""
+"""Label-space types: canonical orders, AU vectors, task tags."""
 
 import numpy as np
 import pytest
 
-from affectkit.errors import BadMask, DimensionMismatch, UnknownAU, UnknownClass, ValueOutOfRange
+from affectkit.errors import UnknownAU, UnknownClass
 from affectkit.types import (
     AU_IDS,
     EXPRESSION_NAMES,
@@ -17,7 +17,6 @@ from affectkit.types import (
     au_index,
     expression_id,
     expression_name,
-    validate_sample,
 )
 
 
@@ -75,51 +74,6 @@ class TestAUVector:
         au = AUVector(values=[0] * 17, mask=mask)
         assert au.is_annotated(1)
         assert not au.is_annotated(5)
-
-
-class TestValidateSample:
-    def test_va_origin_ok(self):
-        validate_sample(make_sample(ValenceArousal(0.0, 0.0)), feature_dim=4)
-
-    def test_va_out_of_range(self):
-        with pytest.raises(ValueOutOfRange):
-            validate_sample(make_sample(ValenceArousal(1.2, 0.0)), feature_dim=4)
-
-    def test_feature_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            validate_sample(make_sample(ValenceArousal(0.0, 0.0), dim=3), feature_dim=4)
-
-    def test_au_value_without_mask(self):
-        values = [0] * 17
-        mask = [1] * 17
-        values[3] = 1
-        mask[3] = 0
-        with pytest.raises(BadMask):
-            validate_sample(make_sample(AUVector(values, mask)), feature_dim=4)
-
-    def test_expression_out_of_range(self):
-        with pytest.raises((ValueOutOfRange, UnknownClass)):
-            validate_sample(make_sample(ExpressionLabel(7)), feature_dim=4)
-
-    def test_compound_distinct_constituents(self):
-        bad = CompoundLabel(
-            class_id=0, emo1=ExpressionLabel(4), emo2=ExpressionLabel(4)
-        )
-        with pytest.raises(ValueOutOfRange):
-            validate_sample(make_sample(bad), feature_dim=4)
-
-    def test_compound_neutral_constituent_rejected(self):
-        bad = CompoundLabel(
-            class_id=0, emo1=ExpressionLabel(0), emo2=ExpressionLabel(4)
-        )
-        with pytest.raises(ValueOutOfRange):
-            validate_sample(make_sample(bad), feature_dim=4)
-
-    def test_compound_ok(self):
-        good = CompoundLabel(
-            class_id=2, emo1=ExpressionLabel(4), emo2=ExpressionLabel(6)
-        )
-        validate_sample(make_sample(good), feature_dim=4)
 
 
 class TestTaskTag:

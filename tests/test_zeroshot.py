@@ -215,6 +215,33 @@ class TestDefFiles:
         with pytest.raises(BadTableFile, match="defs.csv:2"):
             load_compound_defs(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("x,happiness,joy,no", "unknown expression name 'joy'"),
+            ("x,happiness,happiness,no", "constituents must differ"),
+            ("x,happiness,surprise,no,12:0", "AU12 weight 0.0 must be finite and > 0"),
+            ("x,happiness,surprise,no,12:-1", "AU12 weight -1.0 must be finite and > 0"),
+            ("x,happiness,surprise,no,12:nan", "AU12 weight nan must be finite and > 0"),
+            ("x,happiness,surprise,no,3:1", "AU3 is not one of the 17 canonical AUs"),
+            ("x,happiness,surprise,maybe", "bonus flag 'maybe' not in"),
+            ("x,happiness,surprise", "not enough values"),
+        ],
+    )
+    def test_bad_definition_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "defs.csv"
+        path.write_text(f"name,emo1,emo2,bonus\nsadly_angry,sadness,anger,0\n{row}\n")
+        with pytest.raises(BadTableFile, match=rf"defs\.csv:3: .*{message}"):
+            load_compound_defs(path)
+
+    @pytest.mark.parametrize(
+        "flag,bonus", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)]
+    )
+    def test_bonus_flag_any_case(self, tmp_path, flag, bonus):
+        path = tmp_path / "defs.csv"
+        path.write_text(f"name,emo1,emo2,bonus\nx,happiness,surprise,{flag}\n")
+        assert load_compound_defs(path)[0].valence_bonus is bonus
+
     def test_no_definitions(self, tmp_path):
         path = tmp_path / "defs.csv"
         path.write_text("name,emo1,emo2,bonus\n")
