@@ -8,10 +8,11 @@ is a reverse-topological sweep calling closures in construction order,
 which makes repeated runs on the same graph bit-identical.
 
 The op set is exactly what the model zoo needs: dense layers, relu, tanh,
-sigmoid and softmax, concatenation, slicing and row gathers, inverted
-dropout, a gated recurrent cell, a sum reduction, and add/sub/mul with
-numpy-style broadcasting. Each training loss is one ``fused`` node whose
-gradients were computed in closed form together with its value. The Adam
+sigmoid and softmax, concatenation and row gathers, inverted dropout, a
+sum reduction, and add/mul with numpy-style broadcasting. Each training
+loss is one ``fused`` node whose gradients were computed in closed form
+together with its value, and ``gru_sequence`` runs a gated recurrent cell
+over whole sequences as one node with a hand-written BPTT. The Adam
 optimizer and a binary checkpoint format for named parameter sets live
 here too.
 
@@ -116,20 +117,6 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     )
 
 
-def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    try:
-        out_data = a.data - b.data
-    except ValueError as exc:
-        raise ShapeMismatch(f"sub {a.shape} vs {b.shape}") from exc
-    return DiffTensor(
-        out_data,
-        edges=(
-            (a, lambda g: _unbroadcast(g, a.shape)),
-            (b, lambda g: _unbroadcast(-g, b.shape)),
-        ),
-    )
-
-
 def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     try:
         out_data = a.data * b.data
@@ -172,13 +159,10 @@ def tanh(x: DiffTensor) -> DiffTensor:
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow for large negative inputs."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """Logistic function without overflow: 1/(1+e^-v) for v >= 0 and
+    e^v/(1+e^v) below, both from e^-|v|."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: DiffTensor) -> DiffTensor:
@@ -230,22 +214,6 @@ def concat(tensors: Sequence[DiffTensor], axis: int = -1) -> DiffTensor:
     return DiffTensor(
         out_data, edges=tuple((t, make_vjp(i, t)) for i, t in enumerate(tensors))
     )
-
-
-def slice_axis(x: DiffTensor, start: int, stop: int, axis: int = -1) -> DiffTensor:
-    ax = axis if axis >= 0 else x.ndim + axis
-    if not 0 <= start <= stop <= x.shape[ax]:
-        raise ShapeMismatch(f"slice [{start}:{stop}] on axis {ax} of {x.shape}")
-    sl = [slice(None)] * x.ndim
-    sl[ax] = slice(start, stop)
-    sl = tuple(sl)
-
-    def vjp(g):
-        full = np.zeros(x.shape, dtype=np.float64)
-        full[sl] = g
-        return full
-
-    return DiffTensor(x.data[sl], edges=((x, vjp),))
 
 
 def take_rows(x: DiffTensor, indices) -> DiffTensor:
@@ -330,17 +298,64 @@ class GruCell:
         return DiffTensor(np.zeros((batch, self.hidden_dim)))
 
 
-def gru_step(cell: GruCell, x: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
-    """One recurrence step; x is (B, input_dim), h_prev is (B, hidden_dim)."""
-    if x.ndim != 2 or x.shape[1] != cell.input_dim:
-        raise ShapeMismatch(f"gru input {x.shape}, expected (B,{cell.input_dim})")
-    if h_prev.ndim != 2 or h_prev.shape[1] != cell.hidden_dim:
-        raise ShapeMismatch(f"gru state {h_prev.shape}, expected (B,{cell.hidden_dim})")
-    xh = concat([x, h_prev], axis=1)
-    z = sigmoid(dense(xh, cell.w_z, cell.b_z))
-    r = sigmoid(dense(xh, cell.w_r, cell.b_r))
-    candidate = tanh(dense(concat([x, mul(r, h_prev)], axis=1), cell.w_h, cell.b_h))
-    return add(mul(sub(as_tensor(1.0), z), h_prev), mul(z, candidate))
+def gru_sequence(cell: GruCell, x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
+    """Run ``cell`` from a zero state over time-major (T*B, input_dim) rows,
+    frame t being rows [t*B, (t+1)*B), and return all T*B states as one node.
+
+    Every frame's input projection is one matmul before the loop, which
+    keeps only h @ U inside it; backward is one BPTT sweep over the stored
+    gates, shared by the node's seven edges.
+    """
+    d, hid = cell.input_dim, cell.hidden_dim
+    n = t_len * b_size
+    if b_size < 1 or t_len < 1 or x.shape != (n, d):
+        raise ShapeMismatch(f"gru input {x.shape}, expected ({t_len}*{b_size},{d})")
+    w = np.hstack([cell.w_z.data, cell.w_r.data, cell.w_h.data])
+    w_x, u_zr, u_h = w[:d], w[d:, : 2 * hid], w[d:, 2 * hid :]
+    proj = x.data @ w_x + np.concatenate([cell.b_z.data, cell.b_r.data, cell.b_h.data])
+    states = np.zeros((n + b_size, hid))  # block t holds the state entering frame t
+    zr, cand = np.empty((n, 2 * hid)), np.empty((n, hid))
+    for t in range(t_len):
+        rows = slice(t * b_size, (t + 1) * b_size)
+        h = states[rows]
+        zr[rows] = sigmoid_values(proj[rows, : 2 * hid] + h @ u_zr)
+        z, r = zr[rows, :hid], zr[rows, hid:]
+        cand[rows] = np.tanh(proj[rows, 2 * hid :] + (r * h) @ u_h)
+        states[rows.stop : rows.stop + b_size] = (1.0 - z) * h + z * cand[rows]
+    h_in, z, r = states[:n], zr[:, :hid], zr[:, hid:]
+
+    def bptt(g):
+        # the factors of each pre-activation gradient that do not depend on dh
+        dc_dh, keep = z * (1.0 - cand * cand), 1.0 - z
+        dz_dh, dr_drh = (cand - h_in) * z * keep, h_in * r * (1.0 - r)
+        d_pre = np.empty((n, 3 * hid))  # gradients of the z, r, candidate pre-activations
+        dh = np.zeros((b_size, hid))
+        for t in reversed(range(t_len)):
+            rows = slice(t * b_size, (t + 1) * b_size)
+            dh = dh + g[rows]
+            d_rh = np.multiply(dh, dc_dh[rows], out=d_pre[rows, 2 * hid :]) @ u_h.T
+            np.multiply(dh, dz_dh[rows], out=d_pre[rows, :hid])
+            np.multiply(d_rh, dr_drh[rows], out=d_pre[rows, hid : 2 * hid])
+            dh = dh * keep[rows] + d_rh * r[rows] + d_pre[rows, : 2 * hid] @ u_zr.T
+        du = np.hstack([h_in.T @ d_pre[:, : 2 * hid], (r * h_in).T @ d_pre[:, 2 * hid :]])
+        dw = np.vstack([x.data.T @ d_pre, du])
+        grads = [d_pre @ w_x.T]
+        for dw_gate, db_gate in zip(np.hsplit(dw, 3), np.split(d_pre.sum(axis=0), 3)):
+            grads += [dw_gate, db_gate]
+        return grads
+
+    memo: List = [None, None]  # ``backward`` hands every edge the same array g
+
+    def sweep(g, i):
+        if g is not memo[0]:  # holding g keeps its identity from being recycled
+            memo[:] = g, bptt(g)
+        return memo[1][i]
+
+    parents = [x] + cell.parameters()
+    return DiffTensor(
+        states[b_size:],
+        edges=tuple((p, lambda g, i=i: sweep(g, i)) for i, p in enumerate(parents)),
+    )
 
 
 # ---------------------------------------------------------------------------

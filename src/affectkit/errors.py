@@ -114,7 +114,7 @@ class ZeroWeightSum(AffectKitError):
 
 
 class NegativeWeight(AffectKitError):
-    """Validation-CCC fusion weights must be positive."""
+    """Validation-CCC fusion weights must be finite and non-negative."""
 
 
 class KeyMisalignment(AffectKitError):

@@ -42,16 +42,17 @@ class EnsembleMember:
 def decision_level_fuse(members: Sequence[EnsembleMember]) -> Dict:
     """Per frame and per dimension: (sum_n t_n)^-1 * sum_n t_n * o_n.
 
-    Weights are the members' validation concordances; negative weights are
-    rejected rather than flipped, and each dimension's weights must not
-    sum to zero. All members must predict exactly the same frame keys.
+    Weights are the members' validation concordances; negative or
+    non-finite weights are rejected rather than flipped, and each
+    dimension's weights must not sum to zero. All members must predict
+    exactly the same frame keys.
     """
     if not members:
         raise ZeroWeightSum("no ensemble members")
     for m in members:
-        if m.val_ccc_v < 0 or m.val_ccc_a < 0:
+        if not (0 <= m.val_ccc_v < np.inf and 0 <= m.val_ccc_a < np.inf):
             raise NegativeWeight(
-                f"member {m.member_id!r} has a negative validation concordance"
+                f"member {m.member_id!r} has a negative or non-finite validation concordance"
             )
     t_v = sum(m.val_ccc_v for m in members)
     t_a = sum(m.val_ccc_a for m in members)
@@ -113,7 +114,7 @@ def smooth(series, alpha: float) -> np.ndarray:
 def read_manifest(path) -> List[Tuple[str, float, float, str]]:
     """Parse a member manifest: CSV rows ``member_id, ccc_v, ccc_a, path``
     with a header line; paths point at prediction files. A short row or a
-    bad number raises ConfigError at ``path:line``."""
+    bad or non-finite number raises ConfigError at ``path:line``."""
     rows = []
     with open_rows(path) as (header, records):
         if header is None:
@@ -124,7 +125,10 @@ def read_manifest(path) -> List[Tuple[str, float, float, str]]:
                 raise ConfigError(f"{where}: expected 4 fields, got {len(row)}")
             member_id, ccc_v, ccc_a, pred_path = (c.strip() for c in row[:4])
             try:
-                rows.append((member_id, float(ccc_v), float(ccc_a), pred_path))
+                weights = float(ccc_v), float(ccc_a)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            if not np.all(np.isfinite(weights)):
+                raise ConfigError(f"{where}: CCC weights must be finite, got {ccc_v}, {ccc_a}")
+            rows.append((member_id, *weights, pred_path))
     return rows

@@ -96,16 +96,13 @@ def _check_dense(rng, n_points, eps):
 
 def _check_gru(rng, n_points, eps):
     cell = GruCell(4, 5, rng)
-    xs = _tensors(rng, (3, 4), (3, 4), (3, 4))
-    params = xs + list(cell.parameters())
+    (x,) = _tensors(rng, (12, 4))  # 3 sequences of 4 frames, time-major
 
     def objective():
-        h = cell.initial_state(3)
-        for x in xs:
-            h = ad.gru_step(cell, x, h)
+        h = ad.gru_sequence(cell, x, 3, 4)
         return ad.tsum(h * h)
 
-    return max_relative_error(objective, params, n_points, eps, seed=12)
+    return max_relative_error(objective, [x] + cell.parameters(), n_points, eps, seed=12)
 
 
 def _check_dropout_off(rng, n_points, eps):

@@ -239,9 +239,29 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
             )
 
 
+def _finite(text: str, name: str) -> Optional[float]:
+    value = float(text) if text else None
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _probs(text: str, width: int, name: str, simplex: bool) -> Optional[np.ndarray]:
+    if not text:
+        return None
+    probs = np.array([float(p) for p in text.split(";")])
+    if probs.size != width or not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValueError(f"{name} must be {width} values in [0, 1], got {text!r}")
+    if simplex and abs(probs.sum() - 1.0) > 1e-6:
+        raise ValueError(f"{name} must sum to 1 within 1e-6, got {probs.sum()!r}")
+    return probs
+
+
 def read_predictions(path) -> List[PredictionRecord]:
     """Read prediction rows; a malformed row raises ConfigError at
-    ``path:line``."""
+    ``path:line``. Valence and arousal must be finite (the VA head is
+    unbounded, so no range applies), ``expr_probs`` must be a distribution
+    over the 7 expressions and ``au_probs`` 17 values in [0, 1]."""
     records: List[PredictionRecord] = []
     with open_rows(path) as (header, rows):
         if header is None or tuple(header) != PREDICTION_FIELDS:
@@ -254,10 +274,10 @@ def read_predictions(path) -> List[PredictionRecord]:
                 record = PredictionRecord(
                     id=sid,
                     frame_index=int(frame) if frame else None,
-                    valence=float(valence) if valence else None,
-                    arousal=float(arousal) if arousal else None,
-                    expr_probs=np.array([float(p) for p in expr.split(";")]) if expr else None,
-                    au_probs=np.array([float(p) for p in au.split(";")]) if au else None,
+                    valence=_finite(valence, "valence"),
+                    arousal=_finite(arousal, "arousal"),
+                    expr_probs=_probs(expr, NUM_EXPRESSIONS, "expr_probs", simplex=True),
+                    au_probs=_probs(au, NUM_AUS, "au_probs", simplex=False),
                 )
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line}: {exc}") from exc

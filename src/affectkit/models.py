@@ -14,8 +14,8 @@ end-to-end.
 
 Frame rows produced by ``forward`` are time-major: row = t * B + b. Every
 stateless layer (backbone, taps, stream and landmark concatenation, ``fc``
-fusion, heads) runs once over all T*B rows; only the GRU stacks and the
-``rnn`` fusion layer loop over time, one frame's B rows per step.
+fusion, heads) runs once over all T*B rows, and each GRU layer (stacks and
+the ``rnn`` fusion layer) is one ``gru_sequence`` node over all of them.
 """
 
 from __future__ import annotations
@@ -269,16 +269,10 @@ def _cat(tensors: List[DiffTensor], axis: int = 1) -> DiffTensor:
 
 
 def _recur(cells: List[GruCell], x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
-    """Walk a GRU stack over time-major rows, the only loop over t: frame t
-    is rows [t*B, (t+1)*B), so state row b only ever sees sequence b."""
-    states = [cell.initial_state(b_size) for cell in cells]
-    outs = []
-    for t in range(t_len):
-        h = ad.slice_axis(x, t * b_size, (t + 1) * b_size, axis=0)
-        for k, cell in enumerate(cells):
-            h = states[k] = ad.gru_step(cell, h, states[k])
-        outs.append(h)
-    return _cat(outs, axis=0)
+    """Run a GRU stack over time-major rows, one fused node per layer."""
+    for cell in cells:
+        x = ad.gru_sequence(cell, x, b_size, t_len)
+    return x
 
 
 class Model:

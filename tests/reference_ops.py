@@ -1,0 +1,70 @@
+"""Test-only autodiff ops kept as references for the fused nodes.
+
+``gru_step`` is the per-frame recurrence graph that ``gru_sequence``
+replaced, and ``recur_per_step`` walks a GRU stack with it one frame at a
+time; ``slice_axis`` and ``sub`` are the structural and elementwise ops
+only those references and the composite loss graphs still use.
+"""
+
+import numpy as np
+
+from affectkit import autodiff as ad
+from affectkit.autodiff import DiffTensor, GruCell, as_tensor
+from affectkit.errors import ShapeMismatch
+
+
+def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    try:
+        out_data = a.data - b.data
+    except ValueError as exc:
+        raise ShapeMismatch(f"sub {a.shape} vs {b.shape}") from exc
+    return DiffTensor(
+        out_data,
+        edges=(
+            (a, lambda g: ad._unbroadcast(g, a.shape)),
+            (b, lambda g: ad._unbroadcast(-g, b.shape)),
+        ),
+    )
+
+
+def slice_axis(x: DiffTensor, start: int, stop: int, axis: int = -1) -> DiffTensor:
+    ax = axis if axis >= 0 else x.ndim + axis
+    if not 0 <= start <= stop <= x.shape[ax]:
+        raise ShapeMismatch(f"slice [{start}:{stop}] on axis {ax} of {x.shape}")
+    sl = [slice(None)] * x.ndim
+    sl[ax] = slice(start, stop)
+    sl = tuple(sl)
+
+    def vjp(g):
+        full = np.zeros(x.shape, dtype=np.float64)
+        full[sl] = g
+        return full
+
+    return DiffTensor(x.data[sl], edges=((x, vjp),))
+
+
+def gru_step(cell: GruCell, x: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
+    """One recurrence step; x is (B, input_dim), h_prev is (B, hidden_dim)."""
+    if x.ndim != 2 or x.shape[1] != cell.input_dim:
+        raise ShapeMismatch(f"gru input {x.shape}, expected (B,{cell.input_dim})")
+    if h_prev.ndim != 2 or h_prev.shape[1] != cell.hidden_dim:
+        raise ShapeMismatch(f"gru state {h_prev.shape}, expected (B,{cell.hidden_dim})")
+    xh = ad.concat([x, h_prev], axis=1)
+    z = ad.sigmoid(ad.dense(xh, cell.w_z, cell.b_z))
+    r = ad.sigmoid(ad.dense(xh, cell.w_r, cell.b_r))
+    candidate = ad.tanh(
+        ad.dense(ad.concat([x, ad.mul(r, h_prev)], axis=1), cell.w_h, cell.b_h)
+    )
+    return ad.add(ad.mul(sub(as_tensor(1.0), z), h_prev), ad.mul(z, candidate))
+
+
+def recur_per_step(cells, x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
+    """Walk a GRU stack over time-major rows one frame's B rows at a time."""
+    states = [cell.initial_state(b_size) for cell in cells]
+    outs = []
+    for t in range(t_len):
+        h = slice_axis(x, t * b_size, (t + 1) * b_size, axis=0)
+        for k, cell in enumerate(cells):
+            h = states[k] = gru_step(cell, h, states[k])
+        outs.append(h)
+    return ad.concat(outs, axis=0)

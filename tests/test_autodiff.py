@@ -13,15 +13,13 @@ from affectkit.autodiff import (
     dense,
     dropout,
     glorot_uniform,
-    gru_step,
+    gru_sequence,
     load_checkpoint,
     matmul,
     relu,
     save_checkpoint,
     sigmoid,
-    slice_axis,
     softmax,
-    sub,
     take_rows,
     tanh,
     tsum,
@@ -33,6 +31,7 @@ from affectkit.errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
+from reference_ops import gru_step, recur_per_step, slice_axis, sub
 
 
 def square(t):
@@ -234,6 +233,58 @@ class TestGru:
         backward(tsum(h * h))
         numeric = numeric_grad(lambda v: run(v).item(), xs[0])
         assert x0.grad == pytest.approx(numeric, abs=1e-6)
+
+
+def sequence_grads(cell, x, b_size, t_len, weights, run=gru_sequence):
+    """States and the gradients of x and the six cell parameters for the
+    linear functional sum(states * weights)."""
+    for p in [x] + cell.parameters():
+        p.zero_grad()
+    h = run(cell, x, b_size, t_len)
+    backward(tsum(h * as_tensor(weights)))
+    return h.data.copy(), [p.grad.copy() for p in [x] + cell.parameters()]
+
+
+class TestGruSequence:
+    @pytest.mark.parametrize("b,t", [(1, 60), (5, 7), (3, 1)])
+    def test_matches_step_chain(self, b, t):
+        rng = np.random.default_rng(11)
+        cell = GruCell(4, 6, rng)
+        x = as_tensor(rng.normal(size=(t * b, 4)))
+        weights = rng.normal(size=(t * b, 6))
+        fused_h, fused_grads = sequence_grads(cell, x, b, t, weights)
+        step_h, step_grads = sequence_grads(
+            cell, x, b, t, weights, run=lambda c, *a: recur_per_step([c], *a)
+        )
+        np.testing.assert_allclose(fused_h, step_h, rtol=1e-12)
+        for got, want in zip(fused_grads, step_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_sequences_are_isolated(self):
+        b, t = 4, 6
+        rng = np.random.default_rng(12)
+        cell = GruCell(3, 5, rng)
+        rows = rng.normal(size=(t * b, 3))
+        bumped = rows.copy()
+        bumped[2::b] += rng.normal(size=(t, 3))
+        base = gru_sequence(cell, as_tensor(rows), b, t).data
+        moved = gru_sequence(cell, as_tensor(bumped), b, t).data
+        others = np.arange(t * b) % b != 2
+        assert np.array_equal(base[others], moved[others])
+        assert not np.array_equal(base[2::b], moved[2::b])
+
+        x = as_tensor(rows)
+        weights = np.zeros((t * b, 5))
+        weights[0::b] = rng.normal(size=(t, 5))
+        _, grads = sequence_grads(cell, x, b, t, weights)
+        assert np.all(grads[0][2::b] == 0.0)
+        assert np.all(grads[0][0::b] != 0.0)
+
+    @pytest.mark.parametrize("shape,b,t", [((6, 3), 2, 2), ((6, 4), 2, 3), ((0, 3), 0, 1)])
+    def test_shape_checked(self, shape, b, t):
+        cell = GruCell(3, 5, np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(cell, as_tensor(np.zeros(shape)), b, t)
 
 
 class TestGlorot:

@@ -21,6 +21,7 @@ from affectkit.losses import (
 )
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
+from reference_ops import slice_axis, sub
 
 RTOL = 1e-12
 
@@ -65,24 +66,24 @@ def _neg(x):
 def _ccc_1d(pred, truth):
     mean_p = _mean(pred)
     mean_t = _mean(truth)
-    dp = ad.sub(pred, mean_p)
-    dt = ad.sub(truth, mean_t)
+    dp = sub(pred, mean_p)
+    dt = sub(truth, mean_t)
     var_p = _mean(dp * dp)
     var_t = _mean(dt * dt)
     cov = _mean(dp * dt)
-    diff = ad.sub(mean_p, mean_t)
+    diff = sub(mean_p, mean_t)
     return _div(2.0 * cov, var_p + var_t + diff * diff)
 
 
 def ref_ccc(pred_va, truth):
-    ccc_v = _ccc_1d(ad.slice_axis(pred_va, 0, 1, axis=1), as_tensor(truth[:, 0:1]))
-    ccc_a = _ccc_1d(ad.slice_axis(pred_va, 1, 2, axis=1), as_tensor(truth[:, 1:2]))
-    return ad.sub(as_tensor(1.0), 0.5 * (ccc_v + ccc_a))
+    ccc_v = _ccc_1d(slice_axis(pred_va, 0, 1, axis=1), as_tensor(truth[:, 0:1]))
+    ccc_a = _ccc_1d(slice_axis(pred_va, 1, 2, axis=1), as_tensor(truth[:, 1:2]))
+    return sub(as_tensor(1.0), 0.5 * (ccc_v + ccc_a))
 
 
 def log_softmax(logits):
-    shift = ad.sub(logits, as_tensor(logits.data.max(axis=1, keepdims=True)))
-    return ad.sub(shift, _log(ad.tsum(_exp(shift), axis=1, keepdims=True)))
+    shift = sub(logits, as_tensor(logits.data.max(axis=1, keepdims=True)))
+    return sub(shift, _log(ad.tsum(_exp(shift), axis=1, keepdims=True)))
 
 
 def ref_cce(logits, truth_ids):
@@ -97,7 +98,7 @@ def ref_bce(au_logits, targets, mask):
     keep = np.flatnonzero(row_weight > 0)
     t = targets[keep]
     p = _clip(ad.sigmoid(ad.take_rows(au_logits, keep)), PROB_EPS, 1.0 - PROB_EPS)
-    terms = as_tensor(t) * _log(p) + as_tensor(1.0 - t) * _log(ad.sub(as_tensor(1.0), p))
+    terms = as_tensor(t) * _log(p) + as_tensor(1.0 - t) * _log(sub(as_tensor(1.0), p))
     per_sample = _div(ad.tsum(terms * as_tensor(mask[keep]), axis=1), as_tensor(row_weight[keep]))
     return _neg(_mean(per_sample))
 

@@ -69,6 +69,13 @@ class TestDecisionLevelFuse:
         with pytest.raises(NegativeWeight):
             decision_level_fuse([a])
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5)])
+    def test_non_finite_weight_rejected(self, weights):
+        a = member("a", *weights, {"f0": (0.2, 0.1)})
+        b = member("b", 0.5, 0.5, {"f0": (0.4, 0.3)})
+        with pytest.raises(NegativeWeight, match="non-finite"):
+            decision_level_fuse([b, a])
+
     def test_zero_weight_sum(self):
         a = member("a", 0.0, 0.5, {"f0": (0, 0)})
         with pytest.raises(ZeroWeightSum):
@@ -203,7 +210,12 @@ class TestManifest:
 
     @pytest.mark.parametrize(
         "row,message",
-        [("m1,0.5,0.3", "expected 4 fields, got 3"), ("m1,0.5,high,p.csv", "could not convert")],
+        [
+            ("m1,0.5,0.3", "expected 4 fields, got 3"),
+            ("m1,0.5,high,p.csv", "could not convert"),
+            ("m1,nan,0.3,p.csv", "CCC weights must be finite"),
+            ("m1,0.5,inf,p.csv", "CCC weights must be finite"),
+        ],
     )
     def test_malformed_row_names_the_line(self, tmp_path, row, message):
         path = tmp_path / "members.csv"

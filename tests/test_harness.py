@@ -710,6 +710,22 @@ class TestCLI:
         assert code == 2
         assert "features dim 10, model expects 16" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("ccc_v,code", [("0.5", 0), ("nan", 2)])
+    def test_fuse_rejects_a_non_finite_weight(self, tmp_path, capsys, ccc_v, code):
+        preds = tmp_path / "p0.csv"
+        write_predictions(preds, [PredictionRecord(id="f0", valence=0.25, arousal=-0.5)])
+        manifest = tmp_path / "members.csv"
+        manifest.write_text(
+            f"member_id,ccc_v,ccc_a,path\nm0,{ccc_v},0.3,{preds}\nm1,0.5,0.3,{preds}\n"
+        )
+        out = tmp_path / "fused.csv"
+        assert self.run_cli("fuse", "--manifest", manifest, "--out", out) == code
+        if code:
+            assert "members.csv:2: CCC weights must be finite" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert read_predictions(out)[0].valence == 0.25
+
     def test_eval_with_non_utf8_features_is_exit_2(self, tmp_path, capsys):
         cfg_file = self.write_expr_data(tmp_path, feature_dim=10)
         assert self.run_cli("train", "--config", cfg_file) == 0

@@ -27,6 +27,7 @@ from affectkit.models import (
     single_task_spec,
 )
 from affectkit.harness.checks import GRAD_TOLERANCE, max_relative_error
+from reference_ops import gru_step
 
 DIMS = InputDims(features=5)
 
@@ -435,13 +436,13 @@ def per_frame_forward(model, batch):
             ins = [ad.concat(fused, axis=1)] if single else fused
             for stack, hs, x in zip(trunk.branches, state, ins):
                 for k, cell in enumerate(stack):
-                    hs[k] = x = ad.gru_step(cell, x, hs[k])
+                    hs[k] = x = gru_step(cell, x, hs[k])
             outs.append(ad.concat([hs[-1] for hs in state], axis=1))
         feat = ad.concat(outs, axis=1)
         if model.fusion_layer is not None and model.fusion_layer[0] == "fc":
             feat = ad.relu(ad.dense(feat, model.fusion_layer[1], model.fusion_layer[2]))
         elif fusion_h is not None:
-            feat = fusion_h = ad.gru_step(model.fusion_layer[1], feat, fusion_h)
+            feat = fusion_h = gru_step(model.fusion_layer[1], feat, fusion_h)
         for name, (w, b) in model.heads.items():
             rows[name].append(ad.dense(feat, w, b))
     return {name: ad.concat(r, axis=0) for name, r in rows.items()}
@@ -455,6 +456,7 @@ EQUIVALENCE_SPECS = {
     "two_stream_landmark": ModelSpec(
         backbone=(6,), streams=2, landmark_concat=True, heads=("VA", "AU")
     ),
+    "single": ModelSpec(backbone=(6, 5), recurrent=RecurrentSpec("single", 4), heads=("AU",)),
     "single_2_layers": ModelSpec(
         backbone=(6,), recurrent=RecurrentSpec("single", 4, layers=2), heads=("VA", "EXPR")
     ),
@@ -495,7 +497,7 @@ def outputs_and_grads(model, heads, rng):
 
 class TestBatchedForwardMatchesPerFrame:
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SPECS))
-    @pytest.mark.parametrize("b,t", [(1, 1), (1, 7), (3, 1), (3, 7)])
+    @pytest.mark.parametrize("b,t", [(1, 1), (1, 7), (3, 1), (3, 7), (1, 60), (5, 7)])
     def test_outputs_and_gradients(self, name, b, t):
         model = Model(EQUIVALENCE_SPECS[name], ALL_DIMS, seed=5)
         batch = random_batch(np.random.default_rng(6), b, t)

@@ -1,5 +1,6 @@
 """Every CSV reader at the input boundary: lines named after a quoted
-newline, bytes that are not UTF-8, unparsable CSV, and mutated files."""
+newline, bytes that are not UTF-8, unparsable CSV, prediction values out of
+range, and mutated files."""
 
 import re
 
@@ -18,6 +19,8 @@ PREDICTION_HEADER = "id,frame_index,valence,arousal,expr_probs,au_probs\n"
 MANIFEST_HEADER = "member_id,ccc_v,ccc_a,path\n"
 LANDMARK_HEADER = "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"
 DEFS_HEADER = "name,emo1,emo2,bonus,aus\n"
+EXPR_PROBS = ";".join(["0.25", "0.75"] + ["0"] * 5)
+AU_PROBS = ";".join(["0.5"] * 16 + ["1"])
 
 # name -> (reader, a valid file, a file whose line 4 is bad after a quoted
 # field that spans lines 2-3)
@@ -38,7 +41,7 @@ READERS = {
     ),
     "predictions": (
         read_predictions,
-        PREDICTION_HEADER + "p0,1,0.5,-0.25,0.1;0.9,0.2;0.8\np1,,,,,\n",
+        PREDICTION_HEADER + f"p0,1,0.5,-0.25,{EXPR_PROBS},{AU_PROBS}\np1,,,,,\n",
         PREDICTION_HEADER + '"a\nb",1,0.5,0.25,,\np1,1,zz,,,\n',
     ),
     "manifest": (
@@ -75,6 +78,38 @@ def test_errors_name_the_path_and_the_file_line(tmp_path, name):
     path.write_bytes(valid.encode()[:-4] + b"\xff" + valid.encode()[-4:])
     with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: not UTF-8"):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (f"1e999,0.5,{EXPR_PROBS},", "valence must be finite"),
+        ("0.5,nan,,", "arousal must be finite"),
+        ("0.5,-inf,,", "arousal must be finite"),
+        ("0,0,0.25;0.75;0;0;0;0,", "expr_probs must be 7 values"),
+        ("0,0,0.25;0.75;0;0;0;0;0;0,", "expr_probs must be 7 values"),
+        ("0,0,1.25;-0.25;0;0;0;0;0,", r"expr_probs must be 7 values in \[0, 1\]"),
+        ("0,0,nan;0.75;0;0;0;0;0,", "expr_probs must be 7 values"),
+        ("0,0,0.25;0.7;0;0;0;0;0,", "expr_probs must sum to 1"),
+        (f"0,0,{EXPR_PROBS},{AU_PROBS};0.5", "au_probs must be 17 values"),
+        ("0,0,,0.5;0.5", "au_probs must be 17 values"),
+        (f"0,0,,{AU_PROBS[:-1]}1.5", r"au_probs must be 17 values in \[0, 1\]"),
+        (f"0,0,,{AU_PROBS[:-1]}inf", "au_probs must be 17 values"),
+    ],
+    ids=[
+        "valence_1e999", "arousal_nan", "arousal_-inf", "expr_6", "expr_8",
+        "expr_negative", "expr_nan", "expr_sum_0.95", "au_18", "au_2", "au_1.5", "au_inf",
+    ],
+)
+def test_prediction_values_are_checked(tmp_path, fields, message):
+    # VA is checked only for finiteness: the VA head is unbounded
+    path = tmp_path / "preds.csv"
+    valid = f"p0,1,0.5,-0.25,{EXPR_PROBS},{AU_PROBS}\n"
+    path.write_text(f"{PREDICTION_HEADER}{valid}p1,2,{fields}\n")
+    with pytest.raises(ConfigError, match=rf"preds\.csv:3: {message}"):
+        read_predictions(path)
+    path.write_text(f"{PREDICTION_HEADER}{valid}p1,2,7.5,-3,,\n")
+    assert read_predictions(path)[1].valence == 7.5
 
 
 @pytest.mark.parametrize("name", READERS)
