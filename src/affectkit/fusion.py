@@ -24,6 +24,7 @@ from .errors import (
     EvenWindow,
     KeyMisalignment,
     NegativeWeight,
+    ValueOutOfRange,
     ZeroWeightSum,
 )
 
@@ -45,7 +46,7 @@ def decision_level_fuse(members: Sequence[EnsembleMember]) -> Dict:
     Weights are the members' validation concordances; negative or
     non-finite weights are rejected rather than flipped, and each
     dimension's weights must not sum to zero. All members must predict
-    exactly the same frame keys.
+    exactly the same frame keys, each with a valence and an arousal.
     """
     if not members:
         raise ZeroWeightSum("no ensemble members")
@@ -65,6 +66,12 @@ def decision_level_fuse(members: Sequence[EnsembleMember]) -> Dict:
             raise KeyMisalignment(
                 f"member {m.member_id!r} predicts a different frame set"
             )
+    for m in members:
+        for k, va in m.predictions.items():
+            if va[0] is None or va[1] is None:
+                raise ValueOutOfRange(
+                    f"member {m.member_id!r} has no valence/arousal prediction for frame {k!r}"
+                )
     fused = {}
     for k in keys:
         v = sum(m.val_ccc_v * m.predictions[k][0] for m in members) / t_v

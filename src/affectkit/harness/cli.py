@@ -179,11 +179,12 @@ def _cmd_zero_shot(args) -> int:
         load_compound_defs(args.defs) if args.defs else default_compound_defs()
     )
     records = read_predictions(args.predictions)
+    # classify everything first so that a failing record leaves no file
+    rows = [(record.id, classify_compound(defs, record).name) for record in records]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "compound"])
-        for record in records:
-            writer.writerow([record.id, classify_compound(defs, record).name])
+        writer.writerows(rows)
     print(args.out)
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -215,7 +216,7 @@ def load_dataset(annotations_path, features_path, split: Optional[str] = None) -
 def _probs_field(probs: Optional[np.ndarray]) -> str:
     if probs is None:
         return ""
-    return ";".join(repr(float(p)) for p in probs)
+    return ";".join(map(repr, np.asarray(probs, dtype=np.float64).tolist()))
 
 
 def _float_field(value: Optional[float]) -> str:
@@ -223,20 +224,20 @@ def _float_field(value: Optional[float]) -> str:
 
 
 def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
+    """One CSV row per record. ``csv`` formats the id and frame index, so an
+    id is quoted exactly when ``csv`` would quote it; the other fields are
+    float reprs joined by ';', which ``csv`` never quotes, so they are
+    appended as they are rather than scanned again character by character."""
+    # a csv writer returns what its file's write() returns: here, the row
+    key_row = csv.writer(SimpleNamespace(write=lambda row: row), lineterminator="\n").writerow
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTION_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.id,
-                    r.frame_index if r.frame_index is not None else "",
-                    _float_field(r.valence),
-                    _float_field(r.arousal),
-                    _probs_field(r.expr_probs),
-                    _probs_field(r.au_probs),
-                ]
-            )
+        fh.write(key_row(PREDICTION_FIELDS))
+        fh.writelines(
+            f"{key_row((r.id, '' if r.frame_index is None else r.frame_index))[:-1]},"
+            f"{_float_field(r.valence)},{_float_field(r.arousal)},"
+            f"{_probs_field(r.expr_probs)},{_probs_field(r.au_probs)}\n"
+            for r in records
+        )
 
 
 def _finite(text: str, name: str) -> Optional[float]:

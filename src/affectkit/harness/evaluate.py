@@ -99,18 +99,22 @@ def evaluate_model(
             raise IncompatibleHeads(f"task {task} needs a {task} head")
 
     rows = _forward_all(model, samples, chunk)
+    none = [None] * len(samples)
+    valence, arousal = (none, none) if rows["va"] is None else rows["va"].T.tolist()
+    expr = none if rows["expr"] is None else rows["expr"]
+    au = none if rows["au"] is None else rows["au"]
     records = [
         PredictionRecord(
             id=s.id,
             frame_index=s.frame_index,
             sequence_id=s.sequence_id,
             utterance_id=s.utterance_id,
-            valence=None if rows["va"] is None else float(rows["va"][i, 0]),
-            arousal=None if rows["va"] is None else float(rows["va"][i, 1]),
-            expr_probs=None if rows["expr"] is None else rows["expr"][i],
-            au_probs=None if rows["au"] is None else rows["au"][i],
+            valence=v,
+            arousal=a,
+            expr_probs=e,
+            au_probs=u,
         )
-        for i, s in enumerate(samples)
+        for s, v, a, e, u in zip(samples, valence, arousal, expr, au)
     ]
 
     metrics: Dict[str, float] = {}

@@ -16,7 +16,7 @@ in the class's set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,15 +64,26 @@ class CompoundClassDef:
     au_set: Tuple[Tuple[int, float], ...]
     valence_bonus: bool = False
 
+    # (canonical AU column, weight) per AU and the weights' sum, derived
+    # once so that scoring a record is arithmetic over Python floats
+    columns: Tuple[Tuple[int, float], ...] = field(init=False, repr=False, compare=False)
+    weight_sum: float = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.emo1.class_id == self.emo2.class_id:
             raise ValueOutOfRange(f"{self.name}: constituents must differ")
         if not self.au_set:
             raise ValueOutOfRange(f"{self.name}: AU set must be nonempty")
+        columns = []
+        weight_sum = 0.0
         for au, w in self.au_set:
-            au_index(au)
+            col = au_index(au)
             if not 0.0 < w < math.inf:
                 raise ValueOutOfRange(f"{self.name}: AU{au} weight {w} must be finite and > 0")
+            columns.append((col, float(w)))
+            weight_sum += float(w)
+        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "weight_sum", weight_sum)
 
 
 def _union_au_set(
@@ -114,6 +125,40 @@ def default_compound_defs(table: RelatednessTable = COGNITIVE) -> List[CompoundC
     return defs
 
 
+def _record_values(
+    defs: Sequence[CompoundClassDef], pred: PredictionRecord
+) -> Tuple[List[float], List[float], Optional[float]]:
+    """Check a record against the definitions once; return its AU and
+    emotion probabilities as Python floats and its valence bonus
+    0.5*(sign(v)+1) (None when no valence was predicted)."""
+    if pred.au_probs is None:
+        raise MissingAUPrediction(f"{defs[0].name}: prediction has no AU probabilities")
+    if pred.expr_probs is None:
+        raise ValueOutOfRange(f"{defs[0].name}: prediction has no emotion probabilities")
+    if pred.valence is None:
+        for cdef in defs:
+            if cdef.valence_bonus:
+                raise ValueOutOfRange(f"{cdef.name}: bonus needs a valence prediction")
+        bonus = None
+    else:
+        bonus = float(0.5 * (np.sign(pred.valence) + 1.0))
+    au = np.asarray(pred.au_probs, dtype=np.float64).tolist()
+    expr = np.asarray(pred.expr_probs, dtype=np.float64).tolist()
+    return au, expr, bonus
+
+
+def _score(
+    cdef: CompoundClassDef, au: List[float], expr: List[float], bonus: Optional[float]
+) -> float:
+    num = 0.0
+    for col, w in cdef.columns:
+        num += w * au[col]
+    score = num / cdef.weight_sum + (expr[cdef.emo1.class_id] + expr[cdef.emo2.class_id])
+    if cdef.valence_bonus:
+        score += bonus
+    return score
+
+
 def candidate_score(cdef: CompoundClassDef, pred: PredictionRecord) -> float:
     """score = weighted mean of p(AU_k) over the class AU set
     + p(emo1) + p(emo2) + bonus.
@@ -121,37 +166,22 @@ def candidate_score(cdef: CompoundClassDef, pred: PredictionRecord) -> float:
     The bonus (only on positive-valence compounds) is 0.5*(sign(v)+1):
     1 for positive valence, 0 for negative, 0.5 at exactly zero.
     """
-    if pred.au_probs is None:
-        raise MissingAUPrediction(f"{cdef.name}: prediction has no AU probabilities")
-    au = np.asarray(pred.au_probs, dtype=np.float64)
-    num = 0.0
-    den = 0.0
-    for au_id, w in cdef.au_set:
-        num += w * au[au_index(au_id)]
-        den += w
-    score = num / den
-    if pred.expr_probs is None:
-        raise ValueOutOfRange(f"{cdef.name}: prediction has no emotion probabilities")
-    probs = np.asarray(pred.expr_probs, dtype=np.float64)
-    score += float(probs[cdef.emo1.class_id]) + float(probs[cdef.emo2.class_id])
-    if cdef.valence_bonus:
-        if pred.valence is None:
-            raise ValueOutOfRange(f"{cdef.name}: bonus needs a valence prediction")
-        score += 0.5 * (np.sign(pred.valence) + 1.0)
-    return float(score)
+    return _score(cdef, *_record_values((cdef,), pred))
 
 
 def classify_compound(
     defs: Sequence[CompoundClassDef], pred: PredictionRecord
 ) -> CompoundClassDef:
     """The definition with the maximum candidate score; ties go to the
-    earlier definition."""
+    earlier definition. The record is checked and converted once, then
+    every definition is scored from the same lists."""
     if not defs:
         raise EmptyDefs("no compound definitions")
+    values = _record_values(defs, pred)
     best = defs[0]
-    best_score = candidate_score(best, pred)
+    best_score = _score(best, *values)
     for cdef in defs[1:]:
-        s = candidate_score(cdef, pred)
+        s = _score(cdef, *values)
         if s > best_score:
             best = cdef
             best_score = s

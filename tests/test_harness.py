@@ -1,6 +1,8 @@
 """End-to-end harness: config, synthetic data, file formats, training,
 evaluation, gradient checks, and the command line."""
 
+import csv
+import io
 import os
 
 import numpy as np
@@ -19,6 +21,7 @@ from affectkit.harness.checks import CHECKS, max_relative_error, run_grad_checks
 from affectkit.harness.cli import main
 from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
+    PREDICTION_FIELDS,
     load_dataset,
     read_annotations,
     read_features,
@@ -380,6 +383,63 @@ class TestDataFiles:
         assert np.array_equal(loaded[0].au_probs, records[0].au_probs)
         assert loaded[1].valence is None and loaded[1].expr_probs is None
 
+    # the bytes written for GOLDEN_RECORDS: csv quoting of the id, empty
+    # optional fields and the shortest repr of every float, -0.0 and the
+    # smallest subnormal included; float32 input is widened exactly
+    GOLDEN_BYTES = (
+        b"id,frame_index,valence,arousal,expr_probs,au_probs\n"
+        b'"clip 1, ""take"" 2",,-0.0,0.3333333333333333,'
+        b"0.3333333333333333;0.3333333333333333;0.3333333333333333;0.0;-0.0;5e-324;0.0,"
+        b"1.0;-0.0;5e-324;0.3333333333333333;0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.0\n"
+        b"f7,7,5e-324,1.0,,\n"
+        b",0,,,0.0;0.0;0.0;0.0;0.0;0.0;1.0,"
+        + b";".join([b"0.10000000149011612"] * 17)
+        + b"\n"
+    )
+
+    @staticmethod
+    def golden_records():
+        third = 1 / 3
+        return [
+            PredictionRecord(
+                id='clip 1, "take" 2',
+                frame_index=None,
+                valence=-0.0,
+                arousal=third,
+                expr_probs=np.array([third, third, third, 0.0, -0.0, 5e-324, 0.0]),
+                au_probs=np.array([1.0, -0.0, 5e-324, third] + [0.5] * 12 + [0.0]),
+            ),
+            PredictionRecord(id="f7", frame_index=7, valence=5e-324, arousal=1.0),
+            PredictionRecord(
+                id="",
+                frame_index=0,
+                expr_probs=np.eye(7)[6],
+                au_probs=np.full(17, 0.1, dtype=np.float32),
+            ),
+        ]
+
+    def test_prediction_bytes_are_golden(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions(path, self.golden_records())
+        assert path.read_bytes() == self.GOLDEN_BYTES
+
+    def test_prediction_bytes_round_trip(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_bytes(self.GOLDEN_BYTES)
+        again = tmp_path / "again.csv"
+        write_predictions(again, read_predictions(path))
+        assert again.read_bytes() == self.GOLDEN_BYTES
+
+    @pytest.mark.parametrize("rid", ["a\nb", "a\rb", "a\r\nb", ' "q" ', "x,y", "", "é;1"])
+    def test_prediction_id_is_quoted_as_csv_quotes_it(self, tmp_path, rid):
+        path = tmp_path / "preds.csv"
+        write_predictions(path, [PredictionRecord(id=rid, frame_index=3, valence=0.5)])
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [PREDICTION_FIELDS, [rid, 3, "0.5", "", "", ""]]
+        )
+        assert path.read_bytes() == expected.getvalue().encode()
+
     def test_report_round_trip(self, tmp_path):
         metrics = {"va.ccc_v": 0.62357, "expr.accuracy": 0.5, "au.macro_f1": 1 / 3}
         path = tmp_path / "report.txt"
@@ -725,6 +785,39 @@ class TestCLI:
             assert not out.exists()
         else:
             assert read_predictions(out)[0].valence == 0.25
+
+    def test_fuse_with_empty_va_is_exit_2(self, tmp_path, capsys):
+        good = tmp_path / "p0.csv"
+        write_predictions(good, [PredictionRecord(id="a", valence=0.25, arousal=-0.5)])
+        empty = tmp_path / "p1.csv"
+        empty.write_text("id,frame_index,valence,arousal,expr_probs,au_probs\na,,,,,\n")
+        manifest = tmp_path / "members.csv"
+        manifest.write_text(
+            f"member_id,ccc_v,ccc_a,path\nm0,0.5,0.3,{good}\nm1,0.5,0.3,{empty}\n"
+        )
+        out = tmp_path / "fused.csv"
+        code = self.run_cli("fuse", "--manifest", manifest, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "member 'm1'" in err and "frame 'a'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_shot_failure_writes_no_file(self, tmp_path, capsys):
+        expr = np.full(7, 1 / 7)
+        preds = tmp_path / "preds.csv"
+        write_predictions(
+            preds,
+            [
+                PredictionRecord(id="f0", valence=0.5, expr_probs=expr, au_probs=np.full(17, 0.5)),
+                PredictionRecord(id="f1", valence=0.5, expr_probs=expr),
+            ],
+        )
+        out = tmp_path / "compound.csv"
+        code = self.run_cli("zero-shot", "--predictions", preds, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no AU probabilities" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_eval_with_non_utf8_features_is_exit_2(self, tmp_path, capsys):
         cfg_file = self.write_expr_data(tmp_path, feature_dim=10)

@@ -1,5 +1,7 @@
 """Zero-shot compound-expression scoring."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,152 @@ class TestDefFiles:
         path.write_text("name,emo1,emo2,bonus\n")
         with pytest.raises(EmptyDefs):
             load_compound_defs(path)
+
+
+def oracle_score(cdef, pred):
+    """The per-definition score as first written: one ``au_index`` lookup
+    and numpy scalar arithmetic per AU, every check on every call."""
+    if pred.au_probs is None:
+        raise MissingAUPrediction(f"{cdef.name}: prediction has no AU probabilities")
+    au = np.asarray(pred.au_probs, dtype=np.float64)
+    num = 0.0
+    den = 0.0
+    for au_id, w in cdef.au_set:
+        num += w * au[au_index(au_id)]
+        den += w
+    score = num / den
+    if pred.expr_probs is None:
+        raise ValueOutOfRange(f"{cdef.name}: prediction has no emotion probabilities")
+    probs = np.asarray(pred.expr_probs, dtype=np.float64)
+    score += float(probs[cdef.emo1.class_id]) + float(probs[cdef.emo2.class_id])
+    if cdef.valence_bonus:
+        if pred.valence is None:
+            raise ValueOutOfRange(f"{cdef.name}: bonus needs a valence prediction")
+        score += 0.5 * (np.sign(pred.valence) + 1.0)
+    return float(score)
+
+
+def oracle_classify(defs, pred):
+    best = defs[0]
+    best_score = oracle_score(best, pred)
+    for cdef in defs[1:]:
+        s = oracle_score(cdef, pred)
+        if s > best_score:
+            best = cdef
+            best_score = s
+    return best
+
+
+CUSTOM_DEFS = (
+    "name,emo1,emo2,bonus,aus\n"
+    "happily_surprised,happiness,surprise,yes,12:0.3,25:2.5,5:1e-3\n"
+    "sadly_angry,sadness,anger,no,4:7,15:0.1,23:0.77,17:3.25\n"
+    "fearfully_surprised,fear,surprise,no,1:0.6,2:0.6,20:1.9\n"
+    "sadly_fearful,sadness,fear,0\n"
+    "happily_disgusted,happiness,disgust,1,9:0.45,10:0.2,12:1.1\n"
+)
+
+
+class TestAgainstPerDefinitionOracle:
+    """The scoring loop keeps the old per-definition arithmetic exactly:
+    same order of operations, so the same bits and the same winner."""
+
+    @staticmethod
+    def defs_sets(tmp_path):
+        path = tmp_path / "defs.csv"
+        path.write_text(CUSTOM_DEFS)
+        return [default_compound_defs(), load_compound_defs(path)]
+
+    def assert_same(self, defs, pred):
+        for cdef in defs:
+            score = candidate_score(cdef, pred)
+            assert type(score) is float
+            assert score == oracle_score(cdef, pred)
+        assert classify_compound(defs, pred) is oracle_classify(defs, pred)
+
+    def test_random_records(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for defs in self.defs_sets(tmp_path):
+            for i in range(400):
+                valence = (rng.uniform(-1, 1), 0.0, -0.0, rng.normal(scale=1e-300))[i % 4]
+                pred = record(
+                    au_probs=rng.random(17),
+                    expr_probs=rng.dirichlet(np.full(7, 0.3)),
+                    valence=valence,
+                )
+                self.assert_same(defs, pred)
+
+    def test_other_array_types(self, tmp_path):
+        rng = np.random.default_rng(8)
+        for defs in self.defs_sets(tmp_path):
+            pred = PredictionRecord(
+                id="r0",
+                au_probs=rng.random(17).astype(np.float32),
+                expr_probs=list(rng.dirichlet(np.ones(7))),
+                valence=np.float64(0.25),
+            )
+            self.assert_same(defs, pred)
+
+    @pytest.mark.parametrize("valence", [0.0, -0.0])
+    def test_zero_valence_bonus_is_half(self, valence):
+        cdef = simple_def(bonus=True)
+        pred = record(valence=valence)
+        assert candidate_score(cdef, pred) == oracle_score(cdef, pred) == 0.5
+        self.assert_same(default_compound_defs(), pred)
+
+    def test_exact_tie_between_different_definitions(self):
+        # AU12 at weight 1 and AU25 at weight 2, both predicted at 0.5:
+        # the AU terms are both exactly 0.5 and the constituents are shared
+        a = simple_def(name="first", au_set=((12, 1.0),))
+        b = simple_def(name="second", au_set=((25, 2.0), (26, 2.0)))
+        au = np.zeros(17)
+        au[au_index(12)] = au[au_index(25)] = au[au_index(26)] = 0.5
+        pred = record(au_probs=au, expr_probs=np.full(7, 1 / 7))
+        assert candidate_score(a, pred) == candidate_score(b, pred)
+        assert classify_compound([a, b], pred) is a
+        assert classify_compound([b, a], pred) is b
+        self.assert_same([a, b], pred)
+
+    def test_all_defaults_tied(self):
+        # no AU evidence, uniform emotions, negative valence: all 11 scores
+        # are 2/7, so the first definition of the list wins
+        defs = default_compound_defs()
+        pred = record(expr_probs=np.full(7, 1 / 7), valence=-0.4)
+        assert len({candidate_score(d, pred) for d in defs}) == 1
+        assert classify_compound(defs, pred) is defs[0]
+        assert classify_compound(defs[::-1], pred) is defs[-1]
+        self.assert_same(defs, pred)
+
+    def test_no_valence_without_bonus_definitions(self):
+        defs = [d for d in default_compound_defs() if not d.valence_bonus]
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            pred = record(au_probs=rng.random(17), expr_probs=rng.dirichlet(np.ones(7)))
+            self.assert_same(defs, pred)
+
+    @pytest.mark.parametrize(
+        "fields,error",
+        [
+            (dict(expr_probs=np.zeros(7), valence=0.1), MissingAUPrediction),
+            (dict(au_probs=np.zeros(17), valence=0.1), ValueOutOfRange),
+            (dict(au_probs=np.zeros(17), expr_probs=np.zeros(7)), ValueOutOfRange),
+            (dict(valence=0.1), MissingAUPrediction),
+        ],
+    )
+    def test_missing_values_raise_as_before(self, fields, error):
+        pred = PredictionRecord(id="r0", **fields)
+        # put a no-bonus definition first, so a missing valence is found
+        # at the first bonus definition, as the old loop found it
+        defs = sorted(default_compound_defs(), key=lambda d: d.valence_bonus)
+        with pytest.raises(error) as expected:
+            oracle_classify(defs, pred)
+        with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+            classify_compound(defs, pred)
+        for cdef in defs:
+            try:
+                want = oracle_score(cdef, pred)
+            except error as exc:
+                with pytest.raises(error, match=f"^{re.escape(str(exc))}$"):
+                    candidate_score(cdef, pred)
+            else:
+                assert candidate_score(cdef, pred) == want
