@@ -7,12 +7,13 @@ the output gradient to the contribution for one parent, so ``backward``
 is a reverse-topological sweep calling closures in construction order,
 which makes repeated runs on the same graph bit-identical.
 
-The op set is exactly what the model zoo needs: dense layers, relu, tanh,
-sigmoid and softmax, concatenation and row gathers, inverted dropout, a
-sum reduction, and add/mul with numpy-style broadcasting. Each training
-loss is one ``fused`` node whose gradients were computed in closed form
-together with its value, and ``gru_sequence`` runs a gated recurrent cell
-over whole sequences as one node with a hand-written BPTT. The Adam
+The op set is exactly what the model zoo needs: ``dense`` (one affine
+node with a closed-form vjp), ``relu``, ``sigmoid``, ``softmax``,
+``concat``, ``take_rows``, inverted ``dropout``, ``fused`` and
+``gru_sequence``. ``fused`` is a node whose gradients were computed in
+closed form together with its value: each training loss is one, and so is
+each weighted sum of loss terms. ``gru_sequence`` runs a gated recurrent
+cell over whole sequences as one node with a hand-written BPTT. The Adam
 optimizer and a binary checkpoint format for named parameter sets live
 here too.
 
@@ -34,19 +35,6 @@ from .errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class DiffTensor:
@@ -85,77 +73,28 @@ class DiffTensor:
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.shape}, edges={len(self._edges)})"
 
-    # arithmetic sugar; constants are wrapped as edge-free tensors
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    __rmul__ = __mul__
-
-
-def as_tensor(value) -> DiffTensor:
-    return value if isinstance(value, DiffTensor) else DiffTensor(value)
-
 
 # ---------------------------------------------------------------------------
 # primitive operations
 
 
-def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    try:
-        out_data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeMismatch(f"add {a.shape} vs {b.shape}") from exc
-    return DiffTensor(
-        out_data,
-        edges=(
-            (a, lambda g: _unbroadcast(g, a.shape)),
-            (b, lambda g: _unbroadcast(g, b.shape)),
-        ),
-    )
-
-
-def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    try:
-        out_data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeMismatch(f"mul {a.shape} vs {b.shape}") from exc
-    return DiffTensor(
-        out_data,
-        edges=(
-            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
-        ),
-    )
-
-
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    return DiffTensor(
-        a.data @ b.data,
-        edges=(
-            (a, lambda g: g @ b.data.T),
-            (b, lambda g: a.data.T @ g),
-        ),
-    )
-
-
 def dense(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Affine layer x @ w + b with b broadcast over rows."""
-    return add(matmul(x, w), b)
+    """Affine layer x @ w + b, b added to every row, as one node."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"dense {x.shape} @ {w.shape} + {b.shape}")
+    return DiffTensor(
+        x.data @ w.data + b.data,
+        edges=(
+            (x, lambda g: g @ w.data.T),
+            (w, lambda g: x.data.T @ g),
+            (b, lambda g: g.sum(axis=0)),
+        ),
+    )
 
 
 def relu(x: DiffTensor) -> DiffTensor:
     mask = x.data > 0
     return DiffTensor(np.where(mask, x.data, 0.0), edges=((x, lambda g: g * mask),))
-
-
-def tanh(x: DiffTensor) -> DiffTensor:
-    t = np.tanh(x.data)
-    return DiffTensor(t, edges=((x, lambda g: g * (1.0 - t * t)),))
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:
@@ -179,17 +118,6 @@ def softmax(x: DiffTensor, axis: int = -1) -> DiffTensor:
         return s * (g - np.sum(g * s, axis=axis, keepdims=True))
 
     return DiffTensor(s, edges=((x, vjp),))
-
-
-def tsum(x: DiffTensor, axis: Optional[int] = None, keepdims: bool = False) -> DiffTensor:
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.shape)
-
-    return DiffTensor(out_data, edges=((x, vjp),))
 
 
 def concat(tensors: Sequence[DiffTensor], axis: int = -1) -> DiffTensor:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from typing import List, Optional
 
@@ -120,10 +119,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = RunConfig.from_file(args.config)
     model = load_model(config, args.checkpoint)
-    samples = load_dataset(args.annotations, args.features)
-    if args.split:
-        kept = [s for s in samples if s.split == args.split]
-        samples = kept if kept else samples
+    samples = load_dataset(args.annotations, args.features, split=args.split or None)
     tasks = None
     if args.tasks:
         tasks = [t.strip().upper() for t in args.tasks.split(",")]
@@ -146,12 +142,17 @@ def _cmd_fuse(args) -> int:
         records = read_predictions(path)
         if not order:
             order = [r.id for r in records]
+        predictions = {}
+        for r in records:
+            if r.id in predictions:
+                raise ConfigError(f"{path}: id {r.id!r} appears more than once")
+            predictions[r.id] = (r.valence, r.arousal)
         members.append(
             EnsembleMember(
                 member_id=member_id,
                 val_ccc_v=ccc_v,
                 val_ccc_a=ccc_a,
-                predictions={r.id: (r.valence, r.arousal) for r in records},
+                predictions=predictions,
             )
         )
     fused = decision_level_fuse(members)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -51,6 +51,15 @@ PREDICTION_FIELDS = (
     "expr_probs",
     "au_probs",
 )
+
+# One CSV row as text without its line ending: a csv writer returns what
+# its file's write() returns. Its "\r\n" terminator makes csv quote a
+# field holding either line-break character (csv quotes only the
+# terminator's), so an id with a lone "\r" reads back intact; the writers
+# below end every row with "\n".
+_csv_line = csv.writer(
+    SimpleNamespace(write=lambda row: row[:-2]), lineterminator="\r\n"
+).writerow
 
 
 def _encode_payload(sample: AnnotatedSample) -> str:
@@ -110,20 +119,18 @@ def _decode_payload(task: str, payload: str, where: str):
 
 def write_annotations(path, samples: Iterable[AnnotatedSample]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ANNOTATION_FIELDS)
+        fh.write(_csv_line(ANNOTATION_FIELDS) + "\n")
         for s in samples:
-            writer.writerow(
-                [
-                    s.id,
-                    s.split,
-                    s.sequence_id if s.sequence_id is not None else "",
-                    s.utterance_id if s.utterance_id is not None else "",
-                    s.frame_index if s.frame_index is not None else "",
-                    s.task,
-                    _encode_payload(s),
-                ]
+            fields = (
+                s.id,
+                s.split,
+                s.sequence_id if s.sequence_id is not None else "",
+                s.utterance_id if s.utterance_id is not None else "",
+                s.frame_index if s.frame_index is not None else "",
+                s.task,
+                _encode_payload(s),
             )
+            fh.write(_csv_line(fields) + "\n")
 
 
 def read_annotations(path) -> List[AnnotatedSample]:
@@ -165,10 +172,9 @@ def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
         raise ConfigError("no samples to write")
     dim = samples[0].features.shape[0]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"f{i}" for i in range(dim)])
+        fh.write(_csv_line(["id"] + [f"f{i}" for i in range(dim)]) + "\n")
         for s in samples:
-            writer.writerow([s.id] + [repr(float(v)) for v in s.features])
+            fh.write(_csv_line([s.id] + [repr(float(v)) for v in s.features]) + "\n")
 
 
 def read_features(path) -> Dict[str, np.ndarray]:
@@ -197,11 +203,12 @@ def read_features(path) -> Dict[str, np.ndarray]:
 
 
 def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> List[AnnotatedSample]:
-    """Read annotations, attach feature vectors by id, optionally filter by split."""
+    """Read annotations and attach feature vectors by id. With ``split``,
+    keep the rows of that split, or every row if none carries it."""
     samples = read_annotations(annotations_path)
     features = read_features(features_path)
     if split is not None:
-        samples = [s for s in samples if s.split == split]
+        samples = [s for s in samples if s.split == split] or samples
     missing = [s.id for s in samples if s.id not in features]
     if missing:
         raise KeyMisalignment(
@@ -228,12 +235,10 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
     id is quoted exactly when ``csv`` would quote it; the other fields are
     float reprs joined by ';', which ``csv`` never quotes, so they are
     appended as they are rather than scanned again character by character."""
-    # a csv writer returns what its file's write() returns: here, the row
-    key_row = csv.writer(SimpleNamespace(write=lambda row: row), lineterminator="\n").writerow
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(key_row(PREDICTION_FIELDS))
+        fh.write(_csv_line(PREDICTION_FIELDS) + "\n")
         fh.writelines(
-            f"{key_row((r.id, '' if r.frame_index is None else r.frame_index))[:-1]},"
+            f"{_csv_line((r.id, '' if r.frame_index is None else r.frame_index))},"
             f"{_float_field(r.valence)},{_float_field(r.arousal)},"
             f"{_probs_field(r.expr_probs)},{_probs_field(r.au_probs)}\n"
             for r in records

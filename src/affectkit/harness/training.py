@@ -30,6 +30,7 @@ from ..losses import (
     label_arrays,
     multitask_loss,
     soft_target_cce,
+    weighted_total,
 )
 from ..models import Model, SequenceBatch, au_probs, expr_probs, load_parameters
 from ..relatedness import (
@@ -51,13 +52,6 @@ class TrainResult:
     checkpoint_path: str
     log_path: str
     config: RunConfig
-
-
-def _load_split(annotations_path: str, features_path: str, split: str) -> List[AnnotatedSample]:
-    """Samples whose split matches; if none are tagged with it, take all."""
-    samples = load_dataset(annotations_path, features_path)
-    matching = [s for s in samples if s.split == split]
-    return matching if matching else samples
 
 
 @dataclass
@@ -193,10 +187,10 @@ def train_run(config: RunConfig) -> TrainResult:
     if not config.train_annotations or not config.train_features:
         raise ConfigError("train_annotations and train_features are required")
 
-    train_samples = _load_split(config.train_annotations, config.train_features, "train")
+    train_samples = load_dataset(config.train_annotations, config.train_features, split="train")
     val_samples: List[AnnotatedSample] = []
     if config.val_annotations and config.val_features:
-        val_samples = _load_split(config.val_annotations, config.val_features, "val")
+        val_samples = load_dataset(config.val_annotations, config.val_features, split="val")
 
     data = _build_table(train_samples, config)
     spec = config.model_spec()
@@ -256,13 +250,16 @@ def train_run(config: RunConfig) -> TrainResult:
             dm = use_dm and preds.au_logits is not None
             if preds.expr_logits is not None and (soft_rows.size or dm):
                 probs = expr_probs(preds)
+                terms = [(1.0, loss)]
                 if soft_rows.size:
                     p = ad.take_rows(probs, soft_rows)
-                    loss = loss + soft_target_cce(p, soft)
+                    terms.append((1.0, soft_target_cce(p, soft)))
                 if dm:
-                    loss = loss + distribution_matching_loss(
+                    dm_loss = distribution_matching_loss(
                         probs, au_probs(preds), table, reweight=config.reweight_mixture,
                     )
+                    terms.append((1.0, dm_loss))
+                loss = weighted_total(terms)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")

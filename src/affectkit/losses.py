@@ -4,7 +4,8 @@ coupling losses (soft-target cross-entropy and distribution matching).
 
 Each loss computes its value and its gradient in closed form with plain
 numpy and returns one ``autodiff.fused`` node, so gradients flow back to
-whatever produced the predictions without a graph of scalar ops.
+whatever produced the predictions without a graph of scalar ops;
+``weighted_total`` sums weighted terms as one more such node.
 Probabilities that feed a log are clamped to [1e-7, 1-1e-7] after the
 sigmoid/softmax, and no gradient passes where the clamp bites; the
 categorical term instead uses a max-shifted log-sum-exp, which stays exact
@@ -23,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DiffTensor, as_tensor
+from .autodiff import DiffTensor
 from .errors import (
     BadDistribution,
     BatchTooSmall,
@@ -219,7 +220,8 @@ def multitask_loss(
     """L_total = L_expr + lambda1 * L_au + lambda2 * L_va.
 
     Each term is computed only over the rows flagged as carrying that
-    label type; a task with no labeled rows (or no head) contributes 0.
+    label type; a task with no labeled rows (or no head) contributes 0
+    and, with ``return_terms``, is reported as an edge-free 0.
     A compound head, when present, adds a plain cross-entropy term at
     unit weight (the transfer-learning extension).
     """
@@ -236,8 +238,7 @@ def multitask_loss(
             return np.arange(n)
         return np.flatnonzero(np.asarray(flag) != 0)
 
-    zero = as_tensor(0.0)
-    terms = {"expr": zero, "au": zero, "va": zero, "compound": zero}
+    terms: Dict[str, Optional[DiffTensor]] = dict.fromkeys(("expr", "au", "va", "compound"))
 
     if preds.expr_logits is not None and labels.expr is not None:
         idx = rows(preds.has_expr)
@@ -268,15 +269,32 @@ def multitask_loss(
                 np.asarray(labels.compound)[idx],
             )
 
-    total = (
-        terms["expr"]
-        + weights.lambda1 * terms["au"]
-        + weights.lambda2 * terms["va"]
-        + terms["compound"]
+    total = weighted_total(
+        [
+            (1.0, terms["expr"]),
+            (weights.lambda1, terms["au"]),
+            (weights.lambda2, terms["va"]),
+            (1.0, terms["compound"]),
+        ]
     )
     if return_terms:
-        return total, terms
+        return total, {k: DiffTensor(0.0) if t is None else t for k, t in terms.items()}
     return total
+
+
+def weighted_total(terms: Sequence[Tuple[float, Optional[DiffTensor]]]) -> DiffTensor:
+    """sum_i w_i * t_i over scalar loss terms as one ``fused`` node whose
+    edges carry the weights.
+
+    The products are added left to right and an absent (None) term adds
+    0.0 without an edge, so the value is bit-identical to the chain
+    ``w_0 * t_0 + w_1 * t_1 + ...`` with absent terms as zero.
+    """
+    parts = [0.0 if t is None else w * t.data for w, t in terms]
+    value = parts[0]
+    for part in parts[1:]:
+        value = value + part
+    return ad.fused(value, [(t, w) for w, t in terms if t is not None])
 
 
 # ---------------------------------------------------------------------------

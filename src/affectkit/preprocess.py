@@ -12,7 +12,7 @@ features share the visual features' range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -105,15 +105,12 @@ class SpectrogramConfig:
     sample_rate_hz: int = 44100
     window_ms: float = 33.0
     overlap_ms: float = 11.0
-    hop_ms: Optional[float] = None  # None: hop = window - overlap
 
     def __post_init__(self):
         if not self.window_ms > self.overlap_ms > 0:
             raise BadRange(
                 f"need window_ms > overlap_ms > 0, got {self.window_ms}/{self.overlap_ms}"
             )
-        if self.hop_ms is not None and self.hop_ms <= 0:
-            raise BadRange(f"hop_ms must be positive, got {self.hop_ms}")
 
     @property
     def window_samples(self) -> int:
@@ -121,8 +118,6 @@ class SpectrogramConfig:
 
     @property
     def hop_samples(self) -> int:
-        if self.hop_ms is not None:
-            return int(round(self.hop_ms / 1000.0 * self.sample_rate_hz))
         return self.window_samples - int(
             round(self.overlap_ms / 1000.0 * self.sample_rate_hz)
         )

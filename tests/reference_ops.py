@@ -1,16 +1,68 @@
 """Test-only autodiff ops kept as references for the fused nodes.
 
-``gru_step`` is the per-frame recurrence graph that ``gru_sequence``
-replaced, and ``recur_per_step`` walks a GRU stack with it one frame at a
-time; ``slice_axis`` and ``sub`` are the structural and elementwise ops
-only those references and the composite loss graphs still use.
+``add``, ``mul`` (both with numpy-style broadcasting), ``matmul``, ``tanh``
+and ``tsum`` are the general ops that ``dense``, the weighted loss totals
+and the gradient-check objectives once were built from; ``add(matmul(x, w),
+b)`` is the reference for the fused ``dense``. ``gru_step`` is the
+per-frame recurrence graph that ``gru_sequence`` replaced, and
+``recur_per_step`` walks a GRU stack with it one frame at a time;
+``slice_axis`` and ``sub`` are the structural and elementwise ops only
+those references and the composite loss graphs use. ``as_tensor`` wraps a
+constant as an edge-free tensor.
 """
+
+from typing import Optional, Tuple
 
 import numpy as np
 
 from affectkit import autodiff as ad
-from affectkit.autodiff import DiffTensor, GruCell, as_tensor
+from affectkit.autodiff import DiffTensor, GruCell
 from affectkit.errors import ShapeMismatch
+
+
+def as_tensor(value) -> DiffTensor:
+    return value if isinstance(value, DiffTensor) else DiffTensor(value)
+
+
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    try:
+        out_data = a.data + b.data
+    except ValueError as exc:
+        raise ShapeMismatch(f"add {a.shape} vs {b.shape}") from exc
+    return DiffTensor(
+        out_data,
+        edges=(
+            (a, lambda g: _unbroadcast(g, a.shape)),
+            (b, lambda g: _unbroadcast(g, b.shape)),
+        ),
+    )
+
+
+def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    try:
+        out_data = a.data * b.data
+    except ValueError as exc:
+        raise ShapeMismatch(f"mul {a.shape} vs {b.shape}") from exc
+    return DiffTensor(
+        out_data,
+        edges=(
+            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+        ),
+    )
 
 
 def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -21,10 +73,42 @@ def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return DiffTensor(
         out_data,
         edges=(
-            (a, lambda g: ad._unbroadcast(g, a.shape)),
-            (b, lambda g: ad._unbroadcast(-g, b.shape)),
+            (a, lambda g: _unbroadcast(g, a.shape)),
+            (b, lambda g: _unbroadcast(-g, b.shape)),
         ),
     )
+
+
+def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
+    return DiffTensor(
+        a.data @ b.data,
+        edges=(
+            (a, lambda g: g @ b.data.T),
+            (b, lambda g: a.data.T @ g),
+        ),
+    )
+
+
+def tanh(x: DiffTensor) -> DiffTensor:
+    t = np.tanh(x.data)
+    return DiffTensor(t, edges=((x, lambda g: g * (1.0 - t * t)),))
+
+
+def tsum(x: DiffTensor, axis: Optional[int] = None, keepdims: bool = False) -> DiffTensor:
+    out_data = x.data.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, x.shape)
+
+    return DiffTensor(out_data, edges=((x, vjp),))
+
+
+def square(t: DiffTensor) -> DiffTensor:
+    return mul(t, t)
 
 
 def slice_axis(x: DiffTensor, start: int, stop: int, axis: int = -1) -> DiffTensor:
@@ -52,10 +136,8 @@ def gru_step(cell: GruCell, x: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
     xh = ad.concat([x, h_prev], axis=1)
     z = ad.sigmoid(ad.dense(xh, cell.w_z, cell.b_z))
     r = ad.sigmoid(ad.dense(xh, cell.w_r, cell.b_r))
-    candidate = ad.tanh(
-        ad.dense(ad.concat([x, ad.mul(r, h_prev)], axis=1), cell.w_h, cell.b_h)
-    )
-    return ad.add(ad.mul(sub(as_tensor(1.0), z), h_prev), ad.mul(z, candidate))
+    candidate = tanh(ad.dense(ad.concat([x, mul(r, h_prev)], axis=1), cell.w_h, cell.b_h))
+    return add(mul(sub(as_tensor(1.0), z), h_prev), mul(z, candidate))
 
 
 def recur_per_step(cells, x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:

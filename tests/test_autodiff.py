@@ -7,7 +7,6 @@ from affectkit.autodiff import (
     Adam,
     DiffTensor,
     GruCell,
-    as_tensor,
     backward,
     concat,
     dense,
@@ -15,14 +14,11 @@ from affectkit.autodiff import (
     glorot_uniform,
     gru_sequence,
     load_checkpoint,
-    matmul,
     relu,
     save_checkpoint,
     sigmoid,
     softmax,
     take_rows,
-    tanh,
-    tsum,
 )
 from affectkit.errors import (
     BadCheckpoint,
@@ -31,11 +27,19 @@ from affectkit.errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
-from reference_ops import gru_step, recur_per_step, slice_axis, sub
-
-
-def square(t):
-    return t * t
+from reference_ops import (
+    add,
+    as_tensor,
+    gru_step,
+    matmul,
+    mul,
+    recur_per_step,
+    slice_axis,
+    square,
+    sub,
+    tanh,
+    tsum,
+)
 
 
 def numeric_grad(fn, x0, eps=1e-6):
@@ -74,10 +78,10 @@ class TestElementwiseGradients:
         self.x = self.rng.normal(size=(3, 4))
 
     def test_add_mul_chain(self):
-        check_op(lambda x: tsum(x * x + x * 3.0), self.x)
+        check_op(lambda x: tsum(add(mul(x, x), mul(x, as_tensor(3.0)))), self.x)
 
     def test_sub(self):
-        check_op(lambda x: tsum(sub(x, as_tensor(0.5)) * sub(as_tensor(2.0), x)), self.x)
+        check_op(lambda x: tsum(mul(sub(x, as_tensor(0.5)), sub(as_tensor(2.0), x))), self.x)
 
     def test_relu(self):
         # keep values away from the kink where central differences lie
@@ -85,7 +89,7 @@ class TestElementwiseGradients:
         check_op(lambda t: tsum(relu(t)), x)
 
     def test_tanh(self):
-        check_op(lambda x: tsum(tanh(x) * tanh(x)), self.x)
+        check_op(lambda x: tsum(mul(tanh(x), tanh(x))), self.x)
 
     def test_sigmoid(self):
         check_op(lambda x: tsum(sigmoid(x)), self.x)
@@ -96,7 +100,7 @@ class TestElementwiseGradients:
         assert y.data[0] >= 0.0 and y.data[1] <= 1.0
 
     def test_softmax(self):
-        check_op(lambda x: tsum(softmax(x) * softmax(x)), self.x)
+        check_op(lambda x: tsum(mul(softmax(x), softmax(x))), self.x)
 
     def test_softmax_rows_normalize(self):
         s = softmax(as_tensor(self.x))
@@ -122,6 +126,36 @@ class TestStructuralGradients:
         b = as_tensor(np.zeros(2))
         backward(tsum(dense(as_tensor(self.x), w, b)))
         assert b.grad == pytest.approx(np.full(2, 4.0))
+
+    @pytest.mark.parametrize("n,d,h", [(1, 1, 1), (4, 3, 2), (60, 48, 17)])
+    def test_dense_equals_matmul_plus_add(self, n, d, h):
+        """The fused node's value and its three gradients equal the
+        reference ``add(matmul(x, w), b)`` graph bit for bit."""
+
+        def run(layer):
+            rng = np.random.default_rng(n + d + h)
+            x, w, b = (as_tensor(rng.normal(size=s)) for s in ((n, d), (d, h), (h,)))
+            out = layer(x, w, b)
+            backward(tsum(mul(out, as_tensor(rng.normal(size=(n, h))))))
+            return [out.data, x.grad, w.grad, b.grad]
+
+        fused = run(dense)
+        reference = run(lambda x, w, b: add(matmul(x, w), b))
+        for got, want in zip(fused, reference):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_dense_is_one_node(self):
+        x, w, b = as_tensor(self.x), as_tensor(np.ones((3, 2))), as_tensor(np.ones(2))
+        out = dense(x, w, b)
+        assert [p for p, _ in out._edges] == [x, w, b]
+
+    @pytest.mark.parametrize(
+        "xs,ws,bs", [((4, 3), (2, 2), (2,)), ((4, 3), (3, 2), (1, 2)), ((3,), (3, 2), (2,)),
+                     ((4, 3), (3, 2), (3,)), ((4, 3), (3,), (3,))]
+    )
+    def test_dense_shape_checked(self, xs, ws, bs):
+        with pytest.raises(ShapeMismatch):
+            dense(as_tensor(np.zeros(xs)), as_tensor(np.zeros(ws)), as_tensor(np.zeros(bs)))
 
     def test_tsum_axis_keepdims(self):
         check_op(lambda x: tsum(square(tsum(x, axis=0, keepdims=True))), self.x)
@@ -153,13 +187,13 @@ class TestBackwardContract:
 
     def test_gradient_accumulates_across_paths(self):
         x = as_tensor(2.0)
-        y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
+        y = add(mul(x, x), mul(x, as_tensor(3.0)))  # dy/dx = 2x + 3 = 7
         backward(y)
         assert x.grad == pytest.approx(7.0)
 
     def test_zero_grad(self):
         x = as_tensor(np.ones(2))
-        backward(tsum(x * x))
+        backward(tsum(square(x)))
         x.zero_grad()
         assert np.all(x.grad == 0.0)
 
@@ -224,13 +258,13 @@ class TestGru:
             seq = [as_tensor(first_step), as_tensor(xs[1])]
             for x in seq:
                 h = gru_step(cell, x, h)
-            return tsum(h * h)
+            return tsum(square(h))
 
         x0 = as_tensor(xs[0])
         h = cell.initial_state(batch=5)
         for x in (x0, as_tensor(xs[1])):
             h = gru_step(cell, x, h)
-        backward(tsum(h * h))
+        backward(tsum(square(h)))
         numeric = numeric_grad(lambda v: run(v).item(), xs[0])
         assert x0.grad == pytest.approx(numeric, abs=1e-6)
 
@@ -241,7 +275,7 @@ def sequence_grads(cell, x, b_size, t_len, weights, run=gru_sequence):
     for p in [x] + cell.parameters():
         p.zero_grad()
     h = run(cell, x, b_size, t_len)
-    backward(tsum(h * as_tensor(weights)))
+    backward(tsum(mul(h, as_tensor(weights))))
     return h.data.copy(), [p.grad.copy() for p in [x] + cell.parameters()]
 
 
@@ -345,7 +379,7 @@ class TestAdam:
             opt = Adam([w], lr=0.05)
             for _ in range(25):
                 opt.zero_grad()
-                backward(tsum(sub(w * w * w * w, w)))
+                backward(tsum(sub(mul(mul(mul(w, w), w), w), w)))
                 opt.step()
             return w.data.copy()
 

@@ -3,25 +3,32 @@
 The references below rebuild every objective from elementwise autodiff ops
 (log, exp, clip, division, mean, negation), as the losses were first
 written; the fused losses must match their values and input gradients at
-rtol 1e-12, with an absolute floor scaled to the largest entry.
+rtol 1e-12, with an absolute floor scaled to the largest entry. The
+weighted totals (the multi-task total and a training step's total) must
+equal the add/mul chains they replaced exactly.
 """
 
 import numpy as np
 import pytest
 
 from affectkit import autodiff as ad
-from affectkit.autodiff import DiffTensor, as_tensor, backward
+from affectkit.autodiff import DiffTensor, backward
 from affectkit.losses import (
     PROB_EPS,
+    BatchLabels,
+    BatchPredictions,
+    LossWeights,
     ccc_loss,
     cce_loss,
     distribution_matching_loss,
     masked_bce_loss,
+    multitask_loss,
     soft_target_cce,
+    weighted_total,
 )
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
-from reference_ops import slice_axis, sub
+from reference_ops import add, as_tensor, matmul, mul, slice_axis, sub, tsum
 
 RTOL = 1e-12
 
@@ -56,11 +63,11 @@ def _div(a, b):
 
 
 def _mean(x):
-    return ad.mul(ad.tsum(x), as_tensor(1.0 / x.size))
+    return mul(tsum(x), as_tensor(1.0 / x.size))
 
 
 def _neg(x):
-    return ad.mul(x, as_tensor(-1.0))
+    return mul(x, as_tensor(-1.0))
 
 
 def _ccc_1d(pred, truth):
@@ -68,29 +75,29 @@ def _ccc_1d(pred, truth):
     mean_t = _mean(truth)
     dp = sub(pred, mean_p)
     dt = sub(truth, mean_t)
-    var_p = _mean(dp * dp)
-    var_t = _mean(dt * dt)
-    cov = _mean(dp * dt)
+    var_p = _mean(mul(dp, dp))
+    var_t = _mean(mul(dt, dt))
+    cov = _mean(mul(dp, dt))
     diff = sub(mean_p, mean_t)
-    return _div(2.0 * cov, var_p + var_t + diff * diff)
+    return _div(mul(cov, as_tensor(2.0)), add(add(var_p, var_t), mul(diff, diff)))
 
 
 def ref_ccc(pred_va, truth):
     ccc_v = _ccc_1d(slice_axis(pred_va, 0, 1, axis=1), as_tensor(truth[:, 0:1]))
     ccc_a = _ccc_1d(slice_axis(pred_va, 1, 2, axis=1), as_tensor(truth[:, 1:2]))
-    return sub(as_tensor(1.0), 0.5 * (ccc_v + ccc_a))
+    return sub(as_tensor(1.0), mul(add(ccc_v, ccc_a), as_tensor(0.5)))
 
 
 def log_softmax(logits):
     shift = sub(logits, as_tensor(logits.data.max(axis=1, keepdims=True)))
-    return sub(shift, _log(ad.tsum(_exp(shift), axis=1, keepdims=True)))
+    return sub(shift, _log(tsum(_exp(shift), axis=1, keepdims=True)))
 
 
 def ref_cce(logits, truth_ids):
     n, k = logits.shape
     onehot = np.zeros((n, k))
     onehot[np.arange(n), truth_ids] = 1.0
-    return _neg(_mean(ad.tsum(log_softmax(logits) * as_tensor(onehot), axis=1)))
+    return _neg(_mean(tsum(mul(log_softmax(logits), as_tensor(onehot)), axis=1)))
 
 
 def ref_bce(au_logits, targets, mask):
@@ -98,20 +105,20 @@ def ref_bce(au_logits, targets, mask):
     keep = np.flatnonzero(row_weight > 0)
     t = targets[keep]
     p = _clip(ad.sigmoid(ad.take_rows(au_logits, keep)), PROB_EPS, 1.0 - PROB_EPS)
-    terms = as_tensor(t) * _log(p) + as_tensor(1.0 - t) * _log(sub(as_tensor(1.0), p))
-    per_sample = _div(ad.tsum(terms * as_tensor(mask[keep]), axis=1), as_tensor(row_weight[keep]))
+    terms = add(mul(as_tensor(t), _log(p)), mul(as_tensor(1.0 - t), _log(sub(as_tensor(1.0), p))))
+    per_sample = _div(tsum(mul(terms, as_tensor(mask[keep])), axis=1), as_tensor(row_weight[keep]))
     return _neg(_mean(per_sample))
 
 
 def ref_soft(expr_probs, soft):
     p = _clip(expr_probs, PROB_EPS, 1.0 - PROB_EPS)
-    return _neg(_mean(ad.tsum(as_tensor(soft) * _log(p), axis=1)))
+    return _neg(_mean(tsum(mul(as_tensor(soft), _log(p)), axis=1)))
 
 
 def ref_dm(expr_probs, au_probs, table, reweight=False):
-    mixture = ad.matmul(expr_probs, as_tensor(table.conditional_matrix(reweight=reweight)))
+    mixture = matmul(expr_probs, as_tensor(table.conditional_matrix(reweight=reweight)))
     q = _clip(mixture, PROB_EPS, 1.0 - PROB_EPS)
-    return _neg(_mean(ad.tsum(au_probs * _log(q), axis=1)))
+    return _neg(_mean(tsum(mul(au_probs, _log(q)), axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +268,129 @@ def test_losses_compose_with_upstream_gradient():
     truth = rng.integers(0, NUM_EXPRESSIONS, size=5)
 
     def twice(x, ids):
-        return 0.5 * cce_loss(x, ids) + 1.5 * cce_loss(x, ids)
+        return weighted_total([(0.5, cce_loss(x, ids)), (1.5, cce_loss(x, ids))])
 
     def ref_twice(x, ids):
-        return 0.5 * ref_cce(x, ids) + 1.5 * ref_cce(x, ids)
+        return add(mul(ref_cce(x, ids), as_tensor(0.5)), mul(ref_cce(x, ids), as_tensor(1.5)))
 
     root, (grad,) = run(twice, [logits], truth)
     ref_root, (ref_grad,) = run(ref_twice, [logits], truth)
     np.testing.assert_allclose(root.item(), ref_root.item(), rtol=RTOL)
     np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=RTOL * np.abs(ref_grad).max())
+
+
+# ---------------------------------------------------------------------------
+# the weighted totals against the add/mul chains they replaced
+
+N_ROWS = 12
+
+
+def _batch(rng, present, compound=False):
+    """Leaves and labels for one batch whose flagged tasks are ``present``."""
+    arrays = {
+        "expr_logits": rng.normal(size=(N_ROWS, NUM_EXPRESSIONS)),
+        "au_logits": rng.normal(size=(N_ROWS, NUM_AUS)),
+        "va": rng.normal(size=(N_ROWS, 2)) * 0.3,
+    }
+    if compound:
+        arrays = {"compound_logits": rng.normal(size=(N_ROWS, 11))}
+    blocks = {"expr": range(0, 4), "au": range(4, 8), "va": range(8, 12)}
+    flags = {}
+    for task, rows in blocks.items():
+        flags[task] = np.zeros(N_ROWS)
+        if task in present:
+            flags[task][list(rows)] = 1.0
+    labels = BatchLabels(
+        expr=rng.integers(0, NUM_EXPRESSIONS, size=N_ROWS),
+        au_targets=(rng.random((N_ROWS, NUM_AUS)) < 0.5).astype(float),
+        au_mask=(rng.random((N_ROWS, NUM_AUS)) < 0.8).astype(float),
+        va=np.clip(rng.normal(size=(N_ROWS, 2)), -1.0, 1.0),
+        compound=rng.integers(0, 11, size=N_ROWS),
+    )
+    labels.au_mask[:, 0] = 1.0
+    return arrays, flags, labels
+
+
+def _step(arrays, flags, labels, weights, soft, dm, fused):
+    """One training step's loss and leaf gradients, summed by the fused
+    totals or by the parent's chain: expr + l1 * au + l2 * va + compound,
+    then + soft-target + distribution matching."""
+    leaves = {k: DiffTensor(a.copy()) for k, a in arrays.items()}
+    preds = BatchPredictions(
+        **leaves, has_expr=flags["expr"], has_au=flags["au"], has_va=flags["va"]
+    )
+    total, terms = multitask_loss(preds, labels, weights, return_terms=True)
+    if not fused:
+        total = add(
+            add(
+                add(terms["expr"], mul(terms["au"], as_tensor(weights.lambda1))),
+                mul(terms["va"], as_tensor(weights.lambda2)),
+            ),
+            terms["compound"],
+        )
+    extra = []
+    if soft is not None or dm:
+        probs = ad.softmax(leaves["expr_logits"], axis=1)
+        if soft is not None:
+            extra.append(soft_target_cce(ad.take_rows(probs, soft[0]), soft[1]))
+        if dm:
+            au = ad.sigmoid(leaves["au_logits"])
+            extra.append(distribution_matching_loss(probs, au, COGNITIVE))
+    if not fused:
+        for t in extra:
+            total = add(total, t)
+    elif extra:
+        total = weighted_total([(1.0, total)] + [(1.0, t) for t in extra])
+    backward(total)
+    return total, [leaves[k].grad for k in sorted(leaves)]
+
+
+TOTAL_CASES = {
+    # name: (tasks with rows, lambda1, lambda2, soft-target rows, distribution matching)
+    "all_unit": (("expr", "au", "va"), 1.0, 1.0, None, False),
+    "all_lambdas": (("expr", "au", "va"), 0.7, 1.3, None, False),
+    "lambda_zero": (("expr", "au", "va"), 0.0, 2.0, None, False),
+    "soft_and_dm": (("expr", "au", "va"), 0.7, 1.3, [4, 5, 7], True),
+    "no_va_soft": (("expr", "au"), 0.7, 1.3, [4, 6], False),
+    "no_expr_dm": (("au", "va"), 1.3, 0.7, None, True),
+    "au_only_soft_dm": (("au",), 0.5, 1.5, [4, 5, 6, 7], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOTAL_CASES))
+def test_fused_totals_equal_chain(case):
+    present, l1, l2, soft_rows, dm = TOTAL_CASES[case]
+    rng = np.random.default_rng(sorted(TOTAL_CASES).index(case))
+    arrays, flags, labels = _batch(rng, present)
+    soft = None
+    if soft_rows is not None:
+        soft = (np.asarray(soft_rows), probs(rng, len(soft_rows), NUM_EXPRESSIONS))
+    weights = LossWeights(lambda1=l1, lambda2=l2)
+    total, grads = _step(arrays, flags, labels, weights, soft, dm, fused=True)
+    ref_total, ref_grads = _step(arrays, flags, labels, weights, soft, dm, fused=False)
+    assert total.data == ref_total.data
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+    n_coupling = (soft is not None) + dm
+    if n_coupling:
+        assert len(total._edges) == 1 + n_coupling
+        total = total._edges[0][0]
+    assert len(total._edges) == len(present)
+
+
+def test_fused_total_compound_only():
+    arrays, flags, labels = _batch(np.random.default_rng(9), (), compound=True)
+    weights = LossWeights(lambda1=0.7, lambda2=1.3)
+    total, (grad,) = _step(arrays, flags, labels, weights, None, False, fused=True)
+    ref_total, (ref_grad,) = _step(arrays, flags, labels, weights, None, False, fused=False)
+    assert total.data == ref_total.data and np.array_equal(grad, ref_grad)
+    assert len(total._edges) == 1
+
+
+def test_weighted_total_absent_terms():
+    a, b = DiffTensor(0.25), DiffTensor(-1.5)
+    total = weighted_total([(1.0, None), (2.0, a), (0.5, None), (3.0, b)])
+    assert total.item() == 0.0 + 2.0 * 0.25 + 0.0 + 3.0 * -1.5
+    assert [p for p, _ in total._edges] == [a, b]
+    backward(total)
+    assert a.grad == 2.0 and b.grad == 3.0

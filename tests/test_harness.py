@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from affectkit.autodiff import DiffTensor, as_tensor, backward, load_checkpoint, tsum
+from affectkit.autodiff import DiffTensor, backward, load_checkpoint
 from affectkit.errors import (
     BadMask,
     ConfigError,
@@ -46,6 +46,7 @@ from affectkit.types import (
     au_index,
     expression_id,
 )
+from reference_ops import square, tsum
 
 SMALL = SyntheticSpec(
     train_counts=(40, 40, 40), val_counts=(15, 15, 15), feature_dim=10
@@ -281,6 +282,14 @@ class TestDataFiles:
         assert [s.id for s in loaded] == ["s0", "s2", "s3"]
         assert np.array_equal(loaded[0].features, samples[0].features)
 
+    @pytest.mark.parametrize("split,ids", [("train", ["s0", "s2", "s3"]), ("test", None)])
+    def test_load_dataset_split_or_every_row(self, tmp_path, split, ids):
+        samples = self.make_samples()
+        write_annotations(tmp_path / "a.csv", samples)
+        write_features(tmp_path / "f.csv", samples)
+        loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split=split)
+        assert [s.id for s in loaded] == (ids or [s.id for s in samples])
+
     def test_duplicate_feature_id_names_the_line(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,f0,f1\ns0,1,2\ns1,3,4\ns0,5,6\n")
@@ -430,15 +439,41 @@ class TestDataFiles:
         write_predictions(again, read_predictions(path))
         assert again.read_bytes() == self.GOLDEN_BYTES
 
-    @pytest.mark.parametrize("rid", ["a\nb", "a\rb", "a\r\nb", ' "q" ', "x,y", "", "é;1"])
+    ODD_IDS = ["a\nb", "a\rb", "a\r\nb", ' "q" ', "x,y", "", "é;1"]
+
+    @staticmethod
+    def csv_line(fields):
+        """A row as csv quotes it when both "\\r" and "\\n" end lines,
+        ended with "\\n"."""
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(fields)
+        return out.getvalue()[:-2] + "\n"
+
+    @pytest.mark.parametrize("rid", ODD_IDS)
     def test_prediction_id_is_quoted_as_csv_quotes_it(self, tmp_path, rid):
         path = tmp_path / "preds.csv"
         write_predictions(path, [PredictionRecord(id=rid, frame_index=3, valence=0.5)])
-        expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows(
-            [PREDICTION_FIELDS, [rid, 3, "0.5", "", "", ""]]
+        expected = self.csv_line(PREDICTION_FIELDS) + self.csv_line([rid, 3, "0.5", "", "", ""])
+        assert path.read_bytes() == expected.encode()
+        if "\r" in rid:  # a carriage return is quoted, alone or before "\n"
+            assert f'\n"{rid}",3,'.encode() in path.read_bytes()
+
+    @pytest.mark.parametrize("rid", ODD_IDS)
+    def test_odd_ids_round_trip(self, tmp_path, rid):
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds, [PredictionRecord(id=rid, frame_index=3, valence=0.5)])
+        assert [(r.id, r.frame_index, r.valence) for r in read_predictions(preds)] == [
+            (rid, 3, 0.5)
+        ]
+        sample = AnnotatedSample(
+            id=rid, split="train", features=np.array([0.25, -1.0]),
+            label=ExpressionLabel(class_id=2), sequence_id=rid, utterance_id=rid,
         )
-        assert path.read_bytes() == expected.getvalue().encode()
+        write_annotations(tmp_path / "a.csv", [sample])
+        write_features(tmp_path / "f.csv", [sample])
+        (loaded,) = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
+        assert (loaded.id, loaded.sequence_id, loaded.utterance_id) == (rid, rid or None, rid or None)
+        assert np.array_equal(loaded.features, sample.features)
 
     def test_report_round_trip(self, tmp_path):
         metrics = {"va.ccc_v": 0.62357, "expr.accuracy": 0.5, "au.macro_f1": 1 / 3}
@@ -678,7 +713,7 @@ class TestGradChecks:
 
     def test_accepts_correct_gradient(self):
         w = DiffTensor(np.array([1.5, -0.5, 2.0]))
-        err = max_relative_error(lambda: tsum(w * w), [w], n_points=3)
+        err = max_relative_error(lambda: tsum(square(w)), [w], n_points=3)
         assert err < 1e-6
 
 
@@ -800,6 +835,21 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "member 'm1'" in err and "frame 'a'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_fuse_with_a_repeated_id_is_exit_2(self, tmp_path, capsys):
+        preds = tmp_path / "p0.csv"
+        preds.write_text(
+            "id,frame_index,valence,arousal,expr_probs,au_probs\n"
+            "a,,0.5,0.1,,\na,,0.7,0.2,,\nb,,0.1,0.1,,\n"
+        )
+        manifest = tmp_path / "members.csv"
+        manifest.write_text(f"member_id,ccc_v,ccc_a,path\nm0,0.5,0.3,{preds}\n")
+        out = tmp_path / "fused.csv"
+        code = self.run_cli("fuse", "--manifest", manifest, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "p0.csv: id 'a' appears more than once" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_shot_failure_writes_no_file(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from affectkit.autodiff import as_tensor, backward
+from affectkit.autodiff import backward
 from affectkit.errors import (
     BadDistribution,
     BatchTooSmall,
@@ -35,6 +35,7 @@ from affectkit.types import (
     au_index,
     expression_id,
 )
+from reference_ops import as_tensor
 
 LN7 = math.log(7.0)
 

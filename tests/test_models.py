@@ -27,7 +27,7 @@ from affectkit.models import (
     single_task_spec,
 )
 from affectkit.harness.checks import GRAD_TOLERANCE, max_relative_error
-from reference_ops import gru_step
+from reference_ops import add, as_tensor, gru_step, mul, square, tsum
 
 DIMS = InputDims(features=5)
 
@@ -487,7 +487,7 @@ def outputs_and_grads(model, heads, rng):
     """Head outputs and every parameter gradient of a random linear
     functional of them."""
     weights = {n: rng.normal(size=h.shape) for n, h in sorted(heads.items())}
-    loss = functools.reduce(ad.add, (ad.tsum(heads[n] * w) for n, w in weights.items()))
+    loss = functools.reduce(add, (tsum(mul(heads[n], as_tensor(w))) for n, w in weights.items()))
     for p in model.parameters():
         p.zero_grad()
     backward(loss)
@@ -535,6 +535,6 @@ class TestBatchedForwardMatchesPerFrame:
 
         def objective():
             preds = model.forward(batch)
-            return ad.tsum(preds.va * preds.va) + ad.tsum(expr_probs(preds) * preds.expr_logits)
+            return add(tsum(square(preds.va)), tsum(mul(expr_probs(preds), preds.expr_logits)))
 
         assert max_relative_error(objective, model.parameters(), n_points=80) < GRAD_TOLERANCE

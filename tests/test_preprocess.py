@@ -128,10 +128,6 @@ class TestSpectrogramConfig:
         assert cfg.hop_samples == 970  # window - 11 ms overlap
         assert cfg.fft_size == 2048
 
-    def test_explicit_hop(self):
-        cfg = SpectrogramConfig(hop_ms=10.0)
-        assert cfg.hop_samples == 441
-
     def test_window_must_exceed_overlap(self):
         with pytest.raises(BadRange):
             SpectrogramConfig(window_ms=10.0, overlap_ms=11.0)
