@@ -7,6 +7,13 @@ the output gradient to the contribution for one parent, so ``backward``
 is a reverse-topological sweep calling closures in construction order,
 which makes repeated runs on the same graph bit-identical.
 
+Gradients are allocated lazily. Only a leaf (a node with no edges:
+parameters, inputs, constants) gets a zero ``grad`` when it is built, and
+``backward`` adds every contribution to a leaf in place. An inner node's
+``grad`` is ``None`` until a sweep reaches it; the sweep stores its first
+contribution as it is and adds later ones with ``grad + d``, never in
+place, because a vjp may return a view of its child's gradient.
+
 The op set is exactly what the model zoo needs: ``dense`` (one affine
 node with a closed-form vjp), ``relu``, ``sigmoid``, ``softmax``,
 ``concat``, ``take_rows``, inverted ``dropout``, ``fused`` and
@@ -16,6 +23,13 @@ each weighted sum of loss terms. ``gru_sequence`` runs a gated recurrent
 cell over whole sequences as one node with a hand-written BPTT. The Adam
 optimizer and a binary checkpoint format for named parameter sets live
 here too.
+
+:class:`Adam` owns a flat parameter store: it copies its parameters into
+one contiguous vector and rebinds each ``data`` and ``grad`` to a view of
+that vector and of a second one, so a step is a few whole-vector
+operations and ``zero_grad`` is one ``fill``. Once an optimizer holds a
+parameter, its value is written in place (``models.load_parameters`` does
+so); ``step`` refuses a parameter whose ``data`` or ``grad`` was rebound.
 
 Floats are 64-bit throughout; at this scale gradient-check fidelity is
 worth more than speed.
@@ -41,16 +55,18 @@ class DiffTensor:
     """Array node in a reverse-mode computation graph.
 
     ``data`` holds the value, ``grad`` the accumulated gradient of the
-    eventual scalar root with respect to this node. ``_edges`` pairs each
-    parent with the closure producing its gradient contribution.
+    eventual scalar root with respect to this node: zeros from the start
+    for a leaf, ``None`` for an inner node until ``backward`` reaches it.
+    ``_edges`` pairs each parent with the closure producing its gradient
+    contribution.
     """
 
     __slots__ = ("data", "grad", "_edges")
 
     def __init__(self, data, edges: Sequence = ()):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
         self._edges = tuple(edges)
+        self.grad = None if self._edges else np.zeros_like(self.data)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -68,7 +84,10 @@ class DiffTensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._edges:
+            self.grad = None  # may be a view of another node's gradient
+        else:
+            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.shape}, edges={len(self._edges)})"
@@ -293,8 +312,10 @@ def gru_sequence(cell: GruCell, x: DiffTensor, b_size: int, t_len: int) -> DiffT
 def backward(root: DiffTensor) -> None:
     """Accumulate d(root)/d(node) into every reachable node's ``grad``.
 
-    Deterministic: nodes are visited in reverse construction-topological
-    order and each node's edges fire in stored order.
+    Leaves accumulate across calls, in place; every inner node's ``grad``
+    is this sweep's gradient alone. Deterministic: nodes are visited in
+    reverse construction-topological order and each node's edges fire in
+    stored order.
     """
     if root.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.shape}")
@@ -310,14 +331,25 @@ def backward(root: DiffTensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
+        if node._edges:
+            node.grad = None
         for parent, _ in node._edges:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    root.grad = np.ones_like(root.data)
+    _accumulate(root, np.ones_like(root.data))
     for node in reversed(order):
         g = node.grad
         for parent, vjp in node._edges:
-            parent.grad = parent.grad + vjp(g)
+            _accumulate(parent, vjp(g))
+
+
+def _accumulate(node: DiffTensor, d) -> None:
+    if node._edges:
+        node.grad = d if node.grad is None else node.grad + d
+    elif d.shape != node.grad.shape:  # an in-place add would broadcast
+        raise ShapeMismatch(f"gradient {d.shape} for a leaf of shape {node.grad.shape}")
+    else:
+        node.grad += d
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +374,14 @@ def glorot_uniform(
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list.
+    """Bias-corrected Adam over a fixed parameter list, held in a flat store.
 
-    ``lr`` stays writable so training loops can decay it between epochs.
+    The constructor copies every parameter's value and gradient into two
+    contiguous vectors and rebinds ``p.data`` and ``p.grad`` to reshaped
+    views of them; the moments are two more vectors. ``step`` updates the
+    whole value vector in place and refuses a parameter whose ``data`` or
+    ``grad`` has been rebound since. ``lr`` stays writable so training
+    loops can decay it between epochs.
     """
 
     def __init__(
@@ -361,27 +398,40 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        n = sum(p.data.size for p in self.params)
+        self._data, self._grad = np.empty(n), np.empty(n)
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self._views: List[Tuple[np.ndarray, np.ndarray]] = []
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            data = self._data[start:stop].reshape(p.data.shape)
+            grad = self._grad[start:stop].reshape(p.data.shape)
+            data[...] = p.data
+            grad[...] = p.grad
+            p.data, p.grad = data, grad
+            self._views.append((data, grad))
+            start = stop
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = np.zeros_like(p.data)
+        self._grad.fill(0.0)
 
     def step(self) -> None:
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise ShapeMismatch(
+                    f"parameter of shape {data.shape} no longer views the optimizer's store"
+                )
         self.step_count += 1
         t = self.step_count
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeMismatch(f"gradient {g.shape} vs parameter {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, g = self._m, self._v, self._grad
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1**t)
+        v_hat = v / (1.0 - self.beta2**t)
+        self._data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +495,16 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             dims = tuple(
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
             )
-            n_values = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            raw = _read_exact(fh, 8 * n_values)
+            # read straight into the array: no bytes object, no second copy
+            values = np.empty(dims, dtype="<f8")
+            got = fh.readinto(values)
+            if got != values.nbytes:
+                raise BadCheckpoint(
+                    f"truncated checkpoint: wanted {values.nbytes} bytes, got {got}"
+                )
             if name in out:
                 raise BadCheckpoint(f"duplicate parameter {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").astype(
-                np.float64
-            ).reshape(dims)
+            out[name] = values.astype(np.float64, copy=False)
         trailing = fh.read(1)
         if trailing:
             raise BadCheckpoint("trailing bytes after last entry")

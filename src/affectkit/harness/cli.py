@@ -32,6 +32,7 @@ from ..zeroshot import classify_compound, default_compound_defs, load_compound_d
 from .checks import GRAD_TOLERANCE, CHECKS, run_grad_checks
 from .config import RunConfig, parse_kv_file
 from .dataio import (
+    _csv_line,
     load_dataset,
     read_predictions,
     write_predictions,
@@ -183,9 +184,8 @@ def _cmd_zero_shot(args) -> int:
     # classify everything first so that a failing record leaves no file
     rows = [(record.id, classify_compound(defs, record).name) for record in records]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "compound"])
-        writer.writerows(rows)
+        fh.write(_csv_line(["id", "compound"]) + "\n")
+        fh.writelines(_csv_line(row) + "\n" for row in rows)
     print(args.out)
     return 0
 

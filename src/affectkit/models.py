@@ -472,7 +472,7 @@ def load_parameters(model: Model, values: Dict[str, np.ndarray], strict: bool = 
             raise BadCheckpoint(
                 f"{name}: checkpoint shape {arr.shape} vs model {p.data.shape}"
             )
-        p.data = arr.copy()
+        p.data[...] = arr  # in place: an optimizer may hold a view of it
         loaded.append(name)
     return loaded, skipped
 

@@ -20,8 +20,8 @@ co-annotation and contributes nothing to mixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class RelatednessTable:
 
     name: str
     rows: Tuple[Tuple[int, EmotionRow], ...]
+    # conditional_matrix's result per reweight flag, built on first use
+    _matrices: Dict[bool, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def row(self, class_id: int) -> Optional[EmotionRow]:
         for cid, r in self.rows:
@@ -75,14 +79,19 @@ class RelatednessTable:
         """p(AU_i | emotion) as a 7 x 17 matrix in canonical index orders.
 
         Membership gives probability 1; with ``reweight`` the observational
-        weight w is used instead. The neutral row is all zeros.
+        weight w is used instead. The neutral row is all zeros. Built once
+        per table and flag; the array is read-only.
         """
-        m = np.zeros((NUM_EXPRESSIONS, NUM_AUS), dtype=np.float64)
-        for cid, r in self.rows:
-            for au in r.proto:
-                m[cid, au_index(au)] = 1.0
-            for au, w in r.obs:
-                m[cid, au_index(au)] = w if reweight else 1.0
+        m = self._matrices.get(reweight)
+        if m is None:
+            m = np.zeros((NUM_EXPRESSIONS, NUM_AUS), dtype=np.float64)
+            for cid, r in self.rows:
+                for au in r.proto:
+                    m[cid, au_index(au)] = 1.0
+                for au, w in r.obs:
+                    m[cid, au_index(au)] = w if reweight else 1.0
+            m.setflags(write=False)
+            self._matrices[reweight] = m
         return m
 
     def validate(self) -> None:

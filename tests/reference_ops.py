@@ -8,7 +8,8 @@ per-frame recurrence graph that ``gru_sequence`` replaced, and
 ``recur_per_step`` walks a GRU stack with it one frame at a time;
 ``slice_axis`` and ``sub`` are the structural and elementwise ops only
 those references and the composite loss graphs use. ``as_tensor`` wraps a
-constant as an edge-free tensor.
+constant as an edge-free tensor. ``LoopAdam`` is the per-parameter Adam
+loop that the flat-store ``Adam`` replaced.
 """
 
 from typing import Optional, Tuple
@@ -150,3 +151,34 @@ def recur_per_step(cells, x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
             h = states[k] = gru_step(cell, h, states[k])
         outs.append(h)
     return ad.concat(outs, axis=0)
+
+
+class LoopAdam:
+    """Bias-corrected Adam as one update per parameter tensor, rebinding
+    each ``p.data``; the oracle for ``autodiff.Adam``."""
+
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = float(lr), beta1, beta2, eps
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = np.zeros_like(p.data)
+
+    def step(self) -> None:
+        self.step_count += 1
+        t = self.step_count
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            if g.shape != p.data.shape:
+                raise ShapeMismatch(f"gradient {g.shape} vs parameter {p.data.shape}")
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

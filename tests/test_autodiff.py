@@ -11,6 +11,7 @@ from affectkit.autodiff import (
     concat,
     dense,
     dropout,
+    fused,
     glorot_uniform,
     gru_sequence,
     load_checkpoint,
@@ -28,6 +29,7 @@ from affectkit.errors import (
     ValueOutOfRange,
 )
 from reference_ops import (
+    LoopAdam,
     add,
     as_tensor,
     gru_step,
@@ -196,6 +198,58 @@ class TestBackwardContract:
         backward(tsum(square(x)))
         x.zero_grad()
         assert np.all(x.grad == 0.0)
+
+    def test_inner_grad_is_lazy(self):
+        x = as_tensor(np.array([1.0, -2.0]))
+        y = relu(x)
+        assert y.grad is None
+        assert x.grad.shape == (2,) and np.all(x.grad == 0.0)
+        backward(tsum(y))
+        assert np.array_equal(y.grad, np.ones(2))
+
+    def test_inner_grad_is_per_sweep_and_leaves_accumulate(self):
+        x = as_tensor(np.array([1.0, 2.0]))
+        y = relu(x)
+        root = tsum(square(y))
+        backward(root)
+        backward(root)
+        assert np.array_equal(y.grad, 2.0 * x.data)
+        assert np.array_equal(x.grad, 4.0 * x.data)
+
+    def test_several_consumers_sum_and_stored_grads_stay(self):
+        """A relu output feeding two dense nodes and a concat gets the sum of
+        the three contributions, and no gradient ``backward`` has stored (some
+        are views of another node's gradient) changes after it is stored."""
+        rng = np.random.default_rng(5)
+        x = as_tensor(rng.normal(size=(4, 3)))
+        w1, b1 = as_tensor(rng.normal(size=(3, 2))), as_tensor(rng.normal(size=2))
+        w2, b2 = as_tensor(rng.normal(size=(3, 5))), as_tensor(rng.normal(size=5))
+        h = relu(x)
+        a = dense(h, w1, b1)
+        c = concat([h, a], axis=1)
+        b = dense(h, w2, b2)
+        k = rng.normal(size=(4, 5))
+        root = tsum(mul(add(c, b), as_tensor(k)))
+        stored = []  # (array backward handed each node, copy at that moment)
+        for node in (root, root._edges[0][0], root._edges[0][0]._edges[0][0], a, b, c, h):
+            node._edges = tuple(
+                (p, lambda g, f=f: (stored.append((g, g.copy())), f(g))[1])
+                for p, f in node._edges
+            )
+        backward(root)
+        assert np.array_equal(c.grad, k) and np.array_equal(b.grad, k)
+        assert np.array_equal(a.grad, k[:, 3:]) and np.shares_memory(a.grad, c.grad)
+        parts = [k[:, :3], k[:, 3:] @ w1.data.T, k @ w2.data.T]
+        assert h.grad == pytest.approx(sum(parts), abs=1e-12)
+        assert len(stored) == 14  # one per edge
+        for g, snapshot in stored:
+            assert np.array_equal(g, snapshot)
+
+    @pytest.mark.parametrize("leaf,contribution", [((2, 3), (3,)), ((3,), (2, 3)), ((), (1,))])
+    def test_wrong_shape_for_a_leaf(self, leaf, contribution):
+        x = DiffTensor(np.zeros(leaf))
+        with pytest.raises(ShapeMismatch):
+            backward(fused(1.0, [(x, np.ones(contribution))]))
 
 
 class TestDropout:
@@ -373,6 +427,71 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             opt.step()
 
+    SHAPES = [(3, 4), (5,), (), (2, 1, 3), (1, 1)]
+
+    def make_params(self):
+        rng = np.random.default_rng(11)
+        return [DiffTensor(rng.normal(size=s)) for s in self.SHAPES]
+
+    @staticmethod
+    def gradients(rng, params):
+        """Normal draws with exact zeros and negative zeros mixed in."""
+        out = []
+        for p in params:
+            g, u = rng.normal(size=p.shape), rng.random(size=p.shape)
+            out.append(np.where(u < 0.2, 0.0, np.where(u < 0.35, -0.0, g)))
+        return out
+
+    @pytest.mark.parametrize("subset", [None, [1, 3, 4]])
+    def test_matches_per_parameter_loop(self, subset):
+        ours, ref = self.make_params(), self.make_params()
+        frozen = [p.data.copy() for p in ours]
+        pick = range(len(ours)) if subset is None else subset
+        opt = Adam([ours[i] for i in pick], lr=0.01)
+        oracle = LoopAdam([ref[i] for i in pick], lr=0.01)
+        rng = np.random.default_rng(3)
+        for step in range(100):
+            if step == 40:
+                opt.lr = oracle.lr = 0.003
+            for i, g in zip(pick, self.gradients(rng, [ours[i] for i in pick])):
+                ours[i].grad[...] = g
+                ref[i].grad = g.copy()
+            opt.step()
+            oracle.step()
+            for i in pick:
+                assert np.array_equal(ours[i].data, ref[i].data), (step, i)
+        for i in set(range(len(ours))) - set(pick):
+            assert np.array_equal(ours[i].data, frozen[i])
+        assert np.array_equal(np.concatenate([m.ravel() for m in oracle._m]), opt._m)
+        assert np.array_equal(np.concatenate([v.ravel() for v in oracle._v]), opt._v)
+
+    def test_parameters_view_the_store(self):
+        params = self.make_params()
+        values = [p.data.copy() for p in params]
+        opt = Adam(params)
+        for p, value in zip(params, values):
+            assert np.shares_memory(p.data, opt._data) and np.shares_memory(p.grad, opt._grad)
+            assert np.array_equal(p.data, value) and p.grad.shape == value.shape
+        for p in params:
+            p.grad += 1.5
+        opt.zero_grad()
+        assert all(np.all(p.grad == 0.0) for p in params)
+
+    def test_gradients_land_in_the_store(self):
+        x, w, b = as_tensor(np.ones((4, 3))), as_tensor(np.ones((3, 2))), as_tensor(np.zeros(2))
+        opt = Adam([w, b])
+        opt.zero_grad()
+        backward(tsum(dense(x, w, b)))
+        assert np.array_equal(opt._grad, np.concatenate([np.full(6, 4.0), np.full(2, 4.0)]))
+
+    @pytest.mark.parametrize("attr", ["data", "grad"])
+    def test_rebound_parameter_is_refused(self, attr):
+        params = self.make_params()
+        opt = Adam(params)
+        setattr(params[2], attr, getattr(params[2], attr).copy())
+        with pytest.raises(ShapeMismatch):
+            opt.step()
+
     def test_deterministic(self):
         def run():
             w = as_tensor(np.array([1.0, -2.0]))
@@ -392,6 +511,7 @@ class TestCheckpoints:
             "layer.w": np.arange(6.0).reshape(2, 3),
             "layer.b": DiffTensor(np.array([0.25, -1.5])),
             "scalar": np.float64(3.5),
+            "empty": np.zeros((0, 3)),
         }
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
@@ -399,7 +519,10 @@ class TestCheckpoints:
         assert set(loaded) == set(params)
         assert np.array_equal(loaded["layer.w"], params["layer.w"])
         assert np.array_equal(loaded["layer.b"], params["layer.b"].data)
-        assert loaded["scalar"] == 3.5
+        assert loaded["scalar"] == 3.5 and loaded["scalar"].shape == ()
+        assert loaded["empty"].shape == (0, 3)
+        for arr in loaded.values():
+            assert arr.dtype == np.float64 and arr.flags.writeable
 
     def test_bytes_stable_across_saves(self, tmp_path):
         params = {"b": np.ones(3), "a": np.zeros((2, 2))}

@@ -17,7 +17,12 @@ from affectkit.errors import (
     KeyMisalignment,
     UnknownClass,
 )
-from affectkit.harness.checks import CHECKS, max_relative_error, run_grad_checks
+from affectkit.harness.checks import (
+    CHECKS,
+    GRAD_TOLERANCE,
+    max_relative_error,
+    run_grad_checks,
+)
 from affectkit.harness.cli import main
 from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
@@ -46,6 +51,7 @@ from affectkit.types import (
     au_index,
     expression_id,
 )
+from affectkit.zeroshot import classify_compound, default_compound_defs
 from reference_ops import square, tsum
 
 SMALL = SyntheticSpec(
@@ -697,6 +703,14 @@ class TestGradChecks:
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err}"
 
+    def test_battery_names_and_tolerance(self):
+        assert GRAD_TOLERANCE == 1e-4
+        assert sorted(CHECKS) == [
+            "layer.dense", "layer.dropout_off", "layer.gru", "loss.ccc", "loss.cce",
+            "loss.distribution_matching", "loss.masked_bce", "loss.multitask",
+            "loss.soft_target_cce",
+        ]
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             run_grad_checks(names=["loss.telepathy"])
@@ -868,6 +882,19 @@ class TestCLI:
         assert code == 2
         assert "no AU probabilities" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_zero_shot_quotes_an_id_with_a_lone_cr(self, tmp_path):
+        preds = tmp_path / "preds.csv"
+        record = PredictionRecord(
+            id="a\rb", valence=0.5, expr_probs=np.full(7, 1 / 7), au_probs=np.full(17, 0.5)
+        )
+        write_predictions(preds, [record])
+        out = tmp_path / "compound.csv"
+        assert self.run_cli("zero-shot", "--predictions", preds, "--out", out) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        name = classify_compound(default_compound_defs(), record).name
+        assert rows == [["id", "compound"], ["a\rb", name]]
 
     def test_eval_with_non_utf8_features_is_exit_2(self, tmp_path, capsys):
         cfg_file = self.write_expr_data(tmp_path, feature_dim=10)

@@ -331,6 +331,24 @@ class TestLoadParameters:
             values["backbone.s0.l0.w"],
         )
 
+    def test_load_after_optimizer_is_built(self):
+        """Loading copies into the optimizer's views, so ``step`` updates
+        the loaded values, exactly as an optimizer built after loading."""
+        donor = Model(tiny_model().spec, DIMS, seed=4)
+        values = {n: p.data.copy() for n, p in donor.named_parameters().items()}
+        late, early = tiny_model(), tiny_model()
+        load_parameters(late, values)
+        late_opt = ad.Adam(late.parameters(), lr=0.01)
+        early_opt = ad.Adam(early.parameters(), lr=0.01)
+        load_parameters(early, values)
+        for model, opt in ((late, late_opt), (early, early_opt)):
+            for p in model.parameters():
+                p.grad += 1.0
+            opt.step()
+        for name, p in early.named_parameters().items():
+            assert not np.array_equal(p.data, values[name])
+            assert np.array_equal(p.data, late.named_parameters()[name].data)
+
     def test_shape_mismatch_always_fails(self):
         model = tiny_model()
         values = {n: p.data for n, p in model.named_parameters().items()}

@@ -8,6 +8,7 @@ from affectkit.relatedness import (
     BUILTIN_TABLES,
     COGNITIVE,
     EMPIRICAL,
+    RelatednessTable,
     coannotate_aus_to_emotion,
     coannotate_emotion_to_aus,
     emotion_au_mixture,
@@ -70,6 +71,22 @@ class TestTables:
         m = COGNITIVE.conditional_matrix(reweight=True)
         assert m[expression_id("happiness"), au_index(6)] == pytest.approx(0.51)
         assert m[expression_id("happiness"), au_index(12)] == 1.0
+
+    @pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=lambda t: t.name)
+    @pytest.mark.parametrize("reweight", [False, True])
+    def test_conditional_matrix_built_once_read_only(self, table, reweight):
+        fresh = RelatednessTable(name=table.name, rows=table.rows)
+        m = fresh.conditional_matrix(reweight=reweight)
+        assert fresh.conditional_matrix(reweight=reweight) is m
+        assert fresh.conditional_matrix(reweight=not reweight) is not m
+        assert not m.flags.writeable
+        expected = np.zeros_like(m)  # the per-row build, rerun here
+        for cid, row in table.rows:
+            for au, w in row.weighted_aus():
+                expected[cid, au_index(au)] = w if reweight else 1.0
+        assert np.array_equal(m, expected)
+        assert fresh == table and hash(fresh) == hash(table)
+        assert repr(fresh) == repr(RelatednessTable(name=table.name, rows=table.rows))
 
 
 class TestHardCoannotation:
