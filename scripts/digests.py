@@ -1,0 +1,172 @@
+"""Print the sha256 of ``model.ckpt`` and ``training_log.csv`` for a fixed set
+of training jobs, and of the report and predictions file that
+``affectkit eval`` writes for one coupled job.
+
+Run it on two checkouts and diff the output to show that a change keeps
+training byte-identical:
+
+    PYTHONPATH=src python3 scripts/digests.py [--work DIR]
+
+The data are synthetic (50 VA, 60 AU and 60 EXPR training samples, 20 of
+each for validation, feature_dim 10, data seed 1, shuffled), with every
+7th AU row fully and every 4th partially (AU4, AU6) unannotated. Every job
+uses run seed 3, backbone (12,), lr 1e-2, 3 epochs, batch 20 and
+validation, so the logs also cover ``evaluate_model``. The jobs: the five
+coupling modes; ``soft+distr`` on the empirical table with both reweight
+flags flipped; lambda1 0.7 and lambda2 1.3; ``per_tap:6x2`` with dropout;
+a 2-member ``rnn`` ensemble; a 5-class compound-only run; and a
+``freeze_trunk`` job that starts from the ``soft+distr`` checkpoint.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from affectkit.harness.cli import main as affectkit_main
+from affectkit.harness.config import RunConfig
+from affectkit.harness.dataio import write_annotations, write_features
+from affectkit.harness.synth import SyntheticSpec, make_dataset
+from affectkit.harness.training import train_run
+from affectkit.types import (
+    NUM_AUS,
+    AnnotatedSample,
+    AUVector,
+    CompoundLabel,
+    ExpressionLabel,
+    au_index,
+)
+
+
+def _sha(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _write(samples, directory: str, name: str):
+    ann = os.path.join(directory, f"{name}_annotations.csv")
+    feats = os.path.join(directory, f"{name}_features.csv")
+    write_annotations(ann, samples)
+    write_features(feats, samples)
+    return ann, feats
+
+
+def basic_data(directory: str):
+    spec = SyntheticSpec(train_counts=(50, 60, 60), val_counts=(20, 20, 20), feature_dim=10)
+    train, val = make_dataset(spec, seed=1)
+    rng = np.random.default_rng(1)
+    au_seen = 0
+    for s in train + val:
+        if isinstance(s.label, AUVector):
+            au_seen += 1
+            if au_seen % 7 == 0:
+                s.label = AUVector(np.zeros(NUM_AUS), np.zeros(NUM_AUS))
+            elif au_seen % 4 == 0:
+                mask = np.ones(NUM_AUS, dtype=np.uint8)
+                mask[[au_index(4), au_index(6)]] = 0
+                s.label = AUVector(s.label.values * mask, mask)
+    train = [train[i] for i in rng.permutation(len(train))]
+    return _write(train, directory, "train"), _write(val, directory, "val")
+
+
+def compound_data(directory: str):
+    rng = np.random.default_rng(2)
+
+    def samples(split, n):
+        return [
+            AnnotatedSample(
+                id=f"{split}{i:03d}",
+                split=split,
+                features=rng.normal(size=10),
+                label=CompoundLabel(i % 5, ExpressionLabel(1 + i % 5), ExpressionLabel(6)),
+            )
+            for i in range(n)
+        ]
+
+    return _write(samples("train", 45), directory, "ctrain"), _write(
+        samples("val", 15), directory, "cval"
+    )
+
+
+def jobs(basic_train, basic_val, compound_train, compound_val, out):
+    base = RunConfig(
+        seed=3,
+        feature_dim=10,
+        backbone=(12,),
+        lr=1e-2,
+        epochs=3,
+        total_batch=20,
+        train_annotations=basic_train[0],
+        train_features=basic_train[1],
+        val_annotations=basic_val[0],
+        val_features=basic_val[1],
+    )
+    for mode in ("none", "coannotation", "soft_coannotation", "distr_matching", "soft+distr"):
+        yield mode, base.override(coupling=mode)
+    yield "empirical_flipped", base.override(
+        coupling="soft+distr", relatedness="empirical", reweight_soft=False,
+        reweight_mixture=True,
+    )
+    yield "lambdas", base.override(coupling="soft+distr", lambda1=0.7, lambda2=1.3)
+    yield "per_tap", base.override(
+        coupling="soft+distr", backbone=(12, 8), taps=(0, 1), recurrent="per_tap:6x2",
+        dropout=0.2, recurrent_dropout=0.1,
+    )
+    yield "rnn_ensemble", base.override(
+        coupling="soft+distr", ensemble_members=2, ensemble_fusion="rnn"
+    )
+    yield "compound", base.override(
+        heads=("COMPOUND",), compound_classes=5,
+        train_annotations=compound_train[0], train_features=compound_train[1],
+        val_annotations=compound_val[0], val_features=compound_val[1],
+    )
+    yield "freeze_trunk", base.override(
+        coupling="distr_matching", heads=("EXPR", "AU"), freeze_trunk=True,
+        init_from=os.path.join(out, "soft+distr", "model.ckpt"),
+    )
+
+
+def run(work: str) -> None:
+    data = os.path.join(work, "data")
+    os.makedirs(data, exist_ok=True)
+    basic_train, basic_val = basic_data(data)
+    compound_train, compound_val = compound_data(data)
+    out = os.path.join(work, "runs")
+    for name, config in jobs(basic_train, basic_val, compound_train, compound_val, out):
+        result = train_run(config.override(out_dir=os.path.join(out, name)))
+        print(f"{name} ckpt {_sha(result.checkpoint_path)} log {_sha(result.log_path)}")
+
+    run_dir = os.path.join(out, "soft+distr")
+    report = os.path.join(work, "eval_report.txt")
+    predictions = os.path.join(work, "eval_predictions.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = affectkit_main([
+            "eval", "--config", os.path.join(run_dir, "config.txt"),
+            "--checkpoint", os.path.join(run_dir, "model.ckpt"),
+            "--annotations", basic_val[0], "--features", basic_val[1],
+            "--out", report, "--predictions", predictions,
+        ])
+    if code != 0:
+        raise SystemExit(f"affectkit eval exited {code}")
+    print(f"eval_soft+distr report {_sha(report)} predictions {_sha(predictions)}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--work", help="directory for the data and runs (default: a temporary one)")
+    args = parser.parse_args()
+    if args.work:
+        run(args.work)
+    else:
+        with tempfile.TemporaryDirectory() as work:
+            run(work)
+
+
+if __name__ == "__main__":
+    main()

@@ -23,8 +23,9 @@ from ..losses import (
     ccc_loss,
     distribution_matching_loss,
     masked_bce_loss,
-    multitask_loss,
+    multitask_terms,
     soft_target_cce,
+    weighted_total,
 )
 from ..relatedness import COGNITIVE
 from ..types import NUM_AUS, NUM_EXPRESSIONS
@@ -161,26 +162,18 @@ def _check_multitask(rng, n_points, eps):
     expr_logits = DiffTensor(rng.normal(0.0, 1.0, size=(n, NUM_EXPRESSIONS)))
     au_logits = DiffTensor(rng.normal(0.0, 1.0, size=(n, NUM_AUS)))
     va = DiffTensor(rng.normal(0.0, 0.5, size=(n, 2)))
-    has_expr = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0], dtype=float)
-    has_au = np.array([0, 0, 0, 1, 1, 1, 0, 0, 0], dtype=float)
-    has_va = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=float)
-    labels = BatchLabels(
-        expr=rng.integers(0, NUM_EXPRESSIONS, size=n),
-        au_targets=rng.integers(0, 2, size=(n, NUM_AUS)).astype(float),
-        au_mask=np.ones((n, NUM_AUS)),
-        va=rng.normal(0.0, 0.5, size=(n, 2)),
-    )
+    labels = BatchLabels.zeros(n)
+    labels.has_expr[:3] = labels.has_au[3:6] = labels.has_va[6:] = True
+    labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, size=n)
+    labels.au_targets[:] = rng.integers(0, 2, size=(n, NUM_AUS))
+    labels.au_mask[:] = 1.0
+    labels.va[:] = rng.normal(0.0, 0.5, size=(n, 2))
 
     def objective():
-        preds = BatchPredictions(
-            expr_logits=expr_logits,
-            au_logits=au_logits,
-            va=va,
-            has_expr=has_expr,
-            has_au=has_au,
-            has_va=has_va,
+        preds = BatchPredictions(expr_logits=expr_logits, au_logits=au_logits, va=va)
+        return weighted_total(
+            multitask_terms(preds, labels, LossWeights(lambda1=0.8, lambda2=1.3))
         )
-        return multitask_loss(preds, labels, LossWeights(lambda1=0.8, lambda2=1.3))
 
     return max_relative_error(
         objective, [expr_logits, au_logits, va], n_points, eps, seed=17

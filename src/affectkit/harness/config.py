@@ -19,7 +19,8 @@ COUPLING_MODES = ("none", "coannotation", "soft_coannotation", "distr_matching",
 
 
 def parse_kv_file(path) -> Dict[str, str]:
-    """Parse ``key = value`` lines; blank lines and '#' comment lines skipped."""
+    """Parse ``key = value`` lines; blank lines and '#' comment lines skipped.
+    A key may appear once."""
     out: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -29,7 +30,10 @@ def parse_kv_file(path) -> Dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is set twice")
+            out[key] = value.strip()
     return out
 
 

@@ -33,8 +33,7 @@ from ..types import (
     AnnotatedSample,
     PredictionRecord,
 )
-
-_TASK_TO_KEY = {"VA": "va", "EXPR": "expr", "AU": "au", "COMPOUND": "compound"}
+from .dataio import stack_audio
 
 
 def _forward_all(model: Model, samples: Sequence[AnnotatedSample], chunk: int):
@@ -44,9 +43,7 @@ def _forward_all(model: Model, samples: Sequence[AnnotatedSample], chunk: int):
     for start in range(0, len(samples), chunk):
         part = samples[start : start + chunk]
         feats = np.stack([s.features for s in part])
-        audio = None
-        if model.dims.audio:
-            audio = np.stack([s.audio_features for s in part])
+        audio = stack_audio(part, model.dims.audio)
         batch = SequenceBatch(features=feats[None], audio=None if audio is None else audio[None])
         preds = model.forward(batch, train=False)
         if "VA" in heads:
@@ -86,14 +83,20 @@ def evaluate_model(
     (or present) task has no matching model head.
     """
     samples = list(samples)
-    labels, has = label_arrays(samples)
-    present = {task for task, key in _TASK_TO_KEY.items() if has[key].any()}
+    labels = label_arrays(samples)
+    flags = {
+        "VA": labels.has_va,
+        "EXPR": labels.has_expr,
+        "AU": labels.has_au,
+        "COMPOUND": labels.has_compound,
+    }
+    present = {task for task, flag in flags.items() if flag.any()}
     # an AU row with no annotated unit carries no flag at all
-    if not np.all(has["va"] + has["expr"] + has["au"] + has["compound"]):
+    if not np.all(labels.has_va | labels.has_expr | labels.has_au | labels.has_compound):
         present.add("AU")
     wanted = set(tasks) if tasks is not None else present
     for task in sorted(wanted):
-        if task not in _TASK_TO_KEY:
+        if task not in flags:
             raise IncompatibleHeads(f"unknown task {task!r}")
         if task not in model.spec.heads:
             raise IncompatibleHeads(f"task {task} needs a {task} head")
@@ -121,7 +124,7 @@ def evaluate_model(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateInputWarning)
 
-        idx = np.flatnonzero(has["va"])
+        idx = np.flatnonzero(labels.has_va)
         if "VA" in wanted and len(idx) >= 2:
             pred = rows["va"][idx]
             truth = labels.va[idx]
@@ -130,7 +133,7 @@ def evaluate_model(
             metrics["va.mse_v"] = mse(pred[:, 0], truth[:, 0])
             metrics["va.mse_a"] = mse(pred[:, 1], truth[:, 1])
 
-        idx = np.flatnonzero(has["expr"])
+        idx = np.flatnonzero(labels.has_expr)
         if "EXPR" in wanted and idx.size:
             pred = rows["expr"][idx].argmax(axis=1)
             truth = labels.expr[idx]
@@ -141,7 +144,7 @@ def evaluate_model(
                 metrics["expr.f1"], metrics["expr.accuracy"]
             )
 
-        idx = np.flatnonzero(has["au"])
+        idx = np.flatnonzero(labels.has_au)
         if "AU" in wanted and idx.size:
             pred = binarize(rows["au"][idx], au_threshold)
             truth = labels.au_targets[idx]
@@ -161,7 +164,7 @@ def evaluate_model(
                     metrics["au.macro_f1"], metrics["au.total_acc"]
                 )
 
-        idx = np.flatnonzero(has["compound"])
+        idx = np.flatnonzero(labels.has_compound)
         if "COMPOUND" in wanted and idx.size:
             pred = rows["compound"][idx].argmax(axis=1)
             truth = labels.compound[idx]

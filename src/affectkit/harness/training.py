@@ -6,8 +6,9 @@ stacked features, every label and coupling target as row arrays, and the
 label-type pools as row numbers. Every batch concatenates one chunk from
 each pool, is gathered from the table by index and is pushed through the
 network as a single sequence, so the concordance term sees the whole
-valence/arousal chunk at once. Everything downstream of the seed is
-deterministic.
+valence/arousal chunk at once. A step's loss is one weighted total of the
+multi-task terms followed by the soft-target and distribution-matching
+terms. Everything downstream of the seed is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..losses import (
     LossWeights,
     distribution_matching_loss,
     label_arrays,
-    multitask_loss,
+    multitask_terms,
     soft_target_cce,
     weighted_total,
 )
@@ -39,9 +40,9 @@ from ..relatedness import (
     soft_coannotate,
 )
 from ..sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
-from ..types import NUM_EXPRESSIONS, AnnotatedSample, au_index
+from ..types import AnnotatedSample, au_index
 from .config import RunConfig
-from .dataio import load_dataset
+from .dataio import load_dataset, stack_audio
 from .evaluate import evaluate_model
 
 
@@ -58,47 +59,31 @@ class TrainResult:
 class _TrainTable:
     """The training set as row arrays, built once per job.
 
-    Row i is sample i in file order. ``labels``/``has`` hold each row's own
-    label plus the hard co-annotation targets; ``soft`` holds the soft
-    co-annotation emotion target of the rows flagged in ``has_soft``. The
-    pools are row numbers, in file order.
+    Row i is sample i in file order. ``labels`` holds each row's own label
+    plus the hard or soft co-annotation targets, with their flags. The pools
+    are row numbers, in file order.
     """
 
     features: np.ndarray
     audio: Optional[np.ndarray]
     labels: BatchLabels
-    has: Dict[str, np.ndarray]
-    soft: np.ndarray
-    has_soft: np.ndarray
     va_rows: Tuple[int, ...]
     au_rows: Tuple[int, ...]
     expr_rows: Tuple[int, ...]
     compound_rows: Tuple[int, ...]
 
-    def gather(self, rows: Tuple[int, ...]):
-        """One batch as a (1, N, D) sequence plus its labels and flags.
-
-        Also returns the batch positions that carry a soft emotion target
-        and those targets, one row each.
-        """
+    def gather(self, rows: Tuple[int, ...]) -> Tuple[SequenceBatch, BatchLabels]:
+        """One batch as a (1, N, D) sequence plus its labels."""
         idx = np.asarray(rows)
-        has = {k: v[idx] for k, v in self.has.items()}
+        labels = self.labels.take(idx)
         # concordance is undefined on a single point; drop a lone VA row
-        if 0 < has["va"].sum() < 2:
-            has["va"][:] = 0.0
+        if labels.has_va.sum() == 1:
+            labels.has_va[:] = False
         batch = SequenceBatch(
             features=self.features[idx][None],
             audio=None if self.audio is None else self.audio[idx][None],
         )
-        labels = BatchLabels(
-            expr=self.labels.expr[idx],
-            au_targets=self.labels.au_targets[idx],
-            au_mask=self.labels.au_mask[idx],
-            va=self.labels.va[idx],
-            compound=self.labels.compound[idx],
-        )
-        soft_rows = np.flatnonzero(self.has_soft[idx])
-        return batch, labels, has, soft_rows, self.soft[idx[soft_rows]]
+        return batch, labels
 
 
 def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTable:
@@ -107,20 +92,16 @@ def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTab
         if s.id in seen:
             raise ConfigError(f"duplicate sample id {s.id!r}")
         seen.add(s.id)
-    audio = None
-    if config.input_dims().audio:
-        for s in samples:
-            if s.audio_features is None:
-                raise ConfigError(f"{s.id}: audio_dim set but sample has no audio")
-        audio = np.array([s.audio_features for s in samples])
+    audio = stack_audio(samples, config.input_dims().audio)
 
-    labels, has = label_arrays(samples)
+    labels = label_arrays(samples)
     va, expr, compound = (
-        tuple(np.flatnonzero(has[k]).tolist()) for k in ("va", "expr", "compound")
+        tuple(np.flatnonzero(flag).tolist())
+        for flag in (labels.has_va, labels.has_expr, labels.has_compound)
     )
     # each sample has one label, so every row without a VA, EXPR or
     # COMPOUND flag is an AU row, including those with an all-zero mask
-    au = tuple(np.flatnonzero(has["va"] + has["expr"] + has["compound"] == 0).tolist())
+    au = tuple(np.flatnonzero(~(labels.has_va | labels.has_expr | labels.has_compound)).tolist())
     if compound and (va or au or expr):
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
@@ -132,21 +113,19 @@ def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTab
                 f"below compound_classes = {config.compound_classes}"
             )
 
-    soft = np.zeros((len(samples), NUM_EXPRESSIONS))
-    has_soft = np.zeros(len(samples), dtype=bool)
     table = config.relatedness_table()
     if config.coupling == "coannotation":
         for r in expr:
             implied = coannotate_emotion_to_aus(samples[r].label, table)
             if implied:
-                has["au"][r] = 1.0
+                labels.has_au[r] = True
                 for au_id, target, weight in implied:
                     labels.au_targets[r, au_index(au_id)] = target
                     labels.au_mask[r, au_index(au_id)] = weight
         for r in au:
             implied = coannotate_aus_to_emotion(samples[r].label, table)
             if implied is not None:
-                has["expr"][r] = 1.0
+                labels.has_expr[r] = True
                 labels.expr[r] = implied.class_id
     elif config.coupling in ("soft_coannotation", "soft+distr"):
         for r in au:
@@ -156,15 +135,12 @@ def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTab
                 )
             except MissingMask:
                 continue  # partially annotated sample: no soft target
-            soft[r] = target.as_array()
-            has_soft[r] = True
+            labels.soft[r] = target.as_array()
+            labels.has_soft[r] = True
     return _TrainTable(
         features=np.array([s.features for s in samples]),
         audio=audio,
         labels=labels,
-        has=has,
-        soft=soft,
-        has_soft=has_soft,
         va_rows=va,
         au_rows=au,
         expr_rows=expr,
@@ -240,26 +216,22 @@ def train_run(config: RunConfig) -> TrainResult:
         for step, batch_rows in enumerate(row_batches):
             if not batch_rows:
                 continue
-            batch, labels, has, soft_rows, soft = data.gather(batch_rows)
+            batch, labels = data.gather(batch_rows)
             preds = model.forward(batch, train=True, rng=dropout_rng)
-            preds.has_expr = has["expr"]
-            preds.has_au = has["au"]
-            preds.has_va = has["va"]
-            preds.has_compound = has["compound"]
-            loss = multitask_loss(preds, labels, weights)
+            terms = multitask_terms(preds, labels, weights)
+            soft_rows = np.flatnonzero(labels.has_soft)
             dm = use_dm and preds.au_logits is not None
             if preds.expr_logits is not None and (soft_rows.size or dm):
                 probs = expr_probs(preds)
-                terms = [(1.0, loss)]
                 if soft_rows.size:
                     p = ad.take_rows(probs, soft_rows)
-                    terms.append((1.0, soft_target_cce(p, soft)))
+                    terms.append((1.0, soft_target_cce(p, labels.soft[soft_rows])))
                 if dm:
                     dm_loss = distribution_matching_loss(
                         probs, au_probs(preds), table, reweight=config.reweight_mixture,
                     )
                     terms.append((1.0, dm_loss))
-                loss = weighted_total(terms)
+            loss = weighted_total(terms)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")

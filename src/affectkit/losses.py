@@ -6,6 +6,8 @@ Each loss computes its value and its gradient in closed form with plain
 numpy and returns one ``autodiff.fused`` node, so gradients flow back to
 whatever produced the predictions without a graph of scalar ops;
 ``weighted_total`` sums weighted terms as one more such node.
+``multitask_terms`` lists the weighted multi-task terms, so a training
+step can append its coupling terms and sum them all with one total.
 Probabilities that feed a log are clamped to [1e-7, 1-1e-7] after the
 sigmoid/softmax, and no gradient passes where the clamp bites; the
 categorical term instead uses a max-shifted log-sum-exp, which stays exact
@@ -13,13 +15,14 @@ for saturated logits.
 
 ``label_arrays`` is the one place where annotated samples become the row
 arrays of a BatchLabels; training and evaluation both build their truth
-with it.
+with it. A BatchLabels also carries the row flags that decide which rows
+each term reads, so predictions hold nothing but head outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,74 +56,84 @@ class LossWeights:
 
 @dataclass
 class BatchPredictions:
-    """Model outputs for one batch plus per-sample label availability.
-
-    Any head a model lacks is None. Flags are {0,1} vectors saying which
-    rows carry which label type; a None flag means every row does.
-    """
+    """Model outputs for one batch; any head a model lacks is None."""
 
     expr_logits: Optional[DiffTensor] = None
     au_logits: Optional[DiffTensor] = None
     va: Optional[DiffTensor] = None
     compound_logits: Optional[DiffTensor] = None
-    has_expr: Optional[np.ndarray] = None
-    has_au: Optional[np.ndarray] = None
-    has_va: Optional[np.ndarray] = None
-    has_compound: Optional[np.ndarray] = None
 
 
 @dataclass
 class BatchLabels:
     """Ground truth aligned row-for-row with a BatchPredictions.
 
-    Rows whose availability flag is 0 may hold anything; they are never
-    read. AU truth is a target/weight pair so hard co-annotation can feed
-    fractional observational weights through the same code path.
+    Each ``has_*`` flag says which rows carry that label; unflagged rows
+    may hold anything and are never read. AU truth is a target/weight pair
+    so hard co-annotation can feed fractional observational weights through
+    the same code path. ``soft`` is the soft co-annotation emotion target of
+    the rows flagged in ``has_soft``.
     """
 
-    expr: Optional[np.ndarray] = None  # (N,) int class ids
-    au_targets: Optional[np.ndarray] = None  # (N,17) floats in [0,1]
-    au_mask: Optional[np.ndarray] = None  # (N,17) nonnegative weights
-    va: Optional[np.ndarray] = None  # (N,2) floats
-    compound: Optional[np.ndarray] = None  # (N,) int compound class ids
+    va: np.ndarray  # (N,2) floats
+    expr: np.ndarray  # (N,) int class ids
+    au_targets: np.ndarray  # (N,17) floats in [0,1]
+    au_mask: np.ndarray  # (N,17) nonnegative weights
+    compound: np.ndarray  # (N,) int compound class ids
+    soft: np.ndarray  # (N,7) emotion distributions
+    has_va: np.ndarray  # (N,) bool, and likewise below
+    has_expr: np.ndarray
+    has_au: np.ndarray
+    has_compound: np.ndarray
+    has_soft: np.ndarray
+
+    @classmethod
+    def zeros(cls, n: int) -> "BatchLabels":
+        """n rows with every label zero and every flag off."""
+        return cls(
+            va=np.zeros((n, 2)),
+            expr=np.zeros(n, dtype=np.int64),
+            au_targets=np.zeros((n, NUM_AUS)),
+            au_mask=np.zeros((n, NUM_AUS)),
+            compound=np.zeros(n, dtype=np.int64),
+            soft=np.zeros((n, NUM_EXPRESSIONS)),
+            **{
+                f"has_{k}": np.zeros(n, dtype=bool)
+                for k in ("va", "expr", "au", "compound", "soft")
+            },
+        )
+
+    def take(self, rows) -> "BatchLabels":
+        """The given rows of every array, in the given order."""
+        return BatchLabels(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
-def label_arrays(
-    samples: Sequence[AnnotatedSample],
-) -> Tuple[BatchLabels, Dict[str, np.ndarray]]:
-    """Write each sample's own label into row i of a BatchLabels.
+def label_arrays(samples: Sequence[AnnotatedSample]) -> BatchLabels:
+    """Write each sample's own label into row i of a BatchLabels and flag it.
 
-    Returns the labels and {0,1} flags keyed ``va``, ``expr``, ``au`` and
-    ``compound``. A sample carries exactly one label, so a row has at most
-    one flag; an AU row with no annotated unit has none and keeps a zero
-    mask, because the masked cross-entropy has nothing to weigh in it.
+    A sample carries exactly one label, so a row has at most one flag; an
+    AU row with no annotated unit has none and keeps a zero mask, because
+    the masked cross-entropy has nothing to weigh in it. No row has a soft
+    target here.
     """
-    n = len(samples)
-    labels = BatchLabels(
-        expr=np.zeros(n, dtype=np.int64),
-        au_targets=np.zeros((n, NUM_AUS)),
-        au_mask=np.zeros((n, NUM_AUS)),
-        va=np.zeros((n, 2)),
-        compound=np.zeros(n, dtype=np.int64),
-    )
-    has = {k: np.zeros(n) for k in ("expr", "au", "va", "compound")}
+    labels = BatchLabels.zeros(len(samples))
     for row, sample in enumerate(samples):
         label, task = sample.label, sample.task
         if task == "VA":
-            has["va"][row] = 1.0
+            labels.has_va[row] = True
             labels.va[row] = (label.valence, label.arousal)
         elif task == "EXPR":
-            has["expr"][row] = 1.0
+            labels.has_expr[row] = True
             labels.expr[row] = label.class_id
         elif task == "AU":
             if label.mask.any():
-                has["au"][row] = 1.0
+                labels.has_au[row] = True
                 labels.au_targets[row] = label.values
                 labels.au_mask[row] = label.mask
         else:
-            has["compound"][row] = 1.0
+            labels.has_compound[row] = True
             labels.compound[row] = label.class_id
-    return labels, has
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +171,12 @@ def ccc_loss(pred_va: DiffTensor, truth_va) -> DiffTensor:
 
 
 def cce_loss(expr_logits: DiffTensor, truth) -> DiffTensor:
-    """Mean over samples of -log softmax(logits)[true class], from the
+    """Mean over samples of -log softmax(logits)[true class ids], from the
     max-shifted log-sum-exp, so saturated logits stay exact."""
-    truth_ids = np.asarray(
-        [t if isinstance(t, (int, np.integer)) else t.class_id for t in np.atleast_1d(truth)],
-        dtype=np.int64,
-    )
+    truth_ids = np.asarray(truth, dtype=np.int64)
     n, k = expr_logits.shape
     if truth_ids.shape != (n,):
-        raise ShapeMismatch(f"{truth_ids.shape[0]} labels for {n} rows")
+        raise ShapeMismatch(f"labels of shape {truth_ids.shape} for {n} rows")
     if np.any(truth_ids < 0) or np.any(truth_ids >= k):
         raise ValueOutOfRange(f"class ids must be in [0,{k})")
     rows = np.arange(n)
@@ -211,75 +221,37 @@ def masked_bce_loss(au_logits: DiffTensor, targets, mask) -> DiffTensor:
     return ad.fused(value, ((au_logits, grad),))
 
 
-def multitask_loss(
+def multitask_terms(
     preds: BatchPredictions,
     labels: BatchLabels,
     weights: LossWeights = LossWeights(),
-    return_terms: bool = False,
-):
-    """L_total = L_expr + lambda1 * L_au + lambda2 * L_va.
+) -> List[Tuple[float, Optional[DiffTensor]]]:
+    """The (weight, term) pairs of L_expr + lambda1 * L_au + lambda2 * L_va
+    + L_compound, in that order; the compound head is the transfer-learning
+    extension. ``weighted_total`` of the list is the multi-task loss.
 
-    Each term is computed only over the rows flagged as carrying that
-    label type; a task with no labeled rows (or no head) contributes 0
-    and, with ``return_terms``, is reported as an edge-free 0.
-    A compound head, when present, adds a plain cross-entropy term at
-    unit weight (the transfer-learning extension).
+    Each term is computed only over the rows its label flag marks; a task
+    with no flagged row, or no head, is None.
     """
-    n = None
-    for t in (preds.expr_logits, preds.au_logits, preds.va, preds.compound_logits):
-        if t is not None:
-            n = t.shape[0]
-            break
-    if n is None:
-        raise ShapeMismatch("predictions carry no heads")
+    heads = (preds.expr_logits, preds.au_logits, preds.va, preds.compound_logits)
+    n = labels.va.shape[0]
+    if all(h is None for h in heads) or any(h is not None and h.shape[0] != n for h in heads):
+        raise ShapeMismatch(f"predictions need a head with {n} rows, one per label row")
 
-    def rows(flag):
-        if flag is None:
-            return np.arange(n)
-        return np.flatnonzero(np.asarray(flag) != 0)
+    def term(loss, head, flag, *truth):
+        idx = np.flatnonzero(flag)
+        if head is None or not idx.size:
+            return None
+        return loss(ad.take_rows(head, idx), *(t[idx] for t in truth))
 
-    terms: Dict[str, Optional[DiffTensor]] = dict.fromkeys(("expr", "au", "va", "compound"))
-
-    if preds.expr_logits is not None and labels.expr is not None:
-        idx = rows(preds.has_expr)
-        if idx.size:
-            terms["expr"] = cce_loss(
-                ad.take_rows(preds.expr_logits, idx),
-                np.asarray(labels.expr)[idx],
-            )
-    if preds.au_logits is not None and labels.au_targets is not None:
-        idx = rows(preds.has_au)
-        if idx.size:
-            terms["au"] = masked_bce_loss(
-                ad.take_rows(preds.au_logits, idx),
-                np.asarray(labels.au_targets)[idx],
-                np.asarray(labels.au_mask)[idx],
-            )
-    if preds.va is not None and labels.va is not None:
-        idx = rows(preds.has_va)
-        if idx.size:
-            terms["va"] = ccc_loss(
-                ad.take_rows(preds.va, idx), np.asarray(labels.va)[idx]
-            )
-    if preds.compound_logits is not None and labels.compound is not None:
-        idx = rows(preds.has_compound)
-        if idx.size:
-            terms["compound"] = cce_loss(
-                ad.take_rows(preds.compound_logits, idx),
-                np.asarray(labels.compound)[idx],
-            )
-
-    total = weighted_total(
-        [
-            (1.0, terms["expr"]),
-            (weights.lambda1, terms["au"]),
-            (weights.lambda2, terms["va"]),
-            (1.0, terms["compound"]),
-        ]
-    )
-    if return_terms:
-        return total, {k: DiffTensor(0.0) if t is None else t for k, t in terms.items()}
-    return total
+    return [
+        (1.0, term(cce_loss, preds.expr_logits, labels.has_expr, labels.expr)),
+        (weights.lambda1, term(
+            masked_bce_loss, preds.au_logits, labels.has_au, labels.au_targets, labels.au_mask
+        )),
+        (weights.lambda2, term(ccc_loss, preds.va, labels.has_va, labels.va)),
+        (1.0, term(cce_loss, preds.compound_logits, labels.has_compound, labels.compound)),
+    ]
 
 
 def weighted_total(terms: Sequence[Tuple[float, Optional[DiffTensor]]]) -> DiffTensor:

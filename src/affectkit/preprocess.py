@@ -111,6 +111,11 @@ class SpectrogramConfig:
             raise BadRange(
                 f"need window_ms > overlap_ms > 0, got {self.window_ms}/{self.overlap_ms}"
             )
+        if self.window_samples < 1 or self.hop_samples < 1:
+            raise BadRange(
+                f"window {self.window_samples} and hop {self.hop_samples} samples at "
+                f"{self.sample_rate_hz} Hz must both be at least 1"
+            )
 
     @property
     def window_samples(self) -> int:

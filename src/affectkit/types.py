@@ -112,11 +112,6 @@ class AUVector:
     def is_annotated(self, au_id: int) -> bool:
         return bool(self.mask[au_index(au_id)])
 
-    def active_au_ids(self) -> tuple:
-        """AU ids annotated as present."""
-        keep = (self.values == 1) & (self.mask == 1)
-        return tuple(AU_IDS[i] for i in np.flatnonzero(keep))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AUVector)

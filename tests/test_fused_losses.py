@@ -22,7 +22,7 @@ from affectkit.losses import (
     cce_loss,
     distribution_matching_loss,
     masked_bce_loss,
-    multitask_loss,
+    multitask_terms,
     soft_target_cce,
     weighted_total,
 )
@@ -294,40 +294,28 @@ def _batch(rng, present, compound=False):
     }
     if compound:
         arrays = {"compound_logits": rng.normal(size=(N_ROWS, 11))}
-    blocks = {"expr": range(0, 4), "au": range(4, 8), "va": range(8, 12)}
-    flags = {}
-    for task, rows in blocks.items():
-        flags[task] = np.zeros(N_ROWS)
-        if task in present:
-            flags[task][list(rows)] = 1.0
-    labels = BatchLabels(
-        expr=rng.integers(0, NUM_EXPRESSIONS, size=N_ROWS),
-        au_targets=(rng.random((N_ROWS, NUM_AUS)) < 0.5).astype(float),
-        au_mask=(rng.random((N_ROWS, NUM_AUS)) < 0.8).astype(float),
-        va=np.clip(rng.normal(size=(N_ROWS, 2)), -1.0, 1.0),
-        compound=rng.integers(0, 11, size=N_ROWS),
-    )
+    labels = BatchLabels.zeros(N_ROWS)
+    blocks = {"expr": labels.has_expr, "au": labels.has_au, "va": labels.has_va}
+    for (task, flag), start in zip(blocks.items(), (0, 4, 8)):
+        flag[start : start + 4] = task in present
+    labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, size=N_ROWS)
+    labels.au_targets[:] = rng.random((N_ROWS, NUM_AUS)) < 0.5
+    labels.au_mask[:] = rng.random((N_ROWS, NUM_AUS)) < 0.8
+    labels.va[:] = np.clip(rng.normal(size=(N_ROWS, 2)), -1.0, 1.0)
+    labels.compound[:] = rng.integers(0, 11, size=N_ROWS)
+    labels.has_compound[:] = compound
     labels.au_mask[:, 0] = 1.0
-    return arrays, flags, labels
+    return arrays, labels
 
 
-def _step(arrays, flags, labels, weights, soft, dm, fused):
-    """One training step's loss and leaf gradients, summed by the fused
-    totals or by the parent's chain: expr + l1 * au + l2 * va + compound,
+def _step(arrays, labels, weights, soft, dm, mode):
+    """One training step's loss and leaf gradients. ``flat`` sums the
+    multi-task terms and the coupling terms with one weighted total, as
+    training does; ``nested`` wraps the multi-task total in a second one;
+    ``chain`` is the add/mul chain expr + l1 * au + l2 * va + compound,
     then + soft-target + distribution matching."""
     leaves = {k: DiffTensor(a.copy()) for k, a in arrays.items()}
-    preds = BatchPredictions(
-        **leaves, has_expr=flags["expr"], has_au=flags["au"], has_va=flags["va"]
-    )
-    total, terms = multitask_loss(preds, labels, weights, return_terms=True)
-    if not fused:
-        total = add(
-            add(
-                add(terms["expr"], mul(terms["au"], as_tensor(weights.lambda1))),
-                mul(terms["va"], as_tensor(weights.lambda2)),
-            ),
-            terms["compound"],
-        )
+    terms = multitask_terms(BatchPredictions(**leaves), labels, weights)
     extra = []
     if soft is not None or dm:
         probs = ad.softmax(leaves["expr_logits"], axis=1)
@@ -336,11 +324,20 @@ def _step(arrays, flags, labels, weights, soft, dm, fused):
         if dm:
             au = ad.sigmoid(leaves["au_logits"])
             extra.append(distribution_matching_loss(probs, au, COGNITIVE))
-    if not fused:
+    if mode == "flat":
+        total = weighted_total(terms + [(1.0, t) for t in extra])
+    elif mode == "nested":
+        total = weighted_total(terms)
+        if extra:
+            total = weighted_total([(1.0, total)] + [(1.0, t) for t in extra])
+    else:
+        e, au, va, c = (as_tensor(0.0) if t is None else t for _, t in terms)
+        total = add(
+            add(add(e, mul(au, as_tensor(weights.lambda1))), mul(va, as_tensor(weights.lambda2))),
+            c,
+        )
         for t in extra:
             total = add(total, t)
-    elif extra:
-        total = weighted_total([(1.0, total)] + [(1.0, t) for t in extra])
     backward(total)
     return total, [leaves[k].grad for k in sorted(leaves)]
 
@@ -361,30 +358,55 @@ TOTAL_CASES = {
 def test_fused_totals_equal_chain(case):
     present, l1, l2, soft_rows, dm = TOTAL_CASES[case]
     rng = np.random.default_rng(sorted(TOTAL_CASES).index(case))
-    arrays, flags, labels = _batch(rng, present)
+    arrays, labels = _batch(rng, present)
     soft = None
     if soft_rows is not None:
         soft = (np.asarray(soft_rows), probs(rng, len(soft_rows), NUM_EXPRESSIONS))
     weights = LossWeights(lambda1=l1, lambda2=l2)
-    total, grads = _step(arrays, flags, labels, weights, soft, dm, fused=True)
-    ref_total, ref_grads = _step(arrays, flags, labels, weights, soft, dm, fused=False)
-    assert total.data == ref_total.data
-    for g, ref in zip(grads, ref_grads):
-        assert np.array_equal(g, ref)
-    n_coupling = (soft is not None) + dm
-    if n_coupling:
-        assert len(total._edges) == 1 + n_coupling
-        total = total._edges[0][0]
-    assert len(total._edges) == len(present)
+    total, grads = _step(arrays, labels, weights, soft, dm, "flat")
+    for mode in ("nested", "chain"):
+        ref_total, ref_grads = _step(arrays, labels, weights, soft, dm, mode)
+        assert total.data.tobytes() == ref_total.data.tobytes(), mode
+        for g, ref in zip(grads, ref_grads):
+            assert g.tobytes() == ref.tobytes(), mode
+    assert len(total._edges) == len(present) + (soft is not None) + dm
 
 
 def test_fused_total_compound_only():
-    arrays, flags, labels = _batch(np.random.default_rng(9), (), compound=True)
+    arrays, labels = _batch(np.random.default_rng(9), (), compound=True)
     weights = LossWeights(lambda1=0.7, lambda2=1.3)
-    total, (grad,) = _step(arrays, flags, labels, weights, None, False, fused=True)
-    ref_total, (ref_grad,) = _step(arrays, flags, labels, weights, None, False, fused=False)
+    total, (grad,) = _step(arrays, labels, weights, None, False, "flat")
+    ref_total, (ref_grad,) = _step(arrays, labels, weights, None, False, "chain")
     assert total.data == ref_total.data and np.array_equal(grad, ref_grad)
     assert len(total._edges) == 1
+
+
+@pytest.mark.parametrize("soft,dm", [(False, False), (True, False), (False, True), (True, True)])
+def test_flat_total_equals_nested_bit_for_bit(soft, dm):
+    # a training step's one total against the multi-task total wrapped in
+    # a second one, over random term sets: 1.0 * x and g * 1.0 are exact and
+    # the sum runs left to right in both, so value and gradients agree
+    rng = np.random.default_rng([soft, dm])
+    for _ in range(500):
+        values = rng.normal(size=6) * 10.0 ** rng.integers(-8, 9, size=6)
+        weights = [1.0, rng.choice([0.0, 0.7, rng.random() * 3]),
+                   rng.choice([0.0, 1.3, rng.random() * 3]), 1.0]
+        kept = rng.random(4) < 0.7
+        results = []
+        for nested in (False, True):
+            leaves = [DiffTensor(v) for v in values]
+            terms = [(w, t if keep else None) for w, t, keep in zip(weights, leaves, kept)]
+            coupling = [(1.0, t) for t, on in zip(leaves[4:], (soft, dm)) if on]
+            if nested and coupling:
+                total = weighted_total([(1.0, weighted_total(terms))] + coupling)
+            else:
+                total = weighted_total(terms + coupling)
+            backward(total)
+            results.append((total, leaves))
+        (flat, flat_leaves), (nest, nest_leaves) = results
+        assert flat.data.tobytes() == nest.data.tobytes()
+        for a, b in zip(flat_leaves, nest_leaves):
+            assert a.grad.tobytes() == b.grad.tobytes()
 
 
 def test_weighted_total_absent_terms():

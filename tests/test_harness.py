@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from affectkit.autodiff import DiffTensor, backward, load_checkpoint
+from affectkit.autodiff import DiffTensor, backward, load_checkpoint, save_checkpoint
 from affectkit.errors import (
     BadMask,
     ConfigError,
@@ -39,8 +39,11 @@ from affectkit.harness.dataio import (
 )
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
+from affectkit.harness import training
 from affectkit.harness.training import load_model, train_run
+from affectkit.losses import weighted_total
 from affectkit.models import Model
+from affectkit.preprocess import write_audio
 from affectkit.types import (
     AUVector,
     AnnotatedSample,
@@ -117,6 +120,14 @@ class TestConfig:
         path.write_text("seed = 1\nnot a pair\n")
         with pytest.raises(ConfigError, match="2"):
             parse_kv_file(path)
+
+    def test_kv_parser_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr = 0.1\nseed = 2\n# lr = 0.5\nlr = 0.001\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: 'lr' is set twice"):
+            parse_kv_file(path)
+        with pytest.raises(ConfigError, match="set twice"):
+            RunConfig.from_file(path)
 
     def test_kv_parser_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -567,6 +578,40 @@ class TestTraining:
             result = train_run(cfg)
             assert np.isfinite(result.history[-1]["loss"])
 
+    @pytest.mark.parametrize("mode,coupling", [
+        ("none", []),
+        ("soft_coannotation", ["soft"]),
+        ("distr_matching", ["dm"]),
+        ("soft+distr", ["soft", "dm"]),
+    ])
+    def test_one_loss_total_per_step(self, tmp_path, monkeypatch, mode, coupling):
+        # every step sums expr, AU, VA, compound, soft-target and distribution
+        # matching, in that order, with a single weighted total
+        totals, roots = [], []
+
+        def spy_total(terms):
+            total = weighted_total(terms)
+            totals.append((terms, total))
+            return total
+
+        monkeypatch.setattr(training, "weighted_total", spy_total)
+        monkeypatch.setattr(training, "backward", lambda root: roots.append(root) or backward(root))
+        cfg = small_config(
+            tmp_path, coupling=mode, lambda1=0.7, lambda2=1.3, epochs=1,
+            val_annotations="", val_features="",
+        )
+        train_run(cfg)
+        assert roots and [total for _, total in totals] == roots
+        for terms, total in totals:
+            assert [w for w, _ in terms] == [1.0, 0.7, 1.3, 1.0] + [1.0] * len(coupling)
+            assert all(t is not None for _, t in terms[:3]) and terms[3][1] is None
+            # a soft-target term reads one gathered tensor, distribution
+            # matching the expression and AU probabilities
+            assert [len(t._edges) for _, t in terms[4:]] == [
+                {"soft": 1, "dm": 2}[kind] for kind in coupling
+            ]
+            assert [p for p, _ in total._edges] == [t for _, t in terms if t is not None]
+
     def test_freeze_trunk(self, tmp_path):
         donor = train_run(small_config(tmp_path, out_dir=str(tmp_path / "donor")))
         cfg = small_config(
@@ -787,6 +832,52 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "clip.audio: bad audio header" in err and "Traceback" not in err
+
+    def test_spectrogram_with_a_zero_sample_hop_is_exit_2(self, tmp_path, capsys):
+        audio = tmp_path / "clip.audio"
+        write_audio(audio, 1000, np.sin(np.arange(200) * 0.3))
+        code = self.run_cli(
+            "spectrogram", "--audio", audio, "--window-ms", 1.0, "--overlap-ms", 0.99,
+            "--out", tmp_path / "s.csv",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at least 1" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_repeated_config_key_is_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text("feature_dim = 10\nfeature_dim = 12\n")
+        if command == "train":
+            code = self.run_cli("train", "--config", cfg)
+        else:
+            code = self.run_cli("gen-data", "--spec", cfg, "--out", tmp_path / "data")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "repeat.cfg:2: 'feature_dim' is set twice" in err and "Traceback" not in err
+
+    def test_eval_two_stream_model_without_audio_is_exit_2(self, tmp_path, capsys):
+        self.write_expr_data(tmp_path, feature_dim=10)
+        config = RunConfig(feature_dim=10, audio_dim=3, streams=2, heads=("EXPR",))
+        config.to_file(tmp_path / "two_stream.cfg")
+        model = Model(config.model_spec(), config.input_dims(), seed=0)
+        save_checkpoint(
+            tmp_path / "two_stream.ckpt",
+            {name: p.data for name, p in model.named_parameters().items()},
+        )
+        code = self.run_cli(
+            "eval",
+            "--config", tmp_path / "two_stream.cfg",
+            "--checkpoint", tmp_path / "two_stream.ckpt",
+            "--annotations", tmp_path / "ann.csv",
+            "--features", tmp_path / "feat.csv",
+            "--out", tmp_path / "report.txt",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "x0: audio_dim set but sample has no audio" in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
 
     def write_expr_data(self, tmp_path, feature_dim):
         rng = np.random.default_rng(0)

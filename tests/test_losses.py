@@ -1,6 +1,7 @@
 """Training objectives against closed-form hand evaluations."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from affectkit.losses import (
     distribution_matching_loss,
     label_arrays,
     masked_bce_loss,
-    multitask_loss,
+    multitask_terms,
     soft_target_cce,
+    weighted_total,
 )
 from affectkit.relatedness import COGNITIVE
 from affectkit.types import (
@@ -102,8 +104,8 @@ class TestCCELoss:
             expected, abs=1e-12
         )
 
-    def test_accepts_expression_labels(self):
-        loss = cce_loss(as_tensor(np.zeros((2, 7))), [ExpressionLabel(1), ExpressionLabel(5)])
+    def test_accepts_an_int64_id_array(self):
+        loss = cce_loss(as_tensor(np.zeros((2, 7))), np.array([1, 5]))
         assert loss.item() == pytest.approx(LN7)
 
     def test_nonnegative(self):
@@ -119,6 +121,8 @@ class TestCCELoss:
     def test_label_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             cce_loss(as_tensor(np.zeros((2, 7))), [0])
+        with pytest.raises(ShapeMismatch):
+            cce_loss(as_tensor(np.zeros((1, 7))), 0)
 
 
 class TestLogSoftmax:
@@ -228,7 +232,7 @@ class TestAUStacking:
         # rows with no AU label, or with no annotated unit, keep a zero mask
         values = np.zeros(17, dtype=np.uint8)
         values[0] = 1
-        labels, has = label_arrays(
+        labels = label_arrays(
             [
                 sample(AUVector(values=values)),
                 sample(ValenceArousal(0.1, 0.2)),
@@ -237,49 +241,49 @@ class TestAUStacking:
         )
         assert labels.au_targets[0, 0] == 1.0 and labels.au_mask[0].sum() == 17.0
         assert labels.au_mask[1].sum() == 0.0 and labels.au_mask[2].sum() == 0.0
-        assert has["au"].tolist() == [1.0, 0.0, 0.0]
+        assert labels.has_au.tolist() == [True, False, False]
 
 
 class TestLabelArrays:
-    FLAGS = ("va", "expr", "au", "compound")
+    FLAGS = ("va", "expr", "au", "compound", "soft")
 
-    def only_flag(self, has, key, n=1):
+    def only_flag(self, labels, key, n=1):
         for k in self.FLAGS:
-            assert has[k].tolist() == [1.0 if k == key else 0.0] * n
+            flag = getattr(labels, f"has_{k}")
+            assert flag.dtype == bool and flag.tolist() == [k == key] * n, k
 
     def test_va_row(self):
-        labels, has = label_arrays([sample(ValenceArousal(0.25, -0.5))])
+        labels = label_arrays([sample(ValenceArousal(0.25, -0.5))])
         assert labels.va.tolist() == [[0.25, -0.5]]
-        self.only_flag(has, "va")
+        self.only_flag(labels, "va")
 
     def test_expr_row(self):
-        labels, has = label_arrays([sample(ExpressionLabel(expression_id("fear")))])
+        labels = label_arrays([sample(ExpressionLabel(expression_id("fear")))])
         assert labels.expr.dtype == np.int64
         assert labels.expr.tolist() == [expression_id("fear")]
-        self.only_flag(has, "expr")
+        self.only_flag(labels, "expr")
 
     def test_au_row(self):
         values = np.zeros(17, dtype=np.uint8)
         values[au_index(12)] = 1
         mask = np.ones(17, dtype=np.uint8)
         mask[au_index(4)] = 0
-        labels, has = label_arrays([sample(AUVector(values=values, mask=mask))])
+        labels = label_arrays([sample(AUVector(values=values, mask=mask))])
         assert np.array_equal(labels.au_targets[0], values.astype(float))
         assert np.array_equal(labels.au_mask[0], mask.astype(float))
-        self.only_flag(has, "au")
+        self.only_flag(labels, "au")
 
     def test_zero_mask_au_row_has_no_flag(self):
-        labels, has = label_arrays([sample(AUVector(np.zeros(17), np.zeros(17)))])
-        for k in self.FLAGS:
-            assert has[k].tolist() == [0.0]
+        labels = label_arrays([sample(AUVector(np.zeros(17), np.zeros(17)))])
+        self.only_flag(labels, None)
         assert not labels.au_mask.any() and not labels.au_targets.any()
 
     def test_compound_row(self):
         label = CompoundLabel(9, ExpressionLabel(4), ExpressionLabel(6))
-        labels, has = label_arrays([sample(label)])
+        labels = label_arrays([sample(label)])
         assert labels.compound.dtype == np.int64
         assert labels.compound.tolist() == [9]
-        self.only_flag(has, "compound")
+        self.only_flag(labels, "compound")
 
     def test_rows_follow_sample_order(self):
         samples = [
@@ -287,15 +291,34 @@ class TestLabelArrays:
             sample(ValenceArousal(0.5, 0.5), "b"),
             sample(ExpressionLabel(5), "c"),
         ]
-        labels, has = label_arrays(samples)
-        assert has["expr"].tolist() == [1.0, 0.0, 1.0]
-        assert has["va"].tolist() == [0.0, 1.0, 0.0]
+        labels = label_arrays(samples)
+        assert labels.has_expr.tolist() == [True, False, True]
+        assert labels.has_va.tolist() == [False, True, False]
         assert labels.expr.tolist() == [3, 0, 5]
+        assert not labels.soft.any()
 
     def test_empty(self):
-        labels, has = label_arrays([])
+        labels = label_arrays([])
         assert labels.au_targets.shape == (0, 17) and labels.va.shape == (0, 2)
-        assert all(has[k].shape == (0,) for k in self.FLAGS)
+        assert labels.soft.shape == (0, 7)
+        assert all(getattr(labels, f"has_{k}").shape == (0,) for k in self.FLAGS)
+
+    def test_take_gathers_every_array(self):
+        rng = np.random.default_rng(3)
+        labels = BatchLabels.zeros(5)
+        for f in fields(labels):
+            arr = getattr(labels, f.name)
+            arr[:] = rng.integers(0, 2, size=arr.shape).astype(arr.dtype)
+        rows = np.array([4, 0, 4, 2])
+        taken = labels.take(rows)
+        for f in fields(labels):
+            got, full = getattr(taken, f.name), getattr(labels, f.name)
+            assert got.dtype == full.dtype and np.array_equal(got, full[rows]), f.name
+            assert not np.shares_memory(got, full), f.name
+
+
+def multitask_total(preds, labels, weights=LossWeights()):
+    return weighted_total(multitask_terms(preds, labels, weights))
 
 
 class TestMultitask:
@@ -306,34 +329,36 @@ class TestMultitask:
             expr_logits=as_tensor(rng.normal(size=(n, 7))),
             au_logits=as_tensor(rng.normal(size=(n, 17))),
             va=as_tensor(rng.normal(size=(n, 2)) * 0.3),
-            has_expr=np.array([1, 1, 0, 0, 0, 0]),
-            has_au=np.array([0, 0, 1, 1, 0, 0]),
-            has_va=np.array([0, 0, 0, 0, 1, 1]),
         )
-        au_targets = (rng.random((n, 17)) < 0.5).astype(float)
-        au_mask = np.ones((n, 17))
-        labels = BatchLabels(
-            expr=np.array([3, 5, 99, 99, 99, 99]),  # unflagged rows never read
-            au_targets=au_targets,
-            au_mask=au_mask,
-            va=np.clip(rng.normal(size=(n, 2)), -1, 1),
-        )
+        labels = BatchLabels.zeros(n)
+        labels.has_expr[:2] = labels.has_au[2:4] = labels.has_va[4:] = True
+        labels.expr[:] = [3, 5, 99, 99, 99, 99]  # unflagged rows never read
+        labels.au_targets[:] = rng.random((n, 17)) < 0.5
+        labels.au_mask[:] = 1.0
+        labels.va[:] = np.clip(rng.normal(size=(n, 2)), -1, 1)
         return preds, labels
+
+    def named_terms(self, preds, labels, weights=LossWeights()):
+        terms = multitask_terms(preds, labels, weights)
+        assert len(terms) == 4
+        return dict(zip(("expr", "au", "va", "compound"), terms))
 
     def test_weighted_sum_of_terms(self):
         preds, labels = self.make_batch()
         weights = LossWeights(lambda1=0.7, lambda2=1.3)
-        total, terms = multitask_loss(preds, labels, weights, return_terms=True)
+        terms = self.named_terms(preds, labels, weights)
+        assert [w for w, _ in terms.values()] == [1.0, 0.7, 1.3, 1.0]
+        total = multitask_total(preds, labels, weights)
         expected = (
-            terms["expr"].item()
-            + 0.7 * terms["au"].item()
-            + 1.3 * terms["va"].item()
+            terms["expr"][1].item()
+            + 0.7 * terms["au"][1].item()
+            + 1.3 * terms["va"][1].item()
         )
         assert total.item() == pytest.approx(expected, abs=1e-12)
 
     def test_terms_match_individual_losses(self):
         preds, labels = self.make_batch()
-        _, terms = multitask_loss(preds, labels, return_terms=True)
+        terms = self.named_terms(preds, labels)
         from affectkit.autodiff import take_rows
 
         expr = cce_loss(take_rows(preds.expr_logits, [0, 1]), labels.expr[:2])
@@ -343,42 +368,53 @@ class TestMultitask:
             labels.au_mask[2:4],
         )
         va = ccc_loss(take_rows(preds.va, [4, 5]), labels.va[4:6])
-        assert terms["expr"].item() == pytest.approx(expr.item(), abs=1e-12)
-        assert terms["au"].item() == pytest.approx(au.item(), abs=1e-12)
-        assert terms["va"].item() == pytest.approx(va.item(), abs=1e-12)
+        assert terms["expr"][1].item() == pytest.approx(expr.item(), abs=1e-12)
+        assert terms["au"][1].item() == pytest.approx(au.item(), abs=1e-12)
+        assert terms["va"][1].item() == pytest.approx(va.item(), abs=1e-12)
+        assert terms["compound"][1] is None
 
     def test_zero_lambdas_reduce_to_cce(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(5, 7))
         truth = rng.integers(0, 7, size=5)
         preds = BatchPredictions(expr_logits=as_tensor(logits))
-        labels = BatchLabels(expr=truth)
-        total = multitask_loss(preds, labels, LossWeights(0.0, 0.0))
+        labels = BatchLabels.zeros(5)
+        labels.expr[:] = truth
+        labels.has_expr[:] = True
+        total = multitask_total(preds, labels, LossWeights(0.0, 0.0))
         assert total.item() == cce_loss(as_tensor(logits), truth).item()
 
     def test_lambda_gates_task_off(self):
         preds, labels = self.make_batch()
-        gated = multitask_loss(preds, labels, LossWeights(lambda1=2.0, lambda2=0.0))
-        _, terms = multitask_loss(preds, labels, return_terms=True)
-        expected = terms["expr"].item() + 2.0 * terms["au"].item()
+        gated = multitask_total(preds, labels, LossWeights(lambda1=2.0, lambda2=0.0))
+        terms = self.named_terms(preds, labels)
+        expected = terms["expr"][1].item() + 2.0 * terms["au"][1].item()
         assert gated.item() == pytest.approx(expected, abs=1e-12)
 
     def test_absent_task_contributes_zero(self):
         rng = np.random.default_rng(6)
         preds = BatchPredictions(expr_logits=as_tensor(rng.normal(size=(3, 7))))
-        labels = BatchLabels(expr=np.array([0, 1, 2]))
-        total, terms = multitask_loss(preds, labels, return_terms=True)
-        assert terms["au"].item() == 0.0
-        assert terms["va"].item() == 0.0
-        assert total.item() == terms["expr"].item()
+        labels = BatchLabels.zeros(3)
+        labels.expr[:] = [0, 1, 2]
+        labels.has_expr[:] = True
+        labels.has_va[:] = True  # flagged, but the model has no VA head
+        terms = self.named_terms(preds, labels)
+        assert terms["au"][1] is None and terms["va"][1] is None
+        assert terms["compound"][1] is None
+        assert multitask_total(preds, labels).item() == terms["expr"][1].item()
 
     def test_no_heads_rejected(self):
         with pytest.raises(ShapeMismatch):
-            multitask_loss(BatchPredictions(), BatchLabels())
+            multitask_total(BatchPredictions(), BatchLabels.zeros(2))
+
+    def test_row_count_mismatch_rejected(self):
+        preds, labels = self.make_batch()
+        with pytest.raises(ShapeMismatch):
+            multitask_total(preds, labels.take(np.arange(5)))
 
     def test_gradients_flow_to_all_heads(self):
         preds, labels = self.make_batch()
-        total = multitask_loss(preds, labels)
+        total = multitask_total(preds, labels)
         backward(total)
         assert np.any(preds.expr_logits.grad != 0)
         assert np.any(preds.au_logits.grad != 0)

@@ -132,6 +132,19 @@ class TestSpectrogramConfig:
         with pytest.raises(BadRange):
             SpectrogramConfig(window_ms=10.0, overlap_ms=11.0)
 
+    @pytest.mark.parametrize(
+        "window_ms,overlap_ms",
+        [(1.0, 0.99), (0.4, 0.1), (2.0, 1.6)],  # hop 0, window 0, hop 0 at 1 kHz
+    )
+    def test_window_and_hop_need_a_sample(self, window_ms, overlap_ms):
+        with pytest.raises(BadRange, match="at least 1"):
+            SpectrogramConfig(sample_rate_hz=1000, window_ms=window_ms, overlap_ms=overlap_ms)
+
+    def test_one_sample_window_and_hop_accepted(self):
+        cfg = SpectrogramConfig(sample_rate_hz=1000, window_ms=2.0, overlap_ms=1.0)
+        assert (cfg.window_samples, cfg.hop_samples) == (2, 1)
+        assert frame_count(10, cfg) == 9
+
     def test_frame_count_formula(self):
         cfg = SpectrogramConfig()
         assert frame_count(1455, cfg) == 1

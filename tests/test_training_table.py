@@ -1,7 +1,7 @@
 """The per-job training table: its batches are index gathers that must equal
 the per-sample batch assembly they replaced, exactly."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -81,13 +81,13 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
     dims = config.input_dims()
     feats = np.zeros((n, dims.features))
     audio = np.zeros((n, dims.audio)) if dims.audio else None
-    has = {k: np.zeros(n) for k in ("expr", "au", "va", "compound")}
+    has = {k: np.zeros(n, dtype=bool) for k in ("expr", "au", "va", "compound", "soft")}
     expr_ids = np.zeros(n, dtype=np.int64)
     au_targets = np.zeros((n, NUM_AUS))
     au_mask = np.zeros((n, NUM_AUS))
     va = np.zeros((n, 2))
     compound_ids = np.zeros(n, dtype=np.int64)
-    soft_rows: List[int] = []
+    soft = np.zeros((n, 7))
     for row, sid in enumerate(ids):
         sample = pools.by_id[sid]
         feats[row] = sample.features
@@ -95,35 +95,43 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
             audio[row] = sample.audio_features
         label = sample.label
         if sample.task == "VA":
-            has["va"][row] = 1.0
+            has["va"][row] = True
             va[row] = (label.valence, label.arousal)
         elif sample.task == "EXPR":
-            has["expr"][row] = 1.0
+            has["expr"][row] = True
             expr_ids[row] = label.class_id
             if sid in pools.extra_au:
-                has["au"][row] = 1.0
+                has["au"][row] = True
                 au_targets[row], au_mask[row] = pools.extra_au[sid]
         elif sample.task == "AU":
             if label.mask.sum() > 0:
-                has["au"][row] = 1.0
+                has["au"][row] = True
                 au_targets[row] = label.values
                 au_mask[row] = label.mask
             if sid in pools.extra_expr:
-                has["expr"][row] = 1.0
+                has["expr"][row] = True
                 expr_ids[row] = pools.extra_expr[sid]
             if sid in pools.soft_expr:
-                soft_rows.append(row)
+                has["soft"][row] = True
+                soft[row] = pools.soft_expr[sid]
         else:
-            has["compound"][row] = 1.0
+            has["compound"][row] = True
             compound_ids[row] = label.class_id
     if 0 < has["va"].sum() < 2:
-        has["va"][:] = 0.0
+        has["va"][:] = False
     batch = SequenceBatch(
         features=feats[None], audio=None if audio is None else audio[None]
     )
-    labels = BatchLabels(expr_ids, au_targets, au_mask, va, compound_ids)
-    soft = np.array([pools.soft_expr[ids[r]] for r in soft_rows]).reshape(-1, 7)
-    return batch, labels, has, np.asarray(soft_rows, dtype=np.int64), soft
+    labels = BatchLabels(
+        va=va,
+        expr=expr_ids,
+        au_targets=au_targets,
+        au_mask=au_mask,
+        compound=compound_ids,
+        soft=soft,
+        **{f"has_{k}": v for k, v in has.items()},
+    )
+    return batch, labels
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +187,17 @@ def config(**overrides) -> RunConfig:
 
 
 def assert_same(got, want):
-    batch, labels, has, soft_rows, soft = got
-    ref_batch, ref_labels, ref_has, ref_soft_rows, ref_soft = want
+    batch, labels = got
+    ref_batch, ref_labels = want
     assert np.array_equal(batch.features, ref_batch.features)
     assert (batch.audio is None) == (ref_batch.audio is None)
     if batch.audio is not None:
         assert np.array_equal(batch.audio, ref_batch.audio)
-    for name in ("expr", "au_targets", "au_mask", "va", "compound"):
+    names = [f.name for f in fields(BatchLabels)]
+    assert len(names) == 11
+    for name in names:
         a, b = getattr(labels, name), getattr(ref_labels, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert set(has) == set(ref_has)
-    for k in has:
-        assert np.array_equal(has[k], ref_has[k]), k
-    assert np.array_equal(soft_rows, ref_soft_rows)
-    assert np.array_equal(soft, ref_soft)
 
 
 @pytest.mark.parametrize(
@@ -228,7 +233,7 @@ def test_gather_equals_per_sample_assembly(coupling):
         assert_same(table.gather(rows), reference_batch(ids, pools, cfg))
     assert 1 in va_counts and max(va_counts) >= 2  # a lone VA row is dropped
     if coupling in ("soft_coannotation", "soft+distr"):
-        assert 0 < table.has_soft.sum() < len(pools.au_ids)
+        assert 0 < table.labels.has_soft.sum() < len(pools.au_ids)
 
 
 def test_compound_gather_equals_per_sample_assembly():
@@ -279,4 +284,4 @@ def test_zero_mask_au_row_stays_in_au_pool():
     zero = [r for r, s in enumerate(samples) if isinstance(s.label, AUVector)
             and not s.label.mask.any()]
     assert zero and set(zero) <= set(table.au_rows)
-    assert not table.has["au"][zero].any()
+    assert not table.labels.has_au[zero].any()
