@@ -13,9 +13,14 @@ each for validation, feature_dim 10, data seed 1, shuffled), with every
 uses run seed 3, backbone (12,), lr 1e-2, 3 epochs, batch 20 and
 validation, so the logs also cover ``evaluate_model``. The jobs: the five
 coupling modes; ``soft+distr`` on the empirical table with both reweight
-flags flipped; lambda1 0.7 and lambda2 1.3; ``per_tap:6x2`` with dropout;
-a 2-member ``rnn`` ensemble; a 5-class compound-only run; and a
-``freeze_trunk`` job that starts from the ``soft+distr`` checkpoint.
+flags flipped; ``coannotation`` on the empirical table, whose weights are
+all fractional and observational; lambda1 0.7 and lambda2 1.3;
+``per_tap:6x2`` with dropout; a 2-member ``rnn`` ensemble; a 5-class
+compound-only run; a ``freeze_trunk`` job that starts from the
+``soft+distr`` checkpoint; and a ``single:6x1`` job on a copy of the data
+whose rows carry sequence ids, utterance ids and frame indices and two of
+whose ids hold a comma, so the files quote them. ``affectkit eval`` scores
+the ``soft+distr`` job and the sequence job.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ def _write(samples, directory: str, name: str):
 
 
 def basic_data(directory: str):
+    """The basic train and val files, then a copy of them whose rows carry
+    sequence ids, utterance ids and frame indices and whose fourth id in
+    each split holds a comma."""
     spec = SyntheticSpec(train_counts=(50, 60, 60), val_counts=(20, 20, 20), feature_dim=10)
     train, val = make_dataset(spec, seed=1)
     rng = np.random.default_rng(1)
@@ -72,7 +80,12 @@ def basic_data(directory: str):
                 mask[[au_index(4), au_index(6)]] = 0
                 s.label = AUVector(s.label.values * mask, mask)
     train = [train[i] for i in rng.permutation(len(train))]
-    return _write(train, directory, "train"), _write(val, directory, "val")
+    basic = _write(train, directory, "train"), _write(val, directory, "val")
+    for split in (train, val):
+        for i, s in enumerate(split):
+            s.sequence_id, s.utterance_id, s.frame_index = f"clip{i // 8}", f"utt{i // 24}", i % 8
+        split[3].id = f"{split[3].id},take 2"
+    return basic, (_write(train, directory, "strain"), _write(val, directory, "sval"))
 
 
 def compound_data(directory: str):
@@ -94,7 +107,7 @@ def compound_data(directory: str):
     )
 
 
-def jobs(basic_train, basic_val, compound_train, compound_val, out):
+def jobs(basic_train, basic_val, compound_train, compound_val, seq_train, seq_val, out):
     base = RunConfig(
         seed=3,
         feature_dim=10,
@@ -113,6 +126,7 @@ def jobs(basic_train, basic_val, compound_train, compound_val, out):
         coupling="soft+distr", relatedness="empirical", reweight_soft=False,
         reweight_mixture=True,
     )
+    yield "coannotation_empirical", base.override(coupling="coannotation", relatedness="empirical")
     yield "lambdas", base.override(coupling="soft+distr", lambda1=0.7, lambda2=1.3)
     yield "per_tap", base.override(
         coupling="soft+distr", backbone=(12, 8), taps=(0, 1), recurrent="per_tap:6x2",
@@ -130,31 +144,41 @@ def jobs(basic_train, basic_val, compound_train, compound_val, out):
         coupling="distr_matching", heads=("EXPR", "AU"), freeze_trunk=True,
         init_from=os.path.join(out, "soft+distr", "model.ckpt"),
     )
+    yield "sequences", base.override(
+        coupling="soft+distr", recurrent="single:6x1",
+        train_annotations=seq_train[0], train_features=seq_train[1],
+        val_annotations=seq_val[0], val_features=seq_val[1],
+    )
+
+
+def _eval(work: str, run_dir: str, name: str, data) -> None:
+    report = os.path.join(work, f"eval_{name}_report.txt")
+    predictions = os.path.join(work, f"eval_{name}_predictions.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = affectkit_main([
+            "eval", "--config", os.path.join(run_dir, "config.txt"),
+            "--checkpoint", os.path.join(run_dir, "model.ckpt"),
+            "--annotations", data[0], "--features", data[1],
+            "--out", report, "--predictions", predictions,
+        ])
+    if code != 0:
+        raise SystemExit(f"affectkit eval exited {code}")
+    print(f"eval_{name} report {_sha(report)} predictions {_sha(predictions)}")
 
 
 def run(work: str) -> None:
     data = os.path.join(work, "data")
     os.makedirs(data, exist_ok=True)
-    basic_train, basic_val = basic_data(data)
+    (basic_train, basic_val), (seq_train, seq_val) = basic_data(data)
     compound_train, compound_val = compound_data(data)
     out = os.path.join(work, "runs")
-    for name, config in jobs(basic_train, basic_val, compound_train, compound_val, out):
+    for name, config in jobs(
+        basic_train, basic_val, compound_train, compound_val, seq_train, seq_val, out
+    ):
         result = train_run(config.override(out_dir=os.path.join(out, name)))
         print(f"{name} ckpt {_sha(result.checkpoint_path)} log {_sha(result.log_path)}")
-
-    run_dir = os.path.join(out, "soft+distr")
-    report = os.path.join(work, "eval_report.txt")
-    predictions = os.path.join(work, "eval_predictions.csv")
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = affectkit_main([
-            "eval", "--config", os.path.join(run_dir, "config.txt"),
-            "--checkpoint", os.path.join(run_dir, "model.ckpt"),
-            "--annotations", basic_val[0], "--features", basic_val[1],
-            "--out", report, "--predictions", predictions,
-        ])
-    if code != 0:
-        raise SystemExit(f"affectkit eval exited {code}")
-    print(f"eval_soft+distr report {_sha(report)} predictions {_sha(predictions)}")
+    _eval(work, os.path.join(out, "soft+distr"), "soft+distr", basic_val)
+    _eval(work, os.path.join(out, "sequences"), "sequences", seq_val)
 
 
 def main() -> None:

@@ -57,27 +57,24 @@ class _Parser(argparse.ArgumentParser):
 def _counts(value: str):
     parts = tuple(int(v) for v in value.split(","))
     if len(parts) != 3:
-        raise ConfigError(f"expected three counts, got {value!r}")
+        raise ValueError(f"expected three counts, got {value!r}")
     return parts
+
+
+_SPEC_PARSERS = {
+    "train_counts": _counts,
+    "val_counts": _counts,
+    "feature_dim": int,
+    "sigma": float,
+    "kappa": float,
+    "table": str,
+}
 
 
 def _synthetic_spec(path: Optional[str]) -> SyntheticSpec:
     if path is None:
         return SyntheticSpec()
-    kv = parse_kv_file(path)
-    kwargs = {}
-    for key, raw in kv.items():
-        if key in ("train_counts", "val_counts"):
-            kwargs[key] = _counts(raw)
-        elif key == "feature_dim":
-            kwargs[key] = int(raw)
-        elif key in ("sigma", "kappa"):
-            kwargs[key] = float(raw)
-        elif key == "table":
-            kwargs[key] = raw
-        else:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    return SyntheticSpec(**kwargs)
+    return SyntheticSpec(**parse_kv_file(path, _SPEC_PARSERS))
 
 
 # ---------------------------------------------------------------------------

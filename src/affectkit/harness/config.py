@@ -8,8 +8,8 @@ the exact model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
 from ..models import InputDims, ModelSpec, RecurrentSpec
@@ -18,32 +18,44 @@ from ..relatedness import BUILTIN_TABLES, RelatednessTable, load_table
 COUPLING_MODES = ("none", "coannotation", "soft_coannotation", "distr_matching", "soft+distr")
 
 
-def parse_kv_file(path) -> Dict[str, str]:
+def parse_kv_file(
+    path, parsers: Optional[Mapping[str, Callable[[str], Any]]] = None
+) -> Dict[str, Any]:
     """Parse ``key = value`` lines; blank lines and '#' comment lines skipped.
-    A key may appear once."""
-    out: Dict[str, str] = {}
+    A key may appear once. With ``parsers``, only their keys are allowed and
+    each value is converted by its key's parser; an unknown key, or a value
+    the parser rejects with ValueError, raises ConfigError at ``path:line``."""
+    out: Dict[str, Any] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            where = f"{path}:{lineno}"
             if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key = key.strip()
+                raise ConfigError(f"{where}: expected 'key = value'")
+            key, value = key.strip(), value.strip()
             if key in out:
-                raise ConfigError(f"{path}:{lineno}: {key!r} is set twice")
-            out[key] = value.strip()
+                raise ConfigError(f"{where}: {key!r} is set twice")
+            if parsers is not None:
+                if key not in parsers:
+                    raise ConfigError(f"{where}: unknown key {key!r}")
+                try:
+                    value = parsers[key](value)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+            out[key] = value
     return out
 
 
-def _bool(value: str, key: str) -> bool:
+def _bool(value: str) -> bool:
     v = value.strip().lower()
     if v in ("true", "1", "yes"):
         return True
     if v in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _int_tuple(value: str) -> Tuple[int, ...]:
@@ -57,7 +69,18 @@ def _str_tuple(value: str) -> Tuple[str, ...]:
     value = value.strip()
     if not value:
         return ()
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+    return tuple(v.strip().upper() for v in value.split(",") if v.strip())
+
+
+# the parser of a RunConfig field value, by the field's type annotation
+_FIELD_PARSERS: Dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": float,
+    "bool": _bool,
+    "str": str,
+    "Tuple[int, ...]": _int_tuple,
+    "Tuple[str, ...]": _str_tuple,
+}
 
 
 @dataclass(frozen=True)
@@ -181,37 +204,13 @@ class RunConfig:
     # -- serialization ---------------------------------------------------
 
     @classmethod
-    def from_mapping(cls, mapping: Dict[str, str], source: str = "<config>") -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
-        values = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                raise ConfigError(f"{source}: unknown key {key!r}")
-            hint = known[key].type
-            try:
-                if hint == "int":
-                    values[key] = int(raw)
-                elif hint == "float":
-                    values[key] = float(raw)
-                elif hint == "bool":
-                    values[key] = _bool(raw, key)
-                elif hint == "Tuple[int, ...]":
-                    values[key] = _int_tuple(raw)
-                elif hint == "Tuple[str, ...]":
-                    values[key] = tuple(h.upper() for h in _str_tuple(raw))
-                else:
-                    values[key] = raw
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
-        config = cls(**values)
+    def from_file(cls, path) -> "RunConfig":
+        """Read a config file; an unknown key or a bad value raises
+        ConfigError at ``path:line``."""
+        parsers = {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
+        config = cls(**parse_kv_file(path, parsers))
         config.validate()
         return config
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_mapping(parse_kv_file(path), source=str(path))
 
     def override(self, **kwargs) -> "RunConfig":
         config = replace(self, **kwargs)

@@ -9,19 +9,30 @@ task column:
 * ``COMPOUND``  ``<class>;<emo1>;<emo2>``
 
 Optional columns round-trip ``None`` as the empty string.
+
+An annotation file is parsed once into :class:`SampleColumns`: ids, splits,
+sequence ids, utterance ids and frame indices as lists, and every label
+straight into ``BatchLabels`` columns with its flag. A feature file becomes
+one (N, D) matrix, and :func:`load_columns` takes its rows by id. Each
+column is checked at load, and a bad value names the ``path:line`` of its
+row; an id repeated within either file is an error. ``read_annotations``,
+``read_features`` and ``load_dataset`` are per-row views of the same parse.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..csvfile import open_rows
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
+from ..losses import BatchLabels
 from ..types import (
     NUM_AUS,
     NUM_EXPRESSIONS,
@@ -60,6 +71,7 @@ PREDICTION_FIELDS = (
 _csv_line = csv.writer(
     SimpleNamespace(write=lambda row: row[:-2]), lineterminator="\r\n"
 ).writerow
+_AU_CODES = np.frombuffer(b"01-", dtype=np.uint8)
 
 
 def _encode_payload(sample: AnnotatedSample) -> str:
@@ -78,45 +90,6 @@ def _encode_payload(sample: AnnotatedSample) -> str:
     raise ConfigError(f"cannot encode label of type {type(label).__name__}")
 
 
-def _decode_payload(task: str, payload: str, where: str):
-    if task == "VA":
-        v, _, a = payload.partition(";")
-        label = ValenceArousal(valence=float(v), arousal=float(a))
-        for value in (label.valence, label.arousal):
-            if not -1.0 <= value <= 1.0:  # also false for nan
-                raise ConfigError(f"{where}: valence/arousal {value} outside [-1, 1]")
-        return label
-    if task == "EXPR":
-        class_id = int(payload)
-        if not 0 <= class_id < NUM_EXPRESSIONS:
-            raise UnknownClass(f"{where}: expression class {class_id}")
-        return ExpressionLabel(class_id=class_id)
-    if task == "AU":
-        if len(payload) != NUM_AUS or any(c not in "01-" for c in payload):
-            raise BadMask(f"{where}: AU payload must be {NUM_AUS} chars over 0/1/-")
-        values = [1 if c == "1" else 0 for c in payload]
-        mask = [0 if c == "-" else 1 for c in payload]
-        return AUVector(values=values, mask=mask)
-    if task == "COMPOUND":
-        parts = payload.split(";")
-        if len(parts) != 3:
-            raise ConfigError(f"{where}: compound payload needs 3 fields")
-        class_id, emo1, emo2 = (int(p) for p in parts)
-        if class_id < 0:
-            raise ConfigError(f"{where}: negative compound class id {class_id}")
-        if emo1 == emo2 or not (0 < emo1 < NUM_EXPRESSIONS and 0 < emo2 < NUM_EXPRESSIONS):
-            raise ConfigError(
-                f"{where}: compound constituents {emo1};{emo2} must be two "
-                f"distinct emotions in 1..{NUM_EXPRESSIONS - 1}"
-            )
-        return CompoundLabel(
-            class_id=class_id,
-            emo1=ExpressionLabel(class_id=emo1),
-            emo2=ExpressionLabel(class_id=emo2),
-        )
-    raise ConfigError(f"{where}: unknown task {task!r}")
-
-
 def write_annotations(path, samples: Iterable[AnnotatedSample]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(ANNOTATION_FIELDS) + "\n")
@@ -133,37 +106,167 @@ def write_annotations(path, samples: Iterable[AnnotatedSample]) -> None:
             fh.write(_csv_line(fields) + "\n")
 
 
-def read_annotations(path) -> List[AnnotatedSample]:
-    """Read annotation rows; ``features`` are left empty until attached.
-    A malformed row, a VA value outside [-1, 1] or a compound payload that
-    is not a class id >= 0 and two distinct emotions in 1..6 raises an
-    AffectKitError at ``path:line``."""
-    samples: List[AnnotatedSample] = []
+@dataclass
+class SampleColumns:
+    """A dataset as columns: row i of every field is one annotation row, in
+    file order.
+
+    ``labels`` holds each row's own label with its flag, as ``label_arrays``
+    encodes an AnnotatedSample: a row has at most one flag, and an AU row
+    with no annotated unit has none. ``compound_pair`` holds the two
+    constituent emotions of each compound row, and ``features`` the (N, D)
+    feature matrix once :func:`load_columns` has attached it.
+    """
+
+    ids: List[str]
+    split: List[str]
+    sequence_id: List[Optional[str]]
+    utterance_id: List[Optional[str]]
+    frame_index: List[Optional[int]]
+    labels: BatchLabels
+    compound_pair: np.ndarray
+    features: Optional[np.ndarray] = None
+
+    def samples(self) -> List[AnnotatedSample]:
+        """One AnnotatedSample per row; its features are a row of the
+        matrix, or empty when none is attached."""
+        lab = self.labels
+        va, expr, compound, pairs = (
+            a.tolist() for a in (lab.va, lab.expr, lab.compound, self.compound_pair)
+        )
+        out = []
+        for r, kind in enumerate((lab.has_va + 2 * lab.has_expr + 3 * lab.has_compound).tolist()):
+            if kind == 1:
+                label = ValenceArousal(*va[r])
+            elif kind == 2:
+                label = ExpressionLabel(expr[r])
+            elif kind == 3:
+                label = CompoundLabel(compound[r], *map(ExpressionLabel, pairs[r]))
+            else:
+                label = AUVector(lab.au_targets[r], lab.au_mask[r])
+            features = np.empty(0) if self.features is None else self.features[r]
+            out.append(AnnotatedSample(
+                self.ids[r], self.split[r], features, label,
+                self.sequence_id[r], self.utterance_id[r], self.frame_index[r],
+            ))
+        return out
+
+
+def _check_unique(ids: List[str], path, lines: List[int]) -> None:
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for sid, line in zip(ids, lines):
+            if sid in seen:
+                raise ConfigError(f"{path}:{line}: duplicate sample id {sid!r}")
+            seen.add(sid)
+
+
+def _compound(payload: str) -> Tuple[int, int, int]:
+    parts = payload.split(";")
+    if len(parts) != 3:
+        raise ValueError("compound payload needs 3 fields")
+    class_id, emo1, emo2 = map(int, parts)
+    if class_id < 0:
+        raise ValueError(f"negative compound class id {class_id}")
+    if class_id > np.iinfo(np.int64).max:
+        raise ValueError(f"compound class id {class_id} is too large")
+    if emo1 == emo2 or not (0 < emo1 < NUM_EXPRESSIONS and 0 < emo2 < NUM_EXPRESSIONS):
+        raise ValueError(
+            f"compound constituents {emo1};{emo2} must be two "
+            f"distinct emotions in 1..{NUM_EXPRESSIONS - 1}"
+        )
+    return class_id, emo1, emo2
+
+
+def read_annotation_columns(path) -> SampleColumns:
+    """Parse an annotation file once into columns, without features.
+
+    Each column is checked as a whole, and a bad value raises an
+    AffectKitError at the ``path:line`` of its row: a malformed row, a
+    repeated id, a VA value outside [-1, 1], an expression class outside
+    0..6, an AU payload that is not 17 characters over ``0``/``1``/``-``,
+    or a compound payload that is not a class id >= 0 and two distinct
+    emotions in 1..6. With several bad rows, the first check that fails
+    names its first row.
+    """
+    lines: List[int] = []
+    records: List[List[str]] = []
     with open_rows(path) as (header, rows):
         if header is None or tuple(header) != ANNOTATION_FIELDS:
             raise ConfigError(f"{path}: bad annotation header {header}")
         for line, row in rows:
-            where = f"{path}:{line}"
             if len(row) != len(ANNOTATION_FIELDS):
-                raise ConfigError(f"{where}: expected {len(ANNOTATION_FIELDS)} columns")
-            sid, split, seq, utt, frame, task, payload = row
-            try:
-                label = _decode_payload(task, payload, where)
-                frame_index = int(frame) if frame else None
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            samples.append(
-                AnnotatedSample(
-                    id=sid,
-                    split=split,
-                    features=np.empty(0),
-                    label=label,
-                    sequence_id=seq or None,
-                    utterance_id=utt or None,
-                    frame_index=frame_index,
-                )
-            )
-    return samples
+                raise ConfigError(f"{path}:{line}: expected {len(ANNOTATION_FIELDS)} columns")
+            lines.append(line)
+            records.append(row)
+    ids, split, seq, utt, frame, task, payload = (
+        [list(col) for col in zip(*records)] or [[] for _ in ANNOTATION_FIELDS]
+    )
+    _check_unique(ids, path, lines)
+
+    def fail(row: int, message, error=ConfigError):
+        raise error(f"{path}:{lines[row]}: {message}")
+
+    def parse(convert, column: List[str], rows) -> list:
+        out: list = []
+        try:
+            for r in rows:
+                out.append(convert(column[r]))
+        except ValueError as exc:
+            fail(rows[len(out)], exc)
+        return out
+
+    frame_index = parse(lambda f: int(f) if f else None, frame, range(len(ids)))
+    by_task: Dict[str, List[int]] = {"VA": [], "EXPR": [], "AU": [], "COMPOUND": []}
+    for r, name in enumerate(task):
+        if name not in by_task:
+            fail(r, f"unknown task {name!r}")
+        by_task[name].append(r)
+    labels = BatchLabels.zeros(len(ids))
+
+    rows = by_task["VA"]
+    va = np.array(parse(lambda p: [*map(float, p.partition(";")[::2])], payload, rows))
+    va = va.reshape(len(rows), 2)
+    bad = np.flatnonzero(~((va >= -1.0) & (va <= 1.0)).all(axis=1))  # nan is bad too
+    if bad.size:
+        value = next(v for v in va[bad[0]].tolist() if not -1.0 <= v <= 1.0)
+        fail(rows[bad[0]], f"valence/arousal {value} outside [-1, 1]")
+    labels.va[rows], labels.has_va[rows] = va, True
+
+    rows = by_task["EXPR"]
+    classes = parse(int, payload, rows)
+    for r, class_id in zip(rows, classes):
+        if not 0 <= class_id < NUM_EXPRESSIONS:
+            fail(r, f"expression class {class_id}", UnknownClass)
+    labels.expr[rows], labels.has_expr[rows] = classes, True
+
+    rows = by_task["AU"]
+    texts = [payload[r] for r in rows]
+    codes = np.frombuffer("".join(texts).encode(), dtype=np.uint8)
+    # a non-ASCII character encodes to bytes outside "01-"
+    if set(map(len, texts)) - {NUM_AUS} or not np.isin(codes, _AU_CODES).all():
+        r = next(r for r, p in zip(rows, texts) if len(p) != NUM_AUS or set(p) - set("01-"))
+        fail(r, f"AU payload must be {NUM_AUS} chars over 0/1/-", BadMask)
+    codes = codes.reshape(len(rows), NUM_AUS)
+    labels.au_targets[rows] = codes == ord("1")
+    labels.au_mask[rows] = codes != ord("-")
+    labels.has_au[rows] = (codes != ord("-")).any(axis=1)
+
+    rows = by_task["COMPOUND"]
+    compound = np.array(parse(_compound, payload, rows), dtype=np.int64).reshape(len(rows), 3)
+    labels.compound[rows], labels.has_compound[rows] = compound[:, 0], True
+    compound_pair = np.zeros((len(ids), 2), dtype=np.int64)
+    compound_pair[rows] = compound[:, 1:]
+    return SampleColumns(
+        ids, split, [s or None for s in seq], [u or None for u in utt], frame_index,
+        labels, compound_pair,
+    )
+
+
+def read_annotations(path) -> List[AnnotatedSample]:
+    """Read annotation rows as samples with empty ``features``: the
+    per-row view of :func:`read_annotation_columns`, with its checks."""
+    return read_annotation_columns(path).samples()
 
 
 def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
@@ -177,47 +280,69 @@ def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
             fh.write(_csv_line([s.id] + [repr(float(v)) for v in s.features]) + "\n")
 
 
-def read_features(path) -> Dict[str, np.ndarray]:
-    """Feature vectors by sample id. A short row, a repeated id or a value
-    that is not a finite number raises ConfigError at ``path:line``."""
-    out: Dict[str, np.ndarray] = {}
+def read_feature_columns(path) -> Tuple[List[str], np.ndarray]:
+    """Feature ids in file order and their values as one (N, D) float64
+    matrix. A short row, a repeated id or a value that is not a finite
+    number raises ConfigError at ``path:line``."""
+    lines: List[int] = []
+    ids: List[str] = []
+    values = array("d")  # keeps no float object per value alive
     with open_rows(path) as (header, rows):
         if not header or header[0] != "id":
             raise ConfigError(f"{path}: bad feature header")
         for line, row in rows:
             if len(row) != len(header):
                 raise ConfigError(f"{path}:{line}: expected {len(header)} columns")
-            if row[0] in out:
-                raise ConfigError(f"{path}:{line}: duplicate sample id {row[0]!r}")
             try:
-                values = [float(v) for v in row[1:]]
+                values.extend(map(float, row[1:]))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line}: {exc}") from exc
-            # a nan or inf makes the sum non-finite; finite values that
-            # overflow it are told apart by the slower per-value check
-            if not math.isfinite(sum(values)):
-                if not all(map(math.isfinite, values)):
-                    raise ConfigError(f"{path}:{line}: non-finite feature value")
-            out[row[0]] = np.array(values, dtype=np.float64)
-    return out
+            lines.append(line)
+            ids.append(row[0])
+    _check_unique(ids, path, lines)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(header) - 1)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}:{lines[bad[0]]}: non-finite feature value")
+    return ids, matrix
 
 
-def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> List[AnnotatedSample]:
-    """Read annotations and attach feature vectors by id. With ``split``,
-    keep the rows of that split, or every row if none carries it."""
-    samples = read_annotations(annotations_path)
-    features = read_features(features_path)
-    if split is not None:
-        samples = [s for s in samples if s.split == split] or samples
-    missing = [s.id for s in samples if s.id not in features]
+def read_features(path) -> Dict[str, np.ndarray]:
+    """Feature vectors by sample id: rows of :func:`read_feature_columns`'
+    matrix, with its checks."""
+    ids, matrix = read_feature_columns(path)
+    return dict(zip(ids, matrix))
+
+
+def load_columns(annotations_path, features_path, split: Optional[str] = None) -> SampleColumns:
+    """Read annotations and attach each row's feature vector by id. With
+    ``split``, keep the rows of that split, or every row if none carries
+    it. An annotated id without a feature row raises KeyMisalignment."""
+    data = read_annotation_columns(annotations_path)
+    ids, matrix = read_feature_columns(features_path)
+    rows = [r for r, s in enumerate(data.split) if s == split]
+    if rows and len(rows) < len(data.ids):
+        data = SampleColumns(
+            *([col[r] for r in rows] for col in (
+                data.ids, data.split, data.sequence_id, data.utterance_id, data.frame_index
+            )),
+            data.labels.take(rows), data.compound_pair[rows],
+        )
+    index = dict(zip(ids, range(len(ids))))
+    missing = [sid for sid in data.ids if sid not in index]
     if missing:
         raise KeyMisalignment(
             f"{len(missing)} annotated ids have no feature row "
             f"(first: {missing[0]!r})"
         )
-    for s in samples:
-        s.features = features[s.id]
-    return samples
+    data.features = matrix[[index[sid] for sid in data.ids]]
+    return data
+
+
+def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> List[AnnotatedSample]:
+    """Read annotations and attach feature vectors by id, as samples: the
+    per-row view of :func:`load_columns`."""
+    return load_columns(annotations_path, features_path, split).samples()
 
 
 def stack_audio(samples: Sequence[AnnotatedSample], audio_dim: int) -> Optional[np.ndarray]:

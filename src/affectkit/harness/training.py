@@ -1,14 +1,17 @@
 """Training orchestration: multi-source batching, coupling, logging.
 
 A run loads its datasets, builds the model from the config, then walks
-sampler-driven epochs. The training set becomes one row table per job:
-stacked features, every label and coupling target as row arrays, and the
-label-type pools as row numbers. Every batch concatenates one chunk from
-each pool, is gathered from the table by index and is pushed through the
-network as a single sequence, so the concordance term sees the whole
-valence/arousal chunk at once. A step's loss is one weighted total of the
-multi-task terms followed by the soft-target and distribution-matching
-terms. Everything downstream of the seed is deterministic.
+sampler-driven epochs. The training split is read as columns, with no
+per-sample objects, and becomes one row table per job: the feature matrix,
+every label and co-annotation target as row arrays, and the label-type
+pools as row numbers; co-annotation runs over whole pools at once. No
+reader supplies audio features, so ``audio_dim > 0`` is a config error
+here. Every batch concatenates one chunk from each pool, is gathered from
+the table by index and is pushed through the network as a single
+sequence, so the concordance term sees the whole valence/arousal chunk at
+once. A step's loss is one weighted total of the multi-task terms followed
+by the soft-target and distribution-matching terms. Everything downstream
+of the seed is deterministic.
 """
 
 from __future__ import annotations
@@ -17,32 +20,30 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
-from ..errors import ConfigError, DivergedLoss, IncompatibleHeads, MissingMask
+from ..errors import ConfigError, DivergedLoss, IncompatibleHeads
 from ..losses import (
     BatchLabels,
     LossWeights,
     distribution_matching_loss,
-    label_arrays,
     multitask_terms,
     soft_target_cce,
     weighted_total,
 )
 from ..models import Model, SequenceBatch, au_probs, expr_probs, load_parameters
 from ..relatedness import (
-    coannotate_aus_to_emotion,
-    coannotate_emotion_to_aus,
-    soft_coannotate,
+    coannotate_aus_to_emotion_rows,
+    soft_coannotate_rows,
 )
 from ..sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
-from ..types import AnnotatedSample, au_index
+from ..types import AnnotatedSample
 from .config import RunConfig
-from .dataio import load_dataset, stack_audio
+from .dataio import SampleColumns, load_columns, load_dataset
 from .evaluate import evaluate_model
 
 
@@ -59,13 +60,13 @@ class TrainResult:
 class _TrainTable:
     """The training set as row arrays, built once per job.
 
-    Row i is sample i in file order. ``labels`` holds each row's own label
-    plus the hard or soft co-annotation targets, with their flags. The pools
-    are row numbers, in file order.
+    Row i is annotation row i of the training split, in file order.
+    ``labels`` holds each row's own label plus the hard or soft
+    co-annotation targets, with their flags. The pools are row numbers, in
+    file order.
     """
 
     features: np.ndarray
-    audio: Optional[np.ndarray]
     labels: BatchLabels
     va_rows: Tuple[int, ...]
     au_rows: Tuple[int, ...]
@@ -79,72 +80,56 @@ class _TrainTable:
         # concordance is undefined on a single point; drop a lone VA row
         if labels.has_va.sum() == 1:
             labels.has_va[:] = False
-        batch = SequenceBatch(
-            features=self.features[idx][None],
-            audio=None if self.audio is None else self.audio[idx][None],
-        )
-        return batch, labels
+        return SequenceBatch(features=self.features[idx][None]), labels
 
 
-def _build_table(samples: List[AnnotatedSample], config: RunConfig) -> _TrainTable:
-    seen = set()
-    for s in samples:
-        if s.id in seen:
-            raise ConfigError(f"duplicate sample id {s.id!r}")
-        seen.add(s.id)
-    audio = stack_audio(samples, config.input_dims().audio)
-
-    labels = label_arrays(samples)
+def _build_table(data: SampleColumns, config: RunConfig) -> _TrainTable:
+    """The row table of a training split; co-annotation runs over whole
+    pools at once and writes into ``data.labels``."""
+    labels = data.labels
     va, expr, compound = (
-        tuple(np.flatnonzero(flag).tolist())
-        for flag in (labels.has_va, labels.has_expr, labels.has_compound)
+        np.flatnonzero(flag) for flag in (labels.has_va, labels.has_expr, labels.has_compound)
     )
-    # each sample has one label, so every row without a VA, EXPR or
-    # COMPOUND flag is an AU row, including those with an all-zero mask
-    au = tuple(np.flatnonzero(~(labels.has_va | labels.has_expr | labels.has_compound)).tolist())
-    if compound and (va or au or expr):
+    # each row has one label, so every row without a VA, EXPR or COMPOUND
+    # flag is an AU row, including those with an all-zero mask
+    au = np.flatnonzero(~(labels.has_va | labels.has_expr | labels.has_compound))
+    if compound.size and (va.size or au.size or expr.size):
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
         )
-    for r in compound:
-        if labels.compound[r] >= config.compound_classes:
-            raise ConfigError(
-                f"{samples[r].id}: compound class id {labels.compound[r]} is not "
-                f"below compound_classes = {config.compound_classes}"
-            )
+    over = compound[labels.compound[compound] >= config.compound_classes]
+    if over.size:
+        raise ConfigError(
+            f"{data.ids[over[0]]}: compound class id {labels.compound[over[0]]} is not "
+            f"below compound_classes = {config.compound_classes}"
+        )
 
     table = config.relatedness_table()
     if config.coupling == "coannotation":
-        for r in expr:
-            implied = coannotate_emotion_to_aus(samples[r].label, table)
-            if implied:
-                labels.has_au[r] = True
-                for au_id, target, weight in implied:
-                    labels.au_targets[r, au_index(au_id)] = target
-                    labels.au_mask[r, au_index(au_id)] = weight
-        for r in au:
-            implied = coannotate_aus_to_emotion(samples[r].label, table)
-            if implied is not None:
-                labels.has_expr[r] = True
-                labels.expr[r] = implied.class_id
+        # p(AU | emotion) with observational weights is, row by row, what
+        # coannotate_emotion_to_aus implies: target 1 at each weight
+        weight = table.conditional_matrix(reweight=True)[labels.expr[expr]]
+        labels.has_au[expr] = weight.any(axis=1)
+        labels.au_targets[expr] = weight > 0
+        labels.au_mask[expr] = weight
+        implied = coannotate_aus_to_emotion_rows(labels.au_targets[au], labels.au_mask[au], table)
+        hit = au[implied >= 0]
+        labels.has_expr[hit] = True
+        labels.expr[hit] = implied[implied >= 0]
     elif config.coupling in ("soft_coannotation", "soft+distr"):
-        for r in au:
-            try:
-                target = soft_coannotate(
-                    samples[r].label, table, reweight=config.reweight_soft
-                )
-            except MissingMask:
-                continue  # partially annotated sample: no soft target
-            labels.soft[r] = target.as_array()
-            labels.has_soft[r] = True
+        _, soft, complete = soft_coannotate_rows(
+            labels.au_targets[au], labels.au_mask[au], table, reweight=config.reweight_soft
+        )
+        # a partially annotated row gets no soft target
+        labels.soft[au[complete]] = soft[complete]
+        labels.has_soft[au[complete]] = True
     return _TrainTable(
-        features=np.array([s.features for s in samples]),
-        audio=audio,
+        features=data.features,
         labels=labels,
-        va_rows=va,
-        au_rows=au,
-        expr_rows=expr,
-        compound_rows=compound,
+        va_rows=tuple(va.tolist()),
+        au_rows=tuple(au.tolist()),
+        expr_rows=tuple(expr.tolist()),
+        compound_rows=tuple(compound.tolist()),
     )
 
 
@@ -163,12 +148,19 @@ def train_run(config: RunConfig) -> TrainResult:
     if not config.train_annotations or not config.train_features:
         raise ConfigError("train_annotations and train_features are required")
 
-    train_samples = load_dataset(config.train_annotations, config.train_features, split="train")
+    if config.audio_dim:
+        raise ConfigError(
+            f"audio_dim = {config.audio_dim}, but no reader supplies audio features, "
+            "so a model with an audio stream cannot be trained; set audio_dim = 0"
+        )
+
+    data = _build_table(
+        load_columns(config.train_annotations, config.train_features, split="train"), config
+    )
     val_samples: List[AnnotatedSample] = []
     if config.val_annotations and config.val_features:
         val_samples = load_dataset(config.val_annotations, config.val_features, split="val")
 
-    data = _build_table(train_samples, config)
     spec = config.model_spec()
     if data.compound_rows and "COMPOUND" not in spec.heads:
         raise IncompatibleHeads("dataset is compound-labeled but the model has no COMPOUND head")

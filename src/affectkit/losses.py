@@ -13,10 +13,11 @@ sigmoid/softmax, and no gradient passes where the clamp bites; the
 categorical term instead uses a max-shifted log-sum-exp, which stays exact
 for saturated logits.
 
-``label_arrays`` is the one place where annotated samples become the row
-arrays of a BatchLabels; training and evaluation both build their truth
-with it. A BatchLabels also carries the row flags that decide which rows
-each term reads, so predictions hold nothing but head outputs.
+``label_arrays`` turns in-memory annotated samples into the row arrays of a
+BatchLabels, which is how evaluation builds its truth; the annotation
+reader fills the same arrays straight from a file for training. A
+BatchLabels also carries the row flags that decide which rows each term
+reads, so predictions hold nothing but head outputs.
 """
 
 from __future__ import annotations

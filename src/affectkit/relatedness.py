@@ -12,7 +12,10 @@ prototypical (activated with weight 1) and which are observational
 On top of the table sit the coupling engines used during multi-task
 training: hard co-annotation in both directions, soft co-annotation (AU
 pattern to a soft emotion distribution) and the emotion-mixture AU
-distribution used by distribution matching.
+distribution used by distribution matching. The AU-to-emotion engines run
+over (N, 17) value and mask arrays, one table AU at a time; the per-sample
+functions are their one-row case. Emotion-to-AU co-annotation is a lookup
+into ``conditional_matrix(reweight=True)``.
 
 Neutral has no table row: it maps to the empty AU set, scores 0 in soft
 co-annotation and contributes nothing to mixtures.
@@ -95,6 +98,9 @@ class RelatednessTable:
         return m
 
     def validate(self) -> None:
+        cids = [cid for cid, _ in self.rows]
+        if len(set(cids)) < len(cids):
+            raise BadTableFile("an emotion has more than one relatedness row")
         for cid, r in self.rows:
             if cid == NEUTRAL_ID:
                 raise BadTableFile("neutral must not have a relatedness row")
@@ -216,61 +222,85 @@ def coannotate_emotion_to_aus(
     return [(au, 1, w) for au, w in row.weighted_aus()]
 
 
-def coannotate_aus_to_emotion(
-    aus: AUVector, table: RelatednessTable
-) -> Optional[ExpressionLabel]:
-    """Emotion implied by a ground-truth AU pattern, if any.
+def coannotate_aus_to_emotion_rows(
+    values: np.ndarray, mask: np.ndarray, table: RelatednessTable
+) -> np.ndarray:
+    """The class id each row of an (N, 17) AU value/mask pair implies, or -1.
 
     An emotion qualifies when every one of its prototypical and
     observational AUs is annotated and active. Ties are broken by the
     larger required-AU count, then by canonical class order. Emotions with
-    any required AU unannotated are skipped rather than failing the sample.
+    any required AU unannotated are skipped rather than failing the row.
     """
-    best: Optional[Tuple[int, int]] = None  # (requirement size, class id)
+    implied = np.full(len(values), -1, dtype=np.int64)
+    candidates = [(cid, row.au_ids()) for cid, row in table.rows if row.au_ids()]
+    # in tie-rule order, so the first emotion a row qualifies for wins
+    for cid, ids in sorted(candidates, key=lambda c: (-len(c[1]), c[0])):
+        cols = [au_index(au) for au in ids]
+        qualifies = (mask[:, cols] != 0).all(axis=1) & (values[:, cols] == 1).all(axis=1)
+        implied[qualifies & (implied < 0)] = cid
+    return implied
+
+
+def coannotate_aus_to_emotion(
+    aus: AUVector, table: RelatednessTable
+) -> Optional[ExpressionLabel]:
+    """Emotion implied by a ground-truth AU pattern, if any: the one-row
+    case of :func:`coannotate_aus_to_emotion_rows`."""
+    cid = int(coannotate_aus_to_emotion_rows(aus.values[None], aus.mask[None], table)[0])
+    return None if cid < 0 else ExpressionLabel(cid)
+
+
+def soft_coannotate_rows(
+    values: np.ndarray, mask: np.ndarray, table: RelatednessTable, reweight: bool = True
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft co-annotation of each row of an (N, 17) AU value/mask pair.
+
+    Returns the (N, 7) per-emotion scores, their row-wise softmax, and an
+    (N,) flag that is false where a table AU is unannotated; the first two
+    mean nothing in such a row. Per emotion the score is
+    sum(w_i * y_i) / sum(w_i) over that emotion's prototypical+observational
+    AUs (all weights 1 when ``reweight`` is false); neutral scores 0.
+    """
+    n = len(values)
+    scores = np.zeros((n, NUM_EXPRESSIONS), dtype=np.float64)
+    complete = np.ones(n, dtype=bool)
     for cid, row in table.rows:
-        ids = row.au_ids()
-        if not ids:
-            continue
-        if not all(aus.is_annotated(au) for au in ids):
-            continue
-        if not all(aus.value_of(au) == 1 for au in ids):
-            continue
-        key = (len(ids), -cid)
-        if best is None or key > (best[0], -best[1]):
-            best = (len(ids), cid)
-    if best is None:
-        return None
-    return ExpressionLabel(best[1])
+        num = np.zeros(n)
+        den = 0.0
+        for au, w in row.weighted_aus():
+            i = au_index(au)
+            complete &= mask[:, i] != 0
+            weight = w if reweight else 1.0
+            num += weight * values[:, i]
+            den += weight
+        scores[:, cid] = num / den if den > 0 else 0.0
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return scores, e / e.sum(axis=1, keepdims=True), complete
+
+
+def _one_row(aus: AUVector, table: RelatednessTable, reweight: bool):
+    """The scores and softmax of one AU vector; MissingMask names the first
+    table AU it leaves unannotated."""
+    scores, probs, complete = soft_coannotate_rows(
+        aus.values[None], aus.mask[None], table, reweight=reweight
+    )
+    if not complete[0]:
+        cid, au = next(
+            (cid, au) for cid, row in table.rows for au in row.au_ids()
+            if not aus.is_annotated(au)
+        )
+        raise MissingMask(f"AU{au} required by {EXPRESSION_NAMES[cid]} is unannotated")
+    return scores[0], probs[0]
 
 
 def soft_scores(
     aus: AUVector, table: RelatednessTable, reweight: bool = True
 ) -> np.ndarray:
-    """Per-emotion scores behind :func:`soft_coannotate`.
-
-    Per emotion the score is sum(w_i * y_i) / sum(w_i) over that emotion's
-    prototypical+observational AUs (all weights 1 when ``reweight`` is
-    false); neutral scores 0.
-
-    Raises MissingMask when any table AU is unannotated.
-    """
-    # plain lists: indexing them is much cheaper than is_annotated/value_of
-    values, mask = aus.values.tolist(), aus.mask.tolist()
-    scores = np.zeros(NUM_EXPRESSIONS, dtype=np.float64)
-    for cid, row in table.rows:
-        num = 0.0
-        den = 0.0
-        for au, w in row.weighted_aus():
-            i = au_index(au)
-            if not mask[i]:
-                raise MissingMask(
-                    f"AU{au} required by {EXPRESSION_NAMES[cid]} is unannotated"
-                )
-            weight = w if reweight else 1.0
-            num += weight * values[i]
-            den += weight
-        scores[cid] = num / den if den > 0 else 0.0
-    return scores
+    """Per-emotion scores behind :func:`soft_coannotate`, as in
+    :func:`soft_coannotate_rows`. Raises MissingMask when any table AU is
+    unannotated."""
+    return _one_row(aus, table, reweight)[0]
 
 
 def soft_coannotate(
@@ -279,10 +309,7 @@ def soft_coannotate(
     """Soft emotion distribution implied by an AU pattern: the softmax of
     :func:`soft_scores`. Raises MissingMask when any table AU is
     unannotated."""
-    scores = soft_scores(aus, table, reweight=reweight)
-    e = np.exp(scores - scores.max())
-    probs = e / e.sum()
-    return SoftExpressionLabel(probabilities=tuple(float(p) for p in probs))
+    return SoftExpressionLabel(probabilities=tuple(_one_row(aus, table, reweight)[1].tolist()))
 
 
 def emotion_au_mixture(

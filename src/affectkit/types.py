@@ -106,9 +106,6 @@ class AUVector:
         self.values = v
         self.mask = m
 
-    def value_of(self, au_id: int) -> int:
-        return int(self.values[au_index(au_id)])
-
     def is_annotated(self, au_id: int) -> bool:
         return bool(self.mask[au_index(au_id)])
 

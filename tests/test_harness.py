@@ -857,6 +857,43 @@ class TestCLI:
         assert code == 2
         assert "repeat.cfg:2: 'feature_dim' is set twice" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("train", "seed = 1\n\nepochs = soon\n", "bad.cfg:3: bad value for 'epochs': invalid"),
+            ("train", "# x\nshuffle = maybe\n", "bad.cfg:2: bad value for 'shuffle': expected a b"),
+            ("train", "seed = 1\nlearning_speed = 2\n", "bad.cfg:2: unknown key 'learning_speed'"),
+            ("gen-data", "sigma = 0.1\nfeature_dim = abc\n", "bad.cfg:2: bad value for 'feature_dim'"),
+            ("gen-data", "train_counts = 1,2\n", "bad.cfg:1: bad value for 'train_counts': expected t"),
+            ("gen-data", "\nseed = 3\n", "bad.cfg:2: unknown key 'seed'"),
+        ],
+        ids=["train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key"],
+    )
+    def test_config_errors_name_the_line(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        if command == "train":
+            code = self.run_cli("train", "--config", cfg)
+        else:
+            code = self.run_cli("gen-data", "--spec", cfg, "--out", tmp_path / "data")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
+    def test_train_with_audio_dim_is_exit_2(self, tmp_path, capsys):
+        self.write_expr_data(tmp_path, feature_dim=10)
+        config = RunConfig(
+            feature_dim=10, audio_dim=3, streams=2, heads=("EXPR",),
+            train_annotations=str(tmp_path / "ann.csv"), train_features=str(tmp_path / "feat.csv"),
+            out_dir=str(tmp_path / "run"),
+        )
+        config.to_file(tmp_path / "two_stream.cfg")
+        code = self.run_cli("train", "--config", tmp_path / "two_stream.cfg")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "audio_dim = 3, but no reader supplies audio features" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
     def test_eval_two_stream_model_without_audio_is_exit_2(self, tmp_path, capsys):
         self.write_expr_data(tmp_path, feature_dim=10)
         config = RunConfig(feature_dim=10, audio_dim=3, streams=2, heads=("EXPR",))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_input as ref
 from affectkit.errors import BadDistribution, BadTableFile, MissingMask
 from affectkit.relatedness import (
     BUILTIN_TABLES,
@@ -10,14 +13,17 @@ from affectkit.relatedness import (
     EMPIRICAL,
     RelatednessTable,
     coannotate_aus_to_emotion,
+    coannotate_aus_to_emotion_rows,
     coannotate_emotion_to_aus,
     emotion_au_mixture,
     load_table,
     soft_coannotate,
+    soft_coannotate_rows,
     soft_scores,
 )
 from affectkit.types import (
     AU_IDS,
+    NUM_AUS,
     NUM_EXPRESSIONS,
     AUVector,
     ExpressionLabel,
@@ -158,6 +164,99 @@ class TestSoftCoannotation:
         aus = au_vector({12, 25}, annotated=set(AU_IDS) - {6})
         with pytest.raises(MissingMask):
             soft_coannotate(aus, COGNITIVE)
+
+
+# rows of (active flags, unannotated positions); some rows leave every AU
+# unannotated, most leave none or a few
+AU_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.booleans(), min_size=NUM_AUS, max_size=NUM_AUS),
+        st.one_of(
+            st.sets(st.integers(0, NUM_AUS - 1), max_size=3), st.just(set(range(NUM_AUS)))
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def au_arrays(rows):
+    """uint8 values and mask, unannotated values 0 as the readers leave them."""
+    mask = np.ones((len(rows), NUM_AUS), dtype=np.uint8)
+    for r, (_, missing) in enumerate(rows):
+        mask[r, list(missing)] = 0
+    values = np.array([active for active, _ in rows], dtype=np.uint8) * mask
+    return values, mask
+
+
+class TestRowEnginesMatchPerRowLoops:
+    """The row-wise engines against the per-sample loops they replaced, bit
+    for bit, on float64 rows as the training table holds them."""
+
+    @pytest.mark.parametrize("reweight", [True, False])
+    @pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=["cognitive", "empirical"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=AU_ROWS)
+    def test_soft(self, table, reweight, rows):
+        values, mask = au_arrays(rows)
+        scores, probs, complete = soft_coannotate_rows(
+            values.astype(np.float64), mask.astype(np.float64), table, reweight=reweight
+        )
+        for r in range(len(rows)):
+            aus = AUVector(values[r], mask[r])
+            try:
+                want_scores = ref.soft_scores(aus, table, reweight=reweight)
+            except MissingMask as exc:
+                assert not complete[r]
+                with pytest.raises(MissingMask, match=f"^{exc}$"):
+                    soft_coannotate(aus, table, reweight=reweight)
+                continue
+            want = ref.soft_coannotate(aus, table, reweight=reweight)
+            assert complete[r]
+            assert np.array_equal(scores[r], want_scores)
+            assert np.array_equal(probs[r], want)
+            assert np.array_equal(soft_scores(aus, table, reweight=reweight), want_scores)
+            assert np.array_equal(soft_coannotate(aus, table, reweight=reweight).as_array(), want)
+
+    @pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=["cognitive", "empirical"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=AU_ROWS, force=st.integers(0, NUM_EXPRESSIONS - 1))
+    def test_aus_to_emotion(self, table, rows, force):
+        values, mask = au_arrays(rows)
+        # make the first row carry one emotion's full pattern, so matches occur
+        row = table.row(force)
+        if row is not None:
+            cols = [au_index(au) for au in row.au_ids()]
+            values[0, cols] = 1
+            mask[0, cols] = 1
+        implied = coannotate_aus_to_emotion_rows(
+            values.astype(np.float64), mask.astype(np.float64), table
+        )
+        assert implied.dtype == np.int64
+        for r in range(len(rows)):
+            aus = AUVector(values[r], mask[r])
+            want = ref.coannotate_aus_to_emotion(aus, table)
+            assert implied[r] == (-1 if want is None else want.class_id)
+            assert coannotate_aus_to_emotion(aus, table) == want
+        assert row is None or implied[0] >= 0
+
+    @pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=["cognitive", "empirical"])
+    def test_emotion_to_aus_is_the_reweighted_conditional_matrix(self, table):
+        weight = table.conditional_matrix(reweight=True)
+        for cid in range(NUM_EXPRESSIONS):
+            want_t, want_w = np.zeros(NUM_AUS), np.zeros(NUM_AUS)
+            for au, t, w in coannotate_emotion_to_aus(ExpressionLabel(cid), table):
+                want_t[au_index(au)] = t
+                want_w[au_index(au)] = w
+            assert np.array_equal(weight[cid] > 0, want_t)
+            assert np.array_equal(weight[cid], want_w)
+        assert not weight[0].any()  # neutral implies nothing
+
+    def test_an_emotion_with_two_rows_is_refused(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("happiness proto=12\nsadness proto=4\nhappiness proto=6\n")
+        with pytest.raises(BadTableFile, match="more than one relatedness row"):
+            load_table(path)
 
 
 class TestMixture:

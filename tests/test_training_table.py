@@ -1,5 +1,6 @@
-"""The per-job training table: its batches are index gathers that must equal
-the per-sample batch assembly they replaced, exactly."""
+"""The per-job training table: built from the column readers, it must equal
+the per-row readers and the per-sample table and batch assembly it
+replaced, exactly."""
 
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
@@ -7,17 +8,16 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+import reference_input as ref
+from affectkit import types
 from affectkit.errors import ConfigError, MissingMask
 from affectkit.harness.config import RunConfig
+from affectkit.harness.dataio import load_columns, write_annotations, write_features
 from affectkit.harness.synth import SyntheticSpec, make_dataset
-from affectkit.harness.training import _build_table, _compound_chunks
+from affectkit.harness.training import _build_table, _compound_chunks, train_run
 from affectkit.losses import BatchLabels
 from affectkit.models import SequenceBatch
-from affectkit.relatedness import (
-    coannotate_aus_to_emotion,
-    coannotate_emotion_to_aus,
-    soft_coannotate,
-)
+from affectkit.relatedness import coannotate_emotion_to_aus
 from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
     NUM_AUS,
@@ -27,6 +27,8 @@ from affectkit.types import (
     ExpressionLabel,
     au_index,
 )
+
+COUPLINGS = ["none", "coannotation", "soft_coannotation", "distr_matching", "soft+distr"]
 
 # ---------------------------------------------------------------------------
 # reference: the per-sample assembly loop, keyed by sample id
@@ -63,24 +65,22 @@ def reference_pools(samples: List[AnnotatedSample], config: RunConfig) -> _Pools
                     weightv[au_index(au_id)] = weight
                 pools.extra_au[sid] = (targets, weightv)
         for sid in pools.au_ids:
-            implied = coannotate_aus_to_emotion(by_id[sid].label, table)
+            implied = ref.coannotate_aus_to_emotion(by_id[sid].label, table)
             if implied is not None:
                 pools.extra_expr[sid] = implied.class_id
     elif config.coupling in ("soft_coannotation", "soft+distr"):
         for sid in pools.au_ids:
             try:
-                soft = soft_coannotate(by_id[sid].label, table, reweight=config.reweight_soft)
+                soft = ref.soft_coannotate(by_id[sid].label, table, reweight=config.reweight_soft)
             except MissingMask:
                 continue
-            pools.soft_expr[sid] = soft.as_array()
+            pools.soft_expr[sid] = soft
     return pools
 
 
 def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
     n = len(ids)
-    dims = config.input_dims()
-    feats = np.zeros((n, dims.features))
-    audio = np.zeros((n, dims.audio)) if dims.audio else None
+    feats = np.zeros((n, config.input_dims().features))
     has = {k: np.zeros(n, dtype=bool) for k in ("expr", "au", "va", "compound", "soft")}
     expr_ids = np.zeros(n, dtype=np.int64)
     au_targets = np.zeros((n, NUM_AUS))
@@ -91,8 +91,6 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
     for row, sid in enumerate(ids):
         sample = pools.by_id[sid]
         feats[row] = sample.features
-        if audio is not None:
-            audio[row] = sample.audio_features
         label = sample.label
         if sample.task == "VA":
             has["va"][row] = True
@@ -119,9 +117,7 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
             compound_ids[row] = label.class_id
     if 0 < has["va"].sum() < 2:
         has["va"][:] = False
-    batch = SequenceBatch(
-        features=feats[None], audio=None if audio is None else audio[None]
-    )
+    batch = SequenceBatch(features=feats[None])
     labels = BatchLabels(
         va=va,
         expr=expr_ids,
@@ -137,34 +133,23 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def basic_samples(audio_dim: int = 2) -> List[AnnotatedSample]:
-    """Interleaved VA/AU/EXPR samples with partially and fully unannotated
-    AU rows and optional audio."""
-    spec = SyntheticSpec(train_counts=(7, 20, 20), val_counts=(1, 1, 1), feature_dim=8)
-    train, _ = make_dataset(spec, seed=3)
+def basic_samples() -> List[AnnotatedSample]:
+    """Interleaved VA/AU/EXPR training samples with partially and fully
+    unannotated AU rows, shuffled, followed by validation samples."""
+    spec = SyntheticSpec(train_counts=(7, 20, 20), val_counts=(2, 3, 3), feature_dim=8)
+    train, val = make_dataset(spec, seed=3)
     rng = np.random.default_rng(5)
-    out = []
     au_seen = 0
     for s in train:
-        label = s.label
-        if isinstance(label, AUVector):
+        if isinstance(s.label, AUVector):
             au_seen += 1
             if au_seen % 5 == 0:  # fully unannotated
-                label = AUVector(np.zeros(NUM_AUS), np.zeros(NUM_AUS))
+                s.label = AUVector(np.zeros(NUM_AUS), np.zeros(NUM_AUS))
             elif au_seen % 3 == 0:  # AU6 and AU12 unannotated
                 mask = np.ones(NUM_AUS, dtype=np.uint8)
                 mask[[au_index(6), au_index(12)]] = 0
-                label = AUVector(label.values * mask, mask)
-        out.append(
-            AnnotatedSample(
-                id=s.id,
-                split=s.split,
-                features=s.features,
-                label=label,
-                audio_features=rng.normal(size=audio_dim) if audio_dim else None,
-            )
-        )
-    return [out[i] for i in rng.permutation(len(out))]
+                s.label = AUVector(s.label.values * mask, mask)
+    return [train[i] for i in rng.permutation(len(train))] + val
 
 
 def compound_samples() -> List[AnnotatedSample]:
@@ -180,34 +165,91 @@ def compound_samples() -> List[AnnotatedSample]:
     ]
 
 
+def write_files(directory, samples, name="data"):
+    ann, feats = directory / f"{name}_ann.csv", directory / f"{name}_feats.csv"
+    write_annotations(ann, samples)
+    write_features(feats, samples)
+    return ann, feats
+
+
 def config(**overrides) -> RunConfig:
-    base = dict(feature_dim=8, audio_dim=2, heads=("EXPR", "AU", "VA"), total_batch=10)
+    base = dict(feature_dim=8, heads=("EXPR", "AU", "VA"), total_batch=10)
     base.update(overrides)
     return RunConfig(**base)
+
+
+def assert_same_arrays(pairs):
+    for name, a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def assert_same(got, want):
     batch, labels = got
     ref_batch, ref_labels = want
-    assert np.array_equal(batch.features, ref_batch.features)
-    assert (batch.audio is None) == (ref_batch.audio is None)
-    if batch.audio is not None:
-        assert np.array_equal(batch.audio, ref_batch.audio)
+    assert batch.audio is None and ref_batch.audio is None
     names = [f.name for f in fields(BatchLabels)]
     assert len(names) == 11
-    for name in names:
-        a, b = getattr(labels, name), getattr(ref_labels, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_arrays(
+        [("features", batch.features, ref_batch.features)]
+        + [(n, getattr(labels, n), getattr(ref_labels, n)) for n in names]
+    )
 
 
-@pytest.mark.parametrize(
-    "coupling",
-    ["none", "coannotation", "soft_coannotation", "distr_matching", "soft+distr"],
-)
-def test_gather_equals_per_sample_assembly(coupling):
+def assert_table_equals_reference(table, want):
+    """Features, every BatchLabels array and flag, and the four pools."""
+    assert_same_arrays(
+        [("features", table.features, want.features)]
+        + [(f.name, getattr(table.labels, f.name), getattr(want.labels, f.name))
+           for f in fields(BatchLabels)]
+    )
+    for pool in ("va_rows", "au_rows", "expr_rows", "compound_rows"):
+        assert getattr(table, pool) == getattr(want, pool), pool
+
+
+def build_both(ann, feats, cfg, split="train"):
+    """The table from the column readers and the per-row reference's."""
+    table = _build_table(load_columns(ann, feats, split=split), cfg)
+    return table, ref.build_table(ref.load_dataset(ann, feats, split=split), cfg)
+
+
+@pytest.mark.parametrize("reweight_soft", [True, False])
+@pytest.mark.parametrize("relatedness", ["cognitive", "empirical"])
+@pytest.mark.parametrize("coupling", COUPLINGS)
+def test_table_equals_per_row_reference(tmp_path, coupling, relatedness, reweight_soft):
+    ann, feats = write_files(tmp_path, basic_samples())
+    cfg = config(coupling=coupling, relatedness=relatedness, reweight_soft=reweight_soft)
+    table, want = build_both(ann, feats, cfg)
+    assert_table_equals_reference(table, want)
+    assert len(table.features) == 47  # the validation rows are left out
+    if coupling in ("soft_coannotation", "soft+distr"):
+        assert 0 < table.labels.has_soft.sum() < len(table.au_rows)
+    if coupling == "coannotation":
+        assert table.labels.has_au[list(table.expr_rows)].any()
+
+
+def test_compound_table_equals_per_row_reference(tmp_path):
+    ann, feats = write_files(tmp_path, compound_samples())
+    table, want = build_both(ann, feats, config(heads=("COMPOUND",)))
+    assert_table_equals_reference(table, want)
+    assert len(table.compound_rows) == 23
+
+
+def test_split_fallback_keeps_every_row(tmp_path):
     samples = basic_samples()
+    for s in samples:
+        s.split = "val"
+    ann, feats = write_files(tmp_path, samples)
+    table, want = build_both(ann, feats, config(coupling="soft+distr"))
+    assert_table_equals_reference(table, want)
+    assert len(table.features) == len(samples)
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+def test_gather_equals_per_sample_assembly(tmp_path, coupling):
+    ann, feats = write_files(tmp_path, basic_samples())
     cfg = config(coupling=coupling, seed=11)
-    table = _build_table(samples, cfg)
+    table = _build_table(load_columns(ann, feats, split="train"), cfg)
+    samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
 
     def ids_of(rows):
@@ -236,10 +278,11 @@ def test_gather_equals_per_sample_assembly(coupling):
         assert 0 < table.labels.has_soft.sum() < len(pools.au_ids)
 
 
-def test_compound_gather_equals_per_sample_assembly():
-    samples = compound_samples()
-    cfg = config(heads=("COMPOUND",), audio_dim=0, total_batch=8, seed=4)
-    table = _build_table(samples, cfg)
+def test_compound_gather_equals_per_sample_assembly(tmp_path):
+    ann, feats = write_files(tmp_path, compound_samples())
+    cfg = config(heads=("COMPOUND",), total_batch=8, seed=4)
+    table = _build_table(load_columns(ann, feats, split="train"), cfg)
+    samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
     row_chunks = list(_compound_chunks(table.compound_rows, 8, cfg.seed, 0, True))
     id_chunks = list(_compound_chunks(pools.compound_ids, 8, cfg.seed, 0, True))
@@ -249,39 +292,77 @@ def test_compound_gather_equals_per_sample_assembly():
         assert_same(table.gather(rows), reference_batch(ids, pools, cfg))
 
 
-def test_missing_audio_raises_at_build():
-    samples = basic_samples(audio_dim=0)
-    with pytest.raises(ConfigError, match="no audio"):
-        _build_table(samples, config())
-    assert _build_table(samples, config(audio_dim=0)).audio is None
+def train_config(tmp_path, ann, feats, **overrides) -> RunConfig:
+    return config(
+        train_annotations=str(ann), train_features=str(feats), epochs=1,
+        out_dir=str(tmp_path / "run"), **overrides,
+    )
 
 
-def test_duplicate_id_raises():
+def test_audio_dim_is_a_config_error(tmp_path, monkeypatch):
+    ann, feats = write_files(tmp_path, basic_samples())
+    loads = []
+    monkeypatch.setattr(
+        "affectkit.harness.training.load_columns", lambda *a, **k: loads.append(a)
+    )
+    with pytest.raises(ConfigError, match="audio_dim = 2, but no reader supplies audio"):
+        train_run(train_config(tmp_path, ann, feats, audio_dim=2, streams=2))
+    assert not loads  # raised before anything was read
+
+
+def test_duplicate_id_raises(tmp_path):
     samples = basic_samples()
-    samples.append(samples[0])
-    with pytest.raises(ConfigError, match="duplicate sample id"):
-        _build_table(samples, config())
+    _, feats = write_files(tmp_path, samples)
+    samples.insert(4, samples[1])
+    ann = tmp_path / "a_ann.csv"
+    write_annotations(ann, samples)
+    with pytest.raises(ConfigError, match=rf"a_ann\.csv:6: duplicate sample id {samples[1].id!r}"):
+        load_columns(ann, feats)
 
 
-def test_compound_mixed_with_basic_raises():
-    samples = basic_samples(audio_dim=0) + compound_samples()
+def test_compound_mixed_with_basic_raises(tmp_path):
+    ann, feats = write_files(tmp_path, basic_samples() + compound_samples())
     with pytest.raises(ConfigError, match="cannot be mixed"):
-        _build_table(samples, config(audio_dim=0))
+        _build_table(load_columns(ann, feats, split="train"), config())
 
 
-def test_compound_class_beyond_head_raises():
+def test_compound_class_beyond_head_raises(tmp_path):
     samples = compound_samples()
     samples[4].label = CompoundLabel(12, ExpressionLabel(1), ExpressionLabel(6))
+    ann, feats = write_files(tmp_path, samples)
     with pytest.raises(
-        ConfigError, match=r"c004: compound class id 12 is not below compound_classes = 11"
+        ConfigError,
+        match=r"c004: compound class id 12 is not below compound_classes = 11",
     ):
-        _build_table(samples, config(heads=("COMPOUND",), audio_dim=0))
+        _build_table(load_columns(ann, feats), config(heads=("COMPOUND",)))
 
 
-def test_zero_mask_au_row_stays_in_au_pool():
-    samples = basic_samples()
-    table = _build_table(samples, config())
+def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
+    ann, feats = write_files(tmp_path, basic_samples())
+    data = load_columns(ann, feats, split="train")
+    samples = data.samples()
+    table = _build_table(data, config())
     zero = [r for r, s in enumerate(samples) if isinstance(s.label, AUVector)
             and not s.label.mask.any()]
     assert zero and set(zero) <= set(table.au_rows)
     assert not table.labels.has_au[zero].any()
+
+
+@pytest.mark.parametrize("coupling", ["coannotation", "soft+distr"])
+def test_train_run_builds_no_per_row_label_object(tmp_path, monkeypatch, coupling):
+    ann, feats = write_files(tmp_path, basic_samples())
+    built = []
+    for cls in (
+        types.AnnotatedSample, types.AUVector, types.ValenceArousal, types.ExpressionLabel,
+        types.CompoundLabel,
+    ):
+        def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    result = train_run(train_config(tmp_path, ann, feats, coupling=coupling))
+    assert not built
+    assert np.isfinite(result.history[-1]["loss"])
+    load_columns(ann, feats).samples()  # the per-row view is counted
+    assert {"AnnotatedSample", "AUVector", "ValenceArousal", "ExpressionLabel"} <= set(built)
