@@ -7,12 +7,12 @@ the output gradient to the contribution for one parent, so ``backward``
 is a reverse-topological sweep calling closures in construction order,
 which makes repeated runs on the same graph bit-identical.
 
-Gradients are allocated lazily. Only a leaf (a node with no edges:
-parameters, inputs, constants) gets a zero ``grad`` when it is built, and
-``backward`` adds every contribution to a leaf in place. An inner node's
-``grad`` is ``None`` until a sweep reaches it; the sweep stores its first
-contribution as it is and adds later ones with ``grad + d``, never in
-place, because a vjp may return a view of its child's gradient.
+No node holds a gradient until a sweep reaches it. A leaf (parameters,
+inputs, constants) starts from zeros and adds every contribution in place;
+an inner node keeps its first as it is and adds later ones with
+``grad + d``, never in place, because a vjp may return a view of its
+child's gradient. ``backward(root, wrt=params)`` fires only the edges into
+nodes with a path to ``params``, so inputs and frozen layers get no vjp.
 
 The op set is exactly what the model zoo needs: ``dense`` (one affine
 node with a closed-form vjp), ``relu``, ``sigmoid``, ``softmax``,
@@ -21,15 +21,16 @@ node with a closed-form vjp), ``relu``, ``sigmoid``, ``softmax``,
 closed form together with its value: each training loss is one, and so is
 each weighted sum of loss terms. ``gru_sequence`` runs a gated recurrent
 cell over whole sequences as one node with a hand-written BPTT. The Adam
-optimizer and a binary checkpoint format for named parameter sets live
-here too.
+optimizer, the :class:`Parameters` factory and a binary checkpoint format
+for named parameter sets live here too.
 
 :class:`Adam` owns a flat parameter store: it copies its parameters into
 one contiguous vector and rebinds each ``data`` and ``grad`` to a view of
-that vector and of a second one, so a step is a few whole-vector
+that vector and of a zeroed second one, so a step is a few whole-vector
 operations and ``zero_grad`` is one ``fill``. Once an optimizer holds a
 parameter, its value is written in place (``models.load_parameters`` does
-so); ``step`` refuses a parameter whose ``data`` or ``grad`` was rebound.
+so for ``init_from``; a whole checkpoint loads through ``models.Model``);
+``step`` refuses a parameter whose ``data`` or ``grad`` was rebound.
 
 Floats are 64-bit throughout; at this scale gradient-check fidelity is
 worth more than speed.
@@ -55,10 +56,9 @@ class DiffTensor:
     """Array node in a reverse-mode computation graph.
 
     ``data`` holds the value, ``grad`` the accumulated gradient of the
-    eventual scalar root with respect to this node: zeros from the start
-    for a leaf, ``None`` for an inner node until ``backward`` reaches it.
-    ``_edges`` pairs each parent with the closure producing its gradient
-    contribution.
+    eventual scalar root with respect to this node: ``None`` until a
+    ``backward`` sweep reaches the node. ``_edges`` pairs each parent with
+    the closure producing its gradient contribution.
     """
 
     __slots__ = ("data", "grad", "_edges")
@@ -66,7 +66,7 @@ class DiffTensor:
     def __init__(self, data, edges: Sequence = ()):
         self.data = np.asarray(data, dtype=np.float64)
         self._edges = tuple(edges)
-        self.grad = None if self._edges else np.zeros_like(self.data)
+        self.grad = None
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -86,8 +86,8 @@ class DiffTensor:
     def zero_grad(self) -> None:
         if self._edges:
             self.grad = None  # may be a view of another node's gradient
-        else:
-            self.grad.fill(0.0)
+        elif self.grad is not None:
+            self.grad.fill(0.0)  # in place: an optimizer may hold a view of it
 
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.shape}, edges={len(self._edges)})"
@@ -214,35 +214,20 @@ class GruCell:
 
     Update convention: z and r gates are sigmoids of the concatenated
     [x, h] input; the candidate uses the reset-scaled state, and the new
-    state is h' = (1-z)*h + z*candidate.
+    state is h' = (1-z)*h + z*candidate. ``param`` makes the six
+    parameters, named under ``prefix``, in the order ``parameters`` lists.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+    def __init__(self, input_dim: int, hidden_dim: int, param: "Parameters", prefix: str):
         self.input_dim = int(input_dim)
         self.hidden_dim = int(hidden_dim)
-        cat = self.input_dim + self.hidden_dim
-        self.w_z = DiffTensor(glorot_uniform((cat, hidden_dim), rng))
-        self.b_z = DiffTensor(np.zeros(hidden_dim))
-        self.w_r = DiffTensor(glorot_uniform((cat, hidden_dim), rng))
-        self.b_r = DiffTensor(np.zeros(hidden_dim))
-        self.w_h = DiffTensor(glorot_uniform((cat, hidden_dim), rng))
-        self.b_h = DiffTensor(np.zeros(hidden_dim))
+        cat = (self.input_dim + self.hidden_dim, self.hidden_dim)
+        self.w_z, self.b_z = param(f"{prefix}.w_z", cat), param(f"{prefix}.b_z", cat[1:])
+        self.w_r, self.b_r = param(f"{prefix}.w_r", cat), param(f"{prefix}.b_r", cat[1:])
+        self.w_h, self.b_h = param(f"{prefix}.w_h", cat), param(f"{prefix}.b_h", cat[1:])
 
     def parameters(self) -> List[DiffTensor]:
         return [self.w_z, self.b_z, self.w_r, self.b_r, self.w_h, self.b_h]
-
-    def named_parameters(self, prefix: str) -> Dict[str, DiffTensor]:
-        return {
-            f"{prefix}.w_z": self.w_z,
-            f"{prefix}.b_z": self.b_z,
-            f"{prefix}.w_r": self.w_r,
-            f"{prefix}.b_r": self.b_r,
-            f"{prefix}.w_h": self.w_h,
-            f"{prefix}.b_h": self.b_h,
-        }
-
-    def initial_state(self, batch: int) -> DiffTensor:
-        return DiffTensor(np.zeros((batch, self.hidden_dim)))
 
 
 def gru_sequence(cell: GruCell, x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
@@ -286,7 +271,7 @@ def gru_sequence(cell: GruCell, x: DiffTensor, b_size: int, t_len: int) -> DiffT
             dh = dh * keep[rows] + d_rh * r[rows] + d_pre[rows, : 2 * hid] @ u_zr.T
         du = np.hstack([h_in.T @ d_pre[:, : 2 * hid], (r * h_in).T @ d_pre[:, 2 * hid :]])
         dw = np.vstack([x.data.T @ d_pre, du])
-        grads = [d_pre @ w_x.T]
+        grads = [d_pre]  # x's gradient, d_pre @ w_x.T, only if its edge fires
         for dw_gate, db_gate in zip(np.hsplit(dw, 3), np.split(d_pre.sum(axis=0), 3)):
             grads += [dw_gate, db_gate]
         return grads
@@ -296,7 +281,7 @@ def gru_sequence(cell: GruCell, x: DiffTensor, b_size: int, t_len: int) -> DiffT
     def sweep(g, i):
         if g is not memo[0]:  # holding g keeps its identity from being recycled
             memo[:] = g, bptt(g)
-        return memo[1][i]
+        return memo[1][0] @ w_x.T if i == 0 else memo[1][i]
 
     parents = [x] + cell.parameters()
     return DiffTensor(
@@ -309,8 +294,10 @@ def gru_sequence(cell: GruCell, x: DiffTensor, b_size: int, t_len: int) -> DiffT
 # backward sweep
 
 
-def backward(root: DiffTensor) -> None:
-    """Accumulate d(root)/d(node) into every reachable node's ``grad``.
+def backward(root: DiffTensor, wrt: Optional[Iterable[DiffTensor]] = None) -> None:
+    """Accumulate d(root)/d(node) into every reachable node's ``grad``,
+    or with ``wrt`` only into nodes with a path to a tensor in it, whose
+    gradients are then bit-identical to a full sweep's.
 
     Leaves accumulate across calls, in place; every inner node's ``grad``
     is this sweep's gradient alone. Deterministic: nodes are visited in
@@ -319,37 +306,44 @@ def backward(root: DiffTensor) -> None:
     """
     if root.size != 1:
         raise NonScalarRoot(f"backward root must be scalar, got shape {root.shape}")
-    order: List[DiffTensor] = []
     visited = set()
+    live = visited if wrt is None else set(wrt)  # nodes with a path to ``wrt``
+    sweep: List[Tuple[DiffTensor, list]] = []  # live nodes and their live edges
     stack: List[Tuple[DiffTensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        if expanded:  # post-order: every parent is done before its child
+            edges = [edge for edge in node._edges if edge[0] in live]
+            if edges:
+                live.add(node)
+                sweep.append((node, edges))
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         if node._edges:
             node.grad = None
         for parent, _ in node._edges:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
-    _accumulate(root, np.ones_like(root.data))
-    for node in reversed(order):
+    if root in live:
+        _accumulate(root, np.ones_like(root.data))
+    for node, edges in reversed(sweep):
         g = node.grad
-        for parent, vjp in node._edges:
+        for parent, vjp in edges:
             _accumulate(parent, vjp(g))
 
 
 def _accumulate(node: DiffTensor, d) -> None:
     if node._edges:
         node.grad = d if node.grad is None else node.grad + d
-    elif d.shape != node.grad.shape:  # an in-place add would broadcast
+        return
+    if node.grad is None:
+        node.grad = np.zeros_like(node.data)
+    if d.shape != node.grad.shape:  # an in-place add would broadcast
         raise ShapeMismatch(f"gradient {d.shape} for a leaf of shape {node.grad.shape}")
-    else:
-        node.grad += d
+    node.grad += d
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +367,49 @@ def glorot_uniform(
     return rng.uniform(-bound, bound, size=shape)
 
 
+class Parameters:
+    """Makes parameters by name, in call order, into ``named``: a matrix is
+    a Glorot draw from ``seed`` (an int or a generator), a vector zeros. With
+    ``values`` (checkpoint arrays by name) each adopts its array, undrawn and
+    uncopied, and ``check`` raises BadCheckpoint unless they named exactly
+    the parameters made, each in its shape."""
+
+    def __init__(self, seed, values: Optional[Mapping[str, np.ndarray]] = None):
+        self.named: Dict[str, DiffTensor] = {}
+        self._values, self._mismatch = values, None  # the first shape mismatch
+        self._rng = np.random.default_rng(seed) if values is None else None
+
+    def __call__(self, name: str, shape: Tuple[int, ...]) -> DiffTensor:
+        if self._values is None:
+            data = glorot_uniform(shape, self._rng) if len(shape) == 2 else np.zeros(shape)
+        else:
+            data = self._values.get(name)  # a missing name is reported by ``check``
+            data = np.zeros(shape) if data is None else np.asarray(data, dtype=np.float64)
+            if data.shape != shape and self._mismatch is None:
+                self._mismatch = f"{name}: checkpoint shape {data.shape} vs model {shape}"
+        self.named[name] = p = DiffTensor(data)
+        return p
+
+    def check(self) -> None:
+        if self._values is None:
+            return
+        missing = sorted(set(self.named) - set(self._values))
+        extra = sorted(set(self._values) - set(self.named))
+        if missing or extra:
+            raise BadCheckpoint(f"parameter names differ: missing={missing} extra={extra}")
+        if self._mismatch is not None:
+            raise BadCheckpoint(self._mismatch)
+
+
 class Adam:
     """Bias-corrected Adam over a fixed parameter list, held in a flat store.
 
-    The constructor copies every parameter's value and gradient into two
-    contiguous vectors and rebinds ``p.data`` and ``p.grad`` to reshaped
-    views of them; the moments are two more vectors. ``step`` updates the
-    whole value vector in place and refuses a parameter whose ``data`` or
-    ``grad`` has been rebound since. ``lr`` stays writable so training
-    loops can decay it between epochs.
+    The constructor copies every parameter's value into one contiguous
+    vector, starts a second one, the gradients, at zeros, and rebinds
+    ``p.data`` and ``p.grad`` to reshaped views of them; the moments are two
+    more vectors. ``step`` updates the whole value vector in place and
+    refuses a parameter whose ``data`` or ``grad`` has been rebound since.
+    ``lr`` stays writable so training loops can decay it between epochs.
     """
 
     def __init__(
@@ -398,20 +426,15 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        n = sum(p.data.size for p in self.params)
-        self._data, self._grad = np.empty(n), np.empty(n)
-        self._m, self._v = np.zeros(n), np.zeros(n)
+        ends = np.cumsum([0] + [p.data.size for p in self.params])
+        self._data, self._grad = np.empty(ends[-1]), np.zeros(ends[-1])
+        self._m, self._v = np.zeros(ends[-1]), np.zeros(ends[-1])
         self._views: List[Tuple[np.ndarray, np.ndarray]] = []
-        start = 0
-        for p in self.params:
-            stop = start + p.data.size
-            data = self._data[start:stop].reshape(p.data.shape)
-            grad = self._grad[start:stop].reshape(p.data.shape)
+        for p, start, stop in zip(self.params, ends, ends[1:]):
+            data, grad = (v[start:stop].reshape(p.data.shape) for v in (self._data, self._grad))
             data[...] = p.data
-            grad[...] = p.grad
             p.data, p.grad = data, grad
             self._views.append((data, grad))
-            start = stop
 
     def zero_grad(self) -> None:
         self._grad.fill(0.0)

@@ -104,7 +104,7 @@ def _check_dense(rng, n_points, eps):
 
 
 def _check_gru(rng, n_points, eps):
-    cell = GruCell(4, 5, rng)
+    cell = GruCell(4, 5, ad.Parameters(rng), "cell")
     (x,) = _tensors(rng, (12, 4))  # 3 sequences of 4 frames, time-major
     project = _projection(rng, (12, 5))
 

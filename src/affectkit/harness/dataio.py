@@ -13,8 +13,9 @@ Optional columns round-trip ``None`` as the empty string.
 An annotation file is parsed once into :class:`SampleColumns`: ids, splits,
 sequence ids, utterance ids and frame indices as lists, and every label
 straight into ``BatchLabels`` columns with its flag. A feature file becomes
-one (N, D) matrix, and :func:`load_columns` takes its rows by id. Each
-column is checked at load, and a bad value names the ``path:line`` of its
+one (N, D) matrix, and :func:`load_columns` takes its rows by id
+(:func:`load_splits` several splits from one parse). Each column is
+checked at load, and a bad value names the ``path:line`` of its
 row; an id repeated within either file is an error. ``read_annotations``,
 ``read_features`` and ``load_dataset`` are per-row views of the same parse.
 """
@@ -126,6 +127,14 @@ class SampleColumns:
     labels: BatchLabels
     compound_pair: np.ndarray
     features: Optional[np.ndarray] = None
+
+    def take(self, rows: Sequence[int]) -> "SampleColumns":
+        """The given rows of every column, as new lists and arrays."""
+        cols = (self.ids, self.split, self.sequence_id, self.utterance_id, self.frame_index)
+        return SampleColumns(
+            *([col[r] for r in rows] for col in cols),
+            self.labels.take(rows), self.compound_pair[rows],
+        )
 
     def samples(self) -> List[AnnotatedSample]:
         """One AnnotatedSample per row; its features are a row of the
@@ -318,25 +327,30 @@ def load_columns(annotations_path, features_path, split: Optional[str] = None) -
     """Read annotations and attach each row's feature vector by id. With
     ``split``, keep the rows of that split, or every row if none carries
     it. An annotated id without a feature row raises KeyMisalignment."""
+    return load_splits(annotations_path, features_path, (split,))[0]
+
+
+def load_splits(
+    annotations_path, features_path, splits: Sequence[Optional[str]]
+) -> List[SampleColumns]:
+    """:func:`load_columns` for each of ``splits``, parsing both files once;
+    no two results share a list or an array."""
     data = read_annotation_columns(annotations_path)
     ids, matrix = read_feature_columns(features_path)
-    rows = [r for r, s in enumerate(data.split) if s == split]
-    if rows and len(rows) < len(data.ids):
-        data = SampleColumns(
-            *([col[r] for r in rows] for col in (
-                data.ids, data.split, data.sequence_id, data.utterance_id, data.frame_index
-            )),
-            data.labels.take(rows), data.compound_pair[rows],
-        )
     index = dict(zip(ids, range(len(ids))))
-    missing = [sid for sid in data.ids if sid not in index]
-    if missing:
-        raise KeyMisalignment(
-            f"{len(missing)} annotated ids have no feature row "
-            f"(first: {missing[0]!r})"
-        )
-    data.features = matrix[[index[sid] for sid in data.ids]]
-    return data
+    out: List[SampleColumns] = []
+    for split in splits:
+        rows = [r for r, s in enumerate(data.split) if s == split] or range(len(data.ids))
+        part = data.take(rows) if out or len(rows) < len(data.ids) else data
+        missing = [sid for sid in part.ids if sid not in index]
+        if missing:
+            raise KeyMisalignment(
+                f"{len(missing)} annotated ids have no feature row "
+                f"(first: {missing[0]!r})"
+            )
+        part.features = matrix[[index[sid] for sid in part.ids]]
+        out.append(part)
+    return out
 
 
 def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> List[AnnotatedSample]:

@@ -2,7 +2,8 @@
 
 A run loads its datasets, builds the model from the config, then walks
 sampler-driven epochs. The training split is read as columns, with no
-per-sample objects, and becomes one row table per job: the feature matrix,
+per-sample objects (one parse serves the validation split too when both
+name the same files), and becomes one row table per job: the feature matrix,
 every label and co-annotation target as row arrays, and the label-type
 pools as row numbers; co-annotation runs over whole pools at once. No
 reader supplies audio features, so ``audio_dim > 0`` is a config error
@@ -10,8 +11,9 @@ here. Every batch concatenates one chunk from each pool, is gathered from
 the table by index and is pushed through the network as a single
 sequence, so the concordance term sees the whole valence/arousal chunk at
 once. A step's loss is one weighted total of the multi-task terms followed
-by the soft-target and distribution-matching terms. Everything downstream
-of the seed is deterministic.
+by the soft-target and distribution-matching terms; its backward sweep
+reaches only the optimizer's parameters, so a frozen trunk gets no
+gradient. Everything downstream of the seed is deterministic.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from ..relatedness import (
     soft_coannotate_rows,
 )
 from ..sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
-from ..types import AnnotatedSample
 from .config import RunConfig
-from .dataio import SampleColumns, load_columns, load_dataset
+from .dataio import SampleColumns, load_columns, load_splits
 from .evaluate import evaluate_model
 
 
@@ -154,12 +155,14 @@ def train_run(config: RunConfig) -> TrainResult:
             "so a model with an audio stream cannot be trained; set audio_dim = 0"
         )
 
-    data = _build_table(
-        load_columns(config.train_annotations, config.train_features, split="train"), config
-    )
-    val_samples: List[AnnotatedSample] = []
-    if config.val_annotations and config.val_features:
-        val_samples = load_dataset(config.val_annotations, config.val_features, split="val")
+    files = (config.train_annotations, config.train_features)
+    val_files = (config.val_annotations, config.val_features)
+    # validation rows in the training files come from the same parse
+    train, *val = load_splits(*files, ("train", "val") if val_files == files else ("train",))
+    data = _build_table(train, config)
+    if not val and all(val_files):
+        val = [load_columns(*val_files, split="val")]
+    val_samples = val[0].samples() if val else []
 
     spec = config.model_spec()
     if data.compound_rows and "COMPOUND" not in spec.heads:
@@ -167,7 +170,7 @@ def train_run(config: RunConfig) -> TrainResult:
 
     model = Model(spec, config.input_dims(), seed=config.seed)
     if config.init_from:
-        load_parameters(model, load_checkpoint(config.init_from), strict=False)
+        load_parameters(model, load_checkpoint(config.init_from))
 
     trainable = model.head_parameters() if config.freeze_trunk else model.parameters()
     opt = Adam(trainable, lr=config.lr)
@@ -228,7 +231,7 @@ def train_run(config: RunConfig) -> TrainResult:
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")
             opt.zero_grad()
-            backward(loss)
+            backward(loss, wrt=opt.params)
             opt.step()
             losses.append(value)
 
@@ -275,7 +278,9 @@ def _write_history(path: str, history: List[Dict[str, float]]) -> None:
 
 
 def load_model(config: RunConfig, checkpoint_path: str) -> Model:
-    """Rebuild the configured architecture and load trained parameters."""
-    model = Model(config.model_spec(), config.input_dims(), seed=config.seed)
-    load_parameters(model, load_checkpoint(checkpoint_path), strict=True)
-    return model
+    """Build the configured architecture straight from a checkpoint's
+    arrays, with no initial draws."""
+    return Model(
+        config.model_spec(), config.input_dims(), seed=config.seed,
+        values=load_checkpoint(checkpoint_path),
+    )

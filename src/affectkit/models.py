@@ -12,6 +12,9 @@ Composite specs (``members`` set) concatenate several member trunks into
 one fusion trunk - recurrent or dense - and train the whole stack
 end-to-end.
 
+Parameters are made in a fixed order by one ``autodiff.Parameters``: drawn
+from the seed, or adopted from a checkpoint (``Model(..., values=...)``).
+
 Frame rows produced by ``forward`` are time-major: row = t * B + b. Every
 stateless layer (backbone, taps, stream and landmark concatenation, ``fc``
 fusion, heads) runs once over all T*B rows, and each GRU layer (stacks and
@@ -20,7 +23,7 @@ the ``rnn`` fusion layer) is one ``gru_sequence`` node over all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -168,78 +171,45 @@ def rows_to_btk(rows: np.ndarray, batch_size: int, seq_len: int) -> np.ndarray:
 class _Trunk:
     """Backbone + taps + optional recurrence for one (sub)spec.
 
-    Builds parameters eagerly in a fixed order so a seed fully determines
-    them, and registers every parameter under ``prefix`` in ``registry``.
+    Makes its parameters with ``param`` in a fixed order, each named under
+    ``prefix``, so a seed or a checkpoint fully determines them.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        dims: InputDims,
-        rng: np.random.Generator,
-        prefix: str,
-        registry: Dict[str, DiffTensor],
-    ):
+    def __init__(self, spec: ModelSpec, dims: InputDims, param: ad.Parameters, prefix: str):
         spec.validate()
         if spec.streams == 2 and dims.audio < 1:
             raise InvalidSpec("two-stream spec needs audio feature dims")
         if spec.landmark_concat and dims.landmarks < 1:
             raise InvalidSpec("landmark_concat needs landmark dims")
         self.spec = spec
-        self.dims = dims
         stream_inputs = [dims.features, dims.audio][: spec.streams]
-
         self.layers: List[List[Tuple[DiffTensor, DiffTensor]]] = []
         for s, d_in in enumerate(stream_inputs):
-            stream_layers = []
-            d = d_in
-            for i, width in enumerate(spec.backbone):
-                w = DiffTensor(ad.glorot_uniform((d, width), rng))
-                b = DiffTensor(np.zeros(width))
-                registry[f"{prefix}backbone.s{s}.l{i}.w"] = w
-                registry[f"{prefix}backbone.s{s}.l{i}.b"] = b
-                stream_layers.append((w, b))
-                d = width
-            self.layers.append(stream_layers)
+            ins, name = (d_in, *spec.backbone), f"{prefix}backbone.s{s}.l"
+            self.layers.append([
+                (param(f"{name}{i}.w", (ins[i], width)), param(f"{name}{i}.b", (width,)))
+                for i, width in enumerate(spec.backbone)
+            ])
 
+        self._tap_set = set(spec.taps)
         if spec.taps:
-            self._tap_set = set(spec.taps)
             tap_widths = [spec.backbone[i] * spec.streams for i in spec.taps]
         else:
-            self._tap_set = set()
-            per_stream = (
-                [spec.backbone[-1]] * spec.streams if spec.backbone else stream_inputs
-            )
+            per_stream = [spec.backbone[-1]] * spec.streams if spec.backbone else stream_inputs
             tap_widths = [sum(per_stream)]
         if spec.landmark_concat:
             tap_widths[-1] += dims.landmarks
-        self.tap_widths = tap_widths
 
-        self.branches: List[List[GruCell]] = []
-        if spec.recurrent is None:
-            self.out_width = sum(tap_widths)
-        elif spec.recurrent.kind == "single":
-            self.branches.append(
-                self._make_stack(sum(tap_widths), spec.recurrent, rng, prefix, 0, registry)
-            )
-            self.out_width = spec.recurrent.hidden
-        else:
-            for j, w_in in enumerate(tap_widths):
-                self.branches.append(
-                    self._make_stack(w_in, spec.recurrent, rng, prefix, j, registry)
-                )
-            self.out_width = spec.recurrent.hidden * len(tap_widths)
-
-    @staticmethod
-    def _make_stack(input_dim, rec, rng, prefix, branch, registry) -> List[GruCell]:
-        cells = []
-        d = input_dim
-        for k in range(rec.layers):
-            cell = GruCell(d, rec.hidden, rng)
-            registry.update(cell.named_parameters(f"{prefix}recurrent.b{branch}.l{k}"))
-            cells.append(cell)
-            d = rec.hidden
-        return cells
+        rec = spec.recurrent
+        rec_in = [] if rec is None else [sum(tap_widths)] if rec.kind == "single" else tap_widths
+        self.branches: List[List[GruCell]] = [
+            [
+                GruCell(rec.hidden if k else d, rec.hidden, param, f"{prefix}recurrent.b{j}.l{k}")
+                for k in range(rec.layers)
+            ]
+            for j, d in enumerate(rec_in)
+        ]
+        self.out_width = sum(tap_widths) if rec is None else rec.hidden * len(rec_in)
 
     def forward(self, xs, lmk, b_size, t_len, train, rng) -> DiffTensor:
         """Run the trunk once over time-major (T*B, d) rows."""
@@ -276,34 +246,37 @@ def _recur(cells: List[GruCell], x: DiffTensor, b_size: int, t_len: int) -> Diff
 
 
 class Model:
-    """A built, parameterized instance of a ModelSpec."""
+    """A built, parameterized instance of a ModelSpec: drawn from ``seed``,
+    or adopting ``values`` (a checkpoint's arrays by name), which must name
+    every parameter and no other, each in its shape (else BadCheckpoint)."""
 
-    def __init__(self, spec: ModelSpec, dims: InputDims, seed: int):
+    def __init__(
+        self,
+        spec: ModelSpec,
+        dims: InputDims,
+        seed: int,
+        values: Optional[Dict[str, np.ndarray]] = None,
+    ):
         spec.validate()
         self.spec = spec
         self.dims = dims
-        self._params: Dict[str, DiffTensor] = {}
-        rng = np.random.default_rng(seed)
+        param = ad.Parameters(seed, values)
 
         if spec.members is not None:
             self.trunks = [
-                _Trunk(m, dims, rng, f"member{i}.", self._params)
-                for i, m in enumerate(spec.members)
+                _Trunk(m, dims, param, f"member{i}.") for i, m in enumerate(spec.members)
             ]
             member_width = sum(t.out_width for t in self.trunks)
+            width = spec.fusion_width
             if spec.fusion == "fc":
-                w = DiffTensor(ad.glorot_uniform((member_width, spec.fusion_width), rng))
-                b = DiffTensor(np.zeros(spec.fusion_width))
-                self._params["fusion.w"] = w
-                self._params["fusion.b"] = b
-                self.fusion_layer: object = ("fc", w, b)
+                self.fusion_layer: object = (
+                    "fc", param("fusion.w", (member_width, width)), param("fusion.b", (width,))
+                )
             else:
-                cell = GruCell(member_width, spec.fusion_width, rng)
-                self._params.update(cell.named_parameters("fusion"))
-                self.fusion_layer = ("rnn", cell)
-            trunk_out = spec.fusion_width
+                self.fusion_layer = ("rnn", GruCell(member_width, width, param, "fusion"))
+            trunk_out = width
         else:
-            self.trunks = [_Trunk(spec, dims, rng, "", self._params)]
+            self.trunks = [_Trunk(spec, dims, param, "")]
             self.fusion_layer = None
             trunk_out = self.trunks[0].out_width
 
@@ -313,12 +286,10 @@ class Model:
             if name not in spec.heads:
                 continue
             width = _HEAD_WIDTHS.get(name, spec.compound_classes)
-            w = DiffTensor(ad.glorot_uniform((trunk_out, width), rng))
-            b = DiffTensor(np.zeros(width))
-            key = name.lower()
-            self._params[f"head.{key}.w"] = w
-            self._params[f"head.{key}.b"] = b
-            self.heads[name] = (w, b)
+            key = f"head.{name.lower()}"
+            self.heads[name] = (param(f"{key}.w", (trunk_out, width)), param(f"{key}.b", (width,)))
+        param.check()
+        self._params = param.named
 
     # -- parameter access ---------------------------------------------------
 
@@ -330,12 +301,6 @@ class Model:
 
     def head_parameters(self) -> List[DiffTensor]:
         return [p for n, p in self._params.items() if n.startswith("head.")]
-
-    def trunk_parameters(self) -> List[DiffTensor]:
-        return [p for n, p in self._params.items() if not n.startswith("head.")]
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self._params.values())
 
     # -- execution ----------------------------------------------------------
 
@@ -449,19 +414,13 @@ def predict_sequence(
     )
 
 
-def load_parameters(model: Model, values: Dict[str, np.ndarray], strict: bool = True):
-    """Copy checkpoint arrays into the model's parameters by name.
-
-    With ``strict`` the name sets must match exactly; otherwise only the
-    intersection is loaded (used when transferring a trunk under a new
-    head). Shape mismatches always fail. Returns (loaded, skipped) names.
+def load_parameters(model: Model, values: Dict[str, np.ndarray]):
+    """Copy checkpoint arrays into the model's parameters they name, in
+    place; the others keep their values (a trunk transferred under a new
+    head). A shape mismatch raises BadCheckpoint. Returns (loaded, skipped)
+    names. ``Model(..., values=...)`` loads a whole checkpoint.
     """
     params = model.named_parameters()
-    if strict:
-        missing = sorted(set(params) - set(values))
-        extra = sorted(set(values) - set(params))
-        if missing or extra:
-            raise BadCheckpoint(f"parameter names differ: missing={missing} extra={extra}")
     loaded, skipped = [], []
     for name, p in params.items():
         if name not in values:
@@ -475,10 +434,3 @@ def load_parameters(model: Model, values: Dict[str, np.ndarray], strict: bool = 
         p.data[...] = arr  # in place: an optimizer may hold a view of it
         loaded.append(name)
     return loaded, skipped
-
-
-def single_task_spec(spec: ModelSpec, head: str) -> ModelSpec:
-    """The same architecture restricted to one head (comparison runs)."""
-    if head not in HEAD_NAMES:
-        raise InvalidSpec(f"unknown head {head!r}")
-    return replace(spec, heads=(head,))

@@ -9,16 +9,22 @@ per-frame recurrence graph that ``gru_sequence`` replaced, and
 ``slice_axis`` and ``sub`` are the structural and elementwise ops only
 those references and the composite loss graphs use. ``as_tensor`` wraps a
 constant as an edge-free tensor. ``LoopAdam`` is the per-parameter Adam
-loop that the flat-store ``Adam`` replaced.
+loop that the flat-store ``Adam`` replaced. ``initial_state``,
+``trunk_parameters``, ``parameter_count`` and ``single_task_spec`` are
+helpers only tests use.
+``build_then_overwrite`` is the load path that ``Model(..., values=...)``
+replaced: a seeded build, then a strict copy of every checkpoint array.
 """
 
+from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from affectkit import autodiff as ad
 from affectkit.autodiff import DiffTensor, GruCell
-from affectkit.errors import ShapeMismatch
+from affectkit.errors import BadCheckpoint, InvalidSpec, ShapeMismatch
+from affectkit.models import HEAD_NAMES, Model, ModelSpec, load_parameters
 
 
 def as_tensor(value) -> DiffTensor:
@@ -141,9 +147,14 @@ def gru_step(cell: GruCell, x: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
     return add(mul(sub(as_tensor(1.0), z), h_prev), mul(z, candidate))
 
 
+def initial_state(cell: GruCell, batch: int) -> DiffTensor:
+    """The zero state a recurrence starts from, (batch, hidden_dim)."""
+    return DiffTensor(np.zeros((batch, cell.hidden_dim)))
+
+
 def recur_per_step(cells, x: DiffTensor, b_size: int, t_len: int) -> DiffTensor:
     """Walk a GRU stack over time-major rows one frame's B rows at a time."""
-    states = [cell.initial_state(b_size) for cell in cells]
+    states = [initial_state(cell, b_size) for cell in cells]
     outs = []
     for t in range(t_len):
         h = slice_axis(x, t * b_size, (t + 1) * b_size, axis=0)
@@ -182,3 +193,31 @@ class LoopAdam:
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def trunk_parameters(model: Model):
+    return [p for n, p in model.named_parameters().items() if not n.startswith("head.")]
+
+
+def parameter_count(model: Model) -> int:
+    return sum(p.size for p in model.parameters())
+
+
+def single_task_spec(spec: ModelSpec, head: str) -> ModelSpec:
+    """The same architecture restricted to one head (comparison runs)."""
+    if head not in HEAD_NAMES:
+        raise InvalidSpec(f"unknown head {head!r}")
+    return replace(spec, heads=(head,))
+
+
+def build_then_overwrite(spec, dims, seed, values) -> Model:
+    """Draw a model from ``seed``, check that ``values`` names exactly its
+    parameters, then copy each array into place."""
+    model = Model(spec, dims, seed=seed)
+    params = model.named_parameters()
+    missing = sorted(set(params) - set(values))
+    extra = sorted(set(values) - set(params))
+    if missing or extra:
+        raise BadCheckpoint(f"parameter names differ: missing={missing} extra={extra}")
+    load_parameters(model, values)
+    return model

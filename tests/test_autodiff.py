@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affectkit.autodiff import (
     Adam,
     DiffTensor,
     GruCell,
+    Parameters,
     backward,
     concat,
     dense,
@@ -33,6 +36,7 @@ from reference_ops import (
     add,
     as_tensor,
     gru_step,
+    initial_state,
     matmul,
     mul,
     recur_per_step,
@@ -202,10 +206,10 @@ class TestBackwardContract:
     def test_inner_grad_is_lazy(self):
         x = as_tensor(np.array([1.0, -2.0]))
         y = relu(x)
-        assert y.grad is None
-        assert x.grad.shape == (2,) and np.all(x.grad == 0.0)
+        assert y.grad is None and x.grad is None
         backward(tsum(y))
         assert np.array_equal(y.grad, np.ones(2))
+        assert np.array_equal(x.grad, np.array([1.0, 0.0]))
 
     def test_inner_grad_is_per_sweep_and_leaves_accumulate(self):
         x = as_tensor(np.array([1.0, 2.0]))
@@ -252,6 +256,100 @@ class TestBackwardContract:
             backward(fused(1.0, [(x, np.ones(contribution))]))
 
 
+B_SIZE, T_LEN = 2, 3  # every random graph below runs on T*B = 6 rows
+OPS = ("dense", "relu", "concat", "take_rows", "gru_sequence")
+
+
+def random_graph(draw, rng):
+    """A small graph over (6, d) nodes: two input leaves, then ops drawn in
+    turn, each reading earlier nodes and making new parameter leaves;
+    the root is one ``fused`` projection of a few nodes."""
+    nodes = [DiffTensor(rng.normal(size=(B_SIZE * T_LEN, d))) for d in (3, 2)]
+    leaves = list(nodes)
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(OPS))
+        x = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if op == "dense":
+            width = draw(st.integers(1, 3))
+            w = DiffTensor(rng.normal(size=(x.shape[1], width)))
+            b = DiffTensor(rng.normal(size=width))
+            leaves += [w, b]
+            nodes.append(dense(x, w, b))
+        elif op == "relu":
+            nodes.append(relu(x))
+        elif op == "concat":
+            nodes.append(concat([x, nodes[draw(st.integers(0, len(nodes) - 1))]], axis=1))
+        elif op == "take_rows":
+            nodes.append(take_rows(x, rng.integers(0, x.shape[0], size=x.shape[0])))
+        else:
+            cell = GruCell(x.shape[1], draw(st.integers(1, 3)), Parameters(rng), "cell")
+            leaves += cell.parameters()
+            nodes.append(gru_sequence(cell, x, B_SIZE, T_LEN))
+    picked = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=3))
+    read = [nodes[i] for i in picked]
+    coeffs = [rng.normal(size=n.shape) for n in read]
+    root = fused(sum(np.sum(c * n.data) for c, n in zip(coeffs, read)), list(zip(read, coeffs)))
+    return root, leaves
+
+
+def clear(leaves):
+    for leaf in leaves:
+        leaf.grad = None
+
+
+class TestPrunedBackward:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_full_sweep_on_wrt_only(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        root, leaves = random_graph(data.draw, rng)
+        wrt = [leaf for leaf in leaves if data.draw(st.booleans())]
+        backward(root)
+        full = [None if leaf.grad is None else leaf.grad.tobytes() for leaf in wrt]
+        clear(leaves)
+        backward(root, wrt=wrt)
+        assert [None if leaf.grad is None else leaf.grad.tobytes() for leaf in wrt] == full
+        kept = {id(leaf) for leaf in wrt}
+        assert all(leaf.grad is None for leaf in leaves if id(leaf) not in kept)
+
+    def test_inputs_and_frozen_layers_get_no_vjp(self):
+        rng = np.random.default_rng(3)
+        x = DiffTensor(rng.normal(size=(6, 3)))
+        w1, b1, w2, b2 = (DiffTensor(rng.normal(size=s)) for s in ((3, 4), (4,), (4, 2), (2,)))
+        hidden = relu(dense(x, w1, b1))
+        out = dense(hidden, w2, b2)
+        fired = []
+        for node in (out, hidden, hidden._edges[0][0]):
+            node._edges = tuple(
+                (p, lambda g, f=f, p=p: (fired.append(p), f(g))[1]) for p, f in node._edges
+            )
+        root = fused(float(out.data.sum()), [(out, np.ones(out.shape))])
+        backward(root, wrt=[w2, b2])
+        assert [p for p in fired] == [w2, b2]
+        assert hidden.grad is None and x.grad is None and w1.grad is None
+        assert np.array_equal(b2.grad, np.full(2, 6.0))
+
+    def test_unreachable_wrt_is_a_no_op(self):
+        x, w = DiffTensor(np.ones((2, 2))), DiffTensor(np.ones(2))
+        root = fused(1.0, [(x, np.ones((2, 2)))])
+        backward(root, wrt=[w])
+        assert x.grad is None and w.grad is None and root.grad is None
+
+    def test_frozen_gru_runs_no_bptt(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        cell = GruCell(3, 4, Parameters(rng), "cell")
+        h = gru_sequence(cell, DiffTensor(rng.normal(size=(6, 3))), B_SIZE, T_LEN)
+        w, b = DiffTensor(rng.normal(size=(4, 2))), DiffTensor(np.zeros(2))
+        out = dense(h, w, b)
+        root = fused(float(out.data.sum()), [(out, np.ones(out.shape))])
+        calls = []
+        h._edges = tuple((p, lambda g, f=f: calls.append(1) or f(g)) for p, f in h._edges)
+        backward(root, wrt=[w, b])
+        assert not calls and all(p.grad is None for p in cell.parameters())
+        backward(root)
+        assert len(calls) == 7
+
+
 class TestDropout:
     def test_eval_mode_identity(self):
         x = as_tensor(np.arange(6.0).reshape(2, 3))
@@ -288,8 +386,8 @@ class TestDropout:
 
 class TestGru:
     def test_state_shapes(self):
-        cell = GruCell(4, 6, np.random.default_rng(0))
-        h = cell.initial_state(batch=3)
+        cell = GruCell(4, 6, Parameters(np.random.default_rng(0)), "cell")
+        h = initial_state(cell, 3)
         assert h.shape == (3, 6)
         x = as_tensor(np.random.default_rng(1).normal(size=(3, 4)))
         h1 = gru_step(cell, x, h)
@@ -297,25 +395,25 @@ class TestGru:
         assert np.all(np.abs(h1.data) <= 1.0)
 
     def test_parameter_names(self):
-        cell = GruCell(4, 6, np.random.default_rng(0))
-        names = set(cell.named_parameters("enc"))
-        assert all(n.startswith("enc.") for n in names)
-        assert len(names) == len(cell.parameters())
+        param = Parameters(np.random.default_rng(0))
+        cell = GruCell(4, 6, param, "enc")
+        assert all(n.startswith("enc.") for n in param.named)
+        assert list(param.named.values()) == cell.parameters()
 
     def test_unrolled_gradient(self):
         rng = np.random.default_rng(5)
-        cell = GruCell(3, 4, rng)
+        cell = GruCell(3, 4, Parameters(rng), "cell")
         xs = rng.normal(size=(2, 5, 3))
 
         def run(first_step):
-            h = cell.initial_state(batch=5)
+            h = initial_state(cell, 5)
             seq = [as_tensor(first_step), as_tensor(xs[1])]
             for x in seq:
                 h = gru_step(cell, x, h)
             return tsum(square(h))
 
         x0 = as_tensor(xs[0])
-        h = cell.initial_state(batch=5)
+        h = initial_state(cell, 5)
         for x in (x0, as_tensor(xs[1])):
             h = gru_step(cell, x, h)
         backward(tsum(square(h)))
@@ -337,7 +435,7 @@ class TestGruSequence:
     @pytest.mark.parametrize("b,t", [(1, 60), (5, 7), (3, 1)])
     def test_matches_step_chain(self, b, t):
         rng = np.random.default_rng(11)
-        cell = GruCell(4, 6, rng)
+        cell = GruCell(4, 6, Parameters(rng), "cell")
         x = as_tensor(rng.normal(size=(t * b, 4)))
         weights = rng.normal(size=(t * b, 6))
         fused_h, fused_grads = sequence_grads(cell, x, b, t, weights)
@@ -351,7 +449,7 @@ class TestGruSequence:
     def test_sequences_are_isolated(self):
         b, t = 4, 6
         rng = np.random.default_rng(12)
-        cell = GruCell(3, 5, rng)
+        cell = GruCell(3, 5, Parameters(rng), "cell")
         rows = rng.normal(size=(t * b, 3))
         bumped = rows.copy()
         bumped[2::b] += rng.normal(size=(t, 3))
@@ -370,7 +468,7 @@ class TestGruSequence:
 
     @pytest.mark.parametrize("shape,b,t", [((6, 3), 2, 2), ((6, 4), 2, 3), ((0, 3), 0, 1)])
     def test_shape_checked(self, shape, b, t):
-        cell = GruCell(3, 5, np.random.default_rng(0))
+        cell = GruCell(3, 5, Parameters(np.random.default_rng(0)), "cell")
         with pytest.raises(ShapeMismatch):
             gru_sequence(cell, as_tensor(np.zeros(shape)), b, t)
 

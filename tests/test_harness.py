@@ -4,10 +4,12 @@ evaluation, gradient checks, and the command line."""
 import csv
 import io
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from affectkit import autodiff as ad
 from affectkit.autodiff import DiffTensor, backward, load_checkpoint, save_checkpoint
 from affectkit.errors import (
     BadMask,
@@ -39,7 +41,7 @@ from affectkit.harness.dataio import (
 )
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
-from affectkit.harness import training
+from affectkit.harness import dataio, training
 from affectkit.harness.training import load_model, train_run
 from affectkit.losses import weighted_total
 from affectkit.models import Model
@@ -595,7 +597,9 @@ class TestTraining:
             return total
 
         monkeypatch.setattr(training, "weighted_total", spy_total)
-        monkeypatch.setattr(training, "backward", lambda root: roots.append(root) or backward(root))
+        monkeypatch.setattr(
+            training, "backward", lambda root, wrt: roots.append(root) or backward(root, wrt)
+        )
         cfg = small_config(
             tmp_path, coupling=mode, lambda1=0.7, lambda2=1.3, epochs=1,
             val_annotations="", val_features="",
@@ -612,21 +616,66 @@ class TestTraining:
             ]
             assert [p for p, _ in total._edges] == [t for _, t in terms if t is not None]
 
-    def test_freeze_trunk(self, tmp_path):
-        donor = train_run(small_config(tmp_path, out_dir=str(tmp_path / "donor")))
+    def test_freeze_trunk(self, tmp_path, monkeypatch):
+        self.check_frozen_job(tmp_path, monkeypatch, "none")
+
+    def test_freeze_trunk_recurrent(self, tmp_path, monkeypatch):
+        self.check_frozen_job(tmp_path, monkeypatch, "single:6x1")
+
+    @staticmethod
+    def check_frozen_job(tmp_path, monkeypatch, recurrent):
+        """A job from ``init_from`` with ``freeze_trunk`` computes no trunk
+        gradient, runs no BPTT and keeps the trunk's bytes."""
+        # each GRU node's edges count their calls: any call runs its BPTT
+        bptt = []
+        real = ad.gru_sequence
+
+        def spy(*args):
+            node = real(*args)
+            node._edges = tuple((p, lambda g, f=f: bptt.append(f) or f(g)) for p, f in node._edges)
+            return node
+
+        monkeypatch.setattr(ad, "gru_sequence", spy)
+        donor = train_run(
+            small_config(tmp_path, recurrent=recurrent, out_dir=str(tmp_path / "donor"))
+        )
+        assert bool(bptt) == (recurrent != "none")
+        bptt.clear()
         cfg = small_config(
             tmp_path,
+            recurrent=recurrent,
             init_from=donor.checkpoint_path,
             freeze_trunk=True,
             epochs=1,
             out_dir=str(tmp_path / "frozen"),
         )
         result = train_run(cfg)
+        assert not bptt
         donor_params = load_checkpoint(donor.checkpoint_path)
         for name, p in result.model.named_parameters().items():
             if name.startswith("head."):
+                assert p.grad is not None
                 continue
-            assert np.array_equal(p.data, donor_params[name])
+            assert p.grad is None, name  # no trunk gradient was computed
+            assert p.data.tobytes() == donor_params[name].tobytes(), name
+
+    def test_shared_train_and_val_files_are_parsed_once(self, tmp_path, monkeypatch):
+        # coannotation writes into the training labels; the validation split
+        # must not see it, whether it comes from the same parse or not
+        opened = []
+        real = dataio.open_rows
+        monkeypatch.setattr(dataio, "open_rows", lambda path: opened.append(path) or real(path))
+        shared = small_config(tmp_path, coupling="coannotation")
+        ann, feats = str(tmp_path / "copy_ann.csv"), str(tmp_path / "copy_feat.csv")
+        shutil.copyfile(shared.train_annotations, ann)
+        shutil.copyfile(shared.train_features, feats)
+        runs = []
+        for config in (shared, shared.override(val_annotations=ann, val_features=feats)):
+            opened.clear()
+            runs.append((train_run(config).history, len(opened)))
+        (shared_history, shared_opens), (copy_history, copy_opens) = runs
+        assert (shared_opens, copy_opens) == (2, 4)
+        assert shared_history == copy_history and "val.expr.accuracy" in shared_history[0]
 
     def test_compound_transfer(self, tmp_path):
         donor = train_run(small_config(tmp_path, out_dir=str(tmp_path / "donor")))

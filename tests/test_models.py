@@ -24,10 +24,21 @@ from affectkit.models import (
     load_parameters,
     predict_sequence,
     rows_to_btk,
-    single_task_spec,
 )
 from affectkit.harness.checks import GRAD_TOLERANCE, max_relative_error
-from reference_ops import add, as_tensor, gru_step, mul, square, tsum
+from reference_ops import (
+    add,
+    as_tensor,
+    build_then_overwrite,
+    gru_step,
+    initial_state,
+    mul,
+    parameter_count,
+    single_task_spec,
+    square,
+    trunk_parameters,
+    tsum,
+)
 
 DIMS = InputDims(features=5)
 
@@ -294,14 +305,14 @@ class TestParameterAccess:
     def test_head_trunk_split(self):
         model = tiny_model()
         heads = model.head_parameters()
-        trunk = model.trunk_parameters()
+        trunk = trunk_parameters(model)
         assert len(heads) + len(trunk) == len(model.parameters())
         assert len(heads) == 6  # three heads, weight and bias each
 
     def test_parameter_count(self):
         model = Model(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=0)
         # dense 5->6 plus head 6->2 with biases
-        assert model.parameter_count() == 5 * 6 + 6 + 6 * 2 + 2
+        assert parameter_count(model) == 5 * 6 + 6 + 6 * 2 + 2
 
 
 class TestLoadParameters:
@@ -315,15 +326,15 @@ class TestLoadParameters:
         assert np.array_equal(src.forward(x).va.data, dst.forward(x).va.data)
 
     def test_strict_name_mismatch(self):
-        model = tiny_model()
-        with pytest.raises(BadCheckpoint):
-            load_parameters(model, {"nope": np.zeros(2)})
+        # a whole checkpoint loads through the constructor, which checks names
+        with pytest.raises(BadCheckpoint, match="parameter names differ"):
+            Model(tiny_model().spec, DIMS, seed=0, values={"nope": np.zeros(2)})
 
     def test_partial_load(self):
         trunk_donor = Model(ModelSpec(backbone=(6,), heads=("VA",)), DIMS, seed=1)
         model = Model(ModelSpec(backbone=(6,), heads=("EXPR",)), DIMS, seed=2)
         values = {n: p.data for n, p in trunk_donor.named_parameters().items()}
-        loaded, skipped = load_parameters(model, values, strict=False)
+        loaded, skipped = load_parameters(model, values)
         assert "backbone.s0.l0.w" in loaded
         assert "head.expr.w" in skipped
         assert np.array_equal(
@@ -424,12 +435,12 @@ def per_frame_forward(model, batch):
     time, carrying GRU state from frame to frame."""
     b_size = batch.batch_size
     states = [
-        [[cell.initial_state(b_size) for cell in stack] for stack in trunk.branches]
+        [[initial_state(cell, b_size) for cell in stack] for stack in trunk.branches]
         for trunk in model.trunks
     ]
     fusion_h = None
     if model.fusion_layer is not None and model.fusion_layer[0] == "rnn":
-        fusion_h = model.fusion_layer[1].initial_state(b_size)
+        fusion_h = initial_state(model.fusion_layer[1], b_size)
     rows = {name: [] for name in model.heads}
     for t in range(batch.seq_len):
         outs = []
@@ -556,3 +567,65 @@ class TestBatchedForwardMatchesPerFrame:
             return add(tsum(square(preds.va)), tsum(mul(expr_probs(preds), preds.expr_logits)))
 
         assert max_relative_error(objective, model.parameters(), n_points=80) < GRAD_TOLERANCE
+
+
+class TestLoadFromCheckpoint:
+    """``Model(..., values=...)`` against the build-then-overwrite oracle."""
+
+    @staticmethod
+    def checkpoint(spec):
+        model = Model(spec, ALL_DIMS, seed=11)
+        return {n: p.data.copy() for n, p in model.named_parameters().items()}
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SPECS))
+    def test_bytes_equal_build_then_overwrite(self, name):
+        spec = EQUIVALENCE_SPECS[name]
+        values = self.checkpoint(spec)
+        got = Model(spec, ALL_DIMS, seed=0, values=values)
+        want = build_then_overwrite(spec, ALL_DIMS, 0, values)
+        assert list(got.named_parameters()) == list(want.named_parameters())
+        for (n, p), q in zip(got.named_parameters().items(), want.parameters()):
+            assert p.shape == q.shape and p.data.tobytes() == q.data.tobytes(), n
+        rng = np.random.default_rng(2)
+        inputs = [rng.normal(size=(7, d)) for d in (5, 3, 4)]
+        a, b = (predict_sequence(m, *inputs) for m in (got, want))
+        for field in ("va", "expr_probs", "au_probs", "va_median"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes(), field
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "missing_and_shape"])
+    def test_bad_checkpoint_message_unchanged(self, edit):
+        spec = EQUIVALENCE_SPECS["single"]
+        values = self.checkpoint(spec)
+        if "missing" in edit:
+            del values["recurrent.b0.l0.w_h"]
+        if edit == "extra":
+            values["head.va.w"] = np.zeros((4, 2))
+        if "shape" in edit:
+            values["backbone.s0.l1.w"] = np.zeros((5, 6))
+        with pytest.raises(BadCheckpoint) as want:
+            build_then_overwrite(spec, ALL_DIMS, 0, values)
+        with pytest.raises(BadCheckpoint) as got:
+            Model(spec, ALL_DIMS, seed=0, values=values)
+        assert str(got.value) == str(want.value)
+
+    def test_load_model_draws_nothing_and_allocates_no_grad(self, tmp_path, monkeypatch):
+        from affectkit.harness.config import RunConfig
+        from affectkit.harness.training import load_model
+
+        config = RunConfig(
+            feature_dim=5, audio_dim=3, landmark_dim=4, streams=2, landmark_concat=True,
+            backbone=(6,), recurrent="single:4x1", heads=("EXPR", "AU", "VA"),
+        )
+        model = Model(config.model_spec(), config.input_dims(), seed=4)
+        ad.save_checkpoint(tmp_path / "m.ckpt", model.named_parameters())
+        draws = []
+        real = ad.glorot_uniform
+        monkeypatch.setattr(ad, "glorot_uniform", lambda *a, **k: draws.append(a) or real(*a, **k))
+        loaded = load_model(config, str(tmp_path / "m.ckpt"))
+        assert draws == []
+        assert all(p.grad is None for p in loaded.parameters())
+        for name, p in loaded.named_parameters().items():
+            assert p.data.tobytes() == model.named_parameters()[name].data.tobytes(), name
+        Model(config.model_spec(), config.input_dims(), seed=4)
+        assert len(draws) == 8  # the spy sees a seeded build: 2 streams, 3 gates, 3 heads
