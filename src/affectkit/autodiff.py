@@ -80,9 +80,6 @@ class DiffTensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(()))
-
     def zero_grad(self) -> None:
         if self._edges:
             self.grad = None  # may be a view of another node's gradient

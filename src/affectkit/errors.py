@@ -39,10 +39,6 @@ class UnknownAU(AffectKitError):
 # ---------------------------------------------------------------------------
 # relatedness / coupling
 
-class MissingMask(AffectKitError):
-    """A relatedness-table AU is unannotated in the given AU vector."""
-
-
 class BadDistribution(AffectKitError):
     """Probability vector is negative or does not sum to 1."""
 
@@ -123,10 +119,6 @@ class KeyMisalignment(AffectKitError):
 
 class EvenWindow(AffectKitError):
     """Median filter window must be odd."""
-
-
-class EmptyUtterance(AffectKitError):
-    """Utterance group contains no sequences."""
 
 
 class BadAlpha(AffectKitError):

@@ -4,9 +4,9 @@ Decision-level fusion averages member predictions weighted by each
 member's validation concordance, per dimension. Model-level fusion is not
 here: ``RunConfig.model_spec`` builds the composite spec whose member
 trunks feed one shared fusion stage, trained end-to-end. The temporal tools
-(median filter, exponential smoothing, utterance aggregation) operate on
-plain series and are kept only when they help validation scores; that
-gating lives in the harness.
+(median filter, exponential smoothing) operate on plain series and are
+kept only when they help validation scores; that gating lives in the
+harness.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .csvfile import open_rows
 from .errors import (
     BadAlpha,
     ConfigError,
-    EmptyUtterance,
     EvenWindow,
     KeyMisalignment,
     NegativeWeight,
@@ -91,17 +90,6 @@ def median_filter(series, window: int) -> np.ndarray:
     padded = np.concatenate([np.repeat(x[0], half), x, np.repeat(x[-1], half)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
     return np.median(windows, axis=1)
-
-
-def utterance_aggregate(groups: Mapping) -> Dict:
-    """Mean of sequence medians per utterance, per dimension."""
-    out = {}
-    for utt, medians in groups.items():
-        medians = [np.asarray(m, dtype=np.float64) for m in medians]
-        if not medians:
-            raise EmptyUtterance(f"utterance {utt!r} has no sequences")
-        out[utt] = np.mean(np.stack(medians), axis=0)
-    return out
 
 
 def smooth(series, alpha: float) -> np.ndarray:

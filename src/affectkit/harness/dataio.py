@@ -1,4 +1,4 @@
-"""CSV readers and writers for datasets, predictions, and metric reports.
+"""CSV readers and writers for datasets and predictions, and a metric report writer.
 
 Annotation rows carry one label each; the payload encoding depends on the
 task column:
@@ -16,8 +16,9 @@ straight into ``BatchLabels`` columns with its flag. A feature file becomes
 one (N, D) matrix, and :func:`load_columns` takes its rows by id
 (:func:`load_splits` several splits from one parse). Each column is
 checked at load, and a bad value names the ``path:line`` of its
-row; an id repeated within either file is an error. ``read_annotations``,
-``read_features`` and ``load_dataset`` are per-row views of the same parse.
+row; an id repeated within either file is an error.
+``SampleColumns.samples`` and :func:`load_dataset` give the rows as
+``AnnotatedSample`` objects.
 """
 
 from __future__ import annotations
@@ -272,12 +273,6 @@ def read_annotation_columns(path) -> SampleColumns:
     )
 
 
-def read_annotations(path) -> List[AnnotatedSample]:
-    """Read annotation rows as samples with empty ``features``: the
-    per-row view of :func:`read_annotation_columns`, with its checks."""
-    return read_annotation_columns(path).samples()
-
-
 def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
     samples = list(samples)
     if not samples:
@@ -314,13 +309,6 @@ def read_feature_columns(path) -> Tuple[List[str], np.ndarray]:
     if bad.size:
         raise ConfigError(f"{path}:{lines[bad[0]]}: non-finite feature value")
     return ids, matrix
-
-
-def read_features(path) -> Dict[str, np.ndarray]:
-    """Feature vectors by sample id: rows of :func:`read_feature_columns`'
-    matrix, with its checks."""
-    ids, matrix = read_feature_columns(path)
-    return dict(zip(ids, matrix))
 
 
 def load_columns(annotations_path, features_path, split: Optional[str] = None) -> SampleColumns:
@@ -448,14 +436,3 @@ def write_report(path, metrics: Dict[str, float]) -> None:
         for name in sorted(metrics):
             fh.write(f"{name} = {metrics[name]:.6f}\n")
 
-
-def read_report(path) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, _, value = line.partition("=")
-            out[name.strip()] = float(value)
-    return out

@@ -107,8 +107,8 @@ def _build_table(data: SampleColumns, config: RunConfig) -> _TrainTable:
 
     table = config.relatedness_table()
     if config.coupling == "coannotation":
-        # p(AU | emotion) with observational weights is, row by row, what
-        # coannotate_emotion_to_aus implies: target 1 at each weight
+        # each emotion implies its table AUs: target 1, mask weight 1 for a
+        # prototypical AU and the observational weight otherwise
         weight = table.conditional_matrix(reweight=True)[labels.expr[expr]]
         labels.has_au[expr] = weight.any(axis=1)
         labels.au_targets[expr] = weight > 0

@@ -135,11 +135,6 @@ def mean_diagonal(cm) -> float:
     return float(np.mean(np.diag(cm) / row_sums))
 
 
-def afa(pred, truth, num_classes: int = 2) -> float:
-    """Average of macro F1 and plain accuracy over class label vectors."""
-    return 0.5 * (macro_f1(pred, truth, num_classes) + accuracy(pred, truth))
-
-
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueOutOfRange(f"{name}={value} outside [0,1]")

@@ -155,18 +155,6 @@ class SequenceBatch:
     def seq_len(self) -> int:
         return self.features.shape[1]
 
-    def validate_for(self, spec: ModelSpec) -> None:
-        """Training-side invariant: concordance needs sequences, so a batch
-        for a VA-headed model must have T >= 2."""
-        if "VA" in spec.heads and self.seq_len < 2:
-            raise ShapeMismatch("VA-headed models need sequence length >= 2")
-
-
-def rows_to_btk(rows: np.ndarray, batch_size: int, seq_len: int) -> np.ndarray:
-    """Reshape time-major (B*T, k) rows back to (B, T, k)."""
-    k = rows.shape[1]
-    return rows.reshape(seq_len, batch_size, k).transpose(1, 0, 2)
-
 
 class _Trunk:
     """Backbone + taps + optional recurrence for one (sub)spec.

@@ -11,6 +11,7 @@ features share the visual features' range.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -165,19 +166,11 @@ def spectrogram(signal, config: SpectrogramConfig = SpectrogramConfig()) -> np.n
 # file formats
 
 
-def write_audio(path, rate: int, samples) -> None:
-    """Single-channel audio: two ASCII header lines (rate, length) then the
-    raw little-endian 64-bit samples."""
-    arr = np.asarray(samples, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(f"rate {int(rate)}\n".encode("ascii"))
-        fh.write(f"length {arr.size}\n".encode("ascii"))
-        fh.write(arr.astype("<f8", copy=False).tobytes())
-
-
 def read_audio(path) -> Tuple[int, np.ndarray]:
-    """Read the format of :func:`write_audio`; a malformed header raises
-    ConfigError."""
+    """Read single-channel audio: two ASCII header lines (``rate <hz>``,
+    ``length <n>``), then n raw little-endian 64-bit samples. A malformed
+    header or a non-finite sample raises ConfigError, and a body shorter
+    than the declared length SignalTooShort, each naming the path."""
     with open(path, "rb") as fh:
         try:
             fields = dict(fh.readline().decode("ascii").split() for _ in range(2))
@@ -187,10 +180,13 @@ def read_audio(path) -> Tuple[int, np.ndarray]:
             raise ConfigError(f"{path}: bad audio header: {exc!r}") from exc
         if rate <= 0 or length < 0:
             raise ConfigError(f"{path}: bad audio header: rate {rate}, length {length}")
-        raw = fh.read(8 * length)
-        if len(raw) != 8 * length:
-            raise SignalTooShort(f"audio body has {len(raw)} bytes, expected {8 * length}")
-        samples = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body < 8 * length:  # checked before reading, so a huge length allocates nothing
+            raise SignalTooShort(f"{path}: audio body has {body} bytes, expected {8 * length}")
+        samples = np.frombuffer(fh.read(8 * length), dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ConfigError(f"{path}: non-finite audio sample at index {bad[0]}")
     return rate, samples
 
 

@@ -10,12 +10,12 @@ prototypical (activated with weight 1) and which are observational
   kept as a single weighted set per emotion.
 
 On top of the table sit the coupling engines used during multi-task
-training: hard co-annotation in both directions, soft co-annotation (AU
-pattern to a soft emotion distribution) and the emotion-mixture AU
-distribution used by distribution matching. The AU-to-emotion engines run
-over (N, 17) value and mask arrays, one table AU at a time; the per-sample
-functions are their one-row case. Emotion-to-AU co-annotation is a lookup
-into ``conditional_matrix(reweight=True)``.
+training. The AU-to-emotion engines, hard co-annotation and soft
+co-annotation (AU pattern to a soft emotion distribution), run over
+(N, 17) value and mask arrays, one table AU at a time. Emotion-to-AU
+co-annotation is a lookup into ``conditional_matrix(reweight=True)``, and
+the emotion-mixture AU distribution used by distribution matching is an
+emotion distribution times ``conditional_matrix``.
 
 Neutral has no table row: it maps to the empty AU set, scores 0 in soft
 co-annotation and contributes nothing to mixtures.
@@ -23,21 +23,14 @@ co-annotation and contributes nothing to mixtures.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadDistribution, BadTableFile, MissingMask
-from .types import (
-    AUVector,
-    EXPRESSION_NAMES,
-    ExpressionLabel,
-    NUM_AUS,
-    NUM_EXPRESSIONS,
-    au_index,
-    expression_id,
-)
+from .errors import BadTableFile
+from .types import NUM_AUS, NUM_EXPRESSIONS, au_index, expression_id
 
 NEUTRAL_ID = 0
 
@@ -160,66 +153,48 @@ BUILTIN_TABLES = {"cognitive": COGNITIVE, "empirical": EMPIRICAL}
 def load_table(path, name: Optional[str] = None) -> RelatednessTable:
     """Parse a relatedness file: one ``<emotion> proto=<id,..> obs=<id:w,..>``
     line per emotion, ``#`` comments, UTF-8. Either key may be omitted."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the first bad byte's line, with "\r\n" and "\r" ending lines as below
+        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).getvalue()
+        line = head.count("\n") + 1
+        raise BadTableFile(f"{path}:{line}: not UTF-8 text: {exc}") from exc
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            emo = parts[0]
-            proto: list = []
-            obs: list = []
-            try:
-                cid = expression_id(emo)
-                for tok in parts[1:]:
-                    key, _, val = tok.partition("=")
-                    if key == "proto":
-                        proto = [int(s) for s in val.split(",") if s]
-                    elif key == "obs":
-                        for pair in val.split(","):
-                            if not pair:
-                                continue
-                            au_s, _, w_s = pair.partition(":")
-                            obs.append((int(au_s), float(w_s)))
-                    else:
-                        raise ValueError(f"unknown key {key!r}")
-            except Exception as exc:
-                raise BadTableFile(f"{path}:{lineno}: {exc}") from exc
-            rows.append((cid, EmotionRow(proto=tuple(proto), obs=tuple(obs))))
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        emo = parts[0]
+        proto: list = []
+        obs: list = []
+        try:
+            cid = expression_id(emo)
+            for tok in parts[1:]:
+                key, _, val = tok.partition("=")
+                if key == "proto":
+                    proto = [int(s) for s in val.split(",") if s]
+                elif key == "obs":
+                    for pair in val.split(","):
+                        if not pair:
+                            continue
+                        au_s, _, w_s = pair.partition(":")
+                        obs.append((int(au_s), float(w_s)))
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+        except Exception as exc:
+            raise BadTableFile(f"{path}:{lineno}: {exc}") from exc
+        rows.append((cid, EmotionRow(proto=tuple(proto), obs=tuple(obs))))
     table = RelatednessTable(name=name or str(path), rows=tuple(rows))
     table.validate()
     return table
 
 
-@dataclass(frozen=True)
-class SoftExpressionLabel:
-    """A distribution over the 7 expression classes (nonnegative, sums to 1)."""
-
-    probabilities: Tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probabilities, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # coupling engines
-
-
-def coannotate_emotion_to_aus(
-    label: ExpressionLabel, table: RelatednessTable
-) -> list:
-    """AU targets implied by a ground-truth emotion.
-
-    Returns ``[(au_id, target, weight), ...]`` with target always 1:
-    prototypical AUs at weight 1.0, observational AUs at their table
-    weight. Neutral yields the empty list. AUs outside the returned list
-    are left unannotated (not forced negative).
-    """
-    row = table.row(label.class_id)
-    if row is None:
-        return []
-    return [(au, 1, w) for au, w in row.weighted_aus()]
 
 
 def coannotate_aus_to_emotion_rows(
@@ -240,15 +215,6 @@ def coannotate_aus_to_emotion_rows(
         qualifies = (mask[:, cols] != 0).all(axis=1) & (values[:, cols] == 1).all(axis=1)
         implied[qualifies & (implied < 0)] = cid
     return implied
-
-
-def coannotate_aus_to_emotion(
-    aus: AUVector, table: RelatednessTable
-) -> Optional[ExpressionLabel]:
-    """Emotion implied by a ground-truth AU pattern, if any: the one-row
-    case of :func:`coannotate_aus_to_emotion_rows`."""
-    cid = int(coannotate_aus_to_emotion_rows(aus.values[None], aus.mask[None], table)[0])
-    return None if cid < 0 else ExpressionLabel(cid)
 
 
 def soft_coannotate_rows(
@@ -277,54 +243,3 @@ def soft_coannotate_rows(
         scores[:, cid] = num / den if den > 0 else 0.0
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return scores, e / e.sum(axis=1, keepdims=True), complete
-
-
-def _one_row(aus: AUVector, table: RelatednessTable, reweight: bool):
-    """The scores and softmax of one AU vector; MissingMask names the first
-    table AU it leaves unannotated."""
-    scores, probs, complete = soft_coannotate_rows(
-        aus.values[None], aus.mask[None], table, reweight=reweight
-    )
-    if not complete[0]:
-        cid, au = next(
-            (cid, au) for cid, row in table.rows for au in row.au_ids()
-            if not aus.is_annotated(au)
-        )
-        raise MissingMask(f"AU{au} required by {EXPRESSION_NAMES[cid]} is unannotated")
-    return scores[0], probs[0]
-
-
-def soft_scores(
-    aus: AUVector, table: RelatednessTable, reweight: bool = True
-) -> np.ndarray:
-    """Per-emotion scores behind :func:`soft_coannotate`, as in
-    :func:`soft_coannotate_rows`. Raises MissingMask when any table AU is
-    unannotated."""
-    return _one_row(aus, table, reweight)[0]
-
-
-def soft_coannotate(
-    aus: AUVector, table: RelatednessTable, reweight: bool = True
-) -> SoftExpressionLabel:
-    """Soft emotion distribution implied by an AU pattern: the softmax of
-    :func:`soft_scores`. Raises MissingMask when any table AU is
-    unannotated."""
-    return SoftExpressionLabel(probabilities=tuple(_one_row(aus, table, reweight)[1].tolist()))
-
-
-def emotion_au_mixture(
-    expr_probs: Sequence[float], table: RelatednessTable, reweight: bool = False
-) -> np.ndarray:
-    """AU distribution implied by an emotion distribution.
-
-    q[i] = sum_emo p(emo) * p(AU_i | emo), where membership in the table
-    row gives conditional probability 1 (or the observational weight when
-    ``reweight``), else 0. Neutral contributes nothing. The result is a
-    17-vector with entries in [0, 1].
-    """
-    p = np.asarray(expr_probs, dtype=np.float64)
-    if p.shape != (NUM_EXPRESSIONS,):
-        raise BadDistribution(f"expected 7 probabilities, got shape {p.shape}")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise BadDistribution("emotion probabilities must be nonnegative and sum to 1")
-    return p @ table.conditional_matrix(reweight=reweight)

@@ -9,7 +9,7 @@ construction: the file readers validate every value at load and name the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -105,9 +105,6 @@ class AUVector:
         m.setflags(write=False)
         self.values = v
         self.mask = m
-
-    def is_annotated(self, au_id: int) -> bool:
-        return bool(self.mask[au_index(au_id)])
 
     def __eq__(self, other) -> bool:
         return (

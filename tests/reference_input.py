@@ -1,12 +1,19 @@
-"""Test-only per-row references for the column readers and the training table.
+"""Test-only per-row references for the column readers and the training
+table, and the file helpers the tests write and read fixtures with.
 
 ``read_annotations``, ``read_features`` and ``load_dataset`` are the readers
 that built one ``AnnotatedSample`` per row; ``build_table`` is the training
 table they fed, encoding each sample's label and co-annotating it one
-sample at a time. ``soft_scores``, ``soft_coannotate`` and
-``coannotate_aus_to_emotion`` are the per-sample coupling loops that the
-row-wise engines in ``affectkit.relatedness`` replaced. The equivalence
-tests compare the program against these with ``array_equal``.
+sample at a time. ``soft_scores``, ``soft_coannotate``,
+``coannotate_aus_to_emotion`` and ``coannotate_emotion_to_aus`` are the
+per-sample coupling loops that the row-wise engines in
+``affectkit.relatedness`` and the training table replaced; like
+``soft_coannotate_rows``, the soft ones flag a row that leaves a table AU
+unannotated instead of raising. The equivalence tests compare the program
+against these with ``array_equal``.
+
+``write_audio`` writes the audio format ``preprocess.read_audio`` reads,
+and ``read_report`` reads the file ``dataio.write_report`` writes.
 """
 
 import math
@@ -16,12 +23,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from affectkit.csvfile import open_rows
-from affectkit.errors import BadMask, ConfigError, KeyMisalignment, MissingMask, UnknownClass
+from affectkit.errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
 from affectkit.harness.dataio import ANNOTATION_FIELDS
 from affectkit.losses import label_arrays
-from affectkit.relatedness import RelatednessTable, coannotate_emotion_to_aus
+from affectkit.relatedness import RelatednessTable
 from affectkit.types import (
-    EXPRESSION_NAMES,
     NUM_AUS,
     NUM_EXPRESSIONS,
     AnnotatedSample,
@@ -36,27 +42,38 @@ from affectkit.types import (
 # coupling
 
 
-def soft_scores(aus: AUVector, table: RelatednessTable, reweight: bool = True) -> np.ndarray:
+def soft_scores(aus: AUVector, table: RelatednessTable, reweight: bool = True):
+    """(scores, complete): complete is false when a table AU is unannotated."""
     values, mask = aus.values.tolist(), aus.mask.tolist()
     scores = np.zeros(NUM_EXPRESSIONS, dtype=np.float64)
+    complete = True
     for cid, row in table.rows:
         num = 0.0
         den = 0.0
         for au, w in row.weighted_aus():
             i = au_index(au)
-            if not mask[i]:
-                raise MissingMask(f"AU{au} required by {EXPRESSION_NAMES[cid]} is unannotated")
+            complete = complete and bool(mask[i])
             weight = w if reweight else 1.0
             num += weight * values[i]
             den += weight
         scores[cid] = num / den if den > 0 else 0.0
-    return scores
+    return scores, complete
 
 
-def soft_coannotate(aus: AUVector, table: RelatednessTable, reweight: bool = True) -> np.ndarray:
-    scores = soft_scores(aus, table, reweight=reweight)
+def soft_coannotate(aus: AUVector, table: RelatednessTable, reweight: bool = True):
+    """(softmax of the scores, complete), as :func:`soft_scores` flags it."""
+    scores, complete = soft_scores(aus, table, reweight=reweight)
     e = np.exp(scores - scores.max())
-    return np.asarray([float(p) for p in e / e.sum()])
+    return np.asarray([float(p) for p in e / e.sum()]), complete
+
+
+def coannotate_emotion_to_aus(label: ExpressionLabel, table: RelatednessTable) -> list:
+    """``[(au_id, 1, weight), ...]``: prototypical AUs at weight 1.0,
+    observational AUs at their table weight; neutral implies nothing."""
+    row = table.row(label.class_id)
+    if row is None:
+        return []
+    return [(au, 1, w) for au, w in row.weighted_aus()]
 
 
 def coannotate_aus_to_emotion(aus: AUVector, table: RelatednessTable) -> Optional[ExpressionLabel]:
@@ -65,7 +82,7 @@ def coannotate_aus_to_emotion(aus: AUVector, table: RelatednessTable) -> Optiona
         ids = row.au_ids()
         if not ids:
             continue
-        if not all(aus.is_annotated(au) for au in ids):
+        if not all(aus.mask[au_index(au)] for au in ids):
             continue
         if not all(aus.values[au_index(au)] == 1 for au in ids):
             continue
@@ -199,12 +216,12 @@ def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
                 labels.expr[r] = implied.class_id
     elif config.coupling in ("soft_coannotation", "soft+distr"):
         for r in au:
-            try:
-                target = soft_coannotate(samples[r].label, table, reweight=config.reweight_soft)
-            except MissingMask:
-                continue
-            labels.soft[r] = target
-            labels.has_soft[r] = True
+            target, complete = soft_coannotate(
+                samples[r].label, table, reweight=config.reweight_soft
+            )
+            if complete:
+                labels.soft[r] = target
+                labels.has_soft[r] = True
     return SimpleNamespace(
         features=np.array([s.features for s in samples]),
         labels=labels,
@@ -213,3 +230,29 @@ def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
         expr_rows=expr,
         compound_rows=compound,
     )
+
+
+# ---------------------------------------------------------------------------
+# file fixtures
+
+
+def write_audio(path, rate: int, samples) -> None:
+    """Two ASCII header lines (``rate <hz>``, ``length <n>``), then the raw
+    little-endian 64-bit samples."""
+    arr = np.asarray(samples, dtype=np.float64)
+    with open(path, "wb") as fh:
+        fh.write(f"rate {int(rate)}\n".encode("ascii"))
+        fh.write(f"length {arr.size}\n".encode("ascii"))
+        fh.write(arr.astype("<f8", copy=False).tobytes())
+
+
+def read_report(path) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            name, _, value = line.partition("=")
+            out[name.strip()] = float(value)
+    return out

@@ -12,15 +12,15 @@ from collections import Counter
 
 import numpy as np
 
+import reference_input as ref
 from affectkit import autodiff as ad
 from affectkit.fusion import EnsembleMember, decision_level_fuse
 from affectkit.harness.checks import run_grad_checks
 from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import (
     load_dataset,
-    read_annotations,
+    read_annotation_columns,
     read_predictions,
-    read_report,
     write_annotations,
     write_features,
     write_predictions,
@@ -39,20 +39,12 @@ from affectkit.preprocess import (
     frame_count,
     spectrogram,
 )
-from affectkit.relatedness import (
-    COGNITIVE,
-    coannotate_aus_to_emotion,
-    coannotate_emotion_to_aus,
-    emotion_au_mixture,
-    soft_scores,
-)
+from affectkit.relatedness import COGNITIVE, coannotate_aus_to_emotion_rows, soft_coannotate_rows
 from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
     AU_IDS,
     NUM_AUS,
     NUM_EXPRESSIONS,
-    AUVector,
-    ExpressionLabel,
     PredictionRecord,
     au_index,
     expression_id,
@@ -154,24 +146,20 @@ def test_coupling_correctness():
     expected = np.zeros(NUM_AUS)
     for au in (12, 25, 6):
         expected[au_index(au)] = 1.0
-    mixture_ok = np.array_equal(emotion_au_mixture(p, COGNITIVE), expected)
+    # the mixture distribution matching computes from a one-hot emotion
+    mixture_ok = np.array_equal(p @ COGNITIVE.conditional_matrix(), expected)
 
-    values = np.zeros(NUM_AUS, dtype=np.uint8)
+    values = np.zeros((1, NUM_AUS))
     for au in (12, 25, 6):
-        values[au_index(au)] = 1
-    score = soft_scores(AUVector(values=values), COGNITIVE)[happiness]
-    score_ok = abs(score - 1.0) <= 1e-12
+        values[0, au_index(au)] = 1
+    scores, _, complete = soft_coannotate_rows(values, np.ones_like(values), COGNITIVE)
+    score = scores[0, happiness]
+    score_ok = bool(complete[0]) and abs(score - 1.0) <= 1e-12
 
-    round_trip_ok = True
-    for class_id in range(1, NUM_EXPRESSIONS):
-        implied = coannotate_emotion_to_aus(ExpressionLabel(class_id), COGNITIVE)
-        v = np.zeros(NUM_AUS, dtype=np.uint8)
-        m = np.zeros(NUM_AUS, dtype=np.uint8)
-        for au, target, _ in implied:
-            v[au_index(au)] = target
-            m[au_index(au)] = 1
-        back = coannotate_aus_to_emotion(AUVector(values=v, mask=m), COGNITIVE)
-        round_trip_ok &= back is not None and back.class_id == class_id
+    # each emotion's implied AUs (the training table's lookup) imply it back
+    implied = COGNITIVE.conditional_matrix(reweight=True)[1:] > 0
+    back = coannotate_aus_to_emotion_rows(implied.astype(np.float64), implied, COGNITIVE)
+    round_trip_ok = np.array_equal(back, np.arange(1, NUM_EXPRESSIONS))
 
     ok = mixture_ok and score_ok and round_trip_ok
     _verdict(
@@ -547,7 +535,7 @@ def test_determinism_and_formats(tmp_path):
     ckpt_ok = _read_bytes(ckpt_copy) == _read_bytes(a["result"].checkpoint_path)
 
     ann_copy = str(tmp_path / "ann_copy.csv")
-    write_annotations(ann_copy, read_annotations(a["ann"]))
+    write_annotations(ann_copy, read_annotation_columns(a["ann"]).samples())
     feats_copy = str(tmp_path / "feats_copy.csv")
     write_features(feats_copy, load_dataset(a["ann"], a["feats"]))
     preds_copy = str(tmp_path / "preds_copy.csv")
@@ -555,7 +543,7 @@ def test_determinism_and_formats(tmp_path):
     report_path = str(tmp_path / "report.csv")
     write_report(report_path, a["metrics"])
     report_copy = str(tmp_path / "report_copy.csv")
-    write_report(report_copy, read_report(report_path))
+    write_report(report_copy, ref.read_report(report_path))
     csv_ok = (
         _read_bytes(ann_copy) == _read_bytes(a["ann"])
         and _read_bytes(feats_copy) == _read_bytes(a["feats"])

@@ -71,7 +71,7 @@ def analytic_grad(build, x0):
 
 def check_op(build, x0, eps=1e-6, tol=1e-6):
     def scalar(values):
-        return build(as_tensor(values)).item()
+        return float(build(as_tensor(values)).data)
 
     a = analytic_grad(build, x0)
     n = numeric_grad(scalar, x0, eps=eps)
@@ -417,7 +417,7 @@ class TestGru:
         for x in (x0, as_tensor(xs[1])):
             h = gru_step(cell, x, h)
         backward(tsum(square(h)))
-        numeric = numeric_grad(lambda v: run(v).item(), xs[0])
+        numeric = numeric_grad(lambda v: float(run(v).data), xs[0])
         assert x0.grad == pytest.approx(numeric, abs=1e-6)
 
 

@@ -1,5 +1,5 @@
-"""The column readers: their per-row views equal the per-row readers they
-replaced, every column check names the file line of its row, and a
+"""The column readers: their rows, as samples or by id, equal the per-row
+readers they replaced, every column check names the file line of its row, and a
 repeated annotation id is refused at load."""
 
 from dataclasses import fields
@@ -14,11 +14,22 @@ from affectkit.harness.dataio import (
     load_columns,
     load_dataset,
     read_annotation_columns,
-    read_annotations,
-    read_features,
+    read_feature_columns,
 )
 from affectkit.losses import BatchLabels, label_arrays
 from test_readers import EDITS, mutate
+
+
+def read_annotations(path):
+    """The column reader's rows as samples, as the per-row reader returns them."""
+    return read_annotation_columns(path).samples()
+
+
+def read_features(path):
+    """The feature matrix's rows by id, as the per-row reader returns them."""
+    ids, matrix = read_feature_columns(path)
+    return dict(zip(ids, matrix))
+
 
 HEADER = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
 ANNOTATIONS = (

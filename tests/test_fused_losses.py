@@ -138,7 +138,7 @@ def assert_matches(fused_fn, ref_fn, arrays, *args, **kwargs):
     ref_root, ref_grads = run(ref_fn, arrays, *args, **kwargs)
     assert len(root._edges) == len(arrays)
     assert all(parent._edges == () for parent, _ in root._edges)
-    value, ref_value = root.item(), ref_root.item()
+    value, ref_value = float(root.data), float(ref_root.data)
     np.testing.assert_allclose(value, ref_value, rtol=RTOL, atol=RTOL * abs(ref_value))
     for g, ref in zip(grads, ref_grads):
         np.testing.assert_allclose(g, ref, rtol=RTOL, atol=RTOL * np.abs(ref).max())
@@ -275,7 +275,7 @@ def test_losses_compose_with_upstream_gradient():
 
     root, (grad,) = run(twice, [logits], truth)
     ref_root, (ref_grad,) = run(ref_twice, [logits], truth)
-    np.testing.assert_allclose(root.item(), ref_root.item(), rtol=RTOL)
+    np.testing.assert_allclose(float(root.data), float(ref_root.data), rtol=RTOL)
     np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=RTOL * np.abs(ref_grad).max())
 
 
@@ -412,7 +412,7 @@ def test_flat_total_equals_nested_bit_for_bit(soft, dm):
 def test_weighted_total_absent_terms():
     a, b = DiffTensor(0.25), DiffTensor(-1.5)
     total = weighted_total([(1.0, None), (2.0, a), (0.5, None), (3.0, b)])
-    assert total.item() == 0.0 + 2.0 * 0.25 + 0.0 + 3.0 * -1.5
+    assert float(total.data) == 0.0 + 2.0 * 0.25 + 0.0 + 3.0 * -1.5
     assert [p for p, _ in total._edges] == [a, b]
     backward(total)
     assert a.grad == 2.0 and b.grad == 3.0

@@ -6,7 +6,6 @@ import pytest
 from affectkit.errors import (
     BadAlpha,
     ConfigError,
-    EmptyUtterance,
     EvenWindow,
     InvalidSpec,
     KeyMisalignment,
@@ -19,7 +18,6 @@ from affectkit.fusion import (
     median_filter,
     read_manifest,
     smooth,
-    utterance_aggregate,
 )
 from affectkit.harness.config import RunConfig
 from affectkit.models import InputDims, Model, ModelSpec, SequenceBatch
@@ -177,21 +175,6 @@ class TestSmooth:
             smooth([1.0], alpha=0.0)
         with pytest.raises(BadAlpha):
             smooth([1.0], alpha=1.5)
-
-
-class TestUtteranceAggregate:
-    def test_mean_of_medians(self):
-        groups = {"utt1": [np.array([0.1, 0.2]), np.array([0.5, 0.4])]}
-        out = utterance_aggregate(groups)
-        assert out["utt1"] == pytest.approx(np.array([0.3, 0.3]))
-
-    def test_scalar_series(self):
-        out = utterance_aggregate({"u": [0.1, 0.2, 0.6]})
-        assert out["u"] == pytest.approx(0.3)
-
-    def test_empty_utterance(self):
-        with pytest.raises(EmptyUtterance):
-            utterance_aggregate({"u": []})
 
 
 class TestManifest:

@@ -30,10 +30,9 @@ from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
     PREDICTION_FIELDS,
     load_dataset,
-    read_annotations,
-    read_features,
+    read_annotation_columns,
+    read_feature_columns,
     read_predictions,
-    read_report,
     write_annotations,
     write_features,
     write_predictions,
@@ -45,7 +44,6 @@ from affectkit.harness import dataio, training
 from affectkit.harness.training import load_model, train_run
 from affectkit.losses import weighted_total
 from affectkit.models import Model
-from affectkit.preprocess import write_audio
 from affectkit.types import (
     AUVector,
     AnnotatedSample,
@@ -57,6 +55,7 @@ from affectkit.types import (
     expression_id,
 )
 from affectkit.zeroshot import classify_compound, default_compound_defs
+from reference_input import read_report, write_audio
 from reference_ops import square, tsum
 
 SMALL = SyntheticSpec(
@@ -274,7 +273,7 @@ class TestDataFiles:
         samples = self.make_samples()
         path = tmp_path / "annotations.csv"
         write_annotations(path, samples)
-        loaded = read_annotations(path)
+        loaded = read_annotation_columns(path).samples()
         assert [s.id for s in loaded] == ["s0", "s1", "s2", "s3"]
         assert loaded[0].label == ValenceArousal(0.25, -0.5)
         assert loaded[0].sequence_id == "seq1"
@@ -289,7 +288,7 @@ class TestDataFiles:
         samples = self.make_samples()
         path = tmp_path / "features.csv"
         write_features(path, samples)
-        table = read_features(path)
+        table = dict(zip(*read_feature_columns(path)))
         for s in samples:
             assert np.array_equal(table[s.id], s.features)
 
@@ -313,7 +312,7 @@ class TestDataFiles:
         path = tmp_path / "f.csv"
         path.write_text("id,f0,f1\ns0,1,2\ns1,3,4\ns0,5,6\n")
         with pytest.raises(ConfigError, match=r"f\.csv:4: duplicate sample id 's0'"):
-            read_features(path)
+            read_feature_columns(path)
 
     @pytest.mark.parametrize(
         "row,message",
@@ -338,7 +337,7 @@ class TestDataFiles:
         header = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
         path.write_text(header + "s0,train,,,,VA,1.0;-1.0\n" + row + "\n")
         with pytest.raises(ConfigError, match=rf"a\.csv:3: .*{message}"):
-            read_annotations(path)
+            read_annotation_columns(path)
 
     @pytest.mark.parametrize(
         "payload,error,message",
@@ -354,19 +353,20 @@ class TestDataFiles:
         header = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
         path.write_text(header + f"s0,train,,,,EXPR,6\ns1,train,,,,{payload}\n")
         with pytest.raises(error, match=rf"a\.csv:3: {message}"):
-            read_annotations(path)
+            read_annotation_columns(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
     def test_bad_feature_value_names_the_line(self, tmp_path, value):
         path = tmp_path / "f.csv"
         path.write_text(f"id,f0,f1\ns0,1,2\ns1,3,{value}\n")
         with pytest.raises(ConfigError, match=r"f\.csv:3: "):
-            read_features(path)
+            read_feature_columns(path)
 
     def test_huge_finite_features_accepted(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,f0,f1\ns0,1e308,1e308\n")
-        assert np.array_equal(read_features(path)["s0"], [1e308, 1e308])
+        ids, matrix = read_feature_columns(path)
+        assert ids == ["s0"] and np.array_equal(matrix, [[1e308, 1e308]])
 
     def test_bad_prediction_value_names_the_line(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -388,7 +388,7 @@ class TestDataFiles:
         path = tmp_path / "a.csv"
         path.write_text("id,task\nx,VA\n")
         with pytest.raises(ConfigError):
-            read_annotations(path)
+            read_annotation_columns(path)
 
     def test_prediction_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -881,6 +881,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "clip.audio: bad audio header" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (b"rate 16000\nlength 1000000000000000000000000000000\n" + bytes(32),
+             "clip.audio: audio body has 32 bytes, expected 8000000000000000000000000000000"),
+            (b"rate 16000\nlength 2\n" + np.array([0.5, np.nan]).tobytes(),
+             "clip.audio: non-finite audio sample at index 1"),
+        ],
+        ids=["length_1e30", "nan_sample"],
+    )
+    def test_spectrogram_with_bad_audio_body_is_exit_2(self, tmp_path, capsys, body, message):
+        audio = tmp_path / "clip.audio"
+        audio.write_bytes(body)
+        code = self.run_cli("spectrogram", "--audio", audio, "--out", tmp_path / "s.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
 
     def test_spectrogram_with_a_zero_sample_hop_is_exit_2(self, tmp_path, capsys):
         audio = tmp_path / "clip.audio"

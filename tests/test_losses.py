@@ -52,19 +52,19 @@ class TestCCCLoss:
     def test_perfect_prediction(self):
         truth = np.array([[0.1, -0.4], [0.5, 0.2], [-0.3, 0.8]])
         loss = ccc_loss(as_tensor(truth.copy()), truth)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_mirrored_valence(self):
         truth = np.array([[0.5, 0.1], [-0.5, -0.1], [0.0, 0.3]])
         pred = truth.copy()
         pred[:, 0] *= -1.0  # valence concordance -1, arousal stays +1
-        assert ccc_loss(as_tensor(pred), truth).item() == pytest.approx(1.0)
+        assert float(ccc_loss(as_tensor(pred), truth).data) == pytest.approx(1.0)
 
     def test_worked_pair_both_dims(self):
         pred = np.array([[0.5, 0.5], [0.0, 0.0], [-0.5, -0.5]])
         truth = np.array([[0.4, 0.4], [0.1, 0.1], [-0.3, -0.3]])
         expected = 1.0 - 35.0 / 38.0
-        assert ccc_loss(as_tensor(pred), truth).item() == pytest.approx(
+        assert float(ccc_loss(as_tensor(pred), truth).data) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -81,38 +81,38 @@ class TestCCCLoss:
         for _ in range(30):
             pred = rng.normal(size=(6, 2))
             truth = rng.normal(size=(6, 2))
-            value = ccc_loss(as_tensor(pred), truth).item()
+            value = float(ccc_loss(as_tensor(pred), truth).data)
             assert 0.0 - 1e-9 <= value <= 2.0 + 1e-9
 
 
 class TestCCELoss:
     def test_uniform_logits(self):
         loss = cce_loss(as_tensor(np.zeros((3, 7))), [0, 4, 6])
-        assert loss.item() == pytest.approx(LN7, abs=1e-12)
+        assert float(loss.data) == pytest.approx(LN7, abs=1e-12)
 
     def test_saturated_logits_reach_zero(self):
         # no probability clamping: a confident head can drive loss below 1e-12
         logits = np.zeros((1, 7))
         logits[0, 2] = 30.0
-        assert cce_loss(as_tensor(logits), [2]).item() < 1e-12
+        assert float(cce_loss(as_tensor(logits), [2]).data) < 1e-12
 
     def test_single_raised_logit(self):
         logits = np.zeros((1, 7))
         logits[0, 0] = 1.0
         expected = math.log(math.e + 6.0) - 1.0
-        assert cce_loss(as_tensor(logits), [0]).item() == pytest.approx(
+        assert float(cce_loss(as_tensor(logits), [0]).data) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_accepts_an_int64_id_array(self):
         loss = cce_loss(as_tensor(np.zeros((2, 7))), np.array([1, 5]))
-        assert loss.item() == pytest.approx(LN7)
+        assert float(loss.data) == pytest.approx(LN7)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(10, 7)) * 3
         truth = rng.integers(0, 7, size=10)
-        assert cce_loss(as_tensor(logits), truth).item() >= 0.0
+        assert float(cce_loss(as_tensor(logits), truth).data) >= 0.0
 
     def test_bad_class_id(self):
         with pytest.raises(ValueOutOfRange):
@@ -142,7 +142,7 @@ class TestLogSoftmax:
         logits = as_tensor(np.array([[1000.0, 0.0, -1000.0], [0.0, -1000.0, 1000.0]]))
         loss = cce_loss(logits, [1, 1])
         backward(loss)
-        assert loss.item() == pytest.approx(1500.0)
+        assert float(loss.data) == pytest.approx(1500.0)
         assert np.all(np.isfinite(logits.grad))
 
 
@@ -154,7 +154,7 @@ class TestMaskedBCE:
         targets[0, 0] = 1.0
         mask[0, 0] = 1.0
         loss = masked_bce_loss(as_tensor(logits), targets, mask)
-        assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+        assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_two_masked_units(self):
         def logit(p):
@@ -169,7 +169,7 @@ class TestMaskedBCE:
         mask[0, :2] = 1.0
         loss = masked_bce_loss(as_tensor(logits), targets, mask)
         expected = -0.5 * (math.log(0.9) + math.log(0.8))
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
+        assert float(loss.data) == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_prediction_near_zero(self):
         logits = np.full((2, 17), -40.0)
@@ -177,7 +177,7 @@ class TestMaskedBCE:
         targets = np.zeros((2, 17))
         targets[:, 3] = 1.0
         mask = np.ones((2, 17))
-        assert masked_bce_loss(as_tensor(logits), targets, mask).item() < 1e-5
+        assert float(masked_bce_loss(as_tensor(logits), targets, mask).data) < 1e-5
 
     def test_masked_positions_ignored_bit_for_bit(self):
         rng = np.random.default_rng(3)
@@ -185,10 +185,10 @@ class TestMaskedBCE:
         targets = (rng.random((3, 17)) < 0.5).astype(float)
         mask = (rng.random((3, 17)) < 0.6).astype(float)
         mask[:, 0] = 1.0
-        base = masked_bce_loss(as_tensor(logits), targets, mask).item()
+        base = float(masked_bce_loss(as_tensor(logits), targets, mask).data)
         noisy = logits.copy()
         noisy[mask == 0] += rng.normal(size=int((mask == 0).sum())) * 100
-        again = masked_bce_loss(as_tensor(noisy), targets, mask).item()
+        again = float(masked_bce_loss(as_tensor(noisy), targets, mask).data)
         assert again == base
 
     def test_zero_weight_rows_skipped(self):
@@ -198,7 +198,7 @@ class TestMaskedBCE:
         mask = np.zeros((2, 17))
         mask[0, 0] = 1.0  # second row entirely unannotated
         loss = masked_bce_loss(as_tensor(logits), targets, mask)
-        assert loss.item() == pytest.approx(math.log(2.0))
+        assert float(loss.data) == pytest.approx(math.log(2.0))
 
     def test_all_rows_empty(self):
         with pytest.raises(EmptyMaskBatch):
@@ -220,7 +220,7 @@ class TestMaskedBCE:
         mask[0, 0] = 2.0
         mask[0, 1] = 1.0
         loss = masked_bce_loss(as_tensor(logits), targets, mask)
-        assert loss.item() == pytest.approx(math.log(2.0))
+        assert float(loss.data) == pytest.approx(math.log(2.0))
 
 
 def sample(label, sid="s"):
@@ -350,11 +350,11 @@ class TestMultitask:
         assert [w for w, _ in terms.values()] == [1.0, 0.7, 1.3, 1.0]
         total = multitask_total(preds, labels, weights)
         expected = (
-            terms["expr"][1].item()
-            + 0.7 * terms["au"][1].item()
-            + 1.3 * terms["va"][1].item()
+            float(terms["expr"][1].data)
+            + 0.7 * float(terms["au"][1].data)
+            + 1.3 * float(terms["va"][1].data)
         )
-        assert total.item() == pytest.approx(expected, abs=1e-12)
+        assert float(total.data) == pytest.approx(expected, abs=1e-12)
 
     def test_terms_match_individual_losses(self):
         preds, labels = self.make_batch()
@@ -368,9 +368,9 @@ class TestMultitask:
             labels.au_mask[2:4],
         )
         va = ccc_loss(take_rows(preds.va, [4, 5]), labels.va[4:6])
-        assert terms["expr"][1].item() == pytest.approx(expr.item(), abs=1e-12)
-        assert terms["au"][1].item() == pytest.approx(au.item(), abs=1e-12)
-        assert terms["va"][1].item() == pytest.approx(va.item(), abs=1e-12)
+        assert float(terms["expr"][1].data) == pytest.approx(float(expr.data), abs=1e-12)
+        assert float(terms["au"][1].data) == pytest.approx(float(au.data), abs=1e-12)
+        assert float(terms["va"][1].data) == pytest.approx(float(va.data), abs=1e-12)
         assert terms["compound"][1] is None
 
     def test_zero_lambdas_reduce_to_cce(self):
@@ -382,14 +382,14 @@ class TestMultitask:
         labels.expr[:] = truth
         labels.has_expr[:] = True
         total = multitask_total(preds, labels, LossWeights(0.0, 0.0))
-        assert total.item() == cce_loss(as_tensor(logits), truth).item()
+        assert float(total.data) == float(cce_loss(as_tensor(logits), truth).data)
 
     def test_lambda_gates_task_off(self):
         preds, labels = self.make_batch()
         gated = multitask_total(preds, labels, LossWeights(lambda1=2.0, lambda2=0.0))
         terms = self.named_terms(preds, labels)
-        expected = terms["expr"][1].item() + 2.0 * terms["au"][1].item()
-        assert gated.item() == pytest.approx(expected, abs=1e-12)
+        expected = float(terms["expr"][1].data) + 2.0 * float(terms["au"][1].data)
+        assert float(gated.data) == pytest.approx(expected, abs=1e-12)
 
     def test_absent_task_contributes_zero(self):
         rng = np.random.default_rng(6)
@@ -401,7 +401,7 @@ class TestMultitask:
         terms = self.named_terms(preds, labels)
         assert terms["au"][1] is None and terms["va"][1] is None
         assert terms["compound"][1] is None
-        assert multitask_total(preds, labels).item() == terms["expr"][1].item()
+        assert float(multitask_total(preds, labels).data) == float(terms["expr"][1].data)
 
     def test_no_heads_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -432,38 +432,38 @@ class TestDistributionMatching:
         for au_id in (12, 25, 6):
             au[0, au_index(au_id)] = 1.0
         loss = distribution_matching_loss(as_tensor(expr), as_tensor(au), COGNITIVE)
-        assert loss.item() == pytest.approx(0.0, abs=1e-5)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-5)
 
     def test_all_zero_au_probs(self):
         expr = onehot([2, 4])
         loss = distribution_matching_loss(
             as_tensor(expr), as_tensor(np.zeros((2, 17))), COGNITIVE
         )
-        assert loss.item() == 0.0
+        assert float(loss.data) == 0.0
 
     def test_contradicting_au_pays_full_clamp(self):
         expr = onehot([expression_id("happiness")])
         au = np.zeros((1, 17))
         au[0, au_index(4)] = 1.0  # brow lowerer never co-occurs with happiness
         loss = distribution_matching_loss(as_tensor(expr), as_tensor(au), COGNITIVE)
-        assert loss.item() == pytest.approx(-math.log(1e-7), rel=1e-9)
+        assert float(loss.data) == pytest.approx(-math.log(1e-7), rel=1e-9)
 
     def test_zero_au_rows_additive(self):
         rng = np.random.default_rng(7)
         expr = rng.dirichlet(np.ones(7), size=3)
         au = rng.random((3, 17))
-        base = distribution_matching_loss(as_tensor(expr), as_tensor(au), COGNITIVE).item()
+        base = float(distribution_matching_loss(as_tensor(expr), as_tensor(au), COGNITIVE).data)
         expr4 = np.vstack([expr, onehot([1])])
         au4 = np.vstack([au, np.zeros((1, 17))])
-        padded = distribution_matching_loss(as_tensor(expr4), as_tensor(au4), COGNITIVE).item()
-        assert 4.0 * padded == pytest.approx(3.0 * base, rel=1e-12)
+        padded = distribution_matching_loss(as_tensor(expr4), as_tensor(au4), COGNITIVE).data
+        assert 4.0 * float(padded) == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         expr = rng.dirichlet(np.ones(7), size=5)
         au = rng.random((5, 17))
         assert (
-            distribution_matching_loss(as_tensor(expr), as_tensor(au), COGNITIVE).item()
+            float(distribution_matching_loss(as_tensor(expr), as_tensor(au), COGNITIVE).data)
             >= 0.0
         )
 
@@ -491,11 +491,11 @@ class TestDistributionMatching:
 class TestSoftTargetCCE:
     def test_matching_onehot_near_zero(self):
         p = onehot([3])
-        assert soft_target_cce(as_tensor(p), p).item() == pytest.approx(0.0, abs=1e-6)
+        assert float(soft_target_cce(as_tensor(p), p).data) == pytest.approx(0.0, abs=1e-6)
 
     def test_uniform_vs_onehot(self):
         p = np.full((1, 7), 1.0 / 7.0)
-        assert soft_target_cce(as_tensor(p), onehot([2])).item() == pytest.approx(
+        assert float(soft_target_cce(as_tensor(p), onehot([2])).data) == pytest.approx(
             LN7, abs=1e-9
         )
 
@@ -506,7 +506,7 @@ class TestSoftTargetCCE:
         p[0, 0] = 0.25
         p[0, 1] = 0.75
         expected = -0.5 * (math.log(0.25) + math.log(0.75))
-        assert soft_target_cce(as_tensor(p), soft).item() == pytest.approx(
+        assert float(soft_target_cce(as_tensor(p), soft).data) == pytest.approx(
             expected, abs=1e-12
         )
 

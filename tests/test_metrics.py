@@ -13,7 +13,6 @@ from affectkit.errors import (
 )
 from affectkit.metrics import (
     accuracy,
-    afa,
     binarize,
     ccc,
     confusion_matrix,
@@ -149,13 +148,6 @@ class TestConfusionAndRecall:
 
 
 class TestComposites:
-    def test_afa_perfect(self):
-        assert afa([1, 0], [1, 0]) == 1.0
-
-    def test_afa_hand(self):
-        # macro F1 = 0.5, accuracy = 0.5
-        assert afa([1, 1, 0, 0], [1, 0, 0, 1]) == pytest.approx(0.5)
-
     def test_e_total_expr(self):
         assert e_total_expr(1.0, 1.0) == pytest.approx(1.0)
         assert e_total_expr(0.0, 0.0) == 0.0

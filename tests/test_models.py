@@ -23,7 +23,6 @@ from affectkit.models import (
     expr_probs,
     load_parameters,
     predict_sequence,
-    rows_to_btk,
 )
 from affectkit.harness.checks import GRAD_TOLERANCE, max_relative_error
 from reference_ops import (
@@ -114,18 +113,6 @@ class TestBatchShapes:
     def test_parallel_arrays_must_align(self):
         with pytest.raises(ShapeMismatch):
             SequenceBatch(features=np.zeros((2, 3, 5)), audio=np.zeros((2, 4, 6)))
-
-    def test_va_head_needs_sequences(self):
-        batch = SequenceBatch(features=np.zeros((4, 1, 5)))
-        with pytest.raises(ShapeMismatch):
-            batch.validate_for(ModelSpec(heads=("VA",)))
-        batch.validate_for(ModelSpec(heads=("EXPR",)))
-
-    def test_rows_to_btk_round_trip(self):
-        b, t, k = 3, 4, 2
-        btk = np.arange(b * t * k, dtype=float).reshape(b, t, k)
-        rows = btk.transpose(1, 0, 2).reshape(t * b, k)  # row = t*B + b
-        assert np.array_equal(rows_to_btk(rows, b, t), btk)
 
 
 class TestForward:
@@ -543,7 +530,8 @@ class TestBatchedForwardMatchesPerFrame:
     def test_state_never_crosses_batch_rows(self, name):
         model = Model(EQUIVALENCE_SPECS[name], ALL_DIMS, seed=5)
         batch = random_batch(np.random.default_rng(8), 3, 6)
-        together = rows_to_btk(model.forward(batch).va.data, 3, 6)
+        # time-major rows (row = t*B + b) back to (B, T, 2)
+        together = model.forward(batch).va.data.reshape(6, 3, 2).transpose(1, 0, 2)
         for b in range(3):
             alone = SequenceBatch(
                 features=batch.features[b : b + 1],

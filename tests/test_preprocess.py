@@ -23,9 +23,9 @@ from affectkit.preprocess import (
     read_audio,
     read_landmarks,
     spectrogram,
-    write_audio,
     write_landmarks,
 )
+from reference_input import write_audio
 
 
 def shifted_canonical(dx, dy):
@@ -211,6 +211,22 @@ class TestFileFormats:
         path = tmp_path / "clip.audio"
         path.write_bytes(header + bytes(32))
         with pytest.raises(ConfigError, match="clip.audio: bad audio header"):
+            read_audio(path)
+
+    @pytest.mark.parametrize("length", [5, 2**40, 10**30])
+    def test_length_beyond_the_body(self, tmp_path, length):
+        # checked against the file size before any read or allocation
+        path = tmp_path / "clip.audio"
+        path.write_bytes(f"rate 16000\nlength {length}\n".encode() + bytes(32))
+        message = rf"clip.audio: audio body has 32 bytes, expected {8 * length}$"
+        with pytest.raises(SignalTooShort, match=message):
+            read_audio(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample(self, tmp_path, bad):
+        path = tmp_path / "clip.audio"
+        write_audio(path, 16000, [0.5, -0.25, bad, bad])
+        with pytest.raises(ConfigError, match=r"clip.audio: non-finite audio sample at index 2$"):
             read_audio(path)
 
     def test_landmark_round_trip(self, tmp_path):

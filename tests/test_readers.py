@@ -1,17 +1,24 @@
-"""Every CSV reader at the input boundary: lines named after a quoted
-newline, bytes that are not UTF-8, unparsable CSV, prediction values out of
-range, and mutated files."""
+"""Every reader at the input boundary: for the CSV readers, lines named
+after a quoted newline, bytes that are not UTF-8, unparsable CSV and
+prediction values out of range; for them, the audio reader and the
+relatedness-table reader, mutated files."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from affectkit.errors import AffectKitError, ConfigError
 from affectkit.fusion import read_manifest
-from affectkit.harness.dataio import read_annotations, read_features, read_predictions
-from affectkit.preprocess import read_landmarks
+from affectkit.harness.dataio import (
+    read_annotation_columns,
+    read_feature_columns,
+    read_predictions,
+)
+from affectkit.preprocess import read_audio, read_landmarks
+from affectkit.relatedness import load_table
 from affectkit.zeroshot import load_compound_defs
 
 ANNOTATION_HEADER = "id,split,sequence_id,utterance_id,frame_index,task,payload\n"
@@ -26,7 +33,7 @@ AU_PROBS = ";".join(["0.5"] * 16 + ["1"])
 # field that spans lines 2-3)
 READERS = {
     "annotations": (
-        read_annotations,
+        read_annotation_columns,
         ANNOTATION_HEADER
         + "s0,train,seq1,utt1,4,VA,0.25;-0.5\n"
         + "s1,val,,,,EXPR,3\n"
@@ -35,7 +42,7 @@ READERS = {
         ANNOTATION_HEADER + '"a\nb",train,,,,VA,0.1;0.2\ns1,train,,,,VA,7.5;0.1\n',
     ),
     "features": (
-        read_features,
+        read_feature_columns,
         "id,f0,f1\ns0,0.5,-1.25\ns1,3,4e2\n",
         'id,f0,f1\n"a\nb",1,2\ns1,3,nan\n',
     ),
@@ -123,15 +130,20 @@ def test_unparsable_csv_names_the_path(tmp_path, name):
         reader(path)
 
 
-EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(("delete", "insert", "replace")),
-        st.integers(min_value=0, max_value=1 << 16),
-        st.sampled_from(list(b'",;\n-0123456789\xff')),
-    ),
-    min_size=1,
-    max_size=6,
-)
+def byte_edits(alphabet: bytes):
+    """Up to six deletions, insertions or replacements by bytes of alphabet."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(("delete", "insert", "replace")),
+            st.integers(min_value=0, max_value=1 << 16),
+            st.sampled_from(list(alphabet)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+EDITS = byte_edits(b'",;\n-0123456789\xff')
 
 
 def mutate(data: bytes, edits) -> bytes:
@@ -158,6 +170,39 @@ def test_mutated_file_returns_or_raises_affectkit_error(tmp_path, name, edits):
     reader, valid, _ = READERS[name]
     path = tmp_path / f"{name}.csv"
     path.write_bytes(mutate(valid.encode(), edits))
+    try:
+        reader(path)
+    except AffectKitError:
+        pass
+
+
+# name -> (reader, a valid file); six edits can declare at most a few
+# million audio samples, which the reader refuses before reading
+FORMATS = {
+    "audio": (
+        read_audio,
+        b"rate 1000\nlength 4\n" + np.array([0.5, -0.25, 0.125, 1.0], "<f8").tobytes(),
+    ),
+    "relatedness": (
+        load_table,
+        b"# two emotions\nhappiness proto=12,25 obs=6:0.51\n"
+        b"sadness proto=4,15 obs=1:0.6,17:0.67\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=byte_edits(b" \r\n#=:,.-0123456789e\x00\xf0\xff"))
+def test_mutated_audio_or_table_returns_or_raises_affectkit_error(tmp_path, name, edits):
+    reader, valid = FORMATS[name]
+    path = tmp_path / name
+    path.write_bytes(mutate(valid, edits))
     try:
         reader(path)
     except AffectKitError:

@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_input as ref
-from affectkit.errors import BadDistribution, BadTableFile, MissingMask
+from affectkit.autodiff import DiffTensor
+from affectkit.errors import BadDistribution, BadTableFile
+from affectkit.losses import distribution_matching_loss
 from affectkit.relatedness import (
     BUILTIN_TABLES,
     COGNITIVE,
     EMPIRICAL,
     RelatednessTable,
-    coannotate_aus_to_emotion,
     coannotate_aus_to_emotion_rows,
-    coannotate_emotion_to_aus,
-    emotion_au_mixture,
     load_table,
-    soft_coannotate,
     soft_coannotate_rows,
-    soft_scores,
 )
 from affectkit.types import (
     AU_IDS,
@@ -47,6 +44,24 @@ def au_vector(active, annotated=None):
         for au in annotated:
             mask[au_index(au)] = 1
     return AUVector(values=values, mask=mask)
+
+
+def hard(aus):
+    """The class id the hard engine implies for one AU vector, or -1."""
+    return int(coannotate_aus_to_emotion_rows(aus.values[None], aus.mask[None], COGNITIVE)[0])
+
+
+def soft(aus, reweight=True):
+    """Scores, softmax and completeness flag of the soft engine for one AU vector."""
+    scores, probs, complete = soft_coannotate_rows(
+        aus.values[None], aus.mask[None], COGNITIVE, reweight=reweight
+    )
+    return scores[0], probs[0], bool(complete[0])
+
+
+def mixture(p, reweight=False):
+    """The AU mixture distribution matching computes from emotion probabilities."""
+    return np.asarray(p) @ COGNITIVE.conditional_matrix(reweight=reweight)
 
 
 class TestTables:
@@ -97,48 +112,39 @@ class TestTables:
 
 class TestHardCoannotation:
     def test_surprise_to_aus(self):
-        out = coannotate_emotion_to_aus(
-            ExpressionLabel(expression_id("surprise")), COGNITIVE
-        )
-        assert out == [
-            (1, 1, 1.0),
-            (2, 1, 1.0),
-            (25, 1, 1.0),
-            (26, 1, 1.0),
-            (5, 1, 0.66),
-        ]
+        weight = COGNITIVE.conditional_matrix(reweight=True)[expression_id("surprise")]
+        implied = {AU_IDS[i]: w for i, w in enumerate(weight.tolist()) if w > 0}
+        assert implied == {1: 1.0, 2: 1.0, 25: 1.0, 26: 1.0, 5: 0.66}
 
     def test_neutral_to_aus_empty(self):
-        assert coannotate_emotion_to_aus(ExpressionLabel(0), COGNITIVE) == []
+        assert not COGNITIVE.conditional_matrix(reweight=True)[0].any()
 
     def test_largest_requirement_wins(self):
         # happiness (3 AUs) and surprise (5 AUs) both fully active
         aus = au_vector({12, 25, 6, 1, 2, 26, 5})
-        label = coannotate_aus_to_emotion(aus, COGNITIVE)
-        assert label.name == "surprise"
+        assert hard(aus) == expression_id("surprise")
 
     def test_no_match_returns_none(self):
-        assert coannotate_aus_to_emotion(au_vector({4}), COGNITIVE) is None
+        assert hard(au_vector({4})) == -1
 
     def test_unannotated_requirement_skips_emotion(self):
         # happiness pattern active but AU6 unobserved: happiness is skipped
         aus = au_vector({12, 25}, annotated=set(AU_IDS) - {6})
-        assert coannotate_aus_to_emotion(aus, COGNITIVE) is None
+        assert hard(aus) == -1
 
     @pytest.mark.parametrize(
         "emotion",
         ["anger", "disgust", "fear", "happiness", "sadness", "surprise"],
     )
     def test_round_trip(self, emotion):
-        label = ExpressionLabel(expression_id(emotion))
-        implied = coannotate_emotion_to_aus(label, COGNITIVE)
-        aus = au_vector({au for au, _, _ in implied})
-        assert coannotate_aus_to_emotion(aus, COGNITIVE) == label
+        cid = expression_id(emotion)
+        implied = COGNITIVE.conditional_matrix(reweight=True)[cid] > 0
+        assert hard(au_vector({au for au, on in zip(AU_IDS, implied) if on})) == cid
 
 
 class TestSoftCoannotation:
     def test_happiness_pattern_scores(self):
-        scores = soft_scores(au_vector({12, 25, 6}), COGNITIVE)
+        scores, _, _ = soft(au_vector({12, 25, 6}))
         # all three happiness AUs active: weighted fraction is exactly 1
         assert scores[expression_id("happiness")] == 1.0
         # sadness sees only AU6 of its 0.5 weight against total 4.03
@@ -146,24 +152,23 @@ class TestSoftCoannotation:
         assert scores[0] == 0.0
 
     def test_happiness_pattern_distribution(self):
-        soft = soft_coannotate(au_vector({12, 25, 6}), COGNITIVE)
-        probs = soft.as_array()
+        _, probs, complete = soft(au_vector({12, 25, 6}))
+        assert complete
         assert probs.shape == (NUM_EXPRESSIONS,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert int(np.argmax(probs)) == expression_id("happiness")
 
     def test_all_inactive_is_uniform(self):
-        probs = soft_coannotate(au_vector(set()), COGNITIVE).as_array()
+        _, probs, _ = soft(au_vector(set()))
         assert np.allclose(probs, 1.0 / NUM_EXPRESSIONS, atol=1e-12)
 
     def test_reweight_off_uses_unit_weights(self):
-        scores = soft_scores(au_vector({6}), COGNITIVE, reweight=False)
+        scores, _, _ = soft(au_vector({6}), reweight=False)
         assert scores[expression_id("happiness")] == pytest.approx(1 / 3)
 
     def test_missing_mask(self):
-        aus = au_vector({12, 25}, annotated=set(AU_IDS) - {6})
-        with pytest.raises(MissingMask):
-            soft_coannotate(aus, COGNITIVE)
+        _, _, complete = soft(au_vector({12, 25}, annotated=set(AU_IDS) - {6}))
+        assert not complete
 
 
 # rows of (active flags, unannotated positions); some rows leave every AU
@@ -204,19 +209,13 @@ class TestRowEnginesMatchPerRowLoops:
         )
         for r in range(len(rows)):
             aus = AUVector(values[r], mask[r])
-            try:
-                want_scores = ref.soft_scores(aus, table, reweight=reweight)
-            except MissingMask as exc:
-                assert not complete[r]
-                with pytest.raises(MissingMask, match=f"^{exc}$"):
-                    soft_coannotate(aus, table, reweight=reweight)
-                continue
-            want = ref.soft_coannotate(aus, table, reweight=reweight)
-            assert complete[r]
+            want_scores, want_complete = ref.soft_scores(aus, table, reweight=reweight)
+            assert complete[r] == want_complete
+            if not want_complete:
+                continue  # scores and softmax mean nothing in such a row
+            want, _ = ref.soft_coannotate(aus, table, reweight=reweight)
             assert np.array_equal(scores[r], want_scores)
             assert np.array_equal(probs[r], want)
-            assert np.array_equal(soft_scores(aus, table, reweight=reweight), want_scores)
-            assert np.array_equal(soft_coannotate(aus, table, reweight=reweight).as_array(), want)
 
     @pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=["cognitive", "empirical"])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -237,7 +236,6 @@ class TestRowEnginesMatchPerRowLoops:
             aus = AUVector(values[r], mask[r])
             want = ref.coannotate_aus_to_emotion(aus, table)
             assert implied[r] == (-1 if want is None else want.class_id)
-            assert coannotate_aus_to_emotion(aus, table) == want
         assert row is None or implied[0] >= 0
 
     @pytest.mark.parametrize("table", [COGNITIVE, EMPIRICAL], ids=["cognitive", "empirical"])
@@ -245,7 +243,7 @@ class TestRowEnginesMatchPerRowLoops:
         weight = table.conditional_matrix(reweight=True)
         for cid in range(NUM_EXPRESSIONS):
             want_t, want_w = np.zeros(NUM_AUS), np.zeros(NUM_AUS)
-            for au, t, w in coannotate_emotion_to_aus(ExpressionLabel(cid), table):
+            for au, t, w in ref.coannotate_emotion_to_aus(ExpressionLabel(cid), table):
                 want_t[au_index(au)] = t
                 want_w[au_index(au)] = w
             assert np.array_equal(weight[cid] > 0, want_t)
@@ -264,7 +262,7 @@ class TestMixture:
         p = np.zeros(NUM_EXPRESSIONS)
         p[expression_id("surprise")] = 0.5
         p[expression_id("fear")] = 0.5
-        q = emotion_au_mixture(p, COGNITIVE)
+        q = mixture(p)
         # AU2 belongs to both rows, so the halves add back to 1
         assert q[au_index(2)] == pytest.approx(1.0)
         assert q[au_index(1)] == pytest.approx(1.0)
@@ -273,27 +271,28 @@ class TestMixture:
         p = np.zeros(NUM_EXPRESSIONS)
         p[expression_id("surprise")] = 0.5
         p[expression_id("fear")] = 0.5
-        q = emotion_au_mixture(p, COGNITIVE, reweight=True)
+        q = mixture(p, reweight=True)
         # surprise carries AU2 in its prototype set, fear at weight 0.57
         assert q[au_index(2)] == pytest.approx(0.5 * 1.0 + 0.5 * 0.57)
 
     def test_pure_neutral_is_zero(self):
         p = np.zeros(NUM_EXPRESSIONS)
         p[0] = 1.0
-        assert np.all(emotion_au_mixture(p, COGNITIVE) == 0.0)
+        assert np.all(mixture(p) == 0.0)
 
     def test_entries_stay_probabilities(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = rng.dirichlet(np.ones(NUM_EXPRESSIONS))
-            q = emotion_au_mixture(p, COGNITIVE)
+            q = mixture(p)
             assert np.all(q >= -1e-12) and np.all(q <= 1.0 + 1e-12)
 
     def test_bad_distribution(self):
-        with pytest.raises(BadDistribution):
-            emotion_au_mixture(np.ones(NUM_EXPRESSIONS), COGNITIVE)
-        with pytest.raises(BadDistribution):
-            emotion_au_mixture(np.zeros(3), COGNITIVE)
+        # distribution matching refuses emotion rows that are not distributions
+        au = DiffTensor(np.full((1, NUM_AUS), 0.5))
+        for p in (np.ones(NUM_EXPRESSIONS), -np.eye(NUM_EXPRESSIONS)[0]):
+            with pytest.raises(BadDistribution):
+                distribution_matching_loss(DiffTensor(p[None]), au, COGNITIVE)
 
 
 class TestTableFiles:
@@ -319,6 +318,14 @@ class TestTableFiles:
         path = tmp_path / "bad.txt"
         path.write_text("happiness proto=12\nnotanemotion proto=1\n")
         with pytest.raises(BadTableFile, match="bad.txt:2"):
+            load_table(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_the_line(self, tmp_path, newline):
+        path = tmp_path / "bad.txt"
+        lines = ["# a custom table", "happiness proto=12", "sadness proto=4 obs=1:0.6"]
+        path.write_bytes(newline.join(lines).encode().replace(b"0.6", b"0.\xff") + b"\n")
+        with pytest.raises(BadTableFile, match=r"bad\.txt:3: not UTF-8 text: .* byte 0xff"):
             load_table(path)
 
     def test_unknown_key(self, tmp_path):

@@ -10,14 +10,13 @@ import pytest
 
 import reference_input as ref
 from affectkit import types
-from affectkit.errors import ConfigError, MissingMask
+from affectkit.errors import ConfigError
 from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import load_columns, write_annotations, write_features
 from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness.training import _build_table, _compound_chunks, train_run
 from affectkit.losses import BatchLabels
 from affectkit.models import SequenceBatch
-from affectkit.relatedness import coannotate_emotion_to_aus
 from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
     NUM_AUS,
@@ -56,7 +55,7 @@ def reference_pools(samples: List[AnnotatedSample], config: RunConfig) -> _Pools
     table = config.relatedness_table()
     if config.coupling == "coannotation":
         for sid in pools.expr_ids:
-            implied = coannotate_emotion_to_aus(by_id[sid].label, table)
+            implied = ref.coannotate_emotion_to_aus(by_id[sid].label, table)
             if implied:
                 targets = np.zeros(NUM_AUS)
                 weightv = np.zeros(NUM_AUS)
@@ -70,11 +69,11 @@ def reference_pools(samples: List[AnnotatedSample], config: RunConfig) -> _Pools
                 pools.extra_expr[sid] = implied.class_id
     elif config.coupling in ("soft_coannotation", "soft+distr"):
         for sid in pools.au_ids:
-            try:
-                soft = ref.soft_coannotate(by_id[sid].label, table, reweight=config.reweight_soft)
-            except MissingMask:
-                continue
-            pools.soft_expr[sid] = soft
+            soft, complete = ref.soft_coannotate(
+                by_id[sid].label, table, reweight=config.reweight_soft
+            )
+            if complete:
+                pools.soft_expr[sid] = soft
     return pools
 
 

@@ -68,13 +68,6 @@ class TestAUVector:
         au = AUVector(values=[1] + [0] * 16)
         assert au.mask.tolist() == [1] * 17
 
-    def test_is_annotated(self):
-        mask = [1] * 17
-        mask[au_index(5)] = 0
-        au = AUVector(values=[0] * 17, mask=mask)
-        assert au.is_annotated(1)
-        assert not au.is_annotated(5)
-
 
 class TestTaskTag:
     def test_task_per_label_type(self):
