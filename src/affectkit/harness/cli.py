@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import AffectKitError, ConfigError
+from ..errors import AffectKitError, ConfigError, DegenerateLandmarks
 from ..fusion import EnsembleMember, decision_level_fuse, median_filter, read_manifest, smooth
 from ..preprocess import (
     CANONICAL_LANDMARKS,
@@ -198,7 +198,10 @@ def _cmd_align(args) -> int:
     aligned = {}
     residuals = []
     for frame, landmarks in sorted(frames.items()):
-        fit = fit_alignment(landmarks, canonical)
+        try:
+            fit = fit_alignment(landmarks, canonical)
+        except DegenerateLandmarks as exc:
+            raise DegenerateLandmarks(f"{args.landmarks}: frame {frame}: {exc}") from exc
         points = apply_alignment(fit, landmarks.as_array())
         aligned[frame] = LandmarkSet(points=tuple(map(tuple, points)))
         residuals.append(fit.residual)

@@ -39,6 +39,7 @@ from ..losses import (
 )
 from ..models import Model, SequenceBatch, au_probs, expr_probs, load_parameters
 from ..relatedness import (
+    RelatednessTable,
     coannotate_aus_to_emotion_rows,
     soft_coannotate_rows,
 )
@@ -84,9 +85,9 @@ class _TrainTable:
         return SequenceBatch(features=self.features[idx][None]), labels
 
 
-def _build_table(data: SampleColumns, config: RunConfig) -> _TrainTable:
-    """The row table of a training split; co-annotation runs over whole
-    pools at once and writes into ``data.labels``."""
+def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable) -> _TrainTable:
+    """The row table of a training split; co-annotation by ``table`` runs
+    over whole pools at once and writes into ``data.labels``."""
     labels = data.labels
     va, expr, compound = (
         np.flatnonzero(flag) for flag in (labels.has_va, labels.has_expr, labels.has_compound)
@@ -105,7 +106,6 @@ def _build_table(data: SampleColumns, config: RunConfig) -> _TrainTable:
             f"below compound_classes = {config.compound_classes}"
         )
 
-    table = config.relatedness_table()
     if config.coupling == "coannotation":
         # each emotion implies its table AUs: target 1, mask weight 1 for a
         # prototypical AU and the observational weight otherwise
@@ -159,7 +159,8 @@ def train_run(config: RunConfig) -> TrainResult:
     val_files = (config.val_annotations, config.val_features)
     # validation rows in the training files come from the same parse
     train, *val = load_splits(*files, ("train", "val") if val_files == files else ("train",))
-    data = _build_table(train, config)
+    table = config.relatedness_table()
+    data = _build_table(train, config, table)
     if not val and all(val_files):
         val = [load_columns(*val_files, split="val")]
     val_samples = val[0].samples() if val else []
@@ -175,7 +176,6 @@ def train_run(config: RunConfig) -> TrainResult:
     trainable = model.head_parameters() if config.freeze_trunk else model.parameters()
     opt = Adam(trainable, lr=config.lr)
     weights = LossWeights(lambda1=config.lambda1, lambda2=config.lambda2)
-    table = config.relatedness_table()
     use_dm = config.coupling in ("distr_matching", "soft+distr")
     dropout_rng = np.random.default_rng([int(config.seed), 7])
 

@@ -2,7 +2,9 @@
 normalization, and audio spectrogram framing.
 
 Alignment fits a full 6-DOF affine map from 5 detected landmarks (eyes,
-nose, mouth corners) to a canonical frontal template by least squares.
+nose, mouth corners) to a canonical frontal template by least squares, in
+closed form from the centred moments of both point sets, and rejects a
+collinear source set by a scale- and translation-invariant rule.
 Spectrograms use millisecond window/overlap settings converted to sample
 counts at the configured rate, a zero-padded power-of-two DFT, magnitude
 only, and per-spectrogram min-max normalization into [-1, 1] so audio
@@ -11,6 +13,7 @@ features share the visual features' range.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -71,19 +74,38 @@ class AffineFit:
 def fit_alignment(source: LandmarkSet, canonical: LandmarkSet) -> AffineFit:
     """Least-squares affine A with A @ [x, y, 1] ~= canonical point.
 
-    Collinear source points leave the affine underdetermined and are
-    rejected.
+    Closed form (Umeyama, TPAMI 1991): on points centred on their means the
+    linear part L solves L @ S = C, with S = [[a, b], [b, c]] the source
+    scatter and C the cross-moments; the translation is mean(dst) - L @
+    mean(src). Collinear source points, det(S) <= 1e-14 * trace(S) ** 2,
+    and coordinates that overflow the fit raise DegenerateLandmarks.
     """
-    src = source.as_array()
-    dst = canonical.as_array()
-    design = np.hstack([src, np.ones((5, 1))])
-    if np.linalg.matrix_rank(design, tol=1e-9) < 3:
+    src, dst = ([(float(x), float(y)) for x, y in lm.points] for lm in (source, canonical))
+    mx = (src[0][0] + src[1][0] + src[2][0] + src[3][0] + src[4][0]) / 5
+    my = (src[0][1] + src[1][1] + src[2][1] + src[3][1] + src[4][1]) / 5
+    nx = (dst[0][0] + dst[1][0] + dst[2][0] + dst[3][0] + dst[4][0]) / 5
+    ny = (dst[0][1] + dst[1][1] + dst[2][1] + dst[3][1] + dst[4][1]) / 5
+    pairs = [(x - mx, y - my, u - nx, v - ny) for (x, y), (u, v) in zip(src, dst)]
+    a = b = c = xu = yu = xv = yv = 0.0
+    for x, y, u, v in pairs:
+        a, b, c = a + x * x, b + x * y, c + y * y
+        xu, yu, xv, yv = xu + x * u, yu + y * u, xv + x * v, yv + y * v
+    det = a * c - b * b
+    trace_sq = (a + c) * (a + c)
+    if not math.isfinite(det + trace_sq):
+        raise DegenerateLandmarks("landmark coordinates overflow the fit")
+    if det <= 1e-14 * trace_sq:
         raise DegenerateLandmarks("source landmarks are collinear")
-    solution, _, _, _ = np.linalg.lstsq(design, dst, rcond=None)
-    matrix = solution.T  # (2,3)
-    mapped = design @ solution
-    residual = float(np.sqrt(np.mean(np.sum((mapped - dst) ** 2, axis=1))))
-    return AffineFit(matrix=matrix, residual=residual)
+    l00, l01 = (xu * c - yu * b) / det, (yu * a - xu * b) / det
+    l10, l11 = (xv * c - yv * b) / det, (yv * a - xv * b) / det
+    sq = 0.0
+    for x, y, u, v in pairs:
+        ex, ey = l00 * x + l01 * y - u, l10 * x + l11 * y - v
+        sq += ex * ex + ey * ey
+    rows = [[l00, l01, nx - l00 * mx - l01 * my], [l10, l11, ny - l10 * mx - l11 * my]]
+    if not math.isfinite(sq + sum(rows[0]) + sum(rows[1])):
+        raise DegenerateLandmarks("landmark coordinates overflow the fit")
+    return AffineFit(matrix=np.array(rows), residual=math.sqrt(sq / 5))
 
 
 def apply_alignment(affine, points) -> np.ndarray:

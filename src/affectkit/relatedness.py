@@ -152,7 +152,9 @@ BUILTIN_TABLES = {"cognitive": COGNITIVE, "empirical": EMPIRICAL}
 
 def load_table(path, name: Optional[str] = None) -> RelatednessTable:
     """Parse a relatedness file: one ``<emotion> proto=<id,..> obs=<id:w,..>``
-    line per emotion, ``#`` comments, UTF-8. Either key may be omitted."""
+    line per emotion, ``#`` comments, UTF-8. Either key may be omitted. A
+    line that does not parse or that ``validate`` refuses raises
+    BadTableFile at ``path:line``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -185,12 +187,13 @@ def load_table(path, name: Optional[str] = None) -> RelatednessTable:
                         obs.append((int(au_s), float(w_s)))
                 else:
                     raise ValueError(f"unknown key {key!r}")
+            rows.append((cid, EmotionRow(proto=tuple(proto), obs=tuple(obs))))
+            # the rows above passed, so what fails here is this line (a
+            # table holds at most six rows, one per non-neutral emotion)
+            RelatednessTable(name="", rows=tuple(rows)).validate()
         except Exception as exc:
             raise BadTableFile(f"{path}:{lineno}: {exc}") from exc
-        rows.append((cid, EmotionRow(proto=tuple(proto), obs=tuple(obs))))
-    table = RelatednessTable(name=name or str(path), rows=tuple(rows))
-    table.validate()
-    return table
+    return RelatednessTable(name=name or str(path), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Test-only per-row references for the column readers and the training
-table, and the file helpers the tests write and read fixtures with.
+table, the SVD landmark alignment, and the file helpers the tests write and
+read fixtures with.
 
 ``read_annotations``, ``read_features`` and ``load_dataset`` are the readers
 that built one ``AnnotatedSample`` per row; ``build_table`` is the training
@@ -12,20 +13,33 @@ per-sample coupling loops that the row-wise engines in
 unannotated instead of raising. The equivalence tests compare the program
 against these with ``array_equal``.
 
+``fit_alignment_lstsq`` is the landmark alignment that
+``preprocess.fit_alignment``'s closed form replaced: an absolute rank test
+on the design matrix ``[src, 1]`` and a LAPACK least-squares solve. The
+alignment tests compare the two at explicit tolerances.
+
 ``write_audio`` writes the audio format ``preprocess.read_audio`` reads,
 and ``read_report`` reads the file ``dataio.write_report`` writes.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from affectkit.csvfile import open_rows
-from affectkit.errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
+from affectkit.errors import (
+    BadMask,
+    ConfigError,
+    DegenerateLandmarks,
+    KeyMisalignment,
+    UnknownClass,
+)
 from affectkit.harness.dataio import ANNOTATION_FIELDS
 from affectkit.losses import label_arrays
+from affectkit.preprocess import AffineFit, LandmarkSet
 from affectkit.relatedness import RelatednessTable
 from affectkit.types import (
     NUM_AUS,
@@ -230,6 +244,48 @@ def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
         expr_rows=expr,
         compound_rows=compound,
     )
+
+
+# ---------------------------------------------------------------------------
+# alignment
+
+
+def fit_alignment_lstsq(source: LandmarkSet, canonical: LandmarkSet) -> AffineFit:
+    """Least-squares affine A with A @ [x, y, 1] ~= canonical point, by SVD;
+    a design matrix of numerical rank below 3 at tolerance 1e-9 is refused
+    as collinear."""
+    src = source.as_array()
+    dst = canonical.as_array()
+    design = np.hstack([src, np.ones((5, 1))])
+    if np.linalg.matrix_rank(design, tol=1e-9) < 3:
+        raise DegenerateLandmarks("source landmarks are collinear")
+    solution, _, _, _ = np.linalg.lstsq(design, dst, rcond=None)
+    matrix = solution.T  # (2,3)
+    mapped = design @ solution
+    residual = float(np.sqrt(np.mean(np.sum((mapped - dst) ** 2, axis=1))))
+    return AffineFit(matrix=matrix, residual=residual)
+
+
+def fit_alignment_exact(source: LandmarkSet, canonical: LandmarkSet):
+    """(matrix, residual) of the least-squares affine in exact rational
+    arithmetic, rounded to floats once at the end."""
+    src = [(Fraction(x), Fraction(y)) for x, y in source.points]
+    dst = [(Fraction(u), Fraction(v)) for u, v in canonical.points]
+    mx, my = (sum(col) / 5 for col in zip(*src))
+    nx, ny = (sum(col) / 5 for col in zip(*dst))
+    centred = [(x - mx, y - my, u - nx, v - ny) for (x, y), (u, v) in zip(src, dst)]
+    a, b, c = (sum(p[i] * p[j] for p in centred) for i, j in ((0, 0), (0, 1), (1, 1)))
+    det = a * c - b * b
+    rows = []
+    for k in (2, 3):
+        xu = sum(p[0] * p[k] for p in centred)
+        yu = sum(p[1] * p[k] for p in centred)
+        lx, ly = (xu * c - yu * b) / det, (yu * a - xu * b) / det
+        rows.append((lx, ly, (nx, ny)[k - 2] - lx * mx - ly * my))
+    sq = sum(
+        (r[0] * p[0] + r[1] * p[1] - p[k]) ** 2 for p in centred for k, r in zip((2, 3), rows)
+    )
+    return np.array([[float(e) for e in r] for r in rows]), math.sqrt(sq / 5)
 
 
 # ---------------------------------------------------------------------------

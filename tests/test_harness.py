@@ -874,6 +874,20 @@ class TestCLI:
         assert code == 2
         assert "faces.landmarks:3: duplicate frame 0" in err and "Traceback" not in err
 
+    def test_align_names_the_file_and_frame_of_a_collinear_set(self, tmp_path, capsys):
+        landmarks = tmp_path / "faces.landmarks"
+        landmarks.write_text(
+            "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"
+            "0,30,40,66,40,48,56,34,76,62,76\n"
+            "1,0,1,1,3,2,5,3,7,4,9\n"
+        )
+        out = tmp_path / "out.landmarks"
+        code = self.run_cli("align", "--landmarks", landmarks, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{landmarks}: frame 1: source landmarks are collinear" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_spectrogram_with_bad_audio_header_is_exit_2(self, tmp_path, capsys):
         audio = tmp_path / "clip.audio"
         audio.write_bytes(b"rate 16000\nlen 4\n" + bytes(32))

@@ -1,9 +1,14 @@
 """Face alignment, intensity normalization, and audio spectrograms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectkit.errors import (
+    AffectKitError,
     BadRange,
     ConfigError,
     DegenerateLandmarks,
@@ -25,7 +30,7 @@ from affectkit.preprocess import (
     spectrogram,
     write_landmarks,
 )
-from reference_input import write_audio
+from reference_input import fit_alignment_exact, fit_alignment_lstsq, write_audio
 
 
 def shifted_canonical(dx, dy):
@@ -100,6 +105,121 @@ class TestAlignment:
             LandmarkSet(points=tuple(map(tuple, pts))), CANONICAL_LANDMARKS
         )
         assert fit.residual > 0.01
+
+
+def face(angle, stretch, log_scale, offset, direction, seed) -> LandmarkSet:
+    """The canonical template centred and shrunk to unit size, jittered,
+    rotated and stretched, then moved ``offset`` units away from the origin
+    and scaled by 10 ** log_scale, so the offset is relative to the face."""
+    rng = np.random.default_rng(seed)
+    base = CANONICAL_LANDMARKS.as_array()
+    base = (base - base.mean(axis=0)) / 20.0 + rng.normal(0.0, 0.05, (5, 2))
+    c, s = math.cos(angle), math.sin(angle)
+    linear = np.array([[c, -s], [s, c]]) @ np.diag([1.0, stretch])
+    shift = offset * np.array([math.cos(direction), math.sin(direction)])
+    pts = 10.0**log_scale * (base @ linear.T + shift)
+    return LandmarkSet(points=tuple(map(tuple, pts)))
+
+
+def faces(salt: int):
+    """Random faces; source and target draw with different salts, so their
+    jitter differs and no fit between them is exact."""
+    return st.builds(
+        face,
+        angle=st.floats(-math.pi, math.pi),
+        stretch=st.floats(0.5, 2.0),
+        log_scale=st.floats(-6.0, 6.0),
+        offset=st.floats(0.0, 1e4),
+        direction=st.floats(-math.pi, math.pi),
+        seed=st.integers(0, 2**32 - 1).map(lambda seed: (seed, salt)),
+    )
+
+
+def outcome(fit, source, canonical):
+    try:
+        return fit(source, canonical)
+    except DegenerateLandmarks:
+        return None
+
+
+class TestClosedFormAgainstLstsq:
+    """``fit_alignment`` against the SVD fit it replaced and against the
+    exact least-squares solution (``reference_input``), over random faces at
+    scales 1e-6 to 1e6 moved up to 1e4 face sizes from the origin.
+
+    The SVD fit's own rounding grows with the distance from the origin, so
+    its gaps are bounded on the scales that rounding follows: the matrix on
+    the larger of its largest entry and the largest target coordinate (the
+    translation is mean(dst) - L @ mean(src), however much the terms
+    cancel), and the residual with a floor of 1e-3 of that coordinate (it is
+    computed from mapped - dst in absolute coordinates). Over 8000 random
+    draws of this kind the SVD fit's gaps from the exact solution reached
+    3e-10 and 2.5e-11 on these scales, and 4e-6 on the linear part alone;
+    the closed form's stayed near 1e-15, and the last three asserts hold it
+    to 1e-13 and 1e-12.
+    """
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(source=faces(0), target=st.one_of(st.just(CANONICAL_LANDMARKS), faces(1)))
+    def test_same_decision_matrix_and_residual(self, source, target):
+        old = outcome(fit_alignment_lstsq, source, target)
+        new = outcome(fit_alignment, source, target)
+        assert (old is None) == (new is None)
+        if old is None:
+            return
+        reach = np.abs(target.as_array()).max()
+        scale = max(np.abs(old.matrix).max(), reach)
+        assert np.abs(new.matrix - old.matrix).max() <= 1e-9 * scale
+        assert abs(new.residual - old.residual) <= 1e-9 * (old.residual + 1e-3 * reach)
+        matrix, residual = fit_alignment_exact(source, target)
+        linear = np.abs(matrix[:, :2]).max()
+        assert np.abs(new.matrix[:, :2] - matrix[:, :2]).max() <= 1e-13 * linear
+        assert np.abs(new.matrix - matrix).max() <= 1e-13 * scale
+        assert abs(new.residual - residual) <= 1e-12 * residual
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        angle=st.floats(-math.pi, math.pi),
+        log_scale=st.floats(-6.0, 6.0),
+        offset=st.floats(0.0, 1e4),
+        direction=st.floats(-math.pi, math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_collinear_sets_rejected_at_any_rotation_scale_and_offset(
+        self, angle, log_scale, offset, direction, seed
+    ):
+        t = np.random.default_rng(seed).normal(0.0, 1.0, 5)
+        line = np.outer(t, [math.cos(angle), math.sin(angle)])
+        shift = offset * np.array([math.cos(direction), math.sin(direction)])
+        pts = 10.0**log_scale * (line + shift)
+        with pytest.raises(DegenerateLandmarks, match="source landmarks are collinear"):
+            fit_alignment(LandmarkSet(points=tuple(map(tuple, pts))), CANONICAL_LANDMARKS)
+
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (48.0, 56.0), (-3e5, 7e-3)])
+    def test_five_coincident_points_rejected(self, point):
+        with pytest.raises(DegenerateLandmarks, match="source landmarks are collinear"):
+            fit_alignment(LandmarkSet(points=(point,) * 5), CANONICAL_LANDMARKS)
+
+    @pytest.mark.parametrize("k", [1e-11, 1e9])
+    def test_decision_and_fit_ignore_scale_and_offset(self, k):
+        source = face(0.3, 1.5, 0.0, 0.0, 0.0, seed=4)
+        moved = LandmarkSet(points=tuple((k * x + 3 * k, k * y - k) for x, y in source.points))
+        # the SVD fit's absolute rank tolerance refused a face this small
+        assert (outcome(fit_alignment_lstsq, moved, CANONICAL_LANDMARKS) is None) == (k < 1)
+        base = fit_alignment(source, CANONICAL_LANDMARKS)
+        fit = fit_alignment(moved, CANONICAL_LANDMARKS)
+        assert fit.matrix[:, :2] * k == pytest.approx(base.matrix[:, :2], rel=1e-9)
+        assert fit.residual == pytest.approx(base.residual, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "source_scale, canonical_scale", [(1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1e300, 1e300)]
+    )
+    def test_overflowing_coordinates_raise(self, source_scale, canonical_scale):
+        base = CANONICAL_LANDMARKS.as_array()
+        source = LandmarkSet(points=tuple(map(tuple, base * source_scale)))
+        canonical = LandmarkSet(points=tuple(map(tuple, base * canonical_scale)))
+        with pytest.raises(AffectKitError, match="overflow"):
+            fit_alignment(source, canonical)
 
 
 class TestNormalizeIntensity:

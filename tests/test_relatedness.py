@@ -328,6 +328,23 @@ class TestTableFiles:
         with pytest.raises(BadTableFile, match=r"bad\.txt:3: not UTF-8 text: .* byte 0xff"):
             load_table(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("happiness proto=99", "AU99 is not one of the 17 canonical AUs"),
+            ("happiness proto=12 obs=6:1.5", r"weight 1\.5 for AU6 outside \(0,1\]"),
+            ("happiness proto=12 obs=6:0", r"weight 0\.0 for AU6 outside \(0,1\]"),
+            ("happiness proto=12,6 obs=6:0.5", "AU6 both prototypical and observational"),
+            ("neutral proto=12", "neutral must not have a relatedness row"),
+            ("sadness proto=6", "an emotion has more than one relatedness row"),
+        ],
+    )
+    def test_rule_breaks_name_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# custom\nsadness proto=4,15\n\n{line}\nfear proto=1\n")
+        with pytest.raises(BadTableFile, match=rf"bad\.txt:4: {message}"):
+            load_table(path)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("happiness primary=12\n")

@@ -17,6 +17,7 @@ from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness.training import _build_table, _compound_chunks, train_run
 from affectkit.losses import BatchLabels
 from affectkit.models import SequenceBatch
+from affectkit.relatedness import COGNITIVE, load_table
 from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
     NUM_AUS,
@@ -207,7 +208,7 @@ def assert_table_equals_reference(table, want):
 
 def build_both(ann, feats, cfg, split="train"):
     """The table from the column readers and the per-row reference's."""
-    table = _build_table(load_columns(ann, feats, split=split), cfg)
+    table = _build_table(load_columns(ann, feats, split=split), cfg, cfg.relatedness_table())
     return table, ref.build_table(ref.load_dataset(ann, feats, split=split), cfg)
 
 
@@ -247,7 +248,7 @@ def test_split_fallback_keeps_every_row(tmp_path):
 def test_gather_equals_per_sample_assembly(tmp_path, coupling):
     ann, feats = write_files(tmp_path, basic_samples())
     cfg = config(coupling=coupling, seed=11)
-    table = _build_table(load_columns(ann, feats, split="train"), cfg)
+    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
     samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
 
@@ -280,7 +281,7 @@ def test_gather_equals_per_sample_assembly(tmp_path, coupling):
 def test_compound_gather_equals_per_sample_assembly(tmp_path):
     ann, feats = write_files(tmp_path, compound_samples())
     cfg = config(heads=("COMPOUND",), total_batch=8, seed=4)
-    table = _build_table(load_columns(ann, feats, split="train"), cfg)
+    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
     samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
     row_chunks = list(_compound_chunks(table.compound_rows, 8, cfg.seed, 0, True))
@@ -322,7 +323,7 @@ def test_duplicate_id_raises(tmp_path):
 def test_compound_mixed_with_basic_raises(tmp_path):
     ann, feats = write_files(tmp_path, basic_samples() + compound_samples())
     with pytest.raises(ConfigError, match="cannot be mixed"):
-        _build_table(load_columns(ann, feats, split="train"), config())
+        _build_table(load_columns(ann, feats, split="train"), config(), COGNITIVE)
 
 
 def test_compound_class_beyond_head_raises(tmp_path):
@@ -333,14 +334,14 @@ def test_compound_class_beyond_head_raises(tmp_path):
         ConfigError,
         match=r"c004: compound class id 12 is not below compound_classes = 11",
     ):
-        _build_table(load_columns(ann, feats), config(heads=("COMPOUND",)))
+        _build_table(load_columns(ann, feats), config(heads=("COMPOUND",)), COGNITIVE)
 
 
 def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
     ann, feats = write_files(tmp_path, basic_samples())
     data = load_columns(ann, feats, split="train")
     samples = data.samples()
-    table = _build_table(data, config())
+    table = _build_table(data, config(), COGNITIVE)
     zero = [r for r, s in enumerate(samples) if isinstance(s.label, AUVector)
             and not s.label.mask.any()]
     assert zero and set(zero) <= set(table.au_rows)
@@ -365,3 +366,18 @@ def test_train_run_builds_no_per_row_label_object(tmp_path, monkeypatch, couplin
     assert np.isfinite(result.history[-1]["loss"])
     load_columns(ann, feats).samples()  # the per-row view is counted
     assert {"AnnotatedSample", "AUVector", "ValenceArousal", "ExpressionLabel"} <= set(built)
+
+
+def test_a_file_table_is_read_once_per_job(tmp_path, monkeypatch):
+    ann, feats = write_files(tmp_path, basic_samples())
+    path = tmp_path / "table.txt"
+    path.write_text("happiness proto=12,25 obs=6:0.51\nsadness proto=4,15 obs=1:0.6\n")
+    reads = []
+    monkeypatch.setattr(
+        "affectkit.harness.config.load_table", lambda p: reads.append(p) or load_table(p)
+    )
+    result = train_run(
+        train_config(tmp_path, ann, feats, coupling="soft+distr", relatedness=f"file:{path}")
+    )
+    assert reads == [str(path)]
+    assert np.isfinite(result.history[-1]["loss"])
