@@ -43,6 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .csvfile import atomic_write
 from .errors import (
     BadCheckpoint,
     ConfigError,
@@ -473,10 +474,11 @@ def save_checkpoint(path, params: Mapping[str, object]) -> None:
 
     Layout: magic, u32 version, u32 entry count; per entry a u16 name
     length, UTF-8 name, u8 ndim, u32 per dimension, then the raw
-    little-endian 64-bit values. Round-trips bit-exactly.
+    little-endian 64-bit values. Round-trips bit-exactly. The file at
+    ``path`` is replaced only once the new one is whole.
     """
     items = sorted(params.items())
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(items)))
         for name, value in items:

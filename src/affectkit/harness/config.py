@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from ..csvfile import atomic_write
 from ..errors import ConfigError
 from ..models import InputDims, ModelSpec, RecurrentSpec
 from ..relatedness import BUILTIN_TABLES, RelatednessTable, load_table
@@ -218,7 +219,7 @@ class RunConfig:
         return config
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for f in fields(self):
                 value = getattr(self, f.name)
                 if isinstance(value, tuple):

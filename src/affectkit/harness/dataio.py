@@ -17,6 +17,17 @@ one (N, D) matrix, and :func:`load_columns` takes its rows by id
 (:func:`load_splits` several splits from one parse). Each column is
 checked at load, and a bad value names the ``path:line`` of its
 row; an id repeated within either file is an error.
+
+A plain feature file is read in blocks, each line's id peeled off with one
+``partition``, and all values converted by one ``np.loadtxt`` call. Plain
+means: no ``"``, CR or NUL, no line longer than ``csv.field_size_limit()``,
+at least one data row, and every value written only with ``0-9 + - . e E``.
+Over those characters ``float()`` and ``loadtxt`` accept the same strings
+and both end in ``PyOS_string_to_double``, so the values are bit-identical
+to the per-row parse. The result is kept only if it has one row per id and
+a value per header column, every value is finite and no id repeats; any
+other file goes through the per-row reader (``csv`` rows, one ``float()``
+per value), which alone raises the errors.
 ``SampleColumns.samples`` and :func:`load_dataset` give the rows as
 ``AnnotatedSample`` objects.
 """
@@ -28,11 +39,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..csvfile import open_rows
+from ..csvfile import open_rows, open_text
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
 from ..losses import BatchLabels
 from ..types import (
@@ -74,6 +86,11 @@ _csv_line = csv.writer(
     SimpleNamespace(write=lambda row: row[:-2]), lineterminator="\r\n"
 ).writerow
 _AU_CODES = np.frombuffer(b"01-", dtype=np.uint8)
+# The characters a feature value may hold on the plain-file path, plus the
+# separator between values: over them, float() and np.loadtxt accept the
+# same strings and parse them to the same double.
+_PLAIN_VALUE_BYTES = b"0123456789+-.eE,"
+_BLOCK_CHARS = 1 << 14  # characters read per block; larger blocks raise the peak memory
 
 
 def _encode_payload(sample: AnnotatedSample) -> str:
@@ -287,7 +304,86 @@ def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
 def read_feature_columns(path) -> Tuple[List[str], np.ndarray]:
     """Feature ids in file order and their values as one (N, D) float64
     matrix. A short row, a repeated id or a value that is not a finite
-    number raises ConfigError at ``path:line``."""
+    number raises ConfigError at ``path:line``.
+
+    A plain file is parsed in one ``np.loadtxt`` pass; any other file, and
+    every file with an error, goes through the per-row reader."""
+    return _read_plain_features(path) or _read_feature_rows(path)
+
+
+class _NotPlain(Exception):
+    """A feature file that only the per-row reader may parse."""
+
+
+def _plain_blocks(fh, ids: List[str], limit: int) -> Iterator[Tuple[str, ...]]:
+    """The value text of each block of data lines, the ids of its lines
+    appended to ``ids`` first. Blank lines are skipped, as ``csv`` skips
+    them; a line ``csv`` might read differently raises _NotPlain."""
+    rest = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        if chunk:
+            text, newline, rest = (rest + chunk).rpartition("\n")
+            if not newline:  # no line ends in this block yet
+                if len(rest) > limit:
+                    raise _NotPlain
+                continue
+        elif rest:
+            text, rest = rest, ""
+        else:
+            return
+        if '"' in text or "\r" in text or "\0" in text:
+            raise _NotPlain
+        lines = text.split("\n")
+        if "" in lines:
+            lines = [line for line in lines if line]
+            if not lines:
+                continue
+        if max(map(len, lines)) > limit:
+            raise _NotPlain
+        block_ids, _, values = zip(*[line.partition(",") for line in lines])
+        # a line without a value, or a character float() and loadtxt may
+        # read differently (non-ASCII text fails the encode)
+        if "" in values or "".join(values).encode("ascii").translate(None, _PLAIN_VALUE_BYTES):
+            raise _NotPlain
+        ids.extend(block_ids)
+        yield values
+
+
+def _read_plain_features(path) -> Optional[Tuple[List[str], np.ndarray]]:
+    """:func:`read_feature_columns`' result for a plain file, or None when
+    the per-row reader has to decide."""
+    limit = csv.field_size_limit()
+    ids: List[str] = []
+    try:
+        with open_text(path) as fh:
+            header = fh.readline()
+            if not header.startswith("id,") or not header.endswith("\n") or any(
+                c in header for c in '"\r\0'
+            ) or len(header) > limit:
+                return None
+            blocks = _plain_blocks(fh, ids, limit)
+            first = next(blocks, None)
+            if first is None:
+                return None
+            matrix = np.loadtxt(
+                chain(first, chain.from_iterable(blocks)),
+                delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+            )
+    except (_NotPlain, ValueError):  # UnicodeError is a ValueError
+        return None
+    if (
+        matrix.shape != (len(ids), header.count(","))
+        or not np.isfinite(matrix).all()
+        or len(set(ids)) < len(ids)
+    ):
+        return None
+    return ids, matrix
+
+
+def _read_feature_rows(path) -> Tuple[List[str], np.ndarray]:
+    """The per-row reader: each row through ``csv`` and each value through
+    ``float()``; every error of :func:`read_feature_columns` comes from here."""
     lines: List[int] = []
     ids: List[str] = []
     values = array("d")  # keeps no float object per value alive

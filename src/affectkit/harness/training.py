@@ -28,6 +28,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
+from ..csvfile import atomic_write
 from ..errors import ConfigError, DivergedLoss, IncompatibleHeads
 from ..losses import (
     BatchLabels,
@@ -270,7 +271,7 @@ def train_run(config: RunConfig) -> TrainResult:
 def _write_history(path: str, history: List[Dict[str, float]]) -> None:
     keys = sorted({k for row in history for k in row} - {"epoch", "loss", "lr"})
     fieldnames = ["epoch", "loss", "lr"] + keys
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in history:

@@ -35,14 +35,21 @@ LANDMARK_NAMES = ("left_eye", "right_eye", "nose", "mouth_left", "mouth_right")
 @dataclass(frozen=True)
 class LandmarkSet:
     """Five (x, y) pixel points ordered left eye, right eye, nose, left
-    mouth corner, right mouth corner."""
+    mouth corner, right mouth corner; each coordinate an int or a float."""
 
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.points) != 5:
             raise ValueOutOfRange(f"expected 5 landmarks, got {len(self.points)}")
-        arr = self.as_array()
+        try:
+            arr = np.asarray(self.points)
+        except ValueError as exc:  # points of different lengths
+            raise ValueOutOfRange(f"each landmark must be two numbers (x, y): {exc}") from exc
+        if arr.shape != (5, 2) or arr.dtype.kind not in "iuf":
+            raise ValueOutOfRange(
+                f"each landmark must be two numbers (x, y), got shape {arr.shape} of {arr.dtype}"
+            )
         if not np.all(np.isfinite(arr)):
             raise ValueOutOfRange("landmarks must be finite")
 

@@ -5,7 +5,9 @@ read fixtures with.
 ``read_annotations``, ``read_features`` and ``load_dataset`` are the readers
 that built one ``AnnotatedSample`` per row; ``build_table`` is the training
 table they fed, encoding each sample's label and co-annotating it one
-sample at a time. ``soft_scores``, ``soft_coannotate``,
+sample at a time. ``read_feature_columns`` is the per-row feature matrix
+reader, each row through ``csv`` and each value through ``float()``, that
+``dataio.read_feature_columns`` falls back to off its ``np.loadtxt`` path. ``soft_scores``, ``soft_coannotate``,
 ``coannotate_aus_to_emotion`` and ``coannotate_emotion_to_aus`` are the
 per-sample coupling loops that the row-wise engines in
 ``affectkit.relatedness`` and the training table replaced; like
@@ -23,9 +25,10 @@ and ``read_report`` reads the file ``dataio.write_report`` writes.
 """
 
 import math
+from array import array
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -187,6 +190,36 @@ def read_features(path) -> Dict[str, np.ndarray]:
                 raise ConfigError(f"{path}:{line}: non-finite feature value")
             out[row[0]] = np.array(values, dtype=np.float64)
     return out
+
+
+def read_feature_columns(path) -> Tuple[List[str], np.ndarray]:
+    """The per-row feature reader: each row through ``csv``, each value
+    through ``float()``, finiteness and repeated ids checked afterwards."""
+    lines: List[int] = []
+    ids: List[str] = []
+    values = array("d")
+    with open_rows(path) as (header, rows):
+        if not header or header[0] != "id":
+            raise ConfigError(f"{path}: bad feature header")
+        for line, row in rows:
+            if len(row) != len(header):
+                raise ConfigError(f"{path}:{line}: expected {len(header)} columns")
+            try:
+                values.extend(map(float, row[1:]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line}: {exc}") from exc
+            lines.append(line)
+            ids.append(row[0])
+    seen = set()
+    for sid, line in zip(ids, lines):
+        if sid in seen:
+            raise ConfigError(f"{path}:{line}: duplicate sample id {sid!r}")
+        seen.add(sid)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(header) - 1)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}:{lines[bad[0]]}: non-finite feature value")
+    return ids, matrix
 
 
 def load_dataset(annotations_path, features_path, split=None) -> List[AnnotatedSample]:

@@ -629,6 +629,16 @@ class TestCheckpoints:
         save_checkpoint(p2, dict(reversed(list(params.items()))))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones(4)})
+        before = path.read_bytes()
+        # the too-long name sorts after "a", so the save fails mid-write
+        with pytest.raises(BadCheckpoint, match="bad parameter name"):
+            save_checkpoint(path, {"a": np.zeros(3), "z" * 0x10000: np.ones(2)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": np.ones(4)})

@@ -7,15 +7,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_input as ref
 from affectkit.errors import AffectKitError, BadMask, ConfigError, UnknownClass
+from affectkit.harness import dataio
 from affectkit.harness.dataio import (
     load_columns,
     load_dataset,
     read_annotation_columns,
     read_feature_columns,
 )
+from affectkit.harness.synth import SyntheticSpec, generate_dataset
 from affectkit.losses import BatchLabels, label_arrays
 from test_readers import EDITS, mutate
 
@@ -170,3 +173,134 @@ def test_mutated_file_reads_as_the_per_row_reader_does(tmp_path, name, edits):
     else:
         assert list(got) == list(want)
         assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+# a quote-free feature file: the one-pass path reads it as it stands
+PLAIN = (
+    "id,f0,f1,f2\n"
+    "s0,0.5,-1.25,1e-300\n"
+    "s1,3,4e2,+7\n"
+    "s2,-0.0,.5,5.\n"
+    "s3,1E5,2.5e-3,-9\n"
+    "s4,12345678901234567890,0.1,1.7976931348623157e308\n"
+    "é5 x,7,8,9\n"
+)
+# text float() and np.loadtxt may read differently, or that csv reads
+# specially, and text that changes the shape of a row or of the file
+PLAIN_EDITS = (
+    "_", " ", "\x1c", "\r", '"', "\0", "#", "١", "nan", "1e999", "\n", ",", "e", "-", ".", "7",
+)
+
+
+def outcome(read, path):
+    """(ids, shape, dtype, value bytes), or (error type, message)."""
+    try:
+        ids, matrix = read(path)
+    except Exception as exc:  # the exception itself is compared
+        return type(exc), str(exc)
+    return ids, matrix.shape, matrix.dtype, matrix.tobytes()
+
+
+def no_per_row_reader(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the per-row reader was called")
+
+    for name in ("_read_feature_rows", "open_rows"):
+        monkeypatch.setattr(dataio, name, fail)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PLAIN,
+        PLAIN.replace("s1,3,", "s1,3_0,"),
+        PLAIN.replace("s1,3,", "s1, 3,"),
+        PLAIN.replace("s1,3,", "s1,\x1c3,"),
+        PLAIN.replace("s1,3,", "s1,3\r,"),
+        PLAIN.replace("\n", "\r\n"),
+        PLAIN.replace("s1,3,", 's1,"3",'),
+        PLAIN.replace("s1,3,", '"s1",3,'),
+        PLAIN.replace("s1,3,", '"s,1",3,'),
+        PLAIN.replace("s1,3,", "s1,3\0,"),
+        PLAIN.replace("s1,3,", "s1\0,3,"),
+        PLAIN.replace("s1,3,", "s1,#3,"),
+        PLAIN.replace("s1,3,", "s1,١,"),
+        PLAIN.replace("s1,3,", "s1,nan,"),
+        PLAIN.replace("s1,3,", "s1,1e999,"),
+        PLAIN.replace("s1,3,", "s1,,"),
+        PLAIN.replace("s1,3,", "s1,3,3,"),
+        PLAIN.replace("s1,3,", "s1,"),
+        PLAIN.replace("s1,3,4e2,+7", "s1"),
+        PLAIN.replace("s1,3,4e2,+7", "s1,"),
+        "id,f0\ns0\n",
+        "id,f0\ns0,\n\ns1,\n",
+        PLAIN.replace("\ns1", "\n\n\ns1") + "\n",
+        "\n" + PLAIN,
+        PLAIN[:-1],
+        PLAIN[:-1] + ",",
+        PLAIN.replace("s4,", "s0,"),
+        PLAIN.replace("id,", "ID,"),
+        PLAIN.replace("id,f0,f1,f2", "id"),
+        PLAIN.replace("id,f0,f1,f2", "id,f0,f1,f2,"),
+        PLAIN[: PLAIN.index("\n") + 1],
+        PLAIN[: PLAIN.index("\n")],
+        "",
+        "\ufeff" + PLAIN,
+    ],
+)
+@pytest.mark.parametrize("block_chars", [1 << 16, 1])
+@pytest.mark.filterwarnings("error")
+def test_feature_reader_equals_the_per_row_oracle(tmp_path, monkeypatch, text, block_chars):
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+    path = tmp_path / "feats.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(read_feature_columns, path) == outcome(ref.read_feature_columns, path)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("delete", "insert", "replace")),
+            st.integers(min_value=0, max_value=1 << 16),
+            st.sampled_from(PLAIN_EDITS),
+        ),
+        max_size=4,
+    ),
+    final_newline=st.booleans(),
+    block_chars=st.sampled_from((1 << 16, 24, 1)),
+)
+def test_edited_plain_file_reads_as_the_per_row_oracle(
+    tmp_path, monkeypatch, edits, final_newline, block_chars
+):
+    """Same ids and value bytes, or the same exception type and message."""
+    text = PLAIN
+    for op, pos, token in edits:
+        pos %= len(text) + (op == "insert")
+        if op == "insert":
+            text = text[:pos] + token + text[pos:]
+        else:
+            text = text[:pos] + (token if op == "replace" else "") + text[pos + 1:]
+    if not final_newline:
+        text = text.rstrip("\n")
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+    path = tmp_path / "feats.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(read_feature_columns, path) == outcome(ref.read_feature_columns, path)
+
+
+@pytest.mark.parametrize("block_chars", [1 << 16, 1])
+def test_plain_files_never_reach_the_per_row_reader(tmp_path, monkeypatch, block_chars):
+    feats, _ = generate_dataset(SyntheticSpec(), seed=3, out_dir=str(tmp_path))
+    plain = tmp_path / "plain.csv"
+    plain.write_text(PLAIN.replace("\ns3", "\n\ns3") + "\n\n", encoding="utf-8")
+    want = [outcome(ref.read_feature_columns, p) for p in (feats, plain)]
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+    no_per_row_reader(monkeypatch)
+    assert [outcome(read_feature_columns, p) for p in (feats, plain)] == want
+    assert len(want[0][0]) == 2400

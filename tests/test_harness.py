@@ -659,12 +659,39 @@ class TestTraining:
             assert p.grad is None, name  # no trunk gradient was computed
             assert p.data.tobytes() == donor_params[name].tobytes(), name
 
+    def test_failed_history_write_leaves_the_run_state(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, epochs=1)
+        train_run(config)
+        out = tmp_path / "run"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["config.txt", "model.ckpt", "training_log.csv"]
+
+        class Failing(csv.DictWriter):
+            def writerow(self, row):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(training.csv, "DictWriter", Failing)
+        with pytest.raises(OSError, match="no space"):
+            train_run(config.override(epochs=2))
+        # the checkpoint and config of the second run were written whole,
+        # and the log it failed to write is the first run's
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert after["training_log.csv"] == before["training_log.csv"]
+        assert after["config.txt"] != before["config.txt"]
+        load_checkpoint(out / "model.ckpt")
+
     def test_shared_train_and_val_files_are_parsed_once(self, tmp_path, monkeypatch):
         # coannotation writes into the training labels; the validation split
         # must not see it, whether it comes from the same parse or not
+        # a plain feature file is opened through open_text, any other file
+        # through open_rows; a fallback would open the feature file twice
         opened = []
-        real = dataio.open_rows
-        monkeypatch.setattr(dataio, "open_rows", lambda path: opened.append(path) or real(path))
+        for name in ("open_rows", "open_text"):
+            real = getattr(dataio, name)
+            monkeypatch.setattr(
+                dataio, name, lambda path, real=real: opened.append(path) or real(path)
+            )
         shared = small_config(tmp_path, coupling="coannotation")
         ann, feats = str(tmp_path / "copy_ann.csv"), str(tmp_path / "copy_feat.csv")
         shutil.copyfile(shared.train_annotations, ann)
@@ -873,6 +900,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "faces.landmarks:3: duplicate frame 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["zz", "nan", "inf"])
+    def test_align_with_a_bad_coordinate_is_exit_2(self, tmp_path, capsys, bad):
+        landmarks = tmp_path / "faces.landmarks"
+        landmarks.write_text(
+            f"frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n0,30,40,66,40,48,56,34,76,62,{bad}\n"
+        )
+        out = tmp_path / "o"
+        code = self.run_cli("align", "--landmarks", landmarks, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "faces.landmarks:2:" in err and "Traceback" not in err and not out.exists()
 
     def test_align_names_the_file_and_frame_of_a_collinear_set(self, tmp_path, capsys):
         landmarks = tmp_path / "faces.landmarks"

@@ -52,6 +52,22 @@ class TestLandmarks:
         with pytest.raises(ValueOutOfRange):
             LandmarkSet(points=tuple(pts))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            tuple((float(i), 2.0 * i, 1.0) for i in range(5)),
+            tuple((float(i),) for i in range(5)),
+            tuple((float(i), "2") for i in range(5)),
+            ((0.0, 1.0),) * 4 + ((0.0,),),
+            ((0.0, None),) * 5,
+            tuple(range(5)),
+        ],
+        ids=["xyz", "one_number", "string", "ragged", "none", "scalars"],
+    )
+    def test_each_point_is_two_numbers(self, points):
+        with pytest.raises(ValueOutOfRange, match="two numbers"):
+            LandmarkSet(points=points)
+
 
 class TestAlignment:
     def test_identity_fit(self):
