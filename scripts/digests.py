@@ -21,6 +21,12 @@ compound-only run; a ``freeze_trunk`` job that starts from the
 whose rows carry sequence ids, utterance ids and frame indices and two of
 whose ids hold a comma, so the files quote them. ``affectkit eval`` scores
 the ``soft+distr`` job and the sequence job.
+
+Four lines come from recurrent models, whose GRU state runs within one
+sequence: ``per_tap`` and ``rnn_ensemble`` (no sequence ids, so every row
+runs alone), ``sequences`` and ``eval_sequences`` (rows grouped by sequence
+id in frame order). Every other line comes from a stateless model, which
+runs every row alone whatever its sequence id.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ keep only their own header and field checks; the feature reader's plain-file
 path reads the same text through :func:`open_text`. The file encoding,
 blank-row skipping and line numbering are decided here once.
 
-Checkpoints, ``config.txt`` and ``training_log.csv`` are written through
-:func:`atomic_write`, so a write that fails leaves the file as it was.
+These files are written through :func:`atomic_write`, so a write that
+fails leaves the file as it was: checkpoints, ``config.txt`` and
+``training_log.csv`` of a training run, and the outputs of the
+``zero-shot``, ``align`` (``preprocess.write_landmarks``) and
+``spectrogram`` commands.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from ..losses import (
     soft_target_cce,
     weighted_total,
 )
+from ..models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows, sequence_keys
 from ..relatedness import COGNITIVE
 from ..types import NUM_AUS, NUM_EXPRESSIONS
 
@@ -112,6 +113,24 @@ def _check_gru(rng, n_points, eps):
         return project(ad.gru_sequence(cell, x, 3, 4))
 
     return max_relative_error(objective, [x] + cell.parameters(), n_points, eps, seed=12)
+
+
+def _check_gru_packed(rng, n_points, eps):
+    """A recurrent model over a right-padded batch: sequences of 3, 2 and 1
+    rows, interleaved and out of frame order, packed by ``pack_rows`` and
+    taken back to row order by the unpacking gather."""
+    spec = ModelSpec(backbone=(5,), recurrent=RecurrentSpec("single", 4), heads=("VA", "EXPR"))
+    model = Model(spec, InputDims(features=4), seed=int(rng.integers(1 << 30)))
+    features = rng.normal(0.0, 0.7, size=(6, 4))
+    keys = sequence_keys(["a", "b", "a", None, "b", "a"], [2, 1, 0, None, 0, 1])
+    project = _projection(rng, (6, 2 + NUM_EXPRESSIONS))
+
+    def objective():
+        batch, index = pack_rows(features, keys)
+        preds = model.forward(batch).take(index)
+        return project(ad.concat([preds.va, preds.expr_logits], axis=1))
+
+    return max_relative_error(objective, model.parameters(), n_points, eps, seed=20)
 
 
 def _check_dropout_off(rng, n_points, eps):
@@ -206,6 +225,7 @@ def _check_soft_target(rng, n_points, eps):
 CHECKS: Dict[str, Callable] = {
     "layer.dense": _check_dense,
     "layer.gru": _check_gru,
+    "layer.gru_packed": _check_gru_packed,
     "layer.dropout_off": _check_dropout_off,
     "loss.ccc": _check_ccc,
     "loss.cce": _check_cce,

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..csvfile import atomic_write
 from ..errors import AffectKitError, ConfigError, DegenerateLandmarks
 from ..fusion import EnsembleMember, decision_level_fuse, median_filter, read_manifest, smooth
 from ..preprocess import (
@@ -180,7 +181,7 @@ def _cmd_zero_shot(args) -> int:
     records = read_predictions(args.predictions)
     # classify everything first so that a failing record leaves no file
     rows = [(record.id, classify_compound(defs, record).name) for record in records]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(["id", "compound"]) + "\n")
         fh.writelines(_csv_line(row) + "\n" for row in rows)
     print(args.out)
@@ -219,7 +220,7 @@ def _cmd_spectrogram(args) -> int:
         overlap_ms=args.overlap_ms,
     )
     frames = spectrogram(samples, config)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["frame"] + [f"bin{i}" for i in range(frames.shape[1])])
         for i, row in enumerate(frames):

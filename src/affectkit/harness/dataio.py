@@ -46,7 +46,7 @@ import numpy as np
 
 from ..csvfile import open_rows, open_text
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
-from ..losses import BatchLabels
+from ..losses import BatchLabels, label_arrays
 from ..types import (
     NUM_AUS,
     NUM_EXPRESSIONS,
@@ -152,6 +152,20 @@ class SampleColumns:
         return SampleColumns(
             *([col[r] for r in rows] for col in cols),
             self.labels.take(rows), self.compound_pair[rows],
+        )
+
+    @classmethod
+    def of(cls, samples: Sequence[AnnotatedSample]) -> "SampleColumns":
+        """The columns of in-memory samples, with their features stacked:
+        the inverse of :meth:`samples`."""
+        pairs = np.zeros((len(samples), 2), dtype=np.int64)
+        for r, s in enumerate(samples):
+            if isinstance(s.label, CompoundLabel):
+                pairs[r] = s.label.emo1.class_id, s.label.emo2.class_id
+        return cls(
+            *([getattr(s, name) for s in samples]
+              for name in ("id", "split", "sequence_id", "utterance_id", "frame_index")),
+            label_arrays(samples), pairs, np.array([s.features for s in samples], dtype=np.float64),
         )
 
     def samples(self) -> List[AnnotatedSample]:

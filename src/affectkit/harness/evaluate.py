@@ -1,15 +1,17 @@
 """Checkpoint evaluation: per-task metrics plus a predictions table.
 
-Samples are pushed through the model in file order, chunked into fixed
-length sequences. Metrics are computed per task over the samples that
-carry that task's label; every sample gets a prediction row for each
-head the model has.
+Rows go through the model in chunks of whole sequences of up to ``chunk``
+rows (a longer sequence goes alone), each chunk packed by ``pack_rows``,
+and the predictions come back in file order. A stateless model, or a file
+with no sequence ids, runs every row alone in ``chunk``-row slices in file
+order. Metrics are computed per task over the rows that carry that task's
+label; every row gets a prediction row for each head the model has.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,35 +28,62 @@ from ..metrics import (
     mean_diagonal,  # unused; perfbench/tracing.py wraps evaluate.mean_diagonal
     mse,
 )
-from ..losses import label_arrays
-from ..models import Model, SequenceBatch, au_probs, compound_probs, expr_probs
+from ..models import Model, au_probs, compound_probs, expr_probs, pack_rows, sequence_keys
 from ..types import (
     NUM_EXPRESSIONS,
     AnnotatedSample,
     PredictionRecord,
 )
-from .dataio import stack_audio
+from .dataio import SampleColumns, stack_audio
 
 
-def _forward_all(model: Model, samples: Sequence[AnnotatedSample], chunk: int):
-    """Run samples through the model in order; returns per-head row arrays."""
+def _chunks(
+    keys: Optional[np.ndarray], n: int, chunk: int
+) -> Tuple[Optional[np.ndarray], List[int]]:
+    """The rows in sequence order (None: row order), and the bounds of
+    chunks of whole sequences of up to ``chunk`` rows over that order."""
+    if keys is None:
+        return None, list(range(0, n, chunk)) + [n]
+    order = np.lexsort((keys[:, 1], keys[:, 0]))  # a sequence's code is its first row
+    starts = np.flatnonzero(np.diff(keys[order, 0], prepend=-1)).tolist() + [n]
+    bounds = [0]
+    for start, stop in zip(starts, starts[1:]):
+        if stop - bounds[-1] > chunk and start > bounds[-1]:
+            bounds.append(start)
+    return order, bounds + [n]
+
+
+def _forward_all(
+    model: Model,
+    features: np.ndarray,
+    keys: Optional[np.ndarray],
+    audio: Optional[np.ndarray],
+    chunk: int,
+) -> Dict[str, Optional[np.ndarray]]:
+    """Run the rows through the model; returns per-head arrays in row order."""
     outs: Dict[str, List[np.ndarray]] = {"va": [], "expr": [], "au": [], "compound": []}
     heads = model.spec.heads
-    for start in range(0, len(samples), chunk):
-        part = samples[start : start + chunk]
-        feats = np.stack([s.features for s in part])
-        audio = stack_audio(part, model.dims.audio)
-        batch = SequenceBatch(features=feats[None], audio=None if audio is None else audio[None])
+    order, bounds = _chunks(keys, len(features), chunk)
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop) if order is None else order[start:stop]
+        batch, index = pack_rows(
+            features[rows],
+            None if keys is None else keys[rows],
+            None if audio is None else audio[rows],
+        )
         preds = model.forward(batch, train=False)
+        if index is not None:
+            preds = preds.take(index)
         if "VA" in heads:
-            outs["va"].append(preds.va.data.copy())
+            outs["va"].append(preds.va.data)
         if "EXPR" in heads:
-            outs["expr"].append(expr_probs(preds).data.copy())
+            outs["expr"].append(expr_probs(preds).data)
         if "AU" in heads:
-            outs["au"].append(au_probs(preds).data.copy())
+            outs["au"].append(au_probs(preds).data)
         if "COMPOUND" in heads:
-            outs["compound"].append(compound_probs(preds).data.copy())
-    return {k: (np.concatenate(v) if v else None) for k, v in outs.items()}
+            outs["compound"].append(compound_probs(preds).data)
+    back = slice(None) if order is None else np.argsort(order)  # to row order
+    return {k: (np.concatenate(v)[back] if v else None) for k, v in outs.items()}
 
 
 def _mean_recall(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> float:
@@ -70,20 +99,26 @@ def _mean_recall(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> float
 
 def evaluate_model(
     model: Model,
-    samples: Sequence[AnnotatedSample],
+    samples: Union[Sequence[AnnotatedSample], SampleColumns],
     au_threshold: float = 0.5,
     tasks: Optional[Sequence[str]] = None,
     chunk: int = 512,
 ) -> Tuple[Dict[str, float], List[PredictionRecord]]:
     """Score the model on every task present (or the requested subset).
 
-    Returns a flat metric dict and one prediction record per sample.
-    ``degenerate_count`` reports how many metric computations hit a
-    flagged 0/0 convention. Raises IncompatibleHeads when a requested
-    (or present) task has no matching model head.
+    ``samples`` are annotated samples, or the columns of a split with its
+    features attached, which are read as they are. Returns a flat metric
+    dict and one prediction record per row. ``degenerate_count`` reports
+    how many metric computations hit a flagged 0/0 convention. Raises
+    IncompatibleHeads when a requested (or present) task has no matching
+    model head.
     """
-    samples = list(samples)
-    labels = label_arrays(samples)
+    if isinstance(samples, SampleColumns):
+        data, audio = samples, None
+    else:
+        samples = list(samples)
+        data, audio = SampleColumns.of(samples), stack_audio(samples, model.dims.audio)
+    labels = data.labels
     flags = {
         "VA": labels.has_va,
         "EXPR": labels.has_expr,
@@ -101,23 +136,21 @@ def evaluate_model(
         if task not in model.spec.heads:
             raise IncompatibleHeads(f"task {task} needs a {task} head")
 
-    rows = _forward_all(model, samples, chunk)
-    none = [None] * len(samples)
+    keys = sequence_keys(data.sequence_id, data.frame_index) if model.spec.stateful else None
+    rows = _forward_all(model, data.features, keys, audio, chunk)
+    none = [None] * len(data.ids)
     valence, arousal = (none, none) if rows["va"] is None else rows["va"].T.tolist()
     expr = none if rows["expr"] is None else rows["expr"]
     au = none if rows["au"] is None else rows["au"]
     records = [
         PredictionRecord(
-            id=s.id,
-            frame_index=s.frame_index,
-            sequence_id=s.sequence_id,
-            utterance_id=s.utterance_id,
-            valence=v,
-            arousal=a,
-            expr_probs=e,
-            au_probs=u,
+            id=i, frame_index=f, sequence_id=s, utterance_id=u,
+            valence=v, arousal=a, expr_probs=e, au_probs=p,
         )
-        for s, v, a, e, u in zip(samples, valence, arousal, expr, au)
+        for i, f, s, u, v, a, e, p in zip(
+            data.ids, data.frame_index, data.sequence_id, data.utterance_id,
+            valence, arousal, expr, au,
+        )
     ]
 
     metrics: Dict[str, float] = {}

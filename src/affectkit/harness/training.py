@@ -7,13 +7,17 @@ name the same files), and becomes one row table per job: the feature matrix,
 every label and co-annotation target as row arrays, and the label-type
 pools as row numbers; co-annotation runs over whole pools at once. No
 reader supplies audio features, so ``audio_dim > 0`` is a config error
-here. Every batch concatenates one chunk from each pool, is gathered from
-the table by index and is pushed through the network as a single
-sequence, so the concordance term sees the whole valence/arousal chunk at
-once. A step's loss is one weighted total of the multi-task terms followed
-by the soft-target and distribution-matching terms; its backward sweep
-reaches only the optimizer's parameters, so a frozen trunk gets no
-gradient. Everything downstream of the seed is deterministic.
+here. Every batch concatenates one chunk from each pool and is gathered
+from the table by index. For a recurrent model its rows are packed by
+sequence (``models.pack_rows``): the rows of one sequence id run as one
+sequence in frame order, and every other row alone; the outputs are then
+taken back to batch order, so each loss term sees the whole chunk of its
+task at once. Training draws rows, not windows, so a shuffled batch holds
+fragments of a sequence. A step's loss is one weighted total of the
+multi-task terms followed by the soft-target and distribution-matching
+terms; its backward sweep reaches only the optimizer's parameters, so a
+frozen trunk gets no gradient. Everything downstream of the seed is
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +42,15 @@ from ..losses import (
     soft_target_cce,
     weighted_total,
 )
-from ..models import Model, SequenceBatch, au_probs, expr_probs, load_parameters
+from ..models import (
+    Model,
+    SequenceBatch,
+    au_probs,
+    expr_probs,
+    load_parameters,
+    pack_rows,
+    sequence_keys,
+)
 from ..relatedness import (
     RelatednessTable,
     coannotate_aus_to_emotion_rows,
@@ -75,15 +87,20 @@ class _TrainTable:
     au_rows: Tuple[int, ...]
     expr_rows: Tuple[int, ...]
     compound_rows: Tuple[int, ...]
+    keys: Optional[np.ndarray] = None  # ``sequence_keys`` for a stateful model
 
-    def gather(self, rows: Tuple[int, ...]) -> Tuple[SequenceBatch, BatchLabels]:
-        """One batch as a (1, N, D) sequence plus its labels."""
+    def gather(
+        self, rows: Tuple[int, ...]
+    ) -> Tuple[SequenceBatch, Optional[np.ndarray], BatchLabels]:
+        """One batch packed by sequence, the index that takes its outputs
+        back to the order of ``rows`` (see ``pack_rows``), and its labels."""
         idx = np.asarray(rows)
         labels = self.labels.take(idx)
         # concordance is undefined on a single point; drop a lone VA row
         if labels.has_va.sum() == 1:
             labels.has_va[:] = False
-        return SequenceBatch(features=self.features[idx][None]), labels
+        keys = None if self.keys is None else self.keys[idx]
+        return (*pack_rows(self.features[idx], keys), labels)
 
 
 def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable) -> _TrainTable:
@@ -132,6 +149,8 @@ def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable
         au_rows=tuple(au.tolist()),
         expr_rows=tuple(expr.tolist()),
         compound_rows=tuple(compound.tolist()),
+        keys=sequence_keys(data.sequence_id, data.frame_index)
+        if config.model_spec().stateful else None,
     )
 
 
@@ -164,7 +183,6 @@ def train_run(config: RunConfig) -> TrainResult:
     data = _build_table(train, config, table)
     if not val and all(val_files):
         val = [load_columns(*val_files, split="val")]
-    val_samples = val[0].samples() if val else []
 
     spec = config.model_spec()
     if data.compound_rows and "COMPOUND" not in spec.heads:
@@ -212,8 +230,10 @@ def train_run(config: RunConfig) -> TrainResult:
         for step, batch_rows in enumerate(row_batches):
             if not batch_rows:
                 continue
-            batch, labels = data.gather(batch_rows)
+            batch, index, labels = data.gather(batch_rows)
             preds = model.forward(batch, train=True, rng=dropout_rng)
+            if index is not None:
+                preds = preds.take(index)
             terms = multitask_terms(preds, labels, weights)
             soft_rows = np.flatnonzero(labels.has_soft)
             dm = use_dm and preds.au_logits is not None
@@ -241,10 +261,10 @@ def train_run(config: RunConfig) -> TrainResult:
             "loss": float(np.mean(losses)) if losses else float("nan"),
             "lr": opt.lr,
         }
-        if val_samples:
+        if val and val[0].ids:
             metrics, _ = evaluate_model(
                 model,
-                val_samples,
+                val[0],
                 au_threshold=config.au_threshold,
                 tasks=[t for t in ("VA", "AU", "EXPR", "COMPOUND") if t in model.spec.heads],
             )

@@ -64,6 +64,13 @@ class BatchPredictions:
     va: Optional[DiffTensor] = None
     compound_logits: Optional[DiffTensor] = None
 
+    def take(self, rows) -> "BatchPredictions":
+        """The given rows of every head, each one ``take_rows`` node."""
+        heads = {f.name: getattr(self, f.name) for f in fields(self)}
+        return BatchPredictions(**{
+            name: None if head is None else ad.take_rows(head, rows) for name, head in heads.items()
+        })
+
 
 @dataclass
 class BatchLabels:

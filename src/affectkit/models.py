@@ -19,12 +19,18 @@ Frame rows produced by ``forward`` are time-major: row = t * B + b. Every
 stateless layer (backbone, taps, stream and landmark concatenation, ``fc``
 fusion, heads) runs once over all T*B rows, and each GRU layer (stacks and
 the ``rnn`` fusion layer) is one ``gru_sequence`` node over all of them.
+
+Annotation rows reach a model through :func:`pack_rows`: the rows of one
+sequence (``sequence_keys``) become one row of the (B, T, D) batch, so
+recurrent state never crosses unrelated rows, and ``BatchPredictions.take``
+puts the outputs back in row order. A stateless model, or a row with no
+sequence id, runs every row as a length-1 sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +127,13 @@ class ModelSpec:
         if "COMPOUND" in self.heads and self.compound_classes < 2:
             raise InvalidSpec("compound head needs at least 2 classes")
 
+    @property
+    def stateful(self) -> bool:
+        """Whether the model carries state from frame to frame: a GRU
+        anywhere in it. A stateless model maps every row on its own."""
+        specs = self.members if self.members is not None else (self,)
+        return self.fusion == "rnn" or any(s.recurrent is not None for s in specs)
+
 
 @dataclass
 class SequenceBatch:
@@ -154,6 +167,61 @@ class SequenceBatch:
     @property
     def seq_len(self) -> int:
         return self.features.shape[1]
+
+
+def sequence_keys(
+    sequence_ids: Sequence[Optional[str]], frame_indices: Sequence[Optional[int]]
+) -> Optional[np.ndarray]:
+    """The (N, 2) packing keys of N rows, or None when no row names a
+    sequence, so that every row is a sequence of its own.
+
+    Column 0 names each row's sequence: the first row holding its
+    sequence id, or the row itself when it has none. Column 1 is the row's
+    place in frame order: by ``frame_index``, a row without one before the
+    indexed rows, and ties in row order.
+    """
+    if all(s is None for s in sequence_ids):
+        return None
+    first: Dict[str, int] = {}
+    codes = [r if s is None else first.setdefault(s, r) for r, s in enumerate(sequence_ids)]
+    frame = list(frame_indices)
+    order = sorted(range(len(codes)), key=lambda r: (frame[r] is not None, frame[r] or 0))
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[order] = np.arange(len(codes))
+    return np.column_stack([np.asarray(codes, dtype=np.int64), rank])
+
+
+def pack_rows(
+    features: np.ndarray, keys: Optional[np.ndarray] = None, audio: Optional[np.ndarray] = None
+) -> Tuple[SequenceBatch, Optional[np.ndarray]]:
+    """N rows as one right-padded (B, T, D) batch of sequences, and the
+    index that takes the forward pass's time-major output rows back to row
+    order, for ``BatchPredictions.take`` (None when that is the identity).
+
+    Rows with the same ``keys[:, 0]`` form one sequence, its frames
+    ordered by ``keys[:, 1]``; sequences keep the order in which they first
+    appear. Without keys, or when no two rows share a sequence, the batch
+    is (N, 1, D) in row order. Padding frames are zero; a GRU is causal,
+    so they change no output at a real frame.
+    """
+    if keys is not None:
+        _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+        slot = np.argsort(np.argsort(first))[inverse]  # sequences by first appearance
+        counts = np.bincount(slot)
+        if counts.max() > 1:
+            order = np.lexsort((keys[:, 1], slot))
+            b = slot[order]
+            t = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            index = np.empty_like(order)
+            index[order] = t * counts.size + b
+
+            def pad(rows: np.ndarray) -> np.ndarray:
+                out = np.zeros((counts.size, counts.max(), rows.shape[1]))
+                out[b, t] = rows[order]
+                return out
+
+            return SequenceBatch(pad(features), None if audio is None else pad(audio)), index
+    return SequenceBatch(features[:, None], None if audio is None else audio[:, None]), None
 
 
 class _Trunk:

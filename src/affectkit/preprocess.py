@@ -13,6 +13,7 @@ features share the visual features' range.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .csvfile import open_rows
+from .csvfile import atomic_write, open_rows
 from .errors import (
     BadRange,
     ConfigError,
@@ -219,20 +220,25 @@ def read_audio(path) -> Tuple[int, np.ndarray]:
     return rate, samples
 
 
+LANDMARK_FIELDS = ("frame",) + tuple(f"{axis}{i}" for i in range(1, 6) for axis in "xy")
+
+
 def read_landmarks(path) -> Dict[int, LandmarkSet]:
     """CSV with header ``frame,x1,y1,...,x5,y5`` -> per-frame LandmarkSet.
-    A missing header, a short row, a bad value or a repeated frame raises
-    ConfigError at ``path:line``."""
+    A missing or different header, a row of other than 11 fields, a bad
+    value or a repeated frame raises ConfigError at ``path:line``."""
     out: Dict[int, LandmarkSet] = {}
     with open_rows(path) as (header, rows):
         if header is None:
             raise ConfigError(f"{path}:1: empty file, expected a landmark header")
+        if tuple(header) != LANDMARK_FIELDS:
+            raise ConfigError(f"{path}:1: expected the header {','.join(LANDMARK_FIELDS)}")
         for line, row in rows:
             where = f"{path}:{line}"
-            if len(row) < 11:
+            if len(row) != len(LANDMARK_FIELDS):
                 raise ConfigError(f"{where}: expected 11 fields, got {len(row)}")
             try:
-                coords = [float(c) for c in row[1:11]]
+                coords = [float(c) for c in row[1:]]
                 pts = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(5))
                 landmarks = LandmarkSet(points=pts)
                 frame = int(row[0])
@@ -245,14 +251,9 @@ def read_landmarks(path) -> Dict[int, LandmarkSet]:
 
 
 def write_landmarks(path, landmarks: Dict[int, LandmarkSet]) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["frame"]
-        for i in range(1, 6):
-            header += [f"x{i}", f"y{i}"]
-        writer.writerow(header)
+        writer.writerow(LANDMARK_FIELDS)
         for frame in sorted(landmarks):
             row = [frame]
             for x, y in landmarks[frame].points:

@@ -65,6 +65,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 GRAD_CHECK_NAMES = {
     "layer.dense",
     "layer.gru",
+    "layer.gru_packed",
     "layer.dropout_off",
     "loss.ccc",
     "loss.cce",

@@ -25,6 +25,7 @@ from affectkit.harness.checks import (
     max_relative_error,
     run_grad_checks,
 )
+from affectkit.harness import cli
 from affectkit.harness.cli import main
 from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
@@ -827,8 +828,8 @@ class TestGradChecks:
     def test_battery_names_and_tolerance(self):
         assert GRAD_TOLERANCE == 1e-4
         assert sorted(CHECKS) == [
-            "layer.dense", "layer.dropout_off", "layer.gru", "loss.ccc", "loss.cce",
-            "loss.distribution_matching", "loss.masked_bce", "loss.multitask",
+            "layer.dense", "layer.dropout_off", "layer.gru", "layer.gru_packed", "loss.ccc",
+            "loss.cce", "loss.distribution_matching", "loss.masked_bce", "loss.multitask",
             "loss.soft_target_cce",
         ]
 
@@ -886,7 +887,7 @@ class TestCLI:
 
     def test_align_with_short_landmark_row_is_exit_2(self, tmp_path, capsys):
         landmarks = tmp_path / "faces.landmarks"
-        landmarks.write_text("frame,x1,y1\n0,30,40\n")
+        landmarks.write_text("frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n0,30,40\n")
         code = self.run_cli("align", "--landmarks", landmarks, "--out", tmp_path / "o")
         err = capsys.readouterr().err
         assert code == 2
@@ -964,6 +965,60 @@ class TestCLI:
         assert code == 2
         assert "at least 1" in err and "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["zero-shot", "align", "spectrogram"])
+    def test_an_output_write_failing_midway_keeps_the_previous_file(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        if command == "zero-shot":
+            inputs = tmp_path / "preds.csv"
+            write_predictions(inputs, [
+                PredictionRecord(id=f"f{i}", valence=0.5, expr_probs=np.full(7, 1 / 7),
+                                 au_probs=np.full(17, 0.5))
+                for i in range(3)
+            ])
+            args = ["zero-shot", "--predictions", inputs]
+        elif command == "align":
+            inputs = tmp_path / "faces.landmarks"
+            inputs.write_text(
+                "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"
+                "0,30,40,66,40,48,56,34,76,62,76\n1,31,41,65,40,48,57,34,75,62,77\n"
+            )
+            args = ["align", "--landmarks", inputs]
+        else:
+            inputs = tmp_path / "clip.audio"
+            write_audio(inputs, 1000, np.sin(np.arange(200) * 0.3))
+            args = ["spectrogram", "--audio", inputs, "--window-ms", 40, "--overlap-ms", 20]
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"previous output\n")
+        # the header and one record go through, then the disk fills
+        calls = []
+        real_writer, real_line = csv.writer, dataio._csv_line
+
+        def line(fields):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return real_line(fields)
+
+        class Writer:
+            def __init__(self, fh, **kwargs):
+                self.writer = real_writer(fh, **kwargs)
+
+            def writerow(self, row):
+                line(row)
+                return self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", Writer)
+        monkeypatch.setattr(cli, "_csv_line", line)
+        assert self.run_cli(*args, "--out", out) == 2
+        assert "no space left" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert out.read_bytes() == b"previous output\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([inputs.name, out.name])
+        monkeypatch.undo()
+        assert self.run_cli(*args, "--out", out) == 0
+        assert out.read_bytes() != b"previous output\n"
 
     @pytest.mark.parametrize("command", ["train", "gen-data"])
     def test_repeated_config_key_is_exit_2(self, tmp_path, capsys, command):

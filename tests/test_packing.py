@@ -1,0 +1,332 @@
+"""Sequence packing: the rows of one sequence run through a recurrent model
+as one sequence in frame order, in training and in evaluation, and every
+other row alone; a stateless model runs every row alone, as before."""
+
+from typing import List, Optional
+
+import numpy as np
+import pytest
+
+from affectkit.harness import dataio, training
+from affectkit.harness.config import RunConfig
+from affectkit.harness.dataio import SampleColumns
+from affectkit.harness.evaluate import evaluate_model
+from affectkit.harness.synth import SyntheticSpec, make_dataset
+from affectkit.harness.training import _TrainTable, _build_table, train_run
+from affectkit.models import (
+    InputDims,
+    Model,
+    ModelSpec,
+    RecurrentSpec,
+    SequenceBatch,
+    pack_rows,
+    sequence_keys,
+)
+
+DIM = 10
+HEADS = ("VA", "EXPR", "AU")  # evaluation scores every task the data has
+STATEFUL = {
+    "single": ModelSpec(
+        backbone=(8,), recurrent=RecurrentSpec("single", 6), heads=HEADS
+    ),
+    "per_tap": ModelSpec(
+        backbone=(8, 6), taps=(0, 1), recurrent=RecurrentSpec("per_tap", 4, 2),
+        heads=HEADS,
+    ),
+    "rnn_ensemble": ModelSpec(
+        members=(ModelSpec(backbone=(6,)), ModelSpec(backbone=(5,))), fusion="rnn",
+        fusion_width=5, heads=HEADS,
+    ),
+}
+STATELESS = {
+    "dense": ModelSpec(backbone=(8,), heads=HEADS),
+    "fc_ensemble": ModelSpec(
+        members=(ModelSpec(backbone=(6,)), ModelSpec(backbone=(5,))), fusion="fc",
+        fusion_width=5, heads=HEADS,
+    ),
+}
+
+
+def reference_pack(features, sequence_ids, frames):
+    """The packing rule row by row: sequences in order of first appearance,
+    frames by frame index (a row without one first, ties in row order), a
+    row without a sequence id alone; returns (B, T, D) and, per row, its
+    time-major output row t * B + b."""
+    groups = {}
+    for r, sid in enumerate(sequence_ids):
+        groups.setdefault(("alone", r) if sid is None else sid, []).append(r)
+    seqs = [
+        sorted(g, key=lambda r: (frames[r] is not None, frames[r] or 0, r))
+        for g in groups.values()
+    ]
+    b_size, t_len = len(seqs), max(map(len, seqs))
+    packed = np.zeros((b_size, t_len, features.shape[1]))
+    index = np.empty(len(features), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        for t, r in enumerate(seq):
+            packed[b, t] = features[r]
+            index[r] = t * b_size + b
+    return packed, index
+
+
+def random_rows(seed: int, n: int):
+    """n rows in a few sequences of uneven length, interleaved, with rows
+    that have no sequence id, frame indices out of order, missing or tied."""
+    rng = np.random.default_rng(seed)
+    sequence_ids: List[Optional[str]] = [
+        None if k == 0 else f"clip{k}" for k in rng.integers(0, 5, size=n)
+    ]
+    frames: List[Optional[int]] = [
+        None if f < 0 else int(f) for f in rng.integers(-1, 6, size=n)
+    ]
+    return rng.normal(size=(n, DIM)), sequence_ids, frames
+
+
+def heads_of(preds):
+    return {
+        name: getattr(preds, name).data
+        for name in ("va", "expr_logits", "au_logits")
+        if getattr(preds, name) is not None
+    }
+
+
+class TestPackRows:
+    def test_keys_name_the_first_row_of_each_sequence_and_the_frame_order(self):
+        assert sequence_keys([None, None], [3, 1]) is None
+        keys = sequence_keys(["a", None, "b", "a", None, "a"], [5, 1, None, 5, None, None])
+        # frame order: the rows without an index (2, 4, 5), then 1, then the tie 0, 3
+        assert keys.tolist() == [[0, 4], [1, 3], [2, 0], [0, 5], [4, 1], [0, 2]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_layout_follows_the_packing_rule(self, seed):
+        features, sequence_ids, frames = random_rows(seed, 23)
+        batch, index = pack_rows(features, sequence_keys(sequence_ids, frames))
+        want, want_index = reference_pack(features, sequence_ids, frames)
+        assert batch.features.shape == want.shape and batch.features.shape[1] > 1
+        assert np.array_equal(batch.features, want)
+        assert np.array_equal(index, want_index)
+
+    def test_rows_alone_are_one_step_in_row_order(self):
+        features = np.arange(12.0).reshape(4, 3)
+        for keys in (None, sequence_keys(["a", None, "b", "c"], [None] * 4)):
+            batch, index = pack_rows(features, keys)
+            assert index is None
+            assert np.array_equal(batch.features, features[:, None])
+
+    @pytest.mark.parametrize("name", sorted(STATEFUL))
+    def test_each_sequence_as_if_run_alone(self, name):
+        model = Model(STATEFUL[name], InputDims(DIM), seed=3)
+        features, sequence_ids, frames = random_rows(11, 30)
+        batch, index = pack_rows(features, sequence_keys(sequence_ids, frames))
+        got = heads_of(model.forward(batch).take(index))
+        packed, _ = reference_pack(features, sequence_ids, frames)
+        for b, length in enumerate(np.bincount(index % batch.batch_size)):
+            alone = heads_of(model.forward(SequenceBatch(packed[b : b + 1, :length])))
+            rows = np.flatnonzero(index % batch.batch_size == b)
+            rows = rows[np.argsort(index[rows])]  # in frame order
+            for head, values in alone.items():
+                np.testing.assert_allclose(got[head][rows], values, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(STATEFUL))
+    def test_perturbing_one_sequence_leaves_the_others_bitwise(self, name):
+        model = Model(STATEFUL[name], InputDims(DIM), seed=4)
+        features, sequence_ids, frames = random_rows(12, 30)
+        keys = sequence_keys(sequence_ids, frames)
+        batch, index = pack_rows(features, keys)
+        before = heads_of(model.forward(batch).take(index))
+        changed = np.array([s == "clip2" for s in sequence_ids])
+        assert 1 < changed.sum() < len(changed)
+        perturbed = features.copy()
+        perturbed[changed] += np.random.default_rng(0).normal(size=(changed.sum(), DIM))
+        batch, index = pack_rows(perturbed, keys)
+        after = heads_of(model.forward(batch).take(index))
+        for head in before:
+            assert np.array_equal(after[head][~changed], before[head][~changed]), head
+            assert not np.array_equal(after[head][changed], before[head][changed]), head
+
+
+def sequence_samples(seed: int = 5):
+    """Synthetic validation rows in sequences of 1 to 9 frames, stored with
+    their sequences interleaved and their frames out of order; every
+    fifth row has no sequence id."""
+    _, val = make_dataset(
+        SyntheticSpec(train_counts=(0, 0, 0), val_counts=(30, 30, 30), feature_dim=DIM), seed
+    )
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 10, size=len(val))
+    k = 0
+    for s in range(len(val)):
+        for t in range(lengths[s]):
+            if k == len(val):
+                break
+            val[k].sequence_id, val[k].frame_index = f"seq{s}", int(t)
+            k += 1
+    for i in range(0, len(val), 5):
+        val[i].sequence_id = val[i].frame_index = None
+    return [val[i] for i in rng.permutation(len(val))]
+
+
+def predictions(records):
+    return {
+        r.id: np.concatenate([
+            [r.valence, r.arousal],
+            r.expr_probs if r.expr_probs is not None else [],
+            r.au_probs if r.au_probs is not None else [],
+        ])
+        for r in records
+    }
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("name", sorted(STATEFUL))
+    def test_recurrent_predictions_do_not_depend_on_chunking_or_file_order(self, name):
+        model = Model(STATEFUL[name], InputDims(DIM), seed=6)
+        samples = sequence_samples()
+        want = predictions(evaluate_model(model, samples, chunk=512)[1])
+        shuffled = [samples[i] for i in np.random.default_rng(1).permutation(len(samples))]
+        for rows, chunk in ((samples, 7), (samples, 1), (shuffled, 512), (shuffled, 13)):
+            got = predictions(evaluate_model(model, rows, chunk=chunk)[1])
+            assert got.keys() == want.keys()
+            for sid, values in want.items():
+                np.testing.assert_allclose(got[sid], values, rtol=0, atol=1e-12, err_msg=sid)
+
+    @pytest.mark.parametrize("name", sorted(STATEFUL))
+    def test_recurrent_predictions_equal_each_sequence_run_alone(self, name):
+        model = Model(STATEFUL[name], InputDims(DIM), seed=7)
+        samples = sequence_samples()
+        got = predictions(evaluate_model(model, samples, chunk=40)[1])
+        groups = {}
+        for s in samples:
+            groups.setdefault(s.sequence_id or s.id, []).append(s)
+        for seq in groups.values():
+            seq.sort(key=lambda s: s.frame_index or 0)
+            preds = model.forward(SequenceBatch(np.stack([s.features for s in seq])[None]))
+            for t, s in enumerate(seq):
+                np.testing.assert_allclose(got[s.id][:2], preds.va.data[t], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(STATELESS))
+    @pytest.mark.parametrize("chunk", [7, 512])
+    def test_stateless_predictions_are_the_file_order_chunks_bitwise(
+        self, name, chunk, monkeypatch
+    ):
+        # the path before sequence packing: (1, chunk, D) slices in file order
+        model = Model(STATELESS[name], InputDims(DIM), seed=8)
+        samples = sequence_samples()
+        shapes = []
+        real = Model.forward
+        monkeypatch.setattr(
+            Model, "forward", lambda self, batch, **kw: shapes.append(batch.features.shape)
+            or real(self, batch, **kw)
+        )
+        _, records = evaluate_model(model, samples, chunk=chunk)
+        monkeypatch.undo()
+        assert all(t == 1 for _, t, _ in shapes)  # every row alone, no padding
+        features = np.stack([s.features for s in samples])
+        va = np.concatenate([
+            model.forward(SequenceBatch(features[i : i + chunk][None])).va.data
+            for i in range(0, len(samples), chunk)
+        ])
+        assert np.array_equal(np.array([[r.valence, r.arousal] for r in records]), va)
+
+    @pytest.mark.parametrize("name", ["single", "dense"])
+    def test_columns_score_like_their_samples(self, name):
+        specs = {**STATEFUL, **STATELESS}
+        model = Model(specs[name], InputDims(DIM), seed=9)
+        samples = sequence_samples()
+        columns = SampleColumns.of(samples)
+        from_samples = evaluate_model(model, samples)
+        from_columns = evaluate_model(model, columns)
+        assert from_samples[0] == from_columns[0]
+        assert [r.id for r in from_samples[1]] == [r.id for r in from_columns[1]]
+        for a, b in zip(predictions(from_samples[1]).values(), predictions(from_columns[1]).values()):
+            assert np.array_equal(a, b)
+
+
+class TestTraining:
+    @pytest.mark.parametrize("recurrent", ["single:6x1", "none"])
+    def test_gather_packs_a_recurrent_batch_by_sequence(self, recurrent):
+        samples = sequence_samples()
+        for s in samples:
+            s.split = "train"
+        config = RunConfig(feature_dim=DIM, backbone=(8,), recurrent=recurrent, coupling="none")
+        table = _build_table(SampleColumns.of(samples), config, config.relatedness_table())
+        rows = tuple(np.random.default_rng(2).permutation(len(samples))[:40].tolist())
+        batch, index, labels = table.gather(rows)
+        features = table.features[list(rows)]
+        if recurrent == "none":
+            assert table.keys is None and index is None
+            assert np.array_equal(batch.features, features[:, None])
+            return
+        want, want_index = reference_pack(
+            features,
+            [samples[r].sequence_id for r in rows],
+            [samples[r].frame_index for r in rows],
+        )
+        assert batch.batch_size < len(rows)
+        assert np.array_equal(batch.features, want) and np.array_equal(index, want_index)
+        assert np.array_equal(labels.expr, table.labels.expr[list(rows)])
+
+    def test_each_loss_row_is_predicted_within_its_sequence(self, tmp_path, monkeypatch):
+        samples = sequence_samples()
+        for s in samples:
+            s.split = "train"
+        ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
+        dataio.write_annotations(ann, samples)
+        dataio.write_features(feats, samples)
+        config = RunConfig(
+            feature_dim=DIM, backbone=(8,), recurrent="single:6x1", heads=HEADS, epochs=1,
+            total_batch=30, train_annotations=str(ann), train_features=str(feats),
+            out_dir=str(tmp_path / "run"),
+        )
+        steps = []
+        real_gather, real_terms = _TrainTable.gather, training.multitask_terms
+        monkeypatch.setattr(
+            _TrainTable, "gather", lambda self, rows: steps.append([rows]) or real_gather(self, rows)
+        )
+        monkeypatch.setattr(
+            training, "multitask_terms",
+            lambda preds, labels, w: steps[-1].append(preds.va.data) or real_terms(preds, labels, w),
+        )
+        # the first step runs the initial parameters, which the seed fixes
+        model = Model(config.model_spec(), config.input_dims(), seed=config.seed)
+        train_run(config)
+        (rows, va), *_ = steps
+        groups = {}
+        for k, r in enumerate(rows):
+            groups.setdefault(samples[r].sequence_id or samples[r].id, []).append(k)
+        assert len(groups) < len(rows)
+        for ks in groups.values():
+            ks.sort(key=lambda k: samples[rows[k]].frame_index or 0)
+            alone = np.stack([samples[rows[k]].features for k in ks])[None]
+            want = model.forward(SequenceBatch(alone)).va.data
+            np.testing.assert_allclose(va[ks], want, rtol=0, atol=1e-12)
+
+    def test_validation_is_encoded_once_per_job(self, tmp_path, monkeypatch):
+        train, val = make_dataset(
+            SyntheticSpec(train_counts=(20, 20, 20), val_counts=(9, 9, 9), feature_dim=DIM), 2
+        )
+        ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
+        dataio.write_annotations(ann, train + val)
+        dataio.write_features(feats, train + val)
+        encoded, scored = [], []
+        real_samples = SampleColumns.samples
+        monkeypatch.setattr(
+            SampleColumns, "samples", lambda self: encoded.append(1) or real_samples(self)
+        )
+        monkeypatch.setattr(dataio, "label_arrays", lambda s: encoded.append(1) or None)
+        real_eval = evaluate_model
+
+        def spy(model, data, **kwargs):
+            scored.append(data)
+            return real_eval(model, data, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_model", spy)
+        result = train_run(RunConfig(
+            feature_dim=DIM, backbone=(8,), recurrent="single:4x1", epochs=3, total_batch=12,
+            train_annotations=str(ann), train_features=str(feats),
+            val_annotations=str(ann), val_features=str(feats), out_dir=str(tmp_path / "run"),
+        ))
+        assert not encoded and len(scored) == 3
+        assert all(d is scored[0] and isinstance(d, SampleColumns) for d in scored)
+        assert len(scored[0].ids) == 27
+        assert "val.va.ccc_v" in result.history[-1]

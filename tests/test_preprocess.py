@@ -32,6 +32,8 @@ from affectkit.preprocess import (
 )
 from reference_input import fit_alignment_exact, fit_alignment_lstsq, write_audio
 
+H = "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"  # the landmark header
+
 
 def shifted_canonical(dx, dy):
     pts = CANONICAL_LANDMARKS.as_array() + np.array([dx, dy])
@@ -382,10 +384,14 @@ class TestFileFormats:
         "text,where",
         [
             ("", ":1:"),
-            ("frame,x1,y1\n0,1,2\n", ":2:"),
-            ("h\n0,1,2,3,4,5,6,7,8,9,10\n1,1,2,3,4,x,6,7,8,9,10\n", ":3:"),
-            ("h\nzero,1,2,3,4,5,6,7,8,9,10\n", ":2:"),
-            ("h\n0,1,2,3,4,5,6,7,8,9,10\n0,1,2,3,4,5,6,7,8,9,10\n", ":3:"),
+            ("frame,x1,y1\n0,1,2\n", ":1:"),
+            ("h\n0,1,2,3,4,5,6,7,8,9,10\n", ":1:"),
+            (H + "0,1,2\n", ":2:"),
+            (H + "0,1,2,3,4,5,6,7,8,9,10\n1,1,2,3,4,x,6,7,8,9,10\n", ":3:"),
+            (H + "zero,1,2,3,4,5,6,7,8,9,10\n", ":2:"),
+            (H + "0,1,2,3,4,5,6,7,8,9,10\n0,1,2,3,4,5,6,7,8,9,10\n", ":3:"),
+            (H + "0,1,2,3,4,5,6,7,8,9,10\n1,1,2,3,4,5,6,7,8,9,10,999\n", ":3:"),
+            (H + "0,1,2,3,4,5,6,7,8,9,10,\n", ":2:"),
         ],
     )
     def test_malformed_landmarks_name_the_line(self, tmp_path, text, where):

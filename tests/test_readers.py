@@ -3,6 +3,7 @@ after a quoted newline, bytes that are not UTF-8, unparsable CSV and
 prediction values out of range; for them, the audio reader and the
 relatedness-table reader, mutated files."""
 
+import csv
 import re
 
 import numpy as np
@@ -61,7 +62,7 @@ READERS = {
         LANDMARK_HEADER
         + "0,30,40,66,40,48,56,34,76,62,76\n1,31,41,65,-40,48,57,34,75,62,77\n",
         LANDMARK_HEADER
-        + '0,30,40,66,40,48,56,34,76,62,76,"x\ny"\n1,30,40,66,40,48,56,34,76,62,zz\n',
+        + '0,30,40,66,40,48,56,34,76,62,"76\n"\n1,30,40,66,40,48,56,34,76,62,zz\n',
     ),
     "compound_defs": (
         load_compound_defs,
@@ -174,6 +175,49 @@ def test_mutated_file_returns_or_raises_affectkit_error(tmp_path, name, edits):
         reader(path)
     except AffectKitError:
         pass
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=EDITS)
+def test_mutated_landmarks_load_only_with_the_header_and_11_fields(tmp_path, edits):
+    # the edits add and remove commas and newlines, so they make rows with
+    # a field too many or too few and headers with a column split or lost
+    path = tmp_path / "landmarks.csv"
+    path.write_bytes(mutate(READERS["landmarks"][1].encode(), edits))
+    try:
+        frames = read_landmarks(path)
+    except AffectKitError as exc:
+        assert re.search(r"landmarks\.csv(:\d+)?: ", str(exc))
+        return
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [row for row in rows if row]
+    assert header == LANDMARK_HEADER.strip().split(",")
+    assert all(len(row) == 11 for row in rows) and len(frames) == len(rows)
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        (LANDMARK_HEADER + "0,30,40,66,40,48,56,34,76,62,76,999,abc\n", ":2: expected 11"),
+        (LANDMARK_HEADER + "0,30,40,66,40,48,56,34,76,62,76,\n", ":2: expected 11"),
+        (LANDMARK_HEADER + "0,30,40,66,40,48,56,34,76,62\n", ":2: expected 11"),
+        ("frame,x1,y1,x2,y2,x3,y3,x4,y4,x5\n0,30,40,66,40,48,56,34,76,62,76\n", ":1: "),
+        ("frame,x1,y1,x2,y2,x3,y3,x4,y4,y5,x5\n0,30,40,66,40,48,56,34,76,62,76\n", ":1: "),
+        ("0,30,40,66,40,48,56,34,76,62,76\n1,30,40,66,40,48,56,34,76,62,76\n", ":1: "),
+    ],
+    ids=["12_fields", "trailing_comma", "10_fields", "short_header", "swapped_header", "no_header"],
+)
+def test_landmark_rows_and_header_are_checked(tmp_path, text, where):
+    path = tmp_path / "landmarks.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"landmarks\.csv{where}"):
+        read_landmarks(path)
 
 
 # name -> (reader, a valid file); six edits can declare at most a few

@@ -117,7 +117,7 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
             compound_ids[row] = label.class_id
     if 0 < has["va"].sum() < 2:
         has["va"][:] = False
-    batch = SequenceBatch(features=feats[None])
+    batch = SequenceBatch(features=feats[:, None])  # rows without sequence ids run alone
     labels = BatchLabels(
         va=va,
         expr=expr_ids,
@@ -184,7 +184,8 @@ def assert_same_arrays(pairs):
 
 
 def assert_same(got, want):
-    batch, labels = got
+    batch, index, labels = got
+    assert index is None
     ref_batch, ref_labels = want
     assert batch.audio is None and ref_batch.audio is None
     names = [f.name for f in fields(BatchLabels)]
