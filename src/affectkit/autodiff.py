@@ -18,8 +18,8 @@ The op set is exactly what the model zoo needs: ``dense`` (one affine
 node with a closed-form vjp), ``relu``, ``sigmoid``, ``softmax``,
 ``concat``, ``take_rows``, inverted ``dropout``, ``fused`` and
 ``gru_sequence``. ``fused`` is a node whose gradients were computed in
-closed form together with its value: each training loss is one, and so is
-each weighted sum of loss terms. ``gru_sequence`` runs a gated recurrent
+closed form together with its value: a training step's whole loss is one.
+``gru_sequence`` runs a gated recurrent
 cell over whole sequences as one node with a hand-written BPTT. The Adam
 optimizer, the :class:`Parameters` factory and a binary checkpoint format
 for named parameter sets live here too.

@@ -2,8 +2,10 @@
 
 Each named check builds a scalar objective from fresh random inputs,
 backpropagates once, then compares the analytic gradient against a
-central difference at randomly sampled coordinates. The same battery
-backs the ``grad-check`` CLI subcommand and the test suite.
+central difference at randomly sampled coordinates. The loss checks run
+the training step's one objective, ``losses.objective``, with one term
+active each, and ``loss.multitask`` with all five at once. The same
+battery backs the ``grad-check`` CLI subcommand and the test suite.
 """
 
 from __future__ import annotations
@@ -15,18 +17,8 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import DiffTensor, GruCell, backward
 from ..errors import ConfigError
-from ..losses import (
-    BatchLabels,
-    BatchPredictions,
-    LossWeights,
-    cce_loss,
-    ccc_loss,
-    distribution_matching_loss,
-    masked_bce_loss,
-    multitask_terms,
-    soft_target_cce,
-    weighted_total,
-)
+from .. import losses
+from ..losses import BatchLabels, BatchPredictions, LossWeights
 from ..models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows, sequence_keys
 from ..relatedness import COGNITIVE
 from ..types import NUM_AUS, NUM_EXPRESSIONS
@@ -144,82 +136,47 @@ def _check_dropout_off(rng, n_points, eps):
     return max_relative_error(objective, [x, w, b], n_points, eps, seed=13)
 
 
-def _check_ccc(rng, n_points, eps):
-    pred = DiffTensor(rng.normal(0.0, 0.5, size=(9, 2)))
-    truth = rng.normal(0.0, 0.5, size=(9, 2))
+def _check_objective(terms: Sequence[str], seed: int) -> Callable:
+    """A check of ``losses.objective`` over 12 rows with only ``terms``
+    active, out of ``expr`` (cross-entropy on rows 0-3), ``va``
+    (concordance on rows 4-7), ``au`` (masked cross-entropy on rows 8-11),
+    ``soft`` (soft targets on the AU rows, as co-annotation sets them) and
+    ``dm`` (distribution matching on every row); only the heads they read
+    are given."""
 
-    def objective():
-        return ccc_loss(pred, truth)
+    def check(rng, n_points, eps):
+        n = 12
+        heads = {
+            name: DiffTensor(rng.normal(0.0, 1.0, size=(n, width)))
+            for name, width, readers in (
+                ("expr_logits", NUM_EXPRESSIONS, ("expr", "soft", "dm")),
+                ("au_logits", NUM_AUS, ("au", "dm")),
+                ("va", 2, ("va",)),
+            )
+            if set(readers) & set(terms)
+        }
+        labels = BatchLabels.zeros(n)
+        labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, size=n)
+        labels.va[:] = rng.normal(0.0, 0.5, size=(n, 2))
+        labels.au_targets[:] = rng.integers(0, 2, size=(n, NUM_AUS))
+        labels.au_mask[:] = rng.integers(0, 2, size=(n, NUM_AUS))
+        labels.au_mask[:, 0] = 1.0  # keep every row contributing
+        raw = rng.random((n, NUM_EXPRESSIONS))
+        labels.soft[:] = raw / raw.sum(axis=1, keepdims=True)
+        for task, flag, rows in (
+            ("expr", labels.has_expr, slice(0, 4)), ("va", labels.has_va, slice(4, 8)),
+            ("au", labels.has_au, slice(8, n)), ("soft", labels.has_soft, slice(8, n)),
+        ):
+            flag[rows] = task in terms
+        mixture = COGNITIVE.conditional_matrix() if "dm" in terms else None
+        weights = LossWeights(lambda1=0.8, lambda2=1.3)
 
-    return max_relative_error(objective, [pred], n_points, eps, seed=14)
+        def objective():
+            return losses.objective(BatchPredictions(**heads), labels, weights, mixture)
 
+        return max_relative_error(objective, list(heads.values()), n_points, eps, seed=seed)
 
-def _check_cce(rng, n_points, eps):
-    logits = DiffTensor(rng.normal(0.0, 1.5, size=(8, NUM_EXPRESSIONS)))
-    truth = rng.integers(0, NUM_EXPRESSIONS, size=8)
-
-    def objective():
-        return cce_loss(logits, truth)
-
-    return max_relative_error(objective, [logits], n_points, eps, seed=15)
-
-
-def _check_bce(rng, n_points, eps):
-    logits = DiffTensor(rng.normal(0.0, 1.5, size=(8, NUM_AUS)))
-    targets = rng.integers(0, 2, size=(8, NUM_AUS)).astype(float)
-    mask = rng.integers(0, 2, size=(8, NUM_AUS)).astype(float)
-    mask[:, 0] = 1.0  # keep every row contributing
-
-    def objective():
-        return masked_bce_loss(logits, targets, mask)
-
-    return max_relative_error(objective, [logits], n_points, eps, seed=16)
-
-
-def _check_multitask(rng, n_points, eps):
-    n = 9
-    expr_logits = DiffTensor(rng.normal(0.0, 1.0, size=(n, NUM_EXPRESSIONS)))
-    au_logits = DiffTensor(rng.normal(0.0, 1.0, size=(n, NUM_AUS)))
-    va = DiffTensor(rng.normal(0.0, 0.5, size=(n, 2)))
-    labels = BatchLabels.zeros(n)
-    labels.has_expr[:3] = labels.has_au[3:6] = labels.has_va[6:] = True
-    labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, size=n)
-    labels.au_targets[:] = rng.integers(0, 2, size=(n, NUM_AUS))
-    labels.au_mask[:] = 1.0
-    labels.va[:] = rng.normal(0.0, 0.5, size=(n, 2))
-
-    def objective():
-        preds = BatchPredictions(expr_logits=expr_logits, au_logits=au_logits, va=va)
-        return weighted_total(
-            multitask_terms(preds, labels, LossWeights(lambda1=0.8, lambda2=1.3))
-        )
-
-    return max_relative_error(
-        objective, [expr_logits, au_logits, va], n_points, eps, seed=17
-    )
-
-
-def _check_distribution_matching(rng, n_points, eps):
-    expr_logits = DiffTensor(rng.normal(0.0, 1.0, size=(6, NUM_EXPRESSIONS)))
-    au_logits = DiffTensor(rng.normal(0.0, 1.0, size=(6, NUM_AUS)))
-
-    def objective():
-        return distribution_matching_loss(
-            ad.softmax(expr_logits, axis=1), ad.sigmoid(au_logits), COGNITIVE
-        )
-
-    return max_relative_error(objective, [expr_logits, au_logits], n_points, eps, seed=18)
-
-
-def _check_soft_target(rng, n_points, eps):
-    logits = DiffTensor(rng.normal(0.0, 1.0, size=(6, NUM_EXPRESSIONS)))
-    raw = rng.random((6, NUM_EXPRESSIONS))
-    soft = raw / raw.sum(axis=1, keepdims=True)
-
-    def objective():
-        return soft_target_cce(ad.softmax(logits, axis=1), soft)
-
-    return max_relative_error(objective, [logits], n_points, eps, seed=19)
+    return check
 
 
 CHECKS: Dict[str, Callable] = {
@@ -227,12 +184,13 @@ CHECKS: Dict[str, Callable] = {
     "layer.gru": _check_gru,
     "layer.gru_packed": _check_gru_packed,
     "layer.dropout_off": _check_dropout_off,
-    "loss.ccc": _check_ccc,
-    "loss.cce": _check_cce,
-    "loss.masked_bce": _check_bce,
-    "loss.multitask": _check_multitask,
-    "loss.distribution_matching": _check_distribution_matching,
-    "loss.soft_target_cce": _check_soft_target,
+    "loss.ccc": _check_objective(("va",), seed=14),
+    "loss.cce": _check_objective(("expr",), seed=15),
+    "loss.masked_bce": _check_objective(("au",), seed=16),
+    "loss.soft_target": _check_objective(("soft",), seed=19),
+    "loss.distribution_matching": _check_objective(("dm",), seed=18),
+    # the whole step objective, every term active
+    "loss.multitask": _check_objective(("expr", "va", "au", "soft", "dm"), seed=17),
 }
 
 

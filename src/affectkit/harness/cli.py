@@ -34,7 +34,7 @@ from .checks import GRAD_TOLERANCE, CHECKS, run_grad_checks
 from .config import RunConfig, parse_kv_file
 from .dataio import (
     _csv_line,
-    load_dataset,
+    load_columns,
     read_predictions,
     write_predictions,
     write_report,
@@ -118,12 +118,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = RunConfig.from_file(args.config)
     model = load_model(config, args.checkpoint)
-    samples = load_dataset(args.annotations, args.features, split=args.split or None)
+    data = load_columns(args.annotations, args.features, split=args.split or None)
     tasks = None
     if args.tasks:
         tasks = [t.strip().upper() for t in args.tasks.split(",")]
     metrics, records = evaluate_model(
-        model, samples, au_threshold=args.au_threshold, tasks=tasks
+        model, data, au_threshold=args.au_threshold, tasks=tasks
     )
     write_report(args.out, metrics)
     if args.predictions:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import DegenerateInputWarning, IncompatibleHeads
+from ..errors import ConfigError, DegenerateInputWarning, IncompatibleHeads
 from ..metrics import (
     accuracy,
     binarize,
@@ -103,17 +103,22 @@ def evaluate_model(
     au_threshold: float = 0.5,
     tasks: Optional[Sequence[str]] = None,
     chunk: int = 512,
+    keys: Optional[np.ndarray] = None,
 ) -> Tuple[Dict[str, float], List[PredictionRecord]]:
     """Score the model on every task present (or the requested subset).
 
     ``samples`` are annotated samples, or the columns of a split with its
-    features attached, which are read as they are. Returns a flat metric
+    features attached, which are read as they are; columns carry no audio.
+    A stateful model packs the rows by ``keys``, their
+    ``models.sequence_keys``, made here unless given. Returns a flat metric
     dict and one prediction record per row. ``degenerate_count`` reports
     how many metric computations hit a flagged 0/0 convention. Raises
     IncompatibleHeads when a requested (or present) task has no matching
     model head.
     """
     if isinstance(samples, SampleColumns):
+        if model.dims.audio and samples.ids:
+            raise ConfigError(f"{samples.ids[0]}: audio_dim set but sample has no audio")
         data, audio = samples, None
     else:
         samples = list(samples)
@@ -136,7 +141,10 @@ def evaluate_model(
         if task not in model.spec.heads:
             raise IncompatibleHeads(f"task {task} needs a {task} head")
 
-    keys = sequence_keys(data.sequence_id, data.frame_index) if model.spec.stateful else None
+    if not model.spec.stateful:
+        keys = None
+    elif keys is None:
+        keys = sequence_keys(data.sequence_id, data.frame_index)
     rows = _forward_all(model, data.features, keys, audio, chunk)
     none = [None] * len(data.ids)
     valence, arousal = (none, none) if rows["va"] is None else rows["va"].T.tolist()

@@ -13,11 +13,12 @@ sequence (``models.pack_rows``): the rows of one sequence id run as one
 sequence in frame order, and every other row alone; the outputs are then
 taken back to batch order, so each loss term sees the whole chunk of its
 task at once. Training draws rows, not windows, so a shuffled batch holds
-fragments of a sequence. A step's loss is one weighted total of the
-multi-task terms followed by the soft-target and distribution-matching
-terms; its backward sweep reaches only the optimizer's parameters, so a
-frozen trunk gets no gradient. Everything downstream of the seed is
-deterministic.
+fragments of a sequence. A step's loss is one ``losses.objective`` node:
+the multi-task terms followed by the soft-target and distribution-matching
+terms, from one softmax and one sigmoid; its backward sweep reaches only
+the optimizer's parameters, so a frozen trunk gets no gradient. The
+relatedness mixture and the validation rows' packing keys are made once
+per job. Everything downstream of the seed is deterministic.
 """
 
 from __future__ import annotations
@@ -30,27 +31,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
 from ..csvfile import atomic_write
 from ..errors import ConfigError, DivergedLoss, IncompatibleHeads
-from ..losses import (
-    BatchLabels,
-    LossWeights,
-    distribution_matching_loss,
-    multitask_terms,
-    soft_target_cce,
-    weighted_total,
-)
-from ..models import (
-    Model,
-    SequenceBatch,
-    au_probs,
-    expr_probs,
-    load_parameters,
-    pack_rows,
-    sequence_keys,
-)
+from ..losses import BatchLabels, LossWeights, objective
+from ..models import Model, SequenceBatch, load_parameters, pack_rows, sequence_keys
 from ..relatedness import (
     RelatednessTable,
     coannotate_aus_to_emotion_rows,
@@ -187,6 +172,10 @@ def train_run(config: RunConfig) -> TrainResult:
     spec = config.model_spec()
     if data.compound_rows and "COMPOUND" not in spec.heads:
         raise IncompatibleHeads("dataset is compound-labeled but the model has no COMPOUND head")
+    # the validation split never changes, so its packing keys are made once
+    val_keys = (
+        sequence_keys(val[0].sequence_id, val[0].frame_index) if val and spec.stateful else None
+    )
 
     model = Model(spec, config.input_dims(), seed=config.seed)
     if config.init_from:
@@ -195,7 +184,10 @@ def train_run(config: RunConfig) -> TrainResult:
     trainable = model.head_parameters() if config.freeze_trunk else model.parameters()
     opt = Adam(trainable, lr=config.lr)
     weights = LossWeights(lambda1=config.lambda1, lambda2=config.lambda2)
-    use_dm = config.coupling in ("distr_matching", "soft+distr")
+    mixture = (
+        table.conditional_matrix(reweight=config.reweight_mixture)
+        if config.coupling in ("distr_matching", "soft+distr") else None
+    )
     dropout_rng = np.random.default_rng([int(config.seed), 7])
 
     if data.compound_rows:
@@ -234,20 +226,7 @@ def train_run(config: RunConfig) -> TrainResult:
             preds = model.forward(batch, train=True, rng=dropout_rng)
             if index is not None:
                 preds = preds.take(index)
-            terms = multitask_terms(preds, labels, weights)
-            soft_rows = np.flatnonzero(labels.has_soft)
-            dm = use_dm and preds.au_logits is not None
-            if preds.expr_logits is not None and (soft_rows.size or dm):
-                probs = expr_probs(preds)
-                if soft_rows.size:
-                    p = ad.take_rows(probs, soft_rows)
-                    terms.append((1.0, soft_target_cce(p, labels.soft[soft_rows])))
-                if dm:
-                    dm_loss = distribution_matching_loss(
-                        probs, au_probs(preds), table, reweight=config.reweight_mixture,
-                    )
-                    terms.append((1.0, dm_loss))
-            loss = weighted_total(terms)
+            loss = objective(preds, labels, weights, mixture)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")
@@ -267,6 +246,7 @@ def train_run(config: RunConfig) -> TrainResult:
                 val[0],
                 au_threshold=config.au_threshold,
                 tasks=[t for t in ("VA", "AU", "EXPR", "COMPOUND") if t in model.spec.heads],
+                keys=val_keys,
             )
             record.update({f"val.{k}": v for k, v in metrics.items()})
         history.append(record)

@@ -1,17 +1,17 @@
 """Training objectives: agreement loss for continuous affect, categorical
-and masked binary cross-entropy, the weighted multi-task total, and the two
-coupling losses (soft-target cross-entropy and distribution matching).
+and masked binary cross-entropy, and the two coupling losses (soft-target
+cross-entropy and distribution matching), summed into one step objective.
 
-Each loss computes its value and its gradient in closed form with plain
-numpy and returns one ``autodiff.fused`` node, so gradients flow back to
-whatever produced the predictions without a graph of scalar ops;
-``weighted_total`` sums weighted terms as one more such node.
-``multitask_terms`` lists the weighted multi-task terms, so a training
-step can append its coupling terms and sum them all with one total.
-Probabilities that feed a log are clamped to [1e-7, 1-1e-7] after the
-sigmoid/softmax, and no gradient passes where the clamp bites; the
-categorical term instead uses a max-shifted log-sum-exp, which stays exact
-for saturated logits.
+Each formula is a plain numpy function that returns its value and its
+closed-form gradient. ``objective`` evaluates every term of a training
+step from the full-batch head outputs and returns one ``autodiff.fused``
+node, so gradients flow back to whatever produced the predictions without
+a graph of per-term nodes: one softmax of the expression logits and one
+sigmoid of the AU logits serve every term that reads them, and their vjps
+are applied in the same pass. Probabilities that feed a log are clamped to
+[1e-7, 1-1e-7] after the sigmoid/softmax, and no gradient passes where the
+clamp bites; the categorical term instead uses a max-shifted log-sum-exp,
+which stays exact for saturated logits.
 
 ``label_arrays`` turns in-memory annotated samples into the row arrays of a
 BatchLabels, which is how evaluation builds its truth; the annotation
@@ -36,10 +36,10 @@ from .errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
-from .relatedness import RelatednessTable
 from .types import NUM_AUS, NUM_EXPRESSIONS, AnnotatedSample
 
 PROB_EPS = 1e-7
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -143,161 +143,123 @@ def label_arrays(samples: Sequence[AnnotatedSample]) -> BatchLabels:
             labels.compound[row] = label.class_id
     return labels
 
-
 # ---------------------------------------------------------------------------
-# individual objectives
+# the formulas: each returns its value and its gradient, in plain numpy
 
 
 def _clamp(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Probabilities clamped to [PROB_EPS, 1-PROB_EPS], and where the clamp
     did not bite (the only entries whose gradient passes)."""
     inside = (probs >= PROB_EPS) & (probs <= 1.0 - PROB_EPS)
-    return np.clip(probs, PROB_EPS, 1.0 - PROB_EPS), inside
-
-
-def ccc_loss(pred_va: DiffTensor, truth_va) -> DiffTensor:
-    """1 - mean of the valence and arousal concordance coefficients,
-    population moments per column.
-
-    Concordance needs a sequence, so the batch must have at least 2 rows.
-    """
-    truth = np.asarray(truth_va, dtype=np.float64)
-    if pred_va.ndim != 2 or pred_va.shape[1] != 2 or truth.shape != pred_va.shape:
-        raise ShapeMismatch(f"va shapes {pred_va.shape} vs {truth.shape}")
-    n = pred_va.shape[0]
-    if n < 2:
-        raise BatchTooSmall("concordance needs at least 2 samples")
-    mean_p = pred_va.data.mean(axis=0)
-    mean_t = truth.mean(axis=0)
-    dp = pred_va.data - mean_p
-    dt = truth - mean_t
-    diff = mean_p - mean_t
-    denom = (dp * dp).mean(axis=0) + (dt * dt).mean(axis=0) + diff * diff
-    rho = 2.0 * (dp * dt).mean(axis=0) / denom
-    grad = (rho * (dp + diff) - dt) / (n * denom)
-    return ad.fused(1.0 - 0.5 * (rho[0] + rho[1]), ((pred_va, grad),))
-
-
-def cce_loss(expr_logits: DiffTensor, truth) -> DiffTensor:
-    """Mean over samples of -log softmax(logits)[true class ids], from the
-    max-shifted log-sum-exp, so saturated logits stay exact."""
-    truth_ids = np.asarray(truth, dtype=np.int64)
-    n, k = expr_logits.shape
-    if truth_ids.shape != (n,):
-        raise ShapeMismatch(f"labels of shape {truth_ids.shape} for {n} rows")
-    if np.any(truth_ids < 0) or np.any(truth_ids >= k):
-        raise ValueOutOfRange(f"class ids must be in [0,{k})")
-    rows = np.arange(n)
-    shift = expr_logits.data - expr_logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shift)
-    total = e.sum(axis=1, keepdims=True)
-    value = np.mean(np.log(total[:, 0]) - shift[rows, truth_ids])
-    grad = e / total
-    grad[rows, truth_ids] -= 1.0
-    return ad.fused(value, ((expr_logits, grad / n),))
-
-
-def masked_bce_loss(au_logits: DiffTensor, targets, mask) -> DiffTensor:
-    """Per-sample mask-weighted binary cross-entropy, averaged over samples.
-
-    Per sample: -(sum w)^-1 * sum_i w_i [t_i log p_i + (1-t_i) log(1-p_i)]
-    with p = sigmoid(logit) clamped to [1e-7, 1-1e-7]. Weights are usually
-    the {0,1} annotation mask but may be fractional. Rows with zero total
-    weight are skipped; a batch of only such rows is an error.
-    """
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if au_logits.shape != targets.shape or au_logits.shape != mask.shape:
-        raise ShapeMismatch(
-            f"logits {au_logits.shape}, targets {targets.shape}, mask {mask.shape}"
-        )
-    if np.any(mask < 0):
-        raise ValueOutOfRange("mask weights must be nonnegative")
-    row_weight = mask.sum(axis=1)
-    keep = np.flatnonzero(row_weight > 0)
-    if keep.size == 0:
-        raise EmptyMaskBatch("no sample has an annotated AU")
-    s = ad.sigmoid_values(au_logits.data[keep])
-    t = targets[keep]
-    w = mask[keep]
-    kept_weight = row_weight[keep]
-    p, inside = _clamp(s)
-    terms = t * np.log(p) + (1.0 - t) * np.log(1.0 - p)
-    value = -np.mean((terms * w).sum(axis=1) / kept_weight)
-    grad = np.zeros(au_logits.shape)
-    grad[keep] = (s - t) * inside * w / (kept_weight[:, None] * keep.size)
-    return ad.fused(value, ((au_logits, grad),))
-
-
-def multitask_terms(
-    preds: BatchPredictions,
-    labels: BatchLabels,
-    weights: LossWeights = LossWeights(),
-) -> List[Tuple[float, Optional[DiffTensor]]]:
-    """The (weight, term) pairs of L_expr + lambda1 * L_au + lambda2 * L_va
-    + L_compound, in that order; the compound head is the transfer-learning
-    extension. ``weighted_total`` of the list is the multi-task loss.
-
-    Each term is computed only over the rows its label flag marks; a task
-    with no flagged row, or no head, is None.
-    """
-    heads = (preds.expr_logits, preds.au_logits, preds.va, preds.compound_logits)
-    n = labels.va.shape[0]
-    if all(h is None for h in heads) or any(h is not None and h.shape[0] != n for h in heads):
-        raise ShapeMismatch(f"predictions need a head with {n} rows, one per label row")
-
-    def term(loss, head, flag, *truth):
-        idx = np.flatnonzero(flag)
-        if head is None or not idx.size:
-            return None
-        return loss(ad.take_rows(head, idx), *(t[idx] for t in truth))
-
-    return [
-        (1.0, term(cce_loss, preds.expr_logits, labels.has_expr, labels.expr)),
-        (weights.lambda1, term(
-            masked_bce_loss, preds.au_logits, labels.has_au, labels.au_targets, labels.au_mask
-        )),
-        (weights.lambda2, term(ccc_loss, preds.va, labels.has_va, labels.va)),
-        (1.0, term(cce_loss, preds.compound_logits, labels.has_compound, labels.compound)),
-    ]
-
-
-def weighted_total(terms: Sequence[Tuple[float, Optional[DiffTensor]]]) -> DiffTensor:
-    """sum_i w_i * t_i over scalar loss terms as one ``fused`` node whose
-    edges carry the weights.
-
-    The products are added left to right and an absent (None) term adds
-    0.0 without an edge, so the value is bit-identical to the chain
-    ``w_0 * t_0 + w_1 * t_1 + ...`` with absent terms as zero.
-    """
-    parts = [0.0 if t is None else w * t.data for w, t in terms]
-    value = parts[0]
-    for part in parts[1:]:
-        value = value + part
-    return ad.fused(value, [(t, w) for w, t in terms if t is not None])
-
-
-# ---------------------------------------------------------------------------
-# coupling objectives
+    return np.minimum(np.maximum(probs, PROB_EPS), 1.0 - PROB_EPS), inside
 
 
 def _check_rows_are_distributions(arr: np.ndarray, what: str) -> None:
-    if np.any(arr < 0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-6):
+    if (arr < 0).any() or (np.abs(arr.sum(axis=1) - 1.0) > 1e-6).any():
         raise BadDistribution(f"{what} rows must be distributions over classes")
 
 
-def distribution_matching_loss(
-    expr_probs: DiffTensor,
-    au_probs: DiffTensor,
-    table: RelatednessTable,
-    reweight: bool = False,
-) -> DiffTensor:
-    """Cross-entropy between predicted AU activations and the AU mixture
-    implied by the predicted emotion distribution.
+def softmax_parts(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The max-shifted logits, their row sums of exponentials and the
+    softmax of an (N, K) matrix: what ``cce`` reads for its rows."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    total = e.sum(axis=1, keepdims=True)
+    return shift, total, e / total
 
-    q = expr_probs @ p(AU|emotion); loss = mean_n sum_i -p(AU_i) log q_i
-    with q clamped. Applied to every sample regardless of which labels it
-    carries; gradients flow through both the AU and the emotion head.
+
+def ccc(pred: np.ndarray, truth) -> Tuple[float, np.ndarray]:
+    """1 - mean of the valence and arousal concordance coefficients,
+    population moments per column, and its gradient.
+
+    Concordance needs a sequence, so the batch must have at least 2 rows.
+    """
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.ndim != 2 or pred.shape[1] != 2 or truth.shape != pred.shape:
+        raise ShapeMismatch(f"va shapes {pred.shape} vs {truth.shape}")
+    n = pred.shape[0]
+    if n < 2:
+        raise BatchTooSmall("concordance needs at least 2 samples")
+    mean_p = pred.sum(axis=0) / n
+    mean_t = truth.sum(axis=0) / n
+    dp = pred - mean_p
+    dt = truth - mean_t
+    diff = mean_p - mean_t
+    denom = (dp * dp).sum(axis=0) / n + (dt * dt).sum(axis=0) / n + diff * diff
+    rho = 2.0 * ((dp * dt).sum(axis=0) / n) / denom
+    grad = (rho * (dp + diff) - dt) / (n * denom)
+    return 1.0 - 0.5 * (rho[0] + rho[1]), grad
+
+
+def cce(shift: np.ndarray, total: np.ndarray, probs: np.ndarray, truth) -> Tuple[float, np.ndarray]:
+    """Mean over rows of -log softmax(logits)[true class ids], from the
+    ``softmax_parts`` of those rows, so saturated logits stay exact; and
+    its gradient (softmax - onehot) / N."""
+    truth_ids = np.asarray(truth, dtype=np.int64)
+    n, k = shift.shape
+    if truth_ids.shape != (n,):
+        raise ShapeMismatch(f"labels of shape {truth_ids.shape} for {n} rows")
+    if (truth_ids < 0).any() or (truth_ids >= k).any():
+        raise ValueOutOfRange(f"class ids must be in [0,{k})")
+    rows = np.arange(n)
+    value = (np.log(total[:, 0]) - shift[rows, truth_ids]).sum() / n
+    grad = probs.copy()
+    grad[rows, truth_ids] -= 1.0
+    return value, grad / n
+
+
+def masked_bce(s: np.ndarray, targets, mask) -> Tuple[float, np.ndarray]:
+    """Per-row mask-weighted binary cross-entropy of sigmoid values ``s``,
+    averaged over rows, and its gradient with respect to the logits.
+
+    Per row: -(sum w)^-1 * sum_i w_i [t_i log p_i + (1-t_i) log(1-p_i)]
+    with p = s clamped to [1e-7, 1-1e-7]. Weights are usually the {0,1}
+    annotation mask but may be fractional. Rows with zero total weight are
+    skipped; a batch of only such rows is an error.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if s.shape != targets.shape or s.shape != mask.shape:
+        raise ShapeMismatch(f"logits {s.shape}, targets {targets.shape}, mask {mask.shape}")
+    if (mask < 0).any():
+        raise ValueOutOfRange("mask weights must be nonnegative")
+    row_weight = mask.sum(axis=1)
+    keep = (row_weight > 0).nonzero()[0]
+    if keep.size == 0:
+        raise EmptyMaskBatch("no sample has an annotated AU")
+    s, t, w, kept_weight = s[keep], targets[keep], mask[keep], row_weight[keep]
+    p, inside = _clamp(s)
+    terms = t * np.log(p) + (1.0 - t) * np.log(1.0 - p)
+    value = -(((terms * w).sum(axis=1) / kept_weight).sum() / keep.size)
+    grad = np.zeros(mask.shape)
+    grad[keep] = (s - t) * inside * w / (kept_weight[:, None] * keep.size)
+    return value, grad
+
+
+def soft_target(probs: np.ndarray, soft_labels) -> Tuple[float, np.ndarray]:
+    """Cross-entropy with soft targets, mean_n sum_k -soft_k log p_k, and
+    its gradient with respect to the probabilities."""
+    soft = np.asarray(soft_labels, dtype=np.float64)
+    if soft.shape != probs.shape:
+        raise ShapeMismatch(f"soft labels {soft.shape} vs probs {probs.shape}")
+    _check_rows_are_distributions(soft, "soft label")
+    _check_rows_are_distributions(probs, "emotion probability")
+    n = probs.shape[0]
+    p, inside = _clamp(probs)
+    value = -((soft * np.log(p)).sum(axis=1).sum() / n)
+    return value, -soft / p * inside / n
+
+
+def distribution_matching(
+    expr_probs: np.ndarray, au_probs: np.ndarray, cond: np.ndarray
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Cross-entropy between predicted AU activations and the AU mixture
+    implied by the predicted emotion distribution, and its gradients with
+    respect to both probability matrices.
+
+    q = expr_probs @ cond, with cond = p(AU|emotion); loss = mean_n sum_i
+    -p(AU_i) log q_i with q clamped. Applied to every row regardless of
+    which labels it carries.
     """
     if expr_probs.ndim != 2 or expr_probs.shape[1] != NUM_EXPRESSIONS:
         raise ShapeMismatch(f"expr_probs shape {expr_probs.shape}")
@@ -305,27 +267,109 @@ def distribution_matching_loss(
         raise ShapeMismatch(f"au_probs shape {au_probs.shape}")
     if au_probs.shape[0] != expr_probs.shape[0]:
         raise ShapeMismatch("row counts differ")
-    _check_rows_are_distributions(expr_probs.data, "emotion probability")
-    if np.any(au_probs.data < 0) or np.any(au_probs.data > 1):
+    _check_rows_are_distributions(expr_probs, "emotion probability")
+    if (au_probs < 0).any() or (au_probs > 1).any():
         raise BadDistribution("AU probabilities must lie in [0,1]")
     n = expr_probs.shape[0]
-    cond = table.conditional_matrix(reweight=reweight)
-    q, inside = _clamp(expr_probs.data @ cond)
+    q, inside = _clamp(expr_probs @ cond)
     log_q = np.log(q)
-    a = au_probs.data
-    value = -np.mean((a * log_q).sum(axis=1))
-    grad_expr = -((a / q * inside) @ cond.T) / n
-    return ad.fused(value, ((expr_probs, grad_expr), (au_probs, -log_q / n)))
+    value = -((au_probs * log_q).sum(axis=1).sum() / n)
+    return value, -((au_probs / q * inside) @ cond.T) / n, -log_q / n
 
 
-def soft_target_cce(expr_probs: DiffTensor, soft_labels) -> DiffTensor:
-    """Cross-entropy with soft targets: mean_n sum_k -soft_k log p_k."""
-    soft = np.asarray(soft_labels, dtype=np.float64)
-    if soft.shape != expr_probs.shape:
-        raise ShapeMismatch(f"soft labels {soft.shape} vs probs {expr_probs.shape}")
-    _check_rows_are_distributions(soft, "soft label")
-    _check_rows_are_distributions(expr_probs.data, "emotion probability")
-    n = expr_probs.shape[0]
-    p, inside = _clamp(expr_probs.data)
-    value = -np.mean((soft * np.log(p)).sum(axis=1))
-    return ad.fused(value, ((expr_probs, -soft / p * inside / n),))
+# ---------------------------------------------------------------------------
+# a training step's loss
+
+
+def objective(
+    preds: BatchPredictions,
+    labels: BatchLabels,
+    weights: LossWeights = LossWeights(),
+    mixture: Optional[np.ndarray] = None,
+) -> DiffTensor:
+    """A training step's whole loss as one ``fused`` node over the heads.
+
+    The terms, added left to right: L_expr + lambda1 * L_au + lambda2 *
+    L_va + L_compound, each over the rows its flag marks (a term with no
+    row or no head adds 0.0); then soft-target cross-entropy over the
+    ``has_soft`` rows; then, given ``mixture`` (p(AU|emotion), 7 x 17) and
+    EXPR and AU heads, distribution matching over every row. One softmax of
+    the expression logits and one sigmoid of the AU logits serve every term
+    that reads them, and their vjps are applied here. The edges run expr,
+    va, compound, au: a shared trunk then sums the heads' gradients with
+    the per-term graph's rounding, the AU head's last where distribution
+    matching spreads the expression and AU gradients over every row.
+    """
+    heads = {  # in edge order
+        "expr": preds.expr_logits, "va": preds.va, "compound": preds.compound_logits,
+        "au": preds.au_logits,
+    }
+    expr, va, compound, au = heads.values()
+    n = labels.va.shape[0]
+    if all(h is None for h in heads.values()) or any(
+        h is not None and h.shape[0] != n for h in heads.values()
+    ):
+        raise ShapeMismatch(f"predictions need a head with {n} rows, one per label row")
+
+    def rows(head, flag):
+        return _NO_ROWS if head is None else flag.nonzero()[0]
+
+    expr_rows, soft_rows, au_rows = (
+        rows(expr, labels.has_expr), rows(expr, labels.has_soft), rows(au, labels.has_au)
+    )
+    dm = mixture is not None and expr is not None and au is not None
+    if expr_rows.size or soft_rows.size or dm:
+        shift, total, p = softmax_parts(expr.data)
+    if au_rows.size or dm:
+        s = ad.sigmoid_values(au.data)
+
+    parts: List[float] = [0.0] * 4  # the multi-task terms; coupling terms follow
+    row_grads = {}  # head: (rows, the weighted gradient of its term on them)
+    idx = expr_rows
+    if idx.size:
+        parts[0], g = cce(shift[idx], total[idx], p[idx], labels.expr[idx])
+        row_grads["expr"] = idx, g
+    idx = au_rows
+    if idx.size:
+        value, g = masked_bce(s[idx], labels.au_targets[idx], labels.au_mask[idx])
+        parts[1] = weights.lambda1 * value
+        row_grads["au"] = idx, weights.lambda1 * g
+    idx = rows(va, labels.has_va)
+    if idx.size:
+        value, g = ccc(va.data[idx], labels.va[idx])
+        parts[2] = weights.lambda2 * value
+        row_grads["va"] = idx, weights.lambda2 * g
+    idx = rows(compound, labels.has_compound)
+    if idx.size:
+        parts[3], g = cce(*softmax_parts(compound.data[idx]), labels.compound[idx])
+        row_grads["compound"] = idx, g
+
+    full = {}  # head: a gradient over all its rows, from the coupling terms
+    g_probs = None  # the coupling terms' gradient with respect to the softmax
+    if soft_rows.size:
+        value, g = soft_target(p[soft_rows], labels.soft[soft_rows])
+        parts.append(value)
+        g_probs = np.zeros(p.shape)
+        g_probs[soft_rows] = g
+    if dm:
+        value, g_expr, g_au = distribution_matching(p, s, mixture)
+        parts.append(value)
+        g_probs = g_expr if g_probs is None else g_probs + g_expr
+        full["au"] = g_au * s * (1.0 - s)
+    if g_probs is not None:
+        full["expr"] = p * (g_probs - (g_probs * p).sum(axis=1, keepdims=True))
+
+    edges = []
+    for name, head in heads.items():
+        grad = full.get(name)
+        if name in row_grads:
+            idx, g = row_grads[name]
+            if grad is None:
+                grad = np.zeros(head.shape)
+            grad[idx] += g
+        if grad is not None:
+            edges.append((head, grad))
+    value = parts[0]
+    for part in parts[1:]:
+        value = value + part
+    return ad.fused(value, edges)

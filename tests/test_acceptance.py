@@ -72,7 +72,7 @@ GRAD_CHECK_NAMES = {
     "loss.masked_bce",
     "loss.multitask",
     "loss.distribution_matching",
-    "loss.soft_target_cce",
+    "loss.soft_target",
 }
 
 

@@ -1,11 +1,12 @@
-"""Each fused loss against the composite graph it replaced.
+"""Each loss formula against the composite graph it replaced.
 
 The references below rebuild every objective from elementwise autodiff ops
 (log, exp, clip, division, mean, negation), as the losses were first
-written; the fused losses must match their values and input gradients at
-rtol 1e-12, with an absolute floor scaled to the largest entry. The
-weighted totals (the multi-task total and a training step's total) must
-equal the add/mul chains they replaced exactly.
+written; each formula of ``losses``, as a one-node loss, must match their
+values and input gradients at rtol 1e-12, with an absolute floor scaled to
+the largest entry. The weighted totals of the per-term graph (the
+multi-task total and a training step's total) must equal the add/mul
+chains they replaced exactly, and the step objective must equal them.
 """
 
 import numpy as np
@@ -13,22 +14,18 @@ import pytest
 
 from affectkit import autodiff as ad
 from affectkit.autodiff import DiffTensor, backward
-from affectkit.losses import (
-    PROB_EPS,
-    BatchLabels,
-    BatchPredictions,
-    LossWeights,
-    ccc_loss,
-    cce_loss,
-    distribution_matching_loss,
-    masked_bce_loss,
-    multitask_terms,
-    soft_target_cce,
-    weighted_total,
-)
+from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions, LossWeights, objective
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
-from reference_ops import add, as_tensor, matmul, mul, slice_axis, sub, tsum
+from reference_ops import add, as_tensor, matmul, mul, multitask_terms, slice_axis, sub, tsum
+from reference_ops import bce_node as masked_bce_loss
+from reference_ops import ccc_node as ccc_loss
+from reference_ops import cce_node as cce_loss
+from reference_ops import distribution_matching_loss as old_distribution_matching_loss
+from reference_ops import dm_node as distribution_matching_loss
+from reference_ops import soft_node as soft_target_cce
+from reference_ops import soft_target_cce as old_soft_target_cce
+from reference_ops import weighted_total
 
 RTOL = 1e-12
 
@@ -309,21 +306,31 @@ def _batch(rng, present, compound=False):
 
 
 def _step(arrays, labels, weights, soft, dm, mode):
-    """One training step's loss and leaf gradients. ``flat`` sums the
-    multi-task terms and the coupling terms with one weighted total, as
-    training does; ``nested`` wraps the multi-task total in a second one;
-    ``chain`` is the add/mul chain expr + l1 * au + l2 * va + compound,
-    then + soft-target + distribution matching."""
+    """One training step's loss and leaf gradients. ``objective`` is the
+    one node training builds; ``flat`` sums the per-term graph's multi-task
+    and coupling terms with one weighted total, as training once did;
+    ``nested`` wraps the multi-task total in a second one; ``chain`` is the
+    add/mul chain expr + l1 * au + l2 * va + compound, then + soft-target +
+    distribution matching."""
     leaves = {k: DiffTensor(a.copy()) for k, a in arrays.items()}
+    if mode == "objective":
+        if soft is not None:
+            labels = labels.take(np.arange(N_ROWS))
+            labels.has_soft[soft[0]] = True
+            labels.soft[soft[0]] = soft[1]
+        mixture = COGNITIVE.conditional_matrix() if dm else None
+        total = objective(BatchPredictions(**leaves), labels, weights, mixture)
+        backward(total)
+        return total, [leaves[k].grad for k in sorted(leaves)]
     terms = multitask_terms(BatchPredictions(**leaves), labels, weights)
     extra = []
     if soft is not None or dm:
         probs = ad.softmax(leaves["expr_logits"], axis=1)
         if soft is not None:
-            extra.append(soft_target_cce(ad.take_rows(probs, soft[0]), soft[1]))
+            extra.append(old_soft_target_cce(ad.take_rows(probs, soft[0]), soft[1]))
         if dm:
             au = ad.sigmoid(leaves["au_logits"])
-            extra.append(distribution_matching_loss(probs, au, COGNITIVE))
+            extra.append(old_distribution_matching_loss(probs, au, COGNITIVE))
     if mode == "flat":
         total = weighted_total(terms + [(1.0, t) for t in extra])
     elif mode == "nested":
@@ -364,7 +371,7 @@ def test_fused_totals_equal_chain(case):
         soft = (np.asarray(soft_rows), probs(rng, len(soft_rows), NUM_EXPRESSIONS))
     weights = LossWeights(lambda1=l1, lambda2=l2)
     total, grads = _step(arrays, labels, weights, soft, dm, "flat")
-    for mode in ("nested", "chain"):
+    for mode in ("objective", "nested", "chain"):
         ref_total, ref_grads = _step(arrays, labels, weights, soft, dm, mode)
         assert total.data.tobytes() == ref_total.data.tobytes(), mode
         for g, ref in zip(grads, ref_grads):  # a leaf no term reads has no grad
@@ -376,8 +383,9 @@ def test_fused_total_compound_only():
     arrays, labels = _batch(np.random.default_rng(9), (), compound=True)
     weights = LossWeights(lambda1=0.7, lambda2=1.3)
     total, (grad,) = _step(arrays, labels, weights, None, False, "flat")
-    ref_total, (ref_grad,) = _step(arrays, labels, weights, None, False, "chain")
-    assert total.data == ref_total.data and np.array_equal(grad, ref_grad)
+    for mode in ("objective", "chain"):
+        ref_total, (ref_grad,) = _step(arrays, labels, weights, None, False, mode)
+        assert total.data == ref_total.data and np.array_equal(grad, ref_grad)
     assert len(total._edges) == 1
 
 

@@ -43,7 +43,7 @@ from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.harness import dataio, training
 from affectkit.harness.training import load_model, train_run
-from affectkit.losses import weighted_total
+from affectkit.losses import objective
 from affectkit.models import Model
 from affectkit.types import (
     AUVector,
@@ -588,16 +588,16 @@ class TestTraining:
         ("soft+distr", ["soft", "dm"]),
     ])
     def test_one_loss_total_per_step(self, tmp_path, monkeypatch, mode, coupling):
-        # every step sums expr, AU, VA, compound, soft-target and distribution
-        # matching, in that order, with a single weighted total
-        totals, roots = [], []
+        # every step's loss, multi-task and coupling terms alike, is one
+        # objective node over the heads, and it is the root of the step's sweep
+        calls, roots = [], []
 
-        def spy_total(terms):
-            total = weighted_total(terms)
-            totals.append((terms, total))
-            return total
+        def spy(preds, labels, weights, mixture):
+            node = objective(preds, labels, weights, mixture)
+            calls.append((preds, labels, weights, mixture, node))
+            return node
 
-        monkeypatch.setattr(training, "weighted_total", spy_total)
+        monkeypatch.setattr(training, "objective", spy)
         monkeypatch.setattr(
             training, "backward", lambda root, wrt: roots.append(root) or backward(root, wrt)
         )
@@ -606,16 +606,14 @@ class TestTraining:
             val_annotations="", val_features="",
         )
         train_run(cfg)
-        assert roots and [total for _, total in totals] == roots
-        for terms, total in totals:
-            assert [w for w, _ in terms] == [1.0, 0.7, 1.3, 1.0] + [1.0] * len(coupling)
-            assert all(t is not None for _, t in terms[:3]) and terms[3][1] is None
-            # a soft-target term reads one gathered tensor, distribution
-            # matching the expression and AU probabilities
-            assert [len(t._edges) for _, t in terms[4:]] == [
-                {"soft": 1, "dm": 2}[kind] for kind in coupling
-            ]
-            assert [p for p, _ in total._edges] == [t for _, t in terms if t is not None]
+        assert roots and [node for *_, node in calls] == roots
+        table = cfg.relatedness_table().conditional_matrix(reweight=cfg.reweight_mixture)
+        for preds, labels, weights, mixture, node in calls:
+            assert (weights.lambda1, weights.lambda2) == (0.7, 1.3)
+            assert mixture is table if "dm" in coupling else mixture is None
+            assert [p for p, _ in node._edges] == [preds.expr_logits, preds.va, preds.au_logits]
+        # co-annotation gives some AU rows soft targets
+        assert any(labels.has_soft.any() for _, labels, *_ in calls) == ("soft" in coupling)
 
     def test_freeze_trunk(self, tmp_path, monkeypatch):
         self.check_frozen_job(tmp_path, monkeypatch, "none")
@@ -830,7 +828,7 @@ class TestGradChecks:
         assert sorted(CHECKS) == [
             "layer.dense", "layer.dropout_off", "layer.gru", "layer.gru_packed", "loss.ccc",
             "loss.cce", "loss.distribution_matching", "loss.masked_bce", "loss.multitask",
-            "loss.soft_target_cce",
+            "loss.soft_target",
         ]
 
     def test_unknown_name(self):
@@ -1068,6 +1066,35 @@ class TestCLI:
         assert code == 2
         assert "audio_dim = 3, but no reader supplies audio features" in err
         assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+    def test_eval_scores_columns(self, tmp_path, capsys, monkeypatch):
+        # ``eval`` scores the columns it reads, with no per-row sample, and
+        # writes the report and predictions that scoring samples writes
+        spec = SyntheticSpec(train_counts=(12, 12, 12), val_counts=(9, 9, 9), feature_dim=10)
+        feats, ann = generate_dataset(spec, 4, str(tmp_path / "data"))
+        config = RunConfig(feature_dim=10, backbone=(6,), heads=("EXPR", "AU", "VA"))
+        config.to_file(tmp_path / "run.cfg")
+        model = Model(config.model_spec(), config.input_dims(), seed=3)
+        save_checkpoint(
+            tmp_path / "model.ckpt", {n: p.data for n, p in model.named_parameters().items()}
+        )
+        metrics, records = evaluate_model(model, load_dataset(ann, feats, split="val"))
+        write_report(tmp_path / "want_report.txt", metrics)
+        write_predictions(tmp_path / "want_preds.csv", records)
+
+        def per_row(*args):
+            raise AssertionError("eval built per-row samples")
+
+        monkeypatch.setattr(dataio.SampleColumns, "of", per_row)
+        monkeypatch.setattr(dataio.SampleColumns, "samples", per_row)
+        assert self.run_cli(
+            "eval", "--config", tmp_path / "run.cfg", "--checkpoint", tmp_path / "model.ckpt",
+            "--annotations", ann, "--features", feats, "--split", "val",
+            "--out", tmp_path / "report.txt", "--predictions", tmp_path / "preds.csv",
+        ) == 0
+        capsys.readouterr()
+        for got, want in (("report.txt", "want_report.txt"), ("preds.csv", "want_preds.csv")):
+            assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
 
     def test_eval_two_stream_model_without_audio_is_exit_2(self, tmp_path, capsys):
         self.write_expr_data(tmp_path, feature_dim=10)

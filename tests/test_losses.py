@@ -1,4 +1,5 @@
-"""Training objectives against closed-form hand evaluations."""
+"""Training objectives against closed-form hand evaluations: each formula
+of ``losses`` as a one-node loss, and the step objective's weighted sum."""
 
 import math
 from dataclasses import fields
@@ -6,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from affectkit.autodiff import backward
+from affectkit.autodiff import backward, take_rows
 from affectkit.errors import (
     BadDistribution,
     BatchTooSmall,
@@ -14,19 +15,7 @@ from affectkit.errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
-from affectkit.losses import (
-    BatchLabels,
-    BatchPredictions,
-    LossWeights,
-    ccc_loss,
-    cce_loss,
-    distribution_matching_loss,
-    label_arrays,
-    masked_bce_loss,
-    multitask_terms,
-    soft_target_cce,
-    weighted_total,
-)
+from affectkit.losses import BatchLabels, BatchPredictions, LossWeights, label_arrays, objective
 from affectkit.relatedness import COGNITIVE
 from affectkit.types import (
     AnnotatedSample,
@@ -38,6 +27,11 @@ from affectkit.types import (
     expression_id,
 )
 from reference_ops import as_tensor
+from reference_ops import bce_node as masked_bce_loss
+from reference_ops import ccc_node as ccc_loss
+from reference_ops import cce_node as cce_loss
+from reference_ops import dm_node as distribution_matching_loss
+from reference_ops import soft_node as soft_target_cce
 
 LN7 = math.log(7.0)
 
@@ -317,11 +311,10 @@ class TestLabelArrays:
             assert not np.shares_memory(got, full), f.name
 
 
-def multitask_total(preds, labels, weights=LossWeights()):
-    return weighted_total(multitask_terms(preds, labels, weights))
-
-
 class TestMultitask:
+    """The multi-task part of ``objective``: L_expr + lambda1 * L_au +
+    lambda2 * L_va + L_compound, each term over its flagged rows."""
+
     def make_batch(self):
         rng = np.random.default_rng(4)
         n = 6
@@ -338,40 +331,33 @@ class TestMultitask:
         labels.va[:] = np.clip(rng.normal(size=(n, 2)), -1, 1)
         return preds, labels
 
-    def named_terms(self, preds, labels, weights=LossWeights()):
-        terms = multitask_terms(preds, labels, weights)
-        assert len(terms) == 4
-        return dict(zip(("expr", "au", "va", "compound"), terms))
+    def terms(self, preds, labels):
+        """Each term alone, its formula over its own rows."""
+        return {
+            "expr": float(cce_loss(take_rows(preds.expr_logits, [0, 1]), labels.expr[:2]).data),
+            "au": float(masked_bce_loss(
+                take_rows(preds.au_logits, [2, 3]), labels.au_targets[2:4], labels.au_mask[2:4]
+            ).data),
+            "va": float(ccc_loss(take_rows(preds.va, [4, 5]), labels.va[4:6]).data),
+        }
 
     def test_weighted_sum_of_terms(self):
         preds, labels = self.make_batch()
-        weights = LossWeights(lambda1=0.7, lambda2=1.3)
-        terms = self.named_terms(preds, labels, weights)
-        assert [w for w, _ in terms.values()] == [1.0, 0.7, 1.3, 1.0]
-        total = multitask_total(preds, labels, weights)
-        expected = (
-            float(terms["expr"][1].data)
-            + 0.7 * float(terms["au"][1].data)
-            + 1.3 * float(terms["va"][1].data)
-        )
+        terms = self.terms(preds, labels)
+        total = objective(preds, labels, LossWeights(lambda1=0.7, lambda2=1.3))
+        expected = terms["expr"] + 0.7 * terms["au"] + 1.3 * terms["va"]
         assert float(total.data) == pytest.approx(expected, abs=1e-12)
 
     def test_terms_match_individual_losses(self):
+        # with one task flagged, the total is that term exactly
         preds, labels = self.make_batch()
-        terms = self.named_terms(preds, labels)
-        from affectkit.autodiff import take_rows
-
-        expr = cce_loss(take_rows(preds.expr_logits, [0, 1]), labels.expr[:2])
-        au = masked_bce_loss(
-            take_rows(preds.au_logits, [2, 3]),
-            labels.au_targets[2:4],
-            labels.au_mask[2:4],
-        )
-        va = ccc_loss(take_rows(preds.va, [4, 5]), labels.va[4:6])
-        assert float(terms["expr"][1].data) == pytest.approx(float(expr.data), abs=1e-12)
-        assert float(terms["au"][1].data) == pytest.approx(float(au.data), abs=1e-12)
-        assert float(terms["va"][1].data) == pytest.approx(float(va.data), abs=1e-12)
-        assert terms["compound"][1] is None
+        terms = self.terms(preds, labels)
+        for task, flag in (("expr", "has_expr"), ("au", "has_au"), ("va", "has_va")):
+            alone = labels.take(np.arange(6))
+            for other in ("has_expr", "has_au", "has_va"):
+                if other != flag:
+                    getattr(alone, other)[:] = False
+            assert float(objective(preds, alone).data) == terms[task]
 
     def test_zero_lambdas_reduce_to_cce(self):
         rng = np.random.default_rng(5)
@@ -381,14 +367,14 @@ class TestMultitask:
         labels = BatchLabels.zeros(5)
         labels.expr[:] = truth
         labels.has_expr[:] = True
-        total = multitask_total(preds, labels, LossWeights(0.0, 0.0))
+        total = objective(preds, labels, LossWeights(0.0, 0.0))
         assert float(total.data) == float(cce_loss(as_tensor(logits), truth).data)
 
     def test_lambda_gates_task_off(self):
         preds, labels = self.make_batch()
-        gated = multitask_total(preds, labels, LossWeights(lambda1=2.0, lambda2=0.0))
-        terms = self.named_terms(preds, labels)
-        expected = float(terms["expr"][1].data) + 2.0 * float(terms["au"][1].data)
+        gated = objective(preds, labels, LossWeights(lambda1=2.0, lambda2=0.0))
+        terms = self.terms(preds, labels)
+        expected = terms["expr"] + 2.0 * terms["au"]
         assert float(gated.data) == pytest.approx(expected, abs=1e-12)
 
     def test_absent_task_contributes_zero(self):
@@ -398,24 +384,22 @@ class TestMultitask:
         labels.expr[:] = [0, 1, 2]
         labels.has_expr[:] = True
         labels.has_va[:] = True  # flagged, but the model has no VA head
-        terms = self.named_terms(preds, labels)
-        assert terms["au"][1] is None and terms["va"][1] is None
-        assert terms["compound"][1] is None
-        assert float(multitask_total(preds, labels).data) == float(terms["expr"][1].data)
+        total = objective(preds, labels)
+        assert float(total.data) == float(cce_loss(preds.expr_logits, [0, 1, 2]).data)
+        assert [p for p, _ in total._edges] == [preds.expr_logits]
 
     def test_no_heads_rejected(self):
         with pytest.raises(ShapeMismatch):
-            multitask_total(BatchPredictions(), BatchLabels.zeros(2))
+            objective(BatchPredictions(), BatchLabels.zeros(2))
 
     def test_row_count_mismatch_rejected(self):
         preds, labels = self.make_batch()
         with pytest.raises(ShapeMismatch):
-            multitask_total(preds, labels.take(np.arange(5)))
+            objective(preds, labels.take(np.arange(5)))
 
     def test_gradients_flow_to_all_heads(self):
         preds, labels = self.make_batch()
-        total = multitask_total(preds, labels)
-        backward(total)
+        backward(objective(preds, labels))
         assert np.any(preds.expr_logits.grad != 0)
         assert np.any(preds.au_logits.grad != 0)
         assert np.any(preds.va.grad != 0)

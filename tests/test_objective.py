@@ -1,0 +1,233 @@
+"""The step objective against the per-term graph it replaced.
+
+``reference_ops.step_graph`` is a training step's loss as it was built
+before ``losses.objective``: the multi-task terms over ``take_rows``
+gathers, a softmax node for the soft-target and distribution-matching
+terms, a sigmoid node for the AU probabilities, and one weighted total.
+Over random batches, every coupling mode and several head sets, the
+objective must give the same value and, after ``backward(wrt=params)``
+through a model, the same gradient for every parameter, bit for bit; and it
+must raise what the per-term graph raises, with the same message.
+"""
+
+import numpy as np
+import pytest
+
+from affectkit import losses
+from affectkit.autodiff import DiffTensor, backward
+from affectkit.harness.training import _TrainTable
+from affectkit.losses import BatchLabels, BatchPredictions, LossWeights, objective
+from affectkit.models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows, sequence_keys
+from affectkit.relatedness import COGNITIVE, EMPIRICAL
+from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
+from reference_ops import distribution_matching_loss, soft_target_cce, step_graph
+
+MODES = ("none", "coannotation", "soft_coannotation", "distr_matching", "soft+distr")
+HEAD_SETS = {
+    "expr_au_va": ("EXPR", "AU", "VA"),
+    "expr_au": ("EXPR", "AU"),
+    "au_va": ("AU", "VA"),
+    "expr": ("EXPR",),
+    "compound": ("COMPOUND",),
+    "all_four": ("VA", "EXPR", "AU", "COMPOUND"),
+}
+N_ROWS, DIM, COMPOUND_CLASSES = 24, 6, 5
+
+
+def random_labels(rng, mode, compound):
+    """Labels as a training table holds them: one own label per row, the
+    coupling mode's co-annotation targets on top, and for a compound run
+    compound rows only."""
+    labels = BatchLabels.zeros(N_ROWS)
+    labels.compound[:] = rng.integers(0, COMPOUND_CLASSES, N_ROWS)
+    labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, N_ROWS)
+    labels.va[:] = rng.uniform(-1.0, 1.0, (N_ROWS, 2))
+    labels.au_targets[:] = rng.random((N_ROWS, NUM_AUS)) < 0.5
+    labels.au_mask[:] = (rng.random((N_ROWS, NUM_AUS)) < 0.7) * rng.choice([1.0, 0.6], NUM_AUS)
+    if compound:
+        labels.has_compound[:] = True
+        return labels
+    kind = rng.integers(0, 3, N_ROWS)
+    labels.has_va[:], labels.has_expr[:], labels.has_au[:] = kind == 0, kind == 1, kind == 2
+    labels.au_mask[np.flatnonzero(kind == 2)[:1]] = 0.0  # a flagged AU row with no weight
+    au_rows = np.flatnonzero(kind == 2)
+    if mode == "coannotation":
+        labels.has_au[kind == 1] = True
+        labels.has_expr[au_rows[rng.random(au_rows.size) < 0.5]] = True
+    elif mode in ("soft_coannotation", "soft+distr"):
+        soft = au_rows[rng.random(au_rows.size) < 0.6]
+        raw = rng.random((soft.size, NUM_EXPRESSIONS))
+        labels.soft[soft] = raw / raw.sum(axis=1, keepdims=True)
+        labels.has_soft[soft] = True
+    return labels
+
+
+def outcome(model, features, keys, loss):
+    """The value and every parameter gradient of ``loss`` (a function of the
+    batch's predictions), or the error it raises."""
+    batch, index = pack_rows(features, keys)
+    preds = model.forward(batch)
+    if index is not None:
+        preds = preds.take(index)
+    params = model.parameters()
+    for p in params:
+        p.grad = None
+    try:
+        root = loss(preds)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    backward(root, wrt=params)
+    grads = [None if p.grad is None else p.grad.tobytes() for p in params]
+    return root.data.tobytes(), grads
+
+
+def both(model, features, keys, labels, weights, table, reweight):
+    mixture = None if table is None else table.conditional_matrix(reweight=reweight)
+    new = outcome(model, features, keys, lambda p: objective(p, labels, weights, mixture))
+    old = outcome(model, features, keys, lambda p: step_graph(p, labels, weights, table, reweight))
+    return new, old
+
+
+@pytest.mark.parametrize("heads", sorted(HEAD_SETS))
+@pytest.mark.parametrize("mode", MODES)
+def test_equals_the_per_term_graph_bit_for_bit(mode, heads):
+    compound = "COMPOUND" in HEAD_SETS[heads]
+    rng = np.random.default_rng([MODES.index(mode), sorted(HEAD_SETS).index(heads)])
+    dm = mode in ("distr_matching", "soft+distr")
+    for trial in range(6):
+        recurrent = trial % 2 == 1
+        spec = ModelSpec(
+            backbone=(8,), heads=HEAD_SETS[heads], compound_classes=COMPOUND_CLASSES,
+            recurrent=RecurrentSpec("single", 4) if recurrent else None,
+        )
+        model = Model(spec, InputDims(DIM), seed=trial)
+        features = rng.normal(size=(N_ROWS, DIM))
+        keys = sequence_keys([f"s{r % 5}" for r in range(N_ROWS)], list(range(N_ROWS)))
+        labels = random_labels(rng, mode, compound)
+        weights = LossWeights(*((0.7, 1.3) if trial % 3 else (1.0, 1.0)))
+        table = (EMPIRICAL if trial % 2 else COGNITIVE) if dm else None
+        new, old = both(
+            model, features, keys if recurrent else None, labels, weights, table, trial < 3
+        )
+        assert not isinstance(new[0], type), new  # every case here is a valid batch
+        assert new == old
+
+
+def test_a_dropped_lone_va_row():
+    # gather unflags a batch's only VA row, since concordance needs two
+    rng = np.random.default_rng(11)
+    labels = random_labels(rng, "soft+distr", False)
+    labels.has_va[:] = False
+    labels.has_va[3] = True
+    table = _TrainTable(
+        features=rng.normal(size=(N_ROWS, DIM)), labels=labels,
+        va_rows=(3,), au_rows=(), expr_rows=(), compound_rows=(),
+    )
+    rows = tuple(range(N_ROWS))
+    batch, index, gathered = table.gather(rows)
+    assert index is None and not gathered.has_va.any()
+    model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=2)
+    new, old = both(
+        model, table.features, None, gathered, LossWeights(0.7, 1.3), COGNITIVE, True
+    )
+    assert new == old and not isinstance(new[0], type)
+
+
+def bad_labels(case):
+    labels = random_labels(np.random.default_rng(5), "soft+distr", False)
+    if case == "class_id_out_of_range":
+        labels.expr[:] = NUM_EXPRESSIONS
+    elif case == "negative_au_weight":
+        labels.au_mask[:, 2] = -0.5
+    elif case == "no_au_weight":
+        labels.au_mask[:] = 0.0
+    elif case == "one_row_va":
+        labels.has_va[np.flatnonzero(labels.has_va)[1:]] = False
+    else:
+        labels.soft += 0.1  # soft rows that are not distributions
+    return labels
+
+
+@pytest.mark.parametrize("case", [
+    "class_id_out_of_range", "negative_au_weight", "no_au_weight", "one_row_va", "bad_soft_rows",
+])
+def test_raises_what_the_per_term_graph_raises(case):
+    labels = bad_labels(case)
+    model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=4)
+    features = np.random.default_rng(6).normal(size=(N_ROWS, DIM))
+    new, old = both(model, features, None, labels, LossWeights(), COGNITIVE, False)
+    assert isinstance(new[0], type) and new == old
+
+
+def test_raises_on_heads_of_the_wrong_shape():
+    rng = np.random.default_rng(7)
+    labels = random_labels(rng, "soft+distr", False)
+    no_expr_rows = labels.take(np.arange(N_ROWS))
+    no_expr_rows.has_expr[:] = False
+    five = DiffTensor(np.zeros((N_ROWS, 5)))
+    cases = [
+        (BatchPredictions(va=DiffTensor(np.zeros((N_ROWS - 1, 2)))), labels),  # a row short
+        (BatchPredictions(au_logits=five), labels),  # five AUs
+        (BatchPredictions(expr_logits=five), labels),  # five emotions: ids 5 and 6 too high
+        (BatchPredictions(expr_logits=five), no_expr_rows),  # soft targets over seven
+        (BatchPredictions(), labels),
+    ]
+    table = COGNITIVE.conditional_matrix()
+    for preds, labels in cases:
+        caught = []
+        for loss in (lambda: objective(preds, labels, LossWeights(), table),
+                     lambda: step_graph(preds, labels, LossWeights(), COGNITIVE)):
+            with pytest.raises(Exception) as info:
+                loss()
+            caught.append((info.type, str(info.value)))
+        assert caught[0] == caught[1]
+
+
+def test_probability_checks_match_the_per_term_nodes():
+    # the formulas refuse probabilities that are not distributions or not in
+    # [0, 1] as the per-term nodes did; a softmax and a sigmoid never are
+    rng = np.random.default_rng(8)
+    expr = rng.dirichlet(np.ones(NUM_EXPRESSIONS), size=4)
+    au = rng.random((4, NUM_AUS))
+    cond = COGNITIVE.conditional_matrix()
+    bad_expr, bad_au = expr + 0.1, au.copy()
+    bad_au[1, 3] = 1.5
+    for e, a in ((bad_expr, au), (expr, bad_au), (expr[:, :5], au), (expr, au[:3])):
+        caught = []
+        for loss in (lambda: losses.distribution_matching(e, a, cond),
+                     lambda: distribution_matching_loss(DiffTensor(e), DiffTensor(a), COGNITIVE)):
+            with pytest.raises(Exception) as info:
+                loss()
+            caught.append((info.type, str(info.value)))
+        assert caught[0] == caught[1]
+    soft = rng.dirichlet(np.ones(NUM_EXPRESSIONS), size=4)
+    with pytest.raises(Exception) as new:
+        losses.soft_target(bad_expr, soft)
+    with pytest.raises(Exception) as old:
+        soft_target_cce(DiffTensor(bad_expr), soft)
+    assert (new.type, str(new.value)) == (old.type, str(old.value))
+
+
+def test_extreme_logits_agree():
+    # saturated and infinite logits: the clamps, the shifted log-sum-exp
+    # and the overflow-free sigmoid give the per-term graph's bytes
+    rng = np.random.default_rng(9)
+    labels = random_labels(rng, "soft+distr", False)
+    preds = {
+        "expr_logits": rng.normal(size=(N_ROWS, NUM_EXPRESSIONS)) * 300.0,
+        "au_logits": rng.normal(size=(N_ROWS, NUM_AUS)) * 300.0,
+        "va": rng.normal(size=(N_ROWS, 2)),
+    }
+    preds["au_logits"][0, :3] = [np.inf, -np.inf, 1e308]
+    preds["expr_logits"][1, 0] = -np.inf
+    results = []
+    for loss in (
+        lambda p: objective(p, labels, LossWeights(), COGNITIVE.conditional_matrix()),
+        lambda p: step_graph(p, labels, LossWeights(), COGNITIVE),
+    ):
+        leaves = {k: DiffTensor(v.copy()) for k, v in preds.items()}
+        with np.errstate(all="ignore"):
+            root = loss(BatchPredictions(**leaves))
+            backward(root)
+        results.append([root.data.tobytes()] + [leaves[k].grad.tobytes() for k in sorted(leaves)])
+    assert results[0] == results[1]

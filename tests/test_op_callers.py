@@ -49,6 +49,8 @@ ENTRY_POINTS = {
     "wrapping it, until that counter moves to what the scoring path calls",
     "metrics.mean_diagonal": "the benchmark tracer wraps it as harness.evaluate's "
     "mean_diagonal, until that target is dropped",
+    "harness.dataio.load_dataset": "the benchmark's workloads read their data as samples "
+    "through it, until they read columns",
 }
 
 # imports a module keeps without using them, per module

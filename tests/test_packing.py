@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from affectkit.harness import dataio, training
+from affectkit.harness import dataio, evaluate, training
 from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import SampleColumns
 from affectkit.harness.evaluate import evaluate_model
@@ -279,13 +279,14 @@ class TestTraining:
             out_dir=str(tmp_path / "run"),
         )
         steps = []
-        real_gather, real_terms = _TrainTable.gather, training.multitask_terms
+        real_gather, real_objective = _TrainTable.gather, training.objective
         monkeypatch.setattr(
             _TrainTable, "gather", lambda self, rows: steps.append([rows]) or real_gather(self, rows)
         )
         monkeypatch.setattr(
-            training, "multitask_terms",
-            lambda preds, labels, w: steps[-1].append(preds.va.data) or real_terms(preds, labels, w),
+            training, "objective",
+            lambda preds, labels, w, m: steps[-1].append(preds.va.data)
+            or real_objective(preds, labels, w, m),
         )
         # the first step runs the initial parameters, which the seed fixes
         model = Model(config.model_spec(), config.input_dims(), seed=config.seed)
@@ -300,6 +301,43 @@ class TestTraining:
             alone = np.stack([samples[rows[k]].features for k in ks])[None]
             want = model.forward(SequenceBatch(alone)).va.data
             np.testing.assert_allclose(va[ks], want, rtol=0, atol=1e-12)
+
+    def test_validation_keys_are_made_once_per_job(self, tmp_path, monkeypatch):
+        # the validation rows never change, so their packing keys are made
+        # once, beside the training table's; the history is what making them
+        # in every evaluation gave
+        train, _ = make_dataset(
+            SyntheticSpec(train_counts=(20, 20, 20), val_counts=(0, 0, 0), feature_dim=DIM), 3
+        )
+        val = sequence_samples()
+        for s in val:
+            s.split = "val"
+        ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
+        dataio.write_annotations(ann, train + val)
+        dataio.write_features(feats, train + val)
+        config = RunConfig(
+            feature_dim=DIM, backbone=(8,), recurrent="single:4x1", heads=HEADS, epochs=3,
+            total_batch=12, train_annotations=str(ann), train_features=str(feats),
+            val_annotations=str(ann), val_features=str(feats), out_dir=str(tmp_path / "once"),
+        )
+        made, real_keys = [], sequence_keys
+        counting = lambda ids, frames: made.append(len(ids)) or real_keys(ids, frames)  # noqa: E731
+        monkeypatch.setattr(training, "sequence_keys", counting)
+        monkeypatch.setattr(evaluate, "sequence_keys", counting)
+        once = train_run(config)
+        assert made == [60, len(val)]
+
+        real_eval = evaluate_model
+
+        def keys_each_epoch(model, data, **kwargs):
+            kwargs.pop("keys")
+            return real_eval(model, data, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_model", keys_each_epoch)
+        made.clear()
+        each = train_run(config.override(out_dir=str(tmp_path / "each")))
+        assert made == [60, len(val)] + [len(val)] * 3  # and one per evaluation
+        assert each.history == once.history and "val.va.ccc_v" in once.history[-1]
 
     def test_validation_is_encoded_once_per_job(self, tmp_path, monkeypatch):
         train, val = make_dataset(

