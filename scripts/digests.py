@@ -42,17 +42,11 @@ import numpy as np
 
 from affectkit.harness.cli import main as affectkit_main
 from affectkit.harness.config import RunConfig
-from affectkit.harness.dataio import write_annotations, write_features
+from affectkit.harness.dataio import SampleColumns, write_annotations, write_features
 from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness.training import train_run
-from affectkit.types import (
-    NUM_AUS,
-    AnnotatedSample,
-    AUVector,
-    CompoundLabel,
-    ExpressionLabel,
-    au_index,
-)
+from affectkit.losses import BatchLabels
+from affectkit.types import au_index
 
 
 def _sha(path: str) -> str:
@@ -60,11 +54,11 @@ def _sha(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write(samples, directory: str, name: str):
+def _write(data: SampleColumns, directory: str, name: str):
     ann = os.path.join(directory, f"{name}_annotations.csv")
     feats = os.path.join(directory, f"{name}_features.csv")
-    write_annotations(ann, samples)
-    write_features(feats, samples)
+    write_annotations(ann, data)
+    write_features(feats, data.ids, data.features)
     return ann, feats
 
 
@@ -73,43 +67,42 @@ def basic_data(directory: str):
     sequence ids, utterance ids and frame indices and whose fourth id in
     each split holds a comma."""
     spec = SyntheticSpec(train_counts=(50, 60, 60), val_counts=(20, 20, 20), feature_dim=10)
-    train, val = make_dataset(spec, seed=1)
-    rng = np.random.default_rng(1)
-    au_seen = 0
-    for s in train + val:
-        if isinstance(s.label, AUVector):
-            au_seen += 1
-            if au_seen % 7 == 0:
-                s.label = AUVector(np.zeros(NUM_AUS), np.zeros(NUM_AUS))
-            elif au_seen % 4 == 0:
-                mask = np.ones(NUM_AUS, dtype=np.uint8)
-                mask[[au_index(4), au_index(6)]] = 0
-                s.label = AUVector(s.label.values * mask, mask)
-    train = [train[i] for i in rng.permutation(len(train))]
+    data = make_dataset(spec, seed=1)
+    lab = data.labels
+    au = np.flatnonzero(~(lab.has_va | lab.has_expr))
+    lab.au_mask[np.ix_(au[3::4], [au_index(4), au_index(6)])] = 0.0  # every 4th AU row
+    lab.au_mask[au[6::7]] = 0.0  # every 7th
+    lab.au_targets *= lab.au_mask
+    lab.has_au[au] = lab.au_mask[au].any(axis=1)
+    n_train = sum(spec.train_counts)
+    train = data.take(np.random.default_rng(1).permutation(n_train))
+    val = data.take(np.arange(n_train, len(data.ids)))
     basic = _write(train, directory, "train"), _write(val, directory, "val")
     for split in (train, val):
-        for i, s in enumerate(split):
-            s.sequence_id, s.utterance_id, s.frame_index = f"clip{i // 8}", f"utt{i // 24}", i % 8
-        split[3].id = f"{split[3].id},take 2"
+        n = len(split.ids)
+        split.sequence_id = [f"clip{i // 8}" for i in range(n)]
+        split.utterance_id = [f"utt{i // 24}" for i in range(n)]
+        split.frame_index = [i % 8 for i in range(n)]
+        split.ids[3] += ",take 2"
     return basic, (_write(train, directory, "strain"), _write(val, directory, "sval"))
 
 
 def compound_data(directory: str):
     rng = np.random.default_rng(2)
 
-    def samples(split, n):
-        return [
-            AnnotatedSample(
-                id=f"{split}{i:03d}",
-                split=split,
-                features=rng.normal(size=10),
-                label=CompoundLabel(i % 5, ExpressionLabel(1 + i % 5), ExpressionLabel(6)),
-            )
-            for i in range(n)
-        ]
+    def columns(split, n):
+        labels = BatchLabels.zeros(n)
+        labels.compound[:] = np.arange(n) % 5
+        labels.has_compound[:] = True
+        pairs = np.stack([1 + np.arange(n) % 5, np.full(n, 6)], axis=1)
+        features = np.array([rng.normal(size=10) for _ in range(n)])
+        return SampleColumns(
+            [f"{split}{i:03d}" for i in range(n)], [split] * n, [None] * n, [None] * n,
+            [None] * n, labels, pairs, features,
+        )
 
-    return _write(samples("train", 45), directory, "ctrain"), _write(
-        samples("val", 15), directory, "cval"
+    return _write(columns("train", 45), directory, "ctrain"), _write(
+        columns("val", 15), directory, "cval"
     )
 
 

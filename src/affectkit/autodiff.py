@@ -15,14 +15,17 @@ child's gradient. ``backward(root, wrt=params)`` fires only the edges into
 nodes with a path to ``params``, so inputs and frozen layers get no vjp.
 
 The op set is exactly what the model zoo needs: ``dense`` (one affine
-node with a closed-form vjp), ``relu``, ``sigmoid``, ``softmax``,
-``concat``, ``take_rows``, inverted ``dropout``, ``fused`` and
-``gru_sequence``. ``fused`` is a node whose gradients were computed in
-closed form together with its value: a training step's whole loss is one.
-``gru_sequence`` runs a gated recurrent
+node with a closed-form vjp), ``relu``, ``concat``, ``take_rows``,
+inverted ``dropout``, ``fused`` and ``gru_sequence``. ``fused`` is a node
+whose gradients were computed in closed form together with its value: a
+training step's whole loss is one. ``gru_sequence`` runs a gated recurrent
 cell over whole sequences as one node with a hand-written BPTT. The Adam
 optimizer, the :class:`Parameters` factory and a binary checkpoint format
 for named parameter sets live here too.
+
+There is no softmax or sigmoid node: the loss node applies their vjps
+inline, and inference reads probabilities off the head logits in plain
+numpy (``sigmoid_values`` here, ``losses.softmax_parts``).
 
 :class:`Adam` owns a flat parameter store: it copies its parameters into
 one contiguous vector and rebinds each ``data`` and ``grad`` to a view of
@@ -119,22 +122,6 @@ def sigmoid_values(v: np.ndarray) -> np.ndarray:
     e^v/(1+e^v) below, both from e^-|v|."""
     e = np.exp(-np.abs(v))
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(x: DiffTensor) -> DiffTensor:
-    s = sigmoid_values(x.data)
-    return DiffTensor(s, edges=((x, lambda g: g * s * (1.0 - s)),))
-
-
-def softmax(x: DiffTensor, axis: int = -1) -> DiffTensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return s * (g - np.sum(g * s, axis=axis, keepdims=True))
-
-    return DiffTensor(s, edges=((x, vjp),))
 
 
 def concat(tensors: Sequence[DiffTensor], axis: int = -1) -> DiffTensor:

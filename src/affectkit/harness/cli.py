@@ -57,8 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _counts(value: str):
     parts = tuple(int(v) for v in value.split(","))
-    if len(parts) != 3:
-        raise ValueError(f"expected three counts, got {value!r}")
+    if len(parts) != 3 or min(parts) < 0:
+        raise ValueError(f"expected three counts >= 0, got {value!r}")
     return parts
 
 

@@ -28,8 +28,13 @@ to the per-row parse. The result is kept only if it has one row per id and
 a value per header column, every value is finite and no id repeats; any
 other file goes through the per-row reader (``csv`` rows, one ``float()``
 per value), which alone raises the errors.
-``SampleColumns.samples`` and :func:`load_dataset` give the rows as
-``AnnotatedSample`` objects.
+
+The writers take columns too: :func:`write_annotations` encodes each
+payload from the row's flag and label arrays, and :func:`write_features`
+writes ids and a matrix. ``SampleColumns.samples`` and :func:`load_dataset`
+give the rows as ``AnnotatedSample`` objects, and ``SampleColumns.of``
+turns such objects back into columns; nothing else here builds or reads a
+per-row label object.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from ..csvfile import open_rows, open_text
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
-from ..losses import BatchLabels, label_arrays
+from ..losses import BatchLabels
 from ..types import (
     NUM_AUS,
     NUM_EXPRESSIONS,
@@ -93,48 +98,17 @@ _PLAIN_VALUE_BYTES = b"0123456789+-.eE,"
 _BLOCK_CHARS = 1 << 14  # characters read per block; larger blocks raise the peak memory
 
 
-def _encode_payload(sample: AnnotatedSample) -> str:
-    label = sample.label
-    if isinstance(label, ValenceArousal):
-        return f"{label.valence!r};{label.arousal!r}"
-    if isinstance(label, ExpressionLabel):
-        return str(label.class_id)
-    if isinstance(label, AUVector):
-        chars = []
-        for value, mask in zip(label.values, label.mask):
-            chars.append(str(int(value)) if mask else "-")
-        return "".join(chars)
-    if isinstance(label, CompoundLabel):
-        return f"{label.class_id};{label.emo1.class_id};{label.emo2.class_id}"
-    raise ConfigError(f"cannot encode label of type {type(label).__name__}")
-
-
-def write_annotations(path, samples: Iterable[AnnotatedSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_line(ANNOTATION_FIELDS) + "\n")
-        for s in samples:
-            fields = (
-                s.id,
-                s.split,
-                s.sequence_id if s.sequence_id is not None else "",
-                s.utterance_id if s.utterance_id is not None else "",
-                s.frame_index if s.frame_index is not None else "",
-                s.task,
-                _encode_payload(s),
-            )
-            fh.write(_csv_line(fields) + "\n")
-
-
 @dataclass
 class SampleColumns:
     """A dataset as columns: row i of every field is one annotation row, in
     file order.
 
-    ``labels`` holds each row's own label with its flag, as ``label_arrays``
-    encodes an AnnotatedSample: a row has at most one flag, and an AU row
-    with no annotated unit has none. ``compound_pair`` holds the two
-    constituent emotions of each compound row, and ``features`` the (N, D)
-    feature matrix once :func:`load_columns` has attached it.
+    ``labels`` holds each row's own label with its flag: a row has at most
+    one flag, and an AU row with no annotated unit has none.
+    ``compound_pair`` holds the two constituent emotions of each compound
+    row, and ``features`` the (N, D) feature matrix once
+    :func:`load_columns` has attached it. :meth:`of` and :meth:`samples`
+    convert from and to per-row ``AnnotatedSample`` objects.
     """
 
     ids: List[str]
@@ -152,20 +126,37 @@ class SampleColumns:
         return SampleColumns(
             *([col[r] for r in rows] for col in cols),
             self.labels.take(rows), self.compound_pair[rows],
+            None if self.features is None else self.features[rows],
         )
 
     @classmethod
     def of(cls, samples: Sequence[AnnotatedSample]) -> "SampleColumns":
         """The columns of in-memory samples, with their features stacked:
-        the inverse of :meth:`samples`."""
+        the inverse of :meth:`samples`. An AU sample with no annotated unit
+        keeps a zero mask and no flag, because the masked cross-entropy has
+        nothing to weigh in it."""
+        labels = BatchLabels.zeros(len(samples))
         pairs = np.zeros((len(samples), 2), dtype=np.int64)
         for r, s in enumerate(samples):
-            if isinstance(s.label, CompoundLabel):
-                pairs[r] = s.label.emo1.class_id, s.label.emo2.class_id
+            label, task = s.label, s.task
+            if task == "VA":
+                labels.has_va[r] = True
+                labels.va[r] = label.valence, label.arousal
+            elif task == "EXPR":
+                labels.has_expr[r] = True
+                labels.expr[r] = label.class_id
+            elif task == "COMPOUND":
+                labels.has_compound[r] = True
+                labels.compound[r] = label.class_id
+                pairs[r] = label.emo1.class_id, label.emo2.class_id
+            elif label.mask.any():
+                labels.has_au[r] = True
+                labels.au_targets[r] = label.values
+                labels.au_mask[r] = label.mask
         return cls(
             *([getattr(s, name) for s in samples]
               for name in ("id", "split", "sequence_id", "utterance_id", "frame_index")),
-            label_arrays(samples), pairs, np.array([s.features for s in samples], dtype=np.float64),
+            labels, pairs, np.array([s.features for s in samples], dtype=np.float64),
         )
 
     def samples(self) -> List[AnnotatedSample]:
@@ -191,6 +182,35 @@ class SampleColumns:
                 self.sequence_id[r], self.utterance_id[r], self.frame_index[r],
             ))
         return out
+
+
+def write_annotations(path, data: SampleColumns) -> None:
+    """One row per row of ``data``, its payload encoded from the row's flag
+    and label arrays: the inverse of :func:`read_annotation_columns`. A row
+    with no VA, EXPR or COMPOUND flag is an AU row, and an AU unit whose
+    mask is 0 is written as '-'."""
+    lab = data.labels
+    digits = (lab.au_targets != 0).view(np.uint8) + np.uint8(ord("0"))
+    text = np.where(lab.au_mask != 0, digits, np.uint8(ord("-"))).tobytes().decode("ascii")
+    payload = [text[i : i + NUM_AUS] for i in range(0, len(text), NUM_AUS)]
+    task = ["AU"] * len(data.ids)
+    compound = zip(*(a[lab.has_compound].tolist() for a in (lab.compound, data.compound_pair)))
+    for name, flag, encoded in (
+        ("VA", lab.has_va, (f"{v!r};{a!r}" for v, a in lab.va[lab.has_va].tolist())),
+        ("EXPR", lab.has_expr, map(str, lab.expr[lab.has_expr].tolist())),
+        ("COMPOUND", lab.has_compound, (f"{c};{e1};{e2}" for c, (e1, e2) in compound)),
+    ):
+        for r, value in zip(np.flatnonzero(flag).tolist(), encoded):
+            task[r], payload[r] = name, value
+    optional = [
+        ["" if v is None else v for v in col]
+        for col in (data.sequence_id, data.utterance_id, data.frame_index)
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_line(ANNOTATION_FIELDS) + "\n")
+        fh.writelines(
+            _csv_line(row) + "\n" for row in zip(data.ids, data.split, *optional, task, payload)
+        )
 
 
 def _check_unique(ids: List[str], path, lines: List[int]) -> None:
@@ -304,15 +324,15 @@ def read_annotation_columns(path) -> SampleColumns:
     )
 
 
-def write_features(path, samples: Iterable[AnnotatedSample]) -> None:
-    samples = list(samples)
-    if not samples:
-        raise ConfigError("no samples to write")
-    dim = samples[0].features.shape[0]
+def write_features(path, ids: Sequence[str], matrix: np.ndarray) -> None:
+    """One row per id: the id, then its row of the (N, D) ``matrix`` as
+    float reprs, which :func:`read_feature_columns` reads back bit for bit."""
+    matrix = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_line(["id"] + [f"f{i}" for i in range(dim)]) + "\n")
-        for s in samples:
-            fh.write(_csv_line([s.id] + [repr(float(v)) for v in s.features]) + "\n")
+        fh.write(_csv_line(["id"] + [f"f{i}" for i in range(matrix.shape[1])]) + "\n")
+        fh.writelines(
+            _csv_line([sid, *map(repr, row.tolist())]) + "\n" for sid, row in zip(ids, matrix)
+        )
 
 
 def read_feature_columns(path) -> Tuple[List[str], np.ndarray]:

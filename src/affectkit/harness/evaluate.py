@@ -15,7 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..autodiff import sigmoid_values
 from ..errors import ConfigError, DegenerateInputWarning, IncompatibleHeads
+from ..losses import softmax_parts
 from ..metrics import (
     accuracy,
     binarize,
@@ -28,7 +30,7 @@ from ..metrics import (
     mean_diagonal,  # unused; perfbench/tracing.py wraps evaluate.mean_diagonal
     mse,
 )
-from ..models import Model, au_probs, compound_probs, expr_probs, pack_rows, sequence_keys
+from ..models import Model, pack_rows, sequence_keys
 from ..types import (
     NUM_EXPRESSIONS,
     AnnotatedSample,
@@ -77,11 +79,11 @@ def _forward_all(
         if "VA" in heads:
             outs["va"].append(preds.va.data)
         if "EXPR" in heads:
-            outs["expr"].append(expr_probs(preds).data)
+            outs["expr"].append(softmax_parts(preds.expr_logits.data)[2])
         if "AU" in heads:
-            outs["au"].append(au_probs(preds).data)
+            outs["au"].append(sigmoid_values(preds.au_logits.data))
         if "COMPOUND" in heads:
-            outs["compound"].append(compound_probs(preds).data)
+            outs["compound"].append(softmax_parts(preds.compound_logits.data)[2])
     back = slice(None) if order is None else np.argsort(order)  # to row order
     return {k: (np.concatenate(v)[back] if v else None) for k, v in outs.items()}
 

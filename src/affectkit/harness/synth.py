@@ -6,28 +6,26 @@ input. AU patterns follow the relatedness table for the latent emotion
 and agree with it with probability ``kappa`` per unit; valence/arousal
 are drawn around fixed per-emotion means. The three annotation pools are
 disjoint over samples, mirroring corpora that each cover one task.
+
+Rows are drawn one at a time, in a fixed order of random draws, straight
+into the columns of one ``SampleColumns``: a ``BatchLabels`` with each
+row's flag and an (N, D) feature matrix. ``generate_dataset`` writes them
+with the column writers of ``dataio``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..losses import BatchLabels
 from ..relatedness import BUILTIN_TABLES, RelatednessTable
-from ..types import (
-    AU_IDS,
-    EXPRESSION_NAMES,
-    AnnotatedSample,
-    AUVector,
-    ExpressionLabel,
-    ValenceArousal,
-    au_index,
-)
-from .dataio import write_annotations, write_features
+from ..types import AU_IDS, EXPRESSION_NAMES, au_index
+from .dataio import SampleColumns, write_annotations, write_features
 
 # Fixed valence/arousal means per basic emotion, index-aligned with
 # EXPRESSION_NAMES (neutral, anger, disgust, fear, happiness, sadness,
@@ -56,6 +54,14 @@ class SyntheticSpec:
     table: str = "cognitive"
 
     def __post_init__(self):
+        counts = (*self.train_counts, *self.val_counts)
+        if min(counts) < 0:
+            raise ConfigError(
+                f"train_counts={self.train_counts}, val_counts={self.val_counts}: "
+                "a count is negative"
+            )
+        if not any(counts):
+            raise ConfigError("train_counts and val_counts are all zero: no sample to write")
         if self.feature_dim < len(EXPRESSION_NAMES):
             raise ConfigError(
                 f"feature_dim={self.feature_dim} cannot embed "
@@ -82,55 +88,50 @@ def _au_pattern(latent: int, table: RelatednessTable, kappa: float, rng) -> np.n
     return pattern
 
 
-def _make_samples(
-    spec: SyntheticSpec, split: str, counts: Tuple[int, int, int], rng
-) -> List[AnnotatedSample]:
-    table = BUILTIN_TABLES[spec.table]
-    samples: List[AnnotatedSample] = []
-    n_va, n_au, n_expr = counts
-    for task, count in (("VA", n_va), ("AU", n_au), ("EXPR", n_expr)):
-        for i in range(count):
-            latent = int(rng.integers(0, len(EXPRESSION_NAMES)))
-            features = rng.normal(0.0, spec.sigma, size=spec.feature_dim)
-            features[latent] += 1.0
-            if task == "VA":
-                va = VA_MEANS[latent] + rng.normal(0.0, spec.sigma, size=2)
-                label = ValenceArousal(
-                    valence=float(np.clip(va[0], -1.0, 1.0)),
-                    arousal=float(np.clip(va[1], -1.0, 1.0)),
-                )
-            elif task == "AU":
-                pattern = _au_pattern(latent, table, spec.kappa, rng)
-                label = AUVector(values=pattern)
-            else:
-                label = ExpressionLabel(class_id=latent)
-            samples.append(
-                AnnotatedSample(
-                    id=f"{split}-{task.lower()}-{i:05d}",
-                    split=split,
-                    features=features,
-                    label=label,
-                )
-            )
-    return samples
-
-
-def make_dataset(
-    spec: SyntheticSpec, seed: int
-) -> Tuple[List[AnnotatedSample], List[AnnotatedSample]]:
-    """Build (train, val) sample lists. Same spec and seed, same data."""
+def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
+    """The train rows, then the val rows, as columns with their features
+    attached; each split holds its VA, then AU, then EXPR pool. Same spec
+    and seed, same data."""
     rng = np.random.default_rng([seed])
-    train = _make_samples(spec, "train", spec.train_counts, rng)
-    val = _make_samples(spec, "val", spec.val_counts, rng)
-    return train, val
+    table = BUILTIN_TABLES[spec.table]
+    tasks = [
+        (split, task, i)
+        for split, counts in (("train", spec.train_counts), ("val", spec.val_counts))
+        for task, count in zip(("va", "au", "expr"), counts)
+        for i in range(count)
+    ]
+    labels = BatchLabels.zeros(len(tasks))
+    features = np.empty((len(tasks), spec.feature_dim))
+    for r, (_, task, _) in enumerate(tasks):
+        latent = int(rng.integers(0, len(EXPRESSION_NAMES)))
+        features[r] = rng.normal(0.0, spec.sigma, size=spec.feature_dim)
+        features[r, latent] += 1.0
+        if task == "va":
+            va = VA_MEANS[latent] + rng.normal(0.0, spec.sigma, size=2)
+            labels.va[r] = np.clip(va, -1.0, 1.0)
+            labels.has_va[r] = True
+        elif task == "au":
+            labels.au_targets[r] = _au_pattern(latent, table, spec.kappa, rng)
+            labels.au_mask[r] = 1.0
+            labels.has_au[r] = True
+        else:
+            labels.expr[r] = latent
+            labels.has_expr[r] = True
+    n = len(tasks)
+    return SampleColumns(
+        [f"{split}-{task}-{i:05d}" for split, task, i in tasks],
+        [split for split, _, _ in tasks],
+        [None] * n, [None] * n, [None] * n,
+        labels, np.zeros((n, 2), dtype=np.int64), features,
+    )
 
 
 def generate_dataset(spec: SyntheticSpec, seed: int, out_dir: str) -> Tuple[str, str]:
     """Write features.csv and annotations.csv under out_dir; return their paths."""
-    train, val = make_dataset(spec, seed)
+    data = make_dataset(spec, seed)
     os.makedirs(out_dir, exist_ok=True)
     features_path = os.path.join(out_dir, "features.csv")
     annotations_path = os.path.join(out_dir, "annotations.csv")
-    write_features(features_path, train + val)
-    write_annotations(annotations_path, train + val)
+    write_features(features_path, data.ids, data.features)
+    write_annotations(annotations_path, data)
     return features_path, annotations_path

@@ -6,9 +6,10 @@ per-sample objects (one parse serves the validation split too when both
 name the same files), and becomes one row table per job: the feature matrix,
 every label and co-annotation target as row arrays, and the label-type
 pools as row numbers; co-annotation runs over whole pools at once. No
-reader supplies audio features, so ``audio_dim > 0`` is a config error
-here. Every batch concatenates one chunk from each pool and is gathered
-from the table by index. For a recurrent model its rows are packed by
+reader supplies audio or landmark features, so ``audio_dim > 0`` and
+``landmark_concat = true`` are config errors here, raised before any read.
+Every batch concatenates one chunk from each pool and is gathered from the
+table by index. For a recurrent model its rows are packed by
 sequence (``models.pack_rows``): the rows of one sequence id run as one
 sequence in frame order, and every other row alone; the outputs are then
 taken back to batch order, so each loss term sees the whole chunk of its
@@ -158,6 +159,11 @@ def train_run(config: RunConfig) -> TrainResult:
         raise ConfigError(
             f"audio_dim = {config.audio_dim}, but no reader supplies audio features, "
             "so a model with an audio stream cannot be trained; set audio_dim = 0"
+        )
+    if config.landmark_concat:
+        raise ConfigError(
+            "landmark_concat = true, but no reader supplies landmark features, "
+            "so such a model cannot be trained; set landmark_concat = false"
         )
 
     files = (config.train_annotations, config.train_features)

@@ -13,17 +13,16 @@ are applied in the same pass. Probabilities that feed a log are clamped to
 clamp bites; the categorical term instead uses a max-shifted log-sum-exp,
 which stays exact for saturated logits.
 
-``label_arrays`` turns in-memory annotated samples into the row arrays of a
-BatchLabels, which is how evaluation builds its truth; the annotation
-reader fills the same arrays straight from a file for training. A
-BatchLabels also carries the row flags that decide which rows each term
-reads, so predictions hold nothing but head outputs.
+A BatchLabels holds the truth as row arrays, which the annotation reader
+and the synthetic generator fill straight from a file or a draw. It also
+carries the row flags that decide which rows each term reads, so
+predictions hold nothing but head outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
-from .types import NUM_AUS, NUM_EXPRESSIONS, AnnotatedSample
+from .types import NUM_AUS, NUM_EXPRESSIONS
 
 PROB_EPS = 1e-7
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -115,33 +114,6 @@ class BatchLabels:
         """The given rows of every array, in the given order."""
         return BatchLabels(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
-
-def label_arrays(samples: Sequence[AnnotatedSample]) -> BatchLabels:
-    """Write each sample's own label into row i of a BatchLabels and flag it.
-
-    A sample carries exactly one label, so a row has at most one flag; an
-    AU row with no annotated unit has none and keeps a zero mask, because
-    the masked cross-entropy has nothing to weigh in it. No row has a soft
-    target here.
-    """
-    labels = BatchLabels.zeros(len(samples))
-    for row, sample in enumerate(samples):
-        label, task = sample.label, sample.task
-        if task == "VA":
-            labels.has_va[row] = True
-            labels.va[row] = (label.valence, label.arousal)
-        elif task == "EXPR":
-            labels.has_expr[row] = True
-            labels.expr[row] = label.class_id
-        elif task == "AU":
-            if label.mask.any():
-                labels.has_au[row] = True
-                labels.au_targets[row] = label.values
-                labels.au_mask[row] = label.mask
-        else:
-            labels.has_compound[row] = True
-            labels.compound[row] = label.class_id
-    return labels
 
 # ---------------------------------------------------------------------------
 # the formulas: each returns its value and its gradient, in plain numpy

@@ -42,7 +42,7 @@ from .errors import (
     InvalidSpec,
     ShapeMismatch,
 )
-from .losses import BatchPredictions
+from .losses import BatchPredictions, softmax_parts
 from .types import NUM_AUS, NUM_EXPRESSIONS, VA_DIM
 
 HEAD_NAMES = ("VA", "EXPR", "AU", "COMPOUND")
@@ -416,20 +416,6 @@ class Model:
         )
 
 
-def expr_probs(preds: BatchPredictions) -> DiffTensor:
-    """Softmax over the expression logits (differentiable)."""
-    return ad.softmax(preds.expr_logits, axis=1)
-
-
-def au_probs(preds: BatchPredictions) -> DiffTensor:
-    """Sigmoid over the AU logits (differentiable)."""
-    return ad.sigmoid(preds.au_logits)
-
-
-def compound_probs(preds: BatchPredictions) -> DiffTensor:
-    return ad.softmax(preds.compound_logits, axis=1)
-
-
 @dataclass
 class SequencePrediction:
     """Per-frame outputs for one sequence plus the per-dimension VA median."""
@@ -462,10 +448,8 @@ def predict_sequence(
     va = None if preds.va is None else preds.va.data.copy()
     return SequencePrediction(
         va=va,
-        expr_probs=None
-        if preds.expr_logits is None
-        else expr_probs(preds).data.copy(),
-        au_probs=None if preds.au_logits is None else au_probs(preds).data.copy(),
+        expr_probs=None if preds.expr_logits is None else softmax_parts(preds.expr_logits.data)[2],
+        au_probs=None if preds.au_logits is None else ad.sigmoid_values(preds.au_logits.data),
         va_median=None if va is None else np.median(va, axis=0),
     )
 

@@ -1,11 +1,13 @@
-"""Test-only per-row references for the column readers and the training
-table, the SVD landmark alignment, and the file helpers the tests write and
-read fixtures with.
+"""Test-only per-row references for the column readers and writers and the
+training table, the SVD landmark alignment, and the file helpers the tests
+write and read fixtures with.
 
 ``read_annotations``, ``read_features`` and ``load_dataset`` are the readers
-that built one ``AnnotatedSample`` per row; ``build_table`` is the training
-table they fed, encoding each sample's label and co-annotating it one
-sample at a time. ``read_feature_columns`` is the per-row feature matrix
+that built one ``AnnotatedSample`` per row, and ``write_annotations`` the
+writer that encoded one per row, dispatching on its label's type;
+``label_arrays`` encodes in-memory samples into a ``BatchLabels`` one
+sample at a time. ``build_table`` is the training table they fed, encoding
+each sample's label and co-annotating it one sample at a time. ``read_feature_columns`` is the per-row feature matrix
 reader, each row through ``csv`` and each value through ``float()``, that
 ``dataio.read_feature_columns`` falls back to off its ``np.loadtxt`` path. ``soft_scores``, ``soft_coannotate``,
 ``coannotate_aus_to_emotion`` and ``coannotate_emotion_to_aus`` are the
@@ -21,7 +23,8 @@ on the design matrix ``[src, 1]`` and a LAPACK least-squares solve. The
 alignment tests compare the two at explicit tolerances.
 
 ``write_audio`` writes the audio format ``preprocess.read_audio`` reads,
-and ``read_report`` reads the file ``dataio.write_report`` writes.
+``read_report`` reads the file ``dataio.write_report`` writes, and
+``write_samples`` writes in-memory samples through the column writers.
 """
 
 import math
@@ -40,8 +43,9 @@ from affectkit.errors import (
     KeyMisalignment,
     UnknownClass,
 )
-from affectkit.harness.dataio import ANNOTATION_FIELDS
-from affectkit.losses import label_arrays
+from affectkit.harness import dataio
+from affectkit.harness.dataio import ANNOTATION_FIELDS, SampleColumns, _csv_line
+from affectkit.losses import BatchLabels
 from affectkit.preprocess import AffineFit, LandmarkSet
 from affectkit.relatedness import RelatednessTable
 from affectkit.types import (
@@ -236,6 +240,70 @@ def load_dataset(annotations_path, features_path, split=None) -> List[AnnotatedS
 
 
 # ---------------------------------------------------------------------------
+# writers and label encoding
+
+
+def _encode_payload(sample: AnnotatedSample) -> str:
+    label = sample.label
+    if isinstance(label, ValenceArousal):
+        return f"{label.valence!r};{label.arousal!r}"
+    if isinstance(label, ExpressionLabel):
+        return str(label.class_id)
+    if isinstance(label, AUVector):
+        chars = []
+        for value, mask in zip(label.values, label.mask):
+            chars.append(str(int(value)) if mask else "-")
+        return "".join(chars)
+    if isinstance(label, CompoundLabel):
+        return f"{label.class_id};{label.emo1.class_id};{label.emo2.class_id}"
+    raise ConfigError(f"cannot encode label of type {type(label).__name__}")
+
+
+def write_annotations(path, samples: List[AnnotatedSample]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_line(ANNOTATION_FIELDS) + "\n")
+        for s in samples:
+            fields = (
+                s.id,
+                s.split,
+                s.sequence_id if s.sequence_id is not None else "",
+                s.utterance_id if s.utterance_id is not None else "",
+                s.frame_index if s.frame_index is not None else "",
+                s.task,
+                _encode_payload(s),
+            )
+            fh.write(_csv_line(fields) + "\n")
+
+
+def label_arrays(samples: List[AnnotatedSample]) -> BatchLabels:
+    """Write each sample's own label into row i of a BatchLabels and flag it.
+
+    A sample carries exactly one label, so a row has at most one flag; an
+    AU row with no annotated unit has none and keeps a zero mask, because
+    the masked cross-entropy has nothing to weigh in it. No row has a soft
+    target here.
+    """
+    labels = BatchLabels.zeros(len(samples))
+    for row, sample in enumerate(samples):
+        label, task = sample.label, sample.task
+        if task == "VA":
+            labels.has_va[row] = True
+            labels.va[row] = (label.valence, label.arousal)
+        elif task == "EXPR":
+            labels.has_expr[row] = True
+            labels.expr[row] = label.class_id
+        elif task == "AU":
+            if label.mask.any():
+                labels.has_au[row] = True
+                labels.au_targets[row] = label.values
+                labels.au_mask[row] = label.mask
+        else:
+            labels.has_compound[row] = True
+            labels.compound[row] = label.class_id
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # the training table
 
 
@@ -333,6 +401,17 @@ def write_audio(path, rate: int, samples) -> None:
         fh.write(f"rate {int(rate)}\n".encode("ascii"))
         fh.write(f"length {arr.size}\n".encode("ascii"))
         fh.write(arr.astype("<f8", copy=False).tobytes())
+
+
+def write_samples(samples: List[AnnotatedSample], annotations=None, features=None) -> None:
+    """Write in-memory samples through the column writers: their
+    annotations to the path ``annotations`` and their features to the
+    path ``features``, whichever is given."""
+    data = SampleColumns.of(samples)
+    if annotations is not None:
+        dataio.write_annotations(annotations, data)
+    if features is not None:
+        dataio.write_features(features, data.ids, data.features)
 
 
 def read_report(path) -> Dict[str, float]:

@@ -2,7 +2,10 @@
 
 ``add``, ``mul`` (both with numpy-style broadcasting), ``matmul``, ``tanh``
 and ``tsum`` are the general ops that ``dense``, the weighted loss totals
-and the gradient-check objectives once were built from; ``add(matmul(x, w),
+and the gradient-check objectives once were built from; ``sigmoid`` and
+``softmax`` are the probability nodes that inference and the per-term loss
+graph once read off the head logits, now plain numpy in the package
+(``autodiff.sigmoid_values``, ``losses.softmax_parts``); ``add(matmul(x, w),
 b)`` is the reference for the fused ``dense``. ``gru_step`` is the
 per-frame recurrence graph that ``gru_sequence`` replaced, and
 ``recur_per_step`` walks a GRU stack with it one frame at a time;
@@ -66,6 +69,22 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def sigmoid(x: DiffTensor) -> DiffTensor:
+    s = ad.sigmoid_values(x.data)
+    return DiffTensor(s, edges=((x, lambda g: g * s * (1.0 - s)),))
+
+
+def softmax(x: DiffTensor, axis: int = -1) -> DiffTensor:
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return s * (g - np.sum(g * s, axis=axis, keepdims=True))
+
+    return DiffTensor(s, edges=((x, vjp),))
 
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -165,8 +184,8 @@ def gru_step(cell: GruCell, x: DiffTensor, h_prev: DiffTensor) -> DiffTensor:
     if h_prev.ndim != 2 or h_prev.shape[1] != cell.hidden_dim:
         raise ShapeMismatch(f"gru state {h_prev.shape}, expected (B,{cell.hidden_dim})")
     xh = ad.concat([x, h_prev], axis=1)
-    z = ad.sigmoid(ad.dense(xh, cell.w_z, cell.b_z))
-    r = ad.sigmoid(ad.dense(xh, cell.w_r, cell.b_r))
+    z = sigmoid(ad.dense(xh, cell.w_z, cell.b_z))
+    r = sigmoid(ad.dense(xh, cell.w_r, cell.b_r))
     candidate = tanh(ad.dense(ad.concat([x, mul(r, h_prev)], axis=1), cell.w_h, cell.b_h))
     return add(mul(sub(as_tensor(1.0), z), h_prev), mul(z, candidate))
 
@@ -475,11 +494,11 @@ def step_graph(
     soft_rows = np.flatnonzero(labels.has_soft)
     dm = table is not None and preds.au_logits is not None
     if preds.expr_logits is not None and (soft_rows.size or dm):
-        probs = ad.softmax(preds.expr_logits, axis=1)
+        probs = softmax(preds.expr_logits, axis=1)
         if soft_rows.size:
             p = ad.take_rows(probs, soft_rows)
             terms.append((1.0, soft_target_cce(p, labels.soft[soft_rows])))
         if dm:
-            au = ad.sigmoid(preds.au_logits)
+            au = sigmoid(preds.au_logits)
             terms.append((1.0, distribution_matching_loss(probs, au, table, reweight=reweight)))
     return weighted_total(terms)

@@ -20,6 +20,7 @@ from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import (
     load_dataset,
     read_annotation_columns,
+    read_feature_columns,
     read_predictions,
     write_annotations,
     write_features,
@@ -259,8 +260,7 @@ def _study_seed(seed, root):
     expr_only = [s for s in train if s.task == "EXPR"]
     st_ann = os.path.join(root, "data", "expr_annotations.csv")
     st_feats = os.path.join(root, "data", "expr_features.csv")
-    write_annotations(st_ann, expr_only)
-    write_features(st_feats, expr_only)
+    ref.write_samples(expr_only, st_ann, st_feats)
 
     jobs = {
         "coupled": dict(
@@ -536,9 +536,9 @@ def test_determinism_and_formats(tmp_path):
     ckpt_ok = _read_bytes(ckpt_copy) == _read_bytes(a["result"].checkpoint_path)
 
     ann_copy = str(tmp_path / "ann_copy.csv")
-    write_annotations(ann_copy, read_annotation_columns(a["ann"]).samples())
+    write_annotations(ann_copy, read_annotation_columns(a["ann"]))
     feats_copy = str(tmp_path / "feats_copy.csv")
-    write_features(feats_copy, load_dataset(a["ann"], a["feats"]))
+    write_features(feats_copy, *read_feature_columns(a["feats"]))
     preds_copy = str(tmp_path / "preds_copy.csv")
     write_predictions(preds_copy, read_predictions(a["preds"]))
     report_path = str(tmp_path / "report.csv")

@@ -20,8 +20,6 @@ from affectkit.autodiff import (
     load_checkpoint,
     relu,
     save_checkpoint,
-    sigmoid,
-    softmax,
     take_rows,
 )
 from affectkit.errors import (
@@ -40,7 +38,9 @@ from reference_ops import (
     matmul,
     mul,
     recur_per_step,
+    sigmoid,
     slice_axis,
+    softmax,
     square,
     sub,
     tanh,

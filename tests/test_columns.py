@@ -1,6 +1,7 @@
-"""The column readers: their rows, as samples or by id, equal the per-row
-readers they replaced, every column check names the file line of its row, and a
-repeated annotation id is refused at load."""
+"""The column readers and writers: their rows, as samples or by id, equal the
+per-row readers they replaced, every column check names the file line of its
+row, a repeated annotation id is refused at load, and the column writers
+write the bytes of the per-row writer and read back bit for bit."""
 
 from dataclasses import fields
 
@@ -13,13 +14,17 @@ import reference_input as ref
 from affectkit.errors import AffectKitError, BadMask, ConfigError, UnknownClass
 from affectkit.harness import dataio
 from affectkit.harness.dataio import (
+    SampleColumns,
     load_columns,
     load_dataset,
     read_annotation_columns,
     read_feature_columns,
+    write_annotations,
+    write_features,
 )
-from affectkit.harness.synth import SyntheticSpec, generate_dataset
-from affectkit.losses import BatchLabels, label_arrays
+from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
+from affectkit.losses import BatchLabels
+from affectkit.types import au_index
 from test_readers import EDITS, mutate
 
 
@@ -87,7 +92,8 @@ def test_views_equal_the_per_row_readers(tmp_path, split):
     assert data.frame_index == [s.frame_index for s in want]
     assert data.sequence_id == [s.sequence_id for s in want]
     assert np.array_equal(data.features, np.array([s.features for s in want]))
-    assert_same_labels(data.labels, label_arrays(want))
+    assert_same_labels(data.labels, SampleColumns.of(want).labels)
+    assert_same_labels(SampleColumns.of(want).labels, ref.label_arrays(want))
 
 
 def test_compound_view_equals_the_per_row_reader(tmp_path):
@@ -95,7 +101,76 @@ def test_compound_view_equals_the_per_row_reader(tmp_path):
     got = read_annotations(ann)
     assert got == ref.read_annotations(ann)
     assert (got[0].label.emo1.class_id, got[0].label.emo2.class_id) == (5, 2)
-    assert_same_labels(read_annotation_columns(ann).labels, label_arrays(got))
+    assert_same_labels(read_annotation_columns(ann).labels, SampleColumns.of(got).labels)
+    assert_same_labels(SampleColumns.of(got).labels, ref.label_arrays(got))
+
+
+def unannotated_synthetic(spec, seed):
+    """Synthetic columns whose every 4th AU row leaves AU4 and AU6
+    unannotated and every 7th AU row every unit."""
+    data = make_dataset(spec, seed)
+    lab = data.labels
+    au = np.flatnonzero(~(lab.has_va | lab.has_expr))
+    lab.au_mask[np.ix_(au[3::4], [au_index(4), au_index(6)])] = 0.0
+    lab.au_mask[au[6::7]] = 0.0
+    lab.au_targets *= lab.au_mask
+    lab.has_au[au] = lab.au_mask[au].any(axis=1)
+    return data
+
+
+@pytest.mark.parametrize("annotations", [ANNOTATIONS, COMPOUNDS])
+def test_annotation_writer_equals_the_per_row_oracle(tmp_path, annotations):
+    ann, _ = write(tmp_path, annotations=annotations)
+    data = read_annotation_columns(ann)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_annotations(got, data)
+    ref.write_annotations(want, data.samples())
+    assert got.read_bytes() == want.read_bytes()
+    back = read_annotation_columns(got)
+    assert_same_labels(back.labels, data.labels)
+    assert np.array_equal(back.compound_pair, data.compound_pair)
+    for name in ("ids", "split", "sequence_id", "utterance_id", "frame_index"):
+        assert getattr(back, name) == getattr(data, name), name
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(train_counts=(5, 40, 6), val_counts=(2, 9, 3), feature_dim=7),
+    SyntheticSpec(train_counts=(0, 30, 0), val_counts=(0, 0, 0), feature_dim=7, sigma=0.0,
+                  kappa=0.0, table="empirical"),
+])
+def test_synthetic_annotations_equal_the_per_row_oracle(tmp_path, spec):
+    data = unannotated_synthetic(spec, seed=4)
+    assert (data.labels.au_mask == 0).all(axis=1).any()  # a fully unannotated AU row
+    assert ((data.labels.au_mask == 0).any(axis=1) & data.labels.has_au).any()  # and a partly one
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_annotations(got, data)
+    ref.write_annotations(want, data.samples())
+    assert got.read_bytes() == want.read_bytes()
+    assert_same_labels(read_annotation_columns(got).labels, data.labels)
+
+
+@pytest.mark.parametrize("ids", [["s0", "s1", "s2"], ['"a,b"', "multi\nline", "é\r"]])
+def test_feature_writer_round_trip_is_bit_exact(tmp_path, ids):
+    matrix = np.array([
+        [0.1, -0.0, 5e-324, 1.7976931348623157e308],
+        [1e-300, -2.5e-7, 123456789.123456789, np.nextafter(1.0, 2.0)],
+        [-1.0 / 3.0, 2.0 ** -1074, 0.0, -1.7976931348623157e308],
+    ])
+    path = tmp_path / "feats.csv"
+    write_features(path, ids, matrix)
+    got_ids, got = read_feature_columns(path)
+    assert got_ids == ids and got.dtype == np.float64
+    assert got.tobytes() == matrix.tobytes()
+
+
+def test_synthetic_files_round_trip(tmp_path):
+    spec = SyntheticSpec(train_counts=(4, 5, 6), val_counts=(1, 2, 3))
+    data = make_dataset(spec, seed=8)
+    feats, ann = generate_dataset(spec, seed=8, out_dir=str(tmp_path))
+    back = load_columns(ann, feats)
+    assert back.ids == data.ids and back.split == data.split
+    assert back.features.tobytes() == data.features.tobytes()
+    assert_same_labels(back.labels, data.labels)
 
 
 def test_duplicate_annotation_id_names_the_line(tmp_path):

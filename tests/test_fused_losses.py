@@ -17,7 +17,8 @@ from affectkit.autodiff import DiffTensor, backward
 from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions, LossWeights, objective
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
-from reference_ops import add, as_tensor, matmul, mul, multitask_terms, slice_axis, sub, tsum
+from reference_ops import add, as_tensor, matmul, mul, multitask_terms, sigmoid, slice_axis
+from reference_ops import softmax, sub, tsum
 from reference_ops import bce_node as masked_bce_loss
 from reference_ops import ccc_node as ccc_loss
 from reference_ops import cce_node as cce_loss
@@ -101,7 +102,7 @@ def ref_bce(au_logits, targets, mask):
     row_weight = mask.sum(axis=1)
     keep = np.flatnonzero(row_weight > 0)
     t = targets[keep]
-    p = _clip(ad.sigmoid(ad.take_rows(au_logits, keep)), PROB_EPS, 1.0 - PROB_EPS)
+    p = _clip(sigmoid(ad.take_rows(au_logits, keep)), PROB_EPS, 1.0 - PROB_EPS)
     terms = add(mul(as_tensor(t), _log(p)), mul(as_tensor(1.0 - t), _log(sub(as_tensor(1.0), p))))
     per_sample = _div(tsum(mul(terms, as_tensor(mask[keep])), axis=1), as_tensor(row_weight[keep]))
     return _neg(_mean(per_sample))
@@ -325,11 +326,11 @@ def _step(arrays, labels, weights, soft, dm, mode):
     terms = multitask_terms(BatchPredictions(**leaves), labels, weights)
     extra = []
     if soft is not None or dm:
-        probs = ad.softmax(leaves["expr_logits"], axis=1)
+        probs = softmax(leaves["expr_logits"], axis=1)
         if soft is not None:
             extra.append(old_soft_target_cce(ad.take_rows(probs, soft[0]), soft[1]))
         if dm:
-            au = ad.sigmoid(leaves["au_logits"])
+            au = sigmoid(leaves["au_logits"])
             extra.append(old_distribution_matching_loss(probs, au, COGNITIVE))
     if mode == "flat":
         total = weighted_total(terms + [(1.0, t) for t in extra])

@@ -30,6 +30,7 @@ from affectkit.harness.cli import main
 from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
     PREDICTION_FIELDS,
+    SampleColumns,
     load_dataset,
     read_annotation_columns,
     read_feature_columns,
@@ -56,7 +57,7 @@ from affectkit.types import (
     expression_id,
 )
 from affectkit.zeroshot import classify_compound, default_compound_defs
-from reference_input import read_report, write_audio
+from reference_input import read_report, write_audio, write_samples
 from reference_ops import square, tsum
 
 SMALL = SyntheticSpec(
@@ -171,47 +172,45 @@ class TestConfig:
         assert table.row(expression_id("happiness")).proto == (12, 25)
 
 
+def val_split():
+    """The validation rows of the SMALL synthetic data, as columns."""
+    data = make_dataset(SMALL, seed=0)
+    return data.take([r for r, split in enumerate(data.split) if split == "val"])
+
+
 class TestSyntheticData:
     def test_counts_and_splits(self):
-        train, val = make_dataset(SMALL, seed=0)
-        assert len(train) == 120 and len(val) == 45
-        assert {s.split for s in train} == {"train"}
-        assert {s.split for s in val} == {"val"}
-        for task in ("VA", "AU", "EXPR"):
-            assert sum(1 for s in train if s.task == task) == 40
+        data = make_dataset(SMALL, seed=0)
+        assert data.split == ["train"] * 120 + ["val"] * 45
+        assert data.features.shape == (165, 10)
+        lab = data.labels
+        for flag in (lab.has_va, lab.has_au, lab.has_expr):
+            assert flag[:120].sum() == 40 and flag[120:].sum() == 15
+        assert not (lab.has_compound.any() or lab.has_soft.any())
+        assert (lab.has_va.astype(int) + lab.has_au + lab.has_expr == 1).all()
 
     def test_ids_unique(self):
-        train, val = make_dataset(SMALL, seed=0)
-        ids = [s.id for s in train + val]
+        ids = make_dataset(SMALL, seed=0).ids
         assert len(ids) == len(set(ids))
 
     def test_noise_free_au_patterns_follow_table(self):
         spec = SyntheticSpec(
             train_counts=(0, 200, 0), val_counts=(0, 0, 0), sigma=0.0, kappa=1.0
         )
-        train, _ = make_dataset(spec, seed=1)
-        hits = 0
-        for s in train:
-            latent = int(np.argmax(s.features))
-            if latent != expression_id("happiness"):
-                continue
-            hits += 1
-            # prototypical AUs activate with probability 1 at kappa=1
-            assert s.label.values[au_index(12)] == 1
-            assert s.label.values[au_index(25)] == 1
-        assert hits > 0
+        data = make_dataset(spec, seed=1)
+        happy = np.argmax(data.features, axis=1) == expression_id("happiness")
+        assert happy.any()
+        # prototypical AUs activate with probability 1 at kappa=1
+        assert (data.labels.au_targets[happy][:, [au_index(12), au_index(25)]] == 1).all()
 
     def test_neutral_latent_has_no_aus(self):
         spec = SyntheticSpec(
             train_counts=(0, 300, 0), val_counts=(0, 0, 0), sigma=0.0, kappa=1.0
         )
-        train, _ = make_dataset(spec, seed=2)
-        neutrals = [
-            s for s in train if int(np.argmax(s.features)) == 0
-        ]
-        assert neutrals
-        for s in neutrals:
-            assert s.label.values.sum() == 0
+        data = make_dataset(spec, seed=2)
+        neutral = np.argmax(data.features, axis=1) == 0
+        assert neutral.any()
+        assert data.labels.au_targets[neutral].sum() == 0
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         a_ann, a_feat = generate_dataset(SMALL, seed=7, out_dir=str(tmp_path / "a"))
@@ -231,6 +230,10 @@ class TestSyntheticData:
             SyntheticSpec(kappa=1.5)
         with pytest.raises(ConfigError):
             SyntheticSpec(table="astral")
+        with pytest.raises(ConfigError, match="a count is negative"):
+            SyntheticSpec(train_counts=(-5, 2, 2))
+        with pytest.raises(ConfigError, match="all zero"):
+            SyntheticSpec(train_counts=(0, 0, 0), val_counts=(0, 0, 0))
 
 
 class TestDataFiles:
@@ -273,7 +276,7 @@ class TestDataFiles:
     def test_annotation_round_trip(self, tmp_path):
         samples = self.make_samples()
         path = tmp_path / "annotations.csv"
-        write_annotations(path, samples)
+        write_annotations(path, SampleColumns.of(samples))
         loaded = read_annotation_columns(path).samples()
         assert [s.id for s in loaded] == ["s0", "s1", "s2", "s3"]
         assert loaded[0].label == ValenceArousal(0.25, -0.5)
@@ -288,15 +291,14 @@ class TestDataFiles:
     def test_feature_round_trip_is_exact(self, tmp_path):
         samples = self.make_samples()
         path = tmp_path / "features.csv"
-        write_features(path, samples)
+        write_features(path, [s.id for s in samples], [s.features for s in samples])
         table = dict(zip(*read_feature_columns(path)))
         for s in samples:
             assert np.array_equal(table[s.id], s.features)
 
     def test_load_dataset_attaches_features(self, tmp_path):
         samples = self.make_samples()
-        write_annotations(tmp_path / "a.csv", samples)
-        write_features(tmp_path / "f.csv", samples)
+        write_samples(samples, tmp_path / "a.csv", tmp_path / "f.csv")
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split="train")
         assert [s.id for s in loaded] == ["s0", "s2", "s3"]
         assert np.array_equal(loaded[0].features, samples[0].features)
@@ -304,8 +306,7 @@ class TestDataFiles:
     @pytest.mark.parametrize("split,ids", [("train", ["s0", "s2", "s3"]), ("test", None)])
     def test_load_dataset_split_or_every_row(self, tmp_path, split, ids):
         samples = self.make_samples()
-        write_annotations(tmp_path / "a.csv", samples)
-        write_features(tmp_path / "f.csv", samples)
+        write_samples(samples, tmp_path / "a.csv", tmp_path / "f.csv")
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split=split)
         assert [s.id for s in loaded] == (ids or [s.id for s in samples])
 
@@ -380,8 +381,8 @@ class TestDataFiles:
 
     def test_load_dataset_missing_feature(self, tmp_path):
         samples = self.make_samples()
-        write_annotations(tmp_path / "a.csv", samples)
-        write_features(tmp_path / "f.csv", samples[:2])
+        write_samples(samples, annotations=tmp_path / "a.csv")
+        write_samples(samples[:2], features=tmp_path / "f.csv")
         with pytest.raises(KeyMisalignment, match="s2"):
             load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
 
@@ -489,8 +490,7 @@ class TestDataFiles:
             id=rid, split="train", features=np.array([0.25, -1.0]),
             label=ExpressionLabel(class_id=2), sequence_id=rid, utterance_id=rid,
         )
-        write_annotations(tmp_path / "a.csv", [sample])
-        write_features(tmp_path / "f.csv", [sample])
+        write_samples([sample], tmp_path / "a.csv", tmp_path / "f.csv")
         (loaded,) = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
         assert (loaded.id, loaded.sequence_id, loaded.utterance_id) == (rid, rid or None, rid or None)
         assert np.array_equal(loaded.features, sample.features)
@@ -558,8 +558,7 @@ class TestTraining:
             for i in range(8)
         ]
         samples[0].features[:] = 1e308
-        write_annotations(tmp_path / "ann.csv", samples)
-        write_features(tmp_path / "feat.csv", samples)
+        write_samples(samples, tmp_path / "ann.csv", tmp_path / "feat.csv")
         cfg = RunConfig(
             feature_dim=10,
             backbone=(),  # passthrough trunk keeps the NaN alive
@@ -720,8 +719,7 @@ class TestTraining:
             )
             for i, lab in enumerate(labels)
         ]
-        write_annotations(tmp_path / "compound_ann.csv", samples)
-        write_features(tmp_path / "compound_feat.csv", samples)
+        write_samples(samples, tmp_path / "compound_ann.csv", tmp_path / "compound_feat.csv")
 
         cfg = small_config(
             tmp_path,
@@ -756,8 +754,8 @@ class TestTraining:
 class TestEvaluate:
     def test_metric_keys(self, tmp_path):
         result = train_run(small_config(tmp_path))
-        _, val = make_dataset(SMALL, seed=0)
-        metrics, records = evaluate_model(result.model, val)
+        val = val_split()
+        metrics, records = evaluate_model(result.model, val.samples())
         expected = {
             "va.ccc_v", "va.ccc_a", "va.mse_v", "va.mse_a",
             "expr.accuracy", "expr.f1", "expr.mean_diagonal", "expr.e_total",
@@ -765,14 +763,14 @@ class TestEvaluate:
             "degenerate_count",
         }
         assert expected <= set(metrics)
-        assert len(records) == len(val)
+        assert len(records) == len(val.ids)
         # a full-head model predicts every quantity for every sample
         assert all(r.valence is not None for r in records)
         assert all(r.expr_probs is not None for r in records)
 
     def test_task_subset(self, tmp_path):
         result = train_run(small_config(tmp_path))
-        _, val = make_dataset(SMALL, seed=0)
+        val = val_split()
         metrics, _ = evaluate_model(result.model, val, tasks=["EXPR"])
         assert "expr.accuracy" in metrics
         assert "va.ccc_v" not in metrics
@@ -780,7 +778,7 @@ class TestEvaluate:
     def test_missing_head_rejected(self, tmp_path):
         cfg = small_config(tmp_path, heads=("EXPR",))
         result = train_run(cfg)
-        _, val = make_dataset(SMALL, seed=0)
+        val = val_split()
         with pytest.raises(IncompatibleHeads):
             evaluate_model(result.model, val)
         metrics, _ = evaluate_model(result.model, val, tasks=["EXPR"])
@@ -788,7 +786,7 @@ class TestEvaluate:
 
     def test_unknown_task_rejected(self, tmp_path):
         result = train_run(small_config(tmp_path))
-        _, val = make_dataset(SMALL, seed=0)
+        val = val_split()
         with pytest.raises(IncompatibleHeads):
             evaluate_model(result.model, val, tasks=["GAZE"])
 
@@ -1039,8 +1037,15 @@ class TestCLI:
             ("gen-data", "sigma = 0.1\nfeature_dim = abc\n", "bad.cfg:2: bad value for 'feature_dim'"),
             ("gen-data", "train_counts = 1,2\n", "bad.cfg:1: bad value for 'train_counts': expected t"),
             ("gen-data", "\nseed = 3\n", "bad.cfg:2: unknown key 'seed'"),
+            ("gen-data", "sigma = 0.1\ntrain_counts = -5,2,2\n",
+             "bad.cfg:2: bad value for 'train_counts': expected three counts >= 0, got '-5,2,2'"),
+            ("gen-data", "train_counts = 0,0,0\nval_counts = 0,0,0\n",
+             "train_counts and val_counts are all zero"),
         ],
-        ids=["train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key"],
+        ids=[
+            "train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key",
+            "gen_negative", "gen_empty",
+        ],
     )
     def test_config_errors_name_the_line(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
@@ -1065,6 +1070,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert "audio_dim = 3, but no reader supplies audio features" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+    def test_train_with_landmark_concat_is_exit_2_before_any_read(self, tmp_path, capsys):
+        # the data paths do not exist, so the error comes before any read
+        config = RunConfig(
+            feature_dim=10, landmark_dim=10, landmark_concat=True, heads=("EXPR",),
+            train_annotations=str(tmp_path / "missing_ann.csv"),
+            train_features=str(tmp_path / "missing_feat.csv"), out_dir=str(tmp_path / "run"),
+        )
+        config.to_file(tmp_path / "landmarks.cfg")
+        code = self.run_cli("train", "--config", tmp_path / "landmarks.cfg")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "landmark_concat = true, but no reader supplies landmark features" in err
         assert "Traceback" not in err and not (tmp_path / "run").exists()
 
     def test_eval_scores_columns(self, tmp_path, capsys, monkeypatch):
@@ -1127,8 +1146,7 @@ class TestCLI:
             )
             for i in range(8)
         ]
-        write_annotations(tmp_path / "ann.csv", samples)
-        write_features(tmp_path / "feat.csv", samples)
+        write_samples(samples, tmp_path / "ann.csv", tmp_path / "feat.csv")
         cfg_file = tmp_path / "run.cfg"
         RunConfig(
             feature_dim=feature_dim,

@@ -15,7 +15,8 @@ from affectkit.errors import (
     ShapeMismatch,
     ValueOutOfRange,
 )
-from affectkit.losses import BatchLabels, BatchPredictions, LossWeights, label_arrays, objective
+from affectkit.harness.dataio import SampleColumns
+from affectkit.losses import BatchLabels, BatchPredictions, LossWeights, objective
 from affectkit.relatedness import COGNITIVE
 from affectkit.types import (
     AnnotatedSample,
@@ -219,6 +220,11 @@ class TestMaskedBCE:
 
 def sample(label, sid="s"):
     return AnnotatedSample(id=sid, split="train", features=np.zeros(3), label=label)
+
+
+def label_arrays(samples):
+    """The BatchLabels that ``SampleColumns.of`` encodes in-memory samples into."""
+    return SampleColumns.of(samples).labels
 
 
 class TestAUStacking:

@@ -19,8 +19,6 @@ from affectkit.models import (
     ModelSpec,
     RecurrentSpec,
     SequenceBatch,
-    au_probs,
-    expr_probs,
     load_parameters,
     predict_sequence,
 )
@@ -34,6 +32,7 @@ from reference_ops import (
     mul,
     parameter_count,
     single_task_spec,
+    softmax,
     square,
     trunk_parameters,
     tsum,
@@ -180,7 +179,7 @@ class TestForward:
         zeros = {n: np.zeros_like(p.data) for n, p in model.named_parameters().items()}
         load_parameters(model, zeros)
         preds = model.forward(SequenceBatch(features=np.ones((2, 2, 5))))
-        assert expr_probs(preds).data == pytest.approx(np.full((4, 7), 1 / 7))
+        assert softmax(preds.expr_logits, axis=1).data == pytest.approx(np.full((4, 7), 1 / 7))
         assert preds.expr_logits.data == pytest.approx(np.zeros((4, 7)))
 
 
@@ -552,7 +551,8 @@ class TestBatchedForwardMatchesPerFrame:
 
         def objective():
             preds = model.forward(batch)
-            return add(tsum(square(preds.va)), tsum(mul(expr_probs(preds), preds.expr_logits)))
+            probs = softmax(preds.expr_logits, axis=1)
+            return add(tsum(square(preds.va)), tsum(mul(probs, preds.expr_logits)))
 
         assert max_relative_error(objective, model.parameters(), n_points=80) < GRAD_TOLERANCE
 

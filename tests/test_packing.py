@@ -22,6 +22,7 @@ from affectkit.models import (
     pack_rows,
     sequence_keys,
 )
+from reference_input import write_samples
 
 DIM = 10
 HEADS = ("VA", "EXPR", "AU")  # evaluation scores every task the data has
@@ -149,9 +150,9 @@ def sequence_samples(seed: int = 5):
     """Synthetic validation rows in sequences of 1 to 9 frames, stored with
     their sequences interleaved and their frames out of order; every
     fifth row has no sequence id."""
-    _, val = make_dataset(
+    val = make_dataset(
         SyntheticSpec(train_counts=(0, 0, 0), val_counts=(30, 30, 30), feature_dim=DIM), seed
-    )
+    ).samples()
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 10, size=len(val))
     k = 0
@@ -271,8 +272,7 @@ class TestTraining:
         for s in samples:
             s.split = "train"
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
-        dataio.write_annotations(ann, samples)
-        dataio.write_features(feats, samples)
+        write_samples(samples, ann, feats)
         config = RunConfig(
             feature_dim=DIM, backbone=(8,), recurrent="single:6x1", heads=HEADS, epochs=1,
             total_batch=30, train_annotations=str(ann), train_features=str(feats),
@@ -306,15 +306,14 @@ class TestTraining:
         # the validation rows never change, so their packing keys are made
         # once, beside the training table's; the history is what making them
         # in every evaluation gave
-        train, _ = make_dataset(
+        train = make_dataset(
             SyntheticSpec(train_counts=(20, 20, 20), val_counts=(0, 0, 0), feature_dim=DIM), 3
-        )
+        ).samples()
         val = sequence_samples()
         for s in val:
             s.split = "val"
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
-        dataio.write_annotations(ann, train + val)
-        dataio.write_features(feats, train + val)
+        write_samples(train + val, ann, feats)
         config = RunConfig(
             feature_dim=DIM, backbone=(8,), recurrent="single:4x1", heads=HEADS, epochs=3,
             total_batch=12, train_annotations=str(ann), train_features=str(feats),
@@ -340,18 +339,21 @@ class TestTraining:
         assert each.history == once.history and "val.va.ccc_v" in once.history[-1]
 
     def test_validation_is_encoded_once_per_job(self, tmp_path, monkeypatch):
-        train, val = make_dataset(
+        data = make_dataset(
             SyntheticSpec(train_counts=(20, 20, 20), val_counts=(9, 9, 9), feature_dim=DIM), 2
         )
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
-        dataio.write_annotations(ann, train + val)
-        dataio.write_features(feats, train + val)
+        dataio.write_annotations(ann, data)
+        dataio.write_features(feats, data.ids, data.features)
         encoded, scored = [], []
         real_samples = SampleColumns.samples
         monkeypatch.setattr(
             SampleColumns, "samples", lambda self: encoded.append(1) or real_samples(self)
         )
-        monkeypatch.setattr(dataio, "label_arrays", lambda s: encoded.append(1) or None)
+        real_of = SampleColumns.of
+        monkeypatch.setattr(
+            SampleColumns, "of", classmethod(lambda cls, s: encoded.append(1) or real_of(s))
+        )
         real_eval = evaluate_model
 
         def spy(model, data, **kwargs):

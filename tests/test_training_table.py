@@ -12,8 +12,8 @@ import reference_input as ref
 from affectkit import types
 from affectkit.errors import ConfigError
 from affectkit.harness.config import RunConfig
-from affectkit.harness.dataio import load_columns, write_annotations, write_features
-from affectkit.harness.synth import SyntheticSpec, make_dataset
+from affectkit.harness.dataio import load_columns
+from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.harness.training import _build_table, _compound_chunks, train_run
 from affectkit.losses import BatchLabels
 from affectkit.models import SequenceBatch
@@ -137,7 +137,9 @@ def basic_samples() -> List[AnnotatedSample]:
     """Interleaved VA/AU/EXPR training samples with partially and fully
     unannotated AU rows, shuffled, followed by validation samples."""
     spec = SyntheticSpec(train_counts=(7, 20, 20), val_counts=(2, 3, 3), feature_dim=8)
-    train, val = make_dataset(spec, seed=3)
+    samples = make_dataset(spec, seed=3).samples()
+    train = [s for s in samples if s.split == "train"]
+    val = [s for s in samples if s.split == "val"]
     rng = np.random.default_rng(5)
     au_seen = 0
     for s in train:
@@ -167,8 +169,7 @@ def compound_samples() -> List[AnnotatedSample]:
 
 def write_files(directory, samples, name="data"):
     ann, feats = directory / f"{name}_ann.csv", directory / f"{name}_feats.csv"
-    write_annotations(ann, samples)
-    write_features(feats, samples)
+    ref.write_samples(samples, ann, feats)
     return ann, feats
 
 
@@ -316,7 +317,7 @@ def test_duplicate_id_raises(tmp_path):
     _, feats = write_files(tmp_path, samples)
     samples.insert(4, samples[1])
     ann = tmp_path / "a_ann.csv"
-    write_annotations(ann, samples)
+    ref.write_samples(samples, annotations=ann)
     with pytest.raises(ConfigError, match=rf"a_ann\.csv:6: duplicate sample id {samples[1].id!r}"):
         load_columns(ann, feats)
 
@@ -349,10 +350,9 @@ def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
     assert not table.labels.has_au[zero].any()
 
 
-@pytest.mark.parametrize("coupling", ["coannotation", "soft+distr"])
-def test_train_run_builds_no_per_row_label_object(tmp_path, monkeypatch, coupling):
-    ann, feats = write_files(tmp_path, basic_samples())
-    built = []
+def count_label_objects(monkeypatch) -> List[str]:
+    """The class name of every per-row label object built from now on."""
+    built: List[str] = []
     for cls in (
         types.AnnotatedSample, types.AUVector, types.ValenceArousal, types.ExpressionLabel,
         types.CompoundLabel,
@@ -362,6 +362,23 @@ def test_train_run_builds_no_per_row_label_object(tmp_path, monkeypatch, couplin
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+def test_synthetic_data_builds_no_per_row_label_object(tmp_path, monkeypatch):
+    built = count_label_objects(monkeypatch)
+    spec = SyntheticSpec(train_counts=(5, 6, 7), val_counts=(2, 3, 4), feature_dim=8)
+    data = make_dataset(spec, seed=1)
+    generate_dataset(spec, seed=1, out_dir=str(tmp_path))
+    assert not built
+    data.samples()  # the per-row view is counted
+    assert {"AnnotatedSample", "AUVector", "ValenceArousal", "ExpressionLabel"} <= set(built)
+
+
+@pytest.mark.parametrize("coupling", ["coannotation", "soft+distr"])
+def test_train_run_builds_no_per_row_label_object(tmp_path, monkeypatch, coupling):
+    ann, feats = write_files(tmp_path, basic_samples())
+    built = count_label_objects(monkeypatch)
     result = train_run(train_config(tmp_path, ann, feats, coupling=coupling))
     assert not built
     assert np.isfinite(result.history[-1]["loss"])
