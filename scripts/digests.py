@@ -9,7 +9,8 @@ training byte-identical:
 
 The data are synthetic (50 VA, 60 AU and 60 EXPR training samples, 20 of
 each for validation, feature_dim 10, data seed 1, shuffled), with every
-7th AU row fully and every 4th partially (AU4, AU6) unannotated. Every job
+7th AU row fully and every 4th partially (AU4, AU6) unannotated; they are
+drawn and edited as columns and written by the column writers. Every job
 uses run seed 3, backbone (12,), lr 1e-2, 3 epochs, batch 20 and
 validation, so the logs also cover ``evaluate_model``. The jobs: the five
 coupling modes; ``soft+distr`` on the empirical table with both reweight

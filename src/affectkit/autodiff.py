@@ -24,8 +24,7 @@ optimizer, the :class:`Parameters` factory and a binary checkpoint format
 for named parameter sets live here too.
 
 There is no softmax or sigmoid node: the loss node applies their vjps
-inline, and inference reads probabilities off the head logits in plain
-numpy (``sigmoid_values`` here, ``losses.softmax_parts``).
+inline, and inference needs no gradient (``sigmoid_values`` serves both).
 
 :class:`Adam` owns a flat parameter store: it copies its parameters into
 one contiguous vector and rebinds each ``data`` and ``grad`` to a view of

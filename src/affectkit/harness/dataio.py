@@ -29,12 +29,9 @@ a value per header column, every value is finite and no id repeats; any
 other file goes through the per-row reader (``csv`` rows, one ``float()``
 per value), which alone raises the errors.
 
-The writers take columns too: :func:`write_annotations` encodes each
-payload from the row's flag and label arrays, and :func:`write_features`
-writes ids and a matrix. ``SampleColumns.samples`` and :func:`load_dataset`
-give the rows as ``AnnotatedSample`` objects, and ``SampleColumns.of``
-turns such objects back into columns; nothing else here builds or reads a
-per-row label object.
+The writers are the readers' inverses and take columns too. Only
+``SampleColumns.of``, ``SampleColumns.samples`` and :func:`load_dataset`
+convert to or from per-row ``AnnotatedSample`` objects.
 """
 
 from __future__ import annotations
@@ -132,9 +129,7 @@ class SampleColumns:
     @classmethod
     def of(cls, samples: Sequence[AnnotatedSample]) -> "SampleColumns":
         """The columns of in-memory samples, with their features stacked:
-        the inverse of :meth:`samples`. An AU sample with no annotated unit
-        keeps a zero mask and no flag, because the masked cross-entropy has
-        nothing to weigh in it."""
+        the inverse of :meth:`samples`."""
         labels = BatchLabels.zeros(len(samples))
         pairs = np.zeros((len(samples), 2), dtype=np.int64)
         for r, s in enumerate(samples):

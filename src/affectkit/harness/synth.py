@@ -55,13 +55,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         counts = (*self.train_counts, *self.val_counts)
-        if min(counts) < 0:
-            raise ConfigError(
-                f"train_counts={self.train_counts}, val_counts={self.val_counts}: "
-                "a count is negative"
-            )
-        if not any(counts):
-            raise ConfigError("train_counts and val_counts are all zero: no sample to write")
+        if min(counts) < 0 or not any(counts):
+            raise ConfigError(f"train_counts={self.train_counts}, val_counts={self.val_counts}: "
+                              "counts must be >= 0 and not all zero")
         if self.feature_dim < len(EXPRESSION_NAMES):
             raise ConfigError(
                 f"feature_dim={self.feature_dim} cannot embed "

@@ -25,6 +25,9 @@ sequence (``sequence_keys``) become one row of the (B, T, D) batch, so
 recurrent state never crosses unrelated rows, and ``BatchPredictions.take``
 puts the outputs back in row order. A stateless model, or a row with no
 sequence id, runs every row as a length-1 sequence.
+
+The heads output logits; inference reads probabilities off them with the
+loss's numpy softmax and sigmoid, as no graph node is needed for them.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def unannotated_synthetic(spec, seed):
     return data
 
 
-@pytest.mark.parametrize("annotations", [ANNOTATIONS, COMPOUNDS])
+@pytest.mark.parametrize("annotations", [ANNOTATIONS, COMPOUNDS], ids=["basic", "compound"])
 def test_annotation_writer_equals_the_per_row_oracle(tmp_path, annotations):
     ann, _ = write(tmp_path, annotations=annotations)
     data = read_annotation_columns(ann)

@@ -230,10 +230,9 @@ class TestSyntheticData:
             SyntheticSpec(kappa=1.5)
         with pytest.raises(ConfigError):
             SyntheticSpec(table="astral")
-        with pytest.raises(ConfigError, match="a count is negative"):
-            SyntheticSpec(train_counts=(-5, 2, 2))
-        with pytest.raises(ConfigError, match="all zero"):
-            SyntheticSpec(train_counts=(0, 0, 0), val_counts=(0, 0, 0))
+        for counts in ((-5, 2, 2), (0, 0, 0)):
+            with pytest.raises(ConfigError, match="counts must be >= 0 and not all zero"):
+                SyntheticSpec(train_counts=counts, val_counts=(0, 0, 0))
 
 
 class TestDataFiles:
@@ -1040,7 +1039,7 @@ class TestCLI:
             ("gen-data", "sigma = 0.1\ntrain_counts = -5,2,2\n",
              "bad.cfg:2: bad value for 'train_counts': expected three counts >= 0, got '-5,2,2'"),
             ("gen-data", "train_counts = 0,0,0\nval_counts = 0,0,0\n",
-             "train_counts and val_counts are all zero"),
+             "train_counts=(0, 0, 0), val_counts=(0, 0, 0): counts must be >= 0 and not all"),
         ],
         ids=[
             "train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key",
