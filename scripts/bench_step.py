@@ -10,8 +10,10 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
   pools and 200/200/200 validation rows in the same files (feature_dim 16),
   backbone (48,), heads EXPR/AU/VA, ``soft+distr`` coupling, batch 60, lr
   1e-2, three epochs (90 steps), no validation;
-* per training step over those jobs, in ms: ``gather_ms`` (the batch taken
-  from the row table), ``forward_ms`` (``Model.forward``), ``loss_ms``
+* per training step over those jobs, in ms: ``sampler_ms`` (inside the
+  ``next`` calls of ``training.epoch_iterator``, the one that ends each
+  epoch included), ``gather_ms`` (the batch taken from the row table),
+  ``forward_ms`` (``Model.forward``), ``loss_ms``
   (from the end of the forward pass to ``Adam.zero_grad``: the loss terms
   and their total, whichever functions build them), ``backward_ms`` and
   ``adam_ms`` (``Adam.step``);
@@ -52,9 +54,12 @@ def config_for(work: str, seed: int) -> RunConfig:
 
 def phase_ms(config: RunConfig, jobs: int) -> dict:
     """The median job time and the per-step time of each phase, in ms."""
-    spent = {"gather": 0.0, "forward": 0.0, "loss": 0.0, "backward": 0.0, "adam": 0.0}
+    spent = {
+        "sampler": 0.0, "gather": 0.0, "forward": 0.0, "loss": 0.0, "backward": 0.0, "adam": 0.0,
+    }
     steps, forward_end = [], [0.0]
     patched = [
+        (training, "epoch_iterator", "sampler"),
         (training._TrainTable, "gather", "gather"),
         (models.Model, "forward", "forward"),
         (training, "backward", "backward"),
@@ -62,6 +67,20 @@ def phase_ms(config: RunConfig, jobs: int) -> dict:
     ]
     real = {phase: getattr(owner, name) for owner, name, phase in patched}
     real_zero = ad.Adam.zero_grad
+
+    def timed_iterator(fn, phase):
+        def iterate(*args, **kwargs):
+            batches = fn(*args, **kwargs)
+            while True:
+                start = time.perf_counter()
+                try:
+                    batch = next(batches)
+                except StopIteration:
+                    return
+                finally:
+                    spent[phase] += time.perf_counter() - start
+                yield batch
+        return iterate
 
     def timed(fn, phase):
         def call(*args, **kwargs):
@@ -81,7 +100,8 @@ def phase_ms(config: RunConfig, jobs: int) -> dict:
         return real_zero(self)
 
     for owner, name, phase in patched:
-        setattr(owner, name, timed(real[phase], phase))
+        wrap = timed_iterator if phase == "sampler" else timed
+        setattr(owner, name, wrap(real[phase], phase))
     ad.Adam.zero_grad = zero_grad
     times = []
     try:

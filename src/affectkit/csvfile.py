@@ -6,11 +6,11 @@ keep only their own header and field checks; the feature reader's plain-file
 path reads the same text through :func:`open_text`. The file encoding,
 blank-row skipping and line numbering are decided here once.
 
-These files are written through :func:`atomic_write`, so a write that
-fails leaves the file as it was: checkpoints, ``config.txt`` and
-``training_log.csv`` of a training run, and the outputs of the
-``zero-shot``, ``align`` (``preprocess.write_landmarks``) and
-``spectrogram`` commands.
+Every file the program writes goes through :func:`atomic_write`, so a
+write that fails leaves the file as it was: a training run's checkpoint,
+``config.txt`` and ``training_log.csv``, generated annotation and feature
+files, metric reports, prediction files, and the outputs of the
+``zero-shot``, ``align`` and ``spectrogram`` commands.
 """
 
 from __future__ import annotations

@@ -116,14 +116,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = RunConfig.from_file(args.config)
+    config = RunConfig.from_file(args.config).override(au_threshold=args.au_threshold)
     model = load_model(config, args.checkpoint)
     data = load_columns(args.annotations, args.features, split=args.split or None)
     tasks = None
     if args.tasks:
         tasks = [t.strip().upper() for t in args.tasks.split(",")]
     metrics, records = evaluate_model(
-        model, data, au_threshold=args.au_threshold, tasks=tasks
+        model, data, au_threshold=config.au_threshold, tasks=tasks
     )
     write_report(args.out, metrics)
     if args.predictions:

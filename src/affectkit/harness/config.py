@@ -8,6 +8,7 @@ the exact model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -153,6 +154,14 @@ class RunConfig:
             raise ConfigError("epochs must be nonnegative")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError("lr_decay must be in (0,1]")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr = {self.lr!r} must be finite and positive")
+        if not 0.0 <= self.au_threshold <= 1.0:
+            raise ConfigError(f"au_threshold = {self.au_threshold!r} must be in [0, 1]")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} = {value!r} must be finite and >= 0")
         self.model_spec().validate()
 
     # -- derived objects ------------------------------------------------

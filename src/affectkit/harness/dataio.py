@@ -29,7 +29,8 @@ a value per header column, every value is finite and no id repeats; any
 other file goes through the per-row reader (``csv`` rows, one ``float()``
 per value), which alone raises the errors.
 
-The writers are the readers' inverses and take columns too. Only
+The writers are the readers' inverses and take columns too; they, and
+the report writer, write through ``csvfile.atomic_write``. Only
 ``SampleColumns.of``, ``SampleColumns.samples`` and :func:`load_dataset`
 convert to or from per-row ``AnnotatedSample`` objects.
 """
@@ -46,9 +47,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..csvfile import open_rows, open_text
+from ..csvfile import atomic_write, open_rows, open_text
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
-from ..losses import BatchLabels
+from ..losses import TASKS, BatchLabels
 from ..types import (
     NUM_AUS,
     NUM_EXPRESSIONS,
@@ -162,12 +163,13 @@ class SampleColumns:
             a.tolist() for a in (lab.va, lab.expr, lab.compound, self.compound_pair)
         )
         out = []
-        for r, kind in enumerate((lab.has_va + 2 * lab.has_expr + 3 * lab.has_compound).tolist()):
-            if kind == 1:
+        for r, kind in enumerate(lab.tasks().tolist()):
+            task = TASKS[kind]
+            if task == "VA":
                 label = ValenceArousal(*va[r])
-            elif kind == 2:
+            elif task == "EXPR":
                 label = ExpressionLabel(expr[r])
-            elif kind == 3:
+            elif task == "COMPOUND":
                 label = CompoundLabel(compound[r], *map(ExpressionLabel, pairs[r]))
             else:
                 label = AUVector(lab.au_targets[r], lab.au_mask[r])
@@ -181,27 +183,29 @@ class SampleColumns:
 
 def write_annotations(path, data: SampleColumns) -> None:
     """One row per row of ``data``, its payload encoded from the row's flag
-    and label arrays: the inverse of :func:`read_annotation_columns`. A row
-    with no VA, EXPR or COMPOUND flag is an AU row, and an AU unit whose
-    mask is 0 is written as '-'."""
+    and label arrays: the inverse of :func:`read_annotation_columns`. Each
+    row's task is ``BatchLabels.tasks``, and an AU unit whose mask is 0 is
+    written as '-'."""
     lab = data.labels
+    kind = lab.tasks()
+    task = [TASKS[k] for k in kind.tolist()]
     digits = (lab.au_targets != 0).view(np.uint8) + np.uint8(ord("0"))
     text = np.where(lab.au_mask != 0, digits, np.uint8(ord("-"))).tobytes().decode("ascii")
     payload = [text[i : i + NUM_AUS] for i in range(0, len(text), NUM_AUS)]
-    task = ["AU"] * len(data.ids)
-    compound = zip(*(a[lab.has_compound].tolist() for a in (lab.compound, data.compound_pair)))
-    for name, flag, encoded in (
-        ("VA", lab.has_va, (f"{v!r};{a!r}" for v, a in lab.va[lab.has_va].tolist())),
-        ("EXPR", lab.has_expr, map(str, lab.expr[lab.has_expr].tolist())),
-        ("COMPOUND", lab.has_compound, (f"{c};{e1};{e2}" for c, (e1, e2) in compound)),
+    va, expr, compound = (kind == TASKS.index(t) for t in ("VA", "EXPR", "COMPOUND"))
+    pairs = zip(*(a[compound].tolist() for a in (lab.compound, data.compound_pair)))
+    for rows, encoded in (
+        (va, (f"{v!r};{a!r}" for v, a in lab.va[va].tolist())),
+        (expr, map(str, lab.expr[expr].tolist())),
+        (compound, (f"{c};{e1};{e2}" for c, (e1, e2) in pairs)),
     ):
-        for r, value in zip(np.flatnonzero(flag).tolist(), encoded):
-            task[r], payload[r] = name, value
+        for r, value in zip(np.flatnonzero(rows).tolist(), encoded):
+            payload[r] = value
     optional = [
         ["" if v is None else v for v in col]
         for col in (data.sequence_id, data.utterance_id, data.frame_index)
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(ANNOTATION_FIELDS) + "\n")
         fh.writelines(
             _csv_line(row) + "\n" for row in zip(data.ids, data.split, *optional, task, payload)
@@ -323,7 +327,7 @@ def write_features(path, ids: Sequence[str], matrix: np.ndarray) -> None:
     """One row per id: the id, then its row of the (N, D) ``matrix`` as
     float reprs, which :func:`read_feature_columns` reads back bit for bit."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(["id"] + [f"f{i}" for i in range(matrix.shape[1])]) + "\n")
         fh.writelines(
             _csv_line([sid, *map(repr, row.tolist())]) + "\n" for sid, row in zip(ids, matrix)
@@ -499,7 +503,7 @@ def write_predictions(path, records: Iterable[PredictionRecord]) -> None:
     id is quoted exactly when ``csv`` would quote it; the other fields are
     float reprs joined by ';', which ``csv`` never quotes, so they are
     appended as they are rather than scanned again character by character."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(PREDICTION_FIELDS) + "\n")
         fh.writelines(
             f"{_csv_line((r.id, '' if r.frame_index is None else r.frame_index))},"
@@ -557,7 +561,7 @@ def read_predictions(path) -> List[PredictionRecord]:
 
 def write_report(path, metrics: Dict[str, float]) -> None:
     """Write ``name = value`` lines, six decimals, sorted by name."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for name in sorted(metrics):
             fh.write(f"{name} = {metrics[name]:.6f}\n")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..autodiff import sigmoid_values
 from ..errors import ConfigError, DegenerateInputWarning, IncompatibleHeads
-from ..losses import softmax_parts
+from ..losses import TASKS, softmax_parts
 from ..metrics import (
     accuracy,
     binarize,
@@ -126,19 +126,10 @@ def evaluate_model(
         samples = list(samples)
         data, audio = SampleColumns.of(samples), stack_audio(samples, model.dims.audio)
     labels = data.labels
-    flags = {
-        "VA": labels.has_va,
-        "EXPR": labels.has_expr,
-        "AU": labels.has_au,
-        "COMPOUND": labels.has_compound,
-    }
-    present = {task for task, flag in flags.items() if flag.any()}
-    # an AU row with no annotated unit carries no flag at all
-    if not np.all(labels.has_va | labels.has_expr | labels.has_au | labels.has_compound):
-        present.add("AU")
+    present = {TASKS[k] for k in np.unique(labels.tasks()).tolist()}
     wanted = set(tasks) if tasks is not None else present
     for task in sorted(wanted):
-        if task not in flags:
+        if task not in TASKS:
             raise IncompatibleHeads(f"unknown task {task!r}")
         if task not in model.spec.heads:
             raise IncompatibleHeads(f"task {task} needs a {task} head")

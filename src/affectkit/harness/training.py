@@ -4,12 +4,14 @@ A run loads its datasets, builds the model from the config, then walks
 sampler-driven epochs. The training split is read as columns, with no
 per-sample objects (one parse serves the validation split too when both
 name the same files), and becomes one row table per job: the feature matrix,
-every label and co-annotation target as row arrays, and the label-type
-pools as row numbers; co-annotation runs over whole pools at once. No
-reader supplies audio or landmark features, so ``audio_dim > 0`` and
-``landmark_concat = true`` are config errors here, raised before any read.
-Every batch concatenates one chunk from each pool and is gathered from the
-table by index. For a recurrent model its rows are packed by
+every label and co-annotation target as row arrays, and the task pools as
+int arrays of row numbers, split by ``BatchLabels.tasks``; co-annotation
+runs over whole pools at once. No reader supplies audio or landmark
+features, so ``audio_dim > 0`` and ``landmark_concat = true`` are config
+errors here, raised before any read. One ``sampler.epoch_iterator`` yields
+every batch: over the VA, AU and EXPR pools, one chunk of each, or over
+the one pool of a compound run; each batch is gathered from the table by
+index. For a recurrent model its rows are packed by
 sequence (``models.pack_rows``): the rows of one sequence id run as one
 sequence in frame order, and every other row alone; the outputs are then
 taken back to batch order, so each loss term sees the whole chunk of its
@@ -35,14 +37,14 @@ import numpy as np
 from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
 from ..csvfile import atomic_write
 from ..errors import ConfigError, DivergedLoss, IncompatibleHeads
-from ..losses import BatchLabels, LossWeights, objective
+from ..losses import TASKS, BatchLabels, LossWeights, objective
 from ..models import Model, SequenceBatch, load_parameters, pack_rows, sequence_keys
 from ..relatedness import (
     RelatednessTable,
     coannotate_aus_to_emotion_rows,
     soft_coannotate_rows,
 )
-from ..sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
+from ..sampler import aligned_batch_sizes, epoch_iterator
 from .config import RunConfig
 from .dataio import SampleColumns, load_columns, load_splits
 from .evaluate import evaluate_model
@@ -63,42 +65,38 @@ class _TrainTable:
 
     Row i is annotation row i of the training split, in file order.
     ``labels`` holds each row's own label plus the hard or soft
-    co-annotation targets, with their flags. The pools are row numbers, in
-    file order.
+    co-annotation targets, with their flags. The pools are int arrays of
+    row numbers, in file order; every row is in exactly one.
     """
 
     features: np.ndarray
     labels: BatchLabels
-    va_rows: Tuple[int, ...]
-    au_rows: Tuple[int, ...]
-    expr_rows: Tuple[int, ...]
-    compound_rows: Tuple[int, ...]
+    va_rows: np.ndarray
+    au_rows: np.ndarray
+    expr_rows: np.ndarray
+    compound_rows: np.ndarray
     keys: Optional[np.ndarray] = None  # ``sequence_keys`` for a stateful model
 
     def gather(
-        self, rows: Tuple[int, ...]
+        self, rows: np.ndarray
     ) -> Tuple[SequenceBatch, Optional[np.ndarray], BatchLabels]:
         """One batch packed by sequence, the index that takes its outputs
         back to the order of ``rows`` (see ``pack_rows``), and its labels."""
-        idx = np.asarray(rows)
-        labels = self.labels.take(idx)
+        labels = self.labels.take(rows)
         # concordance is undefined on a single point; drop a lone VA row
         if labels.has_va.sum() == 1:
             labels.has_va[:] = False
-        keys = None if self.keys is None else self.keys[idx]
-        return (*pack_rows(self.features[idx], keys), labels)
+        keys = None if self.keys is None else self.keys[rows]
+        return (*pack_rows(self.features[rows], keys), labels)
 
 
 def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable) -> _TrainTable:
     """The row table of a training split; co-annotation by ``table`` runs
     over whole pools at once and writes into ``data.labels``."""
     labels = data.labels
-    va, expr, compound = (
-        np.flatnonzero(flag) for flag in (labels.has_va, labels.has_expr, labels.has_compound)
-    )
-    # each row has one label, so every row without a VA, EXPR or COMPOUND
-    # flag is an AU row, including those with an all-zero mask
-    au = np.flatnonzero(~(labels.has_va | labels.has_expr | labels.has_compound))
+    # read before co-annotation adds flags
+    task = labels.tasks()
+    au, va, expr, compound = (np.flatnonzero(task == k) for k in range(len(TASKS)))
     if compound.size and (va.size or au.size or expr.size):
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
@@ -131,22 +129,13 @@ def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable
     return _TrainTable(
         features=data.features,
         labels=labels,
-        va_rows=tuple(va.tolist()),
-        au_rows=tuple(au.tolist()),
-        expr_rows=tuple(expr.tolist()),
-        compound_rows=tuple(compound.tolist()),
+        va_rows=va,
+        au_rows=au,
+        expr_rows=expr,
+        compound_rows=compound,
         keys=sequence_keys(data.sequence_id, data.frame_index)
         if config.model_spec().stateful else None,
     )
-
-
-def _compound_chunks(rows: Tuple[int, ...], batch: int, seed: int, epoch: int, shuffle: bool):
-    order = list(rows)
-    if shuffle:
-        rng = np.random.default_rng([int(seed), int(epoch)])
-        order = [order[i] for i in rng.permutation(len(order))]
-    for start in range(0, len(order), batch):
-        yield tuple(order[start : start + batch])
 
 
 def train_run(config: RunConfig) -> TrainResult:
@@ -176,7 +165,7 @@ def train_run(config: RunConfig) -> TrainResult:
         val = [load_columns(*val_files, split="val")]
 
     spec = config.model_spec()
-    if data.compound_rows and "COMPOUND" not in spec.heads:
+    if data.compound_rows.size and "COMPOUND" not in spec.heads:
         raise IncompatibleHeads("dataset is compound-labeled but the model has no COMPOUND head")
     # the validation split never changes, so its packing keys are made once
     val_keys = (
@@ -196,39 +185,26 @@ def train_run(config: RunConfig) -> TrainResult:
     )
     dropout_rng = np.random.default_rng([int(config.seed), 7])
 
-    if data.compound_rows:
-        partition = None
+    # a compound run walks one pool, shuffled by the key (seed, epoch); a
+    # basic-task run walks three, pool k shuffled by (seed, epoch, k)
+    if data.compound_rows.size:
+        pools, key_tails = (data.compound_rows,), [()]
     else:
-        sizes = (len(data.va_rows), len(data.au_rows), len(data.expr_rows))
-        batch_sizes = aligned_batch_sizes(sizes, config.total_batch)
-        partition = TaskPartition(
-            va_ids=data.va_rows,
-            au_ids=data.au_rows,
-            expr_ids=data.expr_rows,
-            batch_sizes=batch_sizes,
-        )
+        pools, key_tails = (data.va_rows, data.au_rows, data.expr_rows), [(0,), (1,), (2,)]
+    batch_sizes = aligned_batch_sizes([len(p) for p in pools], config.total_batch)
 
     history: List[Dict[str, float]] = []
     for epoch in range(config.epochs):
         if epoch >= config.lr_decay_start:
             opt.lr *= config.lr_decay
-        if partition is not None:
-            row_batches = (
-                b.all_ids()
-                for b in epoch_iterator(
-                    partition, seed=config.seed, epoch=epoch, shuffle=config.shuffle
-                )
-            )
-        else:
-            row_batches = _compound_chunks(
-                data.compound_rows, config.total_batch, config.seed, epoch, config.shuffle
-            )
+        rngs = [
+            np.random.default_rng([config.seed, epoch, *tail]) if config.shuffle else None
+            for tail in key_tails
+        ]
 
         losses: List[float] = []
-        for step, batch_rows in enumerate(row_batches):
-            if not batch_rows:
-                continue
-            batch, index, labels = data.gather(batch_rows)
+        for step, rows in enumerate(epoch_iterator(pools, batch_sizes, rngs)):
+            batch, index, labels = data.gather(rows)
             preds = model.forward(batch, train=True, rng=dropout_rng)
             if index is not None:
                 preds = preds.take(index)

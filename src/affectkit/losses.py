@@ -40,6 +40,9 @@ from .types import NUM_AUS, NUM_EXPRESSIONS
 PROB_EPS = 1e-7
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
+# a row's own task, by its number in ``BatchLabels.tasks``
+TASKS = ("AU", "VA", "EXPR", "COMPOUND")
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -109,6 +112,14 @@ class BatchLabels:
                 for k in ("va", "expr", "au", "compound", "soft")
             },
         )
+
+    def tasks(self) -> np.ndarray:
+        """Each row's own task as its index in ``TASKS``: VA, EXPR or
+        COMPOUND by the row's flag, and AU for every other row, so an AU row
+        with no annotated unit, which has no flag, is an AU row too. Own
+        labels flag a row at most once; read this before co-annotation
+        adds flags."""
+        return self.has_va + 2 * self.has_expr + 3 * self.has_compound
 
     def take(self, rows) -> "BatchLabels":
         """The given rows of every array, in the given order."""

@@ -1,21 +1,22 @@
 """Multi-source batch scheduling.
 
-Training draws from three label pools (VA, AU, EXPR) at once: every
-iteration takes one chunk from each pool and concatenates them, and the
-per-pool chunk sizes are chosen so all pools run out together after one
-epoch. ``aligned_batch_sizes`` picks those chunk sizes; ``epoch_iterator``
-walks the pools in seeded shuffled order, exactly once per epoch.
+A pool is an int array of row numbers. A basic-task run draws from three
+pools (VA, AU, EXPR) at once: every iteration takes one chunk from each
+pool and concatenates them, and the per-pool chunk sizes are chosen so all
+pools run out together after one epoch. A compound run is the one-pool
+case. ``aligned_batch_sizes`` picks the chunk sizes; ``epoch_iterator``
+walks the pools, each in its own seeded shuffle or in file order, exactly
+once per epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BatchTooSmall, Infeasible, ValueOutOfRange
+from .errors import Infeasible, ValueOutOfRange
 
 
 def aligned_batch_sizes(set_sizes: Sequence[int], total_batch: int) -> Tuple[int, ...]:
@@ -86,77 +87,26 @@ def aligned_batch_sizes(set_sizes: Sequence[int], total_batch: int) -> Tuple[int
     return tuple(alloc.get(i, 0) for i in range(len(sizes)))
 
 
-@dataclass(frozen=True)
-class TaskPartition:
-    """Disjoint sample-id pools per label type, with per-pool chunk sizes."""
-
-    va_ids: Tuple = ()
-    au_ids: Tuple = ()
-    expr_ids: Tuple = ()
-    batch_sizes: Tuple[int, int, int] = (1, 1, 1)
-
-    def __post_init__(self):
-        pools = (self.va_ids, self.au_ids, self.expr_ids)
-        seen = set()
-        for pool in pools:
-            for sample_id in pool:
-                if sample_id in seen:
-                    raise ValueOutOfRange(f"sample id {sample_id!r} appears in two pools")
-                seen.add(sample_id)
-        for pool, b in zip(pools, self.batch_sizes):
-            if pool and b < 1:
-                raise BatchTooSmall(f"chunk size {b} for a nonempty pool")
-
-    def epoch_length(self) -> int:
-        lengths = [
-            math.ceil(len(pool) / b)
-            for pool, b in zip(
-                (self.va_ids, self.au_ids, self.expr_ids), self.batch_sizes
-            )
-            if pool
-        ]
-        return max(lengths) if lengths else 0
-
-
-@dataclass(frozen=True)
-class ConcatBatch:
-    """One training iteration's ids, still grouped by label type."""
-
-    va: Tuple
-    au: Tuple
-    expr: Tuple
-
-    def all_ids(self) -> Tuple:
-        return self.va + self.au + self.expr
-
-
 def epoch_iterator(
-    partition: TaskPartition,
-    seed: int,
-    epoch: int = 0,
-    shuffle: bool = True,
-) -> Iterator[ConcatBatch]:
-    """Yield the epoch's concatenated batches.
+    pools: Sequence[np.ndarray],
+    batch_sizes: Sequence[int],
+    rngs: Sequence[Optional[np.random.Generator]],
+) -> Iterator[np.ndarray]:
+    """Yield one epoch's batches of row numbers.
 
-    Each pool is walked in sequential chunks of its batch size over a
-    per-epoch shuffle (seeded by (seed, epoch), so epochs differ but runs
-    repeat); the last chunk may be short. Every id is emitted exactly
-    once per epoch.
+    Pool k is walked in sequential chunks of ``batch_sizes[k]`` over its
+    permutation by ``rngs[k]``, or in its own order when that is None; the
+    last chunk may be short. Each batch joins the next chunk of every pool,
+    in pool order, and the epoch lasts as long as the slowest nonempty
+    pool, so every row is yielded exactly once.
     """
-    pools = (partition.va_ids, partition.au_ids, partition.expr_ids)
-    orders: List[Tuple] = []
-    for k, pool in enumerate(pools):
-        pool = tuple(pool)
-        if shuffle and pool:
-            rng = np.random.default_rng([int(seed), int(epoch), k])
-            pool = tuple(pool[i] for i in rng.permutation(len(pool)))
-        orders.append(pool)
-    steps = partition.epoch_length()
+    orders = [
+        pool if rng is None else pool[rng.permutation(len(pool))]
+        for pool, rng in zip(pools, rngs)
+    ]
+    steps = max(
+        (math.ceil(len(pool) / b) for pool, b in zip(orders, batch_sizes) if len(pool)),
+        default=0,
+    )
     for it in range(steps):
-        chunks = []
-        for pool, b in zip(orders, partition.batch_sizes):
-            if not pool:
-                chunks.append(())
-                continue
-            chunks.append(pool[it * b : (it + 1) * b])
-        yield ConcatBatch(va=chunks[0], au=chunks[1], expr=chunks[2])
+        yield np.concatenate([pool[it * b : (it + 1) * b] for pool, b in zip(orders, batch_sizes)])

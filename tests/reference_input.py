@@ -17,6 +17,12 @@ per-sample coupling loops that the row-wise engines in
 unannotated instead of raising. The equivalence tests compare the program
 against these with ``array_equal``.
 
+``TaskPartition``, ``ConcatBatch`` and ``epoch_iterator`` are the sampler
+that walked id tuples grouped by label type, and ``compound_chunks`` the
+separate chunker of compound-only runs, both of which
+``sampler.epoch_iterator`` over row arrays replaced; the sampler tests
+compare its batches with theirs as row lists.
+
 ``fit_alignment_lstsq`` is the landmark alignment that
 ``preprocess.fit_alignment``'s closed form replaced: an absolute rank test
 on the design matrix ``[src, 1]`` and a LAPACK least-squares solve. The
@@ -29,19 +35,22 @@ alignment tests compare the two at explicit tolerances.
 
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from affectkit.csvfile import open_rows
 from affectkit.errors import (
     BadMask,
+    BatchTooSmall,
     ConfigError,
     DegenerateLandmarks,
     KeyMisalignment,
     UnknownClass,
+    ValueOutOfRange,
 )
 from affectkit.harness import dataio
 from affectkit.harness.dataio import ANNOTATION_FIELDS, SampleColumns, _csv_line
@@ -345,6 +354,95 @@ def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
         expr_rows=expr,
         compound_rows=compound,
     )
+
+
+# ---------------------------------------------------------------------------
+# the sampler: id-tuple pools, and the separate chunker of compound runs
+
+
+@dataclass(frozen=True)
+class TaskPartition:
+    """Disjoint sample-id pools per label type, with per-pool chunk sizes."""
+
+    va_ids: Tuple = ()
+    au_ids: Tuple = ()
+    expr_ids: Tuple = ()
+    batch_sizes: Tuple[int, int, int] = (1, 1, 1)
+
+    def __post_init__(self):
+        pools = (self.va_ids, self.au_ids, self.expr_ids)
+        seen = set()
+        for pool in pools:
+            for sample_id in pool:
+                if sample_id in seen:
+                    raise ValueOutOfRange(f"sample id {sample_id!r} appears in two pools")
+                seen.add(sample_id)
+        for pool, b in zip(pools, self.batch_sizes):
+            if pool and b < 1:
+                raise BatchTooSmall(f"chunk size {b} for a nonempty pool")
+
+    def epoch_length(self) -> int:
+        lengths = [
+            math.ceil(len(pool) / b)
+            for pool, b in zip(
+                (self.va_ids, self.au_ids, self.expr_ids), self.batch_sizes
+            )
+            if pool
+        ]
+        return max(lengths) if lengths else 0
+
+
+@dataclass(frozen=True)
+class ConcatBatch:
+    """One training iteration's ids, still grouped by label type."""
+
+    va: Tuple
+    au: Tuple
+    expr: Tuple
+
+    def all_ids(self) -> Tuple:
+        return self.va + self.au + self.expr
+
+
+def epoch_iterator(
+    partition: TaskPartition,
+    seed: int,
+    epoch: int = 0,
+    shuffle: bool = True,
+) -> Iterator[ConcatBatch]:
+    """Yield the epoch's concatenated batches.
+
+    Each pool is walked in sequential chunks of its batch size over a
+    per-epoch shuffle (seeded by (seed, epoch), so epochs differ but runs
+    repeat); the last chunk may be short. Every id is emitted exactly
+    once per epoch.
+    """
+    pools = (partition.va_ids, partition.au_ids, partition.expr_ids)
+    orders: List[Tuple] = []
+    for k, pool in enumerate(pools):
+        pool = tuple(pool)
+        if shuffle and pool:
+            rng = np.random.default_rng([int(seed), int(epoch), k])
+            pool = tuple(pool[i] for i in rng.permutation(len(pool)))
+        orders.append(pool)
+    steps = partition.epoch_length()
+    for it in range(steps):
+        chunks = []
+        for pool, b in zip(orders, partition.batch_sizes):
+            if not pool:
+                chunks.append(())
+                continue
+            chunks.append(pool[it * b : (it + 1) * b])
+        yield ConcatBatch(va=chunks[0], au=chunks[1], expr=chunks[2])
+
+
+def compound_chunks(rows: Tuple[int, ...], batch: int, seed: int, epoch: int, shuffle: bool):
+    order = list(rows)
+    if shuffle:
+        rng = np.random.default_rng([int(seed), int(epoch)])
+        order = [order[i] for i in rng.permutation(len(order))]
+    for start in range(0, len(order), batch):
+        yield tuple(order[start : start + batch])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from affectkit.preprocess import (
     spectrogram,
 )
 from affectkit.relatedness import COGNITIVE, coannotate_aus_to_emotion_rows, soft_coannotate_rows
-from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
+from affectkit.sampler import aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
     AU_IDS,
     NUM_AUS,
@@ -187,28 +187,21 @@ def test_sampler_alignment():
         if sum(sizes) == 0:
             sizes = (1, 0, 0)
         total_batch = int(rng.integers(3, 31))
-        pools = [
-            tuple(f"{tag}{i}" for i in range(n))
-            for tag, n in zip(("va", "au", "ex"), sizes)
-        ]
-        partition = TaskPartition(
-            va_ids=pools[0],
-            au_ids=pools[1],
-            expr_ids=pools[2],
-            batch_sizes=aligned_batch_sizes(sizes, total_batch),
-        )
+        # disjoint pools of row numbers, as a training split falls into them
+        ends = np.cumsum(sizes)
+        pools = [np.arange(end - n, end) for n, end in zip(sizes, ends)]
+        rngs = [np.random.default_rng([7, 0, k]) for k in range(3)]
         seen = Counter()
-        for batch in epoch_iterator(partition, seed=7, epoch=0, shuffle=True):
-            seen.update(batch.all_ids())
-        expected = Counter(pools[0] + pools[1] + pools[2])
-        coverage_ok &= seen == expected
+        for batch in epoch_iterator(pools, aligned_batch_sizes(sizes, total_batch), rngs):
+            seen.update(batch.tolist())
+        coverage_ok &= seen == Counter(range(int(ends[-1])))
 
     ok = exact_ok and coverage_ok
     _verdict(
         4,
         "batch alignment",
         ok,
-        f"(401,247,103)@751 exact={exact_ok} exactly-once on 20 partitions={coverage_ok}",
+        f"(401,247,103)@751 exact={exact_ok} exactly-once on 20 pool layouts={coverage_ok}",
     )
 
 

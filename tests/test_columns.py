@@ -1,7 +1,8 @@
 """The column readers and writers: their rows, as samples or by id, equal the
 per-row readers they replaced, every column check names the file line of its
-row, a repeated annotation id is refused at load, and the column writers
-write the bytes of the per-row writer and read back bit for bit."""
+row, a repeated annotation id is refused at load, each row's task is the
+task of its own label, and the column writers write the bytes of the
+per-row writer and read back bit for bit."""
 
 from dataclasses import fields
 
@@ -23,7 +24,7 @@ from affectkit.harness.dataio import (
     write_features,
 )
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
-from affectkit.losses import BatchLabels
+from affectkit.losses import TASKS, BatchLabels
 from affectkit.types import au_index
 from test_readers import EDITS, mutate
 
@@ -74,6 +75,18 @@ def assert_same_labels(got: BatchLabels, want: BatchLabels):
     for f in fields(BatchLabels):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("annotations", [ANNOTATIONS, COMPOUNDS], ids=["basic", "compound"])
+def test_tasks_are_each_rows_own_task(tmp_path, annotations):
+    # s3's AU row has no annotated unit and so no flag; it is still an AU row
+    ann, _ = write(tmp_path, annotations)
+    labels = read_annotation_columns(ann).labels
+    tasks = [TASKS[k] for k in labels.tasks().tolist()]
+    assert tasks == [s.task for s in ref.read_annotations(ann)]
+    if annotations == ANNOTATIONS:
+        assert tasks == ["VA", "AU", "EXPR", "AU", "AU", "EXPR", "VA"]
+        assert not labels.has_au[3]
 
 
 @pytest.mark.parametrize("split", [None, "train", "val", "test"])

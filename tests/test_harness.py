@@ -4,12 +4,14 @@ evaluation, gradient checks, and the command line."""
 import csv
 import io
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from affectkit import autodiff as ad
+from affectkit import csvfile
 from affectkit.autodiff import DiffTensor, backward, load_checkpoint, save_checkpoint
 from affectkit.errors import (
     BadMask,
@@ -145,6 +147,34 @@ class TestConfig:
     def test_unknown_coupling(self):
         with pytest.raises(ConfigError):
             RunConfig(coupling="telepathy").validate()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("lr", -1.0, "lr = -1.0 must be finite and positive"),
+            ("lr", 0.0, "lr = 0.0 must be finite and positive"),
+            ("lr", float("nan"), "lr = nan must be finite and positive"),
+            ("lr", float("inf"), "lr = inf must be finite and positive"),
+            ("au_threshold", 7.0, "au_threshold = 7.0 must be in [0, 1]"),
+            ("au_threshold", -0.25, "au_threshold = -0.25 must be in [0, 1]"),
+            ("au_threshold", float("nan"), "au_threshold = nan must be in [0, 1]"),
+            ("lambda1", -1.0, "lambda1 = -1.0 must be finite and >= 0"),
+            ("lambda2", float("nan"), "lambda2 = nan must be finite and >= 0"),
+            ("lambda2", float("inf"), "lambda2 = inf must be finite and >= 0"),
+        ],
+        ids=[
+            "lr_negative", "lr_zero", "lr_nan", "lr_inf", "au_threshold_7",
+            "au_threshold_negative", "au_threshold_nan", "lambda1_negative", "lambda2_nan",
+            "lambda2_inf",
+        ],
+    )
+    def test_out_of_range_value(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**{field: value}).validate()
+
+    def test_range_bounds_validate(self):
+        RunConfig(lr=5e-324, au_threshold=0.0, lambda1=0.0, lambda2=0.0).validate()
+        RunConfig(au_threshold=1.0).validate()
 
     def test_override(self):
         cfg = RunConfig(seed=1)
@@ -961,10 +991,11 @@ class TestCLI:
         assert "at least 1" in err and "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("command", ["zero-shot", "align", "spectrogram"])
-    def test_an_output_write_failing_midway_keeps_the_previous_file(
-        self, tmp_path, monkeypatch, capsys, command
-    ):
+    def output_command(self, tmp_path, command):
+        """The arguments of one ``command`` run and the output file it
+        writes that the test makes fail; that file and the command's other
+        outputs exist beforehand."""
+        out = tmp_path / "out.csv"
         if command == "zero-shot":
             inputs = tmp_path / "preds.csv"
             write_predictions(inputs, [
@@ -972,47 +1003,101 @@ class TestCLI:
                                  au_probs=np.full(17, 0.5))
                 for i in range(3)
             ])
-            args = ["zero-shot", "--predictions", inputs]
+            args = ["zero-shot", "--predictions", inputs, "--out", out]
         elif command == "align":
             inputs = tmp_path / "faces.landmarks"
             inputs.write_text(
                 "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"
                 "0,30,40,66,40,48,56,34,76,62,76\n1,31,41,65,40,48,57,34,75,62,77\n"
             )
-            args = ["align", "--landmarks", inputs]
-        else:
+            args = ["align", "--landmarks", inputs, "--out", out]
+        elif command == "spectrogram":
             inputs = tmp_path / "clip.audio"
             write_audio(inputs, 1000, np.sin(np.arange(200) * 0.3))
-            args = ["spectrogram", "--audio", inputs, "--window-ms", 40, "--overlap-ms", 20]
-        out = tmp_path / "out.csv"
-        out.write_bytes(b"previous output\n")
-        # the header and one record go through, then the disk fills
-        calls = []
-        real_writer, real_line = csv.writer, dataio._csv_line
+            args = ["spectrogram", "--audio", inputs, "--window-ms", 40, "--overlap-ms", 20,
+                    "--out", out]
+        elif command.startswith("eval"):
+            cfg = self.write_expr_data(tmp_path, feature_dim=10)
+            config = RunConfig.from_file(cfg)
+            model = Model(config.model_spec(), config.input_dims(), seed=0)
+            save_checkpoint(
+                tmp_path / "model.ckpt", {n: p.data for n, p in model.named_parameters().items()}
+            )
+            report, preds = tmp_path / "report.txt", tmp_path / "preds.csv"
+            out = report if command == "eval-report" else preds
+            args = [
+                "eval", "--config", cfg, "--checkpoint", tmp_path / "model.ckpt",
+                "--annotations", tmp_path / "ann.csv", "--features", tmp_path / "feat.csv",
+                "--out", report, "--predictions", preds,
+            ]
+        elif command == "fuse":
+            preds = tmp_path / "p0.csv"
+            write_predictions(
+                preds, [PredictionRecord(id=f"f{i}", valence=0.25, arousal=-0.5) for i in range(4)]
+            )
+            manifest = tmp_path / "members.csv"
+            manifest.write_text(f"member_id,ccc_v,ccc_a,path\nm0,0.5,0.3,{preds}\n")
+            args = ["fuse", "--manifest", manifest, "--out", out]
+        else:
+            spec = tmp_path / "spec.cfg"
+            spec.write_text("train_counts = 3,3,3\nval_counts = 1,1,1\nfeature_dim = 8\n")
+            out = tmp_path / "data" / command[len("gen-data-"):]
+            args = ["gen-data", "--spec", spec, "--out", tmp_path / "data"]
+            os.makedirs(tmp_path / "data")
+            for name in ("features.csv", "annotations.csv"):
+                (tmp_path / "data" / name).write_bytes(b"previous output\n")
+        for path in (out, tmp_path / "report.txt", tmp_path / "preds.csv"):
+            if command.startswith("eval") or path == out:
+                path.write_bytes(b"previous output\n")
+        return args, out
 
-        def line(fields):
-            calls.append(1)
-            if len(calls) == 3:
-                raise OSError("no space left on device")
-            return real_line(fields)
+    @pytest.mark.parametrize("command", [
+        "zero-shot", "align", "spectrogram", "eval-report", "eval-predictions", "fuse",
+        "gen-data-features.csv", "gen-data-annotations.csv",
+    ])
+    def test_an_output_write_failing_midway_keeps_the_previous_file(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        args, out = self.output_command(tmp_path, command)
+        before = sorted(os.listdir(out.parent))
+        # two writes reach the output (a header and a record, or two report
+        # lines), then the disk fills
+        writes = []
+        real_open = open
 
-        class Writer:
-            def __init__(self, fh, **kwargs):
-                self.writer = real_writer(fh, **kwargs)
+        class FillingFile:
+            def __init__(self, fh):
+                self.fh = fh
 
-            def writerow(self, row):
-                line(row)
-                return self.writer.writerow(row)
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 3:
+                    raise OSError("no space left on device")
+                return self.fh.write(text)
 
-        monkeypatch.setattr(csv, "writer", Writer)
-        monkeypatch.setattr(cli, "_csv_line", line)
-        assert self.run_cli(*args, "--out", out) == 2
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        def open_(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            writing_out = "w" in mode and os.fspath(path).startswith(os.fspath(out))
+            return FillingFile(fh) if writing_out else fh
+
+        monkeypatch.setattr(csvfile, "open", open_, raising=False)
+        assert self.run_cli(*args) == 2
         assert "no space left" in capsys.readouterr().err
-        assert len(calls) == 3
+        assert len(writes) == 3
         assert out.read_bytes() == b"previous output\n"
-        assert sorted(os.listdir(tmp_path)) == sorted([inputs.name, out.name])
+        assert sorted(os.listdir(out.parent)) == before
         monkeypatch.undo()
-        assert self.run_cli(*args, "--out", out) == 0
+        assert self.run_cli(*args) == 0
         assert out.read_bytes() != b"previous output\n"
 
     @pytest.mark.parametrize("command", ["train", "gen-data"])
@@ -1084,6 +1169,43 @@ class TestCLI:
         assert code == 2
         assert "landmark_concat = true, but no reader supplies landmark features" in err
         assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("lr = -1", "lr = -1.0 must be finite and positive"),
+            ("lr = nan", "lr = nan must be finite and positive"),
+            ("lr = 0", "lr = 0.0 must be finite and positive"),
+            ("au_threshold = 7", "au_threshold = 7.0 must be in [0, 1]"),
+            ("lambda1 = -1", "lambda1 = -1.0 must be finite and >= 0"),
+        ],
+        ids=["lr_negative", "lr_nan", "lr_zero", "au_threshold_7", "lambda1_negative"],
+    )
+    def test_train_with_an_out_of_range_value_is_exit_2_before_any_read(
+        self, tmp_path, capsys, line, message
+    ):
+        # the data paths do not exist, so the error comes before any read
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            f"{line}\ntrain_annotations = {tmp_path / 'missing_ann.csv'}\n"
+            f"train_features = {tmp_path / 'missing_feat.csv'}\nout_dir = {tmp_path / 'run'}\n"
+        )
+        code = self.run_cli("train", "--config", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err and not (tmp_path / "run").exists()
+
+    def test_eval_with_au_threshold_7_is_exit_2_before_any_read(self, tmp_path, capsys):
+        cfg = self.write_expr_data(tmp_path, feature_dim=10)
+        code = self.run_cli(
+            "eval", "--config", cfg, "--checkpoint", tmp_path / "missing.ckpt",
+            "--annotations", tmp_path / "ann.csv", "--features", tmp_path / "feat.csv",
+            "--out", tmp_path / "report.txt", "--au-threshold", 7,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "au_threshold = 7.0 must be in [0, 1]" in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
 
     def test_eval_scores_columns(self, tmp_path, capsys, monkeypatch):
         # ``eval`` scores the columns it reads, with no per-row sample, and

@@ -121,9 +121,10 @@ def test_a_dropped_lone_va_row():
     labels.has_va[3] = True
     table = _TrainTable(
         features=rng.normal(size=(N_ROWS, DIM)), labels=labels,
-        va_rows=(3,), au_rows=(), expr_rows=(), compound_rows=(),
+        va_rows=np.array([3]), au_rows=np.arange(0), expr_rows=np.arange(0),
+        compound_rows=np.arange(0),
     )
-    rows = tuple(range(N_ROWS))
+    rows = np.arange(N_ROWS)
     batch, index, gathered = table.gather(rows)
     assert index is None and not gathered.has_va.any()
     model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=2)

@@ -251,9 +251,9 @@ class TestTraining:
             s.split = "train"
         config = RunConfig(feature_dim=DIM, backbone=(8,), recurrent=recurrent, coupling="none")
         table = _build_table(SampleColumns.of(samples), config, config.relatedness_table())
-        rows = tuple(np.random.default_rng(2).permutation(len(samples))[:40].tolist())
+        rows = np.random.default_rng(2).permutation(len(samples))[:40]
         batch, index, labels = table.gather(rows)
-        features = table.features[list(rows)]
+        features = table.features[rows]
         if recurrent == "none":
             assert table.keys is None and index is None
             assert np.array_equal(batch.features, features[:, None])
@@ -265,7 +265,7 @@ class TestTraining:
         )
         assert batch.batch_size < len(rows)
         assert np.array_equal(batch.features, want) and np.array_equal(index, want_index)
-        assert np.array_equal(labels.expr, table.labels.expr[list(rows)])
+        assert np.array_equal(labels.expr, table.labels.expr[rows])
 
     def test_each_loss_row_is_predicted_within_its_sequence(self, tmp_path, monkeypatch):
         samples = sequence_samples()

@@ -1,13 +1,17 @@
-"""Proportional batch splitting and exactly-once epoch iteration."""
+"""Proportional batch splitting and exactly-once epoch iteration over row
+arrays, whose batches equal the id-tuple sampler and compound chunker it
+replaced."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectkit.errors import BatchTooSmall, Infeasible, ValueOutOfRange
-from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
+import reference_input as ref
+from affectkit.errors import Infeasible, ValueOutOfRange
+from affectkit.sampler import aligned_batch_sizes, epoch_iterator
 
 
 class TestAlignedBatchSizes:
@@ -46,6 +50,10 @@ class TestAlignedBatchSizes:
         with pytest.raises(Infeasible):
             aligned_batch_sizes((5, 5, 5), 2)
 
+    def test_single_pool_takes_the_whole_batch(self):
+        assert aligned_batch_sizes((5,), 12) == (12,)
+        assert aligned_batch_sizes((0, 7, 0), 4) == (0, 4, 0)
+
     def test_negative_size(self):
         with pytest.raises(ValueOutOfRange):
             aligned_batch_sizes((5, -1, 5), 4)
@@ -70,90 +78,114 @@ class TestAlignedBatchSizes:
             assert (b == 0) == (s == 0)
 
 
-class TestTaskPartition:
-    def test_overlapping_pools_rejected(self):
-        with pytest.raises(ValueOutOfRange):
-            TaskPartition(va_ids=("a", "b"), au_ids=("b",))
-
-    def test_zero_chunk_for_nonempty_pool(self):
-        with pytest.raises(BatchTooSmall):
-            TaskPartition(va_ids=("a",), batch_sizes=(0, 1, 1))
-
-    def test_epoch_length_is_slowest_pool(self):
-        part = TaskPartition(
-            va_ids=tuple(range(10)),
-            au_ids=tuple(range(10, 13)),
-            expr_ids=tuple(range(20, 27)),
-            batch_sizes=(2, 1, 4),
-        )
-        assert part.epoch_length() == 5  # va: 5, au: 3, expr: 2 chunks
-
-    def test_empty_partition(self):
-        assert TaskPartition().epoch_length() == 0
+def walk(pools, batch_sizes, seed=0, epoch=0, shuffle=True):
+    """The iterator's batches as row lists, each pool k shuffled by the
+    key (seed, epoch, k) of a basic-task run."""
+    rngs = [np.random.default_rng([seed, epoch, k]) if shuffle else None for k in range(len(pools))]
+    return [b.tolist() for b in epoch_iterator(pools, batch_sizes, rngs)]
 
 
 class TestEpochIterator:
-    def make_partition(self):
-        return TaskPartition(
-            va_ids=tuple(f"v{i}" for i in range(7)),
-            au_ids=tuple(f"a{i}" for i in range(5)),
-            expr_ids=tuple(f"e{i}" for i in range(6)),
-            batch_sizes=(3, 2, 2),
-        )
+    def make_pools(self):
+        # rows 0-6 are VA, 7-11 AU and 12-17 EXPR, with chunk sizes 3, 2, 2
+        return (np.arange(7), np.arange(7, 12), np.arange(12, 18)), (3, 2, 2)
 
-    def test_each_id_exactly_once(self):
-        part = self.make_partition()
-        seen = Counter()
-        for batch in epoch_iterator(part, seed=0):
-            seen.update(batch.all_ids())
-        expected = Counter(part.va_ids + part.au_ids + part.expr_ids)
-        assert seen == expected
+    def test_each_row_exactly_once(self):
+        pools, sizes = self.make_pools()
+        seen = Counter(r for batch in walk(pools, sizes) for r in batch)
+        assert seen == Counter(range(18))
 
-    def test_chunks_keep_type_grouping(self):
-        part = self.make_partition()
-        for batch in epoch_iterator(part, seed=0):
-            assert all(i.startswith("v") for i in batch.va)
-            assert all(i.startswith("a") for i in batch.au)
-            assert all(i.startswith("e") for i in batch.expr)
+    def test_batches_join_one_chunk_of_each_pool_in_pool_order(self):
+        pools, sizes = self.make_pools()
+        batches = walk(pools, sizes)
+        assert [len(b) for b in batches] == [7, 7, 4]  # VA 3+3+1, AU 2+2+1, EXPR 2+2+2
+        for batch in batches[:2]:
+            assert all(r < 7 for r in batch[:3])
+            assert all(7 <= r < 12 for r in batch[3:5])
+            assert all(12 <= r for r in batch[5:])
+
+    def test_batches_are_int_arrays(self):
+        pools, sizes = self.make_pools()
+        for batch in epoch_iterator(pools, sizes, [None] * 3):
+            assert isinstance(batch, np.ndarray) and batch.dtype.kind == "i"
 
     def test_deterministic_per_seed_and_epoch(self):
-        part = self.make_partition()
-        a = [b.all_ids() for b in epoch_iterator(part, seed=5, epoch=2)]
-        b = [b.all_ids() for b in epoch_iterator(part, seed=5, epoch=2)]
-        assert a == b
+        pools, sizes = self.make_pools()
+        assert walk(pools, sizes, seed=5, epoch=2) == walk(pools, sizes, seed=5, epoch=2)
 
     def test_epochs_reshuffle(self):
-        part = self.make_partition()
-        a = [b.all_ids() for b in epoch_iterator(part, seed=5, epoch=0)]
-        b = [b.all_ids() for b in epoch_iterator(part, seed=5, epoch=1)]
-        assert a != b
+        pools, sizes = self.make_pools()
+        assert walk(pools, sizes, seed=5, epoch=0) != walk(pools, sizes, seed=5, epoch=1)
 
     def test_shuffle_off_is_sequential(self):
-        part = self.make_partition()
-        first = next(iter(epoch_iterator(part, seed=0, shuffle=False)))
-        assert first.va == ("v0", "v1", "v2")
-        assert first.au == ("a0", "a1")
-        assert first.expr == ("e0", "e1")
+        pools, sizes = self.make_pools()
+        first = walk(pools, sizes, shuffle=False)[0]
+        assert first == [0, 1, 2, 7, 8, 12, 13]
 
     def test_short_final_chunk(self):
-        part = TaskPartition(va_ids=("v0", "v1", "v2"), batch_sizes=(2, 1, 1))
-        batches = list(epoch_iterator(part, seed=0, shuffle=False))
-        assert [len(b.va) for b in batches] == [2, 1]
+        batches = walk((np.arange(3), np.arange(0), np.arange(0)), (2, 0, 0), shuffle=False)
+        assert batches == [[0, 1], [2]]
 
-    def test_exactly_once_on_random_partitions(self):
-        import numpy as np
+    def test_epoch_length_is_slowest_pool(self):
+        pools = (np.arange(10), np.arange(10, 13), np.arange(20, 27))
+        assert len(walk(pools, (2, 1, 4))) == 5  # va: 5, au: 3, expr: 2 chunks
 
+    def test_all_pools_empty(self):
+        empty = np.arange(0)
+        assert walk((empty, empty, empty), (0, 0, 0)) == []
+
+    def test_exactly_once_on_random_pools(self):
         rng = np.random.default_rng(13)
         for trial in range(20):
             counts = rng.integers(1, 60, size=3)
-            ids = iter(range(int(counts.sum())))
-            pools = [tuple(next(ids) for _ in range(c)) for c in counts]
+            ends = np.cumsum(counts)
+            pools = [np.arange(end - c, end) for c, end in zip(counts, ends)]
             total = int(rng.integers(3, 12))
             sizes = aligned_batch_sizes([len(p) for p in pools], total)
-            part = TaskPartition(
-                va_ids=pools[0], au_ids=pools[1], expr_ids=pools[2], batch_sizes=sizes
-            )
-            seen = Counter()
-            for batch in epoch_iterator(part, seed=trial):
-                seen.update(batch.all_ids())
-            assert seen == Counter(pools[0] + pools[1] + pools[2])
+            seen = Counter(r for batch in walk(pools, sizes, seed=trial) for r in batch)
+            assert seen == Counter(range(int(ends[-1])))
+
+
+def random_pools(rng, n_pools, max_size):
+    """Disjoint pools of rows in file order, some of them empty, as a
+    training split's rows would fall into task pools."""
+    sizes = rng.integers(0, max_size + 1, size=n_pools) * (rng.random(n_pools) < 0.8)
+    task = rng.permutation(np.repeat(np.arange(n_pools), sizes))
+    return [np.flatnonzero(task == k) for k in range(n_pools)]
+
+
+def test_basic_task_batches_equal_the_id_tuple_oracle():
+    rng = np.random.default_rng(20)
+    checked = 0
+    for _ in range(300):
+        pools = random_pools(rng, 3, 40)
+        sizes = [len(p) for p in pools]
+        if not any(sizes):
+            continue
+        total = int(rng.integers(sum(s > 0 for s in sizes), 31))
+        batch_sizes = aligned_batch_sizes(sizes, total)
+        seed, epoch = int(rng.integers(0, 2**31)), int(rng.integers(0, 40))
+        shuffle = bool(rng.random() < 0.7)
+        partition = ref.TaskPartition(*(tuple(p.tolist()) for p in pools), batch_sizes)
+        want = [list(b.all_ids()) for b in ref.epoch_iterator(partition, seed, epoch, shuffle)]
+        assert walk(pools, batch_sizes, seed, epoch, shuffle) == want
+        checked += 1
+    assert checked > 250
+
+
+def test_compound_batches_equal_the_separate_chunker():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        (pool,) = random_pools(rng, 1, 60)
+        if not pool.size:
+            continue
+        total = int(rng.integers(1, 25))
+        seed, epoch = int(rng.integers(0, 2**31)), int(rng.integers(0, 40))
+        shuffle = bool(rng.random() < 0.7)
+        batch_sizes = aligned_batch_sizes([pool.size], total)
+        assert batch_sizes == (total,)
+        rngs = [np.random.default_rng([seed, epoch]) if shuffle else None]
+        got = [b.tolist() for b in epoch_iterator((pool,), batch_sizes, rngs)]
+        chunks = ref.compound_chunks(tuple(pool.tolist()), total, seed, epoch, shuffle)
+        want = [list(c) for c in chunks]
+        assert got == want

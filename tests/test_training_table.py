@@ -14,11 +14,12 @@ from affectkit.errors import ConfigError
 from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import load_columns
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
-from affectkit.harness.training import _build_table, _compound_chunks, train_run
+from affectkit.harness import training
+from affectkit.harness.training import _build_table, train_run
 from affectkit.losses import BatchLabels
 from affectkit.models import SequenceBatch
 from affectkit.relatedness import COGNITIVE, load_table
-from affectkit.sampler import TaskPartition, aligned_batch_sizes, epoch_iterator
+from affectkit.sampler import aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
     NUM_AUS,
     AnnotatedSample,
@@ -205,7 +206,7 @@ def assert_table_equals_reference(table, want):
            for f in fields(BatchLabels)]
     )
     for pool in ("va_rows", "au_rows", "expr_rows", "compound_rows"):
-        assert getattr(table, pool) == getattr(want, pool), pool
+        assert np.array_equal(getattr(table, pool), getattr(want, pool)), pool
 
 
 def build_both(ann, feats, cfg, split="train"):
@@ -263,15 +264,17 @@ def test_gather_equals_per_sample_assembly(tmp_path, coupling):
 
     sizes = (len(pools.va_ids), len(pools.au_ids), len(pools.expr_ids))
     batch_sizes = aligned_batch_sizes(sizes, cfg.total_batch)
-    by_row = TaskPartition(table.va_rows, table.au_rows, table.expr_rows, batch_sizes)
-    by_id = TaskPartition(pools.va_ids, pools.au_ids, pools.expr_ids, batch_sizes)
+    by_row = (table.va_rows, table.au_rows, table.expr_rows)
+    rngs = [np.random.default_rng([cfg.seed, 1, k]) for k in range(3)]
+    by_id = ref.TaskPartition(pools.va_ids, pools.au_ids, pools.expr_ids, batch_sizes)
     batches = list(zip(
-        epoch_iterator(by_row, seed=cfg.seed, epoch=1),
-        epoch_iterator(by_id, seed=cfg.seed, epoch=1),
+        epoch_iterator(by_row, batch_sizes, rngs),
+        ref.epoch_iterator(by_id, seed=cfg.seed, epoch=1),
+        strict=True,
     ))
     va_counts = set()
     for rows, ids in batches:
-        rows, ids = rows.all_ids(), ids.all_ids()
+        ids = ids.all_ids()
         assert ids_of(rows) == ids  # same batch order as the id pools
         va_counts.add(sum(pools.by_id[i].task == "VA" for i in ids))
         assert_same(table.gather(rows), reference_batch(ids, pools, cfg))
@@ -286,12 +289,53 @@ def test_compound_gather_equals_per_sample_assembly(tmp_path):
     table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
     samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
-    row_chunks = list(_compound_chunks(table.compound_rows, 8, cfg.seed, 0, True))
-    id_chunks = list(_compound_chunks(pools.compound_ids, 8, cfg.seed, 0, True))
+    batch_sizes = aligned_batch_sizes([len(table.compound_rows)], 8)
+    rngs = [np.random.default_rng([cfg.seed, 0])]
+    row_chunks = list(epoch_iterator((table.compound_rows,), batch_sizes, rngs))
+    id_chunks = list(ref.compound_chunks(pools.compound_ids, 8, cfg.seed, 0, True))
     assert len(row_chunks) == 3
-    for rows, ids in zip(row_chunks, id_chunks):
+    for rows, ids in zip(row_chunks, id_chunks, strict=True):
         assert tuple(samples[r].id for r in rows) == ids
         assert_same(table.gather(rows), reference_batch(ids, pools, cfg))
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize("layout", ["basic", "compound"])
+def test_train_run_walks_the_oracle_batches(tmp_path, monkeypatch, layout, shuffle):
+    # basic-task pools keyed (seed, epoch, k), a compound pool (seed, epoch)
+    if layout == "basic":
+        ann, feats = write_files(tmp_path, basic_samples())
+        cfg = train_config(tmp_path, ann, feats, seed=9, shuffle=shuffle)
+    else:
+        ann, feats = write_files(tmp_path, compound_samples())
+        cfg = train_config(
+            tmp_path, ann, feats, seed=9, shuffle=shuffle, heads=("COMPOUND",), total_batch=8
+        )
+    cfg = cfg.override(epochs=2)
+    walked = []
+
+    def spy(*args):
+        for rows in epoch_iterator(*args):
+            walked.append(rows.tolist())
+            yield rows
+
+    monkeypatch.setattr(training, "epoch_iterator", spy)
+    train_run(cfg)
+    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
+    want = []
+    for epoch in range(cfg.epochs):
+        if layout == "compound":
+            chunks = ref.compound_chunks(
+                tuple(table.compound_rows.tolist()), cfg.total_batch, cfg.seed, epoch, shuffle
+            )
+            want += [list(c) for c in chunks]
+        else:
+            pools = [tuple(p.tolist()) for p in (table.va_rows, table.au_rows, table.expr_rows)]
+            sizes = aligned_batch_sizes([len(p) for p in pools], cfg.total_batch)
+            partition = ref.TaskPartition(*pools, sizes)
+            batches = ref.epoch_iterator(partition, cfg.seed, epoch, shuffle)
+            want += [list(b.all_ids()) for b in batches]
+    assert walked == want and len(walked) == (10 if layout == "basic" else 6)
 
 
 def train_config(tmp_path, ann, feats, **overrides) -> RunConfig:
@@ -337,6 +381,19 @@ def test_compound_class_beyond_head_raises(tmp_path):
         match=r"c004: compound class id 12 is not below compound_classes = 11",
     ):
         _build_table(load_columns(ann, feats), config(heads=("COMPOUND",)), COGNITIVE)
+
+
+@pytest.mark.parametrize("layout", ["basic", "compound"])
+def test_pools_hold_each_training_row_exactly_once(tmp_path, layout):
+    if layout == "basic":  # co-annotation flags AU rows EXPR and EXPR rows AU
+        samples, cfg = basic_samples(), config(coupling="coannotation")
+    else:
+        samples, cfg = compound_samples(), config(heads=("COMPOUND",))
+    ann, feats = write_files(tmp_path, samples)
+    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
+    pools = (table.va_rows, table.au_rows, table.expr_rows, table.compound_rows)
+    assert all(p.dtype.kind == "i" and np.all(np.diff(p) > 0) for p in pools)  # file order
+    assert np.array_equal(np.sort(np.concatenate(pools)), np.arange(len(table.features)))
 
 
 def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
