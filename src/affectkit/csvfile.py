@@ -10,7 +10,10 @@ Every file the program writes goes through :func:`atomic_write`, so a
 write that fails leaves the file as it was: a training run's checkpoint,
 ``config.txt`` and ``training_log.csv``, generated annotation and feature
 files, metric reports, prediction files, and the outputs of the
-``zero-shot``, ``align`` and ``spectrogram`` commands.
+``zero-shot``, ``align`` and ``spectrogram`` commands. Files that belong
+together, as ``gen-data``'s feature and annotation files do, are written
+as a pair through :func:`atomic_replace`: neither is moved into place
+until both are complete.
 """
 
 from __future__ import annotations
@@ -52,17 +55,29 @@ def open_rows(path) -> Iterator[Tuple[Optional[List[str]], Rows]]:
 
 
 @contextmanager
+def atomic_replace(*paths) -> Iterator[List[str]]:
+    """Yield a temporary name beside each of ``paths`` for the block to
+    write. Once the block ends, so that every temporary file is complete,
+    each is moved onto its path with ``os.replace``. If the block raises,
+    the temporary files are removed and every path keeps its old bytes, or
+    stays absent."""
+    tmps = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
+@contextmanager
 def atomic_write(path, mode: str, **kwargs) -> Iterator[IO]:
     """Yield a file opened with ``open(..., mode, **kwargs)`` on a temporary
-    name beside ``path``, and move it onto ``path`` with ``os.replace`` once
-    the block ends. If the block raises, the temporary file is removed and
-    ``path`` keeps its old bytes, or stays absent."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
+    name beside ``path``, and move it onto ``path`` once the block ends
+    (see :func:`atomic_replace`)."""
+    with atomic_replace(path) as (tmp,):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise

@@ -39,10 +39,6 @@ class UnknownAU(AffectKitError):
 # ---------------------------------------------------------------------------
 # relatedness / coupling
 
-class BadDistribution(AffectKitError):
-    """Probability vector is negative or does not sum to 1."""
-
-
 class BadTableFile(AffectKitError):
     """Relatedness file line cannot be parsed."""
 
@@ -60,10 +56,6 @@ class EmptyRow(AffectKitError):
 
 # ---------------------------------------------------------------------------
 # losses
-
-class BatchTooSmall(AffectKitError):
-    """CCC needs at least two samples per batch."""
-
 
 class EmptyMaskBatch(AffectKitError):
     """No sample in the batch carries any AU annotation."""

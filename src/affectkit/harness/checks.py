@@ -18,7 +18,7 @@ from .. import autodiff as ad
 from ..autodiff import DiffTensor, GruCell, backward
 from ..errors import ConfigError
 from .. import losses
-from ..losses import BatchLabels, BatchPredictions, LossWeights
+from ..losses import BatchLabels, BatchPredictions
 from ..models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows, sequence_keys
 from ..relatedness import COGNITIVE
 from ..types import NUM_AUS, NUM_EXPRESSIONS
@@ -168,10 +168,9 @@ def _check_objective(terms: Sequence[str], seed: int) -> Callable:
         ):
             flag[rows] = task in terms
         mixture = COGNITIVE.conditional_matrix() if "dm" in terms else None
-        weights = LossWeights(lambda1=0.8, lambda2=1.3)
 
         def objective():
-            return losses.objective(BatchPredictions(**heads), labels, weights, mixture)
+            return losses.objective(BatchPredictions(**heads), labels, 0.8, 1.3, mixture)
 
         return max_relative_error(objective, list(heads.values()), n_points, eps, seed=seed)
 

@@ -116,7 +116,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = RunConfig.from_file(args.config).override(au_threshold=args.au_threshold)
+    config = RunConfig.from_file(args.config)
+    if args.au_threshold is not None:
+        config = config.override(au_threshold=args.au_threshold)
     model = load_model(config, args.checkpoint)
     data = load_columns(args.annotations, args.features, split=args.split or None)
     tasks = None
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--split", default="")
     p.add_argument("--tasks", help="comma list; default: all tasks present")
-    p.add_argument("--au-threshold", type=float, default=0.5)
+    p.add_argument("--au-threshold", type=float, help="default: the config's au_threshold")
     p.add_argument("--out", required=True, help="metric report file")
     p.add_argument("--predictions", help="optional predictions CSV")
     p.set_defaults(func=_cmd_eval)

@@ -476,18 +476,6 @@ def load_dataset(annotations_path, features_path, split: Optional[str] = None) -
     return load_columns(annotations_path, features_path, split).samples()
 
 
-def stack_audio(samples: Sequence[AnnotatedSample], audio_dim: int) -> Optional[np.ndarray]:
-    """The samples' audio features as (N, A) rows, or None when the model
-    has no audio stream (``audio_dim`` 0); a sample without audio is an
-    error."""
-    if not audio_dim:
-        return None
-    for s in samples:
-        if s.audio_features is None:
-            raise ConfigError(f"{s.id}: audio_dim set but sample has no audio")
-    return np.array([s.audio_features for s in samples])
-
-
 def _probs_field(probs: Optional[np.ndarray]) -> str:
     if probs is None:
         return ""

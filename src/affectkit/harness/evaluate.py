@@ -36,7 +36,7 @@ from ..types import (
     AnnotatedSample,
     PredictionRecord,
 )
-from .dataio import SampleColumns, stack_audio
+from .dataio import SampleColumns
 
 
 def _chunks(
@@ -59,7 +59,6 @@ def _forward_all(
     model: Model,
     features: np.ndarray,
     keys: Optional[np.ndarray],
-    audio: Optional[np.ndarray],
     chunk: int,
 ) -> Dict[str, Optional[np.ndarray]]:
     """Run the rows through the model; returns per-head arrays in row order."""
@@ -68,11 +67,7 @@ def _forward_all(
     order, bounds = _chunks(keys, len(features), chunk)
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop) if order is None else order[start:stop]
-        batch, index = pack_rows(
-            features[rows],
-            None if keys is None else keys[rows],
-            None if audio is None else audio[rows],
-        )
+        batch, index = pack_rows(features[rows], None if keys is None else keys[rows])
         preds = model.forward(batch, train=False)
         if index is not None:
             preds = preds.take(index)
@@ -110,7 +105,8 @@ def evaluate_model(
     """Score the model on every task present (or the requested subset).
 
     ``samples`` are annotated samples, or the columns of a split with its
-    features attached, which are read as they are; columns carry no audio.
+    features attached, which are read as they are. Neither carries audio,
+    so a model with an audio stream raises ConfigError.
     A stateful model packs the rows by ``keys``, their
     ``models.sequence_keys``, made here unless given. Returns a flat metric
     dict and one prediction record per row. ``degenerate_count`` reports
@@ -118,13 +114,9 @@ def evaluate_model(
     IncompatibleHeads when a requested (or present) task has no matching
     model head.
     """
-    if isinstance(samples, SampleColumns):
-        if model.dims.audio and samples.ids:
-            raise ConfigError(f"{samples.ids[0]}: audio_dim set but sample has no audio")
-        data, audio = samples, None
-    else:
-        samples = list(samples)
-        data, audio = SampleColumns.of(samples), stack_audio(samples, model.dims.audio)
+    data = samples if isinstance(samples, SampleColumns) else SampleColumns.of(list(samples))
+    if model.dims.audio and data.ids:
+        raise ConfigError(f"{data.ids[0]}: audio_dim set but sample has no audio")
     labels = data.labels
     present = {TASKS[k] for k in np.unique(labels.tasks()).tolist()}
     wanted = set(tasks) if tasks is not None else present
@@ -138,7 +130,7 @@ def evaluate_model(
         keys = None
     elif keys is None:
         keys = sequence_keys(data.sequence_id, data.frame_index)
-    rows = _forward_all(model, data.features, keys, audio, chunk)
+    rows = _forward_all(model, data.features, keys, chunk)
     none = [None] * len(data.ids)
     valence, arousal = (none, none) if rows["va"] is None else rows["va"].T.tolist()
     expr = none if rows["expr"] is None else rows["expr"]

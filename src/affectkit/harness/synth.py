@@ -21,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..csvfile import atomic_replace
 from ..errors import ConfigError
 from ..losses import BatchLabels
 from ..relatedness import BUILTIN_TABLES, RelatednessTable
@@ -123,11 +124,14 @@ def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
 
 
 def generate_dataset(spec: SyntheticSpec, seed: int, out_dir: str) -> Tuple[str, str]:
-    """Write features.csv and annotations.csv under out_dir; return their paths."""
+    """Write features.csv and annotations.csv under out_dir as a pair: if
+    either write fails, both files keep their old bytes. Returns their
+    paths."""
     data = make_dataset(spec, seed)
     os.makedirs(out_dir, exist_ok=True)
     features_path = os.path.join(out_dir, "features.csv")
     annotations_path = os.path.join(out_dir, "annotations.csv")
-    write_features(features_path, data.ids, data.features)
-    write_annotations(annotations_path, data)
+    with atomic_replace(features_path, annotations_path) as (features_tmp, annotations_tmp):
+        write_features(features_tmp, data.ids, data.features)
+        write_annotations(annotations_tmp, data)
     return features_path, annotations_path

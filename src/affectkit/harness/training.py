@@ -37,7 +37,7 @@ import numpy as np
 from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
 from ..csvfile import atomic_write
 from ..errors import ConfigError, DivergedLoss, IncompatibleHeads
-from ..losses import TASKS, BatchLabels, LossWeights, objective
+from ..losses import TASKS, BatchLabels, objective
 from ..models import Model, SequenceBatch, load_parameters, pack_rows, sequence_keys
 from ..relatedness import (
     RelatednessTable,
@@ -178,7 +178,6 @@ def train_run(config: RunConfig) -> TrainResult:
 
     trainable = model.head_parameters() if config.freeze_trunk else model.parameters()
     opt = Adam(trainable, lr=config.lr)
-    weights = LossWeights(lambda1=config.lambda1, lambda2=config.lambda2)
     mixture = (
         table.conditional_matrix(reweight=config.reweight_mixture)
         if config.coupling in ("distr_matching", "soft+distr") else None
@@ -208,7 +207,7 @@ def train_run(config: RunConfig) -> TrainResult:
             preds = model.forward(batch, train=True, rng=dropout_rng)
             if index is not None:
                 preds = preds.take(index)
-            loss = objective(preds, labels, weights, mixture)
+            loss = objective(preds, labels, config.lambda1, config.lambda2, mixture)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")

@@ -17,6 +17,19 @@ A BatchLabels holds the truth as row arrays, which the annotation reader
 and the synthetic generator fill straight from a file or a draw. It also
 carries the row flags that decide which rows each term reads, so
 predictions hold nothing but head outputs.
+
+The formulas check nothing on a step: each input is checked once, where
+it is made. Class ids, VA values in [-1, 1] and AU targets and mask
+weights in {0, 1} are checked by ``dataio.read_annotation_columns``, and
+compound ids against ``compound_classes`` by the training table; hard
+co-annotation weights come from a validated relatedness table. The
+lambdas are checked by ``RunConfig.validate``, and each head's width is
+fixed by ``Model``. ``_TrainTable.gather`` unflags a batch's lone VA
+row, so concordance always sees two rows or none. Soft targets and the
+probabilities are softmax and sigmoid outputs, so they are distributions
+and lie in [0, 1] by construction. ``objective`` keeps one guard, on its
+heads and their row count, and ``masked_bce`` refuses a batch whose AU
+rows all have zero weight (``EmptyMaskBatch``).
 """
 
 from __future__ import annotations
@@ -28,13 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
-from .errors import (
-    BadDistribution,
-    BatchTooSmall,
-    EmptyMaskBatch,
-    ShapeMismatch,
-    ValueOutOfRange,
-)
+from .errors import EmptyMaskBatch, ShapeMismatch
 from .types import NUM_AUS, NUM_EXPRESSIONS
 
 PROB_EPS = 1e-7
@@ -42,19 +49,6 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 # a row's own task, by its number in ``BatchLabels.tasks``
 TASKS = ("AU", "VA", "EXPR", "COMPOUND")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Multipliers for the AU and VA terms of the multi-task total."""
-
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-
-    def __post_init__(self):
-        for name, v in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
-            if not np.isfinite(v) or v < 0:
-                raise ValueOutOfRange(f"{name}={v} must be finite and >= 0")
 
 
 @dataclass
@@ -137,11 +131,6 @@ def _clamp(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.minimum(np.maximum(probs, PROB_EPS), 1.0 - PROB_EPS), inside
 
 
-def _check_rows_are_distributions(arr: np.ndarray, what: str) -> None:
-    if (arr < 0).any() or (np.abs(arr.sum(axis=1) - 1.0) > 1e-6).any():
-        raise BadDistribution(f"{what} rows must be distributions over classes")
-
-
 def softmax_parts(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The max-shifted logits, their row sums of exponentials and the
     softmax of an (N, K) matrix: what ``cce`` reads for its rows."""
@@ -151,18 +140,13 @@ def softmax_parts(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return shift, total, e / total
 
 
-def ccc(pred: np.ndarray, truth) -> Tuple[float, np.ndarray]:
+def ccc(pred: np.ndarray, truth: np.ndarray) -> Tuple[float, np.ndarray]:
     """1 - mean of the valence and arousal concordance coefficients,
-    population moments per column, and its gradient.
+    population moments per column, and its gradient, over (N, 2) rows.
 
-    Concordance needs a sequence, so the batch must have at least 2 rows.
+    Concordance needs a sequence: the caller passes at least 2 rows.
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[1] != 2 or truth.shape != pred.shape:
-        raise ShapeMismatch(f"va shapes {pred.shape} vs {truth.shape}")
     n = pred.shape[0]
-    if n < 2:
-        raise BatchTooSmall("concordance needs at least 2 samples")
     mean_p = pred.sum(axis=0) / n
     mean_t = truth.sum(axis=0) / n
     dp = pred - mean_p
@@ -174,38 +158,31 @@ def ccc(pred: np.ndarray, truth) -> Tuple[float, np.ndarray]:
     return 1.0 - 0.5 * (rho[0] + rho[1]), grad
 
 
-def cce(shift: np.ndarray, total: np.ndarray, probs: np.ndarray, truth) -> Tuple[float, np.ndarray]:
+def cce(
+    shift: np.ndarray, total: np.ndarray, probs: np.ndarray, truth: np.ndarray
+) -> Tuple[float, np.ndarray]:
     """Mean over rows of -log softmax(logits)[true class ids], from the
     ``softmax_parts`` of those rows, so saturated logits stay exact; and
-    its gradient (softmax - onehot) / N."""
-    truth_ids = np.asarray(truth, dtype=np.int64)
-    n, k = shift.shape
-    if truth_ids.shape != (n,):
-        raise ShapeMismatch(f"labels of shape {truth_ids.shape} for {n} rows")
-    if (truth_ids < 0).any() or (truth_ids >= k).any():
-        raise ValueOutOfRange(f"class ids must be in [0,{k})")
+    its gradient (softmax - onehot) / N. ``truth`` holds one class id in
+    [0, K) per row."""
+    n = shift.shape[0]
     rows = np.arange(n)
-    value = (np.log(total[:, 0]) - shift[rows, truth_ids]).sum() / n
+    value = (np.log(total[:, 0]) - shift[rows, truth]).sum() / n
     grad = probs.copy()
-    grad[rows, truth_ids] -= 1.0
+    grad[rows, truth] -= 1.0
     return value, grad / n
 
 
-def masked_bce(s: np.ndarray, targets, mask) -> Tuple[float, np.ndarray]:
+def masked_bce(s: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> Tuple[float, np.ndarray]:
     """Per-row mask-weighted binary cross-entropy of sigmoid values ``s``,
     averaged over rows, and its gradient with respect to the logits.
 
     Per row: -(sum w)^-1 * sum_i w_i [t_i log p_i + (1-t_i) log(1-p_i)]
     with p = s clamped to [1e-7, 1-1e-7]. Weights are usually the {0,1}
-    annotation mask but may be fractional. Rows with zero total weight are
-    skipped; a batch of only such rows is an error.
+    annotation mask but may be fractional; they are never negative. Rows
+    with zero total weight are skipped; a batch of only such rows is an
+    error.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if s.shape != targets.shape or s.shape != mask.shape:
-        raise ShapeMismatch(f"logits {s.shape}, targets {targets.shape}, mask {mask.shape}")
-    if (mask < 0).any():
-        raise ValueOutOfRange("mask weights must be nonnegative")
     row_weight = mask.sum(axis=1)
     keep = (row_weight > 0).nonzero()[0]
     if keep.size == 0:
@@ -219,14 +196,10 @@ def masked_bce(s: np.ndarray, targets, mask) -> Tuple[float, np.ndarray]:
     return value, grad
 
 
-def soft_target(probs: np.ndarray, soft_labels) -> Tuple[float, np.ndarray]:
+def soft_target(probs: np.ndarray, soft: np.ndarray) -> Tuple[float, np.ndarray]:
     """Cross-entropy with soft targets, mean_n sum_k -soft_k log p_k, and
-    its gradient with respect to the probabilities."""
-    soft = np.asarray(soft_labels, dtype=np.float64)
-    if soft.shape != probs.shape:
-        raise ShapeMismatch(f"soft labels {soft.shape} vs probs {probs.shape}")
-    _check_rows_are_distributions(soft, "soft label")
-    _check_rows_are_distributions(probs, "emotion probability")
+    its gradient with respect to the probabilities; both are (N, 7)
+    distributions."""
     n = probs.shape[0]
     p, inside = _clamp(probs)
     value = -((soft * np.log(p)).sum(axis=1).sum() / n)
@@ -242,17 +215,9 @@ def distribution_matching(
 
     q = expr_probs @ cond, with cond = p(AU|emotion); loss = mean_n sum_i
     -p(AU_i) log q_i with q clamped. Applied to every row regardless of
-    which labels it carries.
+    which labels it carries: (N, 7) distributions and (N, 17) values in
+    [0, 1].
     """
-    if expr_probs.ndim != 2 or expr_probs.shape[1] != NUM_EXPRESSIONS:
-        raise ShapeMismatch(f"expr_probs shape {expr_probs.shape}")
-    if au_probs.ndim != 2 or au_probs.shape[1] != NUM_AUS:
-        raise ShapeMismatch(f"au_probs shape {au_probs.shape}")
-    if au_probs.shape[0] != expr_probs.shape[0]:
-        raise ShapeMismatch("row counts differ")
-    _check_rows_are_distributions(expr_probs, "emotion probability")
-    if (au_probs < 0).any() or (au_probs > 1).any():
-        raise BadDistribution("AU probabilities must lie in [0,1]")
     n = expr_probs.shape[0]
     q, inside = _clamp(expr_probs @ cond)
     log_q = np.log(q)
@@ -267,7 +232,8 @@ def distribution_matching(
 def objective(
     preds: BatchPredictions,
     labels: BatchLabels,
-    weights: LossWeights = LossWeights(),
+    lambda1: float = 1.0,
+    lambda2: float = 1.0,
     mixture: Optional[np.ndarray] = None,
 ) -> DiffTensor:
     """A training step's whole loss as one ``fused`` node over the heads.
@@ -315,13 +281,13 @@ def objective(
     idx = au_rows
     if idx.size:
         value, g = masked_bce(s[idx], labels.au_targets[idx], labels.au_mask[idx])
-        parts[1] = weights.lambda1 * value
-        row_grads["au"] = idx, weights.lambda1 * g
+        parts[1] = lambda1 * value
+        row_grads["au"] = idx, lambda1 * g
     idx = rows(va, labels.has_va)
     if idx.size:
         value, g = ccc(va.data[idx], labels.va[idx])
-        parts[2] = weights.lambda2 * value
-        row_grads["va"] = idx, weights.lambda2 * g
+        parts[2] = lambda2 * value
+        row_grads["va"] = idx, lambda2 * g
     idx = rows(compound, labels.has_compound)
     if idx.size:
         parts[3], g = cce(*softmax_parts(compound.data[idx]), labels.compound[idx])

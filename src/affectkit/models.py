@@ -195,7 +195,7 @@ def sequence_keys(
 
 
 def pack_rows(
-    features: np.ndarray, keys: Optional[np.ndarray] = None, audio: Optional[np.ndarray] = None
+    features: np.ndarray, keys: Optional[np.ndarray] = None
 ) -> Tuple[SequenceBatch, Optional[np.ndarray]]:
     """N rows as one right-padded (B, T, D) batch of sequences, and the
     index that takes the forward pass's time-major output rows back to row
@@ -223,8 +223,8 @@ def pack_rows(
                 out[b, t] = rows[order]
                 return out
 
-            return SequenceBatch(pad(features), None if audio is None else pad(audio)), index
-    return SequenceBatch(features[:, None], None if audio is None else audio[:, None]), None
+            return SequenceBatch(pad(features)), index
+    return SequenceBatch(features[:, None]), None
 
 
 class _Trunk:

@@ -150,12 +150,9 @@ class AnnotatedSample:
     sequence_id: Optional[str] = None
     utterance_id: Optional[str] = None
     frame_index: Optional[int] = None
-    audio_features: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.audio_features is not None:
-            self.audio_features = np.asarray(self.audio_features, dtype=np.float64)
 
     @property
     def task(self) -> str:
@@ -172,15 +169,6 @@ class AnnotatedSample:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnnotatedSample):
             return NotImplemented
-        same_audio = (
-            self.audio_features is None
-            and other.audio_features is None
-            or (
-                self.audio_features is not None
-                and other.audio_features is not None
-                and np.array_equal(self.audio_features, other.audio_features)
-            )
-        )
         return (
             self.id == other.id
             and self.split == other.split
@@ -189,7 +177,6 @@ class AnnotatedSample:
             and self.frame_index == other.frame_index
             and np.array_equal(self.features, other.features)
             and self.label == other.label
-            and same_audio
         )
 
 

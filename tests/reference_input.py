@@ -45,7 +45,6 @@ import numpy as np
 from affectkit.csvfile import open_rows
 from affectkit.errors import (
     BadMask,
-    BatchTooSmall,
     ConfigError,
     DegenerateLandmarks,
     KeyMisalignment,
@@ -379,7 +378,7 @@ class TaskPartition:
                 seen.add(sample_id)
         for pool, b in zip(pools, self.batch_sizes):
             if pool and b < 1:
-                raise BatchTooSmall(f"chunk size {b} for a nonempty pool")
+                raise ValueOutOfRange(f"chunk size {b} for a nonempty pool")
 
     def epoch_length(self) -> int:
         lengths = [

@@ -23,7 +23,9 @@ wrap each formula of ``losses`` (value and gradient in numpy) as a
 one-node loss, so that unit tests can drive it through ``backward``.
 ``ccc_loss``, ``cce_loss``, ``masked_bce_loss``, ``soft_target_cce`` and
 ``distribution_matching_loss`` are the per-term loss nodes that
-``losses.objective`` replaced, each one ``fused`` node with its own checks;
+``losses.objective`` replaced, each one ``fused`` node. Like the formulas,
+they check no input that is checked where it is made; ``masked_bce_loss``
+still refuses a batch whose rows all have zero weight;
 ``multitask_terms`` lists the weighted multi-task terms and
 ``weighted_total`` sums weighted terms as one more node. ``step_graph`` is
 the per-term graph a training step built from them, through
@@ -39,19 +41,10 @@ import numpy as np
 from affectkit import autodiff as ad
 from affectkit import losses
 from affectkit.autodiff import DiffTensor, GruCell
-from affectkit.errors import (
-    BadCheckpoint,
-    BadDistribution,
-    BatchTooSmall,
-    EmptyMaskBatch,
-    InvalidSpec,
-    ShapeMismatch,
-    ValueOutOfRange,
-)
-from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions, LossWeights
+from affectkit.errors import BadCheckpoint, EmptyMaskBatch, InvalidSpec, ShapeMismatch
+from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions
 from affectkit.models import HEAD_NAMES, Model, ModelSpec, load_parameters
 from affectkit.relatedness import RelatednessTable
-from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
 
 
 def as_tensor(value) -> DiffTensor:
@@ -309,16 +302,9 @@ def _clamp(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def ccc_loss(pred_va: DiffTensor, truth_va) -> DiffTensor:
     """1 - mean of the valence and arousal concordance coefficients,
-    population moments per column.
-
-    Concordance needs a sequence, so the batch must have at least 2 rows.
-    """
+    population moments per column, over at least 2 rows."""
     truth = np.asarray(truth_va, dtype=np.float64)
-    if pred_va.ndim != 2 or pred_va.shape[1] != 2 or truth.shape != pred_va.shape:
-        raise ShapeMismatch(f"va shapes {pred_va.shape} vs {truth.shape}")
     n = pred_va.shape[0]
-    if n < 2:
-        raise BatchTooSmall("concordance needs at least 2 samples")
     mean_p = pred_va.data.mean(axis=0)
     mean_t = truth.mean(axis=0)
     dp = pred_va.data - mean_p
@@ -334,11 +320,7 @@ def cce_loss(expr_logits: DiffTensor, truth) -> DiffTensor:
     """Mean over samples of -log softmax(logits)[true class ids], from the
     max-shifted log-sum-exp, so saturated logits stay exact."""
     truth_ids = np.asarray(truth, dtype=np.int64)
-    n, k = expr_logits.shape
-    if truth_ids.shape != (n,):
-        raise ShapeMismatch(f"labels of shape {truth_ids.shape} for {n} rows")
-    if np.any(truth_ids < 0) or np.any(truth_ids >= k):
-        raise ValueOutOfRange(f"class ids must be in [0,{k})")
+    n = expr_logits.shape[0]
     rows = np.arange(n)
     shift = expr_logits.data - expr_logits.data.max(axis=1, keepdims=True)
     e = np.exp(shift)
@@ -359,12 +341,6 @@ def masked_bce_loss(au_logits: DiffTensor, targets, mask) -> DiffTensor:
     """
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    if au_logits.shape != targets.shape or au_logits.shape != mask.shape:
-        raise ShapeMismatch(
-            f"logits {au_logits.shape}, targets {targets.shape}, mask {mask.shape}"
-        )
-    if np.any(mask < 0):
-        raise ValueOutOfRange("mask weights must be nonnegative")
     row_weight = mask.sum(axis=1)
     keep = np.flatnonzero(row_weight > 0)
     if keep.size == 0:
@@ -384,7 +360,8 @@ def masked_bce_loss(au_logits: DiffTensor, targets, mask) -> DiffTensor:
 def multitask_terms(
     preds: BatchPredictions,
     labels: BatchLabels,
-    weights: LossWeights = LossWeights(),
+    lambda1: float = 1.0,
+    lambda2: float = 1.0,
 ) -> List[Tuple[float, Optional[DiffTensor]]]:
     """The (weight, term) pairs of L_expr + lambda1 * L_au + lambda2 * L_va
     + L_compound, in that order; the compound head is the transfer-learning
@@ -406,10 +383,10 @@ def multitask_terms(
 
     return [
         (1.0, term(cce_loss, preds.expr_logits, labels.has_expr, labels.expr)),
-        (weights.lambda1, term(
+        (lambda1, term(
             masked_bce_loss, preds.au_logits, labels.has_au, labels.au_targets, labels.au_mask
         )),
-        (weights.lambda2, term(ccc_loss, preds.va, labels.has_va, labels.va)),
+        (lambda2, term(ccc_loss, preds.va, labels.has_va, labels.va)),
         (1.0, term(cce_loss, preds.compound_logits, labels.has_compound, labels.compound)),
     ]
 
@@ -429,11 +406,6 @@ def weighted_total(terms: Sequence[Tuple[float, Optional[DiffTensor]]]) -> DiffT
     return ad.fused(value, [(t, w) for w, t in terms if t is not None])
 
 
-def _check_rows_are_distributions(arr: np.ndarray, what: str) -> None:
-    if np.any(arr < 0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-6):
-        raise BadDistribution(f"{what} rows must be distributions over classes")
-
-
 def distribution_matching_loss(
     expr_probs: DiffTensor,
     au_probs: DiffTensor,
@@ -447,15 +419,6 @@ def distribution_matching_loss(
     with q clamped. Applied to every sample regardless of which labels it
     carries; gradients flow through both the AU and the emotion head.
     """
-    if expr_probs.ndim != 2 or expr_probs.shape[1] != NUM_EXPRESSIONS:
-        raise ShapeMismatch(f"expr_probs shape {expr_probs.shape}")
-    if au_probs.ndim != 2 or au_probs.shape[1] != NUM_AUS:
-        raise ShapeMismatch(f"au_probs shape {au_probs.shape}")
-    if au_probs.shape[0] != expr_probs.shape[0]:
-        raise ShapeMismatch("row counts differ")
-    _check_rows_are_distributions(expr_probs.data, "emotion probability")
-    if np.any(au_probs.data < 0) or np.any(au_probs.data > 1):
-        raise BadDistribution("AU probabilities must lie in [0,1]")
     n = expr_probs.shape[0]
     cond = table.conditional_matrix(reweight=reweight)
     q, inside = _clamp(expr_probs.data @ cond)
@@ -469,10 +432,6 @@ def distribution_matching_loss(
 def soft_target_cce(expr_probs: DiffTensor, soft_labels) -> DiffTensor:
     """Cross-entropy with soft targets: mean_n sum_k -soft_k log p_k."""
     soft = np.asarray(soft_labels, dtype=np.float64)
-    if soft.shape != expr_probs.shape:
-        raise ShapeMismatch(f"soft labels {soft.shape} vs probs {expr_probs.shape}")
-    _check_rows_are_distributions(soft, "soft label")
-    _check_rows_are_distributions(expr_probs.data, "emotion probability")
     n = expr_probs.shape[0]
     p, inside = _clamp(expr_probs.data)
     value = -np.mean((soft * np.log(p)).sum(axis=1))
@@ -482,7 +441,8 @@ def soft_target_cce(expr_probs: DiffTensor, soft_labels) -> DiffTensor:
 def step_graph(
     preds: BatchPredictions,
     labels: BatchLabels,
-    weights: LossWeights = LossWeights(),
+    lambda1: float = 1.0,
+    lambda2: float = 1.0,
     table=None,
     reweight: bool = False,
 ) -> DiffTensor:
@@ -490,7 +450,7 @@ def step_graph(
     then soft-target cross-entropy over the ``has_soft`` rows of a softmax
     node, then (with ``table``) distribution matching of that softmax
     against a sigmoid node, in one weighted total."""
-    terms = multitask_terms(preds, labels, weights)
+    terms = multitask_terms(preds, labels, lambda1, lambda2)
     soft_rows = np.flatnonzero(labels.has_soft)
     dm = table is not None and preds.au_logits is not None
     if preds.expr_logits is not None and (soft_rows.size or dm):

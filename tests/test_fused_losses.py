@@ -14,7 +14,7 @@ import pytest
 
 from affectkit import autodiff as ad
 from affectkit.autodiff import DiffTensor, backward
-from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions, LossWeights, objective
+from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions, objective
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
 from reference_ops import add, as_tensor, matmul, mul, multitask_terms, sigmoid, slice_axis
@@ -306,13 +306,13 @@ def _batch(rng, present, compound=False):
     return arrays, labels
 
 
-def _step(arrays, labels, weights, soft, dm, mode):
+def _step(arrays, labels, lambdas, soft, dm, mode):
     """One training step's loss and leaf gradients. ``objective`` is the
     one node training builds; ``flat`` sums the per-term graph's multi-task
     and coupling terms with one weighted total, as training once did;
     ``nested`` wraps the multi-task total in a second one; ``chain`` is the
     add/mul chain expr + l1 * au + l2 * va + compound, then + soft-target +
-    distribution matching."""
+    distribution matching. ``lambdas`` is (l1, l2)."""
     leaves = {k: DiffTensor(a.copy()) for k, a in arrays.items()}
     if mode == "objective":
         if soft is not None:
@@ -320,10 +320,10 @@ def _step(arrays, labels, weights, soft, dm, mode):
             labels.has_soft[soft[0]] = True
             labels.soft[soft[0]] = soft[1]
         mixture = COGNITIVE.conditional_matrix() if dm else None
-        total = objective(BatchPredictions(**leaves), labels, weights, mixture)
+        total = objective(BatchPredictions(**leaves), labels, *lambdas, mixture)
         backward(total)
         return total, [leaves[k].grad for k in sorted(leaves)]
-    terms = multitask_terms(BatchPredictions(**leaves), labels, weights)
+    terms = multitask_terms(BatchPredictions(**leaves), labels, *lambdas)
     extra = []
     if soft is not None or dm:
         probs = softmax(leaves["expr_logits"], axis=1)
@@ -340,10 +340,8 @@ def _step(arrays, labels, weights, soft, dm, mode):
             total = weighted_total([(1.0, total)] + [(1.0, t) for t in extra])
     else:
         e, au, va, c = (as_tensor(0.0) if t is None else t for _, t in terms)
-        total = add(
-            add(add(e, mul(au, as_tensor(weights.lambda1))), mul(va, as_tensor(weights.lambda2))),
-            c,
-        )
+        l1, l2 = lambdas
+        total = add(add(add(e, mul(au, as_tensor(l1))), mul(va, as_tensor(l2))), c)
         for t in extra:
             total = add(total, t)
     backward(total)
@@ -370,10 +368,9 @@ def test_fused_totals_equal_chain(case):
     soft = None
     if soft_rows is not None:
         soft = (np.asarray(soft_rows), probs(rng, len(soft_rows), NUM_EXPRESSIONS))
-    weights = LossWeights(lambda1=l1, lambda2=l2)
-    total, grads = _step(arrays, labels, weights, soft, dm, "flat")
+    total, grads = _step(arrays, labels, (l1, l2), soft, dm, "flat")
     for mode in ("objective", "nested", "chain"):
-        ref_total, ref_grads = _step(arrays, labels, weights, soft, dm, mode)
+        ref_total, ref_grads = _step(arrays, labels, (l1, l2), soft, dm, mode)
         assert total.data.tobytes() == ref_total.data.tobytes(), mode
         for g, ref in zip(grads, ref_grads):  # a leaf no term reads has no grad
             assert (g is None and ref is None) or g.tobytes() == ref.tobytes(), mode
@@ -382,10 +379,9 @@ def test_fused_totals_equal_chain(case):
 
 def test_fused_total_compound_only():
     arrays, labels = _batch(np.random.default_rng(9), (), compound=True)
-    weights = LossWeights(lambda1=0.7, lambda2=1.3)
-    total, (grad,) = _step(arrays, labels, weights, None, False, "flat")
+    total, (grad,) = _step(arrays, labels, (0.7, 1.3), None, False, "flat")
     for mode in ("objective", "chain"):
-        ref_total, (ref_grad,) = _step(arrays, labels, weights, None, False, mode)
+        ref_total, (ref_grad,) = _step(arrays, labels, (0.7, 1.3), None, False, mode)
         assert total.data == ref_total.data and np.array_equal(grad, ref_grad)
     assert len(total._edges) == 1
 

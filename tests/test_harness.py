@@ -44,7 +44,7 @@ from affectkit.harness.dataio import (
 )
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
-from affectkit.harness import dataio, training
+from affectkit.harness import dataio, synth, training
 from affectkit.harness.training import load_model, train_run
 from affectkit.losses import objective
 from affectkit.models import Model
@@ -620,9 +620,9 @@ class TestTraining:
         # objective node over the heads, and it is the root of the step's sweep
         calls, roots = [], []
 
-        def spy(preds, labels, weights, mixture):
-            node = objective(preds, labels, weights, mixture)
-            calls.append((preds, labels, weights, mixture, node))
+        def spy(preds, labels, lambda1, lambda2, mixture):
+            node = objective(preds, labels, lambda1, lambda2, mixture)
+            calls.append((preds, labels, (lambda1, lambda2), mixture, node))
             return node
 
         monkeypatch.setattr(training, "objective", spy)
@@ -636,8 +636,10 @@ class TestTraining:
         train_run(cfg)
         assert roots and [node for *_, node in calls] == roots
         table = cfg.relatedness_table().conditional_matrix(reweight=cfg.reweight_mixture)
-        for preds, labels, weights, mixture, node in calls:
-            assert (weights.lambda1, weights.lambda2) == (0.7, 1.3)
+        for preds, labels, lambdas, mixture, node in calls:
+            assert lambdas == (0.7, 1.3)
+            # gather unflags a lone VA row, so concordance sees two rows or none
+            assert labels.has_va.sum() != 1
             assert mixture is table if "dm" in coupling else mixture is None
             assert [p for p, _ in node._edges] == [preds.expr_logits, preds.va, preds.au_logits]
         # co-annotation gives some AU rows soft targets
@@ -841,6 +843,19 @@ class TestEvaluate:
         # every row predicts the same class: recall 1 on one class, 0 elsewhere
         assert metrics["expr.mean_diagonal"] == pytest.approx(1 / 7)
         assert metrics["expr.accuracy"] == pytest.approx(1 / 7)
+
+    def test_audio_model_on_samples_raises_what_columns_raise(self):
+        # no sample or column carries audio, so a two-stream model is refused
+        # alike whichever form the rows come in
+        config = RunConfig(feature_dim=10, audio_dim=3, streams=2, heads=("EXPR",))
+        model = Model(config.model_spec(), config.input_dims(), seed=0)
+        val = val_split()
+        caught = []
+        for rows in (val, val.samples()):
+            with pytest.raises(ConfigError) as info:
+                evaluate_model(model, rows)
+            caught.append(str(info.value))
+        assert caught == [f"{val.ids[0]}: audio_dim set but sample has no audio"] * 2
 
 
 class TestGradChecks:
@@ -1206,6 +1221,51 @@ class TestCLI:
         assert code == 2
         assert "au_threshold = 7.0 must be in [0, 1]" in err and "Traceback" not in err
         assert not (tmp_path / "report.txt").exists()
+
+    def test_eval_takes_au_threshold_from_the_config(self, tmp_path, capsys):
+        # without --au-threshold, eval scores AUs at the run's own threshold
+        cfg = small_config(tmp_path, au_threshold=0.3, epochs=1)
+        result = train_run(cfg)
+        reports = {}
+        for flag in ((), ("--au-threshold", 0.3), ("--au-threshold", 0.5)):
+            out = tmp_path / f"report{len(reports)}.txt"
+            assert self.run_cli(
+                "eval", "--config", os.path.join(cfg.out_dir, "config.txt"),
+                "--checkpoint", result.checkpoint_path, "--annotations", cfg.val_annotations,
+                "--features", cfg.val_features, "--split", "val", "--out", out, *flag,
+            ) == 0
+            reports[flag] = out.read_bytes()
+        capsys.readouterr()
+        assert reports[()] == reports[("--au-threshold", 0.3)]
+        assert reports[()] != reports[("--au-threshold", 0.5)]
+
+    def test_gen_data_writes_its_two_files_as_a_pair(self, tmp_path, monkeypatch, capsys):
+        # the feature file is complete when the annotation write fails, yet
+        # neither file is replaced
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("train_counts = 3,3,3\nval_counts = 1,1,1\nfeature_dim = 8\n")
+        data = tmp_path / "data"
+        os.makedirs(data)
+        for name in ("features.csv", "annotations.csv"):
+            (data / name).write_bytes(b"previous output\n")
+        written = []
+
+        def failing_annotations(path, columns):
+            written.extend(os.listdir(data))
+            with csvfile.atomic_write(path, "w", encoding="utf-8") as fh:
+                fh.write("id,split\n")
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(synth, "write_annotations", failing_annotations)
+        assert self.run_cli("gen-data", "--spec", spec, "--out", data) == 2
+        assert "no space left" in capsys.readouterr().err
+        assert any(name.startswith("features.csv.") for name in written)
+        assert sorted(os.listdir(data)) == ["annotations.csv", "features.csv"]
+        for name in ("features.csv", "annotations.csv"):
+            assert (data / name).read_bytes() == b"previous output\n"
+        monkeypatch.undo()
+        assert self.run_cli("gen-data", "--spec", spec, "--out", data) == 0
+        assert all((data / n).read_bytes() != b"previous output\n" for n in os.listdir(data))
 
     def test_eval_scores_columns(self, tmp_path, capsys, monkeypatch):
         # ``eval`` scores the columns it reads, with no per-row sample, and

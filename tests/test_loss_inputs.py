@@ -1,0 +1,171 @@
+"""Each input of the loss formulas is checked once, where it is made.
+
+The formulas of ``losses`` check nothing on a step. These tests hold each
+guarantee at its source instead: the labels the annotation reader accepts,
+the co-annotation targets of the training table, the width of each model
+head, the lone VA row that ``gather`` unflags, and the softmax and sigmoid
+outputs that every probability input is. The lambdas are checked by
+``RunConfig.validate`` (``test_harness.py::TestConfig::test_out_of_range_value``)
+and compound ids against ``compound_classes`` by the training table
+(``test_training_table.py::test_compound_class_beyond_head_raises``).
+"""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affectkit.autodiff import sigmoid_values
+from affectkit.errors import AffectKitError
+from affectkit.harness.config import RunConfig
+from affectkit.harness.dataio import ANNOTATION_FIELDS, load_columns, read_annotation_columns
+from affectkit.harness.synth import SyntheticSpec, generate_dataset
+from affectkit.harness.training import _build_table, _TrainTable
+from affectkit.losses import BatchLabels, softmax_parts
+from affectkit.models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows
+from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3).map(float)
+)
+PAYLOADS = {
+    "VA": st.tuples(NUMBERS, NUMBERS).map(lambda va: f"{va[0]!r};{va[1]!r}"),
+    "EXPR": st.integers(-2, NUM_EXPRESSIONS + 2).map(str),
+    "AU": st.text(alphabet="012-", min_size=NUM_AUS - 1, max_size=NUM_AUS + 1),
+    "COMPOUND": st.tuples(st.integers(-2, 20), st.integers(-1, 8), st.integers(-1, 8)).map(
+        lambda c: ";".join(map(str, c))
+    ),
+}
+ROWS = st.lists(
+    st.sampled_from(sorted(PAYLOADS)).flatmap(
+        lambda task: st.tuples(st.just(task), PAYLOADS[task])
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.fixture(scope="module")
+def annotation_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("labels") / "annotations.csv"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=ROWS)
+def test_labels_the_reader_accepts_meet_every_formula_precondition(annotation_path, rows):
+    # the reader refuses a row, or its labels are what the formulas read:
+    # class ids in 0..6, VA in [-1, 1], AU targets and mask weights in
+    # {0, 1}, compound ids >= 0, one flag per row at most
+    with open(annotation_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ANNOTATION_FIELDS)
+        writer.writerows([f"r{i}", "train", "", "", "", task, payload]
+                         for i, (task, payload) in enumerate(rows))
+    try:
+        lab = read_annotation_columns(annotation_path).labels
+    except AffectKitError as exc:
+        assert str(exc).startswith(f"{annotation_path}:")
+        return
+    flags = [lab.has_va, lab.has_expr, lab.has_au, lab.has_compound, lab.has_soft]
+    assert (sum(f.astype(int) for f in flags) <= 1).all()
+    assert lab.expr.dtype == np.int64 and lab.compound.dtype == np.int64
+    assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()
+    assert (np.abs(lab.va[lab.has_va]) <= 1.0).all()
+    assert np.isin(lab.au_targets, (0.0, 1.0)).all() and np.isin(lab.au_mask, (0.0, 1.0)).all()
+    assert np.array_equal(lab.has_au, lab.au_mask.any(axis=1))
+    assert (lab.compound[lab.has_compound] >= 0).all()
+
+
+@pytest.fixture(scope="module")
+def training_files(tmp_path_factory):
+    spec = SyntheticSpec(train_counts=(30, 40, 40), val_counts=(0, 0, 0), feature_dim=8)
+    return generate_dataset(spec, seed=5, out_dir=str(tmp_path_factory.mktemp("data")))
+
+
+@pytest.mark.parametrize("relatedness", ["cognitive", "empirical"])
+@pytest.mark.parametrize("coupling,reweight_soft", [
+    ("coannotation", True), ("soft_coannotation", True), ("soft+distr", False),
+])
+def test_co_annotation_targets_meet_the_formula_preconditions(
+    training_files, coupling, reweight_soft, relatedness
+):
+    # hard co-annotation adds class ids and AU weights in [0, 1]; soft
+    # co-annotation adds targets that are softmax rows, so distributions
+    feats, ann = training_files
+    config = RunConfig(
+        feature_dim=8, coupling=coupling, relatedness=relatedness, reweight_soft=reweight_soft
+    )
+    lab = _build_table(load_columns(ann, feats), config, config.relatedness_table()).labels
+    assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()
+    assert ((lab.au_mask >= 0.0) & (lab.au_mask <= 1.0)).all()
+    assert np.isin(lab.au_targets, (0.0, 1.0)).all()
+    soft = lab.soft[lab.has_soft]
+    assert lab.has_soft.any() == (coupling != "coannotation")
+    assert (soft >= 0.0).all() and np.abs(soft.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(backbone=(5,), heads=("VA", "EXPR", "AU", "COMPOUND"), compound_classes=4),
+    ModelSpec(
+        backbone=(5, 4), taps=(0, 1), recurrent=RecurrentSpec("per_tap", 3),
+        heads=("VA", "EXPR", "AU", "COMPOUND"), compound_classes=9,
+    ),
+    ModelSpec(
+        members=(ModelSpec(backbone=(4,)), ModelSpec(backbone=(3,))), fusion="rnn",
+        fusion_width=5, heads=("VA", "EXPR", "AU", "COMPOUND"), compound_classes=3,
+    ),
+], ids=["dense", "per_tap", "ensemble"])
+def test_each_head_has_the_width_its_loss_reads(spec):
+    model = Model(spec, InputDims(features=6), seed=1)
+    batch, _ = pack_rows(np.random.default_rng(2).normal(size=(5, 6)))
+    preds = model.forward(batch)
+    assert preds.va.shape == (5, 2)
+    assert preds.expr_logits.shape == (5, NUM_EXPRESSIONS)
+    assert preds.au_logits.shape == (5, NUM_AUS)
+    assert preds.compound_logits.shape == (5, spec.compound_classes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    va=st.sets(st.integers(0, 11), max_size=12),
+    rows=st.lists(st.integers(0, 11), unique=True, min_size=1, max_size=12),
+)
+def test_gather_leaves_two_va_rows_or_none(va, rows):
+    # concordance needs two rows, so a batch's lone VA row is unflagged;
+    # every other flag is gathered as it is
+    labels = BatchLabels.zeros(12)
+    labels.has_va[sorted(va)] = True
+    labels.has_expr[~labels.has_va] = True
+    table = _TrainTable(
+        features=np.zeros((12, 3)), labels=labels, va_rows=np.array(sorted(va), dtype=int),
+        au_rows=np.arange(0), expr_rows=np.flatnonzero(~labels.has_va),
+        compound_rows=np.arange(0),
+    )
+    rows = np.array(rows, dtype=int)
+    _, _, gathered = table.gather(rows)
+    wanted = labels.has_va[rows]
+    if wanted.sum() == 1:
+        wanted[:] = False
+    assert np.array_equal(gathered.has_va, wanted)
+    assert np.array_equal(gathered.has_expr, labels.has_expr[rows])
+
+
+LOGITS = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300), min_size=NUM_EXPRESSIONS * 3,
+    max_size=NUM_EXPRESSIONS * 3,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=LOGITS)
+def test_softmax_and_sigmoid_outputs_are_probabilities(values):
+    # every probability a formula reads is one of these: a softmax row is a
+    # distribution and a sigmoid value lies in [0, 1], for any finite logit
+    logits = np.array(values).reshape(3, NUM_EXPRESSIONS)
+    probs = softmax_parts(logits)[2]
+    assert (probs >= 0.0).all() and np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+    s = sigmoid_values(logits)
+    assert ((s >= 0.0) & (s <= 1.0)).all()
+

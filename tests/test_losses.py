@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 
 from affectkit.autodiff import backward, take_rows
-from affectkit.errors import (
-    BadDistribution,
-    BatchTooSmall,
-    EmptyMaskBatch,
-    ShapeMismatch,
-    ValueOutOfRange,
-)
+from affectkit.errors import EmptyMaskBatch, ShapeMismatch
 from affectkit.harness.dataio import SampleColumns
-from affectkit.losses import BatchLabels, BatchPredictions, LossWeights, objective
+from affectkit.losses import BatchLabels, BatchPredictions, objective
 from affectkit.relatedness import COGNITIVE
 from affectkit.types import (
     AnnotatedSample,
@@ -63,14 +57,6 @@ class TestCCCLoss:
             expected, abs=1e-9
         )
 
-    def test_batch_too_small(self):
-        with pytest.raises(BatchTooSmall):
-            ccc_loss(as_tensor(np.zeros((1, 2))), np.zeros((1, 2)))
-
-    def test_shape_guard(self):
-        with pytest.raises(ShapeMismatch):
-            ccc_loss(as_tensor(np.zeros((3, 3))), np.zeros((3, 3)))
-
     def test_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
@@ -108,16 +94,6 @@ class TestCCELoss:
         logits = rng.normal(size=(10, 7)) * 3
         truth = rng.integers(0, 7, size=10)
         assert float(cce_loss(as_tensor(logits), truth).data) >= 0.0
-
-    def test_bad_class_id(self):
-        with pytest.raises(ValueOutOfRange):
-            cce_loss(as_tensor(np.zeros((1, 7))), [7])
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            cce_loss(as_tensor(np.zeros((2, 7))), [0])
-        with pytest.raises(ShapeMismatch):
-            cce_loss(as_tensor(np.zeros((1, 7))), 0)
 
 
 class TestLogSoftmax:
@@ -198,12 +174,6 @@ class TestMaskedBCE:
     def test_all_rows_empty(self):
         with pytest.raises(EmptyMaskBatch):
             masked_bce_loss(as_tensor(np.zeros((2, 17))), np.zeros((2, 17)), np.zeros((2, 17)))
-
-    def test_negative_mask_rejected(self):
-        mask = np.ones((1, 17))
-        mask[0, 5] = -0.5
-        with pytest.raises(ValueOutOfRange):
-            masked_bce_loss(as_tensor(np.zeros((1, 17))), np.zeros((1, 17)), mask)
 
     def test_fractional_weights(self):
         # one unit at weight 2 counts twice as much as one at weight 1
@@ -350,7 +320,7 @@ class TestMultitask:
     def test_weighted_sum_of_terms(self):
         preds, labels = self.make_batch()
         terms = self.terms(preds, labels)
-        total = objective(preds, labels, LossWeights(lambda1=0.7, lambda2=1.3))
+        total = objective(preds, labels, lambda1=0.7, lambda2=1.3)
         expected = terms["expr"] + 0.7 * terms["au"] + 1.3 * terms["va"]
         assert float(total.data) == pytest.approx(expected, abs=1e-12)
 
@@ -373,12 +343,12 @@ class TestMultitask:
         labels = BatchLabels.zeros(5)
         labels.expr[:] = truth
         labels.has_expr[:] = True
-        total = objective(preds, labels, LossWeights(0.0, 0.0))
+        total = objective(preds, labels, 0.0, 0.0)
         assert float(total.data) == float(cce_loss(as_tensor(logits), truth).data)
 
     def test_lambda_gates_task_off(self):
         preds, labels = self.make_batch()
-        gated = objective(preds, labels, LossWeights(lambda1=2.0, lambda2=0.0))
+        gated = objective(preds, labels, lambda1=2.0, lambda2=0.0)
         terms = self.terms(preds, labels)
         expected = terms["expr"] + 2.0 * terms["au"]
         assert float(gated.data) == pytest.approx(expected, abs=1e-12)
@@ -409,10 +379,6 @@ class TestMultitask:
         assert np.any(preds.expr_logits.grad != 0)
         assert np.any(preds.au_logits.grad != 0)
         assert np.any(preds.va.grad != 0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueOutOfRange):
-            LossWeights(lambda1=-0.1)
 
 
 class TestDistributionMatching:
@@ -457,26 +423,6 @@ class TestDistributionMatching:
             >= 0.0
         )
 
-    def test_bad_distribution(self):
-        with pytest.raises(BadDistribution):
-            distribution_matching_loss(
-                as_tensor(np.ones((1, 7))), as_tensor(np.zeros((1, 17))), COGNITIVE
-            )
-        with pytest.raises(BadDistribution):
-            distribution_matching_loss(
-                as_tensor(onehot([1])), as_tensor(np.full((1, 17), 1.5)), COGNITIVE
-            )
-
-    def test_shape_guards(self):
-        with pytest.raises(ShapeMismatch):
-            distribution_matching_loss(
-                as_tensor(np.zeros((1, 6))), as_tensor(np.zeros((1, 17))), COGNITIVE
-            )
-        with pytest.raises(ShapeMismatch):
-            distribution_matching_loss(
-                as_tensor(onehot([1])), as_tensor(np.zeros((2, 17)) ), COGNITIVE
-            )
-
 
 class TestSoftTargetCCE:
     def test_matching_onehot_near_zero(self):
@@ -499,9 +445,3 @@ class TestSoftTargetCCE:
         assert float(soft_target_cce(as_tensor(p), soft).data) == pytest.approx(
             expected, abs=1e-12
         )
-
-    def test_bad_rows(self):
-        with pytest.raises(BadDistribution):
-            soft_target_cce(as_tensor(onehot([0])), np.full((1, 7), 0.3))
-        with pytest.raises(ShapeMismatch):
-            soft_target_cce(as_tensor(onehot([0])), np.zeros((2, 7)))

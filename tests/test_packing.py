@@ -285,8 +285,8 @@ class TestTraining:
         )
         monkeypatch.setattr(
             training, "objective",
-            lambda preds, labels, w, m: steps[-1].append(preds.va.data)
-            or real_objective(preds, labels, w, m),
+            lambda preds, labels, *rest: steps[-1].append(preds.va.data)
+            or real_objective(preds, labels, *rest),
         )
         # the first step runs the initial parameters, which the seed fixes
         model = Model(config.model_spec(), config.input_dims(), seed=config.seed)

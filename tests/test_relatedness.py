@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_input as ref
-from reference_ops import dm_node as distribution_matching_loss
-from affectkit.autodiff import DiffTensor
-from affectkit.errors import BadDistribution, BadTableFile
+from affectkit.errors import BadTableFile
 from affectkit.relatedness import (
     BUILTIN_TABLES,
     COGNITIVE,
@@ -286,13 +284,6 @@ class TestMixture:
             p = rng.dirichlet(np.ones(NUM_EXPRESSIONS))
             q = mixture(p)
             assert np.all(q >= -1e-12) and np.all(q <= 1.0 + 1e-12)
-
-    def test_bad_distribution(self):
-        # distribution matching refuses emotion rows that are not distributions
-        au = DiffTensor(np.full((1, NUM_AUS), 0.5))
-        for p in (np.ones(NUM_EXPRESSIONS), -np.eye(NUM_EXPRESSIONS)[0]):
-            with pytest.raises(BadDistribution):
-                distribution_matching_loss(DiffTensor(p[None]), au, COGNITIVE)
 
 
 class TestTableFiles:
