@@ -12,8 +12,8 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
   1e-2, three epochs (90 steps), no validation;
 * per training step over those jobs, in ms: ``sampler_ms`` (inside the
   ``next`` calls of ``training.epoch_iterator``, the one that ends each
-  epoch included), ``gather_ms`` (the batch taken from the row table),
-  ``forward_ms`` (``Model.forward``), ``loss_ms``
+  epoch included), ``gather_ms`` (``training._gather``: the batch taken
+  from the training split), ``forward_ms`` (``Model.forward``), ``loss_ms``
   (from the end of the forward pass to ``Adam.zero_grad``: the loss terms
   and their total, whichever functions build them), ``backward_ms`` and
   ``adam_ms`` (``Adam.step``);
@@ -60,7 +60,7 @@ def phase_ms(config: RunConfig, jobs: int) -> dict:
     steps, forward_end = [], [0.0]
     patched = [
         (training, "epoch_iterator", "sampler"),
-        (training._TrainTable, "gather", "gather"),
+        (training, "_gather", "gather"),
         (models.Model, "forward", "forward"),
         (training, "backward", "backward"),
         (ad.Adam, "step", "adam"),

@@ -3,8 +3,9 @@
 Annotations, features, predictions, member manifests, landmarks and
 compound definitions all walk their records through :func:`open_rows` and
 keep only their own header and field checks; the feature reader's plain-file
-path reads the same text through :func:`open_text`. The file encoding,
-blank-row skipping and line numbering are decided here once.
+path reads the same text through :func:`open_text`, and config, spec and
+relatedness files their lines through :func:`read_lines`. The file
+encoding, blank-row skipping and line numbering are decided here once.
 
 Every file the program writes goes through :func:`atomic_write`, so a
 write that fails leaves the file as it was: a training run's checkpoint,
@@ -21,9 +22,9 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager
-from typing import IO, Iterator, List, Optional, Tuple
+from typing import IO, Iterator, List, Optional, Tuple, Type
 
-from .errors import ConfigError
+from .errors import AffectKitError, ConfigError
 
 Rows = Iterator[Tuple[int, List[str]]]
 
@@ -31,6 +32,22 @@ Rows = Iterator[Tuple[int, List[str]]]
 def open_text(path) -> IO[str]:
     """Open ``path`` for reading as UTF-8 text with its line endings kept."""
     return open(path, "r", encoding="utf-8", newline="")
+
+
+def read_lines(path, error: Type[AffectKitError] = ConfigError) -> List[str]:
+    """The lines of the UTF-8 text file ``path``, without their endings;
+    "\n", "\r\n" and "\r" each end a line. A byte that is not UTF-8 raises
+    ``error`` at the ``path:line`` it is on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if bad is not None:
+        raise error(f"{path}:{len(lines)}: not UTF-8 text: {bad}") from bad
+    return lines
 
 
 @contextmanager

@@ -50,10 +50,6 @@ class LengthMismatch(AffectKitError):
     """Prediction and annotation vectors differ in length."""
 
 
-class EmptyRow(AffectKitError):
-    """Confusion-matrix row with zero total prevents a per-class recall."""
-
-
 # ---------------------------------------------------------------------------
 # losses
 

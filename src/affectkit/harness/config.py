@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..csvfile import atomic_write
-from ..errors import ConfigError
+from ..csvfile import atomic_write, read_lines
+from ..errors import ConfigError, InvalidSpec
 from ..models import InputDims, ModelSpec, RecurrentSpec
 from ..relatedness import BUILTIN_TABLES, RelatednessTable, load_table
 
@@ -23,31 +23,31 @@ COUPLING_MODES = ("none", "coannotation", "soft_coannotation", "distr_matching",
 def parse_kv_file(
     path, parsers: Optional[Mapping[str, Callable[[str], Any]]] = None
 ) -> Dict[str, Any]:
-    """Parse ``key = value`` lines; blank lines and '#' comment lines skipped.
-    A key may appear once. With ``parsers``, only their keys are allowed and
-    each value is converted by its key's parser; an unknown key, or a value
-    the parser rejects with ValueError, raises ConfigError at ``path:line``."""
+    """Parse ``key = value`` lines of UTF-8 text; blank lines and '#' comment
+    lines skipped. A key may appear once. With ``parsers``, only their keys
+    are allowed and each value is converted by its key's parser; a byte that
+    is not UTF-8, an unknown key, or a value the parser rejects with
+    ValueError raises ConfigError at ``path:line``."""
     out: Dict[str, Any] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            where = f"{path}:{lineno}"
-            if not sep:
-                raise ConfigError(f"{where}: expected 'key = value'")
-            key, value = key.strip(), value.strip()
-            if key in out:
-                raise ConfigError(f"{where}: {key!r} is set twice")
-            if parsers is not None:
-                if key not in parsers:
-                    raise ConfigError(f"{where}: unknown key {key!r}")
-                try:
-                    value = parsers[key](value)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-            out[key] = value
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        where = f"{path}:{lineno}"
+        if not sep:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        key, value = key.strip(), value.strip()
+        if key in out:
+            raise ConfigError(f"{where}: {key!r} is set twice")
+        if parsers is not None:
+            if key not in parsers:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            try:
+                value = parsers[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        out[key] = value
     return out
 
 
@@ -216,10 +216,14 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         """Read a config file; an unknown key or a bad value raises
-        ConfigError at ``path:line``."""
+        ConfigError at ``path:line``, and a value that ``validate`` refuses
+        raises its error with ``path`` in front."""
         parsers = {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
         config = cls(**parse_kv_file(path, parsers))
-        config.validate()
+        try:
+            config.validate()
+        except (ConfigError, InvalidSpec) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         return config
 
     def override(self, **kwargs) -> "RunConfig":

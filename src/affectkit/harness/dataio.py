@@ -15,8 +15,9 @@ sequence ids, utterance ids and frame indices as lists, and every label
 straight into ``BatchLabels`` columns with its flag. A feature file becomes
 one (N, D) matrix, and :func:`load_columns` takes its rows by id
 (:func:`load_splits` several splits from one parse). Each column is
-checked at load, and a bad value names the ``path:line`` of its
-row; an id repeated within either file is an error.
+checked at load, and a bad value names the ``path:line`` of its row; an id
+repeated within either file is an error. A split is the one row store of
+training and evaluation, and makes its packing keys once.
 
 A plain feature file is read in blocks, each line's id peeled off with one
 ``partition``, and all values converted by one ``np.loadtxt`` call. Plain
@@ -41,6 +42,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -50,6 +52,7 @@ import numpy as np
 from ..csvfile import atomic_write, open_rows, open_text
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
 from ..losses import TASKS, BatchLabels
+from ..models import sequence_keys
 from ..types import (
     NUM_AUS,
     NUM_EXPRESSIONS,
@@ -117,6 +120,12 @@ class SampleColumns:
     labels: BatchLabels
     compound_pair: np.ndarray
     features: Optional[np.ndarray] = None
+
+    @cached_property
+    def keys(self) -> Optional[np.ndarray]:
+        """The ``models.sequence_keys`` of these rows, made on first use and
+        kept (None too): a split's rows never change."""
+        return sequence_keys(self.sequence_id, self.frame_index)
 
     def take(self, rows: Sequence[int]) -> "SampleColumns":
         """The given rows of every column, as new lists and arrays."""

@@ -1,11 +1,13 @@
 """Checkpoint evaluation: per-task metrics plus a predictions table.
 
-Rows go through the model in chunks of whole sequences of up to ``chunk``
-rows (a longer sequence goes alone), each chunk packed by ``pack_rows``,
-and the predictions come back in file order. A stateless model, or a file
-with no sequence ids, runs every row alone in ``chunk``-row slices in file
-order. Metrics are computed per task over the rows that carry that task's
-label; every row gets a prediction row for each head the model has.
+The split is scored as it is read. For a stateful model its rows go
+through the model in chunks of whole sequences of up to ``chunk`` rows (a
+longer sequence goes alone), each chunk packed by ``pack_rows`` with the
+split's ``SampleColumns.keys``, made once per split, and the predictions
+come back in file order. A stateless model, or a file with no sequence
+ids, runs every row alone in ``chunk``-row slices in file order. Metrics
+are computed per task over the rows that carry that task's label; every
+row gets a prediction row for each head the model has.
 """
 
 from __future__ import annotations
@@ -27,15 +29,11 @@ from ..metrics import (
     e_total_expr,
     f1_binary,
     macro_f1,
-    mean_diagonal,  # unused; perfbench/tracing.py wraps evaluate.mean_diagonal
+    mean_diagonal,
     mse,
 )
-from ..models import Model, pack_rows, sequence_keys
-from ..types import (
-    NUM_EXPRESSIONS,
-    AnnotatedSample,
-    PredictionRecord,
-)
+from ..models import Model, pack_rows
+from ..types import NUM_EXPRESSIONS, AnnotatedSample, PredictionRecord
 from .dataio import SampleColumns
 
 
@@ -83,33 +81,21 @@ def _forward_all(
     return {k: (np.concatenate(v)[back] if v else None) for k, v in outs.items()}
 
 
-def _mean_recall(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> float:
-    """Mean per-class recall over the classes present in the truth; with
-    every class present this is ``mean_diagonal`` of the confusion matrix."""
-    cm = confusion_matrix(pred, truth, num_classes)
-    row_sums = cm.sum(axis=1)
-    present = row_sums > 0
-    if not present.any():
-        return 0.0
-    return float(np.mean(np.diag(cm)[present] / row_sums[present]))
-
-
 def evaluate_model(
     model: Model,
     samples: Union[Sequence[AnnotatedSample], SampleColumns],
     au_threshold: float = 0.5,
     tasks: Optional[Sequence[str]] = None,
     chunk: int = 512,
-    keys: Optional[np.ndarray] = None,
 ) -> Tuple[Dict[str, float], List[PredictionRecord]]:
     """Score the model on every task present (or the requested subset).
 
     ``samples`` are annotated samples, or the columns of a split with its
     features attached, which are read as they are. Neither carries audio,
     so a model with an audio stream raises ConfigError.
-    A stateful model packs the rows by ``keys``, their
-    ``models.sequence_keys``, made here unless given. Returns a flat metric
-    dict and one prediction record per row. ``degenerate_count`` reports
+    A stateful model packs the rows by the split's ``SampleColumns.keys``,
+    made on their first use and kept. Returns a flat metric dict and one
+    prediction record per row. ``degenerate_count`` reports
     how many metric computations hit a flagged 0/0 convention. Raises
     IncompatibleHeads when a requested (or present) task has no matching
     model head.
@@ -126,10 +112,7 @@ def evaluate_model(
         if task not in model.spec.heads:
             raise IncompatibleHeads(f"task {task} needs a {task} head")
 
-    if not model.spec.stateful:
-        keys = None
-    elif keys is None:
-        keys = sequence_keys(data.sequence_id, data.frame_index)
+    keys = data.keys if model.spec.stateful else None
     rows = _forward_all(model, data.features, keys, chunk)
     none = [None] * len(data.ids)
     valence, arousal = (none, none) if rows["va"] is None else rows["va"].T.tolist()
@@ -165,7 +148,9 @@ def evaluate_model(
             truth = labels.expr[idx]
             metrics["expr.accuracy"] = accuracy(pred, truth)
             metrics["expr.f1"] = macro_f1(pred, truth, NUM_EXPRESSIONS)
-            metrics["expr.mean_diagonal"] = _mean_recall(pred, truth, NUM_EXPRESSIONS)
+            metrics["expr.mean_diagonal"] = mean_diagonal(
+                confusion_matrix(pred, truth, NUM_EXPRESSIONS)
+            )
             metrics["expr.e_total"] = e_total_expr(
                 metrics["expr.f1"], metrics["expr.accuracy"]
             )
@@ -198,8 +183,8 @@ def evaluate_model(
             metrics["compound.f1"] = macro_f1(
                 pred, truth, model.spec.compound_classes
             )
-            metrics["compound.mean_diagonal"] = _mean_recall(
-                pred, truth, model.spec.compound_classes
+            metrics["compound.mean_diagonal"] = mean_diagonal(
+                confusion_matrix(pred, truth, model.spec.compound_classes)
             )
 
     metrics["degenerate_count"] = float(

@@ -3,25 +3,25 @@
 A run loads its datasets, builds the model from the config, then walks
 sampler-driven epochs. The training split is read as columns, with no
 per-sample objects (one parse serves the validation split too when both
-name the same files), and becomes one row table per job: the feature matrix,
-every label and co-annotation target as row arrays, and the task pools as
-int arrays of row numbers, split by ``BatchLabels.tasks``; co-annotation
-runs over whole pools at once. No reader supplies audio or landmark
-features, so ``audio_dim > 0`` and ``landmark_concat = true`` are config
-errors here, raised before any read. One ``sampler.epoch_iterator`` yields
-every batch: over the VA, AU and EXPR pools, one chunk of each, or over
-the one pool of a compound run; each batch is gathered from the table by
-index. For a recurrent model its rows are packed by
-sequence (``models.pack_rows``): the rows of one sequence id run as one
-sequence in frame order, and every other row alone; the outputs are then
-taken back to batch order, so each loss term sees the whole chunk of its
-task at once. Training draws rows, not windows, so a shuffled batch holds
-fragments of a sequence. A step's loss is one ``losses.objective`` node:
-the multi-task terms followed by the soft-target and distribution-matching
-terms, from one softmax and one sigmoid; its backward sweep reaches only
-the optimizer's parameters, so a frozen trunk gets no gradient. The
-relatedness mixture and the validation rows' packing keys are made once
-per job. Everything downstream of the seed is deterministic.
+name the same files), and is the job's only row store: co-annotation
+writes into its labels over whole pools at once, and the task pools are
+int arrays of its row numbers, split by ``BatchLabels.tasks``. No reader
+supplies audio or landmark features, so ``audio_dim > 0`` and
+``landmark_concat = true`` are config errors here, raised before any read.
+One ``sampler.epoch_iterator`` yields every batch: over the VA, AU and EXPR
+pools, one chunk of each, or over the one pool of a compound run; each
+batch is gathered from the split by index. For a recurrent model its rows
+are packed by the split's ``SampleColumns.keys`` (``models.pack_rows``):
+the rows of one sequence id run as one sequence in frame order, and every
+other row alone; the outputs are then taken back to batch order, so each
+loss term sees the whole chunk of its task at once. Training draws rows,
+not windows, so a shuffled batch holds fragments of a sequence. A step's
+loss is one ``losses.objective`` node: the multi-task terms followed by
+the soft-target and distribution-matching terms, from one softmax and one
+sigmoid; its backward sweep reaches only the optimizer's parameters, so a
+frozen trunk gets no gradient. The relatedness mixture is made once per
+job, and packing keys once per split. Everything downstream of the seed
+is deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..autodiff import Adam, backward, load_checkpoint, save_checkpoint
 from ..csvfile import atomic_write
 from ..errors import ConfigError, DivergedLoss, IncompatibleHeads
 from ..losses import TASKS, BatchLabels, objective
-from ..models import Model, SequenceBatch, load_parameters, pack_rows, sequence_keys
+from ..models import Model, SequenceBatch, load_parameters, pack_rows
 from ..relatedness import (
     RelatednessTable,
     coannotate_aus_to_emotion_rows,
@@ -59,40 +59,27 @@ class TrainResult:
     config: RunConfig
 
 
-@dataclass
-class _TrainTable:
-    """The training set as row arrays, built once per job.
-
-    Row i is annotation row i of the training split, in file order.
-    ``labels`` holds each row's own label plus the hard or soft
-    co-annotation targets, with their flags. The pools are int arrays of
-    row numbers, in file order; every row is in exactly one.
-    """
-
-    features: np.ndarray
-    labels: BatchLabels
-    va_rows: np.ndarray
-    au_rows: np.ndarray
-    expr_rows: np.ndarray
-    compound_rows: np.ndarray
-    keys: Optional[np.ndarray] = None  # ``sequence_keys`` for a stateful model
-
-    def gather(
-        self, rows: np.ndarray
-    ) -> Tuple[SequenceBatch, Optional[np.ndarray], BatchLabels]:
-        """One batch packed by sequence, the index that takes its outputs
-        back to the order of ``rows`` (see ``pack_rows``), and its labels."""
-        labels = self.labels.take(rows)
-        # concordance is undefined on a single point; drop a lone VA row
-        if labels.has_va.sum() == 1:
-            labels.has_va[:] = False
-        keys = None if self.keys is None else self.keys[rows]
-        return (*pack_rows(self.features[rows], keys), labels)
+def _gather(
+    data: SampleColumns, rows: np.ndarray, stateful: bool
+) -> Tuple[SequenceBatch, Optional[np.ndarray], BatchLabels]:
+    """One batch of the split's rows, packed by sequence for a stateful
+    model; the index that takes its outputs back to the order of ``rows``
+    (see ``pack_rows``); and its labels."""
+    labels = data.labels.take(rows)
+    # concordance is undefined on a single point; drop a lone VA row
+    if labels.has_va.sum() == 1:
+        labels.has_va[:] = False
+    keys = data.keys if stateful else None
+    return (*pack_rows(data.features[rows], None if keys is None else keys[rows]), labels)
 
 
-def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable) -> _TrainTable:
-    """The row table of a training split; co-annotation by ``table`` runs
-    over whole pools at once and writes into ``data.labels``."""
+def _build_table(
+    data: SampleColumns, config: RunConfig, table: RelatednessTable
+) -> Tuple[np.ndarray, ...]:
+    """The task pools of a training split, each an int array of row numbers
+    in file order: ``(compound,)`` for a compound run, else ``(va, au,
+    expr)``. Co-annotation by ``table`` runs over whole pools at once and
+    writes into ``data.labels``."""
     labels = data.labels
     # read before co-annotation adds flags
     task = labels.tasks()
@@ -126,16 +113,7 @@ def _build_table(data: SampleColumns, config: RunConfig, table: RelatednessTable
         # a partially annotated row gets no soft target
         labels.soft[au[complete]] = soft[complete]
         labels.has_soft[au[complete]] = True
-    return _TrainTable(
-        features=data.features,
-        labels=labels,
-        va_rows=va,
-        au_rows=au,
-        expr_rows=expr,
-        compound_rows=compound,
-        keys=sequence_keys(data.sequence_id, data.frame_index)
-        if config.model_spec().stateful else None,
-    )
+    return (compound,) if compound.size else (va, au, expr)
 
 
 def train_run(config: RunConfig) -> TrainResult:
@@ -160,17 +138,13 @@ def train_run(config: RunConfig) -> TrainResult:
     # validation rows in the training files come from the same parse
     train, *val = load_splits(*files, ("train", "val") if val_files == files else ("train",))
     table = config.relatedness_table()
-    data = _build_table(train, config, table)
+    pools = _build_table(train, config, table)
     if not val and all(val_files):
         val = [load_columns(*val_files, split="val")]
 
     spec = config.model_spec()
-    if data.compound_rows.size and "COMPOUND" not in spec.heads:
+    if len(pools) == 1 and "COMPOUND" not in spec.heads:
         raise IncompatibleHeads("dataset is compound-labeled but the model has no COMPOUND head")
-    # the validation split never changes, so its packing keys are made once
-    val_keys = (
-        sequence_keys(val[0].sequence_id, val[0].frame_index) if val and spec.stateful else None
-    )
 
     model = Model(spec, config.input_dims(), seed=config.seed)
     if config.init_from:
@@ -186,10 +160,7 @@ def train_run(config: RunConfig) -> TrainResult:
 
     # a compound run walks one pool, shuffled by the key (seed, epoch); a
     # basic-task run walks three, pool k shuffled by (seed, epoch, k)
-    if data.compound_rows.size:
-        pools, key_tails = (data.compound_rows,), [()]
-    else:
-        pools, key_tails = (data.va_rows, data.au_rows, data.expr_rows), [(0,), (1,), (2,)]
+    key_tails = [()] if len(pools) == 1 else [(0,), (1,), (2,)]
     batch_sizes = aligned_batch_sizes([len(p) for p in pools], config.total_batch)
 
     history: List[Dict[str, float]] = []
@@ -203,7 +174,7 @@ def train_run(config: RunConfig) -> TrainResult:
 
         losses: List[float] = []
         for step, rows in enumerate(epoch_iterator(pools, batch_sizes, rngs)):
-            batch, index, labels = data.gather(rows)
+            batch, index, labels = _gather(train, rows, spec.stateful)
             preds = model.forward(batch, train=True, rng=dropout_rng)
             if index is not None:
                 preds = preds.take(index)
@@ -227,7 +198,6 @@ def train_run(config: RunConfig) -> TrainResult:
                 val[0],
                 au_threshold=config.au_threshold,
                 tasks=[t for t in ("VA", "AU", "EXPR", "COMPOUND") if t in model.spec.heads],
-                keys=val_keys,
             )
             record.update({f"val.{k}": v for k, v in metrics.items()})
         history.append(record)

@@ -21,11 +21,11 @@ predictions hold nothing but head outputs.
 The formulas check nothing on a step: each input is checked once, where
 it is made. Class ids, VA values in [-1, 1] and AU targets and mask
 weights in {0, 1} are checked by ``dataio.read_annotation_columns``, and
-compound ids against ``compound_classes`` by the training table; hard
-co-annotation weights come from a validated relatedness table. The
-lambdas are checked by ``RunConfig.validate``, and each head's width is
-fixed by ``Model``. ``_TrainTable.gather`` unflags a batch's lone VA
-row, so concordance always sees two rows or none. Soft targets and the
+compound ids against ``compound_classes`` where training makes its task
+pools; hard co-annotation weights come from a validated relatedness table.
+The lambdas are checked by ``RunConfig.validate``, and each head's width is
+fixed by ``Model``. ``training._gather`` unflags a batch's lone VA row, so
+concordance always sees two rows or none. Soft targets and the
 probabilities are softmax and sigmoid outputs, so they are distributions
 and lie in [0, 1] by construction. ``objective`` keeps one guard, on its
 heads and their row count, and ``masked_bce`` refuses a batch whose AU

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputWarning,
-    EmptyRow,
     LengthMismatch,
     ValueOutOfRange,
 )
@@ -126,13 +125,12 @@ def confusion_matrix(pred, truth, num_classes: int) -> np.ndarray:
 
 
 def mean_diagonal(cm) -> float:
-    """Mean per-class recall: average over rows of counts[k,k] / rowsum[k]."""
+    """Mean per-class recall, counts[k,k] / rowsum[k], over the classes k
+    that have a true sample; 0.0 when none has one."""
     cm = np.asarray(cm, dtype=np.float64)
     row_sums = cm.sum(axis=1)
-    if np.any(row_sums == 0):
-        empty = np.flatnonzero(row_sums == 0).tolist()
-        raise EmptyRow(f"no true samples for classes {empty}")
-    return float(np.mean(np.diag(cm) / row_sums))
+    present = row_sums > 0
+    return float(np.mean(np.diag(cm)[present] / row_sums[present])) if present.any() else 0.0
 
 
 def _check_unit(name: str, value: float) -> None:

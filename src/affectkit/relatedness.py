@@ -23,13 +23,14 @@ co-annotation and contributes nothing to mixtures.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .csvfile import read_lines
 from .errors import BadTableFile
+from .losses import softmax_parts
 from .types import NUM_AUS, NUM_EXPRESSIONS, au_index, expression_id
 
 NEUTRAL_ID = 0
@@ -155,17 +156,8 @@ def load_table(path, name: Optional[str] = None) -> RelatednessTable:
     line per emotion, ``#`` comments, UTF-8. Either key may be omitted. A
     line that does not parse or that ``validate`` refuses raises
     BadTableFile at ``path:line``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the first bad byte's line, with "\r\n" and "\r" ending lines as below
-        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).getvalue()
-        line = head.count("\n") + 1
-        raise BadTableFile(f"{path}:{line}: not UTF-8 text: {exc}") from exc
     rows = []
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, raw in enumerate(read_lines(path, BadTableFile), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -244,5 +236,4 @@ def soft_coannotate_rows(
             num += weight * values[:, i]
             den += weight
         scores[:, cid] = num / den if den > 0 else 0.0
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return scores, e / e.sum(axis=1, keepdims=True), complete
+    return scores, softmax_parts(scores)[2], complete

@@ -33,7 +33,6 @@ from affectkit.harness.training import train_run
 from affectkit.metrics import ccc
 from affectkit.preprocess import (
     CANONICAL_LANDMARKS,
-    AffineFit,
     LandmarkSet,
     SpectrogramConfig,
     fit_alignment,
@@ -43,7 +42,6 @@ from affectkit.preprocess import (
 from affectkit.relatedness import COGNITIVE, coannotate_aus_to_emotion_rows, soft_coannotate_rows
 from affectkit.sampler import aligned_batch_sizes, epoch_iterator
 from affectkit.types import (
-    AU_IDS,
     NUM_AUS,
     NUM_EXPRESSIONS,
     PredictionRecord,

@@ -27,7 +27,6 @@ from affectkit.harness.checks import (
     max_relative_error,
     run_grad_checks,
 )
-from affectkit.harness import cli
 from affectkit.harness.cli import main
 from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
@@ -1140,10 +1139,13 @@ class TestCLI:
              "bad.cfg:2: bad value for 'train_counts': expected three counts >= 0, got '-5,2,2'"),
             ("gen-data", "train_counts = 0,0,0\nval_counts = 0,0,0\n",
              "train_counts=(0, 0, 0), val_counts=(0, 0, 0): counts must be >= 0 and not all"),
+            # values that parse but that validation refuses name the file
+            ("train", "seed = 1\nlr = -1\n", "bad.cfg: lr = -1.0 must be finite and positive"),
+            ("train", "dropout = 1.5\n", "bad.cfg: dropout=1.5 outside [0,1)"),
         ],
         ids=[
             "train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key",
-            "gen_negative", "gen_empty",
+            "gen_negative", "gen_empty", "train_refused", "train_refused_spec",
         ],
     )
     def test_config_errors_name_the_line(self, tmp_path, capsys, command, text, message):
@@ -1156,6 +1158,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_config_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bytes.cfg"
+        cfg.write_bytes(b"# header\r\nfeature_dim = 8\rsigma = \xff\n")
+        if command == "train":
+            code = self.run_cli("train", "--config", cfg)
+        else:
+            code = self.run_cli("gen-data", "--spec", cfg, "--out", tmp_path / "data")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bytes.cfg:3: not UTF-8 text" in err and "Traceback" not in err
 
     def test_train_with_audio_dim_is_exit_2(self, tmp_path, capsys):
         self.write_expr_data(tmp_path, feature_dim=10)

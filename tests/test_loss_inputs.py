@@ -2,12 +2,12 @@
 
 The formulas of ``losses`` check nothing on a step. These tests hold each
 guarantee at its source instead: the labels the annotation reader accepts,
-the co-annotation targets of the training table, the width of each model
-head, the lone VA row that ``gather`` unflags, and the softmax and sigmoid
-outputs that every probability input is. The lambdas are checked by
+the co-annotation targets written into the training split, the width of
+each model head, the lone VA row that ``_gather`` unflags, and the softmax
+and sigmoid outputs that every probability input is. The lambdas are checked by
 ``RunConfig.validate`` (``test_harness.py::TestConfig::test_out_of_range_value``)
-and compound ids against ``compound_classes`` by the training table
-(``test_training_table.py::test_compound_class_beyond_head_raises``).
+and compound ids against ``compound_classes`` where the training pools are
+made (``test_training_table.py::test_compound_class_beyond_head_raises``).
 """
 
 import csv
@@ -20,9 +20,14 @@ from hypothesis import strategies as st
 from affectkit.autodiff import sigmoid_values
 from affectkit.errors import AffectKitError
 from affectkit.harness.config import RunConfig
-from affectkit.harness.dataio import ANNOTATION_FIELDS, load_columns, read_annotation_columns
+from affectkit.harness.dataio import (
+    ANNOTATION_FIELDS,
+    SampleColumns,
+    load_columns,
+    read_annotation_columns,
+)
 from affectkit.harness.synth import SyntheticSpec, generate_dataset
-from affectkit.harness.training import _build_table, _TrainTable
+from affectkit.harness.training import _build_table, _gather
 from affectkit.losses import BatchLabels, softmax_parts
 from affectkit.models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
@@ -97,7 +102,9 @@ def test_co_annotation_targets_meet_the_formula_preconditions(
     config = RunConfig(
         feature_dim=8, coupling=coupling, relatedness=relatedness, reweight_soft=reweight_soft
     )
-    lab = _build_table(load_columns(ann, feats), config, config.relatedness_table()).labels
+    data = load_columns(ann, feats)
+    _build_table(data, config, config.relatedness_table())
+    lab = data.labels
     assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()
     assert ((lab.au_mask >= 0.0) & (lab.au_mask <= 1.0)).all()
     assert np.isin(lab.au_targets, (0.0, 1.0)).all()
@@ -138,13 +145,12 @@ def test_gather_leaves_two_va_rows_or_none(va, rows):
     labels = BatchLabels.zeros(12)
     labels.has_va[sorted(va)] = True
     labels.has_expr[~labels.has_va] = True
-    table = _TrainTable(
-        features=np.zeros((12, 3)), labels=labels, va_rows=np.array(sorted(va), dtype=int),
-        au_rows=np.arange(0), expr_rows=np.flatnonzero(~labels.has_va),
-        compound_rows=np.arange(0),
+    data = SampleColumns(
+        [f"r{r}" for r in range(12)], ["train"] * 12, [None] * 12, [None] * 12, [None] * 12,
+        labels, np.zeros((12, 2), dtype=np.int64), np.zeros((12, 3)),
     )
     rows = np.array(rows, dtype=int)
-    _, _, gathered = table.gather(rows)
+    _, _, gathered = _gather(data, rows, False)
     wanted = labels.has_va[rows]
     if wanted.sum() == 1:
         wanted[:] = False

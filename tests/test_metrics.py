@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from affectkit.errors import (
     DegenerateInputWarning,
-    EmptyRow,
     LengthMismatch,
     ValueOutOfRange,
 )
@@ -134,8 +133,11 @@ class TestConfusionAndRecall:
         assert mean_diagonal(cm) == pytest.approx(0.75)
 
     def test_empty_row(self):
-        with pytest.raises(EmptyRow):
-            mean_diagonal([[1, 0], [0, 0]])
+        # a class with no true sample is left out of the mean, and a matrix
+        # with no true sample at all scores 0.0
+        assert mean_diagonal([[1, 0, 0], [0, 0, 0], [1, 0, 3]]) == pytest.approx(0.875)
+        assert mean_diagonal([[0, 1], [0, 0]]) == 0.0
+        assert mean_diagonal(np.zeros((3, 3), dtype=np.int64)) == 0.0
 
     def test_uar_hand(self):
         assert mean_diagonal(confusion_matrix([0, 1, 1], [0, 0, 1], 2)) == pytest.approx(0.75)

@@ -18,7 +18,8 @@ import pytest
 
 from affectkit.autodiff import DiffTensor, backward
 from affectkit.errors import EmptyMaskBatch, ShapeMismatch
-from affectkit.harness.training import _TrainTable
+from affectkit.harness.dataio import SampleColumns
+from affectkit.harness.training import _gather
 from affectkit.losses import BatchLabels, BatchPredictions, objective
 from affectkit.models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows, sequence_keys
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
@@ -124,16 +125,15 @@ def test_a_dropped_lone_va_row():
     labels = random_labels(rng, "soft+distr", False)
     labels.has_va[:] = False
     labels.has_va[3] = True
-    table = _TrainTable(
-        features=rng.normal(size=(N_ROWS, DIM)), labels=labels,
-        va_rows=np.array([3]), au_rows=np.arange(0), expr_rows=np.arange(0),
-        compound_rows=np.arange(0),
+    none = [None] * N_ROWS
+    data = SampleColumns(
+        [f"r{r}" for r in range(N_ROWS)], ["train"] * N_ROWS, none, none, none, labels,
+        np.zeros((N_ROWS, 2), dtype=np.int64), rng.normal(size=(N_ROWS, DIM)),
     )
-    rows = np.arange(N_ROWS)
-    batch, index, gathered = table.gather(rows)
+    batch, index, gathered = _gather(data, np.arange(N_ROWS), False)
     assert index is None and not gathered.has_va.any()
     model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=2)
-    new, old = both(model, table.features, None, gathered, (0.7, 1.3), COGNITIVE, True)
+    new, old = both(model, data.features, None, gathered, (0.7, 1.3), COGNITIVE, True)
     assert new == old and not isinstance(new[0], type)
 
 

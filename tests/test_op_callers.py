@@ -7,8 +7,9 @@ carrying its identifier appears somewhere in the package outside its own
 definition; an import alone is not a caller. A name with no caller is
 deleted, moved into ``tests/`` as an oracle or fixture, or listed in
 ``ENTRY_POINTS`` with the reason it stays. An entry that has gained a
-caller fails too, so the list cannot go stale. Each name a module imports
-must also be used in that module, or exported through its ``__all__``.
+caller fails too, so the list cannot go stale. Each name a module of the
+package or of ``tests/`` imports must also be used in that module, or
+exported through its ``__all__``.
 
 The runtime audit covers the ops the ``autodiff`` module docstring lists.
 Each is wrapped, and the program's own entry points run: ``train_run`` on
@@ -38,6 +39,7 @@ from affectkit.harness.synth import SyntheticSpec, generate_dataset
 from affectkit.harness.training import train_run
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(affectkit.__file__)) + os.sep
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 # public autodiff functions that build no graph node
 HELPERS = {"sigmoid_values", "backward", "glorot_uniform", "save_checkpoint", "load_checkpoint"}
 
@@ -47,30 +49,28 @@ ENTRY_POINTS = {
     "outputs and the VA median out; the benchmark's stream_predict workload calls it",
     "zeroshot.candidate_score": "the benchmark tracer counts zeroshot.score_calls by "
     "wrapping it, until that counter moves to what the scoring path calls",
-    "metrics.mean_diagonal": "the benchmark tracer wraps it as harness.evaluate's "
-    "mean_diagonal, until that target is dropped",
     "harness.dataio.load_dataset": "the benchmark's workloads read their data as samples "
     "through it, until they read columns",
 }
 
 # imports a module keeps without using them, per module
-UNUSED_IMPORTS = {
-    "harness.evaluate": {"mean_diagonal"},  # so the tracer's target resolves
-}
+UNUSED_IMPORTS: Dict[str, set] = {}
 
 
 # ---------------------------------------------------------------------------
 # static audit
 
 
-def read_package() -> Dict[str, ast.Module]:
-    """Each module of the package by dotted name under ``affectkit``."""
+def read_package(directory: str = PACKAGE_DIR, prefix: str = "") -> Dict[str, ast.Module]:
+    """Each module under ``directory`` by dotted name below it, after
+    ``prefix``: by default the package's modules, under ``affectkit``."""
     trees = {}
-    for dirpath, _, files in os.walk(PACKAGE_DIR):
+    for dirpath, _, files in os.walk(directory):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(dirpath, name)
-                module = os.path.relpath(path, PACKAGE_DIR)[: -len(".py")].replace(os.sep, ".")
+                module = os.path.relpath(path, directory)[: -len(".py")].replace(os.sep, ".")
+                module = prefix + module
                 with open(path, encoding="utf-8") as fh:
                     trees[module] = ast.parse(fh.read(), path)
     return trees
@@ -142,7 +142,8 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 
 def test_every_import_is_used():
-    assert unused_imports(read_package(), UNUSED_IMPORTS) == []
+    trees = {**read_package(), **read_package(TESTS_DIR, "tests.")}
+    assert unused_imports(trees, UNUSED_IMPORTS) == []
 
 
 def test_the_audit_flags_orphans_stale_entries_and_unused_imports():

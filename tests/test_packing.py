@@ -7,12 +7,12 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from affectkit.harness import dataio, evaluate, training
+from affectkit.harness import dataio, training
 from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import SampleColumns
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, make_dataset
-from affectkit.harness.training import _TrainTable, _build_table, train_run
+from affectkit.harness.training import _build_table, _gather, train_run
 from affectkit.models import (
     InputDims,
     Model,
@@ -250,12 +250,13 @@ class TestTraining:
         for s in samples:
             s.split = "train"
         config = RunConfig(feature_dim=DIM, backbone=(8,), recurrent=recurrent, coupling="none")
-        table = _build_table(SampleColumns.of(samples), config, config.relatedness_table())
+        data = SampleColumns.of(samples)
+        _build_table(data, config, config.relatedness_table())
         rows = np.random.default_rng(2).permutation(len(samples))[:40]
-        batch, index, labels = table.gather(rows)
-        features = table.features[rows]
+        batch, index, labels = _gather(data, rows, config.model_spec().stateful)
+        features = data.features[rows]
         if recurrent == "none":
-            assert table.keys is None and index is None
+            assert "keys" not in vars(data) and index is None  # no keys made
             assert np.array_equal(batch.features, features[:, None])
             return
         want, want_index = reference_pack(
@@ -265,7 +266,7 @@ class TestTraining:
         )
         assert batch.batch_size < len(rows)
         assert np.array_equal(batch.features, want) and np.array_equal(index, want_index)
-        assert np.array_equal(labels.expr, table.labels.expr[rows])
+        assert np.array_equal(labels.expr, data.labels.expr[rows])
 
     def test_each_loss_row_is_predicted_within_its_sequence(self, tmp_path, monkeypatch):
         samples = sequence_samples()
@@ -279,9 +280,10 @@ class TestTraining:
             out_dir=str(tmp_path / "run"),
         )
         steps = []
-        real_gather, real_objective = _TrainTable.gather, training.objective
+        real_gather, real_objective = _gather, training.objective
         monkeypatch.setattr(
-            _TrainTable, "gather", lambda self, rows: steps.append([rows]) or real_gather(self, rows)
+            training, "_gather",
+            lambda data, rows, stateful: steps.append([rows]) or real_gather(data, rows, stateful),
         )
         monkeypatch.setattr(
             training, "objective",
@@ -302,16 +304,22 @@ class TestTraining:
             want = model.forward(SequenceBatch(alone)).va.data
             np.testing.assert_allclose(va[ks], want, rtol=0, atol=1e-12)
 
-    def test_validation_keys_are_made_once_per_job(self, tmp_path, monkeypatch):
-        # the validation rows never change, so their packing keys are made
-        # once, beside the training table's; the history is what making them
-        # in every evaluation gave
+    @pytest.mark.parametrize("with_ids", [True, False])
+    def test_packing_keys_are_made_once_per_split(self, tmp_path, monkeypatch, with_ids):
+        # a split's rows never change, so its packing keys are made once per
+        # job, and so is their absence; the history is what making them at
+        # every read gave
         train = make_dataset(
             SyntheticSpec(train_counts=(20, 20, 20), val_counts=(0, 0, 0), feature_dim=DIM), 3
         ).samples()
         val = sequence_samples()
         for s in val:
             s.split = "val"
+        for r, s in enumerate(train + val):
+            if not with_ids:
+                s.sequence_id = s.frame_index = None
+            elif s.split == "train":
+                s.sequence_id, s.frame_index = f"clip{r % 7}", r
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
         write_samples(train + val, ann, feats)
         config = RunConfig(
@@ -321,21 +329,15 @@ class TestTraining:
         )
         made, real_keys = [], sequence_keys
         counting = lambda ids, frames: made.append(len(ids)) or real_keys(ids, frames)  # noqa: E731
-        monkeypatch.setattr(training, "sequence_keys", counting)
-        monkeypatch.setattr(evaluate, "sequence_keys", counting)
+        monkeypatch.setattr(dataio, "sequence_keys", counting)
         once = train_run(config)
         assert made == [60, len(val)]
 
-        real_eval = evaluate_model
-
-        def keys_each_epoch(model, data, **kwargs):
-            kwargs.pop("keys")
-            return real_eval(model, data, **kwargs)
-
-        monkeypatch.setattr(training, "evaluate_model", keys_each_epoch)
+        each_read = property(lambda self: counting(self.sequence_id, self.frame_index))
+        monkeypatch.setattr(SampleColumns, "keys", each_read)
         made.clear()
         each = train_run(config.override(out_dir=str(tmp_path / "each")))
-        assert made == [60, len(val)] + [len(val)] * 3  # and one per evaluation
+        assert made.count(len(val)) == 3 and made.count(60) == 15  # one per evaluation and step
         assert each.history == once.history and "val.va.ccc_v" in once.history[-1]
 
     def test_validation_is_encoded_once_per_job(self, tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from affectkit.errors import (
 from affectkit.preprocess import (
     CANONICAL_LANDMARKS,
     LANDMARK_NAMES,
-    AffineFit,
     LandmarkSet,
     SpectrogramConfig,
     apply_alignment,

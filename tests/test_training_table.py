@@ -1,6 +1,7 @@
-"""The per-job training table: built from the column readers, it must equal
-the per-row readers and the per-sample table and batch assembly it
-replaced, exactly."""
+"""The training split as the job's row store: its labels with the
+co-annotation targets, its task pools and the batches gathered from it,
+built from the column readers, must equal the per-row readers and the
+per-sample table and batch assembly they replaced, exactly."""
 
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
@@ -15,7 +16,7 @@ from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import load_columns
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.harness import training
-from affectkit.harness.training import _build_table, train_run
+from affectkit.harness.training import _build_table, _gather, train_run
 from affectkit.losses import BatchLabels
 from affectkit.models import SequenceBatch
 from affectkit.relatedness import COGNITIVE, load_table
@@ -198,21 +199,34 @@ def assert_same(got, want):
     )
 
 
-def assert_table_equals_reference(table, want):
-    """Features, every BatchLabels array and flag, and the four pools."""
+def assert_table_equals_reference(got, want):
+    """Features, every BatchLabels array and flag, and the pools: the
+    compound pool alone when it has rows, else the VA, AU and EXPR pools."""
+    data, pools = got
     assert_same_arrays(
-        [("features", table.features, want.features)]
-        + [(f.name, getattr(table.labels, f.name), getattr(want.labels, f.name))
+        [("features", data.features, want.features)]
+        + [(f.name, getattr(data.labels, f.name), getattr(want.labels, f.name))
            for f in fields(BatchLabels)]
     )
-    for pool in ("va_rows", "au_rows", "expr_rows", "compound_rows"):
-        assert np.array_equal(getattr(table, pool), getattr(want, pool)), pool
+    basic = (want.va_rows, want.au_rows, want.expr_rows)
+    wanted = (want.compound_rows,) if want.compound_rows else basic
+    assert len(pools) == len(wanted)
+    assert all(np.array_equal(p, w) for p, w in zip(pools, wanted))
+
+
+def build(ann, feats, cfg, split="train"):
+    """The split from the column readers, with its co-annotation targets,
+    and its pools."""
+    data = load_columns(ann, feats, split=split)
+    return data, _build_table(data, cfg, cfg.relatedness_table())
 
 
 def build_both(ann, feats, cfg, split="train"):
-    """The table from the column readers and the per-row reference's."""
-    table = _build_table(load_columns(ann, feats, split=split), cfg, cfg.relatedness_table())
-    return table, ref.build_table(ref.load_dataset(ann, feats, split=split), cfg)
+    """The split and pools from the column readers and the per-row
+    reference's table."""
+    return build(ann, feats, cfg, split), ref.build_table(
+        ref.load_dataset(ann, feats, split=split), cfg
+    )
 
 
 @pytest.mark.parametrize("reweight_soft", [True, False])
@@ -221,20 +235,21 @@ def build_both(ann, feats, cfg, split="train"):
 def test_table_equals_per_row_reference(tmp_path, coupling, relatedness, reweight_soft):
     ann, feats = write_files(tmp_path, basic_samples())
     cfg = config(coupling=coupling, relatedness=relatedness, reweight_soft=reweight_soft)
-    table, want = build_both(ann, feats, cfg)
-    assert_table_equals_reference(table, want)
-    assert len(table.features) == 47  # the validation rows are left out
+    got, want = build_both(ann, feats, cfg)
+    assert_table_equals_reference(got, want)
+    data, (_, au, expr) = got
+    assert len(data.features) == 47  # the validation rows are left out
     if coupling in ("soft_coannotation", "soft+distr"):
-        assert 0 < table.labels.has_soft.sum() < len(table.au_rows)
+        assert 0 < data.labels.has_soft.sum() < len(au)
     if coupling == "coannotation":
-        assert table.labels.has_au[list(table.expr_rows)].any()
+        assert data.labels.has_au[expr].any()
 
 
 def test_compound_table_equals_per_row_reference(tmp_path):
     ann, feats = write_files(tmp_path, compound_samples())
-    table, want = build_both(ann, feats, config(heads=("COMPOUND",)))
-    assert_table_equals_reference(table, want)
-    assert len(table.compound_rows) == 23
+    got, want = build_both(ann, feats, config(heads=("COMPOUND",)))
+    assert_table_equals_reference(got, want)
+    assert len(got[1]) == 1 and len(got[1][0]) == 23
 
 
 def test_split_fallback_keeps_every_row(tmp_path):
@@ -242,29 +257,26 @@ def test_split_fallback_keeps_every_row(tmp_path):
     for s in samples:
         s.split = "val"
     ann, feats = write_files(tmp_path, samples)
-    table, want = build_both(ann, feats, config(coupling="soft+distr"))
-    assert_table_equals_reference(table, want)
-    assert len(table.features) == len(samples)
+    got, want = build_both(ann, feats, config(coupling="soft+distr"))
+    assert_table_equals_reference(got, want)
+    assert len(got[0].features) == len(samples)
 
 
 @pytest.mark.parametrize("coupling", COUPLINGS)
 def test_gather_equals_per_sample_assembly(tmp_path, coupling):
     ann, feats = write_files(tmp_path, basic_samples())
     cfg = config(coupling=coupling, seed=11)
-    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
+    data, by_row = build(ann, feats, cfg)
     samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
 
     def ids_of(rows):
         return tuple(samples[r].id for r in rows)
 
-    assert ids_of(table.va_rows) == pools.va_ids
-    assert ids_of(table.au_rows) == pools.au_ids
-    assert ids_of(table.expr_rows) == pools.expr_ids
+    assert tuple(map(ids_of, by_row)) == (pools.va_ids, pools.au_ids, pools.expr_ids)
 
     sizes = (len(pools.va_ids), len(pools.au_ids), len(pools.expr_ids))
     batch_sizes = aligned_batch_sizes(sizes, cfg.total_batch)
-    by_row = (table.va_rows, table.au_rows, table.expr_rows)
     rngs = [np.random.default_rng([cfg.seed, 1, k]) for k in range(3)]
     by_id = ref.TaskPartition(pools.va_ids, pools.au_ids, pools.expr_ids, batch_sizes)
     batches = list(zip(
@@ -277,26 +289,26 @@ def test_gather_equals_per_sample_assembly(tmp_path, coupling):
         ids = ids.all_ids()
         assert ids_of(rows) == ids  # same batch order as the id pools
         va_counts.add(sum(pools.by_id[i].task == "VA" for i in ids))
-        assert_same(table.gather(rows), reference_batch(ids, pools, cfg))
+        assert_same(_gather(data, rows, False), reference_batch(ids, pools, cfg))
     assert 1 in va_counts and max(va_counts) >= 2  # a lone VA row is dropped
     if coupling in ("soft_coannotation", "soft+distr"):
-        assert 0 < table.labels.has_soft.sum() < len(pools.au_ids)
+        assert 0 < data.labels.has_soft.sum() < len(pools.au_ids)
 
 
 def test_compound_gather_equals_per_sample_assembly(tmp_path):
     ann, feats = write_files(tmp_path, compound_samples())
     cfg = config(heads=("COMPOUND",), total_batch=8, seed=4)
-    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
+    data, (compound,) = build(ann, feats, cfg)
     samples = ref.load_dataset(ann, feats, split="train")
     pools = reference_pools(samples, cfg)
-    batch_sizes = aligned_batch_sizes([len(table.compound_rows)], 8)
+    batch_sizes = aligned_batch_sizes([len(compound)], 8)
     rngs = [np.random.default_rng([cfg.seed, 0])]
-    row_chunks = list(epoch_iterator((table.compound_rows,), batch_sizes, rngs))
+    row_chunks = list(epoch_iterator((compound,), batch_sizes, rngs))
     id_chunks = list(ref.compound_chunks(pools.compound_ids, 8, cfg.seed, 0, True))
     assert len(row_chunks) == 3
     for rows, ids in zip(row_chunks, id_chunks, strict=True):
         assert tuple(samples[r].id for r in rows) == ids
-        assert_same(table.gather(rows), reference_batch(ids, pools, cfg))
+        assert_same(_gather(data, rows, False), reference_batch(ids, pools, cfg))
 
 
 @pytest.mark.parametrize("shuffle", [True, False])
@@ -321,16 +333,14 @@ def test_train_run_walks_the_oracle_batches(tmp_path, monkeypatch, layout, shuff
 
     monkeypatch.setattr(training, "epoch_iterator", spy)
     train_run(cfg)
-    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
+    pools = [tuple(p.tolist()) for p in build(ann, feats, cfg)[1]]
     want = []
     for epoch in range(cfg.epochs):
         if layout == "compound":
-            chunks = ref.compound_chunks(
-                tuple(table.compound_rows.tolist()), cfg.total_batch, cfg.seed, epoch, shuffle
-            )
+            (compound,) = pools
+            chunks = ref.compound_chunks(compound, cfg.total_batch, cfg.seed, epoch, shuffle)
             want += [list(c) for c in chunks]
         else:
-            pools = [tuple(p.tolist()) for p in (table.va_rows, table.au_rows, table.expr_rows)]
             sizes = aligned_batch_sizes([len(p) for p in pools], cfg.total_batch)
             partition = ref.TaskPartition(*pools, sizes)
             batches = ref.epoch_iterator(partition, cfg.seed, epoch, shuffle)
@@ -390,21 +400,21 @@ def test_pools_hold_each_training_row_exactly_once(tmp_path, layout):
     else:
         samples, cfg = compound_samples(), config(heads=("COMPOUND",))
     ann, feats = write_files(tmp_path, samples)
-    table = _build_table(load_columns(ann, feats, split="train"), cfg, cfg.relatedness_table())
-    pools = (table.va_rows, table.au_rows, table.expr_rows, table.compound_rows)
+    data, pools = build(ann, feats, cfg)
+    assert len(pools) == (3 if layout == "basic" else 1)
     assert all(p.dtype.kind == "i" and np.all(np.diff(p) > 0) for p in pools)  # file order
-    assert np.array_equal(np.sort(np.concatenate(pools)), np.arange(len(table.features)))
+    assert np.array_equal(np.sort(np.concatenate(pools)), np.arange(len(data.features)))
 
 
 def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
     ann, feats = write_files(tmp_path, basic_samples())
     data = load_columns(ann, feats, split="train")
     samples = data.samples()
-    table = _build_table(data, config(), COGNITIVE)
+    _, au, _ = _build_table(data, config(), COGNITIVE)
     zero = [r for r, s in enumerate(samples) if isinstance(s.label, AUVector)
             and not s.label.mask.any()]
-    assert zero and set(zero) <= set(table.au_rows)
-    assert not table.labels.has_au[zero].any()
+    assert zero and set(zero) <= set(au.tolist())
+    assert not data.labels.has_au[zero].any()
 
 
 def count_label_objects(monkeypatch) -> List[str]:
