@@ -15,7 +15,7 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
   jobs, the time spent in ``gru_sequence`` and in the backward edges of the
   GRU nodes it returns, per training step;
 * ``evaluate_ms``: the median of ``--evals`` ``evaluate_model`` calls on the
-  600 validation rows, loaded as samples, with that architecture drawn from
+  600 validation rows of ``load_dataset``, with that architecture drawn from
   the seed.
 
 One BLAS thread, as in the benchmark.
@@ -90,13 +90,13 @@ def training_ms(config: RunConfig, jobs: int):
 
 
 def evaluate_ms(config: RunConfig, evals: int) -> float:
-    samples = load_dataset(config.train_annotations, config.train_features, split="val")
-    assert len(samples) == 600
+    data = load_dataset(config.train_annotations, config.train_features, split="val")
+    assert len(data) == 600
     model = Model(config.model_spec(), config.input_dims(), seed=config.seed)
     times = []
     for _ in range(evals):
         start = time.perf_counter()
-        evaluate_model(model, samples)
+        evaluate_model(model, data)
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 

@@ -34,20 +34,26 @@ def open_text(path) -> IO[str]:
     return open(path, "r", encoding="utf-8", newline="")
 
 
+def _split_lines(text: str) -> List[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _decode(path, data: bytes, error: Type[AffectKitError]) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 raises ``error`` at
+    the ``path:line`` it is on, lines ending as :func:`read_lines` ends them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_split_lines(data[: exc.start].decode("utf-8")))
+        raise error(f"{path}:{line}: not UTF-8 text: {exc}") from exc
+
+
 def read_lines(path, error: Type[AffectKitError] = ConfigError) -> List[str]:
     """The lines of the UTF-8 text file ``path``, without their endings;
     "\n", "\r\n" and "\r" each end a line. A byte that is not UTF-8 raises
     ``error`` at the ``path:line`` it is on."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text, bad = data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        text, bad = data[: exc.start].decode("utf-8"), exc
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if bad is not None:
-        raise error(f"{path}:{len(lines)}: not UTF-8 text: {bad}") from bad
-    return lines
+        return _split_lines(_decode(path, fh.read(), error))
 
 
 @contextmanager
@@ -57,8 +63,9 @@ def open_rows(path) -> Iterator[Tuple[Optional[List[str]], Rows]]:
     ``header`` is the first record, None for an empty file. ``rows`` yields
     ``(line, row)`` for every later non-blank record; ``line`` is the file
     line the record ends on, so a quoted field that holds a newline does not
-    shift the lines named after it. Bytes that are not UTF-8 and records the
-    csv module cannot parse raise ConfigError naming the path.
+    shift the lines named after it. A byte that is not UTF-8 raises
+    ConfigError at the ``path:line`` it is on, and a record the csv module
+    cannot parse at the line it ends on.
     """
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -66,6 +73,9 @@ def open_rows(path) -> Iterator[Tuple[Optional[List[str]], Rows]]:
             header = next(reader, None)
             yield header, ((reader.line_num, row) for row in reader if row)
         except UnicodeDecodeError as exc:
+            # the decoder's offset is within its chunk: find the line in the file
+            with open(path, "rb") as raw:
+                _decode(path, raw.read(), ConfigError)
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
         except csv.Error as exc:
             raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc

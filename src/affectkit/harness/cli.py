@@ -34,7 +34,7 @@ from .checks import GRAD_TOLERANCE, CHECKS, run_grad_checks
 from .config import RunConfig, parse_kv_file
 from .dataio import (
     _csv_line,
-    load_columns,
+    load_dataset,
     read_predictions,
     write_predictions,
     write_report,
@@ -75,7 +75,11 @@ _SPEC_PARSERS = {
 def _synthetic_spec(path: Optional[str]) -> SyntheticSpec:
     if path is None:
         return SyntheticSpec()
-    return SyntheticSpec(**parse_kv_file(path, _SPEC_PARSERS))
+    values = parse_kv_file(path, _SPEC_PARSERS)
+    try:
+        return SyntheticSpec(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +124,7 @@ def _cmd_eval(args) -> int:
     if args.au_threshold is not None:
         config = config.override(au_threshold=args.au_threshold)
     model = load_model(config, args.checkpoint)
-    data = load_columns(args.annotations, args.features, split=args.split or None)
+    data = load_dataset(args.annotations, args.features, split=args.split or None)
     tasks = None
     if args.tasks:
         tasks = [t.strip().upper() for t in args.tasks.split(",")]

@@ -13,11 +13,14 @@ Optional columns round-trip ``None`` as the empty string.
 An annotation file is parsed once into :class:`SampleColumns`: ids, splits,
 sequence ids, utterance ids and frame indices as lists, and every label
 straight into ``BatchLabels`` columns with its flag. A feature file becomes
-one (N, D) matrix, and :func:`load_columns` takes its rows by id
+one (N, D) matrix, and :func:`load_dataset` takes its rows by id
 (:func:`load_splits` several splits from one parse). Each column is
 checked at load, and a bad value names the ``path:line`` of its row; an id
 repeated within either file is an error. A split is the one row store of
-training and evaluation, and makes its packing keys once.
+training and evaluation, from the file to the score, and makes its
+packing keys once. No label becomes a per-row object; slicing a split
+copies its columns, and iterating it yields ids and feature rows (see
+:class:`SampleColumns`).
 
 A plain feature file is read in blocks, each line's id peeled off with one
 ``partition``, and all values converted by one ``np.loadtxt`` call. Plain
@@ -31,9 +34,7 @@ other file goes through the per-row reader (``csv`` rows, one ``float()``
 per value), which alone raises the errors.
 
 The writers are the readers' inverses and take columns too; they, and
-the report writer, write through ``csvfile.atomic_write``. Only
-``SampleColumns.of``, ``SampleColumns.samples`` and :func:`load_dataset`
-convert to or from per-row ``AnnotatedSample`` objects.
+the report writer, write through ``csvfile.atomic_write``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,16 +54,7 @@ from ..csvfile import atomic_write, open_rows, open_text
 from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
 from ..losses import TASKS, BatchLabels
 from ..models import sequence_keys
-from ..types import (
-    NUM_AUS,
-    NUM_EXPRESSIONS,
-    AnnotatedSample,
-    AUVector,
-    CompoundLabel,
-    ExpressionLabel,
-    PredictionRecord,
-    ValenceArousal,
-)
+from ..types import NUM_AUS, NUM_EXPRESSIONS, PredictionRecord
 
 ANNOTATION_FIELDS = (
     "id",
@@ -99,6 +91,13 @@ _PLAIN_VALUE_BYTES = b"0123456789+-.eE,"
 _BLOCK_CHARS = 1 << 14  # characters read per block; larger blocks raise the peak memory
 
 
+class SampleRow(NamedTuple):
+    """One row of a split as :meth:`SampleColumns.__iter__` yields it."""
+
+    id: str
+    features: np.ndarray  # the row of the split's (N, D) matrix, as a view
+
+
 @dataclass
 class SampleColumns:
     """A dataset as columns: row i of every field is one annotation row, in
@@ -108,8 +107,10 @@ class SampleColumns:
     one flag, and an AU row with no annotated unit has none.
     ``compound_pair`` holds the two constituent emotions of each compound
     row, and ``features`` the (N, D) feature matrix once
-    :func:`load_columns` has attached it. :meth:`of` and :meth:`samples`
-    convert from and to per-row ``AnnotatedSample`` objects.
+    :func:`load_dataset` has attached it. ``len()`` counts the rows, a
+    slice is :meth:`take` of its row numbers, and iterating a split with
+    features yields one :class:`SampleRow` per row. An empty split is
+    falsy.
     """
 
     ids: List[str]
@@ -127,6 +128,15 @@ class SampleColumns:
         kept (None too): a split's rows never change."""
         return sequence_keys(self.sequence_id, self.frame_index)
 
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows: slice) -> "SampleColumns":
+        return self.take(range(len(self.ids))[rows])
+
+    def __iter__(self) -> Iterator[SampleRow]:
+        return map(SampleRow, self.ids, self.features)
+
     def take(self, rows: Sequence[int]) -> "SampleColumns":
         """The given rows of every column, as new lists and arrays."""
         cols = (self.ids, self.split, self.sequence_id, self.utterance_id, self.frame_index)
@@ -135,59 +145,6 @@ class SampleColumns:
             self.labels.take(rows), self.compound_pair[rows],
             None if self.features is None else self.features[rows],
         )
-
-    @classmethod
-    def of(cls, samples: Sequence[AnnotatedSample]) -> "SampleColumns":
-        """The columns of in-memory samples, with their features stacked:
-        the inverse of :meth:`samples`."""
-        labels = BatchLabels.zeros(len(samples))
-        pairs = np.zeros((len(samples), 2), dtype=np.int64)
-        for r, s in enumerate(samples):
-            label, task = s.label, s.task
-            if task == "VA":
-                labels.has_va[r] = True
-                labels.va[r] = label.valence, label.arousal
-            elif task == "EXPR":
-                labels.has_expr[r] = True
-                labels.expr[r] = label.class_id
-            elif task == "COMPOUND":
-                labels.has_compound[r] = True
-                labels.compound[r] = label.class_id
-                pairs[r] = label.emo1.class_id, label.emo2.class_id
-            elif label.mask.any():
-                labels.has_au[r] = True
-                labels.au_targets[r] = label.values
-                labels.au_mask[r] = label.mask
-        return cls(
-            *([getattr(s, name) for s in samples]
-              for name in ("id", "split", "sequence_id", "utterance_id", "frame_index")),
-            labels, pairs, np.array([s.features for s in samples], dtype=np.float64),
-        )
-
-    def samples(self) -> List[AnnotatedSample]:
-        """One AnnotatedSample per row; its features are a row of the
-        matrix, or empty when none is attached."""
-        lab = self.labels
-        va, expr, compound, pairs = (
-            a.tolist() for a in (lab.va, lab.expr, lab.compound, self.compound_pair)
-        )
-        out = []
-        for r, kind in enumerate(lab.tasks().tolist()):
-            task = TASKS[kind]
-            if task == "VA":
-                label = ValenceArousal(*va[r])
-            elif task == "EXPR":
-                label = ExpressionLabel(expr[r])
-            elif task == "COMPOUND":
-                label = CompoundLabel(compound[r], *map(ExpressionLabel, pairs[r]))
-            else:
-                label = AUVector(lab.au_targets[r], lab.au_mask[r])
-            features = np.empty(0) if self.features is None else self.features[r]
-            out.append(AnnotatedSample(
-                self.ids[r], self.split[r], features, label,
-                self.sequence_id[r], self.utterance_id[r], self.frame_index[r],
-            ))
-        return out
 
 
 def write_annotations(path, data: SampleColumns) -> None:
@@ -449,7 +406,7 @@ def _read_feature_rows(path) -> Tuple[List[str], np.ndarray]:
     return ids, matrix
 
 
-def load_columns(annotations_path, features_path, split: Optional[str] = None) -> SampleColumns:
+def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> SampleColumns:
     """Read annotations and attach each row's feature vector by id. With
     ``split``, keep the rows of that split, or every row if none carries
     it. An annotated id without a feature row raises KeyMisalignment."""
@@ -459,7 +416,7 @@ def load_columns(annotations_path, features_path, split: Optional[str] = None) -
 def load_splits(
     annotations_path, features_path, splits: Sequence[Optional[str]]
 ) -> List[SampleColumns]:
-    """:func:`load_columns` for each of ``splits``, parsing both files once;
+    """:func:`load_dataset` for each of ``splits``, parsing both files once;
     no two results share a list or an array."""
     data = read_annotation_columns(annotations_path)
     ids, matrix = read_feature_columns(features_path)
@@ -477,12 +434,6 @@ def load_splits(
         part.features = matrix[[index[sid] for sid in part.ids]]
         out.append(part)
     return out
-
-
-def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> List[AnnotatedSample]:
-    """Read annotations and attach feature vectors by id, as samples: the
-    per-row view of :func:`load_columns`."""
-    return load_columns(annotations_path, features_path, split).samples()
 
 
 def _probs_field(probs: Optional[np.ndarray]) -> str:

@@ -1,6 +1,9 @@
 """Checkpoint evaluation: per-task metrics plus a predictions table.
 
-The split is scored as it is read. For a stateful model its rows go
+The split is the ``SampleColumns`` that ``dataio.load_dataset`` returns,
+scored as it is read: its features go through the model as one matrix and
+its labels are read from their columns, so no row becomes an object before
+its prediction record. For a stateful model its rows go
 through the model in chunks of whole sequences of up to ``chunk`` rows (a
 longer sequence goes alone), each chunk packed by ``pack_rows`` with the
 split's ``SampleColumns.keys``, made once per split, and the predictions
@@ -13,7 +16,7 @@ row gets a prediction row for each head the model has.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from ..metrics import (
     mse,
 )
 from ..models import Model, pack_rows
-from ..types import NUM_EXPRESSIONS, AnnotatedSample, PredictionRecord
+from ..types import NUM_EXPRESSIONS, PredictionRecord
 from .dataio import SampleColumns
 
 
@@ -83,16 +86,16 @@ def _forward_all(
 
 def evaluate_model(
     model: Model,
-    samples: Union[Sequence[AnnotatedSample], SampleColumns],
+    data: SampleColumns,
     au_threshold: float = 0.5,
     tasks: Optional[Sequence[str]] = None,
     chunk: int = 512,
 ) -> Tuple[Dict[str, float], List[PredictionRecord]]:
     """Score the model on every task present (or the requested subset).
 
-    ``samples`` are annotated samples, or the columns of a split with its
-    features attached, which are read as they are. Neither carries audio,
-    so a model with an audio stream raises ConfigError.
+    ``data`` is a split with its features attached (see
+    ``dataio.load_dataset``), read as it is. It carries no audio, so a
+    model with an audio stream raises ConfigError.
     A stateful model packs the rows by the split's ``SampleColumns.keys``,
     made on their first use and kept. Returns a flat metric dict and one
     prediction record per row. ``degenerate_count`` reports
@@ -100,7 +103,6 @@ def evaluate_model(
     IncompatibleHeads when a requested (or present) task has no matching
     model head.
     """
-    data = samples if isinstance(samples, SampleColumns) else SampleColumns.of(list(samples))
     if model.dims.audio and data.ids:
         raise ConfigError(f"{data.ids[0]}: audio_dim set but sample has no audio")
     labels = data.labels

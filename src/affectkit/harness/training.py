@@ -1,9 +1,10 @@
 """Training orchestration: multi-source batching, coupling, logging.
 
 A run loads its datasets, builds the model from the config, then walks
-sampler-driven epochs. The training split is read as columns, with no
-per-sample objects (one parse serves the validation split too when both
-name the same files), and is the job's only row store: co-annotation
+sampler-driven epochs. Each split is the ``SampleColumns`` that
+``dataio.load_dataset`` returns; when the validation split names the
+training files, ``dataio.load_splits`` reads both from one parse. The
+training split is the job's only row store: co-annotation
 writes into its labels over whole pools at once, and the task pools are
 int arrays of its row numbers, split by ``BatchLabels.tasks``. No reader
 supplies audio or landmark features, so ``audio_dim > 0`` and
@@ -46,7 +47,7 @@ from ..relatedness import (
 )
 from ..sampler import aligned_batch_sizes, epoch_iterator
 from .config import RunConfig
-from .dataio import SampleColumns, load_columns, load_splits
+from .dataio import SampleColumns, load_dataset, load_splits
 from .evaluate import evaluate_model
 
 
@@ -136,11 +137,14 @@ def train_run(config: RunConfig) -> TrainResult:
     files = (config.train_annotations, config.train_features)
     val_files = (config.val_annotations, config.val_features)
     # validation rows in the training files come from the same parse
-    train, *val = load_splits(*files, ("train", "val") if val_files == files else ("train",))
+    train, *val = (
+        load_splits(*files, ("train", "val")) if val_files == files
+        else [load_dataset(*files, split="train")]
+    )
     table = config.relatedness_table()
     pools = _build_table(train, config, table)
     if not val and all(val_files):
-        val = [load_columns(*val_files, split="val")]
+        val = [load_dataset(*val_files, split="val")]
 
     spec = config.model_spec()
     if len(pools) == 1 and "COMPOUND" not in spec.heads:
@@ -192,7 +196,7 @@ def train_run(config: RunConfig) -> TrainResult:
             "loss": float(np.mean(losses)) if losses else float("nan"),
             "lr": opt.lr,
         }
-        if val and val[0].ids:
+        if val and val[0]:
             metrics, _ = evaluate_model(
                 model,
                 val[0],

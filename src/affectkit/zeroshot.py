@@ -31,7 +31,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .relatedness import COGNITIVE, RelatednessTable
-from .types import ExpressionLabel, PredictionRecord, au_index, expression_id
+from .types import PredictionRecord, au_index, expression_id
 
 # (name, constituent pair, positive-valence bonus) - the standard 11
 # compound classes over the six basic emotions.
@@ -54,13 +54,13 @@ _BONUS_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False
 
 @dataclass(frozen=True)
 class CompoundClassDef:
-    """A compound class: two distinct constituent emotions, the weighted
-    AU set characterizing the blend, and whether the positive-valence
-    bonus applies."""
+    """A compound class: two distinct constituent emotions (expression
+    class ids), the weighted AU set characterizing the blend, and whether
+    the positive-valence bonus applies."""
 
     name: str
-    emo1: ExpressionLabel
-    emo2: ExpressionLabel
+    emo1: int
+    emo2: int
     au_set: Tuple[Tuple[int, float], ...]
     valence_bonus: bool = False
 
@@ -70,7 +70,7 @@ class CompoundClassDef:
     weight_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.emo1.class_id == self.emo2.class_id:
+        if self.emo1 == self.emo2:
             raise ValueOutOfRange(f"{self.name}: constituents must differ")
         if not self.au_set:
             raise ValueOutOfRange(f"{self.name}: AU set must be nonempty")
@@ -87,14 +87,14 @@ class CompoundClassDef:
 
 
 def _union_au_set(
-    table: RelatednessTable, emo1: ExpressionLabel, emo2: ExpressionLabel
+    table: RelatednessTable, emo1: int, emo2: int
 ) -> Tuple[Tuple[int, float], ...]:
     """Union of both constituents' weighted AUs; duplicates keep the larger
     weight. Order: emo1's AUs first, then emo2's new ones."""
     merged: Dict[int, float] = {}
     order: List[int] = []
     for emo in (emo1, emo2):
-        row = table.row(emo.class_id)
+        row = table.row(emo)
         if row is None:
             continue
         for au, w in row.weighted_aus():
@@ -111,8 +111,7 @@ def default_compound_defs(table: RelatednessTable = COGNITIVE) -> List[CompoundC
     relatedness table (union of the constituents' rows)."""
     defs = []
     for name, e1, e2, bonus in _DEFAULT_CLASSES:
-        emo1 = ExpressionLabel(expression_id(e1))
-        emo2 = ExpressionLabel(expression_id(e2))
+        emo1, emo2 = expression_id(e1), expression_id(e2)
         defs.append(
             CompoundClassDef(
                 name=name,
@@ -153,7 +152,7 @@ def _score(
     num = 0.0
     for col, w in cdef.columns:
         num += w * au[col]
-    score = num / cdef.weight_sum + (expr[cdef.emo1.class_id] + expr[cdef.emo2.class_id])
+    score = num / cdef.weight_sum + (expr[cdef.emo1] + expr[cdef.emo2])
     if cdef.valence_bonus:
         score += bonus
     return score
@@ -213,8 +212,7 @@ def load_compound_defs(
                     raise BadTableFile(
                         f"{path}:{line}: bonus flag {bonus!r} not in {'/'.join(_BONUS_FLAGS)}"
                     )
-                emo1 = ExpressionLabel(expression_id(e1))
-                emo2 = ExpressionLabel(expression_id(e2))
+                emo1, emo2 = expression_id(e1), expression_id(e2)
                 au_set: Tuple[Tuple[int, float], ...]
                 if len(row) > 4:
                     pairs = []

@@ -2,6 +2,11 @@
 training table, the SVD landmark alignment, and the file helpers the tests
 write and read fixtures with.
 
+``AnnotatedSample`` is one annotation row as an object, its label one of
+``ValenceArousal``, ``ExpressionLabel``, ``AUVector`` and ``CompoundLabel``:
+the per-row codec the program kept before a split became one
+``SampleColumns`` from file to score. ``columns_of`` and ``samples_of``
+convert in-memory samples to and from columns, a row at a time.
 ``read_annotations``, ``read_features`` and ``load_dataset`` are the readers
 that built one ``AnnotatedSample`` per row, and ``write_annotations`` the
 writer that encoded one per row, dispatching on its label's type;
@@ -29,8 +34,10 @@ on the design matrix ``[src, 1]`` and a LAPACK least-squares solve. The
 alignment tests compare the two at explicit tolerances.
 
 ``write_audio`` writes the audio format ``preprocess.read_audio`` reads,
-``read_report`` reads the file ``dataio.write_report`` writes, and
-``write_samples`` writes in-memory samples through the column writers.
+``read_report`` reads the file ``dataio.write_report`` writes,
+``blank_columns`` makes unlabelled rows for a test to label, and
+``write_columns`` and ``write_samples`` write columns and in-memory samples
+through the column writers.
 """
 
 import math
@@ -38,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,19 +60,136 @@ from affectkit.errors import (
 )
 from affectkit.harness import dataio
 from affectkit.harness.dataio import ANNOTATION_FIELDS, SampleColumns, _csv_line
-from affectkit.losses import BatchLabels
+from affectkit.losses import TASKS, BatchLabels
 from affectkit.preprocess import AffineFit, LandmarkSet
 from affectkit.relatedness import RelatednessTable
-from affectkit.types import (
-    NUM_AUS,
-    NUM_EXPRESSIONS,
-    AnnotatedSample,
-    AUVector,
-    CompoundLabel,
-    ExpressionLabel,
-    ValenceArousal,
-    au_index,
-)
+from affectkit.types import NUM_AUS, NUM_EXPRESSIONS, au_index
+
+# ---------------------------------------------------------------------------
+# the per-row sample codec
+
+
+@dataclass(frozen=True)
+class ValenceArousal:
+    valence: float
+    arousal: float
+
+
+@dataclass(frozen=True)
+class ExpressionLabel:
+    class_id: int
+
+
+class AUVector:
+    """17 binary AU activations and a 17-entry annotation mask (all ones by
+    default), both stored as read-only uint8 arrays."""
+
+    __slots__ = ("values", "mask")
+
+    def __init__(self, values, mask=None):
+        self.values = np.array(values, dtype=np.uint8)
+        self.mask = np.ones(NUM_AUS, np.uint8) if mask is None else np.array(mask, np.uint8)
+        self.values.setflags(write=False)
+        self.mask.setflags(write=False)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AUVector)
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.mask, other.mask)
+        )
+
+
+@dataclass(frozen=True)
+class CompoundLabel:
+    class_id: int
+    emo1: ExpressionLabel
+    emo2: ExpressionLabel
+
+
+Label = Union[ValenceArousal, ExpressionLabel, AUVector, CompoundLabel]
+
+
+@dataclass(eq=False)
+class AnnotatedSample:
+    """One annotation row; ``task`` follows from the label's type."""
+
+    id: str
+    split: str
+    features: np.ndarray
+    label: Label
+    sequence_id: Optional[str] = None
+    utterance_id: Optional[str] = None
+    frame_index: Optional[int] = None
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+
+    @property
+    def task(self) -> str:
+        kinds = (ValenceArousal, ExpressionLabel, AUVector, CompoundLabel)
+        return ("VA", "EXPR", "AU", "COMPOUND")[kinds.index(type(self.label))]
+
+    def __eq__(self, other) -> bool:
+        return (
+            (self.id, self.split, self.sequence_id, self.utterance_id, self.frame_index)
+            == (other.id, other.split, other.sequence_id, other.utterance_id, other.frame_index)
+            and np.array_equal(self.features, other.features)
+            and self.label == other.label
+        )
+
+
+def columns_of(samples: List[AnnotatedSample]) -> SampleColumns:
+    """The columns of in-memory samples, their features stacked: the
+    inverse of :func:`samples_of`."""
+    labels = BatchLabels.zeros(len(samples))
+    pairs = np.zeros((len(samples), 2), dtype=np.int64)
+    for r, s in enumerate(samples):
+        label, task = s.label, s.task
+        if task == "VA":
+            labels.has_va[r] = True
+            labels.va[r] = label.valence, label.arousal
+        elif task == "EXPR":
+            labels.has_expr[r] = True
+            labels.expr[r] = label.class_id
+        elif task == "COMPOUND":
+            labels.has_compound[r] = True
+            labels.compound[r] = label.class_id
+            pairs[r] = label.emo1.class_id, label.emo2.class_id
+        elif label.mask.any():
+            labels.has_au[r] = True
+            labels.au_targets[r] = label.values
+            labels.au_mask[r] = label.mask
+    return SampleColumns(
+        *([getattr(s, name) for s in samples]
+          for name in ("id", "split", "sequence_id", "utterance_id", "frame_index")),
+        labels, pairs, np.array([s.features for s in samples], dtype=np.float64),
+    )
+
+
+def samples_of(data: SampleColumns) -> List[AnnotatedSample]:
+    """One AnnotatedSample per row of ``data``; its features are a row of
+    the matrix, or empty when none is attached."""
+    lab = data.labels
+    out = []
+    for r, kind in enumerate(lab.tasks().tolist()):
+        task = TASKS[kind]
+        if task == "VA":
+            label = ValenceArousal(*lab.va[r].tolist())
+        elif task == "EXPR":
+            label = ExpressionLabel(int(lab.expr[r]))
+        elif task == "COMPOUND":
+            emo1, emo2 = map(ExpressionLabel, data.compound_pair[r].tolist())
+            label = CompoundLabel(int(lab.compound[r]), emo1, emo2)
+        else:
+            label = AUVector(lab.au_targets[r], lab.au_mask[r])
+        features = np.empty(0) if data.features is None else data.features[r]
+        out.append(AnnotatedSample(
+            data.ids[r], data.split[r], features, label,
+            data.sequence_id[r], data.utterance_id[r], data.frame_index[r],
+        ))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # coupling
@@ -500,15 +624,30 @@ def write_audio(path, rate: int, samples) -> None:
         fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def write_samples(samples: List[AnnotatedSample], annotations=None, features=None) -> None:
-    """Write in-memory samples through the column writers: their
-    annotations to the path ``annotations`` and their features to the
-    path ``features``, whichever is given."""
-    data = SampleColumns.of(samples)
+def blank_columns(ids: List[str], features, split: str = "train") -> SampleColumns:
+    """Rows ``ids`` of one split with the (N, D) ``features`` and no label
+    flag yet; a test sets the label columns it needs in place."""
+    n = len(ids)
+    return SampleColumns(
+        list(ids), [split] * n, [None] * n, [None] * n, [None] * n,
+        BatchLabels.zeros(n), np.zeros((n, 2), dtype=np.int64),
+        np.asarray(features, dtype=np.float64),
+    )
+
+
+def write_columns(data: SampleColumns, annotations=None, features=None) -> None:
+    """Write columns through the program's writers: their annotations to
+    the path ``annotations`` and their features to the path ``features``,
+    whichever is given."""
     if annotations is not None:
         dataio.write_annotations(annotations, data)
     if features is not None:
         dataio.write_features(features, data.ids, data.features)
+
+
+def write_samples(samples: List[AnnotatedSample], annotations=None, features=None) -> None:
+    """:func:`write_columns` of in-memory samples."""
+    write_columns(columns_of(samples), annotations, features)
 
 
 def read_report(path) -> Dict[str, float]:

@@ -30,6 +30,7 @@ from affectkit.harness.dataio import (
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset
 from affectkit.harness.training import train_run
+from affectkit.losses import TASKS
 from affectkit.metrics import ccc
 from affectkit.preprocess import (
     CANONICAL_LANDMARKS,
@@ -232,11 +233,11 @@ THRESHOLD_GRID = np.round(
 )
 
 
-def _selected_threshold(model, train_au_samples):
+def _selected_threshold(model, train_au):
     best_th, best_f1 = 0.5, -1.0
     for th in THRESHOLD_GRID:
         metrics, _ = evaluate_model(
-            model, train_au_samples, au_threshold=float(th), tasks=["AU"]
+            model, train_au, au_threshold=float(th), tasks=["AU"]
         )
         if metrics["au.macro_f1"] > best_f1:
             best_th, best_f1 = float(th), metrics["au.macro_f1"]
@@ -246,12 +247,13 @@ def _study_seed(seed, root):
     feats, ann = generate_dataset(STUDY_SPEC, seed=seed, out_dir=os.path.join(root, "data"))
     train = load_dataset(ann, feats, split="train")
     val = load_dataset(ann, feats, split="val")
-    train_au = [s for s in train if s.task == "AU"]
+    task = train.labels.tasks()
+    train_au = train.take(np.flatnonzero(task == TASKS.index("AU")))
 
-    expr_only = [s for s in train if s.task == "EXPR"]
+    expr_only = train.take(np.flatnonzero(task == TASKS.index("EXPR")))
     st_ann = os.path.join(root, "data", "expr_annotations.csv")
     st_feats = os.path.join(root, "data", "expr_features.csv")
-    ref.write_samples(expr_only, st_ann, st_feats)
+    ref.write_columns(expr_only, st_ann, st_feats)
 
     jobs = {
         "coupled": dict(
@@ -374,8 +376,8 @@ def _oracle_score(cdef, record):
     num = sum(w * record.au_probs[au_index(au)] for au, w in cdef.au_set)
     den = sum(w for _, w in cdef.au_set)
     score = num / den
-    score += record.expr_probs[cdef.emo1.class_id]
-    score += record.expr_probs[cdef.emo2.class_id]
+    score += record.expr_probs[cdef.emo1]
+    score += record.expr_probs[cdef.emo2]
     if cdef.valence_bonus:
         score += 0.5 * (np.sign(record.valence) + 1.0)
     return score

@@ -2,7 +2,9 @@
 per-row readers they replaced, every column check names the file line of its
 row, a repeated annotation id is refused at load, each row's task is the
 task of its own label, and the column writers write the bytes of the
-per-row writer and read back bit for bit."""
+per-row writer and read back bit for bit. A split's sequence view: its
+length, slices that copy every column, iteration over feature rows, and a
+slice that scores as the same rows loaded from their own files."""
 
 from dataclasses import fields
 
@@ -14,24 +16,26 @@ from hypothesis import strategies as st
 import reference_input as ref
 from affectkit.errors import AffectKitError, BadMask, ConfigError, UnknownClass
 from affectkit.harness import dataio
+from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import (
     SampleColumns,
-    load_columns,
     load_dataset,
     read_annotation_columns,
     read_feature_columns,
     write_annotations,
     write_features,
 )
+from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.losses import TASKS, BatchLabels
+from affectkit.models import Model
 from affectkit.types import au_index
 from test_readers import EDITS, mutate
 
 
 def read_annotations(path):
     """The column reader's rows as samples, as the per-row reader returns them."""
-    return read_annotation_columns(path).samples()
+    return ref.samples_of(read_annotation_columns(path))
 
 
 def read_features(path):
@@ -92,21 +96,21 @@ def test_tasks_are_each_rows_own_task(tmp_path, annotations):
 @pytest.mark.parametrize("split", [None, "train", "val", "test"])
 def test_views_equal_the_per_row_readers(tmp_path, split):
     ann, feats = write(tmp_path)
-    got, want = load_dataset(ann, feats, split=split), ref.load_dataset(ann, feats, split=split)
-    assert got == want and len(got) == {None: 7, "train": 5, "val": 2, "test": 7}[split]
+    data, want = load_dataset(ann, feats, split=split), ref.load_dataset(ann, feats, split=split)
+    assert ref.samples_of(data) == want
+    assert len(data) == {None: 7, "train": 5, "val": 2, "test": 7}[split]
     assert read_annotations(ann) == ref.read_annotations(ann)
     got_feats, want_feats = read_features(feats), ref.read_features(feats)
     assert list(got_feats) == list(want_feats)
     for key, row in want_feats.items():
         assert got_feats[key].dtype == row.dtype and np.array_equal(got_feats[key], row)
 
-    data = load_columns(ann, feats, split=split)
     assert data.ids == [s.id for s in want]
     assert data.frame_index == [s.frame_index for s in want]
     assert data.sequence_id == [s.sequence_id for s in want]
     assert np.array_equal(data.features, np.array([s.features for s in want]))
-    assert_same_labels(data.labels, SampleColumns.of(want).labels)
-    assert_same_labels(SampleColumns.of(want).labels, ref.label_arrays(want))
+    assert_same_labels(data.labels, ref.columns_of(want).labels)
+    assert_same_labels(ref.columns_of(want).labels, ref.label_arrays(want))
 
 
 def test_compound_view_equals_the_per_row_reader(tmp_path):
@@ -114,8 +118,8 @@ def test_compound_view_equals_the_per_row_reader(tmp_path):
     got = read_annotations(ann)
     assert got == ref.read_annotations(ann)
     assert (got[0].label.emo1.class_id, got[0].label.emo2.class_id) == (5, 2)
-    assert_same_labels(read_annotation_columns(ann).labels, SampleColumns.of(got).labels)
-    assert_same_labels(SampleColumns.of(got).labels, ref.label_arrays(got))
+    assert_same_labels(read_annotation_columns(ann).labels, ref.columns_of(got).labels)
+    assert_same_labels(ref.columns_of(got).labels, ref.label_arrays(got))
 
 
 def unannotated_synthetic(spec, seed):
@@ -137,7 +141,7 @@ def test_annotation_writer_equals_the_per_row_oracle(tmp_path, annotations):
     data = read_annotation_columns(ann)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_annotations(got, data)
-    ref.write_annotations(want, data.samples())
+    ref.write_annotations(want, ref.samples_of(data))
     assert got.read_bytes() == want.read_bytes()
     back = read_annotation_columns(got)
     assert_same_labels(back.labels, data.labels)
@@ -157,7 +161,7 @@ def test_synthetic_annotations_equal_the_per_row_oracle(tmp_path, spec):
     assert ((data.labels.au_mask == 0).any(axis=1) & data.labels.has_au).any()  # and a partly one
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_annotations(got, data)
-    ref.write_annotations(want, data.samples())
+    ref.write_annotations(want, ref.samples_of(data))
     assert got.read_bytes() == want.read_bytes()
     assert_same_labels(read_annotation_columns(got).labels, data.labels)
 
@@ -180,7 +184,7 @@ def test_synthetic_files_round_trip(tmp_path):
     spec = SyntheticSpec(train_counts=(4, 5, 6), val_counts=(1, 2, 3))
     data = make_dataset(spec, seed=8)
     feats, ann = generate_dataset(spec, seed=8, out_dir=str(tmp_path))
-    back = load_columns(ann, feats)
+    back = load_dataset(ann, feats)
     assert back.ids == data.ids and back.split == data.split
     assert back.features.tobytes() == data.features.tobytes()
     assert_same_labels(back.labels, data.labels)
@@ -392,3 +396,92 @@ def test_plain_files_never_reach_the_per_row_reader(tmp_path, monkeypatch, block
     no_per_row_reader(monkeypatch)
     assert [outcome(read_feature_columns, p) for p in (feats, plain)] == want
     assert len(want[0][0]) == 2400
+
+
+# ---------------------------------------------------------------------------
+# the sequence view
+
+COLUMN_LISTS = ("ids", "split", "sequence_id", "utterance_id", "frame_index")
+
+
+def arrays(data: SampleColumns) -> list:
+    labels = [getattr(data.labels, f.name) for f in fields(BatchLabels)]
+    return [data.features, data.compound_pair, *labels]
+
+
+def assert_same_columns(got: SampleColumns, want: SampleColumns):
+    for name in COLUMN_LISTS:
+        assert getattr(got, name) == getattr(want, name), name
+    for a, b in zip(arrays(got), arrays(want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows", [
+    slice(None), slice(2, 5), slice(5, 2), slice(-3, None), slice(None, 100), slice(1, 6, 2),
+    slice(None, None, -1), slice(3, 3),
+])
+def test_a_slice_is_take_of_its_row_numbers(tmp_path, rows):
+    data = load_dataset(*write(tmp_path))
+    assert len(data) == len(data.ids) == 7
+    part = data[rows]
+    assert len(part) == len(range(7)[rows])
+    assert_same_columns(part, data.take(range(7)[rows]))
+    assert bool(part) == (len(part) > 0)  # an empty split is falsy
+
+
+def test_a_slice_shares_no_array_with_its_parent(tmp_path):
+    data = load_dataset(*write(tmp_path))
+    for part in (data[:], data[1:6]):
+        assert not any(np.shares_memory(a, b) for a in arrays(data) for b in arrays(part))
+        assert all(getattr(part, n) is not getattr(data, n) for n in COLUMN_LISTS)
+    part, before = data[1:6], data[1:6]
+    # co-annotation writes into labels in place: on the slice, then the parent
+    part.labels.has_expr[:] = True
+    part.labels.au_mask[:] = 0.5
+    part.features[:] = 0.0
+    assert_same_columns(data[1:6], before)
+    data.labels.expr[:] = 6
+    data.labels.has_soft[:] = True
+    assert np.array_equal(part.labels.expr, before.labels.expr)
+    assert not part.labels.has_soft.any()
+
+
+def test_iteration_yields_the_feature_rows(tmp_path):
+    data = load_dataset(*write(tmp_path), split="train")
+    rows = list(data)
+    assert [r.id for r in rows] == data.ids
+    assert all(r.features.ndim == 1 for r in rows)
+    assert np.stack([r.features for r in rows]).tobytes() == data.features.tobytes()
+    assert [r.id for r in data[:2]] == data.ids[:2]
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name, value in vars(a).items():
+            other = getattr(b, name)
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == other.tobytes(), name
+            else:
+                assert value == other, name
+
+
+@pytest.mark.parametrize("recurrent", ["none", "single:4x1"])
+@pytest.mark.parametrize("rows", [slice(0, 7), slice(1, 6), slice(2, 4)])
+def test_a_slice_scores_as_its_rows_loaded_from_their_own_files(tmp_path, recurrent, rows):
+    """The fixture's sequences clip1 and clip2 are cut by some of the
+    slices; the slice and the reloaded rows are packed alike."""
+    data = load_dataset(*write(tmp_path))
+    part = data[rows]
+    ann, feats = tmp_path / "part_ann.csv", tmp_path / "part_feats.csv"
+    write_annotations(ann, part)
+    write_features(feats, part.ids, part.features)
+    config = RunConfig(
+        feature_dim=2, backbone=(6,), taps=(0,) if recurrent != "none" else (),
+        recurrent=recurrent, seed=3,
+    )
+    model = Model(config.model_spec(), config.input_dims(), seed=3)
+    got_metrics, got_records = evaluate_model(model, part)
+    want_metrics, want_records = evaluate_model(model, load_dataset(ann, feats))
+    assert got_metrics == want_metrics and "expr.accuracy" in got_metrics
+    assert_same_records(got_records, want_records)

@@ -31,7 +31,6 @@ from affectkit.harness.cli import main
 from affectkit.harness.config import RunConfig, parse_kv_file
 from affectkit.harness.dataio import (
     PREDICTION_FIELDS,
-    SampleColumns,
     load_dataset,
     read_annotation_columns,
     read_feature_columns,
@@ -47,18 +46,9 @@ from affectkit.harness import dataio, synth, training
 from affectkit.harness.training import load_model, train_run
 from affectkit.losses import objective
 from affectkit.models import Model
-from affectkit.types import (
-    AUVector,
-    AnnotatedSample,
-    CompoundLabel,
-    ExpressionLabel,
-    PredictionRecord,
-    ValenceArousal,
-    au_index,
-    expression_id,
-)
+from affectkit.types import PredictionRecord, au_index, expression_id
 from affectkit.zeroshot import classify_compound, default_compound_defs
-from reference_input import read_report, write_audio, write_samples
+from reference_input import blank_columns, read_report, write_audio, write_columns
 from reference_ops import square, tsum
 
 SMALL = SyntheticSpec(
@@ -201,6 +191,15 @@ class TestConfig:
         assert table.row(expression_id("happiness")).proto == (12, 25)
 
 
+def expr_columns(n: int, seed: int = 0):
+    """``n`` training rows x0, x1, ... of 10 normal features from ``seed``,
+    row i labelled expression i % 7."""
+    features = np.random.default_rng(seed).normal(size=(n, 10))
+    data = blank_columns([f"x{i}" for i in range(n)], features)
+    data.labels.has_expr[:], data.labels.expr[:] = True, np.arange(n) % 7
+    return data
+
+
 def val_split():
     """The validation rows of the SMALL synthetic data, as columns."""
     data = make_dataset(SMALL, seed=0)
@@ -265,78 +264,55 @@ class TestSyntheticData:
 
 
 class TestDataFiles:
-    def make_samples(self):
-        rng = np.random.default_rng(0)
-        values = np.zeros(17, dtype=np.uint8)
-        values[au_index(12)] = 1
-        mask = np.ones(17, dtype=np.uint8)
-        mask[au_index(4)] = 0
-        return [
-            AnnotatedSample(
-                id="s0",
-                split="train",
-                features=rng.normal(size=6),
-                label=ValenceArousal(0.25, -0.5),
-                sequence_id="seq1",
-                frame_index=4,
-            ),
-            AnnotatedSample(
-                id="s1",
-                split="val",
-                features=rng.normal(size=6),
-                label=ExpressionLabel(3),
-                utterance_id="utt9",
-            ),
-            AnnotatedSample(
-                id="s2",
-                split="train",
-                features=rng.normal(size=6),
-                label=AUVector(values=values, mask=mask),
-            ),
-            AnnotatedSample(
-                id="s3",
-                split="train",
-                features=rng.normal(size=6),
-                label=CompoundLabel(2, ExpressionLabel(5), ExpressionLabel(2)),
-            ),
-        ]
+    def make_columns(self):
+        """A VA row with a sequence id and frame, an EXPR row with an
+        utterance id, an AU row with AU4 unannotated and a compound row."""
+        data = blank_columns(["s0", "s1", "s2", "s3"], np.random.default_rng(0).normal(size=(4, 6)))
+        data.split[1] = "val"
+        data.sequence_id[0], data.frame_index[0], data.utterance_id[1] = "seq1", 4, "utt9"
+        lab = data.labels
+        lab.has_va[0], lab.va[0] = True, (0.25, -0.5)
+        lab.has_expr[1], lab.expr[1] = True, 3
+        lab.has_au[2], lab.au_mask[2], lab.au_targets[2, au_index(12)] = True, 1.0, 1.0
+        lab.au_mask[2, au_index(4)] = 0.0
+        lab.has_compound[3], lab.compound[3], data.compound_pair[3] = True, 2, (5, 2)
+        return data
 
     def test_annotation_round_trip(self, tmp_path):
-        samples = self.make_samples()
+        data = self.make_columns()
         path = tmp_path / "annotations.csv"
-        write_annotations(path, SampleColumns.of(samples))
-        loaded = read_annotation_columns(path).samples()
-        assert [s.id for s in loaded] == ["s0", "s1", "s2", "s3"]
-        assert loaded[0].label == ValenceArousal(0.25, -0.5)
-        assert loaded[0].sequence_id == "seq1"
-        assert loaded[0].frame_index == 4
-        assert loaded[1].label == ExpressionLabel(3)
-        assert loaded[1].utterance_id == "utt9"
-        assert np.array_equal(loaded[2].label.values, samples[2].label.values)
-        assert np.array_equal(loaded[2].label.mask, samples[2].label.mask)
-        assert loaded[3].label.class_id == 2
+        write_annotations(path, data)
+        loaded = read_annotation_columns(path)
+        assert loaded.ids == ["s0", "s1", "s2", "s3"]
+        assert loaded.split == ["train", "val", "train", "train"]
+        assert loaded.sequence_id == ["seq1", None, None, None]
+        assert loaded.frame_index == [4, None, None, None]
+        assert loaded.utterance_id == [None, "utt9", None, None]
+        assert loaded.labels.tasks().tolist() == data.labels.tasks().tolist()
+        for name in ("va", "expr", "au_targets", "au_mask", "compound"):
+            assert np.array_equal(getattr(loaded.labels, name), getattr(data.labels, name)), name
+        assert loaded.compound_pair[3].tolist() == [5, 2]
 
     def test_feature_round_trip_is_exact(self, tmp_path):
-        samples = self.make_samples()
+        data = self.make_columns()
         path = tmp_path / "features.csv"
-        write_features(path, [s.id for s in samples], [s.features for s in samples])
-        table = dict(zip(*read_feature_columns(path)))
-        for s in samples:
-            assert np.array_equal(table[s.id], s.features)
+        write_features(path, data.ids, data.features)
+        ids, matrix = read_feature_columns(path)
+        assert ids == data.ids and matrix.tobytes() == data.features.tobytes()
 
     def test_load_dataset_attaches_features(self, tmp_path):
-        samples = self.make_samples()
-        write_samples(samples, tmp_path / "a.csv", tmp_path / "f.csv")
+        data = self.make_columns()
+        write_columns(data, tmp_path / "a.csv", tmp_path / "f.csv")
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split="train")
-        assert [s.id for s in loaded] == ["s0", "s2", "s3"]
-        assert np.array_equal(loaded[0].features, samples[0].features)
+        assert loaded.ids == ["s0", "s2", "s3"]
+        assert np.array_equal(loaded.features, data.features[[0, 2, 3]])
 
     @pytest.mark.parametrize("split,ids", [("train", ["s0", "s2", "s3"]), ("test", None)])
     def test_load_dataset_split_or_every_row(self, tmp_path, split, ids):
-        samples = self.make_samples()
-        write_samples(samples, tmp_path / "a.csv", tmp_path / "f.csv")
+        data = self.make_columns()
+        write_columns(data, tmp_path / "a.csv", tmp_path / "f.csv")
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split=split)
-        assert [s.id for s in loaded] == (ids or [s.id for s in samples])
+        assert loaded.ids == (ids or data.ids)
 
     def test_duplicate_feature_id_names_the_line(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -408,9 +384,9 @@ class TestDataFiles:
             read_predictions(path)
 
     def test_load_dataset_missing_feature(self, tmp_path):
-        samples = self.make_samples()
-        write_samples(samples, annotations=tmp_path / "a.csv")
-        write_samples(samples[:2], features=tmp_path / "f.csv")
+        data = self.make_columns()
+        write_columns(data, annotations=tmp_path / "a.csv")
+        write_columns(data[:2], features=tmp_path / "f.csv")
         with pytest.raises(KeyMisalignment, match="s2"):
             load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
 
@@ -514,14 +490,15 @@ class TestDataFiles:
         assert [(r.id, r.frame_index, r.valence) for r in read_predictions(preds)] == [
             (rid, 3, 0.5)
         ]
-        sample = AnnotatedSample(
-            id=rid, split="train", features=np.array([0.25, -1.0]),
-            label=ExpressionLabel(class_id=2), sequence_id=rid, utterance_id=rid,
+        data = blank_columns([rid], [[0.25, -1.0]])
+        data.sequence_id[0] = data.utterance_id[0] = rid
+        data.labels.has_expr[0], data.labels.expr[0] = True, 2
+        write_columns(data, tmp_path / "a.csv", tmp_path / "f.csv")
+        loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
+        assert (loaded.ids, loaded.sequence_id, loaded.utterance_id) == (
+            [rid], [rid or None], [rid or None]
         )
-        write_samples([sample], tmp_path / "a.csv", tmp_path / "f.csv")
-        (loaded,) = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
-        assert (loaded.id, loaded.sequence_id, loaded.utterance_id) == (rid, rid or None, rid or None)
-        assert np.array_equal(loaded.features, sample.features)
+        assert np.array_equal(loaded.features, data.features)
 
     def test_report_round_trip(self, tmp_path):
         metrics = {"va.ccc_v": 0.62357, "expr.accuracy": 0.5, "au.macro_f1": 1 / 3}
@@ -575,18 +552,9 @@ class TestTraining:
         # features at the float maximum overflow the head to inf, which turns
         # the first loss into NaN; the training loop must refuse to optimize
         # through it (a non-finite value in the file is rejected at load)
-        rng = np.random.default_rng(0)
-        samples = [
-            AnnotatedSample(
-                id=f"x{i}",
-                split="train",
-                features=rng.normal(size=10),
-                label=ExpressionLabel(i % 7),
-            )
-            for i in range(8)
-        ]
-        samples[0].features[:] = 1e308
-        write_samples(samples, tmp_path / "ann.csv", tmp_path / "feat.csv")
+        data = expr_columns(8)
+        data.features[0] = 1e308
+        write_columns(data, tmp_path / "ann.csv", tmp_path / "feat.csv")
         cfg = RunConfig(
             feature_dim=10,
             backbone=(),  # passthrough trunk keeps the NaN alive
@@ -735,21 +703,12 @@ class TestTraining:
     def test_compound_transfer(self, tmp_path):
         donor = train_run(small_config(tmp_path, out_dir=str(tmp_path / "donor")))
 
-        labels = [
-            CompoundLabel(i % 11, ExpressionLabel(1 + i % 5), ExpressionLabel(6))
-            for i in range(20)
-        ]
-        rng = np.random.default_rng(0)
-        samples = [
-            AnnotatedSample(
-                id=f"c{i:03d}",
-                split="train",
-                features=rng.normal(size=10),
-                label=lab,
-            )
-            for i, lab in enumerate(labels)
-        ]
-        write_samples(samples, tmp_path / "compound_ann.csv", tmp_path / "compound_feat.csv")
+        rows = np.arange(20)
+        features = np.random.default_rng(0).normal(size=(20, 10))
+        data = blank_columns([f"c{i:03d}" for i in rows], features)
+        data.labels.has_compound[:], data.labels.compound[:] = True, rows % 11
+        data.compound_pair[:] = np.stack([1 + rows % 5, np.full(20, 6)], axis=1)
+        write_columns(data, tmp_path / "compound_ann.csv", tmp_path / "compound_feat.csv")
 
         cfg = small_config(
             tmp_path,
@@ -785,7 +744,7 @@ class TestEvaluate:
     def test_metric_keys(self, tmp_path):
         result = train_run(small_config(tmp_path))
         val = val_split()
-        metrics, records = evaluate_model(result.model, val.samples())
+        metrics, records = evaluate_model(result.model, val)
         expected = {
             "va.ccc_v", "va.ccc_a", "va.mse_v", "va.mse_a",
             "expr.accuracy", "expr.f1", "expr.mean_diagonal", "expr.e_total",
@@ -828,33 +787,19 @@ class TestEvaluate:
         )
         zeros = {n: np.zeros_like(p.data) for n, p in model.named_parameters().items()}
         load_parameters(model, zeros)
-        rng = np.random.default_rng(3)
-        samples = [
-            AnnotatedSample(
-                id=f"e{i:03d}",
-                split="val",
-                features=rng.normal(size=10),
-                label=ExpressionLabel(i % 7),
-            )
-            for i in range(70)
-        ]
-        metrics, _ = evaluate_model(model, samples)
+        metrics, _ = evaluate_model(model, expr_columns(70, seed=3))
         # every row predicts the same class: recall 1 on one class, 0 elsewhere
         assert metrics["expr.mean_diagonal"] == pytest.approx(1 / 7)
         assert metrics["expr.accuracy"] == pytest.approx(1 / 7)
 
-    def test_audio_model_on_samples_raises_what_columns_raise(self):
-        # no sample or column carries audio, so a two-stream model is refused
-        # alike whichever form the rows come in
+    def test_audio_model_on_a_split_names_its_first_row(self):
+        # no split carries audio, so a two-stream model is refused
         config = RunConfig(feature_dim=10, audio_dim=3, streams=2, heads=("EXPR",))
         model = Model(config.model_spec(), config.input_dims(), seed=0)
         val = val_split()
-        caught = []
-        for rows in (val, val.samples()):
-            with pytest.raises(ConfigError) as info:
-                evaluate_model(model, rows)
-            caught.append(str(info.value))
-        assert caught == [f"{val.ids[0]}: audio_dim set but sample has no audio"] * 2
+        with pytest.raises(ConfigError, match=f"^{val.ids[0]}: audio_dim set but sample has no"):
+            evaluate_model(model, val)
+        evaluate_model(model, val[:0])  # an empty split has no row to refuse
 
 
 class TestGradChecks:
@@ -1138,7 +1083,8 @@ class TestCLI:
             ("gen-data", "sigma = 0.1\ntrain_counts = -5,2,2\n",
              "bad.cfg:2: bad value for 'train_counts': expected three counts >= 0, got '-5,2,2'"),
             ("gen-data", "train_counts = 0,0,0\nval_counts = 0,0,0\n",
-             "train_counts=(0, 0, 0), val_counts=(0, 0, 0): counts must be >= 0 and not all"),
+             "bad.cfg: train_counts=(0, 0, 0), val_counts=(0, 0, 0): counts must be >= 0 and "
+             "not all"),
             # values that parse but that validation refuses name the file
             ("train", "seed = 1\nlr = -1\n", "bad.cfg: lr = -1.0 must be finite and positive"),
             ("train", "dropout = 1.5\n", "bad.cfg: dropout=1.5 outside [0,1)"),
@@ -1281,9 +1227,9 @@ class TestCLI:
         assert self.run_cli("gen-data", "--spec", spec, "--out", data) == 0
         assert all((data / n).read_bytes() != b"previous output\n" for n in os.listdir(data))
 
-    def test_eval_scores_columns(self, tmp_path, capsys, monkeypatch):
-        # ``eval`` scores the columns it reads, with no per-row sample, and
-        # writes the report and predictions that scoring samples writes
+    def test_eval_writes_what_scoring_the_split_writes(self, tmp_path, capsys):
+        # ``eval`` writes the report and predictions of ``evaluate_model`` on
+        # the split that ``load_dataset`` reads
         spec = SyntheticSpec(train_counts=(12, 12, 12), val_counts=(9, 9, 9), feature_dim=10)
         feats, ann = generate_dataset(spec, 4, str(tmp_path / "data"))
         config = RunConfig(feature_dim=10, backbone=(6,), heads=("EXPR", "AU", "VA"))
@@ -1295,12 +1241,6 @@ class TestCLI:
         metrics, records = evaluate_model(model, load_dataset(ann, feats, split="val"))
         write_report(tmp_path / "want_report.txt", metrics)
         write_predictions(tmp_path / "want_preds.csv", records)
-
-        def per_row(*args):
-            raise AssertionError("eval built per-row samples")
-
-        monkeypatch.setattr(dataio.SampleColumns, "of", per_row)
-        monkeypatch.setattr(dataio.SampleColumns, "samples", per_row)
         assert self.run_cli(
             "eval", "--config", tmp_path / "run.cfg", "--checkpoint", tmp_path / "model.ckpt",
             "--annotations", ann, "--features", feats, "--split", "val",
@@ -1333,15 +1273,7 @@ class TestCLI:
         assert not (tmp_path / "report.txt").exists()
 
     def write_expr_data(self, tmp_path, feature_dim):
-        rng = np.random.default_rng(0)
-        samples = [
-            AnnotatedSample(
-                id=f"x{i}", split="train", features=rng.normal(size=10),
-                label=ExpressionLabel(i % 7),
-            )
-            for i in range(8)
-        ]
-        write_samples(samples, tmp_path / "ann.csv", tmp_path / "feat.csv")
+        write_columns(expr_columns(8), tmp_path / "ann.csv", tmp_path / "feat.csv")
         cfg_file = tmp_path / "run.cfg"
         RunConfig(
             feature_dim=feature_dim,
@@ -1455,7 +1387,7 @@ class TestCLI:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert "bad_feat.csv: not UTF-8" in err and "Traceback" not in err
+        assert "bad_feat.csv:5: not UTF-8" in err and "Traceback" not in err  # row x3
 
     def test_full_pipeline(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

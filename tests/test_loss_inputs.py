@@ -23,7 +23,7 @@ from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import (
     ANNOTATION_FIELDS,
     SampleColumns,
-    load_columns,
+    load_dataset,
     read_annotation_columns,
 )
 from affectkit.harness.synth import SyntheticSpec, generate_dataset
@@ -102,7 +102,7 @@ def test_co_annotation_targets_meet_the_formula_preconditions(
     config = RunConfig(
         feature_dim=8, coupling=coupling, relatedness=relatedness, reweight_soft=reweight_soft
     )
-    data = load_columns(ann, feats)
+    data = load_dataset(ann, feats)
     _build_table(data, config, config.relatedness_table())
     lab = data.labels
     assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()

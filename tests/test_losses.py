@@ -9,18 +9,10 @@ import pytest
 
 from affectkit.autodiff import backward, take_rows
 from affectkit.errors import EmptyMaskBatch, ShapeMismatch
-from affectkit.harness.dataio import SampleColumns
+from affectkit.harness.dataio import ANNOTATION_FIELDS, read_annotation_columns
 from affectkit.losses import BatchLabels, BatchPredictions, objective
 from affectkit.relatedness import COGNITIVE
-from affectkit.types import (
-    AnnotatedSample,
-    AUVector,
-    CompoundLabel,
-    ExpressionLabel,
-    ValenceArousal,
-    au_index,
-    expression_id,
-)
+from affectkit.types import au_index, expression_id
 from reference_ops import as_tensor
 from reference_ops import bce_node as masked_bce_loss
 from reference_ops import ccc_node as ccc_loss
@@ -188,26 +180,25 @@ class TestMaskedBCE:
         assert float(loss.data) == pytest.approx(math.log(2.0))
 
 
-def sample(label, sid="s"):
-    return AnnotatedSample(id=sid, split="train", features=np.zeros(3), label=label)
+def label_arrays(tmp_path, *rows):
+    """The BatchLabels the annotation reader makes of ``(task, payload)``
+    rows, one row each."""
+    path = tmp_path / "ann.csv"
+    lines = [",".join(ANNOTATION_FIELDS)]
+    lines += [f"s{r},train,,,,{task},{payload}" for r, (task, payload) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return read_annotation_columns(path).labels
 
 
-def label_arrays(samples):
-    """The BatchLabels that ``SampleColumns.of`` encodes in-memory samples into."""
-    return SampleColumns.of(samples).labels
+def au_payload(values, mask):
+    return "".join(str(v) if m else "-" for v, m in zip(values, mask))
 
 
 class TestAUStacking:
-    def test_none_rows_get_zero_mask(self):
+    def test_none_rows_get_zero_mask(self, tmp_path):
         # rows with no AU label, or with no annotated unit, keep a zero mask
-        values = np.zeros(17, dtype=np.uint8)
-        values[0] = 1
         labels = label_arrays(
-            [
-                sample(AUVector(values=values)),
-                sample(ValenceArousal(0.1, 0.2)),
-                sample(AUVector(values=np.zeros(17), mask=np.zeros(17))),
-            ]
+            tmp_path, ("AU", "1" + "0" * 16), ("VA", "0.1;0.2"), ("AU", "-" * 17)
         )
         assert labels.au_targets[0, 0] == 1.0 and labels.au_mask[0].sum() == 17.0
         assert labels.au_mask[1].sum() == 0.0 and labels.au_mask[2].sum() == 0.0
@@ -222,53 +213,47 @@ class TestLabelArrays:
             flag = getattr(labels, f"has_{k}")
             assert flag.dtype == bool and flag.tolist() == [k == key] * n, k
 
-    def test_va_row(self):
-        labels = label_arrays([sample(ValenceArousal(0.25, -0.5))])
+    def test_va_row(self, tmp_path):
+        labels = label_arrays(tmp_path, ("VA", "0.25;-0.5"))
         assert labels.va.tolist() == [[0.25, -0.5]]
         self.only_flag(labels, "va")
 
-    def test_expr_row(self):
-        labels = label_arrays([sample(ExpressionLabel(expression_id("fear")))])
+    def test_expr_row(self, tmp_path):
+        labels = label_arrays(tmp_path, ("EXPR", str(expression_id("fear"))))
         assert labels.expr.dtype == np.int64
         assert labels.expr.tolist() == [expression_id("fear")]
         self.only_flag(labels, "expr")
 
-    def test_au_row(self):
+    def test_au_row(self, tmp_path):
         values = np.zeros(17, dtype=np.uint8)
         values[au_index(12)] = 1
         mask = np.ones(17, dtype=np.uint8)
         mask[au_index(4)] = 0
-        labels = label_arrays([sample(AUVector(values=values, mask=mask))])
+        labels = label_arrays(tmp_path, ("AU", au_payload(values, mask)))
         assert np.array_equal(labels.au_targets[0], values.astype(float))
         assert np.array_equal(labels.au_mask[0], mask.astype(float))
         self.only_flag(labels, "au")
 
-    def test_zero_mask_au_row_has_no_flag(self):
-        labels = label_arrays([sample(AUVector(np.zeros(17), np.zeros(17)))])
+    def test_zero_mask_au_row_has_no_flag(self, tmp_path):
+        labels = label_arrays(tmp_path, ("AU", "-" * 17))
         self.only_flag(labels, None)
         assert not labels.au_mask.any() and not labels.au_targets.any()
 
-    def test_compound_row(self):
-        label = CompoundLabel(9, ExpressionLabel(4), ExpressionLabel(6))
-        labels = label_arrays([sample(label)])
+    def test_compound_row(self, tmp_path):
+        labels = label_arrays(tmp_path, ("COMPOUND", "9;4;6"))
         assert labels.compound.dtype == np.int64
         assert labels.compound.tolist() == [9]
         self.only_flag(labels, "compound")
 
-    def test_rows_follow_sample_order(self):
-        samples = [
-            sample(ExpressionLabel(3), "a"),
-            sample(ValenceArousal(0.5, 0.5), "b"),
-            sample(ExpressionLabel(5), "c"),
-        ]
-        labels = label_arrays(samples)
+    def test_rows_follow_sample_order(self, tmp_path):
+        labels = label_arrays(tmp_path, ("EXPR", "3"), ("VA", "0.5;0.5"), ("EXPR", "5"))
         assert labels.has_expr.tolist() == [True, False, True]
         assert labels.has_va.tolist() == [False, True, False]
         assert labels.expr.tolist() == [3, 0, 5]
         assert not labels.soft.any()
 
-    def test_empty(self):
-        labels = label_arrays([])
+    def test_empty(self, tmp_path):
+        labels = label_arrays(tmp_path)
         assert labels.au_targets.shape == (0, 17) and labels.va.shape == (0, 2)
         assert labels.soft.shape == (0, 7)
         assert all(getattr(labels, f"has_{k}").shape == (0,) for k in self.FLAGS)

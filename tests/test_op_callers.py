@@ -49,8 +49,6 @@ ENTRY_POINTS = {
     "outputs and the VA median out; the benchmark's stream_predict workload calls it",
     "zeroshot.candidate_score": "the benchmark tracer counts zeroshot.score_calls by "
     "wrapping it, until that counter moves to what the scoring path calls",
-    "harness.dataio.load_dataset": "the benchmark's workloads read their data as samples "
-    "through it, until they read columns",
 }
 
 # imports a module keeps without using them, per module

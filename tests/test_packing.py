@@ -2,6 +2,7 @@
 as one sequence in frame order, in training and in evaluation, and every
 other row alone; a stateless model runs every row alone, as before."""
 
+from dataclasses import fields
 from typing import List, Optional
 
 import numpy as np
@@ -13,6 +14,7 @@ from affectkit.harness.dataio import SampleColumns
 from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness.training import _build_table, _gather, train_run
+from affectkit.losses import BatchLabels
 from affectkit.models import (
     InputDims,
     Model,
@@ -22,7 +24,7 @@ from affectkit.models import (
     pack_rows,
     sequence_keys,
 )
-from reference_input import write_samples
+from reference_input import write_columns
 
 DIM = 10
 HEADS = ("VA", "EXPR", "AU")  # evaluation scores every task the data has
@@ -146,13 +148,13 @@ class TestPackRows:
             assert not np.array_equal(after[head][changed], before[head][changed]), head
 
 
-def sequence_samples(seed: int = 5):
+def sequence_rows(seed: int = 5) -> SampleColumns:
     """Synthetic validation rows in sequences of 1 to 9 frames, stored with
     their sequences interleaved and their frames out of order; every
     fifth row has no sequence id."""
     val = make_dataset(
         SyntheticSpec(train_counts=(0, 0, 0), val_counts=(30, 30, 30), feature_dim=DIM), seed
-    ).samples()
+    )
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 10, size=len(val))
     k = 0
@@ -160,11 +162,25 @@ def sequence_samples(seed: int = 5):
         for t in range(lengths[s]):
             if k == len(val):
                 break
-            val[k].sequence_id, val[k].frame_index = f"seq{s}", int(t)
+            val.sequence_id[k], val.frame_index[k] = f"seq{s}", int(t)
             k += 1
     for i in range(0, len(val), 5):
-        val[i].sequence_id = val[i].frame_index = None
-    return [val[i] for i in rng.permutation(len(val))]
+        val.sequence_id[i] = val.frame_index[i] = None
+    return val.take(rng.permutation(len(val)))
+
+
+def concat(a: SampleColumns, b: SampleColumns) -> SampleColumns:
+    """The rows of ``a``, then those of ``b``."""
+    lists = ("ids", "split", "sequence_id", "utterance_id", "frame_index")
+    labels = BatchLabels(**{
+        f.name: np.concatenate([getattr(a.labels, f.name), getattr(b.labels, f.name)])
+        for f in fields(BatchLabels)
+    })
+    return SampleColumns(
+        *(getattr(a, n) + getattr(b, n) for n in lists), labels,
+        np.concatenate([a.compound_pair, b.compound_pair]),
+        np.concatenate([a.features, b.features]),
+    )
 
 
 def predictions(records):
@@ -182,10 +198,10 @@ class TestEvaluation:
     @pytest.mark.parametrize("name", sorted(STATEFUL))
     def test_recurrent_predictions_do_not_depend_on_chunking_or_file_order(self, name):
         model = Model(STATEFUL[name], InputDims(DIM), seed=6)
-        samples = sequence_samples()
-        want = predictions(evaluate_model(model, samples, chunk=512)[1])
-        shuffled = [samples[i] for i in np.random.default_rng(1).permutation(len(samples))]
-        for rows, chunk in ((samples, 7), (samples, 1), (shuffled, 512), (shuffled, 13)):
+        data = sequence_rows()
+        want = predictions(evaluate_model(model, data, chunk=512)[1])
+        shuffled = data.take(np.random.default_rng(1).permutation(len(data)))
+        for rows, chunk in ((data, 7), (data, 1), (shuffled, 512), (shuffled, 13)):
             got = predictions(evaluate_model(model, rows, chunk=chunk)[1])
             assert got.keys() == want.keys()
             for sid, values in want.items():
@@ -194,16 +210,18 @@ class TestEvaluation:
     @pytest.mark.parametrize("name", sorted(STATEFUL))
     def test_recurrent_predictions_equal_each_sequence_run_alone(self, name):
         model = Model(STATEFUL[name], InputDims(DIM), seed=7)
-        samples = sequence_samples()
-        got = predictions(evaluate_model(model, samples, chunk=40)[1])
+        data = sequence_rows()
+        got = predictions(evaluate_model(model, data, chunk=40)[1])
         groups = {}
-        for s in samples:
-            groups.setdefault(s.sequence_id or s.id, []).append(s)
+        for r, (sid, seq) in enumerate(zip(data.ids, data.sequence_id)):
+            groups.setdefault(seq or sid, []).append(r)
         for seq in groups.values():
-            seq.sort(key=lambda s: s.frame_index or 0)
-            preds = model.forward(SequenceBatch(np.stack([s.features for s in seq])[None]))
-            for t, s in enumerate(seq):
-                np.testing.assert_allclose(got[s.id][:2], preds.va.data[t], rtol=0, atol=1e-12)
+            seq.sort(key=lambda r: data.frame_index[r] or 0)
+            preds = model.forward(SequenceBatch(data.features[seq][None]))
+            for t, r in enumerate(seq):
+                np.testing.assert_allclose(
+                    got[data.ids[r]][:2], preds.va.data[t], rtol=0, atol=1e-12
+                )
 
     @pytest.mark.parametrize("name", sorted(STATELESS))
     @pytest.mark.parametrize("chunk", [7, 512])
@@ -212,47 +230,30 @@ class TestEvaluation:
     ):
         # the path before sequence packing: (1, chunk, D) slices in file order
         model = Model(STATELESS[name], InputDims(DIM), seed=8)
-        samples = sequence_samples()
+        data = sequence_rows()
         shapes = []
         real = Model.forward
         monkeypatch.setattr(
             Model, "forward", lambda self, batch, **kw: shapes.append(batch.features.shape)
             or real(self, batch, **kw)
         )
-        _, records = evaluate_model(model, samples, chunk=chunk)
+        _, records = evaluate_model(model, data, chunk=chunk)
         monkeypatch.undo()
         assert all(t == 1 for _, t, _ in shapes)  # every row alone, no padding
-        features = np.stack([s.features for s in samples])
         va = np.concatenate([
-            model.forward(SequenceBatch(features[i : i + chunk][None])).va.data
-            for i in range(0, len(samples), chunk)
+            model.forward(SequenceBatch(data.features[i : i + chunk][None])).va.data
+            for i in range(0, len(data), chunk)
         ])
         assert np.array_equal(np.array([[r.valence, r.arousal] for r in records]), va)
-
-    @pytest.mark.parametrize("name", ["single", "dense"])
-    def test_columns_score_like_their_samples(self, name):
-        specs = {**STATEFUL, **STATELESS}
-        model = Model(specs[name], InputDims(DIM), seed=9)
-        samples = sequence_samples()
-        columns = SampleColumns.of(samples)
-        from_samples = evaluate_model(model, samples)
-        from_columns = evaluate_model(model, columns)
-        assert from_samples[0] == from_columns[0]
-        assert [r.id for r in from_samples[1]] == [r.id for r in from_columns[1]]
-        for a, b in zip(predictions(from_samples[1]).values(), predictions(from_columns[1]).values()):
-            assert np.array_equal(a, b)
 
 
 class TestTraining:
     @pytest.mark.parametrize("recurrent", ["single:6x1", "none"])
     def test_gather_packs_a_recurrent_batch_by_sequence(self, recurrent):
-        samples = sequence_samples()
-        for s in samples:
-            s.split = "train"
+        data = sequence_rows()
         config = RunConfig(feature_dim=DIM, backbone=(8,), recurrent=recurrent, coupling="none")
-        data = SampleColumns.of(samples)
         _build_table(data, config, config.relatedness_table())
-        rows = np.random.default_rng(2).permutation(len(samples))[:40]
+        rows = np.random.default_rng(2).permutation(len(data))[:40]
         batch, index, labels = _gather(data, rows, config.model_spec().stateful)
         features = data.features[rows]
         if recurrent == "none":
@@ -261,19 +262,18 @@ class TestTraining:
             return
         want, want_index = reference_pack(
             features,
-            [samples[r].sequence_id for r in rows],
-            [samples[r].frame_index for r in rows],
+            [data.sequence_id[r] for r in rows],
+            [data.frame_index[r] for r in rows],
         )
         assert batch.batch_size < len(rows)
         assert np.array_equal(batch.features, want) and np.array_equal(index, want_index)
         assert np.array_equal(labels.expr, data.labels.expr[rows])
 
     def test_each_loss_row_is_predicted_within_its_sequence(self, tmp_path, monkeypatch):
-        samples = sequence_samples()
-        for s in samples:
-            s.split = "train"
+        data = sequence_rows()
+        data.split[:] = ["train"] * len(data)
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
-        write_samples(samples, ann, feats)
+        write_columns(data, ann, feats)
         config = RunConfig(
             feature_dim=DIM, backbone=(8,), recurrent="single:6x1", heads=HEADS, epochs=1,
             total_batch=30, train_annotations=str(ann), train_features=str(feats),
@@ -296,11 +296,11 @@ class TestTraining:
         (rows, va), *_ = steps
         groups = {}
         for k, r in enumerate(rows):
-            groups.setdefault(samples[r].sequence_id or samples[r].id, []).append(k)
+            groups.setdefault(data.sequence_id[r] or data.ids[r], []).append(k)
         assert len(groups) < len(rows)
         for ks in groups.values():
-            ks.sort(key=lambda k: samples[rows[k]].frame_index or 0)
-            alone = np.stack([samples[rows[k]].features for k in ks])[None]
+            ks.sort(key=lambda k: data.frame_index[rows[k]] or 0)
+            alone = data.features[rows[ks]][None]
             want = model.forward(SequenceBatch(alone)).va.data
             np.testing.assert_allclose(va[ks], want, rtol=0, atol=1e-12)
 
@@ -311,17 +311,16 @@ class TestTraining:
         # every read gave
         train = make_dataset(
             SyntheticSpec(train_counts=(20, 20, 20), val_counts=(0, 0, 0), feature_dim=DIM), 3
-        ).samples()
-        val = sequence_samples()
-        for s in val:
-            s.split = "val"
-        for r, s in enumerate(train + val):
+        )
+        val = sequence_rows()
+        data = concat(train, val)
+        for r, split in enumerate(data.split):
             if not with_ids:
-                s.sequence_id = s.frame_index = None
-            elif s.split == "train":
-                s.sequence_id, s.frame_index = f"clip{r % 7}", r
+                data.sequence_id[r] = data.frame_index[r] = None
+            elif split == "train":
+                data.sequence_id[r], data.frame_index[r] = f"clip{r % 7}", r
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
-        write_samples(train + val, ann, feats)
+        write_columns(data, ann, feats)
         config = RunConfig(
             feature_dim=DIM, backbone=(8,), recurrent="single:4x1", heads=HEADS, epochs=3,
             total_batch=12, train_annotations=str(ann), train_features=str(feats),
@@ -340,22 +339,14 @@ class TestTraining:
         assert made.count(len(val)) == 3 and made.count(60) == 15  # one per evaluation and step
         assert each.history == once.history and "val.va.ccc_v" in once.history[-1]
 
-    def test_validation_is_encoded_once_per_job(self, tmp_path, monkeypatch):
+    def test_validation_split_is_loaded_once_per_job(self, tmp_path, monkeypatch):
         data = make_dataset(
             SyntheticSpec(train_counts=(20, 20, 20), val_counts=(9, 9, 9), feature_dim=DIM), 2
         )
         ann, feats = tmp_path / "ann.csv", tmp_path / "feats.csv"
         dataio.write_annotations(ann, data)
         dataio.write_features(feats, data.ids, data.features)
-        encoded, scored = [], []
-        real_samples = SampleColumns.samples
-        monkeypatch.setattr(
-            SampleColumns, "samples", lambda self: encoded.append(1) or real_samples(self)
-        )
-        real_of = SampleColumns.of
-        monkeypatch.setattr(
-            SampleColumns, "of", classmethod(lambda cls, s: encoded.append(1) or real_of(s))
-        )
+        scored = []
         real_eval = evaluate_model
 
         def spy(model, data, **kwargs):
@@ -368,7 +359,7 @@ class TestTraining:
             train_annotations=str(ann), train_features=str(feats),
             val_annotations=str(ann), val_features=str(feats), out_dir=str(tmp_path / "run"),
         ))
-        assert not encoded and len(scored) == 3
+        assert len(scored) == 3
         assert all(d is scored[0] and isinstance(d, SampleColumns) for d in scored)
         assert len(scored[0].ids) == 27
         assert "val.va.ccc_v" in result.history[-1]

@@ -84,7 +84,8 @@ def test_errors_name_the_path_and_the_file_line(tmp_path, name):
         reader(path)
 
     path.write_bytes(valid.encode()[:-4] + b"\xff" + valid.encode()[-4:])
-    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: not UTF-8"):
+    line = valid.count("\n")  # the bad byte sits in the last line
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}:{line}: not UTF-8"):
         reader(path)
 
 

@@ -18,13 +18,13 @@ from affectkit.relatedness import (
 )
 from affectkit.types import (
     AU_IDS,
+    EXPRESSION_NAMES,
     NUM_AUS,
     NUM_EXPRESSIONS,
-    AUVector,
-    ExpressionLabel,
     au_index,
     expression_id,
 )
+from reference_input import AUVector, ExpressionLabel
 
 
 def au_vector(active, annotated=None):
@@ -291,11 +291,9 @@ class TestTableFiles:
         path = tmp_path / "table.txt"
         lines = ["# custom variant"]
         for cid, row in COGNITIVE.rows:
-            from affectkit.types import expression_name
-
             proto = ",".join(str(a) for a in row.proto)
             obs = ",".join(f"{a}:{w}" for a, w in row.obs)
-            lines.append(f"{expression_name(cid)} proto={proto} obs={obs}")
+            lines.append(f"{EXPRESSION_NAMES[cid]} proto={proto} obs={obs}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         loaded = load_table(path, name="custom")

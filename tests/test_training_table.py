@@ -10,25 +10,18 @@ import numpy as np
 import pytest
 
 import reference_input as ref
-from affectkit import types
 from affectkit.errors import ConfigError
 from affectkit.harness.config import RunConfig
-from affectkit.harness.dataio import load_columns
-from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
+from affectkit.harness.dataio import load_dataset
+from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness import training
 from affectkit.harness.training import _build_table, _gather, train_run
-from affectkit.losses import BatchLabels
+from affectkit.losses import TASKS, BatchLabels
 from affectkit.models import SequenceBatch
 from affectkit.relatedness import COGNITIVE, load_table
 from affectkit.sampler import aligned_batch_sizes, epoch_iterator
-from affectkit.types import (
-    NUM_AUS,
-    AnnotatedSample,
-    AUVector,
-    CompoundLabel,
-    ExpressionLabel,
-    au_index,
-)
+from affectkit.types import NUM_AUS, au_index
+from reference_input import AnnotatedSample, AUVector, CompoundLabel, ExpressionLabel
 
 COUPLINGS = ["none", "coannotation", "soft_coannotation", "distr_matching", "soft+distr"]
 
@@ -139,7 +132,7 @@ def basic_samples() -> List[AnnotatedSample]:
     """Interleaved VA/AU/EXPR training samples with partially and fully
     unannotated AU rows, shuffled, followed by validation samples."""
     spec = SyntheticSpec(train_counts=(7, 20, 20), val_counts=(2, 3, 3), feature_dim=8)
-    samples = make_dataset(spec, seed=3).samples()
+    samples = ref.samples_of(make_dataset(spec, seed=3))
     train = [s for s in samples if s.split == "train"]
     val = [s for s in samples if s.split == "val"]
     rng = np.random.default_rng(5)
@@ -217,7 +210,7 @@ def assert_table_equals_reference(got, want):
 def build(ann, feats, cfg, split="train"):
     """The split from the column readers, with its co-annotation targets,
     and its pools."""
-    data = load_columns(ann, feats, split=split)
+    data = load_dataset(ann, feats, split=split)
     return data, _build_table(data, cfg, cfg.relatedness_table())
 
 
@@ -359,7 +352,10 @@ def test_audio_dim_is_a_config_error(tmp_path, monkeypatch):
     ann, feats = write_files(tmp_path, basic_samples())
     loads = []
     monkeypatch.setattr(
-        "affectkit.harness.training.load_columns", lambda *a, **k: loads.append(a)
+        "affectkit.harness.training.load_dataset", lambda *a, **k: loads.append(a)
+    )
+    monkeypatch.setattr(
+        "affectkit.harness.training.load_splits", lambda *a, **k: loads.append(a)
     )
     with pytest.raises(ConfigError, match="audio_dim = 2, but no reader supplies audio"):
         train_run(train_config(tmp_path, ann, feats, audio_dim=2, streams=2))
@@ -373,13 +369,13 @@ def test_duplicate_id_raises(tmp_path):
     ann = tmp_path / "a_ann.csv"
     ref.write_samples(samples, annotations=ann)
     with pytest.raises(ConfigError, match=rf"a_ann\.csv:6: duplicate sample id {samples[1].id!r}"):
-        load_columns(ann, feats)
+        load_dataset(ann, feats)
 
 
 def test_compound_mixed_with_basic_raises(tmp_path):
     ann, feats = write_files(tmp_path, basic_samples() + compound_samples())
     with pytest.raises(ConfigError, match="cannot be mixed"):
-        _build_table(load_columns(ann, feats, split="train"), config(), COGNITIVE)
+        _build_table(load_dataset(ann, feats, split="train"), config(), COGNITIVE)
 
 
 def test_compound_class_beyond_head_raises(tmp_path):
@@ -390,7 +386,7 @@ def test_compound_class_beyond_head_raises(tmp_path):
         ConfigError,
         match=r"c004: compound class id 12 is not below compound_classes = 11",
     ):
-        _build_table(load_columns(ann, feats), config(heads=("COMPOUND",)), COGNITIVE)
+        _build_table(load_dataset(ann, feats), config(heads=("COMPOUND",)), COGNITIVE)
 
 
 @pytest.mark.parametrize("layout", ["basic", "compound"])
@@ -408,49 +404,12 @@ def test_pools_hold_each_training_row_exactly_once(tmp_path, layout):
 
 def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
     ann, feats = write_files(tmp_path, basic_samples())
-    data = load_columns(ann, feats, split="train")
-    samples = data.samples()
+    data = load_dataset(ann, feats, split="train")
+    lab = data.labels
+    zero = np.flatnonzero((lab.tasks() == TASKS.index("AU")) & ~lab.au_mask.any(axis=1))
     _, au, _ = _build_table(data, config(), COGNITIVE)
-    zero = [r for r, s in enumerate(samples) if isinstance(s.label, AUVector)
-            and not s.label.mask.any()]
-    assert zero and set(zero) <= set(au.tolist())
+    assert zero.size and set(zero.tolist()) <= set(au.tolist())
     assert not data.labels.has_au[zero].any()
-
-
-def count_label_objects(monkeypatch) -> List[str]:
-    """The class name of every per-row label object built from now on."""
-    built: List[str] = []
-    for cls in (
-        types.AnnotatedSample, types.AUVector, types.ValenceArousal, types.ExpressionLabel,
-        types.CompoundLabel,
-    ):
-        def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built.append(_name)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", init)
-    return built
-
-
-def test_synthetic_data_builds_no_per_row_label_object(tmp_path, monkeypatch):
-    built = count_label_objects(monkeypatch)
-    spec = SyntheticSpec(train_counts=(5, 6, 7), val_counts=(2, 3, 4), feature_dim=8)
-    data = make_dataset(spec, seed=1)
-    generate_dataset(spec, seed=1, out_dir=str(tmp_path))
-    assert not built
-    data.samples()  # the per-row view is counted
-    assert {"AnnotatedSample", "AUVector", "ValenceArousal", "ExpressionLabel"} <= set(built)
-
-
-@pytest.mark.parametrize("coupling", ["coannotation", "soft+distr"])
-def test_train_run_builds_no_per_row_label_object(tmp_path, monkeypatch, coupling):
-    ann, feats = write_files(tmp_path, basic_samples())
-    built = count_label_objects(monkeypatch)
-    result = train_run(train_config(tmp_path, ann, feats, coupling=coupling))
-    assert not built
-    assert np.isfinite(result.history[-1]["loss"])
-    load_columns(ann, feats).samples()  # the per-row view is counted
-    assert {"AnnotatedSample", "AUVector", "ValenceArousal", "ExpressionLabel"} <= set(built)
 
 
 def test_a_file_table_is_read_once_per_job(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from affectkit.errors import (
     ValueOutOfRange,
 )
 from affectkit.relatedness import COGNITIVE
-from affectkit.types import ExpressionLabel, PredictionRecord, au_index, expression_id
+from affectkit.types import PredictionRecord, au_index, expression_id
 from affectkit.zeroshot import (
     CompoundClassDef,
     candidate_score,
@@ -34,8 +34,8 @@ def record(au_probs=None, expr_probs=None, valence=None):
 def simple_def(name="happily_surprised", bonus=False, au_set=((12, 1.0),)):
     return CompoundClassDef(
         name=name,
-        emo1=ExpressionLabel(expression_id("happiness")),
-        emo2=ExpressionLabel(expression_id("surprise")),
+        emo1=expression_id("happiness"),
+        emo2=expression_id("surprise"),
         au_set=au_set,
         valence_bonus=bonus,
     )
@@ -67,7 +67,7 @@ class TestDefaults:
 
     def test_constituents_are_distinct(self):
         for d in default_compound_defs():
-            assert d.emo1.class_id != d.emo2.class_id
+            assert d.emo1 != d.emo2
 
 
 class TestDefValidation:
@@ -75,8 +75,8 @@ class TestDefValidation:
         with pytest.raises(ValueOutOfRange):
             CompoundClassDef(
                 name="bad",
-                emo1=ExpressionLabel(4),
-                emo2=ExpressionLabel(4),
+                emo1=4,
+                emo2=4,
                 au_set=((12, 1.0),),
             )
 
@@ -173,8 +173,8 @@ class TestClassify:
         for au_id, _ in target.au_set:
             au[au_index(au_id)] = 1.0
         expr = np.zeros(7)
-        expr[target.emo1.class_id] = 0.5
-        expr[target.emo2.class_id] = 0.5
+        expr[target.emo1] = 0.5
+        expr[target.emo2] = 0.5
         pred = record(au_probs=au, expr_probs=expr, valence=-0.8)
         assert classify_compound(defs, pred).name == "sadly_angry"
 
@@ -266,7 +266,7 @@ def oracle_score(cdef, pred):
     if pred.expr_probs is None:
         raise ValueOutOfRange(f"{cdef.name}: prediction has no emotion probabilities")
     probs = np.asarray(pred.expr_probs, dtype=np.float64)
-    score += float(probs[cdef.emo1.class_id]) + float(probs[cdef.emo2.class_id])
+    score += float(probs[cdef.emo1]) + float(probs[cdef.emo2])
     if cdef.valence_bonus:
         if pred.valence is None:
             raise ValueOutOfRange(f"{cdef.name}: bonus needs a valence prediction")
