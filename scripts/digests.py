@@ -46,7 +46,7 @@ from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import SampleColumns, write_annotations, write_features
 from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness.training import train_run
-from affectkit.losses import BatchLabels
+from affectkit.losses import TASKS, BatchLabels
 from affectkit.types import au_index
 
 
@@ -70,11 +70,10 @@ def basic_data(directory: str):
     spec = SyntheticSpec(train_counts=(50, 60, 60), val_counts=(20, 20, 20), feature_dim=10)
     data = make_dataset(spec, seed=1)
     lab = data.labels
-    au = np.flatnonzero(~(lab.has_va | lab.has_expr))
+    au = np.flatnonzero(lab.task == TASKS.index("AU"))
     lab.au_mask[np.ix_(au[3::4], [au_index(4), au_index(6)])] = 0.0  # every 4th AU row
     lab.au_mask[au[6::7]] = 0.0  # every 7th
     lab.au_targets *= lab.au_mask
-    lab.has_au[au] = lab.au_mask[au].any(axis=1)
     n_train = sum(spec.train_counts)
     train = data.take(np.random.default_rng(1).permutation(n_train))
     val = data.take(np.arange(n_train, len(data.ids)))
@@ -94,7 +93,7 @@ def compound_data(directory: str):
     def columns(split, n):
         labels = BatchLabels.zeros(n)
         labels.compound[:] = np.arange(n) % 5
-        labels.has_compound[:] = True
+        labels.task[:] = TASKS.index("COMPOUND")
         pairs = np.stack([1 + np.arange(n) % 5, np.full(n, 6)], axis=1)
         features = np.array([rng.normal(size=10) for _ in range(n)])
         return SampleColumns(

@@ -138,10 +138,10 @@ def _check_dropout_off(rng, n_points, eps):
 def _check_objective(terms: Sequence[str], seed: int) -> Callable:
     """A check of ``losses.objective`` over 12 rows with only ``terms``
     active, out of ``expr`` (cross-entropy on rows 0-3), ``va``
-    (concordance on rows 4-7), ``au`` (masked cross-entropy on rows 8-11),
-    ``soft`` (soft targets on the AU rows, as co-annotation sets them) and
-    ``dm`` (distribution matching on every row); only the heads they read
-    are given."""
+    (concordance on the VA rows 4-7), ``au`` (masked cross-entropy on rows
+    8-11, the rows with mask weight), ``soft`` (soft targets on the AU
+    rows, as co-annotation sets them) and ``dm`` (distribution matching on
+    every row); only the heads they read are given."""
 
     def check(rng, n_points, eps):
         n = 12
@@ -159,14 +159,14 @@ def _check_objective(terms: Sequence[str], seed: int) -> Callable:
         labels.va[:] = rng.normal(0.0, 0.5, size=(n, 2))
         labels.au_targets[:] = rng.integers(0, 2, size=(n, NUM_AUS))
         labels.au_mask[:] = rng.integers(0, 2, size=(n, NUM_AUS))
-        labels.au_mask[:, 0] = 1.0  # keep every row contributing
+        labels.au_mask[:, 0] = 1.0  # keep every AU row contributing
+        labels.au_mask[:8] = 0.0
+        labels.au_mask *= "au" in terms
         raw = rng.random((n, NUM_EXPRESSIONS))
         labels.soft[:] = raw / raw.sum(axis=1, keepdims=True)
-        for task, flag, rows in (
-            ("expr", labels.has_expr, slice(0, 4)), ("va", labels.has_va, slice(4, 8)),
-            ("au", labels.has_au, slice(8, n)), ("soft", labels.has_soft, slice(8, n)),
-        ):
-            flag[rows] = task in terms
+        labels.task[:4], labels.task[4:8] = losses.TASKS.index("EXPR"), losses.TASKS.index("VA")
+        labels.has_expr[:4] = "expr" in terms
+        labels.has_soft[8:] = "soft" in terms
         mixture = COGNITIVE.conditional_matrix() if "dm" in terms else None
 
         def objective():

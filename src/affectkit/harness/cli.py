@@ -147,17 +147,12 @@ def _cmd_fuse(args) -> int:
         records = read_predictions(path)
         if not order:
             order = [r.id for r in records]
-        predictions = {}
-        for r in records:
-            if r.id in predictions:
-                raise ConfigError(f"{path}: id {r.id!r} appears more than once")
-            predictions[r.id] = (r.valence, r.arousal)
         members.append(
             EnsembleMember(
                 member_id=member_id,
                 val_ccc_v=ccc_v,
                 val_ccc_a=ccc_a,
-                predictions=predictions,
+                predictions={r.id: (r.valence, r.arousal) for r in records},
             )
         )
     fused = decision_level_fuse(members)

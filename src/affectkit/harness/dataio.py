@@ -11,12 +11,12 @@ task column:
 Optional columns round-trip ``None`` as the empty string.
 
 An annotation file is parsed once into :class:`SampleColumns`: ids, splits,
-sequence ids, utterance ids and frame indices as lists, and every label
-straight into ``BatchLabels`` columns with its flag. A feature file becomes
+sequence ids, utterance ids and frame indices as lists, and every row's
+task and label straight into ``BatchLabels`` columns. A feature file becomes
 one (N, D) matrix, and :func:`load_dataset` takes its rows by id
 (:func:`load_splits` several splits from one parse). Each column is
 checked at load, and a bad value names the ``path:line`` of its row; an id
-repeated within either file is an error. A split is the one row store of
+repeated within any one file is an error. A split is the one row store of
 training and evaluation, from the file to the score, and makes its
 packing keys once. No label becomes a per-row object; slicing a split
 copies its columns, and iterating it yields ids and feature rows (see
@@ -98,19 +98,18 @@ class SampleRow(NamedTuple):
     features: np.ndarray  # the row of the split's (N, D) matrix, as a view
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleColumns:
     """A dataset as columns: row i of every field is one annotation row, in
     file order.
 
-    ``labels`` holds each row's own label with its flag: a row has at most
-    one flag, and an AU row with no annotated unit has none.
+    ``labels`` holds each row's task and own label (see ``BatchLabels``).
     ``compound_pair`` holds the two constituent emotions of each compound
     row, and ``features`` the (N, D) feature matrix once
     :func:`load_dataset` has attached it. ``len()`` counts the rows, a
     slice is :meth:`take` of its row numbers, and iterating a split with
     features yields one :class:`SampleRow` per row. An empty split is
-    falsy.
+    falsy, and a split compares equal only to itself.
     """
 
     ids: List[str]
@@ -148,17 +147,15 @@ class SampleColumns:
 
 
 def write_annotations(path, data: SampleColumns) -> None:
-    """One row per row of ``data``, its payload encoded from the row's flag
-    and label arrays: the inverse of :func:`read_annotation_columns`. Each
-    row's task is ``BatchLabels.tasks``, and an AU unit whose mask is 0 is
-    written as '-'."""
+    """One row per row of ``data``, its payload encoded from the row's task
+    and label arrays: the inverse of :func:`read_annotation_columns`. An AU
+    unit whose mask is 0 is written as '-'."""
     lab = data.labels
-    kind = lab.tasks()
-    task = [TASKS[k] for k in kind.tolist()]
+    task = [TASKS[k] for k in lab.task.tolist()]
     digits = (lab.au_targets != 0).view(np.uint8) + np.uint8(ord("0"))
     text = np.where(lab.au_mask != 0, digits, np.uint8(ord("-"))).tobytes().decode("ascii")
     payload = [text[i : i + NUM_AUS] for i in range(0, len(text), NUM_AUS)]
-    va, expr, compound = (kind == TASKS.index(t) for t in ("VA", "EXPR", "COMPOUND"))
+    va, expr, compound = (lab.task == TASKS.index(t) for t in ("VA", "EXPR", "COMPOUND"))
     pairs = zip(*(a[compound].tolist() for a in (lab.compound, data.compound_pair)))
     for rows, encoded in (
         (va, (f"{v!r};{a!r}" for v, a in lab.va[va].tolist())),
@@ -243,12 +240,14 @@ def read_annotation_columns(path) -> SampleColumns:
         return out
 
     frame_index = parse(lambda f: int(f) if f else None, frame, range(len(ids)))
-    by_task: Dict[str, List[int]] = {"VA": [], "EXPR": [], "AU": [], "COMPOUND": []}
+    by_task: Dict[str, List[int]] = {name: [] for name in TASKS}
     for r, name in enumerate(task):
         if name not in by_task:
             fail(r, f"unknown task {name!r}")
         by_task[name].append(r)
     labels = BatchLabels.zeros(len(ids))
+    for k, name in enumerate(TASKS):
+        labels.task[by_task[name]] = k
 
     rows = by_task["VA"]
     va = np.array(parse(lambda p: [*map(float, p.partition(";")[::2])], payload, rows))
@@ -257,7 +256,7 @@ def read_annotation_columns(path) -> SampleColumns:
     if bad.size:
         value = next(v for v in va[bad[0]].tolist() if not -1.0 <= v <= 1.0)
         fail(rows[bad[0]], f"valence/arousal {value} outside [-1, 1]")
-    labels.va[rows], labels.has_va[rows] = va, True
+    labels.va[rows] = va
 
     rows = by_task["EXPR"]
     classes = parse(int, payload, rows)
@@ -276,11 +275,10 @@ def read_annotation_columns(path) -> SampleColumns:
     codes = codes.reshape(len(rows), NUM_AUS)
     labels.au_targets[rows] = codes == ord("1")
     labels.au_mask[rows] = codes != ord("-")
-    labels.has_au[rows] = (codes != ord("-")).any(axis=1)
 
     rows = by_task["COMPOUND"]
     compound = np.array(parse(_compound, payload, rows), dtype=np.int64).reshape(len(rows), 3)
-    labels.compound[rows], labels.has_compound[rows] = compound[:, 0], True
+    labels.compound[rows] = compound[:, 0]
     compound_pair = np.zeros((len(ids), 2), dtype=np.int64)
     compound_pair[rows] = compound[:, 1:]
     return SampleColumns(
@@ -408,8 +406,9 @@ def _read_feature_rows(path) -> Tuple[List[str], np.ndarray]:
 
 def load_dataset(annotations_path, features_path, split: Optional[str] = None) -> SampleColumns:
     """Read annotations and attach each row's feature vector by id. With
-    ``split``, keep the rows of that split, or every row if none carries
-    it. An annotated id without a feature row raises KeyMisalignment."""
+    ``split``, keep the rows of that split (ConfigError if there are none);
+    with None, every row. An annotated id without a feature row raises
+    KeyMisalignment."""
     return load_splits(annotations_path, features_path, (split,))[0]
 
 
@@ -423,7 +422,11 @@ def load_splits(
     index = dict(zip(ids, range(len(ids))))
     out: List[SampleColumns] = []
     for split in splits:
-        rows = [r for r, s in enumerate(data.split) if s == split] or range(len(data.ids))
+        rows = [r for r, s in enumerate(data.split) if s == split or split is None]
+        if not rows and split is not None:
+            held = ", ".join(map(repr, sorted(set(data.split)))) or "none"
+            raise ConfigError(f"{annotations_path}: no row is in split {split!r} "
+                              f"(splits in the file: {held})")
         part = data.take(rows) if out or len(rows) < len(data.ids) else data
         missing = [sid for sid in part.ids if sid not in index]
         if missing:
@@ -483,7 +486,9 @@ def read_predictions(path) -> List[PredictionRecord]:
     """Read prediction rows; a malformed row raises ConfigError at
     ``path:line``. Valence and arousal must be finite (the VA head is
     unbounded, so no range applies), ``expr_probs`` must be a distribution
-    over the 7 expressions and ``au_probs`` 17 values in [0, 1]."""
+    over the 7 expressions and ``au_probs`` 17 values in [0, 1]; an id
+    must not repeat."""
+    lines: List[int] = []
     records: List[PredictionRecord] = []
     with open_rows(path) as (header, rows):
         if header is None or tuple(header) != PREDICTION_FIELDS:
@@ -503,7 +508,9 @@ def read_predictions(path) -> List[PredictionRecord]:
                 )
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line}: {exc}") from exc
+            lines.append(line)
             records.append(record)
+    _check_unique([r.id for r in records], path, lines)
     return records
 
 

@@ -9,8 +9,8 @@ longer sequence goes alone), each chunk packed by ``pack_rows`` with the
 split's ``SampleColumns.keys``, made once per split, and the predictions
 come back in file order. A stateless model, or a file with no sequence
 ids, runs every row alone in ``chunk``-row slices in file order. Metrics
-are computed per task over the rows that carry that task's label; every
-row gets a prediction row for each head the model has.
+are computed per task over the rows of that task (``BatchLabels.task``);
+every row gets a prediction row for each head the model has.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def evaluate_model(
     if model.dims.audio and data.ids:
         raise ConfigError(f"{data.ids[0]}: audio_dim set but sample has no audio")
     labels = data.labels
-    present = {TASKS[k] for k in np.unique(labels.tasks()).tolist()}
+    present = {TASKS[k] for k in np.unique(labels.task).tolist()}
     wanted = set(tasks) if tasks is not None else present
     for task in sorted(wanted):
         if task not in TASKS:
@@ -135,7 +135,8 @@ def evaluate_model(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateInputWarning)
 
-        idx = np.flatnonzero(labels.has_va)
+        of_task = {name: np.flatnonzero(labels.task == k) for k, name in enumerate(TASKS)}
+        idx = of_task["VA"]
         if "VA" in wanted and len(idx) >= 2:
             pred = rows["va"][idx]
             truth = labels.va[idx]
@@ -144,7 +145,7 @@ def evaluate_model(
             metrics["va.mse_v"] = mse(pred[:, 0], truth[:, 0])
             metrics["va.mse_a"] = mse(pred[:, 1], truth[:, 1])
 
-        idx = np.flatnonzero(labels.has_expr)
+        idx = of_task["EXPR"]
         if "EXPR" in wanted and idx.size:
             pred = rows["expr"][idx].argmax(axis=1)
             truth = labels.expr[idx]
@@ -157,7 +158,7 @@ def evaluate_model(
                 metrics["expr.f1"], metrics["expr.accuracy"]
             )
 
-        idx = np.flatnonzero(labels.has_au)
+        idx = of_task["AU"]
         if "AU" in wanted and idx.size:
             pred = binarize(rows["au"][idx], au_threshold)
             truth = labels.au_targets[idx]
@@ -177,7 +178,7 @@ def evaluate_model(
                     metrics["au.macro_f1"], metrics["au.total_acc"]
                 )
 
-        idx = np.flatnonzero(labels.has_compound)
+        idx = of_task["COMPOUND"]
         if "COMPOUND" in wanted and idx.size:
             pred = rows["compound"][idx].argmax(axis=1)
             truth = labels.compound[idx]

@@ -9,7 +9,7 @@ disjoint over samples, mirroring corpora that each cover one task.
 
 Rows are drawn one at a time, in a fixed order of random draws, straight
 into the columns of one ``SampleColumns``: a ``BatchLabels`` with each
-row's flag and an (N, D) feature matrix. ``generate_dataset`` writes them
+row's task and label, and an (N, D) feature matrix. ``generate_dataset`` writes them
 with the column writers of ``dataio``.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from ..csvfile import atomic_replace
 from ..errors import ConfigError
-from ..losses import BatchLabels
+from ..losses import TASKS, BatchLabels
 from ..relatedness import BUILTIN_TABLES, RelatednessTable
 from ..types import AU_IDS, EXPRESSION_NAMES, au_index
 from .dataio import SampleColumns, write_annotations, write_features
@@ -98,6 +98,7 @@ def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
         for i in range(count)
     ]
     labels = BatchLabels.zeros(len(tasks))
+    labels.task[:] = [TASKS.index(task.upper()) for _, task, _ in tasks]
     features = np.empty((len(tasks), spec.feature_dim))
     for r, (_, task, _) in enumerate(tasks):
         latent = int(rng.integers(0, len(EXPRESSION_NAMES)))
@@ -106,11 +107,9 @@ def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
         if task == "va":
             va = VA_MEANS[latent] + rng.normal(0.0, spec.sigma, size=2)
             labels.va[r] = np.clip(va, -1.0, 1.0)
-            labels.has_va[r] = True
         elif task == "au":
             labels.au_targets[r] = _au_pattern(latent, table, spec.kappa, rng)
             labels.au_mask[r] = 1.0
-            labels.has_au[r] = True
         else:
             labels.expr[r] = latent
             labels.has_expr[r] = True

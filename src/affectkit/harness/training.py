@@ -6,7 +6,7 @@ sampler-driven epochs. Each split is the ``SampleColumns`` that
 training files, ``dataio.load_splits`` reads both from one parse. The
 training split is the job's only row store: co-annotation
 writes into its labels over whole pools at once, and the task pools are
-int arrays of its row numbers, split by ``BatchLabels.tasks``. No reader
+int arrays of its row numbers, split by ``BatchLabels.task``. No reader
 supplies audio or landmark features, so ``audio_dim > 0`` and
 ``landmark_concat = true`` are config errors here, raised before any read.
 One ``sampler.epoch_iterator`` yields every batch: over the VA, AU and EXPR
@@ -66,11 +66,8 @@ def _gather(
     """One batch of the split's rows, packed by sequence for a stateful
     model; the index that takes its outputs back to the order of ``rows``
     (see ``pack_rows``); and its labels."""
-    labels = data.labels.take(rows)
-    # concordance is undefined on a single point; drop a lone VA row
-    if labels.has_va.sum() == 1:
-        labels.has_va[:] = False
     keys = data.keys if stateful else None
+    labels = data.labels.take(rows)
     return (*pack_rows(data.features[rows], None if keys is None else keys[rows]), labels)
 
 
@@ -82,9 +79,7 @@ def _build_table(
     expr)``. Co-annotation by ``table`` runs over whole pools at once and
     writes into ``data.labels``."""
     labels = data.labels
-    # read before co-annotation adds flags
-    task = labels.tasks()
-    au, va, expr, compound = (np.flatnonzero(task == k) for k in range(len(TASKS)))
+    au, va, expr, compound = (np.flatnonzero(labels.task == k) for k in range(len(TASKS)))
     if compound.size and (va.size or au.size or expr.size):
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
@@ -100,7 +95,6 @@ def _build_table(
         # each emotion implies its table AUs: target 1, mask weight 1 for a
         # prototypical AU and the observational weight otherwise
         weight = table.conditional_matrix(reweight=True)[labels.expr[expr]]
-        labels.has_au[expr] = weight.any(axis=1)
         labels.au_targets[expr] = weight > 0
         labels.au_mask[expr] = weight
         implied = coannotate_aus_to_emotion_rows(labels.au_targets[au], labels.au_mask[au], table)
@@ -196,7 +190,7 @@ def train_run(config: RunConfig) -> TrainResult:
             "loss": float(np.mean(losses)) if losses else float("nan"),
             "lr": opt.lr,
         }
-        if val and val[0]:
+        if val:
             metrics, _ = evaluate_model(
                 model,
                 val[0],

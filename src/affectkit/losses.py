@@ -14,9 +14,8 @@ clamp bites; the categorical term instead uses a max-shifted log-sum-exp,
 which stays exact for saturated logits.
 
 A BatchLabels holds the truth as row arrays, which the annotation reader
-and the synthetic generator fill straight from a file or a draw. It also
-carries the row flags that decide which rows each term reads, so
-predictions hold nothing but head outputs.
+and the synthetic generator fill straight from a file or a draw, so
+predictions hold nothing but head outputs; it stores each label fact once.
 
 The formulas check nothing on a step: each input is checked once, where
 it is made. Class ids, VA values in [-1, 1] and AU targets and mask
@@ -24,12 +23,11 @@ weights in {0, 1} are checked by ``dataio.read_annotation_columns``, and
 compound ids against ``compound_classes`` where training makes its task
 pools; hard co-annotation weights come from a validated relatedness table.
 The lambdas are checked by ``RunConfig.validate``, and each head's width is
-fixed by ``Model``. ``training._gather`` unflags a batch's lone VA row, so
-concordance always sees two rows or none. Soft targets and the
-probabilities are softmax and sigmoid outputs, so they are distributions
-and lie in [0, 1] by construction. ``objective`` keeps one guard, on its
-heads and their row count, and ``masked_bce`` refuses a batch whose AU
-rows all have zero weight (``EmptyMaskBatch``).
+fixed by ``Model``. Soft targets and the probabilities are softmax and
+sigmoid outputs, so they are distributions and lie in [0, 1] by
+construction. ``objective`` keeps one guard, on its heads and their row
+count, and ``masked_bce`` refuses a batch whose rows all have zero weight
+(``EmptyMaskBatch``).
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .types import NUM_AUS, NUM_EXPRESSIONS
 PROB_EPS = 1e-7
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
-# a row's own task, by its number in ``BatchLabels.tasks``
+# a row's own task, by its number in ``BatchLabels.task``
 TASKS = ("AU", "VA", "EXPR", "COMPOUND")
 
 
@@ -68,15 +66,18 @@ class BatchPredictions:
         })
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchLabels:
     """Ground truth aligned row-for-row with a BatchPredictions.
 
-    Each ``has_*`` flag says which rows carry that label; unflagged rows
-    may hold anything and are never read. AU truth is a target/weight pair
-    so hard co-annotation can feed fractional observational weights through
-    the same code path. ``soft`` is the soft co-annotation emotion target of
-    the rows flagged in ``has_soft``.
+    ``task`` is each row's own task, which co-annotation never changes;
+    VA and compound labels are read on the rows of their task. AU truth is
+    a target/weight pair, and a row carries it exactly where its mask has
+    weight, so hard co-annotation can feed fractional observational weights
+    through the same code path. Only the targets that co-annotation adds to
+    another task's rows are flagged: an expression class in ``has_expr``,
+    and a ``soft`` emotion target in ``has_soft``. A label a row does not
+    carry is never read. Labels compare equal only to themselves.
     """
 
     va: np.ndarray  # (N,2) floats
@@ -85,15 +86,13 @@ class BatchLabels:
     au_mask: np.ndarray  # (N,17) nonnegative weights
     compound: np.ndarray  # (N,) int compound class ids
     soft: np.ndarray  # (N,7) emotion distributions
-    has_va: np.ndarray  # (N,) bool, and likewise below
-    has_expr: np.ndarray
-    has_au: np.ndarray
-    has_compound: np.ndarray
+    task: np.ndarray  # (N,) int index into TASKS
+    has_expr: np.ndarray  # (N,) bool, and likewise below
     has_soft: np.ndarray
 
     @classmethod
     def zeros(cls, n: int) -> "BatchLabels":
-        """n rows with every label zero and every flag off."""
+        """n AU rows with every label zero and every flag off."""
         return cls(
             va=np.zeros((n, 2)),
             expr=np.zeros(n, dtype=np.int64),
@@ -101,19 +100,10 @@ class BatchLabels:
             au_mask=np.zeros((n, NUM_AUS)),
             compound=np.zeros(n, dtype=np.int64),
             soft=np.zeros((n, NUM_EXPRESSIONS)),
-            **{
-                f"has_{k}": np.zeros(n, dtype=bool)
-                for k in ("va", "expr", "au", "compound", "soft")
-            },
+            task=np.zeros(n, dtype=np.int64),
+            has_expr=np.zeros(n, dtype=bool),
+            has_soft=np.zeros(n, dtype=bool),
         )
-
-    def tasks(self) -> np.ndarray:
-        """Each row's own task as its index in ``TASKS``: VA, EXPR or
-        COMPOUND by the row's flag, and AU for every other row, so an AU row
-        with no annotated unit, which has no flag, is an AU row too. Own
-        labels flag a row at most once; read this before co-annotation
-        adds flags."""
-        return self.has_va + 2 * self.has_expr + 3 * self.has_compound
 
     def take(self, rows) -> "BatchLabels":
         """The given rows of every array, in the given order."""
@@ -239,12 +229,13 @@ def objective(
     """A training step's whole loss as one ``fused`` node over the heads.
 
     The terms, added left to right: L_expr + lambda1 * L_au + lambda2 *
-    L_va + L_compound, each over the rows its flag marks (a term with no
-    row or no head adds 0.0); then soft-target cross-entropy over the
-    ``has_soft`` rows; then, given ``mixture`` (p(AU|emotion), 7 x 17) and
-    EXPR and AU heads, distribution matching over every row. One softmax of
-    the expression logits and one sigmoid of the AU logits serve every term
-    that reads them, and their vjps are applied here. The edges run expr,
+    L_va + L_compound over the rows that carry each label, the VA rows only
+    if there are two or more (a term with no row or no head adds 0.0); then
+    soft-target cross-entropy over the ``has_soft`` rows; then, given
+    ``mixture`` (p(AU|emotion), 7 x 17) and EXPR and AU heads, distribution
+    matching over every row. One softmax of the expression logits and one
+    sigmoid of the AU logits serve every term that reads them, and their
+    vjps are applied here. The edges run expr,
     va, compound, au: a shared trunk then sums the heads' gradients with
     the per-term graph's rounding, the AU head's last where distribution
     matching spreads the expression and AU gradients over every row.
@@ -263,13 +254,12 @@ def objective(
     def rows(head, flag):
         return _NO_ROWS if head is None else flag.nonzero()[0]
 
-    expr_rows, soft_rows, au_rows = (
-        rows(expr, labels.has_expr), rows(expr, labels.has_soft), rows(au, labels.has_au)
-    )
+    expr_rows, soft_rows = rows(expr, labels.has_expr), rows(expr, labels.has_soft)
+    au_term = au is not None and labels.au_mask.any()
     dm = mixture is not None and expr is not None and au is not None
     if expr_rows.size or soft_rows.size or dm:
         shift, total, p = softmax_parts(expr.data)
-    if au_rows.size or dm:
+    if au_term or dm:
         s = ad.sigmoid_values(au.data)
 
     parts: List[float] = [0.0] * 4  # the multi-task terms; coupling terms follow
@@ -278,17 +268,16 @@ def objective(
     if idx.size:
         parts[0], g = cce(shift[idx], total[idx], p[idx], labels.expr[idx])
         row_grads["expr"] = idx, g
-    idx = au_rows
-    if idx.size:
-        value, g = masked_bce(s[idx], labels.au_targets[idx], labels.au_mask[idx])
+    if au_term:  # masked_bce reads only the rows with weight
+        value, g = masked_bce(s, labels.au_targets, labels.au_mask)
         parts[1] = lambda1 * value
-        row_grads["au"] = idx, lambda1 * g
-    idx = rows(va, labels.has_va)
-    if idx.size:
+        row_grads["au"] = slice(None), lambda1 * g
+    idx = rows(va, labels.task == TASKS.index("VA"))
+    if idx.size >= 2:  # concordance is undefined on one point
         value, g = ccc(va.data[idx], labels.va[idx])
         parts[2] = lambda2 * value
         row_grads["va"] = idx, lambda2 * g
-    idx = rows(compound, labels.has_compound)
+    idx = rows(compound, labels.task == TASKS.index("COMPOUND"))
     if idx.size:
         parts[3], g = cce(*softmax_parts(compound.data[idx]), labels.compound[idx])
         row_grads["compound"] = idx, g

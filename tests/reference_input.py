@@ -146,18 +146,16 @@ def columns_of(samples: List[AnnotatedSample]) -> SampleColumns:
     pairs = np.zeros((len(samples), 2), dtype=np.int64)
     for r, s in enumerate(samples):
         label, task = s.label, s.task
+        labels.task[r] = TASKS.index(task)
         if task == "VA":
-            labels.has_va[r] = True
             labels.va[r] = label.valence, label.arousal
         elif task == "EXPR":
             labels.has_expr[r] = True
             labels.expr[r] = label.class_id
         elif task == "COMPOUND":
-            labels.has_compound[r] = True
             labels.compound[r] = label.class_id
             pairs[r] = label.emo1.class_id, label.emo2.class_id
-        elif label.mask.any():
-            labels.has_au[r] = True
+        else:
             labels.au_targets[r] = label.values
             labels.au_mask[r] = label.mask
     return SampleColumns(
@@ -172,7 +170,7 @@ def samples_of(data: SampleColumns) -> List[AnnotatedSample]:
     the matrix, or empty when none is attached."""
     lab = data.labels
     out = []
-    for r, kind in enumerate(lab.tasks().tolist()):
+    for r, kind in enumerate(lab.task.tolist()):
         task = TASKS[kind]
         if task == "VA":
             label = ValenceArousal(*lab.va[r].tolist())
@@ -362,7 +360,10 @@ def load_dataset(annotations_path, features_path, split=None) -> List[AnnotatedS
     samples = read_annotations(annotations_path)
     features = read_features(features_path)
     if split is not None:
-        samples = [s for s in samples if s.split == split] or samples
+        held = sorted({s.split for s in samples})
+        samples = [s for s in samples if s.split == split]
+        if not samples:
+            raise ConfigError(f"{annotations_path}: no row of split {split!r}; it holds {held}")
     missing = [s.id for s in samples if s.id not in features]
     if missing:
         raise KeyMisalignment(f"{len(missing)} annotated ids have no feature row")
@@ -408,29 +409,25 @@ def write_annotations(path, samples: List[AnnotatedSample]) -> None:
 
 
 def label_arrays(samples: List[AnnotatedSample]) -> BatchLabels:
-    """Write each sample's own label into row i of a BatchLabels and flag it.
+    """Write each sample's task and own label into row i of a BatchLabels.
 
-    A sample carries exactly one label, so a row has at most one flag; an
-    AU row with no annotated unit has none and keeps a zero mask, because
-    the masked cross-entropy has nothing to weigh in it. No row has a soft
-    target here.
+    A sample carries exactly one label; an AU row with no annotated unit
+    keeps a zero mask, because the masked cross-entropy has nothing to
+    weigh in it. No row has a soft target here.
     """
     labels = BatchLabels.zeros(len(samples))
     for row, sample in enumerate(samples):
         label, task = sample.label, sample.task
+        labels.task[row] = TASKS.index(task)
         if task == "VA":
-            labels.has_va[row] = True
             labels.va[row] = (label.valence, label.arousal)
         elif task == "EXPR":
             labels.has_expr[row] = True
             labels.expr[row] = label.class_id
         elif task == "AU":
-            if label.mask.any():
-                labels.has_au[row] = True
-                labels.au_targets[row] = label.values
-                labels.au_mask[row] = label.mask
+            labels.au_targets[row] = label.values
+            labels.au_mask[row] = label.mask
         else:
-            labels.has_compound[row] = True
             labels.compound[row] = label.class_id
     return labels
 
@@ -442,17 +439,14 @@ def label_arrays(samples: List[AnnotatedSample]) -> BatchLabels:
 def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
     """Features, labels with co-annotation targets, and the four pools."""
     labels = label_arrays(samples)
-    va, expr, compound = (
-        tuple(np.flatnonzero(flag).tolist())
-        for flag in (labels.has_va, labels.has_expr, labels.has_compound)
+    au, va, expr, compound = (
+        tuple(r for r, s in enumerate(samples) if s.task == task) for task in TASKS
     )
-    au = tuple(np.flatnonzero(~(labels.has_va | labels.has_expr | labels.has_compound)).tolist())
     table = config.relatedness_table()
     if config.coupling == "coannotation":
         for r in expr:
             implied = coannotate_emotion_to_aus(samples[r].label, table)
             if implied:
-                labels.has_au[r] = True
                 for au_id, target, weight in implied:
                     labels.au_targets[r, au_index(au_id)] = target
                     labels.au_mask[r, au_index(au_id)] = weight

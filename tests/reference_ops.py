@@ -367,27 +367,32 @@ def multitask_terms(
     + L_compound, in that order; the compound head is the transfer-learning
     extension. ``weighted_total`` of the list is the multi-task loss.
 
-    Each term is computed only over the rows its label flag marks; a task
-    with no flagged row, or no head, is None.
+    Each term is computed only over the rows that carry its label: the
+    ``has_expr`` rows, the rows with AU mask weight, the VA rows and the
+    COMPOUND rows, by the ``task`` column. A task with no such row, or no
+    head, is None, and so is the VA term over a single row, on which
+    concordance is undefined.
     """
     heads = (preds.expr_logits, preds.au_logits, preds.va, preds.compound_logits)
     n = labels.va.shape[0]
     if all(h is None for h in heads) or any(h is not None and h.shape[0] != n for h in heads):
         raise ShapeMismatch(f"predictions need a head with {n} rows, one per label row")
+    va_rows, compound_rows = (labels.task == losses.TASKS.index(t) for t in ("VA", "COMPOUND"))
 
-    def term(loss, head, flag, *truth):
+    def term(loss, head, flag, *truth, least=1):
         idx = np.flatnonzero(flag)
-        if head is None or not idx.size:
+        if head is None or idx.size < least:
             return None
         return loss(ad.take_rows(head, idx), *(t[idx] for t in truth))
 
     return [
         (1.0, term(cce_loss, preds.expr_logits, labels.has_expr, labels.expr)),
         (lambda1, term(
-            masked_bce_loss, preds.au_logits, labels.has_au, labels.au_targets, labels.au_mask
+            masked_bce_loss, preds.au_logits, labels.au_mask.any(axis=1),
+            labels.au_targets, labels.au_mask,
         )),
-        (lambda2, term(ccc_loss, preds.va, labels.has_va, labels.va)),
-        (1.0, term(cce_loss, preds.compound_logits, labels.has_compound, labels.compound)),
+        (lambda2, term(ccc_loss, preds.va, va_rows, labels.va, least=2)),
+        (1.0, term(cce_loss, preds.compound_logits, compound_rows, labels.compound)),
     ]
 
 

@@ -247,7 +247,7 @@ def _study_seed(seed, root):
     feats, ann = generate_dataset(STUDY_SPEC, seed=seed, out_dir=os.path.join(root, "data"))
     train = load_dataset(ann, feats, split="train")
     val = load_dataset(ann, feats, split="val")
-    task = train.labels.tasks()
+    task = train.labels.task
     train_au = train.take(np.flatnonzero(task == TASKS.index("AU")))
 
     expr_only = train.take(np.flatnonzero(task == TASKS.index("EXPR")))

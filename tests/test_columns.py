@@ -83,22 +83,27 @@ def assert_same_labels(got: BatchLabels, want: BatchLabels):
 
 @pytest.mark.parametrize("annotations", [ANNOTATIONS, COMPOUNDS], ids=["basic", "compound"])
 def test_tasks_are_each_rows_own_task(tmp_path, annotations):
-    # s3's AU row has no annotated unit and so no flag; it is still an AU row
+    # s3's AU row has no annotated unit and so no mask weight; it is still an AU row
     ann, _ = write(tmp_path, annotations)
     labels = read_annotation_columns(ann).labels
-    tasks = [TASKS[k] for k in labels.tasks().tolist()]
+    tasks = [TASKS[k] for k in labels.task.tolist()]
     assert tasks == [s.task for s in ref.read_annotations(ann)]
     if annotations == ANNOTATIONS:
         assert tasks == ["VA", "AU", "EXPR", "AU", "AU", "EXPR", "VA"]
-        assert not labels.has_au[3]
+        assert not labels.au_mask[3].any()
 
 
 @pytest.mark.parametrize("split", [None, "train", "val", "test"])
 def test_views_equal_the_per_row_readers(tmp_path, split):
     ann, feats = write(tmp_path)
+    if split == "test":  # no row carries it
+        for load in (load_dataset, ref.load_dataset):
+            with pytest.raises(ConfigError, match=r"ann\.csv: no row .*'test'"):
+                load(ann, feats, split=split)
+        return
     data, want = load_dataset(ann, feats, split=split), ref.load_dataset(ann, feats, split=split)
     assert ref.samples_of(data) == want
-    assert len(data) == {None: 7, "train": 5, "val": 2, "test": 7}[split]
+    assert len(data) == {None: 7, "train": 5, "val": 2}[split]
     assert read_annotations(ann) == ref.read_annotations(ann)
     got_feats, want_feats = read_features(feats), ref.read_features(feats)
     assert list(got_feats) == list(want_feats)
@@ -127,11 +132,10 @@ def unannotated_synthetic(spec, seed):
     unannotated and every 7th AU row every unit."""
     data = make_dataset(spec, seed)
     lab = data.labels
-    au = np.flatnonzero(~(lab.has_va | lab.has_expr))
+    au = np.flatnonzero(lab.task == TASKS.index("AU"))
     lab.au_mask[np.ix_(au[3::4], [au_index(4), au_index(6)])] = 0.0
     lab.au_mask[au[6::7]] = 0.0
     lab.au_targets *= lab.au_mask
-    lab.has_au[au] = lab.au_mask[au].any(axis=1)
     return data
 
 
@@ -158,7 +162,8 @@ def test_annotation_writer_equals_the_per_row_oracle(tmp_path, annotations):
 def test_synthetic_annotations_equal_the_per_row_oracle(tmp_path, spec):
     data = unannotated_synthetic(spec, seed=4)
     assert (data.labels.au_mask == 0).all(axis=1).any()  # a fully unannotated AU row
-    assert ((data.labels.au_mask == 0).any(axis=1) & data.labels.has_au).any()  # and a partly one
+    mask = data.labels.au_mask
+    assert ((mask == 0).any(axis=1) & mask.any(axis=1)).any()  # and a partly one
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_annotations(got, data)
     ref.write_annotations(want, ref.samples_of(data))
@@ -444,6 +449,16 @@ def test_a_slice_shares_no_array_with_its_parent(tmp_path):
     data.labels.has_soft[:] = True
     assert np.array_equal(part.labels.expr, before.labels.expr)
     assert not part.labels.has_soft.any()
+
+
+def test_splits_and_labels_compare_by_identity(tmp_path):
+    # their arrays have no single truth value, so == is identity, not a
+    # field-by-field comparison that would raise
+    data = load_dataset(*write(tmp_path))
+    copy = data.take(range(len(data)))
+    assert data == data and data.labels == data.labels
+    assert data != copy and data.labels != copy.labels
+    assert copy not in [data] and len({data, copy, data.labels, copy.labels}) == 4
 
 
 def test_iteration_yields_the_feature_rows(tmp_path):

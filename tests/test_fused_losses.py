@@ -14,7 +14,7 @@ import pytest
 
 from affectkit import autodiff as ad
 from affectkit.autodiff import DiffTensor, backward
-from affectkit.losses import PROB_EPS, BatchLabels, BatchPredictions, objective
+from affectkit.losses import PROB_EPS, TASKS, BatchLabels, BatchPredictions, objective
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
 from reference_ops import add, as_tensor, matmul, mul, multitask_terms, sigmoid, slice_axis
@@ -284,7 +284,9 @@ N_ROWS = 12
 
 
 def _batch(rng, present, compound=False):
-    """Leaves and labels for one batch whose flagged tasks are ``present``."""
+    """Leaves and labels for one batch whose tasks with rows are ``present``:
+    EXPR rows 0-3, AU rows 4-7 (the only rows with mask weight) and VA rows
+    8-11, or compound rows only."""
     arrays = {
         "expr_logits": rng.normal(size=(N_ROWS, NUM_EXPRESSIONS)),
         "au_logits": rng.normal(size=(N_ROWS, NUM_AUS)),
@@ -293,16 +295,19 @@ def _batch(rng, present, compound=False):
     if compound:
         arrays = {"compound_logits": rng.normal(size=(N_ROWS, 11))}
     labels = BatchLabels.zeros(N_ROWS)
-    blocks = {"expr": labels.has_expr, "au": labels.has_au, "va": labels.has_va}
-    for (task, flag), start in zip(blocks.items(), (0, 4, 8)):
-        flag[start : start + 4] = task in present
+    labels.has_expr[:4] = "expr" in present
+    if "va" in present:
+        labels.task[8:] = TASKS.index("VA")
     labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, size=N_ROWS)
     labels.au_targets[:] = rng.random((N_ROWS, NUM_AUS)) < 0.5
     labels.au_mask[:] = rng.random((N_ROWS, NUM_AUS)) < 0.8
     labels.va[:] = np.clip(rng.normal(size=(N_ROWS, 2)), -1.0, 1.0)
     labels.compound[:] = rng.integers(0, 11, size=N_ROWS)
-    labels.has_compound[:] = compound
+    if compound:
+        labels.task[:] = TASKS.index("COMPOUND")
     labels.au_mask[:, 0] = 1.0
+    labels.au_mask[:4] = labels.au_mask[8:] = 0.0
+    labels.au_mask *= "au" in present
     return arrays, labels
 
 

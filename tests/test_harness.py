@@ -44,7 +44,7 @@ from affectkit.harness.evaluate import evaluate_model
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.harness import dataio, synth, training
 from affectkit.harness.training import load_model, train_run
-from affectkit.losses import objective
+from affectkit.losses import TASKS, objective
 from affectkit.models import Model
 from affectkit.types import PredictionRecord, au_index, expression_id
 from affectkit.zeroshot import classify_compound, default_compound_defs
@@ -196,6 +196,7 @@ def expr_columns(n: int, seed: int = 0):
     row i labelled expression i % 7."""
     features = np.random.default_rng(seed).normal(size=(n, 10))
     data = blank_columns([f"x{i}" for i in range(n)], features)
+    data.labels.task[:] = TASKS.index("EXPR")
     data.labels.has_expr[:], data.labels.expr[:] = True, np.arange(n) % 7
     return data
 
@@ -212,10 +213,12 @@ class TestSyntheticData:
         assert data.split == ["train"] * 120 + ["val"] * 45
         assert data.features.shape == (165, 10)
         lab = data.labels
-        for flag in (lab.has_va, lab.has_au, lab.has_expr):
-            assert flag[:120].sum() == 40 and flag[120:].sum() == 15
-        assert not (lab.has_compound.any() or lab.has_soft.any())
-        assert (lab.has_va.astype(int) + lab.has_au + lab.has_expr == 1).all()
+        for task in ("VA", "AU", "EXPR"):
+            rows = lab.task == TASKS.index(task)
+            assert rows[:120].sum() == 40 and rows[120:].sum() == 15
+        assert np.array_equal(lab.has_expr, lab.task == TASKS.index("EXPR"))
+        assert np.array_equal(lab.au_mask.any(axis=1), lab.task == TASKS.index("AU"))
+        assert not lab.has_soft.any()
 
     def test_ids_unique(self):
         ids = make_dataset(SMALL, seed=0).ids
@@ -271,11 +274,12 @@ class TestDataFiles:
         data.split[1] = "val"
         data.sequence_id[0], data.frame_index[0], data.utterance_id[1] = "seq1", 4, "utt9"
         lab = data.labels
-        lab.has_va[0], lab.va[0] = True, (0.25, -0.5)
+        lab.task[:] = [TASKS.index(t) for t in ("VA", "EXPR", "AU", "COMPOUND")]
+        lab.va[0] = (0.25, -0.5)
         lab.has_expr[1], lab.expr[1] = True, 3
-        lab.has_au[2], lab.au_mask[2], lab.au_targets[2, au_index(12)] = True, 1.0, 1.0
+        lab.au_mask[2], lab.au_targets[2, au_index(12)] = 1.0, 1.0
         lab.au_mask[2, au_index(4)] = 0.0
-        lab.has_compound[3], lab.compound[3], data.compound_pair[3] = True, 2, (5, 2)
+        lab.compound[3], data.compound_pair[3] = 2, (5, 2)
         return data
 
     def test_annotation_round_trip(self, tmp_path):
@@ -288,8 +292,7 @@ class TestDataFiles:
         assert loaded.sequence_id == ["seq1", None, None, None]
         assert loaded.frame_index == [4, None, None, None]
         assert loaded.utterance_id == [None, "utt9", None, None]
-        assert loaded.labels.tasks().tolist() == data.labels.tasks().tolist()
-        for name in ("va", "expr", "au_targets", "au_mask", "compound"):
+        for name in ("task", "va", "expr", "au_targets", "au_mask", "compound", "has_expr"):
             assert np.array_equal(getattr(loaded.labels, name), getattr(data.labels, name)), name
         assert loaded.compound_pair[3].tolist() == [5, 2]
 
@@ -307,12 +310,22 @@ class TestDataFiles:
         assert loaded.ids == ["s0", "s2", "s3"]
         assert np.array_equal(loaded.features, data.features[[0, 2, 3]])
 
-    @pytest.mark.parametrize("split,ids", [("train", ["s0", "s2", "s3"]), ("test", None)])
+    @pytest.mark.parametrize("split,ids", [
+        ("train", ["s0", "s2", "s3"]), (None, ["s0", "s1", "s2", "s3"]), ("test", None),
+    ])
     def test_load_dataset_split_or_every_row(self, tmp_path, split, ids):
+        # None reads every row; a split no row carries is an error that
+        # names the file and the splits it holds
         data = self.make_columns()
         write_columns(data, tmp_path / "a.csv", tmp_path / "f.csv")
+        if ids is None:
+            with pytest.raises(ConfigError, match=(
+                r"a\.csv: no row is in split 'test' \(splits in the file: 'train', 'val'\)"
+            )):
+                load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split=split)
+            return
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv", split=split)
-        assert loaded.ids == (ids or data.ids)
+        assert loaded.ids == ids
 
     def test_duplicate_feature_id_names_the_line(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -492,6 +505,7 @@ class TestDataFiles:
         ]
         data = blank_columns([rid], [[0.25, -1.0]])
         data.sequence_id[0] = data.utterance_id[0] = rid
+        data.labels.task[0] = TASKS.index("EXPR")
         data.labels.has_expr[0], data.labels.expr[0] = True, 2
         write_columns(data, tmp_path / "a.csv", tmp_path / "f.csv")
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
@@ -605,8 +619,6 @@ class TestTraining:
         table = cfg.relatedness_table().conditional_matrix(reweight=cfg.reweight_mixture)
         for preds, labels, lambdas, mixture, node in calls:
             assert lambdas == (0.7, 1.3)
-            # gather unflags a lone VA row, so concordance sees two rows or none
-            assert labels.has_va.sum() != 1
             assert mixture is table if "dm" in coupling else mixture is None
             assert [p for p, _ in node._edges] == [preds.expr_logits, preds.va, preds.au_logits]
         # co-annotation gives some AU rows soft targets
@@ -706,7 +718,7 @@ class TestTraining:
         rows = np.arange(20)
         features = np.random.default_rng(0).normal(size=(20, 10))
         data = blank_columns([f"c{i:03d}" for i in rows], features)
-        data.labels.has_compound[:], data.labels.compound[:] = True, rows % 11
+        data.labels.task[:], data.labels.compound[:] = TASKS.index("COMPOUND"), rows % 11
         data.compound_pair[:] = np.stack([1 + rows % 5, np.full(20, 6)], axis=1)
         write_columns(data, tmp_path / "compound_ann.csv", tmp_path / "compound_feat.csv")
 
@@ -1294,6 +1306,34 @@ class TestCLI:
         assert code == 2
         assert "features dim 10, model expects 16" in err and "Traceback" not in err
 
+    def test_train_validating_on_files_without_val_rows_is_exit_2(self, tmp_path, capsys):
+        # the validation split names the training files, which hold no val row
+        cfg_file = self.write_expr_data(tmp_path, feature_dim=10)
+        config = RunConfig.from_file(cfg_file)
+        config.override(
+            val_annotations=config.train_annotations, val_features=config.train_features
+        ).to_file(cfg_file)
+        code = self.run_cli("train", "--config", cfg_file)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "ann.csv: no row is in split 'val' (splits in the file: 'train')" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_with_a_misspelt_split_is_exit_2(self, tmp_path, capsys):
+        cfg_file = self.write_expr_data(tmp_path, feature_dim=10)
+        assert self.run_cli("train", "--config", cfg_file) == 0
+        capsys.readouterr()
+        code = self.run_cli(
+            "eval", "--config", tmp_path / "run" / "config.txt",
+            "--checkpoint", tmp_path / "run" / "model.ckpt",
+            "--annotations", tmp_path / "ann.csv", "--features", tmp_path / "feat.csv",
+            "--split", "trian", "--out", tmp_path / "report.txt",
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "ann.csv: no row is in split 'trian' (splits in the file: 'train')" in err
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.parametrize("ccc_v,code", [("0.5", 0), ("nan", 2)])
     def test_fuse_rejects_a_non_finite_weight(self, tmp_path, capsys, ccc_v, code):
         preds = tmp_path / "p0.csv"
@@ -1338,7 +1378,18 @@ class TestCLI:
         code = self.run_cli("fuse", "--manifest", manifest, "--out", out)
         err = capsys.readouterr().err
         assert code == 2
-        assert "p0.csv: id 'a' appears more than once" in err and "Traceback" not in err
+        assert "p0.csv:3: duplicate sample id 'a'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_shot_with_a_repeated_id_is_exit_2(self, tmp_path, capsys):
+        preds = tmp_path / "p0.csv"
+        probs = dict(expr_probs=np.full(7, 1 / 7), au_probs=np.full(17, 0.5))
+        write_predictions(preds, [PredictionRecord(id=i, **probs) for i in ("a", "b", "a")])
+        out = tmp_path / "compound.csv"
+        code = self.run_cli("zero-shot", "--predictions", preds, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "p0.csv:4: duplicate sample id 'a'" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_shot_failure_writes_no_file(self, tmp_path, capsys):

@@ -3,21 +3,26 @@
 The formulas of ``losses`` check nothing on a step. These tests hold each
 guarantee at its source instead: the labels the annotation reader accepts,
 the co-annotation targets written into the training split, the width of
-each model head, the lone VA row that ``_gather`` unflags, and the softmax
-and sigmoid outputs that every probability input is. The lambdas are checked by
+each model head, the lone VA row that ``objective`` leaves out, and the
+softmax and sigmoid outputs that every probability input is. A row has AU
+mask weight if and only if it carries an AU target, which is what lets the
+mask stand for the AU flag: the reader, the synthetic generator and every
+co-annotation mode are each held to it. The lambdas are checked by
 ``RunConfig.validate`` (``test_harness.py::TestConfig::test_out_of_range_value``)
 and compound ids against ``compound_classes`` where the training pools are
 made (``test_training_table.py::test_compound_class_beyond_head_raises``).
 """
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectkit.autodiff import sigmoid_values
+import reference_input as ref
+from affectkit.autodiff import DiffTensor, sigmoid_values
 from affectkit.errors import AffectKitError
 from affectkit.harness.config import RunConfig
 from affectkit.harness.dataio import (
@@ -25,12 +30,16 @@ from affectkit.harness.dataio import (
     SampleColumns,
     load_dataset,
     read_annotation_columns,
+    write_annotations,
+    write_features,
 )
-from affectkit.harness.synth import SyntheticSpec, generate_dataset
+from affectkit.harness.synth import SyntheticSpec, make_dataset
 from affectkit.harness.training import _build_table, _gather
-from affectkit.losses import BatchLabels, softmax_parts
+from affectkit.losses import TASKS, BatchLabels, BatchPredictions, objective, softmax_parts
 from affectkit.models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
+
+AU, VA, EXPR, COMPOUND = range(len(TASKS))
 
 NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3).map(float)
@@ -61,8 +70,9 @@ def annotation_path(tmp_path_factory):
 @given(rows=ROWS)
 def test_labels_the_reader_accepts_meet_every_formula_precondition(annotation_path, rows):
     # the reader refuses a row, or its labels are what the formulas read:
-    # class ids in 0..6, VA in [-1, 1], AU targets and mask weights in
-    # {0, 1}, compound ids >= 0, one flag per row at most
+    # each row's own task, class ids in 0..6 on EXPR rows alone, VA in
+    # [-1, 1], AU targets and mask weights in {0, 1}, mask weight exactly
+    # on the AU rows with an annotated unit, compound ids >= 0
     with open(annotation_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ANNOTATION_FIELDS)
@@ -73,20 +83,65 @@ def test_labels_the_reader_accepts_meet_every_formula_precondition(annotation_pa
     except AffectKitError as exc:
         assert str(exc).startswith(f"{annotation_path}:")
         return
-    flags = [lab.has_va, lab.has_expr, lab.has_au, lab.has_compound, lab.has_soft]
-    assert (sum(f.astype(int) for f in flags) <= 1).all()
+    assert lab.task.tolist() == [TASKS.index(task) for task, _ in rows]
+    assert np.array_equal(lab.has_expr, lab.task == EXPR) and not lab.has_soft.any()
     assert lab.expr.dtype == np.int64 and lab.compound.dtype == np.int64
     assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()
-    assert (np.abs(lab.va[lab.has_va]) <= 1.0).all()
+    assert (np.abs(lab.va[lab.task == VA]) <= 1.0).all()
     assert np.isin(lab.au_targets, (0.0, 1.0)).all() and np.isin(lab.au_mask, (0.0, 1.0)).all()
-    assert np.array_equal(lab.has_au, lab.au_mask.any(axis=1))
-    assert (lab.compound[lab.has_compound] >= 0).all()
+    carries_au = [task == "AU" and set(payload) != {"-"} for task, payload in rows]
+    assert lab.au_mask.any(axis=1).tolist() == carries_au
+    assert (lab.compound[lab.task == COMPOUND] >= 0).all()
+
+
+def test_synthetic_rows_have_au_weight_exactly_on_au_rows():
+    data = make_dataset(SyntheticSpec(train_counts=(30, 40, 40), val_counts=(5, 6, 7)), seed=3)
+    lab = data.labels
+    assert lab.task.tolist() == [TASKS.index(i.split("-")[1].upper()) for i in data.ids]
+    assert np.array_equal(lab.au_mask.any(axis=1), lab.task == AU)
+    assert np.array_equal(lab.has_expr, lab.task == EXPR) and not lab.has_soft.any()
 
 
 @pytest.fixture(scope="module")
 def training_files(tmp_path_factory):
-    spec = SyntheticSpec(train_counts=(30, 40, 40), val_counts=(0, 0, 0), feature_dim=8)
-    return generate_dataset(spec, seed=5, out_dir=str(tmp_path_factory.mktemp("data")))
+    """Synthetic training files whose every 5th AU row leaves every unit
+    unannotated and every 3rd AU4 alone, so some AU rows carry no target."""
+    data = make_dataset(
+        SyntheticSpec(train_counts=(30, 40, 40), val_counts=(0, 0, 0), feature_dim=8), seed=5
+    )
+    lab = data.labels
+    au = np.flatnonzero(lab.task == AU)
+    lab.au_mask[au[2::3], 2] = 0.0
+    lab.au_mask[au[::5]] = 0.0
+    lab.au_targets *= lab.au_mask
+    out = tmp_path_factory.mktemp("data")
+    feats, ann = out / "features.csv", out / "annotations.csv"
+    write_features(feats, data.ids, data.features)
+    write_annotations(ann, data)
+    return feats, ann
+
+
+@pytest.mark.parametrize("coupling", ["coannotation", "soft_coannotation", "soft+distr"])
+def test_co_annotation_keeps_au_weight_exactly_on_rows_with_an_au_target(
+    training_files, coupling
+):
+    # co-annotation never changes a row's task; only hard co-annotation adds
+    # AU targets, to the EXPR rows whose emotion implies table AUs
+    feats, ann = training_files
+    config = RunConfig(feature_dim=8, coupling=coupling)
+    table = config.relatedness_table()
+    data = load_dataset(ann, feats)
+    task, before = data.labels.task.copy(), data.labels.au_mask.any(axis=1)
+    assert (before == (task == AU)).sum() < len(task)  # some AU rows carry no target
+    _build_table(data, config, table)
+    lab = data.labels
+    assert np.array_equal(lab.task, task)
+    implied = [
+        t == EXPR and bool(ref.coannotate_emotion_to_aus(ref.ExpressionLabel(int(c)), table))
+        for t, c in zip(task.tolist(), lab.expr.tolist())
+    ]
+    carries_au = before | (np.array(implied) if coupling == "coannotation" else False)
+    assert np.array_equal(lab.au_mask.any(axis=1), carries_au)
 
 
 @pytest.mark.parametrize("relatedness", ["cognitive", "empirical"])
@@ -139,23 +194,34 @@ def test_each_head_has_the_width_its_loss_reads(spec):
     va=st.sets(st.integers(0, 11), max_size=12),
     rows=st.lists(st.integers(0, 11), unique=True, min_size=1, max_size=12),
 )
-def test_gather_leaves_two_va_rows_or_none(va, rows):
-    # concordance needs two rows, so a batch's lone VA row is unflagged;
-    # every other flag is gathered as it is
+def test_objective_reads_two_va_rows_or_none(va, rows):
+    # gather takes every label as it is; concordance needs two rows, so
+    # the objective adds no VA term and no VA head edge for a lone VA row
+    rng = np.random.default_rng(len(rows))
     labels = BatchLabels.zeros(12)
-    labels.has_va[sorted(va)] = True
-    labels.has_expr[~labels.has_va] = True
+    labels.task[sorted(va)] = VA
+    labels.va[:] = rng.uniform(-1.0, 1.0, (12, 2))
+    is_expr = labels.task != VA
+    labels.task[is_expr], labels.has_expr[is_expr] = EXPR, True
+    labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, 12)
     data = SampleColumns(
         [f"r{r}" for r in range(12)], ["train"] * 12, [None] * 12, [None] * 12, [None] * 12,
         labels, np.zeros((12, 2), dtype=np.int64), np.zeros((12, 3)),
     )
     rows = np.array(rows, dtype=int)
     _, _, gathered = _gather(data, rows, False)
-    wanted = labels.has_va[rows]
-    if wanted.sum() == 1:
-        wanted[:] = False
-    assert np.array_equal(gathered.has_va, wanted)
-    assert np.array_equal(gathered.has_expr, labels.has_expr[rows])
+    for f in fields(BatchLabels):
+        assert np.array_equal(getattr(gathered, f.name), getattr(labels, f.name)[rows]), f.name
+    preds = BatchPredictions(
+        expr_logits=DiffTensor(rng.normal(size=(len(rows), NUM_EXPRESSIONS))),
+        va=DiffTensor(rng.normal(size=(len(rows), 2))),
+    )
+    node = objective(preds, gathered)
+    n_va = int((gathered.task == VA).sum())
+    assert any(head is preds.va for head, _ in node._edges) == (n_va >= 2)
+    if n_va == 1:
+        gathered.task[gathered.task == VA] = AU
+        assert node.data == objective(preds, gathered).data
 
 
 LOGITS = st.lists(

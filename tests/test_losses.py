@@ -10,7 +10,7 @@ import pytest
 from affectkit.autodiff import backward, take_rows
 from affectkit.errors import EmptyMaskBatch, ShapeMismatch
 from affectkit.harness.dataio import ANNOTATION_FIELDS, read_annotation_columns
-from affectkit.losses import BatchLabels, BatchPredictions, objective
+from affectkit.losses import TASKS, BatchLabels, BatchPredictions, objective
 from affectkit.relatedness import COGNITIVE
 from affectkit.types import au_index, expression_id
 from reference_ops import as_tensor
@@ -202,27 +202,32 @@ class TestAUStacking:
         )
         assert labels.au_targets[0, 0] == 1.0 and labels.au_mask[0].sum() == 17.0
         assert labels.au_mask[1].sum() == 0.0 and labels.au_mask[2].sum() == 0.0
-        assert labels.has_au.tolist() == [True, False, False]
+        assert labels.au_mask.any(axis=1).tolist() == [True, False, False]
+        assert [TASKS[k] for k in labels.task.tolist()] == ["AU", "VA", "AU"]
 
 
 class TestLabelArrays:
-    FLAGS = ("va", "expr", "au", "compound", "soft")
-
-    def only_flag(self, labels, key, n=1):
-        for k in self.FLAGS:
-            flag = getattr(labels, f"has_{k}")
-            assert flag.dtype == bool and flag.tolist() == [k == key] * n, k
+    def only_task(self, labels, task, n=1):
+        """Each of the ``n`` rows is a ``task`` row and carries that label
+        alone: an expression class only on EXPR rows, AU mask weight only
+        on AU rows, and no soft target."""
+        assert labels.task.dtype == np.int64 and labels.task.tolist() == [TASKS.index(task)] * n
+        assert labels.has_expr.dtype == bool and labels.has_soft.dtype == bool
+        assert labels.has_expr.tolist() == [task == "EXPR"] * n
+        assert not labels.has_soft.any()
+        if task != "AU":
+            assert not labels.au_mask.any()
 
     def test_va_row(self, tmp_path):
         labels = label_arrays(tmp_path, ("VA", "0.25;-0.5"))
         assert labels.va.tolist() == [[0.25, -0.5]]
-        self.only_flag(labels, "va")
+        self.only_task(labels, "VA")
 
     def test_expr_row(self, tmp_path):
         labels = label_arrays(tmp_path, ("EXPR", str(expression_id("fear"))))
         assert labels.expr.dtype == np.int64
         assert labels.expr.tolist() == [expression_id("fear")]
-        self.only_flag(labels, "expr")
+        self.only_task(labels, "EXPR")
 
     def test_au_row(self, tmp_path):
         values = np.zeros(17, dtype=np.uint8)
@@ -232,23 +237,23 @@ class TestLabelArrays:
         labels = label_arrays(tmp_path, ("AU", au_payload(values, mask)))
         assert np.array_equal(labels.au_targets[0], values.astype(float))
         assert np.array_equal(labels.au_mask[0], mask.astype(float))
-        self.only_flag(labels, "au")
+        self.only_task(labels, "AU")
 
-    def test_zero_mask_au_row_has_no_flag(self, tmp_path):
+    def test_zero_mask_au_row_is_an_au_row_without_weight(self, tmp_path):
         labels = label_arrays(tmp_path, ("AU", "-" * 17))
-        self.only_flag(labels, None)
+        self.only_task(labels, "AU")
         assert not labels.au_mask.any() and not labels.au_targets.any()
 
     def test_compound_row(self, tmp_path):
         labels = label_arrays(tmp_path, ("COMPOUND", "9;4;6"))
         assert labels.compound.dtype == np.int64
         assert labels.compound.tolist() == [9]
-        self.only_flag(labels, "compound")
+        self.only_task(labels, "COMPOUND")
 
     def test_rows_follow_sample_order(self, tmp_path):
         labels = label_arrays(tmp_path, ("EXPR", "3"), ("VA", "0.5;0.5"), ("EXPR", "5"))
         assert labels.has_expr.tolist() == [True, False, True]
-        assert labels.has_va.tolist() == [False, True, False]
+        assert [TASKS[k] for k in labels.task.tolist()] == ["EXPR", "VA", "EXPR"]
         assert labels.expr.tolist() == [3, 0, 5]
         assert not labels.soft.any()
 
@@ -256,7 +261,7 @@ class TestLabelArrays:
         labels = label_arrays(tmp_path)
         assert labels.au_targets.shape == (0, 17) and labels.va.shape == (0, 2)
         assert labels.soft.shape == (0, 7)
-        assert all(getattr(labels, f"has_{k}").shape == (0,) for k in self.FLAGS)
+        assert labels.task.shape == labels.has_expr.shape == labels.has_soft.shape == (0,)
 
     def test_take_gathers_every_array(self):
         rng = np.random.default_rng(3)
@@ -274,7 +279,7 @@ class TestLabelArrays:
 
 class TestMultitask:
     """The multi-task part of ``objective``: L_expr + lambda1 * L_au +
-    lambda2 * L_va + L_compound, each term over its flagged rows."""
+    lambda2 * L_va + L_compound, each term over the rows of its label."""
 
     def make_batch(self):
         rng = np.random.default_rng(4)
@@ -285,10 +290,11 @@ class TestMultitask:
             va=as_tensor(rng.normal(size=(n, 2)) * 0.3),
         )
         labels = BatchLabels.zeros(n)
-        labels.has_expr[:2] = labels.has_au[2:4] = labels.has_va[4:] = True
-        labels.expr[:] = [3, 5, 99, 99, 99, 99]  # unflagged rows never read
+        labels.task[:] = [TASKS.index(t) for t in ("EXPR",) * 2 + ("AU",) * 2 + ("VA",) * 2]
+        labels.has_expr[:2] = True
+        labels.expr[:] = [3, 5, 99, 99, 99, 99]  # rows without an expression are never read
         labels.au_targets[:] = rng.random((n, 17)) < 0.5
-        labels.au_mask[:] = 1.0
+        labels.au_mask[2:4] = 1.0
         labels.va[:] = np.clip(rng.normal(size=(n, 2)), -1, 1)
         return preds, labels
 
@@ -310,14 +316,17 @@ class TestMultitask:
         assert float(total.data) == pytest.approx(expected, abs=1e-12)
 
     def test_terms_match_individual_losses(self):
-        # with one task flagged, the total is that term exactly
+        # with one task's label kept, the total is that term exactly
         preds, labels = self.make_batch()
         terms = self.terms(preds, labels)
-        for task, flag in (("expr", "has_expr"), ("au", "has_au"), ("va", "has_va")):
+        for task in ("expr", "au", "va"):
             alone = labels.take(np.arange(6))
-            for other in ("has_expr", "has_au", "has_va"):
-                if other != flag:
-                    getattr(alone, other)[:] = False
+            if task != "expr":
+                alone.has_expr[:] = False
+            if task != "au":
+                alone.au_mask[:] = 0.0
+            if task != "va":
+                alone.task[4:] = TASKS.index("AU")
             assert float(objective(preds, alone).data) == terms[task]
 
     def test_zero_lambdas_reduce_to_cce(self):
@@ -340,13 +349,15 @@ class TestMultitask:
 
     def test_absent_task_contributes_zero(self):
         rng = np.random.default_rng(6)
-        preds = BatchPredictions(expr_logits=as_tensor(rng.normal(size=(3, 7))))
-        labels = BatchLabels.zeros(3)
-        labels.expr[:] = [0, 1, 2]
-        labels.has_expr[:] = True
-        labels.has_va[:] = True  # flagged, but the model has no VA head
+        preds = BatchPredictions(expr_logits=as_tensor(rng.normal(size=(5, 7))))
+        labels = BatchLabels.zeros(5)
+        labels.expr[:3] = [0, 1, 2]
+        labels.has_expr[:3] = True
+        labels.task[:] = [TASKS.index("EXPR")] * 3 + [TASKS.index("VA")] * 2
+        labels.va[3:] = [[0.5, -0.5], [-0.25, 0.75]]  # VA rows, but the model has no VA head
         total = objective(preds, labels)
-        assert float(total.data) == float(cce_loss(preds.expr_logits, [0, 1, 2]).data)
+        expected = cce_loss(take_rows(preds.expr_logits, [0, 1, 2]), [0, 1, 2])
+        assert float(total.data) == float(expected.data)
         assert [p for p, _ in total._edges] == [preds.expr_logits]
 
     def test_no_heads_rejected(self):

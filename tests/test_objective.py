@@ -7,10 +7,10 @@ terms, a sigmoid node for the AU probabilities, and one weighted total.
 Over random batches, every coupling mode and several head sets, the
 objective must give the same value and, after ``backward(wrt=params)``
 through a model, the same gradient for every parameter, bit for bit; and it
-must raise what the per-term graph raises, with the same message: on a
-batch whose AU rows all have zero weight, and on heads that do not give
-one row per label row. Neither checks any input that is checked where it
-is made.
+must raise what the per-term graph raises, with the same message, on
+heads that do not give one row per label row. A batch with no AU mask
+weight has no AU term, and a lone VA row no concordance term. Neither
+checks any input that is checked where it is made.
 """
 
 import numpy as np
@@ -18,9 +18,7 @@ import pytest
 
 from affectkit.autodiff import DiffTensor, backward
 from affectkit.errors import EmptyMaskBatch, ShapeMismatch
-from affectkit.harness.dataio import SampleColumns
-from affectkit.harness.training import _gather
-from affectkit.losses import BatchLabels, BatchPredictions, objective
+from affectkit.losses import TASKS, BatchLabels, BatchPredictions, masked_bce, objective
 from affectkit.models import InputDims, Model, ModelSpec, RecurrentSpec, pack_rows, sequence_keys
 from affectkit.relatedness import COGNITIVE, EMPIRICAL
 from affectkit.types import NUM_AUS, NUM_EXPRESSIONS
@@ -39,9 +37,10 @@ N_ROWS, DIM, COMPOUND_CLASSES = 24, 6, 5
 
 
 def random_labels(rng, mode, compound):
-    """Labels as a training table holds them: one own label per row, the
-    coupling mode's co-annotation targets on top, and for a compound run
-    compound rows only."""
+    """Labels as a training table holds them: one own task per row, AU mask
+    weight only on rows with an AU target, the coupling mode's
+    co-annotation targets on top, and for a compound run compound rows
+    only."""
     labels = BatchLabels.zeros(N_ROWS)
     labels.compound[:] = rng.integers(0, COMPOUND_CLASSES, N_ROWS)
     labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, N_ROWS)
@@ -49,14 +48,19 @@ def random_labels(rng, mode, compound):
     labels.au_targets[:] = rng.random((N_ROWS, NUM_AUS)) < 0.5
     labels.au_mask[:] = (rng.random((N_ROWS, NUM_AUS)) < 0.7) * rng.choice([1.0, 0.6], NUM_AUS)
     if compound:
-        labels.has_compound[:] = True
+        labels.task[:] = TASKS.index("COMPOUND")
+        labels.au_mask[:] = 0.0
         return labels
     kind = rng.integers(0, 3, N_ROWS)
-    labels.has_va[:], labels.has_expr[:], labels.has_au[:] = kind == 0, kind == 1, kind == 2
-    labels.au_mask[np.flatnonzero(kind == 2)[:1]] = 0.0  # a flagged AU row with no weight
+    labels.task[:] = np.array([TASKS.index(t) for t in ("VA", "EXPR", "AU")])[kind]
+    labels.has_expr[:] = kind == 1
     au_rows = np.flatnonzero(kind == 2)
+    labels.au_mask[au_rows[:1]] = 0.0  # an AU row with no weight
+    # hard co-annotation gives EXPR rows AU targets; no other row has any
+    labels.au_mask[kind == 0] = 0.0
+    if mode != "coannotation":
+        labels.au_mask[kind == 1] = 0.0
     if mode == "coannotation":
-        labels.has_au[kind == 1] = True
         labels.has_expr[au_rows[rng.random(au_rows.size) < 0.5]] = True
     elif mode in ("soft_coannotation", "soft+distr"):
         soft = au_rows[rng.random(au_rows.size) < 0.6]
@@ -119,31 +123,31 @@ def test_equals_the_per_term_graph_bit_for_bit(mode, heads):
         assert new == old
 
 
-def test_a_dropped_lone_va_row():
-    # gather unflags a batch's only VA row, since concordance needs two
+def test_a_lone_va_row_adds_no_term():
+    # concordance needs two rows, so a batch's only VA row adds nothing
     rng = np.random.default_rng(11)
     labels = random_labels(rng, "soft+distr", False)
-    labels.has_va[:] = False
-    labels.has_va[3] = True
-    none = [None] * N_ROWS
-    data = SampleColumns(
-        [f"r{r}" for r in range(N_ROWS)], ["train"] * N_ROWS, none, none, none, labels,
-        np.zeros((N_ROWS, 2), dtype=np.int64), rng.normal(size=(N_ROWS, DIM)),
-    )
-    batch, index, gathered = _gather(data, np.arange(N_ROWS), False)
-    assert index is None and not gathered.has_va.any()
+    labels.task[labels.task == TASKS.index("VA")] = TASKS.index("AU")
+    labels.task[3], labels.au_mask[3], labels.has_soft[3] = TASKS.index("VA"), 0.0, False
     model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=2)
-    new, old = both(model, data.features, None, gathered, (0.7, 1.3), COGNITIVE, True)
+    features = rng.normal(size=(N_ROWS, DIM))
+    new, old = both(model, features, None, labels, (0.7, 1.3), COGNITIVE, True)
     assert new == old and not isinstance(new[0], type)
 
 
-def test_raises_what_the_per_term_graph_raises_on_no_au_weight():
+def test_no_au_weight_adds_no_au_term():
+    # mask weight is what marks an AU target, so a batch without any has
+    # no AU term; masked_bce itself still refuses such rows
     labels = random_labels(np.random.default_rng(5), "soft+distr", False)
     labels.au_mask[:] = 0.0
     model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=4)
     features = np.random.default_rng(6).normal(size=(N_ROWS, DIM))
-    new, old = both(model, features, None, labels, (1.0, 1.0), COGNITIVE, False)
-    assert new[0] is EmptyMaskBatch and new == old
+    new, old = both(model, features, None, labels, (1.0, 1.0), None, False)
+    assert new == old and not isinstance(new[0], type)
+    preds = model.forward(pack_rows(features, None)[0])
+    assert preds.au_logits not in [p for p, _ in objective(preds, labels)._edges]
+    with pytest.raises(EmptyMaskBatch, match="no sample has an annotated AU"):
+        masked_bce(np.full((N_ROWS, NUM_AUS), 0.5), labels.au_targets, labels.au_mask)
 
 
 def test_raises_on_heads_of_the_wrong_shape():

@@ -76,7 +76,8 @@ def reference_pools(samples: List[AnnotatedSample], config: RunConfig) -> _Pools
 def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
     n = len(ids)
     feats = np.zeros((n, config.input_dims().features))
-    has = {k: np.zeros(n, dtype=bool) for k in ("expr", "au", "va", "compound", "soft")}
+    has = {k: np.zeros(n, dtype=bool) for k in ("expr", "soft")}
+    task = np.array([TASKS.index(pools.by_id[sid].task) for sid in ids], dtype=np.int64)
     expr_ids = np.zeros(n, dtype=np.int64)
     au_targets = np.zeros((n, NUM_AUS))
     au_mask = np.zeros((n, NUM_AUS))
@@ -88,19 +89,15 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
         feats[row] = sample.features
         label = sample.label
         if sample.task == "VA":
-            has["va"][row] = True
             va[row] = (label.valence, label.arousal)
         elif sample.task == "EXPR":
             has["expr"][row] = True
             expr_ids[row] = label.class_id
             if sid in pools.extra_au:
-                has["au"][row] = True
                 au_targets[row], au_mask[row] = pools.extra_au[sid]
         elif sample.task == "AU":
-            if label.mask.sum() > 0:
-                has["au"][row] = True
-                au_targets[row] = label.values
-                au_mask[row] = label.mask
+            au_targets[row] = label.values
+            au_mask[row] = label.mask
             if sid in pools.extra_expr:
                 has["expr"][row] = True
                 expr_ids[row] = pools.extra_expr[sid]
@@ -108,10 +105,7 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
                 has["soft"][row] = True
                 soft[row] = pools.soft_expr[sid]
         else:
-            has["compound"][row] = True
             compound_ids[row] = label.class_id
-    if 0 < has["va"].sum() < 2:
-        has["va"][:] = False
     batch = SequenceBatch(features=feats[:, None])  # rows without sequence ids run alone
     labels = BatchLabels(
         va=va,
@@ -120,6 +114,7 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
         au_mask=au_mask,
         compound=compound_ids,
         soft=soft,
+        task=task,
         **{f"has_{k}": v for k, v in has.items()},
     )
     return batch, labels
@@ -185,7 +180,7 @@ def assert_same(got, want):
     ref_batch, ref_labels = want
     assert batch.audio is None and ref_batch.audio is None
     names = [f.name for f in fields(BatchLabels)]
-    assert len(names) == 11
+    assert len(names) == 9
     assert_same_arrays(
         [("features", batch.features, ref_batch.features)]
         + [(n, getattr(labels, n), getattr(ref_labels, n)) for n in names]
@@ -235,7 +230,7 @@ def test_table_equals_per_row_reference(tmp_path, coupling, relatedness, reweigh
     if coupling in ("soft_coannotation", "soft+distr"):
         assert 0 < data.labels.has_soft.sum() < len(au)
     if coupling == "coannotation":
-        assert data.labels.has_au[expr].any()
+        assert data.labels.au_mask[expr].any()
 
 
 def test_compound_table_equals_per_row_reference(tmp_path):
@@ -245,14 +240,17 @@ def test_compound_table_equals_per_row_reference(tmp_path):
     assert len(got[1]) == 1 and len(got[1][0]) == 23
 
 
-def test_split_fallback_keeps_every_row(tmp_path):
+def test_training_files_without_train_rows_are_an_error(tmp_path):
+    # a split no row carries never falls back to every row
     samples = basic_samples()
     for s in samples:
         s.split = "val"
     ann, feats = write_files(tmp_path, samples)
-    got, want = build_both(ann, feats, config(coupling="soft+distr"))
-    assert_table_equals_reference(got, want)
-    assert len(got[0].features) == len(samples)
+    for load in (load_dataset, ref.load_dataset):
+        with pytest.raises(ConfigError, match="no row .*'train'"):
+            load(ann, feats, split="train")
+    with pytest.raises(ConfigError, match="no row is in split 'train'"):
+        train_run(train_config(tmp_path, ann, feats))
 
 
 @pytest.mark.parametrize("coupling", COUPLINGS)
@@ -406,10 +404,10 @@ def test_zero_mask_au_row_stays_in_au_pool(tmp_path):
     ann, feats = write_files(tmp_path, basic_samples())
     data = load_dataset(ann, feats, split="train")
     lab = data.labels
-    zero = np.flatnonzero((lab.tasks() == TASKS.index("AU")) & ~lab.au_mask.any(axis=1))
+    zero = np.flatnonzero((lab.task == TASKS.index("AU")) & ~lab.au_mask.any(axis=1))
     _, au, _ = _build_table(data, config(), COGNITIVE)
     assert zero.size and set(zero.tolist()) <= set(au.tolist())
-    assert not data.labels.has_au[zero].any()
+    assert not data.labels.au_mask[zero].any()
 
 
 def test_a_file_table_is_read_once_per_job(tmp_path, monkeypatch):
