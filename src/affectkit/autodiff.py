@@ -334,19 +334,10 @@ def _accumulate(node: DiffTensor, d) -> None:
 # initialization and optimization
 
 
-def glorot_uniform(
-    shape: Tuple[int, ...],
-    rng: np.random.Generator,
-    fan_in: Optional[int] = None,
-    fan_out: Optional[int] = None,
-) -> np.ndarray:
-    """Uniform samples in +/- sqrt(6/(fan_in+fan_out)). Fans default to the
-    two matrix dimensions (or the length, twice, for vectors)."""
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-        else:
-            fan_in = fan_out = int(np.prod(shape))
+def glorot_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples in +/- sqrt(6/(fan_in+fan_out)) for a (fan_in,
+    fan_out) matrix."""
+    fan_in, fan_out = shape
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 

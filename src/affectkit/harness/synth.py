@@ -24,7 +24,7 @@ import numpy as np
 from ..csvfile import atomic_replace
 from ..errors import ConfigError
 from ..losses import TASKS, BatchLabels
-from ..relatedness import BUILTIN_TABLES, RelatednessTable
+from ..relatedness import BUILTIN_TABLES, WeightedAUs
 from ..types import AU_IDS, EXPRESSION_NAMES, au_index
 from .dataio import SampleColumns, write_annotations, write_features
 
@@ -72,14 +72,12 @@ class SyntheticSpec:
             raise ConfigError(f"table={self.table!r}")
 
 
-def _au_pattern(latent: int, table: RelatednessTable, kappa: float, rng) -> np.ndarray:
-    """Sample a 17-dim binary AU pattern for one latent emotion."""
+def _au_pattern(aus: WeightedAUs, kappa: float, rng) -> np.ndarray:
+    """Sample a 17-dim binary AU pattern from one emotion's weighted AUs."""
     pattern = np.zeros(len(AU_IDS), dtype=np.int64)
-    row = table.row(latent)
-    if row is not None:  # neutral has no associated units
-        for au, weight in row.weighted_aus():
-            if rng.random() < weight:
-                pattern[au_index(au)] = 1
+    for au, weight in aus:
+        if rng.random() < weight:
+            pattern[au_index(au)] = 1
     flip = rng.random(len(AU_IDS)) < (1.0 - kappa)
     pattern[flip] = 1 - pattern[flip]
     return pattern
@@ -90,7 +88,7 @@ def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
     attached; each split holds its VA, then AU, then EXPR pool. Same spec
     and seed, same data."""
     rng = np.random.default_rng([seed])
-    table = BUILTIN_TABLES[spec.table]
+    au_lists = dict(BUILTIN_TABLES[spec.table].rows)  # neutral has none
     tasks = [
         (split, task, i)
         for split, counts in (("train", spec.train_counts), ("val", spec.val_counts))
@@ -108,7 +106,7 @@ def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
             va = VA_MEANS[latent] + rng.normal(0.0, spec.sigma, size=2)
             labels.va[r] = np.clip(va, -1.0, 1.0)
         elif task == "au":
-            labels.au_targets[r] = _au_pattern(latent, table, spec.kappa, rng)
+            labels.au_targets[r] = _au_pattern(au_lists.get(latent, ()), spec.kappa, rng)
             labels.au_mask[r] = 1.0
         else:
             labels.expr[r] = latent

@@ -9,8 +9,10 @@ valence - a bonus from the sign of the predicted valence. The predicted
 class is the argmax of the candidate scores.
 
 The AU term is the weighted mean of the predictions (each AU acting as an
-indicator for the class); weights are the relatedness weights of the AUs
-in the class's set.
+indicator for the class). A class's AU set is a weighted AU list that
+names each AU at most once. By default it is the union of the two
+constituents' lists in the relatedness table, where an AU in both keeps
+the larger weight.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ _BONUS_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False
 @dataclass(frozen=True)
 class CompoundClassDef:
     """A compound class: two distinct constituent emotions (expression
-    class ids), the weighted AU set characterizing the blend, and whether
-    the positive-valence bonus applies."""
+    class ids), the weighted AU set characterizing the blend (each AU at
+    most once), and whether the positive-valence bonus applies."""
 
     name: str
     emo1: int
@@ -78,6 +80,8 @@ class CompoundClassDef:
         weight_sum = 0.0
         for au, w in self.au_set:
             col = au_index(au)
+            if any(c == col for c, _ in columns):
+                raise ValueOutOfRange(f"{self.name}: AU{au} listed twice")
             if not 0.0 < w < math.inf:
                 raise ValueOutOfRange(f"{self.name}: AU{au} weight {w} must be finite and > 0")
             columns.append((col, float(w)))
@@ -91,19 +95,12 @@ def _union_au_set(
 ) -> Tuple[Tuple[int, float], ...]:
     """Union of both constituents' weighted AUs; duplicates keep the larger
     weight. Order: emo1's AUs first, then emo2's new ones."""
+    rows = dict(table.rows)
     merged: Dict[int, float] = {}
-    order: List[int] = []
     for emo in (emo1, emo2):
-        row = table.row(emo)
-        if row is None:
-            continue
-        for au, w in row.weighted_aus():
-            if au not in merged:
-                merged[au] = w
-                order.append(au)
-            else:
-                merged[au] = max(merged[au], w)
-    return tuple((au, merged[au]) for au in order)
+        for au, w in rows.get(emo, ()):
+            merged[au] = max(merged.get(au, w), w)
+    return tuple(merged.items())
 
 
 def default_compound_defs(table: RelatednessTable = COGNITIVE) -> List[CompoundClassDef]:
@@ -195,8 +192,9 @@ def load_compound_defs(
     Rows without an explicit AU list fall back to the table union. A
     header line is required; '#' lines are skipped. The bonus flag is one
     of 1/true/yes/0/false/no in any case. A bad number, an unknown emotion
-    or AU, equal constituents, a weight that is not a finite number > 0 or
-    an unknown bonus flag raises BadTableFile at ``path:line``.
+    or AU, equal constituents, an AU listed twice, a weight that is not a
+    finite number > 0 or an unknown bonus flag raises BadTableFile at
+    ``path:line``.
     """
     defs = []
     with open_rows(path) as (header, rows):

@@ -198,10 +198,10 @@ def soft_scores(aus: AUVector, table: RelatednessTable, reweight: bool = True):
     values, mask = aus.values.tolist(), aus.mask.tolist()
     scores = np.zeros(NUM_EXPRESSIONS, dtype=np.float64)
     complete = True
-    for cid, row in table.rows:
+    for cid, weighted in table.rows:
         num = 0.0
         den = 0.0
-        for au, w in row.weighted_aus():
+        for au, w in weighted:
             i = au_index(au)
             complete = complete and bool(mask[i])
             weight = w if reweight else 1.0
@@ -221,16 +221,13 @@ def soft_coannotate(aus: AUVector, table: RelatednessTable, reweight: bool = Tru
 def coannotate_emotion_to_aus(label: ExpressionLabel, table: RelatednessTable) -> list:
     """``[(au_id, 1, weight), ...]``: prototypical AUs at weight 1.0,
     observational AUs at their table weight; neutral implies nothing."""
-    row = table.row(label.class_id)
-    if row is None:
-        return []
-    return [(au, 1, w) for au, w in row.weighted_aus()]
+    return [(au, 1, w) for au, w in dict(table.rows).get(label.class_id, ())]
 
 
 def coannotate_aus_to_emotion(aus: AUVector, table: RelatednessTable) -> Optional[ExpressionLabel]:
     best = None  # (requirement size, class id)
-    for cid, row in table.rows:
-        ids = row.au_ids()
+    for cid, weighted in table.rows:
+        ids = [au for au, _ in weighted]
         if not ids:
             continue
         if not all(aus.mask[au_index(au)] for au in ids):

@@ -46,6 +46,7 @@ from affectkit.harness import dataio, synth, training
 from affectkit.harness.training import load_model, train_run
 from affectkit.losses import TASKS, objective
 from affectkit.models import Model
+from affectkit.relatedness import RelatednessTable
 from affectkit.types import PredictionRecord, au_index, expression_id
 from affectkit.zeroshot import classify_compound, default_compound_defs
 from reference_input import blank_columns, read_report, write_audio, write_columns
@@ -188,7 +189,7 @@ class TestConfig:
         table_path.write_text("happiness proto=12,25 obs=6:0.51\n")
         cfg = RunConfig(relatedness=f"file:{table_path}")
         table = cfg.relatedness_table()
-        assert table.row(expression_id("happiness")).proto == (12, 25)
+        assert table.rows == ((expression_id("happiness"), ((12, 1.0), (25, 1.0), (6, 0.51))),)
 
 
 def expr_columns(n: int, seed: int = 0):
@@ -599,7 +600,8 @@ class TestTraining:
     def test_one_loss_total_per_step(self, tmp_path, monkeypatch, mode, coupling):
         # every step's loss, multi-task and coupling terms alike, is one
         # objective node over the heads, and it is the root of the step's sweep
-        calls, roots = [], []
+        calls, roots, built = [], [], []
+        build = RelatednessTable.conditional_matrix
 
         def spy(preds, labels, lambda1, lambda2, mixture):
             node = objective(preds, labels, lambda1, lambda2, mixture)
@@ -610,16 +612,24 @@ class TestTraining:
         monkeypatch.setattr(
             training, "backward", lambda root, wrt: roots.append(root) or backward(root, wrt)
         )
+        monkeypatch.setattr(
+            RelatednessTable, "conditional_matrix",
+            lambda table, reweight=False: built.append(build(table, reweight)) or built[-1],
+        )
         cfg = small_config(
             tmp_path, coupling=mode, lambda1=0.7, lambda2=1.3, epochs=1,
             val_annotations="", val_features="",
         )
         train_run(cfg)
         assert roots and [node for *_, node in calls] == roots
-        table = cfg.relatedness_table().conditional_matrix(reweight=cfg.reweight_mixture)
+        # the mixture is made once per job, and only for distribution matching
+        assert len(built) == ("dm" in coupling)
+        if built:
+            want = build(cfg.relatedness_table(), cfg.reweight_mixture)
+            assert np.array_equal(built[0], want)
         for preds, labels, lambdas, mixture, node in calls:
             assert lambdas == (0.7, 1.3)
-            assert mixture is table if "dm" in coupling else mixture is None
+            assert mixture is (built[0] if built else None)
             assert [p for p, _ in node._edges] == [preds.expr_logits, preds.va, preds.au_logits]
         # co-annotation gives some AU rows soft targets
         assert any(labels.has_soft.any() for _, labels, *_ in calls) == ("soft" in coupling)

@@ -226,6 +226,7 @@ class TestDefFiles:
             ("x,happiness,surprise,no,12:-1", "AU12 weight -1.0 must be finite and > 0"),
             ("x,happiness,surprise,no,12:nan", "AU12 weight nan must be finite and > 0"),
             ("x,happiness,surprise,no,3:1", "AU3 is not one of the 17 canonical AUs"),
+            ("x,happiness,surprise,1,12:0.5,12:0.7", "AU12 listed twice"),
             ("x,happiness,surprise,maybe", "bonus flag 'maybe' not in"),
             ("x,happiness,surprise", "not enough values"),
         ],
