@@ -165,8 +165,8 @@ def _check_objective(terms: Sequence[str], seed: int) -> Callable:
         raw = rng.random((n, NUM_EXPRESSIONS))
         labels.soft[:] = raw / raw.sum(axis=1, keepdims=True)
         labels.task[:4], labels.task[4:8] = losses.TASKS.index("EXPR"), losses.TASKS.index("VA")
-        labels.has_expr[:4] = "expr" in terms
-        labels.has_soft[8:] = "soft" in terms
+        labels.expr[4 if "expr" in terms else 0:] = -1  # rows 0-3 carry a class,
+        labels.soft[:8 if "soft" in terms else n] = 0.0  # and rows 8-11 a soft target
         mixture = COGNITIVE.conditional_matrix() if "dm" in terms else None
 
         def objective():

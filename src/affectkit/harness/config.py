@@ -148,6 +148,8 @@ class RunConfig:
                 )
         if not (self.relatedness in BUILTIN_TABLES or self.relatedness.startswith("file:")):
             raise ConfigError(f"relatedness={self.relatedness!r}")
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim = {self.feature_dim} must be >= 1")
         if self.total_batch < 1:
             raise ConfigError("total_batch must be positive")
         if self.epochs < 0:

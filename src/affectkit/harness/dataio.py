@@ -12,7 +12,8 @@ Optional columns round-trip ``None`` as the empty string.
 
 An annotation file is parsed once into :class:`SampleColumns`: ids, splits,
 sequence ids, utterance ids and frame indices as lists, and every row's
-task and label straight into ``BatchLabels`` columns. A feature file becomes
+task and label straight into ``BatchLabels`` columns, where a label a row
+lacks keeps its ``BatchLabels.zeros`` value. A feature file becomes
 one (N, D) matrix, and :func:`load_dataset` takes its rows by id
 (:func:`load_splits` several splits from one parse). Each column is
 checked at load, and a bad value names the ``path:line`` of its row; an id
@@ -263,7 +264,7 @@ def read_annotation_columns(path) -> SampleColumns:
     for r, class_id in zip(rows, classes):
         if not 0 <= class_id < NUM_EXPRESSIONS:
             fail(r, f"expression class {class_id}", UnknownClass)
-    labels.expr[rows], labels.has_expr[rows] = classes, True
+    labels.expr[rows] = classes
 
     rows = by_task["AU"]
     texts = [payload[r] for r in rows]

@@ -122,13 +122,9 @@ def evaluate_model(
     au = none if rows["au"] is None else rows["au"]
     records = [
         PredictionRecord(
-            id=i, frame_index=f, sequence_id=s, utterance_id=u,
-            valence=v, arousal=a, expr_probs=e, au_probs=p,
+            id=i, frame_index=f, valence=v, arousal=a, expr_probs=e, au_probs=p,
         )
-        for i, f, s, u, v, a, e, p in zip(
-            data.ids, data.frame_index, data.sequence_id, data.utterance_id,
-            valence, arousal, expr, au,
-        )
+        for i, f, v, a, e, p in zip(data.ids, data.frame_index, valence, arousal, expr, au)
     ]
 
     metrics: Dict[str, float] = {}

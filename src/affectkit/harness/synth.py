@@ -15,6 +15,7 @@ with the column writers of ``dataio``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Tuple
@@ -66,8 +67,8 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError(f"kappa={self.kappa} outside [0,1]")
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma={self.sigma} is negative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ConfigError(f"sigma={self.sigma} must be finite and >= 0")
         if self.table not in BUILTIN_TABLES:
             raise ConfigError(f"table={self.table!r}")
 
@@ -110,7 +111,6 @@ def make_dataset(spec: SyntheticSpec, seed: int) -> SampleColumns:
             labels.au_mask[r] = 1.0
         else:
             labels.expr[r] = latent
-            labels.has_expr[r] = True
     n = len(tasks)
     return SampleColumns(
         [f"{split}-{task}-{i:05d}" for split, task, i in tasks],

@@ -4,11 +4,12 @@ A run loads its datasets, builds the model from the config, then walks
 sampler-driven epochs. Each split is the ``SampleColumns`` that
 ``dataio.load_dataset`` returns; when the validation split names the
 training files, ``dataio.load_splits`` reads both from one parse. The
-training split is the job's only row store: co-annotation
-writes into its labels over whole pools at once, and the task pools are
-int arrays of its row numbers, split by ``BatchLabels.task``. No reader
-supplies audio or landmark features, so ``audio_dim > 0`` and
-``landmark_concat = true`` are config errors here, raised before any read.
+training split is the job's only row store: co-annotation writes
+classes into its ``expr`` and targets into its ``soft`` and AU labels over
+whole pools at once, and the task pools are int arrays of its row
+numbers, split by ``BatchLabels.task``. No reader supplies audio or
+landmark features, so ``audio_dim > 0`` and ``landmark_concat = true``
+are config errors here, raised before any read.
 One ``sampler.epoch_iterator`` yields every batch: over the VA, AU and EXPR
 pools, one chunk of each, or over the one pool of a compound run; each
 batch is gathered from the split by index. For a recurrent model its rows
@@ -98,16 +99,13 @@ def _build_table(
         labels.au_targets[expr] = weight > 0
         labels.au_mask[expr] = weight
         implied = coannotate_aus_to_emotion_rows(labels.au_targets[au], labels.au_mask[au], table)
-        hit = au[implied >= 0]
-        labels.has_expr[hit] = True
-        labels.expr[hit] = implied[implied >= 0]
+        labels.expr[au] = implied
     elif config.coupling in ("soft_coannotation", "soft+distr"):
         _, soft, complete = soft_coannotate_rows(
             labels.au_targets[au], labels.au_mask[au], table, reweight=config.reweight_soft
         )
         # a partially annotated row gets no soft target
         labels.soft[au[complete]] = soft[complete]
-        labels.has_soft[au[complete]] = True
     return (compound,) if compound.size else (va, au, expr)
 
 
@@ -195,7 +193,7 @@ def train_run(config: RunConfig) -> TrainResult:
                 model,
                 val[0],
                 au_threshold=config.au_threshold,
-                tasks=[t for t in ("VA", "AU", "EXPR", "COMPOUND") if t in model.spec.heads],
+                tasks=[t for t in TASKS if t in model.spec.heads],
             )
             record.update({f"val.{k}": v for k, v in metrics.items()})
         history.append(record)

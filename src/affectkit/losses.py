@@ -15,7 +15,8 @@ which stays exact for saturated logits.
 
 A BatchLabels holds the truth as row arrays, which the annotation reader
 and the synthetic generator fill straight from a file or a draw, so
-predictions hold nothing but head outputs; it stores each label fact once.
+predictions hold nothing but head outputs; it stores each label fact once
+and no flag beside it.
 
 The formulas check nothing on a step: each input is checked once, where
 it is made. Class ids, VA values in [-1, 1] and AU targets and mask
@@ -44,6 +45,7 @@ from .types import NUM_AUS, NUM_EXPRESSIONS
 
 PROB_EPS = 1e-7
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+_ONES = np.ones(NUM_EXPRESSIONS)  # sums soft rows: no entry is negative, so 0 means none
 
 # a row's own task, by its number in ``BatchLabels.task``
 TASKS = ("AU", "VA", "EXPR", "COMPOUND")
@@ -71,38 +73,35 @@ class BatchLabels:
     """Ground truth aligned row-for-row with a BatchPredictions.
 
     ``task`` is each row's own task, which co-annotation never changes;
-    VA and compound labels are read on the rows of their task. AU truth is
-    a target/weight pair, and a row carries it exactly where its mask has
-    weight, so hard co-annotation can feed fractional observational weights
-    through the same code path. Only the targets that co-annotation adds to
-    another task's rows are flagged: an expression class in ``has_expr``,
-    and a ``soft`` emotion target in ``has_soft``. A label a row does not
-    carry is never read. Labels compare equal only to themselves.
+    VA and compound labels are read on the rows of their task. Any other
+    label, which co-annotation may add to another task's rows, is carried
+    exactly where its value says so: AU truth, a target/weight pair, where
+    the mask has weight (so hard co-annotation can feed fractional weights
+    through the same code path); a class where ``expr >= 0``; a ``soft``
+    target where its row is nonzero, as a distribution is. A label a row
+    does not carry is never read. Labels compare equal only to themselves.
     """
 
     va: np.ndarray  # (N,2) floats
-    expr: np.ndarray  # (N,) int class ids
+    expr: np.ndarray  # (N,) int class ids, -1 for none
     au_targets: np.ndarray  # (N,17) floats in [0,1]
     au_mask: np.ndarray  # (N,17) nonnegative weights
     compound: np.ndarray  # (N,) int compound class ids
-    soft: np.ndarray  # (N,7) emotion distributions
+    soft: np.ndarray  # (N,7) emotion distributions, zero for none
     task: np.ndarray  # (N,) int index into TASKS
-    has_expr: np.ndarray  # (N,) bool, and likewise below
-    has_soft: np.ndarray
 
     @classmethod
     def zeros(cls, n: int) -> "BatchLabels":
-        """n AU rows with every label zero and every flag off."""
+        """n AU rows that carry no label: no expression class, every other
+        label zero."""
         return cls(
             va=np.zeros((n, 2)),
-            expr=np.zeros(n, dtype=np.int64),
+            expr=np.full(n, -1, dtype=np.int64),
             au_targets=np.zeros((n, NUM_AUS)),
             au_mask=np.zeros((n, NUM_AUS)),
             compound=np.zeros(n, dtype=np.int64),
             soft=np.zeros((n, NUM_EXPRESSIONS)),
             task=np.zeros(n, dtype=np.int64),
-            has_expr=np.zeros(n, dtype=bool),
-            has_soft=np.zeros(n, dtype=bool),
         )
 
     def take(self, rows) -> "BatchLabels":
@@ -231,13 +230,14 @@ def objective(
     The terms, added left to right: L_expr + lambda1 * L_au + lambda2 *
     L_va + L_compound over the rows that carry each label, the VA rows only
     if there are two or more (a term with no row or no head adds 0.0); then
-    soft-target cross-entropy over the ``has_soft`` rows; then, given
-    ``mixture`` (p(AU|emotion), 7 x 17) and EXPR and AU heads, distribution
-    matching over every row. One softmax of the expression logits and one
-    sigmoid of the AU logits serve every term that reads them, and their
-    vjps are applied here. The edges run expr,
-    va, compound, au: a shared trunk then sums the heads' gradients with
-    the per-term graph's rounding, the AU head's last where distribution
+    soft-target cross-entropy over the rows with a nonzero ``soft`` row;
+    then, given ``mixture`` (p(AU|emotion), 7 x 17) and EXPR and AU heads,
+    distribution matching over every row. One softmax of the expression
+    logits and one sigmoid of the AU logits serve every term that reads
+    them, and their vjps are applied here. Each head gets one gradient
+    array, the sum of its terms' gradients. The edges run expr, va,
+    compound, au: a shared trunk then sums the heads' gradients with the
+    per-term graph's rounding, the AU head's last where distribution
     matching spreads the expression and AU gradients over every row.
     """
     heads = {  # in edge order
@@ -251,10 +251,10 @@ def objective(
     ):
         raise ShapeMismatch(f"predictions need a head with {n} rows, one per label row")
 
-    def rows(head, flag):
-        return _NO_ROWS if head is None else flag.nonzero()[0]
+    def rows(head, carried):
+        return _NO_ROWS if head is None else carried.nonzero()[0]
 
-    expr_rows, soft_rows = rows(expr, labels.has_expr), rows(expr, labels.has_soft)
+    expr_rows, soft_rows = rows(expr, labels.expr >= 0), rows(expr, labels.soft.dot(_ONES))
     au_term = au is not None and labels.au_mask.any()
     dm = mixture is not None and expr is not None and au is not None
     if expr_rows.size or soft_rows.size or dm:
@@ -262,52 +262,53 @@ def objective(
     if au_term or dm:
         s = ad.sigmoid_values(au.data)
 
-    parts: List[float] = [0.0] * 4  # the multi-task terms; coupling terms follow
-    row_grads = {}  # head: (rows, the weighted gradient of its term on them)
-    idx = expr_rows
-    if idx.size:
-        parts[0], g = cce(shift[idx], total[idx], p[idx], labels.expr[idx])
-        row_grads["expr"] = idx, g
-    if au_term:  # masked_bce reads only the rows with weight
-        value, g = masked_bce(s, labels.au_targets, labels.au_mask)
-        parts[1] = lambda1 * value
-        row_grads["au"] = slice(None), lambda1 * g
-    idx = rows(va, labels.task == TASKS.index("VA"))
-    if idx.size >= 2:  # concordance is undefined on one point
-        value, g = ccc(va.data[idx], labels.va[idx])
-        parts[2] = lambda2 * value
-        row_grads["va"] = idx, lambda2 * g
-    idx = rows(compound, labels.task == TASKS.index("COMPOUND"))
-    if idx.size:
-        parts[3], g = cce(*softmax_parts(compound.data[idx]), labels.compound[idx])
-        row_grads["compound"] = idx, g
-
-    full = {}  # head: a gradient over all its rows, from the coupling terms
+    # the coupling terms come first: a gradient over every row is stored as
+    # it is, and the multi-task terms add into it on their rows
+    grads = {}  # head: its gradient over every row
+    coupling: List[float] = []
     g_probs = None  # the coupling terms' gradient with respect to the softmax
     if soft_rows.size:
         value, g = soft_target(p[soft_rows], labels.soft[soft_rows])
-        parts.append(value)
+        coupling.append(value)
         g_probs = np.zeros(p.shape)
         g_probs[soft_rows] = g
     if dm:
         value, g_expr, g_au = distribution_matching(p, s, mixture)
-        parts.append(value)
+        coupling.append(value)
         g_probs = g_expr if g_probs is None else g_probs + g_expr
-        full["au"] = g_au * s * (1.0 - s)
+        grads["au"] = g_au * s * (1.0 - s)
     if g_probs is not None:
-        full["expr"] = p * (g_probs - (g_probs * p).sum(axis=1, keepdims=True))
+        grads["expr"] = p * (g_probs - (g_probs * p).sum(axis=1, keepdims=True))
 
-    edges = []
-    for name, head in heads.items():
-        grad = full.get(name)
-        if name in row_grads:
-            idx, g = row_grads[name]
-            if grad is None:
-                grad = np.zeros(head.shape)
-            grad[idx] += g
-        if grad is not None:
-            edges.append((head, grad))
+    def add(name, idx, g):  # a multi-task term's gradient on rows idx (... for all)
+        if name in grads:
+            grads[name][idx] += g
+        elif idx is ...:
+            grads[name] = g
+        else:
+            grads[name] = np.zeros(heads[name].shape)
+            grads[name][idx] = g
+
+    parts: List[float] = [0.0] * 4  # the multi-task terms
+    idx = expr_rows
+    if idx.size:
+        parts[0], g = cce(shift[idx], total[idx], p[idx], labels.expr[idx])
+        add("expr", idx, g)
+    if au_term:  # masked_bce reads only the rows with weight
+        value, g = masked_bce(s, labels.au_targets, labels.au_mask)
+        parts[1] = lambda1 * value
+        add("au", ..., lambda1 * g)
+    idx = rows(va, labels.task == TASKS.index("VA"))
+    if idx.size >= 2:  # concordance is undefined on one point
+        value, g = ccc(va.data[idx], labels.va[idx])
+        parts[2] = lambda2 * value
+        add("va", idx, lambda2 * g)
+    idx = rows(compound, labels.task == TASKS.index("COMPOUND"))
+    if idx.size:
+        parts[3], g = cce(*softmax_parts(compound.data[idx]), labels.compound[idx])
+        add("compound", idx, g)
+
     value = parts[0]
-    for part in parts[1:]:
+    for part in parts[1:] + coupling:
         value = value + part
-    return ad.fused(value, edges)
+    return ad.fused(value, [(head, grads[name]) for name, head in heads.items() if name in grads])

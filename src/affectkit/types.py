@@ -60,7 +60,7 @@ def au_index(au_id: int) -> int:
 
 @dataclass
 class PredictionRecord:
-    """Per-frame model outputs keyed by sample/sequence/utterance ids.
+    """Per-frame model outputs keyed by sample id and frame index.
 
     ``expr_probs`` (7,) and ``au_probs`` (17,) follow the canonical orders;
     either may be None for models without that head.
@@ -68,8 +68,6 @@ class PredictionRecord:
 
     id: str
     frame_index: Optional[int] = None
-    sequence_id: Optional[str] = None
-    utterance_id: Optional[str] = None
     valence: Optional[float] = None
     arousal: Optional[float] = None
     expr_probs: Optional[np.ndarray] = None

@@ -150,7 +150,6 @@ def columns_of(samples: List[AnnotatedSample]) -> SampleColumns:
         if task == "VA":
             labels.va[r] = label.valence, label.arousal
         elif task == "EXPR":
-            labels.has_expr[r] = True
             labels.expr[r] = label.class_id
         elif task == "COMPOUND":
             labels.compound[r] = label.class_id
@@ -419,7 +418,6 @@ def label_arrays(samples: List[AnnotatedSample]) -> BatchLabels:
         if task == "VA":
             labels.va[row] = (label.valence, label.arousal)
         elif task == "EXPR":
-            labels.has_expr[row] = True
             labels.expr[row] = label.class_id
         elif task == "AU":
             labels.au_targets[row] = label.values
@@ -450,7 +448,6 @@ def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
         for r in au:
             implied = coannotate_aus_to_emotion(samples[r].label, table)
             if implied is not None:
-                labels.has_expr[r] = True
                 labels.expr[r] = implied.class_id
     elif config.coupling in ("soft_coannotation", "soft+distr"):
         for r in au:
@@ -459,7 +456,6 @@ def build_table(samples: List[AnnotatedSample], config) -> SimpleNamespace:
             )
             if complete:
                 labels.soft[r] = target
-                labels.has_soft[r] = True
     return SimpleNamespace(
         features=np.array([s.features for s in samples]),
         labels=labels,
@@ -617,7 +613,7 @@ def write_audio(path, rate: int, samples) -> None:
 
 def blank_columns(ids: List[str], features, split: str = "train") -> SampleColumns:
     """Rows ``ids`` of one split with the (N, D) ``features`` and no label
-    flag yet; a test sets the label columns it needs in place."""
+    yet; a test sets the label columns it needs in place."""
     n = len(ids)
     return SampleColumns(
         list(ids), [split] * n, [None] * n, [None] * n, [None] * n,

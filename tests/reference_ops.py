@@ -368,8 +368,8 @@ def multitask_terms(
     extension. ``weighted_total`` of the list is the multi-task loss.
 
     Each term is computed only over the rows that carry its label: the
-    ``has_expr`` rows, the rows with AU mask weight, the VA rows and the
-    COMPOUND rows, by the ``task`` column. A task with no such row, or no
+    rows with an expression class >= 0, the rows with AU mask weight, the
+    VA rows and the COMPOUND rows, by the ``task`` column. A task with no such row, or no
     head, is None, and so is the VA term over a single row, on which
     concordance is undefined.
     """
@@ -379,14 +379,14 @@ def multitask_terms(
         raise ShapeMismatch(f"predictions need a head with {n} rows, one per label row")
     va_rows, compound_rows = (labels.task == losses.TASKS.index(t) for t in ("VA", "COMPOUND"))
 
-    def term(loss, head, flag, *truth, least=1):
-        idx = np.flatnonzero(flag)
+    def term(loss, head, carried, *truth, least=1):
+        idx = np.flatnonzero(carried)
         if head is None or idx.size < least:
             return None
         return loss(ad.take_rows(head, idx), *(t[idx] for t in truth))
 
     return [
-        (1.0, term(cce_loss, preds.expr_logits, labels.has_expr, labels.expr)),
+        (1.0, term(cce_loss, preds.expr_logits, labels.expr >= 0, labels.expr)),
         (lambda1, term(
             masked_bce_loss, preds.au_logits, labels.au_mask.any(axis=1),
             labels.au_targets, labels.au_mask,
@@ -452,11 +452,11 @@ def step_graph(
     reweight: bool = False,
 ) -> DiffTensor:
     """A training step's loss as the per-term graph: the multi-task terms,
-    then soft-target cross-entropy over the ``has_soft`` rows of a softmax
-    node, then (with ``table``) distribution matching of that softmax
-    against a sigmoid node, in one weighted total."""
+    then soft-target cross-entropy over the rows with a nonzero ``soft``
+    row of a softmax node, then (with ``table``) distribution matching of
+    that softmax against a sigmoid node, in one weighted total."""
     terms = multitask_terms(preds, labels, lambda1, lambda2)
-    soft_rows = np.flatnonzero(labels.has_soft)
+    soft_rows = np.flatnonzero(labels.soft.any(axis=1))
     dm = table is not None and preds.au_logits is not None
     if preds.expr_logits is not None and (soft_rows.size or dm):
         probs = softmax(preds.expr_logits, axis=1)

@@ -441,14 +441,14 @@ def test_a_slice_shares_no_array_with_its_parent(tmp_path):
         assert all(getattr(part, n) is not getattr(data, n) for n in COLUMN_LISTS)
     part, before = data[1:6], data[1:6]
     # co-annotation writes into labels in place: on the slice, then the parent
-    part.labels.has_expr[:] = True
+    part.labels.soft[:] = 1.0 / 7
     part.labels.au_mask[:] = 0.5
     part.features[:] = 0.0
     assert_same_columns(data[1:6], before)
     data.labels.expr[:] = 6
-    data.labels.has_soft[:] = True
+    data.labels.soft[:] = 0.0
     assert np.array_equal(part.labels.expr, before.labels.expr)
-    assert not part.labels.has_soft.any()
+    assert (part.labels.soft == 1.0 / 7).all()
 
 
 def test_splits_and_labels_compare_by_identity(tmp_path):

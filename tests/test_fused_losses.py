@@ -295,10 +295,10 @@ def _batch(rng, present, compound=False):
     if compound:
         arrays = {"compound_logits": rng.normal(size=(N_ROWS, 11))}
     labels = BatchLabels.zeros(N_ROWS)
-    labels.has_expr[:4] = "expr" in present
     if "va" in present:
         labels.task[8:] = TASKS.index("VA")
     labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, size=N_ROWS)
+    labels.expr[4 if "expr" in present else 0:] = -1  # only rows 0-3 carry a class
     labels.au_targets[:] = rng.random((N_ROWS, NUM_AUS)) < 0.5
     labels.au_mask[:] = rng.random((N_ROWS, NUM_AUS)) < 0.8
     labels.va[:] = np.clip(rng.normal(size=(N_ROWS, 2)), -1.0, 1.0)
@@ -322,7 +322,6 @@ def _step(arrays, labels, lambdas, soft, dm, mode):
     if mode == "objective":
         if soft is not None:
             labels = labels.take(np.arange(N_ROWS))
-            labels.has_soft[soft[0]] = True
             labels.soft[soft[0]] = soft[1]
         mixture = COGNITIVE.conditional_matrix() if dm else None
         total = objective(BatchPredictions(**leaves), labels, *lambdas, mixture)

@@ -198,7 +198,7 @@ def expr_columns(n: int, seed: int = 0):
     features = np.random.default_rng(seed).normal(size=(n, 10))
     data = blank_columns([f"x{i}" for i in range(n)], features)
     data.labels.task[:] = TASKS.index("EXPR")
-    data.labels.has_expr[:], data.labels.expr[:] = True, np.arange(n) % 7
+    data.labels.expr[:] = np.arange(n) % 7
     return data
 
 
@@ -217,9 +217,9 @@ class TestSyntheticData:
         for task in ("VA", "AU", "EXPR"):
             rows = lab.task == TASKS.index(task)
             assert rows[:120].sum() == 40 and rows[120:].sum() == 15
-        assert np.array_equal(lab.has_expr, lab.task == TASKS.index("EXPR"))
+        assert np.array_equal(lab.expr >= 0, lab.task == TASKS.index("EXPR"))
         assert np.array_equal(lab.au_mask.any(axis=1), lab.task == TASKS.index("AU"))
-        assert not lab.has_soft.any()
+        assert not lab.soft.any()
 
     def test_ids_unique(self):
         ids = make_dataset(SMALL, seed=0).ids
@@ -277,7 +277,7 @@ class TestDataFiles:
         lab = data.labels
         lab.task[:] = [TASKS.index(t) for t in ("VA", "EXPR", "AU", "COMPOUND")]
         lab.va[0] = (0.25, -0.5)
-        lab.has_expr[1], lab.expr[1] = True, 3
+        lab.expr[1] = 3
         lab.au_mask[2], lab.au_targets[2, au_index(12)] = 1.0, 1.0
         lab.au_mask[2, au_index(4)] = 0.0
         lab.compound[3], data.compound_pair[3] = 2, (5, 2)
@@ -293,7 +293,7 @@ class TestDataFiles:
         assert loaded.sequence_id == ["seq1", None, None, None]
         assert loaded.frame_index == [4, None, None, None]
         assert loaded.utterance_id == [None, "utt9", None, None]
-        for name in ("task", "va", "expr", "au_targets", "au_mask", "compound", "has_expr"):
+        for name in ("task", "va", "expr", "au_targets", "au_mask", "compound", "soft"):
             assert np.array_equal(getattr(loaded.labels, name), getattr(data.labels, name)), name
         assert loaded.compound_pair[3].tolist() == [5, 2]
 
@@ -507,7 +507,7 @@ class TestDataFiles:
         data = blank_columns([rid], [[0.25, -1.0]])
         data.sequence_id[0] = data.utterance_id[0] = rid
         data.labels.task[0] = TASKS.index("EXPR")
-        data.labels.has_expr[0], data.labels.expr[0] = True, 2
+        data.labels.expr[0] = 2
         write_columns(data, tmp_path / "a.csv", tmp_path / "f.csv")
         loaded = load_dataset(tmp_path / "a.csv", tmp_path / "f.csv")
         assert (loaded.ids, loaded.sequence_id, loaded.utterance_id) == (
@@ -632,7 +632,7 @@ class TestTraining:
             assert mixture is (built[0] if built else None)
             assert [p for p, _ in node._edges] == [preds.expr_logits, preds.va, preds.au_logits]
         # co-annotation gives some AU rows soft targets
-        assert any(labels.has_soft.any() for _, labels, *_ in calls) == ("soft" in coupling)
+        assert any(labels.soft.any() for _, labels, *_ in calls) == ("soft" in coupling)
 
     def test_freeze_trunk(self, tmp_path, monkeypatch):
         self.check_frozen_job(tmp_path, monkeypatch, "none")
@@ -1110,10 +1110,14 @@ class TestCLI:
             # values that parse but that validation refuses name the file
             ("train", "seed = 1\nlr = -1\n", "bad.cfg: lr = -1.0 must be finite and positive"),
             ("train", "dropout = 1.5\n", "bad.cfg: dropout=1.5 outside [0,1)"),
+            ("train", "feature_dim = -3\n", "bad.cfg: feature_dim = -3 must be >= 1"),
+            ("gen-data", "sigma = nan\n", "bad.cfg: sigma=nan must be finite and >= 0"),
+            ("gen-data", "sigma = inf\n", "bad.cfg: sigma=inf must be finite and >= 0"),
         ],
         ids=[
             "train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key",
             "gen_negative", "gen_empty", "train_refused", "train_refused_spec",
+            "train_feature_dim", "gen_sigma_nan", "gen_sigma_inf",
         ],
     )
     def test_config_errors_name_the_line(self, tmp_path, capsys, command, text, message):

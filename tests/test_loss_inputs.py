@@ -4,10 +4,11 @@ The formulas of ``losses`` check nothing on a step. These tests hold each
 guarantee at its source instead: the labels the annotation reader accepts,
 the co-annotation targets written into the training split, the width of
 each model head, the lone VA row that ``objective`` leaves out, and the
-softmax and sigmoid outputs that every probability input is. A row has AU
-mask weight if and only if it carries an AU target, which is what lets the
-mask stand for the AU flag: the reader, the synthetic generator and every
-co-annotation mode are each held to it. The lambdas are checked by
+softmax and sigmoid outputs that every probability input is. A label
+says itself whether a row carries it, with no flag beside it: a row has
+AU mask weight, an expression class >= 0 or a nonzero soft target if and
+only if it carries that label. The reader, the synthetic generator and
+every co-annotation mode are each held to this. The lambdas are checked by
 ``RunConfig.validate`` (``test_harness.py::TestConfig::test_out_of_range_value``)
 and compound ids against ``compound_classes`` where the training pools are
 made (``test_training_table.py::test_compound_class_beyond_head_raises``).
@@ -71,8 +72,8 @@ def annotation_path(tmp_path_factory):
 def test_labels_the_reader_accepts_meet_every_formula_precondition(annotation_path, rows):
     # the reader refuses a row, or its labels are what the formulas read:
     # each row's own task, class ids in 0..6 on EXPR rows alone, VA in
-    # [-1, 1], AU targets and mask weights in {0, 1}, mask weight exactly
-    # on the AU rows with an annotated unit, compound ids >= 0
+    # [-1, 1], AU targets and mask weights in {0, 1}, no soft target, mask
+    # weight exactly on the AU rows with an annotated unit, compound ids >= 0
     with open(annotation_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ANNOTATION_FIELDS)
@@ -84,9 +85,9 @@ def test_labels_the_reader_accepts_meet_every_formula_precondition(annotation_pa
         assert str(exc).startswith(f"{annotation_path}:")
         return
     assert lab.task.tolist() == [TASKS.index(task) for task, _ in rows]
-    assert np.array_equal(lab.has_expr, lab.task == EXPR) and not lab.has_soft.any()
+    assert np.array_equal(lab.expr >= 0, lab.task == EXPR) and not lab.soft.any()
     assert lab.expr.dtype == np.int64 and lab.compound.dtype == np.int64
-    assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()
+    assert ((lab.expr >= -1) & (lab.expr < NUM_EXPRESSIONS)).all()  # -1: no class
     assert (np.abs(lab.va[lab.task == VA]) <= 1.0).all()
     assert np.isin(lab.au_targets, (0.0, 1.0)).all() and np.isin(lab.au_mask, (0.0, 1.0)).all()
     carries_au = [task == "AU" and set(payload) != {"-"} for task, payload in rows]
@@ -99,7 +100,7 @@ def test_synthetic_rows_have_au_weight_exactly_on_au_rows():
     lab = data.labels
     assert lab.task.tolist() == [TASKS.index(i.split("-")[1].upper()) for i in data.ids]
     assert np.array_equal(lab.au_mask.any(axis=1), lab.task == AU)
-    assert np.array_equal(lab.has_expr, lab.task == EXPR) and not lab.has_soft.any()
+    assert np.array_equal(lab.expr >= 0, lab.task == EXPR) and not lab.soft.any()
 
 
 @pytest.fixture(scope="module")
@@ -122,15 +123,18 @@ def training_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("coupling", ["coannotation", "soft_coannotation", "soft+distr"])
-def test_co_annotation_keeps_au_weight_exactly_on_rows_with_an_au_target(
+def test_co_annotation_keeps_each_label_exactly_on_rows_that_carry_it(
     training_files, coupling
 ):
-    # co-annotation never changes a row's task; only hard co-annotation adds
-    # AU targets, to the EXPR rows whose emotion implies table AUs
+    # co-annotation never changes a row's task; hard co-annotation adds AU
+    # targets to the EXPR rows whose emotion implies table AUs and a class
+    # to the AU rows whose pattern implies one, and the soft modes add a
+    # distribution to every AU row with each table AU annotated
     feats, ann = training_files
     config = RunConfig(feature_dim=8, coupling=coupling)
     table = config.relatedness_table()
     data = load_dataset(ann, feats)
+    samples = ref.samples_of(data)
     task, before = data.labels.task.copy(), data.labels.au_mask.any(axis=1)
     assert (before == (task == AU)).sum() < len(task)  # some AU rows carry no target
     _build_table(data, config, table)
@@ -142,6 +146,22 @@ def test_co_annotation_keeps_au_weight_exactly_on_rows_with_an_au_target(
     ]
     carries_au = before | (np.array(implied) if coupling == "coannotation" else False)
     assert np.array_equal(lab.au_mask.any(axis=1), carries_au)
+
+    au_rows = [s.task == "AU" for s in samples]
+    classed = np.array([
+        a and ref.coannotate_aus_to_emotion(s.label, table) is not None
+        for a, s in zip(au_rows, samples)
+    ])
+    complete = np.array([
+        a and ref.soft_coannotate(s.label, table)[1] for a, s in zip(au_rows, samples)
+    ])
+    for hits in (classed, complete):  # some AU rows gain the label, some do not
+        assert 0 < hits.sum() < sum(au_rows)
+    hard = coupling == "coannotation"
+    assert np.array_equal(lab.expr >= 0, (task == EXPR) | (classed & hard))
+    carries_soft = lab.soft.any(axis=1)
+    assert np.array_equal(carries_soft, complete & (not hard))
+    assert np.abs(lab.soft[carries_soft].sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("relatedness", ["cognitive", "empirical"])
@@ -160,11 +180,11 @@ def test_co_annotation_targets_meet_the_formula_preconditions(
     data = load_dataset(ann, feats)
     _build_table(data, config, config.relatedness_table())
     lab = data.labels
-    assert ((lab.expr[lab.has_expr] >= 0) & (lab.expr[lab.has_expr] < NUM_EXPRESSIONS)).all()
+    assert ((lab.expr >= -1) & (lab.expr < NUM_EXPRESSIONS)).all()  # -1: no class
     assert ((lab.au_mask >= 0.0) & (lab.au_mask <= 1.0)).all()
     assert np.isin(lab.au_targets, (0.0, 1.0)).all()
-    soft = lab.soft[lab.has_soft]
-    assert lab.has_soft.any() == (coupling != "coannotation")
+    soft = lab.soft[lab.soft.any(axis=1)]
+    assert bool(soft.size) == (coupling != "coannotation")
     assert (soft >= 0.0).all() and np.abs(soft.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
 
 
@@ -202,8 +222,9 @@ def test_objective_reads_two_va_rows_or_none(va, rows):
     labels.task[sorted(va)] = VA
     labels.va[:] = rng.uniform(-1.0, 1.0, (12, 2))
     is_expr = labels.task != VA
-    labels.task[is_expr], labels.has_expr[is_expr] = EXPR, True
+    labels.task[is_expr] = EXPR
     labels.expr[:] = rng.integers(0, NUM_EXPRESSIONS, 12)
+    labels.expr[~is_expr] = -1
     data = SampleColumns(
         [f"r{r}" for r in range(12)], ["train"] * 12, [None] * 12, [None] * 12, [None] * 12,
         labels, np.zeros((12, 2), dtype=np.int64), np.zeros((12, 3)),

@@ -212,9 +212,8 @@ class TestLabelArrays:
         alone: an expression class only on EXPR rows, AU mask weight only
         on AU rows, and no soft target."""
         assert labels.task.dtype == np.int64 and labels.task.tolist() == [TASKS.index(task)] * n
-        assert labels.has_expr.dtype == bool and labels.has_soft.dtype == bool
-        assert labels.has_expr.tolist() == [task == "EXPR"] * n
-        assert not labels.has_soft.any()
+        assert (labels.expr >= 0).tolist() == [task == "EXPR"] * n
+        assert not labels.soft.any()
         if task != "AU":
             assert not labels.au_mask.any()
 
@@ -252,16 +251,15 @@ class TestLabelArrays:
 
     def test_rows_follow_sample_order(self, tmp_path):
         labels = label_arrays(tmp_path, ("EXPR", "3"), ("VA", "0.5;0.5"), ("EXPR", "5"))
-        assert labels.has_expr.tolist() == [True, False, True]
         assert [TASKS[k] for k in labels.task.tolist()] == ["EXPR", "VA", "EXPR"]
-        assert labels.expr.tolist() == [3, 0, 5]
+        assert labels.expr.tolist() == [3, -1, 5]
         assert not labels.soft.any()
 
     def test_empty(self, tmp_path):
         labels = label_arrays(tmp_path)
         assert labels.au_targets.shape == (0, 17) and labels.va.shape == (0, 2)
         assert labels.soft.shape == (0, 7)
-        assert labels.task.shape == labels.has_expr.shape == labels.has_soft.shape == (0,)
+        assert labels.task.shape == labels.expr.shape == (0,)
 
     def test_take_gathers_every_array(self):
         rng = np.random.default_rng(3)
@@ -291,8 +289,7 @@ class TestMultitask:
         )
         labels = BatchLabels.zeros(n)
         labels.task[:] = [TASKS.index(t) for t in ("EXPR",) * 2 + ("AU",) * 2 + ("VA",) * 2]
-        labels.has_expr[:2] = True
-        labels.expr[:] = [3, 5, 99, 99, 99, 99]  # rows without an expression are never read
+        labels.expr[:2] = [3, 5]  # the other rows carry no class, -1, and are never read
         labels.au_targets[:] = rng.random((n, 17)) < 0.5
         labels.au_mask[2:4] = 1.0
         labels.va[:] = np.clip(rng.normal(size=(n, 2)), -1, 1)
@@ -322,7 +319,7 @@ class TestMultitask:
         for task in ("expr", "au", "va"):
             alone = labels.take(np.arange(6))
             if task != "expr":
-                alone.has_expr[:] = False
+                alone.expr[:] = -1
             if task != "au":
                 alone.au_mask[:] = 0.0
             if task != "va":
@@ -336,7 +333,6 @@ class TestMultitask:
         preds = BatchPredictions(expr_logits=as_tensor(logits))
         labels = BatchLabels.zeros(5)
         labels.expr[:] = truth
-        labels.has_expr[:] = True
         total = objective(preds, labels, 0.0, 0.0)
         assert float(total.data) == float(cce_loss(as_tensor(logits), truth).data)
 
@@ -352,7 +348,6 @@ class TestMultitask:
         preds = BatchPredictions(expr_logits=as_tensor(rng.normal(size=(5, 7))))
         labels = BatchLabels.zeros(5)
         labels.expr[:3] = [0, 1, 2]
-        labels.has_expr[:3] = True
         labels.task[:] = [TASKS.index("EXPR")] * 3 + [TASKS.index("VA")] * 2
         labels.va[3:] = [[0.5, -0.5], [-0.25, 0.75]]  # VA rows, but the model has no VA head
         total = objective(preds, labels)

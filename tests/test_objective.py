@@ -49,11 +49,11 @@ def random_labels(rng, mode, compound):
     labels.au_mask[:] = (rng.random((N_ROWS, NUM_AUS)) < 0.7) * rng.choice([1.0, 0.6], NUM_AUS)
     if compound:
         labels.task[:] = TASKS.index("COMPOUND")
-        labels.au_mask[:] = 0.0
+        labels.expr[:], labels.au_mask[:] = -1, 0.0
         return labels
     kind = rng.integers(0, 3, N_ROWS)
     labels.task[:] = np.array([TASKS.index(t) for t in ("VA", "EXPR", "AU")])[kind]
-    labels.has_expr[:] = kind == 1
+    no_class = kind != 1  # EXPR rows carry a class
     au_rows = np.flatnonzero(kind == 2)
     labels.au_mask[au_rows[:1]] = 0.0  # an AU row with no weight
     # hard co-annotation gives EXPR rows AU targets; no other row has any
@@ -61,12 +61,12 @@ def random_labels(rng, mode, compound):
     if mode != "coannotation":
         labels.au_mask[kind == 1] = 0.0
     if mode == "coannotation":
-        labels.has_expr[au_rows[rng.random(au_rows.size) < 0.5]] = True
+        no_class[au_rows[rng.random(au_rows.size) < 0.5]] = False
     elif mode in ("soft_coannotation", "soft+distr"):
         soft = au_rows[rng.random(au_rows.size) < 0.6]
         raw = rng.random((soft.size, NUM_EXPRESSIONS))
         labels.soft[soft] = raw / raw.sum(axis=1, keepdims=True)
-        labels.has_soft[soft] = True
+    labels.expr[no_class] = -1
     return labels
 
 
@@ -128,7 +128,7 @@ def test_a_lone_va_row_adds_no_term():
     rng = np.random.default_rng(11)
     labels = random_labels(rng, "soft+distr", False)
     labels.task[labels.task == TASKS.index("VA")] = TASKS.index("AU")
-    labels.task[3], labels.au_mask[3], labels.has_soft[3] = TASKS.index("VA"), 0.0, False
+    labels.task[3], labels.au_mask[3], labels.soft[3] = TASKS.index("VA"), 0.0, 0.0
     model = Model(ModelSpec(backbone=(8,), heads=("EXPR", "AU", "VA")), InputDims(DIM), seed=2)
     features = rng.normal(size=(N_ROWS, DIM))
     new, old = both(model, features, None, labels, (0.7, 1.3), COGNITIVE, True)

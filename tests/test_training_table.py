@@ -76,9 +76,8 @@ def reference_pools(samples: List[AnnotatedSample], config: RunConfig) -> _Pools
 def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
     n = len(ids)
     feats = np.zeros((n, config.input_dims().features))
-    has = {k: np.zeros(n, dtype=bool) for k in ("expr", "soft")}
     task = np.array([TASKS.index(pools.by_id[sid].task) for sid in ids], dtype=np.int64)
-    expr_ids = np.zeros(n, dtype=np.int64)
+    expr_ids = np.full(n, -1, dtype=np.int64)  # no class
     au_targets = np.zeros((n, NUM_AUS))
     au_mask = np.zeros((n, NUM_AUS))
     va = np.zeros((n, 2))
@@ -91,7 +90,6 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
         if sample.task == "VA":
             va[row] = (label.valence, label.arousal)
         elif sample.task == "EXPR":
-            has["expr"][row] = True
             expr_ids[row] = label.class_id
             if sid in pools.extra_au:
                 au_targets[row], au_mask[row] = pools.extra_au[sid]
@@ -99,10 +97,8 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
             au_targets[row] = label.values
             au_mask[row] = label.mask
             if sid in pools.extra_expr:
-                has["expr"][row] = True
                 expr_ids[row] = pools.extra_expr[sid]
             if sid in pools.soft_expr:
-                has["soft"][row] = True
                 soft[row] = pools.soft_expr[sid]
         else:
             compound_ids[row] = label.class_id
@@ -115,7 +111,6 @@ def reference_batch(ids: Tuple[str, ...], pools: _Pools, config: RunConfig):
         compound=compound_ids,
         soft=soft,
         task=task,
-        **{f"has_{k}": v for k, v in has.items()},
     )
     return batch, labels
 
@@ -180,7 +175,7 @@ def assert_same(got, want):
     ref_batch, ref_labels = want
     assert batch.audio is None and ref_batch.audio is None
     names = [f.name for f in fields(BatchLabels)]
-    assert len(names) == 9
+    assert len(names) == 7
     assert_same_arrays(
         [("features", batch.features, ref_batch.features)]
         + [(n, getattr(labels, n), getattr(ref_labels, n)) for n in names]
@@ -188,7 +183,7 @@ def assert_same(got, want):
 
 
 def assert_table_equals_reference(got, want):
-    """Features, every BatchLabels array and flag, and the pools: the
+    """Features, every BatchLabels array, and the pools: the
     compound pool alone when it has rows, else the VA, AU and EXPR pools."""
     data, pools = got
     assert_same_arrays(
@@ -228,7 +223,7 @@ def test_table_equals_per_row_reference(tmp_path, coupling, relatedness, reweigh
     data, (_, au, expr) = got
     assert len(data.features) == 47  # the validation rows are left out
     if coupling in ("soft_coannotation", "soft+distr"):
-        assert 0 < data.labels.has_soft.sum() < len(au)
+        assert 0 < data.labels.soft.any(axis=1).sum() < len(au)
     if coupling == "coannotation":
         assert data.labels.au_mask[expr].any()
 
@@ -283,7 +278,7 @@ def test_gather_equals_per_sample_assembly(tmp_path, coupling):
         assert_same(_gather(data, rows, False), reference_batch(ids, pools, cfg))
     assert 1 in va_counts and max(va_counts) >= 2  # a lone VA row is dropped
     if coupling in ("soft_coannotation", "soft+distr"):
-        assert 0 < data.labels.has_soft.sum() < len(pools.au_ids)
+        assert 0 < data.labels.soft.any(axis=1).sum() < len(pools.au_ids)
 
 
 def test_compound_gather_equals_per_sample_assembly(tmp_path):
@@ -389,7 +384,7 @@ def test_compound_class_beyond_head_raises(tmp_path):
 
 @pytest.mark.parametrize("layout", ["basic", "compound"])
 def test_pools_hold_each_training_row_exactly_once(tmp_path, layout):
-    if layout == "basic":  # co-annotation flags AU rows EXPR and EXPR rows AU
+    if layout == "basic":  # co-annotation gives AU rows a class and EXPR rows AU targets
         samples, cfg = basic_samples(), config(coupling="coannotation")
     else:
         samples, cfg = compound_samples(), config(heads=("COMPOUND",))
