@@ -13,10 +13,11 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
 * per training step over those jobs, in ms: ``sampler_ms`` (inside the
   ``next`` calls of ``training.epoch_iterator``, the one that ends each
   epoch included), ``gather_ms`` (``training._gather``: the batch taken
-  from the training split), ``forward_ms`` (``Model.forward``), ``loss_ms``
-  (from the end of the forward pass to ``Adam.zero_grad``: the loss terms
-  and their total, whichever functions build them), ``backward_ms`` and
-  ``adam_ms`` (``Adam.step``);
+  from the training split), ``forward_ms`` (``Model.forward``; for a
+  packed recurrent batch this includes taking the outputs back to row
+  order), ``loss_ms`` (from the end of the forward pass to
+  ``Adam.zero_grad``: the loss terms and their total, whichever functions
+  build them), ``backward_ms`` and ``adam_ms`` (``Adam.step``);
 * ``nodes_per_step``: autodiff nodes built per step, counted in one more
   job run after the timed ones, so that counting slows no timed call.
 

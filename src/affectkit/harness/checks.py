@@ -109,17 +109,17 @@ def _check_gru(rng, n_points, eps):
 
 def _check_gru_packed(rng, n_points, eps):
     """A recurrent model over a right-padded batch: sequences of 3, 2 and 1
-    rows, interleaved and out of frame order, packed by ``pack_rows`` and
-    taken back to row order by the unpacking gather."""
+    rows, interleaved and out of frame order, packed by ``pack_rows``; the
+    model takes its outputs back to row order."""
     spec = ModelSpec(backbone=(5,), recurrent=RecurrentSpec("single", 4), heads=("VA", "EXPR"))
     model = Model(spec, InputDims(features=4), seed=int(rng.integers(1 << 30)))
     features = rng.normal(0.0, 0.7, size=(6, 4))
     keys = sequence_keys(["a", "b", "a", None, "b", "a"], [2, 1, 0, None, 0, 1])
     project = _projection(rng, (6, 2 + NUM_EXPRESSIONS))
+    batch = pack_rows(features, keys)
 
     def objective():
-        batch, index = pack_rows(features, keys)
-        preds = model.forward(batch).take(index)
+        preds = model.forward(batch)
         return project(ad.concat([preds.va, preds.expr_logits], axis=1))
 
     return max_relative_error(objective, model.parameters(), n_points, eps, seed=20)
@@ -204,6 +204,8 @@ def run_grad_checks(
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown gradient checks: {unknown}")
+    if n_points < 1:
+        raise ConfigError(f"n_points = {n_points} must be >= 1")
     results: Dict[str, float] = {}
     for name in names:
         rng = np.random.default_rng([seed, sum(name.encode())])

@@ -15,7 +15,9 @@ from typing import List, Optional
 import numpy as np
 
 from ..csvfile import atomic_write
-from ..errors import AffectKitError, ConfigError, DegenerateLandmarks
+from ..errors import (
+    AffectKitError, ConfigError, DegenerateLandmarks, MissingAUPrediction, ValueOutOfRange
+)
 from ..fusion import EnsembleMember, decision_level_fuse, median_filter, read_manifest, smooth
 from ..preprocess import (
     CANONICAL_LANDMARKS,
@@ -179,9 +181,13 @@ def _cmd_zero_shot(args) -> int:
     defs = (
         load_compound_defs(args.defs) if args.defs else default_compound_defs()
     )
-    records = read_predictions(args.predictions)
     # classify everything first so that a failing record leaves no file
-    rows = [(record.id, classify_compound(defs, record).name) for record in records]
+    rows = []
+    for record in read_predictions(args.predictions):
+        try:
+            rows.append((record.id, classify_compound(defs, record).name))
+        except (MissingAUPrediction, ValueOutOfRange) as exc:
+            raise type(exc)(f"{args.predictions}: {record.id}: {exc}") from exc
     with atomic_write(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(["id", "compound"]) + "\n")
         fh.writelines(_csv_line(row) + "\n" for row in rows)

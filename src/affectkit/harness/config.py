@@ -152,6 +152,8 @@ class RunConfig:
             raise ConfigError(f"feature_dim = {self.feature_dim} must be >= 1")
         if self.total_batch < 1:
             raise ConfigError("total_batch must be positive")
+        if bool(self.val_annotations) != bool(self.val_features):
+            raise ConfigError("set both val_annotations and val_features, or neither")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
         if not 0.0 < self.lr_decay <= 1.0:

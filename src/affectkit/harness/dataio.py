@@ -146,6 +146,17 @@ class SampleColumns:
             None if self.features is None else self.features[rows],
         )
 
+    def check_compound_classes(self, classes: int) -> None:
+        """Refuse the first compound row whose class id is not below
+        ``classes``, the width of a model's compound head, by its id."""
+        over = (self.labels.task == TASKS.index("COMPOUND")) & (self.labels.compound >= classes)
+        if over.any():
+            r = int(over.argmax())
+            raise ConfigError(
+                f"{self.ids[r]}: compound class id {self.labels.compound[r]} is not below "
+                f"compound_classes = {classes}"
+            )
+
 
 def write_annotations(path, data: SampleColumns) -> None:
     """One row per row of ``data``, its payload encoded from the row's task

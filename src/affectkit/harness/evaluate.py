@@ -3,14 +3,14 @@
 The split is the ``SampleColumns`` that ``dataio.load_dataset`` returns,
 scored as it is read: its features go through the model as one matrix and
 its labels are read from their columns, so no row becomes an object before
-its prediction record. For a stateful model its rows go
-through the model in chunks of whole sequences of up to ``chunk`` rows (a
-longer sequence goes alone), each chunk packed by ``pack_rows`` with the
-split's ``SampleColumns.keys``, made once per split, and the predictions
-come back in file order. A stateless model, or a file with no sequence
-ids, runs every row alone in ``chunk``-row slices in file order. Metrics
-are computed per task over the rows of that task (``BatchLabels.task``);
-every row gets a prediction row for each head the model has.
+its prediction record. The rows go through the model in chunks of up to
+``chunk`` rows, each packed by ``pack_rows`` and read by ``models.outputs``:
+for a stateful model in sequence order by the split's
+``SampleColumns.keys``, made once per split, whole sequences to a chunk (a
+longer one alone); else in file order, every row alone. The predictions
+come back in file order. Metrics are computed per task over the rows of
+that task (``BatchLabels.task``); every row gets a prediction row for each
+head the model has.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff import sigmoid_values
 from ..errors import ConfigError, DegenerateInputWarning, IncompatibleHeads
-from ..losses import TASKS, softmax_parts
+from ..losses import TASKS
 from ..metrics import (
     accuracy,
     binarize,
@@ -35,18 +34,18 @@ from ..metrics import (
     mean_diagonal,
     mse,
 )
-from ..models import Model, pack_rows
+from ..models import Model, outputs, pack_rows
 from ..types import NUM_EXPRESSIONS, PredictionRecord
 from .dataio import SampleColumns
 
 
 def _chunks(
     keys: Optional[np.ndarray], n: int, chunk: int
-) -> Tuple[Optional[np.ndarray], List[int]]:
-    """The rows in sequence order (None: row order), and the bounds of
-    chunks of whole sequences of up to ``chunk`` rows over that order."""
+) -> Tuple[np.ndarray, List[int]]:
+    """The rows in sequence order (without keys, row order), and the bounds
+    of chunks of whole sequences of up to ``chunk`` rows over that order."""
     if keys is None:
-        return None, list(range(0, n, chunk)) + [n]
+        return np.arange(n), list(range(0, n, chunk)) + [n]
     order = np.lexsort((keys[:, 1], keys[:, 0]))  # a sequence's code is its first row
     starts = np.flatnonzero(np.diff(keys[order, 0], prepend=-1)).tolist() + [n]
     bounds = [0]
@@ -62,25 +61,16 @@ def _forward_all(
     keys: Optional[np.ndarray],
     chunk: int,
 ) -> Dict[str, Optional[np.ndarray]]:
-    """Run the rows through the model; returns per-head arrays in row order."""
+    """Run the rows through the model; returns its ``outputs`` in row order."""
     outs: Dict[str, List[np.ndarray]] = {"va": [], "expr": [], "au": [], "compound": []}
-    heads = model.spec.heads
     order, bounds = _chunks(keys, len(features), chunk)
     for start, stop in zip(bounds, bounds[1:]):
-        rows = slice(start, stop) if order is None else order[start:stop]
-        batch, index = pack_rows(features[rows], None if keys is None else keys[rows])
-        preds = model.forward(batch, train=False)
-        if index is not None:
-            preds = preds.take(index)
-        if "VA" in heads:
-            outs["va"].append(preds.va.data)
-        if "EXPR" in heads:
-            outs["expr"].append(softmax_parts(preds.expr_logits.data)[2])
-        if "AU" in heads:
-            outs["au"].append(sigmoid_values(preds.au_logits.data))
-        if "COMPOUND" in heads:
-            outs["compound"].append(softmax_parts(preds.compound_logits.data)[2])
-    back = slice(None) if order is None else np.argsort(order)  # to row order
+        rows = order[start:stop]
+        batch = pack_rows(features[rows], None if keys is None else keys[rows])
+        for k, v in outputs(model.forward(batch, train=False)).items():
+            if v is not None:
+                outs[k].append(v)
+    back = np.argsort(order)  # to row order
     return {k: (np.concatenate(v)[back] if v else None) for k, v in outs.items()}
 
 
@@ -95,13 +85,13 @@ def evaluate_model(
 
     ``data`` is a split with its features attached (see
     ``dataio.load_dataset``), read as it is. It carries no audio, so a
-    model with an audio stream raises ConfigError.
-    A stateful model packs the rows by the split's ``SampleColumns.keys``,
-    made on their first use and kept. Returns a flat metric dict and one
-    prediction record per row. ``degenerate_count`` reports
-    how many metric computations hit a flagged 0/0 convention. Raises
-    IncompatibleHeads when a requested (or present) task has no matching
-    model head.
+    model with an audio stream raises ConfigError, as does a scored
+    compound class id that the head lacks. A stateful model packs the rows
+    by the split's ``SampleColumns.keys``, made on their first use and kept.
+    Returns a flat metric dict and one prediction record per row.
+    ``degenerate_count`` reports how many metric computations hit a flagged
+    0/0 convention. Raises IncompatibleHeads when a requested (or present)
+    task has no matching model head.
     """
     if model.dims.audio and data.ids:
         raise ConfigError(f"{data.ids[0]}: audio_dim set but sample has no audio")
@@ -113,6 +103,8 @@ def evaluate_model(
             raise IncompatibleHeads(f"unknown task {task!r}")
         if task not in model.spec.heads:
             raise IncompatibleHeads(f"task {task} needs a {task} head")
+    if "COMPOUND" in wanted:
+        data.check_compound_classes(model.spec.compound_classes)
 
     keys = data.keys if model.spec.stateful else None
     rows = _forward_all(model, data.features, keys, chunk)

@@ -15,7 +15,7 @@ pools, one chunk of each, or over the one pool of a compound run; each
 batch is gathered from the split by index. For a recurrent model its rows
 are packed by the split's ``SampleColumns.keys`` (``models.pack_rows``):
 the rows of one sequence id run as one sequence in frame order, and every
-other row alone; the outputs are then taken back to batch order, so each
+other row alone; the model hands the outputs back in batch order, so each
 loss term sees the whole chunk of its task at once. Training draws rows,
 not windows, so a shuffled batch holds fragments of a sequence. A step's
 loss is one ``losses.objective`` node: the multi-task terms followed by
@@ -32,7 +32,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -63,13 +63,13 @@ class TrainResult:
 
 def _gather(
     data: SampleColumns, rows: np.ndarray, stateful: bool
-) -> Tuple[SequenceBatch, Optional[np.ndarray], BatchLabels]:
+) -> Tuple[SequenceBatch, BatchLabels]:
     """One batch of the split's rows, packed by sequence for a stateful
-    model; the index that takes its outputs back to the order of ``rows``
-    (see ``pack_rows``); and its labels."""
+    model, whose outputs come back in the order of ``rows`` (see
+    ``pack_rows``); and its labels."""
     keys = data.keys if stateful else None
     labels = data.labels.take(rows)
-    return (*pack_rows(data.features[rows], None if keys is None else keys[rows]), labels)
+    return pack_rows(data.features[rows], None if keys is None else keys[rows]), labels
 
 
 def _build_table(
@@ -85,12 +85,7 @@ def _build_table(
         raise ConfigError(
             "compound and basic-task samples cannot be mixed in one run"
         )
-    over = compound[labels.compound[compound] >= config.compound_classes]
-    if over.size:
-        raise ConfigError(
-            f"{data.ids[over[0]]}: compound class id {labels.compound[over[0]]} is not "
-            f"below compound_classes = {config.compound_classes}"
-        )
+    data.check_compound_classes(config.compound_classes)
 
     if config.coupling == "coannotation":
         # each emotion implies its table AUs: target 1, mask weight 1 for a
@@ -170,10 +165,8 @@ def train_run(config: RunConfig) -> TrainResult:
 
         losses: List[float] = []
         for step, rows in enumerate(epoch_iterator(pools, batch_sizes, rngs)):
-            batch, index, labels = _gather(train, rows, spec.stateful)
+            batch, labels = _gather(train, rows, spec.stateful)
             preds = model.forward(batch, train=True, rng=dropout_rng)
-            if index is not None:
-                preds = preds.take(index)
             loss = objective(preds, labels, config.lambda1, config.lambda2, mixture)
             value = float(loss.data)
             if not math.isfinite(value):

@@ -21,14 +21,14 @@ and no flag beside it.
 The formulas check nothing on a step: each input is checked once, where
 it is made. Class ids, VA values in [-1, 1] and AU targets and mask
 weights in {0, 1} are checked by ``dataio.read_annotation_columns``, and
-compound ids against ``compound_classes`` where training makes its task
-pools; hard co-annotation weights come from a validated relatedness table.
-The lambdas are checked by ``RunConfig.validate``, and each head's width is
-fixed by ``Model``. Soft targets and the probabilities are softmax and
-sigmoid outputs, so they are distributions and lie in [0, 1] by
-construction. ``objective`` keeps one guard, on its heads and their row
-count, and ``masked_bce`` refuses a batch whose rows all have zero weight
-(``EmptyMaskBatch``).
+compound ids against ``compound_classes`` by
+``SampleColumns.check_compound_classes``; hard co-annotation weights come
+from a validated relatedness table. The lambdas are checked by
+``RunConfig.validate``, and each head's width is fixed by ``Model``. Soft
+targets and the probabilities are softmax and sigmoid outputs, so they are
+distributions and lie in [0, 1] by construction. ``objective`` keeps one
+guard, on its heads and their row count, and ``masked_bce`` refuses a
+batch whose rows all have zero weight (``EmptyMaskBatch``).
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ class BatchPredictions:
     au_logits: Optional[DiffTensor] = None
     va: Optional[DiffTensor] = None
     compound_logits: Optional[DiffTensor] = None
-
-    def take(self, rows) -> "BatchPredictions":
-        """The given rows of every head, each one ``take_rows`` node."""
-        heads = {f.name: getattr(self, f.name) for f in fields(self)}
-        return BatchPredictions(**{
-            name: None if head is None else ad.take_rows(head, rows) for name, head in heads.items()
-        })
 
 
 @dataclass(eq=False)

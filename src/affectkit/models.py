@@ -15,19 +15,19 @@ end-to-end.
 Parameters are made in a fixed order by one ``autodiff.Parameters``: drawn
 from the seed, or adopted from a checkpoint (``Model(..., values=...)``).
 
-Frame rows produced by ``forward`` are time-major: row = t * B + b. Every
+Inside ``forward``, frame rows are time-major: row = t * B + b. Every
 stateless layer (backbone, taps, stream and landmark concatenation, ``fc``
 fusion, heads) runs once over all T*B rows, and each GRU layer (stacks and
 the ``rnn`` fusion layer) is one ``gru_sequence`` node over all of them.
 
 Annotation rows reach a model through :func:`pack_rows`: the rows of one
 sequence (``sequence_keys``) become one row of the (B, T, D) batch, so
-recurrent state never crosses unrelated rows, and ``BatchPredictions.take``
-puts the outputs back in row order. A stateless model, or a row with no
-sequence id, runs every row as a length-1 sequence.
+recurrent state never crosses unrelated rows; ``forward`` takes each
+head's outputs back to row order by the batch's ``index``. A stateless
+model, or a row with no sequence id, runs every row as a length-1 sequence.
 
-The heads output logits; inference reads probabilities off them with the
-loss's numpy softmax and sigmoid, as no graph node is needed for them.
+The heads output logits; :func:`outputs` reads probabilities off them with
+the loss's numpy softmax and sigmoid, as no graph node is needed for them.
 """
 
 from __future__ import annotations
@@ -141,11 +141,13 @@ class ModelSpec:
 @dataclass
 class SequenceBatch:
     """B sequences of T frames. ``features`` is (B,T,D) with B, T >= 1;
-    ``audio`` and ``landmarks`` are optional parallel (B,T,*) arrays."""
+    ``audio`` and ``landmarks`` are optional parallel (B,T,*) arrays.
+    ``index`` (see :func:`pack_rows`) orders the forward pass's outputs."""
 
     features: np.ndarray
     audio: Optional[np.ndarray] = None
     landmarks: Optional[np.ndarray] = None
+    index: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -194,12 +196,10 @@ def sequence_keys(
     return np.column_stack([np.asarray(codes, dtype=np.int64), rank])
 
 
-def pack_rows(
-    features: np.ndarray, keys: Optional[np.ndarray] = None
-) -> Tuple[SequenceBatch, Optional[np.ndarray]]:
-    """N rows as one right-padded (B, T, D) batch of sequences, and the
-    index that takes the forward pass's time-major output rows back to row
-    order, for ``BatchPredictions.take`` (None when that is the identity).
+def pack_rows(features: np.ndarray, keys: Optional[np.ndarray] = None) -> SequenceBatch:
+    """N rows as one right-padded (B, T, D) batch of sequences, whose
+    ``index`` takes the forward pass's time-major output rows back to row
+    order (None when that is the identity).
 
     Rows with the same ``keys[:, 0]`` form one sequence, its frames
     ordered by ``keys[:, 1]``; sequences keep the order in which they first
@@ -217,14 +217,10 @@ def pack_rows(
             t = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
             index = np.empty_like(order)
             index[order] = t * counts.size + b
-
-            def pad(rows: np.ndarray) -> np.ndarray:
-                out = np.zeros((counts.size, counts.max(), rows.shape[1]))
-                out[b, t] = rows[order]
-                return out
-
-            return SequenceBatch(pad(features)), index
-    return SequenceBatch(features[:, None]), None
+            packed = np.zeros((counts.size, counts.max(), features.shape[1]))
+            packed[b, t] = features[order]
+            return SequenceBatch(packed, index=index)
+    return SequenceBatch(features[:, None])
 
 
 class _Trunk:
@@ -390,7 +386,7 @@ class Model:
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> BatchPredictions:
-        """Run all frames; returns per-row head outputs (row = t*B + b)."""
+        """Run all frames; returns head outputs in row order (without ``index``, t*B + b)."""
         self._check_batch(batch)
         b_size, t_len = batch.batch_size, batch.seq_len
 
@@ -411,12 +407,26 @@ class Model:
             else:
                 feat = _recur([self.fusion_layer[1]], feat, b_size, t_len)
         out = {name: ad.dense(feat, w, b) for name, (w, b) in self.heads.items()}
+        if batch.index is not None:
+            out = {name: ad.take_rows(head, batch.index) for name, head in out.items()}
         return BatchPredictions(
             expr_logits=out.get("EXPR"),
             au_logits=out.get("AU"),
             va=out.get("VA"),
             compound_logits=out.get("COMPOUND"),
         )
+
+
+def outputs(preds: BatchPredictions) -> Dict[str, Optional[np.ndarray]]:
+    """A forward pass's ``va`` values and ``expr``, ``au`` and ``compound``
+    probabilities, each None for a head the model lacks."""
+    expr, au, compound = preds.expr_logits, preds.au_logits, preds.compound_logits
+    return {
+        "va": None if preds.va is None else preds.va.data,
+        "expr": None if expr is None else softmax_parts(expr.data)[2],
+        "au": None if au is None else ad.sigmoid_values(au.data),
+        "compound": None if compound is None else softmax_parts(compound.data)[2],
+    }
 
 
 @dataclass
@@ -440,21 +450,11 @@ def predict_sequence(
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise EmptySequence(f"frames must be nonempty (T,D), got {frames.shape}")
-    batch = SequenceBatch(
-        features=frames[None, :, :],
-        audio=None if audio is None else np.asarray(audio, dtype=np.float64)[None],
-        landmarks=None
-        if landmarks is None
-        else np.asarray(landmarks, dtype=np.float64)[None],
-    )
-    preds = model.forward(batch, train=False)
-    va = None if preds.va is None else preds.va.data.copy()
-    return SequencePrediction(
-        va=va,
-        expr_probs=None if preds.expr_logits is None else softmax_parts(preds.expr_logits.data)[2],
-        au_probs=None if preds.au_logits is None else ad.sigmoid_values(preds.au_logits.data),
-        va_median=None if va is None else np.median(va, axis=0),
-    )
+    streams = (None if a is None else np.asarray(a)[None] for a in (audio, landmarks))
+    out = outputs(model.forward(SequenceBatch(frames[None], *streams)))
+    va = out["va"]
+    median = None if va is None else np.median(va, axis=0)
+    return SequencePrediction(va, out["expr"], out["au"], median)
 
 
 def load_parameters(model: Model, values: Dict[str, np.ndarray]):

@@ -1113,11 +1113,17 @@ class TestCLI:
             ("train", "feature_dim = -3\n", "bad.cfg: feature_dim = -3 must be >= 1"),
             ("gen-data", "sigma = nan\n", "bad.cfg: sigma=nan must be finite and >= 0"),
             ("gen-data", "sigma = inf\n", "bad.cfg: sigma=inf must be finite and >= 0"),
+            # one validation path without the other would skip validation
+            ("train", "val_annotations = a.csv\n",
+             "bad.cfg: set both val_annotations and val_features, or neither"),
+            ("train", "val_features = f.csv\n",
+             "bad.cfg: set both val_annotations and val_features, or neither"),
         ],
         ids=[
             "train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key",
             "gen_negative", "gen_empty", "train_refused", "train_refused_spec",
-            "train_feature_dim", "gen_sigma_nan", "gen_sigma_inf",
+            "train_feature_dim", "gen_sigma_nan", "gen_sigma_inf", "train_val_annotations_alone",
+            "train_val_features_alone",
         ],
     )
     def test_config_errors_name_the_line(self, tmp_path, capsys, command, text, message):
@@ -1423,6 +1429,51 @@ class TestCLI:
         assert "no AU probabilities" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(valence=0.5), "happily_surprised: prediction has no AU probabilities"),
+        (dict(au_probs=np.full(17, 0.5)), "happily_surprised: bonus needs a valence prediction"),
+    ], ids=["no_au", "no_valence"])
+    def test_zero_shot_error_names_the_file_and_the_record(
+        self, tmp_path, capsys, fields, message
+    ):
+        expr = np.full(7, 1 / 7)
+        preds = tmp_path / "preds.csv"
+        write_predictions(preds, [
+            PredictionRecord(id="f0", valence=0.5, expr_probs=expr, au_probs=np.full(17, 0.5)),
+            PredictionRecord(id="f1", expr_probs=expr, **fields),
+        ])
+        code = self.run_cli("zero-shot", "--predictions", preds, "--out", tmp_path / "out.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {preds}: f1: {message}" in err and "Traceback" not in err
+
+    def test_eval_names_the_row_of_a_compound_class_the_head_lacks(self, tmp_path, capsys):
+        rows = np.arange(12)
+        data = blank_columns(
+            [f"c{i:03d}" for i in rows], np.random.default_rng(0).normal(size=(12, 10))
+        )
+        data.labels.task[:], data.labels.compound[:] = TASKS.index("COMPOUND"), rows % 11
+        data.compound_pair[:] = np.stack([1 + rows % 5, np.full(12, 6)], axis=1)
+        write_columns(data, tmp_path / "ann.csv", tmp_path / "feat.csv")
+        run = tmp_path / "run"
+        train_run(RunConfig(
+            feature_dim=10, backbone=(), heads=("COMPOUND",), epochs=1, total_batch=4,
+            train_annotations=str(tmp_path / "ann.csv"),
+            train_features=str(tmp_path / "feat.csv"), out_dir=str(run),
+        ))
+        data.labels.compound[4] = 12
+        write_columns(data, tmp_path / "eval_ann.csv", tmp_path / "eval_feat.csv")
+        report = tmp_path / "report.txt"
+        code = self.run_cli(
+            "eval", "--config", run / "config.txt", "--checkpoint", run / "model.ckpt",
+            "--annotations", tmp_path / "eval_ann.csv", "--features", tmp_path / "eval_feat.csv",
+            "--out", report,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "c004: compound class id 12 is not below compound_classes = 11" in err
+        assert "Traceback" not in err and not report.exists()
+
     def test_zero_shot_quotes_an_id_with_a_lone_cr(self, tmp_path):
         preds = tmp_path / "preds.csv"
         record = PredictionRecord(
@@ -1516,6 +1567,12 @@ class TestCLI:
         assert self.run_cli("grad-check", "loss.ccc", "--points", 10) == 0
         out = capsys.readouterr().out
         assert "loss.ccc" in out and "ok" in out
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grad_check_refuses_fewer_than_one_point(self, capsys, points):
+        assert self.run_cli("grad-check", "layer.dense", "--points", points) == 2
+        err = capsys.readouterr().err
+        assert f"error: n_points = {points} must be >= 1" in err and "Traceback" not in err
 
     def test_grad_check_all(self, capsys):
         assert self.run_cli("grad-check", "--all", "--points", 5) == 0

@@ -201,8 +201,7 @@ def test_co_annotation_targets_meet_the_formula_preconditions(
 ], ids=["dense", "per_tap", "ensemble"])
 def test_each_head_has_the_width_its_loss_reads(spec):
     model = Model(spec, InputDims(features=6), seed=1)
-    batch, _ = pack_rows(np.random.default_rng(2).normal(size=(5, 6)))
-    preds = model.forward(batch)
+    preds = model.forward(pack_rows(np.random.default_rng(2).normal(size=(5, 6))))
     assert preds.va.shape == (5, 2)
     assert preds.expr_logits.shape == (5, NUM_EXPRESSIONS)
     assert preds.au_logits.shape == (5, NUM_AUS)
@@ -230,7 +229,7 @@ def test_objective_reads_two_va_rows_or_none(va, rows):
         labels, np.zeros((12, 2), dtype=np.int64), np.zeros((12, 3)),
     )
     rows = np.array(rows, dtype=int)
-    _, _, gathered = _gather(data, rows, False)
+    _, gathered = _gather(data, rows, False)
     for f in fields(BatchLabels):
         assert np.array_equal(getattr(gathered, f.name), getattr(labels, f.name)[rows]), f.name
     preds = BatchPredictions(

@@ -73,10 +73,7 @@ def random_labels(rng, mode, compound):
 def outcome(model, features, keys, loss):
     """The value and every parameter gradient of ``loss`` (a function of the
     batch's predictions), or the error it raises."""
-    batch, index = pack_rows(features, keys)
-    preds = model.forward(batch)
-    if index is not None:
-        preds = preds.take(index)
+    preds = model.forward(pack_rows(features, keys))
     params = model.parameters()
     for p in params:
         p.grad = None
@@ -144,7 +141,7 @@ def test_no_au_weight_adds_no_au_term():
     features = np.random.default_rng(6).normal(size=(N_ROWS, DIM))
     new, old = both(model, features, None, labels, (1.0, 1.0), None, False)
     assert new == old and not isinstance(new[0], type)
-    preds = model.forward(pack_rows(features, None)[0])
+    preds = model.forward(pack_rows(features, None))
     assert preds.au_logits not in [p for p, _ in objective(preds, labels)._edges]
     with pytest.raises(EmptyMaskBatch, match="no sample has an annotated AU"):
         masked_bce(np.full((N_ROWS, NUM_AUS), 0.5), labels.au_targets, labels.au_mask)

@@ -103,25 +103,25 @@ class TestPackRows:
     @pytest.mark.parametrize("seed", range(8))
     def test_layout_follows_the_packing_rule(self, seed):
         features, sequence_ids, frames = random_rows(seed, 23)
-        batch, index = pack_rows(features, sequence_keys(sequence_ids, frames))
+        batch = pack_rows(features, sequence_keys(sequence_ids, frames))
         want, want_index = reference_pack(features, sequence_ids, frames)
         assert batch.features.shape == want.shape and batch.features.shape[1] > 1
         assert np.array_equal(batch.features, want)
-        assert np.array_equal(index, want_index)
+        assert np.array_equal(batch.index, want_index)
 
     def test_rows_alone_are_one_step_in_row_order(self):
         features = np.arange(12.0).reshape(4, 3)
         for keys in (None, sequence_keys(["a", None, "b", "c"], [None] * 4)):
-            batch, index = pack_rows(features, keys)
-            assert index is None
+            batch = pack_rows(features, keys)
+            assert batch.index is None
             assert np.array_equal(batch.features, features[:, None])
 
     @pytest.mark.parametrize("name", sorted(STATEFUL))
     def test_each_sequence_as_if_run_alone(self, name):
         model = Model(STATEFUL[name], InputDims(DIM), seed=3)
         features, sequence_ids, frames = random_rows(11, 30)
-        batch, index = pack_rows(features, sequence_keys(sequence_ids, frames))
-        got = heads_of(model.forward(batch).take(index))
+        batch = pack_rows(features, sequence_keys(sequence_ids, frames))
+        got, index = heads_of(model.forward(batch)), batch.index
         packed, _ = reference_pack(features, sequence_ids, frames)
         for b, length in enumerate(np.bincount(index % batch.batch_size)):
             alone = heads_of(model.forward(SequenceBatch(packed[b : b + 1, :length])))
@@ -130,19 +130,31 @@ class TestPackRows:
             for head, values in alone.items():
                 np.testing.assert_allclose(got[head][rows], values, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("name", sorted(STATEFUL) + ["dense"])
+    def test_forward_takes_the_outputs_back_to_row_order_bitwise(self, name):
+        # a hand-built batch of the same padded features gives time-major
+        # rows, and the packed batch's index picks each input row's own
+        model = Model({**STATEFUL, **STATELESS}[name], InputDims(DIM), seed=9)
+        features, sequence_ids, frames = random_rows(13, 30)
+        batch = pack_rows(features, sequence_keys(sequence_ids, frames))
+        assert batch.index is not None and batch.features.shape[1] > 1
+        got = heads_of(model.forward(batch))
+        time_major = heads_of(model.forward(SequenceBatch(batch.features)))
+        assert got.keys() == time_major.keys() == {"va", "expr_logits", "au_logits"}
+        for head, values in time_major.items():
+            assert got[head].tobytes() == values[batch.index].tobytes(), head
+
     @pytest.mark.parametrize("name", sorted(STATEFUL))
     def test_perturbing_one_sequence_leaves_the_others_bitwise(self, name):
         model = Model(STATEFUL[name], InputDims(DIM), seed=4)
         features, sequence_ids, frames = random_rows(12, 30)
         keys = sequence_keys(sequence_ids, frames)
-        batch, index = pack_rows(features, keys)
-        before = heads_of(model.forward(batch).take(index))
+        before = heads_of(model.forward(pack_rows(features, keys)))
         changed = np.array([s == "clip2" for s in sequence_ids])
         assert 1 < changed.sum() < len(changed)
         perturbed = features.copy()
         perturbed[changed] += np.random.default_rng(0).normal(size=(changed.sum(), DIM))
-        batch, index = pack_rows(perturbed, keys)
-        after = heads_of(model.forward(batch).take(index))
+        after = heads_of(model.forward(pack_rows(perturbed, keys)))
         for head in before:
             assert np.array_equal(after[head][~changed], before[head][~changed]), head
             assert not np.array_equal(after[head][changed], before[head][changed]), head
@@ -254,10 +266,10 @@ class TestTraining:
         config = RunConfig(feature_dim=DIM, backbone=(8,), recurrent=recurrent, coupling="none")
         _build_table(data, config, config.relatedness_table())
         rows = np.random.default_rng(2).permutation(len(data))[:40]
-        batch, index, labels = _gather(data, rows, config.model_spec().stateful)
+        batch, labels = _gather(data, rows, config.model_spec().stateful)
         features = data.features[rows]
         if recurrent == "none":
-            assert "keys" not in vars(data) and index is None  # no keys made
+            assert "keys" not in vars(data) and batch.index is None  # no keys made
             assert np.array_equal(batch.features, features[:, None])
             return
         want, want_index = reference_pack(
@@ -266,7 +278,7 @@ class TestTraining:
             [data.frame_index[r] for r in rows],
         )
         assert batch.batch_size < len(rows)
-        assert np.array_equal(batch.features, want) and np.array_equal(index, want_index)
+        assert np.array_equal(batch.features, want) and np.array_equal(batch.index, want_index)
         assert np.array_equal(labels.expr, data.labels.expr[rows])
 
     def test_each_loss_row_is_predicted_within_its_sequence(self, tmp_path, monkeypatch):

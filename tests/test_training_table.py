@@ -170,8 +170,8 @@ def assert_same_arrays(pairs):
 
 
 def assert_same(got, want):
-    batch, index, labels = got
-    assert index is None
+    batch, labels = got
+    assert batch.index is None
     ref_batch, ref_labels = want
     assert batch.audio is None and ref_batch.audio is None
     names = [f.name for f in fields(BatchLabels)]
