@@ -13,7 +13,9 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
   steps), no validation;
 * ``gru_forward_ms_per_step`` and ``gru_bptt_ms_per_step``: over those
   jobs, the time spent in ``gru_sequence`` and in the backward edges of the
-  GRU nodes it returns, per training step;
+  GRU nodes it returns, per training step as ``TrainResult.steps`` counts
+  them (the job's own ``phase_s``, where ``zero_grad`` counts in ``adam``,
+  is not printed here);
 * ``evaluate_ms``: the median of ``--evals`` ``evaluate_model`` calls on the
   600 validation rows of ``load_dataset``, with that architecture drawn from
   the seed.
@@ -55,8 +57,8 @@ def config_for(work: str, seed: int) -> RunConfig:
 
 def training_ms(config: RunConfig, jobs: int):
     """(median job ms, GRU forward ms per step, GRU backward ms per step)."""
-    forward, bptt, steps = [], [], []
-    real_gru, real_backward = ad.gru_sequence, training.backward
+    forward, bptt, steps = [], [], 0
+    real_gru = ad.gru_sequence
 
     def timed(fn, into):
         def call(*args):
@@ -72,21 +74,16 @@ def training_ms(config: RunConfig, jobs: int):
         node._edges = tuple((p, timed(f, bptt)) for p, f in node._edges)
         return node
 
-    def backward(*args, **kwargs):
-        steps.append(1)
-        return real_backward(*args, **kwargs)
-
-    ad.gru_sequence, training.backward = gru, backward
+    ad.gru_sequence = gru
     times = []
     try:
         for _ in range(jobs):
             start = time.perf_counter()
-            training.train_run(config)
+            steps += training.train_run(config).steps
             times.append(time.perf_counter() - start)
     finally:
-        ad.gru_sequence, training.backward = real_gru, real_backward
-    n = len(steps)
-    return 1e3 * statistics.median(times), 1e3 * sum(forward) / n, 1e3 * sum(bptt) / n
+        ad.gru_sequence = real_gru
+    return 1e3 * statistics.median(times), 1e3 * sum(forward) / steps, 1e3 * sum(bptt) / steps
 
 
 def evaluate_ms(config: RunConfig, evals: int) -> float:

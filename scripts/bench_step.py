@@ -10,16 +10,18 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
   pools and 200/200/200 validation rows in the same files (feature_dim 16),
   backbone (48,), heads EXPR/AU/VA, ``soft+distr`` coupling, batch 60, lr
   1e-2, three epochs (90 steps), no validation;
-* per training step over those jobs, in ms: ``sampler_ms`` (inside the
-  ``next`` calls of ``training.epoch_iterator``, the one that ends each
-  epoch included), ``gather_ms`` (``training._gather``: the batch taken
-  from the training split), ``forward_ms`` (``Model.forward``; for a
-  packed recurrent batch this includes taking the outputs back to row
-  order), ``loss_ms`` (from the end of the forward pass to
-  ``Adam.zero_grad``: the loss terms and their total, whichever functions
-  build them), ``backward_ms`` and ``adam_ms`` (``Adam.step``);
+* per training step over those jobs, in ms, each of ``train_run``'s own
+  ``TrainResult.phase_s`` totals over the steps it took: ``sampler_ms``
+  (inside each ``next`` of the epoch iterator, the one that ends each
+  epoch included), ``gather_ms`` (the batch taken from the training
+  split), ``forward_ms`` (``Model.forward``; for a packed recurrent batch
+  this includes taking the outputs back to row order), ``loss_ms``
+  (``losses.objective``, reading its value and the finite check),
+  ``backward_ms`` and ``adam_ms`` (``Adam.zero_grad`` and ``Adam.step``;
+  until ``train_run`` timed itself, ``zero_grad`` counted in ``loss_ms``);
 * ``nodes_per_step``: autodiff nodes built per step, counted in one more
-  job run after the timed ones, so that counting slows no timed call.
+  job run after the timed ones, less those of the same job run with 0
+  epochs, so that counting slows no timed call and set-up is not counted.
 
 One BLAS thread, as in the benchmark.
 """
@@ -37,7 +39,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from affectkit import autodiff as ad  # noqa: E402
-from affectkit import models  # noqa: E402
 from affectkit.harness import training  # noqa: E402
 from affectkit.harness.config import RunConfig  # noqa: E402
 from affectkit.harness.synth import SyntheticSpec, generate_dataset  # noqa: E402
@@ -55,97 +56,39 @@ def config_for(work: str, seed: int) -> RunConfig:
 
 def phase_ms(config: RunConfig, jobs: int) -> dict:
     """The median job time and the per-step time of each phase, in ms."""
-    spent = {
-        "sampler": 0.0, "gather": 0.0, "forward": 0.0, "loss": 0.0, "backward": 0.0, "adam": 0.0,
-    }
-    steps, forward_end = [], [0.0]
-    patched = [
-        (training, "epoch_iterator", "sampler"),
-        (training, "_gather", "gather"),
-        (models.Model, "forward", "forward"),
-        (training, "backward", "backward"),
-        (ad.Adam, "step", "adam"),
-    ]
-    real = {phase: getattr(owner, name) for owner, name, phase in patched}
-    real_zero = ad.Adam.zero_grad
-
-    def timed_iterator(fn, phase):
-        def iterate(*args, **kwargs):
-            batches = fn(*args, **kwargs)
-            while True:
-                start = time.perf_counter()
-                try:
-                    batch = next(batches)
-                except StopIteration:
-                    return
-                finally:
-                    spent[phase] += time.perf_counter() - start
-                yield batch
-        return iterate
-
-    def timed(fn, phase):
-        def call(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                end = time.perf_counter()
-                spent[phase] += end - start
-                if phase == "forward":
-                    forward_end[0] = end
-        return call
-
-    def zero_grad(self):
-        spent["loss"] += time.perf_counter() - forward_end[0]
-        steps.append(1)
-        return real_zero(self)
-
-    for owner, name, phase in patched:
-        wrap = timed_iterator if phase == "sampler" else timed
-        setattr(owner, name, wrap(real[phase], phase))
-    ad.Adam.zero_grad = zero_grad
-    times = []
-    try:
-        for _ in range(jobs):
-            start = time.perf_counter()
-            training.train_run(config)
-            times.append(time.perf_counter() - start)
-    finally:
-        for owner, name, phase in patched:
-            setattr(owner, name, real[phase])
-        ad.Adam.zero_grad = real_zero
-    n = len(steps)
+    times, results = [], []
+    for _ in range(jobs):
+        start = time.perf_counter()
+        results.append(training.train_run(config))
+        times.append(time.perf_counter() - start)
+    steps = sum(r.steps for r in results)
     out = {"train_run_ms": 1e3 * statistics.median(times)}
-    out.update({f"{phase}_ms": 1e3 * total / n for phase, total in spent.items()})
+    out.update({
+        f"{phase}_ms": 1e3 * sum(r.phase_s[phase] for r in results) / steps
+        for phase in training.PHASES
+    })
     return out
 
 
 def nodes_per_step(config: RunConfig) -> float:
-    """Autodiff nodes built per step in one job, from the first forward
-    pass on, so the job's set-up is not counted."""
-    counts = {"nodes": 0, "steps": 0, "on": False}
-    real_init, real_forward, real_zero = ad.DiffTensor.__init__, models.Model.forward, ad.Adam.zero_grad
+    """Autodiff nodes built per step in one job, less those of the same job
+    run with 0 epochs, so the job's set-up is not counted."""
+    nodes = [0]
+    real_init = ad.DiffTensor.__init__
 
     def init(self, *args, **kwargs):
-        counts["nodes"] += counts["on"]
+        nodes[0] += 1
         real_init(self, *args, **kwargs)
 
-    def forward(*args, **kwargs):
-        counts["on"] = True
-        return real_forward(*args, **kwargs)
-
-    def zero_grad(self):
-        counts["steps"] += 1
-        return real_zero(self)
-
-    ad.DiffTensor.__init__, models.Model.forward, ad.Adam.zero_grad = init, forward, zero_grad
+    ad.DiffTensor.__init__ = init
     try:
-        training.train_run(config)
+        training.train_run(config.override(epochs=0))
+        set_up = nodes[0]
+        steps = training.train_run(config).steps
     finally:
-        ad.DiffTensor.__init__, models.Model.forward, ad.Adam.zero_grad = (
-            real_init, real_forward, real_zero
-        )
-    return counts["nodes"] / counts["steps"]
+        ad.DiffTensor.__init__ = real_init
+    # each of the two jobs built the set-up's nodes once
+    return (nodes[0] - 2 * set_up) / steps
 
 
 def main() -> None:

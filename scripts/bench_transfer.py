@@ -9,10 +9,11 @@ Run it on two checkouts in turn to compare them. It prints one JSON line:
 * ``load_model_ms``: the median of ``--loads`` calls of ``load_model`` on
   one checkpoint (feature_dim 16, audio_dim 1025, landmark_dim 10, two
   streams with landmark concatenation, backbone 48, heads EXPR/AU/VA);
-* ``frozen_ms_per_step``: the median over ``--jobs`` pairs of jobs of
-  (time of a 3-epoch frozen job - time of the same job with 0 epochs) /
-  steps, on synthetic 300/300/300 pools, batch 60, no validation, starting
-  from a 1-epoch donor with the same spec.
+* ``frozen_ms_per_step``: the median over ``--jobs`` 3-epoch frozen jobs
+  of the sum of the job's ``TrainResult.phase_s`` (sampler, gather,
+  forward, loss, backward and Adam, ``zero_grad`` included) per step, on
+  synthetic 300/300/300 pools, batch 60, no validation, starting from a
+  1-epoch donor with the same spec.
 
 One BLAS thread, as in the benchmark.
 """
@@ -65,27 +66,10 @@ def frozen_ms_per_step(work: str, seed: int, jobs: int) -> float:
         epochs=3, init_from=donor.checkpoint_path, freeze_trunk=True,
         out_dir=os.path.join(work, "frozen"),
     )
-    steps = []
-    real = training.backward
-
-    def counted(*args, **kwargs):
-        steps.append(1)
-        return real(*args, **kwargs)
-
-    training.backward = counted
     per_step = []
-    try:
-        for _ in range(jobs):
-            start = time.perf_counter()
-            training.train_run(frozen.override(epochs=0))
-            empty = time.perf_counter() - start
-            steps.clear()
-            start = time.perf_counter()
-            training.train_run(frozen)
-            full = time.perf_counter() - start
-            per_step.append((full - empty) / len(steps))
-    finally:
-        training.backward = real
+    for _ in range(jobs):
+        result = training.train_run(frozen)
+        per_step.append(sum(result.phase_s.values()) / result.steps)
     return 1e3 * statistics.median(per_step)
 
 

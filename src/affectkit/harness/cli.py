@@ -57,6 +57,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _seed(value: str) -> int:
+    if not (value.isascii() and value.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def _counts(value: str):
     parts = tuple(int(v) for v in value.split(","))
     if len(parts) != 3 or min(parts) < 0:
@@ -125,8 +131,9 @@ def _cmd_eval(args) -> int:
     config = RunConfig.from_file(args.config)
     if args.au_threshold is not None:
         config = config.override(au_threshold=args.au_threshold)
-    model = load_model(config, args.checkpoint)
     data = load_dataset(args.annotations, args.features, split=args.split or None)
+    data.check_feature_dim(config.feature_dim, args.features)
+    model = load_model(config, args.checkpoint)
     tasks = None
     if args.tasks:
         tasks = [t.strip().upper() for t in args.tasks.split(",")]
@@ -259,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--spec", help="key=value file with generator settings")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out-dir")
     p.add_argument("--epochs", type=int)
     p.add_argument("--init-from", help="checkpoint to initialize from")
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("checks", nargs="*", help=f"subset of: {', '.join(sorted(CHECKS))}")
     p.add_argument("--points", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_grad_check)
 
     return parser

@@ -148,6 +148,10 @@ class RunConfig:
                 )
         if not (self.relatedness in BUILTIN_TABLES or self.relatedness.startswith("file:")):
             raise ConfigError(f"relatedness={self.relatedness!r}")
+        for name in ("seed", "ensemble_members"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} = {value} must be >= 0")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim = {self.feature_dim} must be >= 1")
         if self.total_batch < 1:

@@ -52,7 +52,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from ..csvfile import atomic_write, open_rows, open_text
-from ..errors import BadMask, ConfigError, KeyMisalignment, UnknownClass
+from ..errors import BadMask, ConfigError, KeyMisalignment, ShapeMismatch, UnknownClass
 from ..losses import TASKS, BatchLabels
 from ..models import sequence_keys
 from ..types import NUM_AUS, NUM_EXPRESSIONS, PredictionRecord
@@ -145,6 +145,14 @@ class SampleColumns:
             self.labels.take(rows), self.compound_pair[rows],
             None if self.features is None else self.features[rows],
         )
+
+    def check_feature_dim(self, dim: int, path) -> None:
+        """Refuse feature rows that are not ``dim`` wide, naming ``path``,
+        the feature file they came from."""
+        if self.features.shape[1] != dim:
+            raise ShapeMismatch(
+                f"{path}: features dim {self.features.shape[1]}, model expects {dim}"
+            )
 
     def check_compound_classes(self, classes: int) -> None:
         """Refuse the first compound row whose class id is not below

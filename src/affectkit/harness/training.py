@@ -24,6 +24,11 @@ sigmoid; its backward sweep reaches only the optimizer's parameters, so a
 frozen trunk gets no gradient. The relatedness mixture is made once per
 job, and packing keys once per split. Everything downstream of the seed
 is deterministic.
+
+``TrainResult.phase_s`` holds the job's seconds in each of ``PHASES``:
+``sampler`` is the epoch iterator's ``next``, ``loss`` also reads the
+value and checks it, and ``adam`` is ``zero_grad`` plus ``step``. No
+timing reaches the history, the log, ``config.txt`` or the checkpoint.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -59,6 +65,27 @@ class TrainResult:
     checkpoint_path: str
     log_path: str
     config: RunConfig
+    phase_s: Dict[str, float]
+    steps: int
+
+
+PHASES = ("sampler", "gather", "forward", "loss", "backward", "adam")
+
+
+class _PhaseClock:
+    """A call adds the time since the last call, or ``restart``, to a phase."""
+
+    def __init__(self) -> None:
+        self.spent = dict.fromkeys(PHASES, 0.0)
+        self.restart()
+
+    def restart(self) -> None:
+        self._last = time.perf_counter()
+
+    def __call__(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.spent[phase] += now - self._last
+        self._last = now
 
 
 def _gather(
@@ -132,6 +159,8 @@ def train_run(config: RunConfig) -> TrainResult:
     pools = _build_table(train, config, table)
     if not val and all(val_files):
         val = [load_dataset(*val_files, split="val")]
+    for split, path in zip([train, *val], (config.train_features, config.val_features)):
+        split.check_feature_dim(config.feature_dim, path)
 
     spec = config.model_spec()
     if len(pools) == 1 and "COMPOUND" not in spec.heads:
@@ -155,6 +184,7 @@ def train_run(config: RunConfig) -> TrainResult:
     batch_sizes = aligned_batch_sizes([len(p) for p in pools], config.total_batch)
 
     history: List[Dict[str, float]] = []
+    lap, steps = _PhaseClock(), 0
     for epoch in range(config.epochs):
         if epoch >= config.lr_decay_start:
             opt.lr *= config.lr_decay
@@ -164,17 +194,27 @@ def train_run(config: RunConfig) -> TrainResult:
         ]
 
         losses: List[float] = []
+        lap.restart()
         for step, rows in enumerate(epoch_iterator(pools, batch_sizes, rngs)):
+            lap("sampler")
             batch, labels = _gather(train, rows, spec.stateful)
+            lap("gather")
             preds = model.forward(batch, train=True, rng=dropout_rng)
+            lap("forward")
             loss = objective(preds, labels, config.lambda1, config.lambda2, mixture)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLoss(f"epoch {epoch} step {step}: loss={value}")
+            lap("loss")
             opt.zero_grad()
+            lap("adam")
             backward(loss, wrt=opt.params)
+            lap("backward")
             opt.step()
             losses.append(value)
+            lap("adam")
+        lap("sampler")
+        steps += len(losses)
 
         record: Dict[str, float] = {
             "epoch": float(epoch),
@@ -205,6 +245,8 @@ def train_run(config: RunConfig) -> TrainResult:
         checkpoint_path=checkpoint_path,
         log_path=log_path,
         config=config,
+        phase_s=lap.spent,
+        steps=steps,
     )
 
 

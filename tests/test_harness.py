@@ -3,9 +3,11 @@ evaluation, gradient checks, and the command line."""
 
 import csv
 import io
+import math
 import os
 import re
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -547,6 +549,36 @@ class TestTraining:
         ckpt_a = open(a.checkpoint_path, "rb").read()
         ckpt_b = open(b.checkpoint_path, "rb").read()
         assert ckpt_a == ckpt_b
+
+    def test_train_run_times_its_step_phases(self, tmp_path):
+        # 1800 rows in batches of 60: 30 steps per epoch
+        feats, ann = generate_dataset(
+            SyntheticSpec(train_counts=(600, 600, 600), val_counts=(5, 5, 5), feature_dim=10),
+            seed=0, out_dir=str(tmp_path / "big"),
+        )
+        config = small_config(
+            tmp_path, train_annotations=ann, train_features=feats, val_annotations=ann,
+            val_features=feats, total_batch=60, epochs=3, coupling="soft+distr",
+        )
+        phases = {"sampler", "gather", "forward", "loss", "backward", "adam"}
+        runs = [train_run(config.override(out_dir=str(tmp_path / n))) for n in "ab"]
+        for result in runs:
+            assert set(result.phase_s) == phases and result.steps == 3 * 30
+            assert all(math.isfinite(s) and s >= 0 for s in result.phase_s.values())
+        empty = train_run(config.override(epochs=0, out_dir=str(tmp_path / "empty")))
+        assert empty.steps == 0 and empty.phase_s == dict.fromkeys(phases, 0.0)
+
+        # no timing reaches the history, the log, the config or the checkpoint
+        a, b = runs
+        keys = {k for row in a.history for k in row}
+        assert {"epoch", "loss", "lr"} < keys
+        assert all(k.startswith("val.") for k in keys - {"epoch", "loss", "lr"})
+        with open(a.log_path, encoding="utf-8") as fh:
+            assert set(next(csv.reader(fh))) == keys
+        with open(tmp_path / "a" / "config.txt", encoding="utf-8") as fh:
+            assert [line.split(" = ")[0] for line in fh] == [f.name for f in fields(RunConfig)]
+        for path in ("model.ckpt", "training_log.csv"):
+            assert (tmp_path / "a" / path).read_bytes() == (tmp_path / "b" / path).read_bytes()
 
     def test_loss_decreases(self, tmp_path):
         result = train_run(small_config(tmp_path, epochs=8))
@@ -1111,6 +1143,8 @@ class TestCLI:
             ("train", "seed = 1\nlr = -1\n", "bad.cfg: lr = -1.0 must be finite and positive"),
             ("train", "dropout = 1.5\n", "bad.cfg: dropout=1.5 outside [0,1)"),
             ("train", "feature_dim = -3\n", "bad.cfg: feature_dim = -3 must be >= 1"),
+            ("train", "seed = -1\n", "bad.cfg: seed = -1 must be >= 0"),
+            ("train", "ensemble_members = -2\n", "bad.cfg: ensemble_members = -2 must be >= 0"),
             ("gen-data", "sigma = nan\n", "bad.cfg: sigma=nan must be finite and >= 0"),
             ("gen-data", "sigma = inf\n", "bad.cfg: sigma=inf must be finite and >= 0"),
             # one validation path without the other would skip validation
@@ -1122,8 +1156,8 @@ class TestCLI:
         ids=[
             "train_int", "train_bool", "train_key", "gen_int", "gen_counts", "gen_key",
             "gen_negative", "gen_empty", "train_refused", "train_refused_spec",
-            "train_feature_dim", "gen_sigma_nan", "gen_sigma_inf", "train_val_annotations_alone",
-            "train_val_features_alone",
+            "train_feature_dim", "train_seed", "train_ensemble_members", "gen_sigma_nan",
+            "gen_sigma_inf", "train_val_annotations_alone", "train_val_features_alone",
         ],
     )
     def test_config_errors_name_the_line(self, tmp_path, capsys, command, text, message):
@@ -1185,8 +1219,12 @@ class TestCLI:
             ("lr = 0", "lr = 0.0 must be finite and positive"),
             ("au_threshold = 7", "au_threshold = 7.0 must be in [0, 1]"),
             ("lambda1 = -1", "lambda1 = -1.0 must be finite and >= 0"),
+            ("seed = -1", "seed = -1 must be >= 0"),
         ],
-        ids=["lr_negative", "lr_nan", "lr_zero", "au_threshold_7", "lambda1_negative"],
+        ids=[
+            "lr_negative", "lr_nan", "lr_zero", "au_threshold_7", "lambda1_negative",
+            "seed_negative",
+        ],
     )
     def test_train_with_an_out_of_range_value_is_exit_2_before_any_read(
         self, tmp_path, capsys, line, message
@@ -1201,6 +1239,49 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and "Traceback" not in err and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "grad-check"])
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        # numpy would refuse the seed later, without naming the flag; the
+        # config file is missing, so train fails while parsing its arguments
+        args = {"gen-data": ["--out", tmp_path / "data"], "train": ["--config", tmp_path / "x.cfg"]}
+        code = self.run_cli(command, "--seed", -1, *args.get(command, []))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "argument --seed: expected an integer >= 0, got '-1'" in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("case", ["train_epochs_0", "val", "eval"])
+    def test_feature_file_of_another_width_is_named_before_a_model_is_built(
+        self, tmp_path, capsys, case
+    ):
+        # with 0 epochs no batch reaches the model; eval's checkpoint is
+        # missing, so the check runs before the model is built
+        cfg = self.write_expr_data(tmp_path, feature_dim=10 if case == "val" else 16)
+        if case == "eval":
+            code = self.run_cli(
+                "eval", "--config", cfg, "--checkpoint", tmp_path / "missing.ckpt",
+                "--annotations", tmp_path / "ann.csv", "--features", tmp_path / "feat.csv",
+                "--out", tmp_path / "report.txt",
+            )
+        elif case == "val":
+            val = blank_columns(["v0", "v1"], np.zeros((2, 12)), split="val")
+            val.labels.task[:], val.labels.expr[:] = TASKS.index("EXPR"), 0
+            write_columns(val, tmp_path / "val_ann.csv", tmp_path / "val_feat.csv")
+            RunConfig.from_file(cfg).override(
+                val_annotations=str(tmp_path / "val_ann.csv"),
+                val_features=str(tmp_path / "val_feat.csv"),
+            ).to_file(cfg)
+            code = self.run_cli("train", "--config", cfg)
+        else:
+            code = self.run_cli("train", "--config", cfg, "--epochs", 0)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        if case == "val":
+            assert "val_feat.csv: features dim 12, model expects 10" in err
+        else:
+            assert "feat.csv: features dim 10, model expects 16" in err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "report.txt").exists()
 
     def test_eval_with_au_threshold_7_is_exit_2_before_any_read(self, tmp_path, capsys):
         cfg = self.write_expr_data(tmp_path, feature_dim=10)
