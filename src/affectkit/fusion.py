@@ -26,6 +26,9 @@ from .errors import (
     ValueOutOfRange,
     ZeroWeightSum,
 )
+from .metrics import median
+
+MANIFEST_FIELDS = ("member_id", "ccc_v", "ccc_a", "path")
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,18 @@ def decision_level_fuse(members: Sequence[EnsembleMember]) -> Dict:
 
 
 def median_filter(series, window: int) -> np.ndarray:
-    """Sliding median with edge replication; output length equals input."""
+    """Sliding median with edge replication; output length equals input.
+    Each value is ``numpy.median`` of its window, bit for bit, taken by
+    :func:`metrics.median` from one sort of all the windows."""
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be odd and >= 1, got {window}")
     x = np.asarray(series, dtype=np.float64)
-    if window == 1 or x.size == 0:
+    if x.size == 0:
         return x.copy()
     half = window // 2
     padded = np.concatenate([np.repeat(x[0], half), x, np.repeat(x[-1], half)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return np.median(windows, axis=1)
+    return median(windows, axis=1)
 
 
 def smooth(series, alpha: float) -> np.ndarray:
@@ -107,18 +112,30 @@ def smooth(series, alpha: float) -> np.ndarray:
 
 
 def read_manifest(path) -> List[Tuple[str, float, float, str]]:
-    """Parse a member manifest: CSV rows ``member_id, ccc_v, ccc_a, path``
-    with a header line; paths point at prediction files. A short row or a
-    bad or non-finite number raises ConfigError at ``path:line``."""
+    """Parse a member manifest: the header line ``member_id,ccc_v,ccc_a,path``
+    then one row per member, whose path points at its prediction file. A
+    missing or other header, a short row, a bad or non-finite number or a
+    repeated ``member_id`` raises ConfigError at ``path:line``; a manifest
+    with no member rows raises ConfigError naming it, and an empty file
+    ZeroWeightSum."""
     rows = []
+    lines: Dict[str, int] = {}
     with open_rows(path) as (header, records):
         if header is None:
-            raise ZeroWeightSum("empty manifest")
+            raise ZeroWeightSum(f"{path}: empty manifest")
+        if tuple(c.strip() for c in header) != MANIFEST_FIELDS:
+            raise ConfigError(f"{path}:1: bad manifest header {header}, "
+                              f"expected {','.join(MANIFEST_FIELDS)}")
         for line, row in records:
             where = f"{path}:{line}"
             if len(row) < 4:
                 raise ConfigError(f"{where}: expected 4 fields, got {len(row)}")
             member_id, ccc_v, ccc_a, pred_path = (c.strip() for c in row[:4])
+            if member_id in lines:
+                raise ConfigError(
+                    f"{where}: member {member_id!r} repeats line {lines[member_id]}"
+                )
+            lines[member_id] = line
             try:
                 weights = float(ccc_v), float(ccc_a)
             except ValueError as exc:
@@ -126,4 +143,6 @@ def read_manifest(path) -> List[Tuple[str, float, float, str]]:
             if not np.all(np.isfinite(weights)):
                 raise ConfigError(f"{where}: CCC weights must be finite, got {ccc_v}, {ccc_a}")
             rows.append((member_id, *weights, pred_path))
+    if not rows:
+        raise ConfigError(f"{path}: no member rows after the header")
     return rows

@@ -5,6 +5,8 @@ concordance correlation coefficient (CCC), which penalizes series that
 correlate but are shifted or scaled. Classification quality uses per-class
 recall (mean diagonal of the confusion matrix, also reported as UAR),
 one-vs-rest F1, and two composite scores blending F1 with accuracy.
+:func:`median` reduces per-frame VA values, for a clip's summary and for
+the sliding median filter, without ``numpy.median``'s per-call machinery.
 
 Degenerate 0/0 inputs (constant series, a class absent from both vectors)
 produce a documented conventional value plus a DegenerateInputWarning
@@ -155,3 +157,26 @@ def e_total_au(mean_f1: float, total_acc: float) -> float:
 def binarize(probs, threshold: float = 0.5) -> np.ndarray:
     """Threshold probabilities to {0,1}; used before AU F1/accuracy."""
     return (np.asarray(probs, dtype=np.float64) >= threshold).astype(np.int64)
+
+
+def median(a: np.ndarray, axis: int):
+    """``numpy.median(a, axis)``, bit for bit, from one ``np.sort``; the axis
+    must not be empty.
+
+    An odd count gives ``0.0 +`` the middle value (numpy.median's mean turns a
+    middle -0.0 into +0.0), an even one ``(0.0 + lo + hi) / 2.0``. A slice
+    holding a NaN sorts it last, and its median is the slice's first NaN:
+    numpy's sorts write every NaN as +NaN, while numpy.median hands back one
+    of the slice's own, such as the -NaN of ``inf - inf``. Only a slice
+    holding NaNs of different bits can differ, in which NaN it gives.
+    """
+    s = np.sort(a, axis=axis)
+    n = s.shape[axis]
+    at = (slice(None),) * (axis % s.ndim)
+    h = n // 2
+    mid = 0.0 + s[at + (h,)] if n % 2 else (0.0 + s[at + (h - 1,)] + s[at + (h,)]) / 2.0
+    nan = np.isnan(s[at + (n - 1,)])
+    if not nan.any():
+        return mid
+    first = np.expand_dims(np.isnan(a).argmax(axis=axis), axis)
+    return np.where(nan, np.take_along_axis(a, first, axis).squeeze(axis), mid)[()]

@@ -46,6 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .losses import BatchPredictions, softmax_parts
+from .metrics import median
 from .types import NUM_AUS, NUM_EXPRESSIONS, VA_DIM
 
 HEAD_NAMES = ("VA", "EXPR", "AU", "COMPOUND")
@@ -431,7 +432,8 @@ def outputs(preds: BatchPredictions) -> Dict[str, Optional[np.ndarray]]:
 
 @dataclass
 class SequencePrediction:
-    """Per-frame outputs for one sequence plus the per-dimension VA median."""
+    """Per-frame outputs for one sequence plus the per-dimension VA median:
+    ``va_median`` is ``numpy.median(va, axis=0)``, bit for bit, from one sort."""
 
     va: Optional[np.ndarray]  # (T,2)
     expr_probs: Optional[np.ndarray]  # (T,7)
@@ -446,15 +448,17 @@ def predict_sequence(
     landmarks: Optional[np.ndarray] = None,
 ) -> SequencePrediction:
     """Evaluate one sequence of frames; VA estimates are summarized by their
-    per-dimension median (even counts use the mean of the middle two)."""
+    per-dimension median (even counts use the mean of the middle two), which
+    :func:`metrics.median` takes from one sort: ``numpy.median(va, axis=0)``,
+    bit for bit."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise EmptySequence(f"frames must be nonempty (T,D), got {frames.shape}")
     streams = (None if a is None else np.asarray(a)[None] for a in (audio, landmarks))
     out = outputs(model.forward(SequenceBatch(frames[None], *streams)))
     va = out["va"]
-    median = None if va is None else np.median(va, axis=0)
-    return SequencePrediction(va, out["expr"], out["au"], median)
+    va_median = None if va is None else median(va, axis=0)
+    return SequencePrediction(va, out["expr"], out["au"], va_median)
 
 
 def load_parameters(model: Model, values: Dict[str, np.ndarray]):

@@ -154,6 +154,29 @@ class TestMedianFilter:
             median_filter([1.0], window=0)
 
 
+def windowed_medians(x: np.ndarray, window: int) -> np.ndarray:
+    """The oracle: ``np.median`` of each edge-replicated window, one call each."""
+    half = window // 2
+    padded = np.concatenate([[x[0]] * half, x, [x[-1]] * half]) if x.size else x
+    return np.array([np.median(padded[i : i + window]) for i in range(x.size)])
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_median_filter_has_np_medians_bits(window):
+    rng = np.random.default_rng(window)
+    for length in range(61):
+        series = [rng.standard_normal(length), rng.choice([0.0, -0.0], length)]
+        for nan in (np.nan, -np.nan):  # -NaN is what inf - inf gives on x86
+            specials = [nan, np.inf, -np.inf, 0.0, -0.0]
+            hit = rng.random(length) < 0.3
+            series.append(np.where(hit, rng.choice(specials, length), rng.standard_normal(length)))
+        for x in series:
+            with np.errstate(invalid="ignore"):
+                got, want = median_filter(x, window), windowed_medians(x, window)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (length, x, got, want)
+
+
 class TestSmooth:
     def test_half_alpha(self):
         assert smooth([0.0, 1.0], alpha=0.5).tolist() == [0.0, 0.5]
@@ -210,4 +233,32 @@ class TestManifest:
         path = tmp_path / "members.csv"
         path.write_text("")
         with pytest.raises(ZeroWeightSum):
+            read_manifest(path)
+
+    def test_empty_manifest_names_the_file(self, tmp_path):
+        path = tmp_path / "members.csv"
+        path.write_text("")
+        with pytest.raises(ZeroWeightSum, match=r"members\.csv: empty manifest"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "first", ["m1,0.5,0.5,p1.csv", "member_id,ccc_v,ccc_a", "id,ccc_v,ccc_a,path", ""]
+    )
+    def test_a_first_line_that_is_not_the_header_is_refused(self, tmp_path, first):
+        path = tmp_path / "members.csv"
+        path.write_text(f"{first}\nm2,0.9,0.9,p2.csv\n")
+        with pytest.raises(ConfigError, match=r"members\.csv:1: bad manifest header"):
+            read_manifest(path)
+
+    def test_a_header_without_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "members.csv"
+        path.write_text("member_id,ccc_v,ccc_a,path\n")
+        with pytest.raises(ConfigError, match=r"members\.csv: no member rows"):
+            read_manifest(path)
+
+    def test_a_repeated_member_id_names_its_line(self, tmp_path):
+        path = tmp_path / "members.csv"
+        path.write_text("member_id,ccc_v,ccc_a,path\nm0,0.5,0.3,p.csv\nm1,0.5,0.3,p.csv\n"
+                        "m0,0.5,0.3,p.csv\n")
+        with pytest.raises(ConfigError, match=r"members\.csv:4: member 'm0' repeats line 2"):
             read_manifest(path)

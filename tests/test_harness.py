@@ -1451,6 +1451,25 @@ class TestCLI:
         else:
             assert read_predictions(out)[0].valence == 0.25
 
+    @pytest.mark.parametrize(
+        "header,message",
+        [("", "members.csv:1: bad manifest header"),
+         ("member_id,ccc_v,ccc_a,path\n", "members.csv:3: member 'm0' repeats line 2")],
+        ids=["no_header", "repeated_member"],
+    )
+    def test_fuse_refuses_a_manifest_that_would_drop_or_double_a_member(
+        self, tmp_path, capsys, header, message
+    ):
+        preds = tmp_path / "p0.csv"
+        write_predictions(preds, [PredictionRecord(id="f0", valence=0.25, arousal=-0.5)])
+        manifest = tmp_path / "members.csv"
+        manifest.write_text(f"{header}m0,0.5,0.3,{preds}\nm0,0.5,0.3,{preds}\n")
+        out = tmp_path / "fused.csv"
+        code = self.run_cli("fuse", "--manifest", manifest, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2 and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_fuse_with_empty_va_is_exit_2(self, tmp_path, capsys):
         good = tmp_path / "p0.csv"
         write_predictions(good, [PredictionRecord(id="a", valence=0.25, arousal=-0.5)])

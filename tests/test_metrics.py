@@ -20,6 +20,7 @@ from affectkit.metrics import (
     f1_binary,
     macro_f1,
     mean_diagonal,
+    median,
     mse,
 )
 
@@ -76,6 +77,62 @@ class TestCCC:
             backward = ccc(ys, xs)
         assert forward == pytest.approx(backward, abs=1e-9)
         assert -1.0 - 1e-9 <= forward <= 1.0 + 1e-9
+
+
+def specials(nan: float) -> np.ndarray:
+    """Values np.median treats specially: a NaN, infinities, zeros of both signs."""
+    return np.array([nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+def with_specials(n: int, rng, specials) -> np.ndarray:
+    """(n, 8) normal draws whose first column is all -0.0, second column
+    zeros of both signs, and whose other columns hold ``specials`` at rates
+    0 to 0.9."""
+    a = rng.standard_normal((n, 8))
+    a[:, 0] = -0.0
+    a[:, 1] = rng.choice([0.0, -0.0], n)
+    for col, rate in enumerate((0.0, 0.1, 0.25, 0.5, 0.75, 0.9), start=2):
+        hit = rng.random(n) < rate
+        a[hit, col] = rng.choice(specials, hit.sum())
+    return a
+
+
+def medians(a: np.ndarray, axis: int):
+    with np.errstate(invalid="ignore"):  # -inf + inf, in both
+        return median(a, axis=axis), np.median(a, axis=axis)
+
+
+class TestMedian:
+    """``median`` against ``np.median`` itself, bit for bit."""
+
+    # np.nan is +NaN; inf - inf gives -NaN on x86
+    @pytest.mark.parametrize("nan", [np.nan, -np.nan], ids=["nan", "neg_nan"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_np_median_bits_with_specials(self, n, axis, nan):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            a = with_specials(n, rng, specials(nan))
+            got, want = medians(a if axis == 0 else np.ascontiguousarray(a.T), axis)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [np.nan, 1.0],
+                                        [1.0, -np.nan, 2.0], [2.0, -1.0, 3.0, 0.5],
+                                        [np.inf, -np.inf]])
+    def test_a_1d_array_gives_a_scalar_with_np_medians_bits(self, values):
+        got, want = medians(np.array(values), 0)
+        assert type(got) is type(want) is np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_nans_of_both_signs_give_a_nan_where_np_median_does(self, n):
+        # which of a slice's NaNs np.median hands back is up to its
+        # partition, so here only NaN-ness is compared
+        a = with_specials(n, np.random.default_rng(n), np.array([np.nan, -np.nan]))
+        got, want = medians(a, 0)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
 
 
 class TestMSE:
