@@ -450,9 +450,10 @@ def save_checkpoint(path, params: Mapping[str, object]) -> None:
     """Write named arrays (or DiffTensors) sorted by name.
 
     Layout: magic, u32 version, u32 entry count; per entry a u16 name
-    length, UTF-8 name, u8 ndim, u32 per dimension, then the raw
-    little-endian 64-bit values. Round-trips bit-exactly. The file at
-    ``path`` is replaced only once the new one is whole.
+    length, UTF-8 name, u8 ndim (numpy allows at most 64), u32 per
+    dimension, then the raw little-endian 64-bit values. Round-trips
+    bit-exactly. The file at ``path`` is replaced only once the new one
+    is whole.
     """
     items = sorted(params.items())
     with atomic_write(path, "wb") as fh:
@@ -466,8 +467,6 @@ def save_checkpoint(path, params: Mapping[str, object]) -> None:
             encoded = name.encode("utf-8")
             if not encoded or len(encoded) > 0xFFFF:
                 raise BadCheckpoint(f"bad parameter name {name!r}")
-            if arr.ndim > 0xFF:
-                raise BadCheckpoint(f"too many dimensions for {name!r}")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))

@@ -2,11 +2,11 @@
 
 Decision-level fusion averages member predictions weighted by each
 member's validation concordance, per dimension. Model-level fusion is not
-here: ``RunConfig.model_spec`` builds the composite spec whose member
-trunks feed one shared fusion stage, trained end-to-end. The temporal tools
-(median filter, exponential smoothing) operate on plain series and are
-kept only when they help validation scores; that gating lives in the
-harness.
+here: ``RunConfig.model_spec`` builds a composite spec whose copies of one
+trunk feed one shared fusion stage, trained end to end. The temporal tools
+(median filter, exponential smoothing) operate on plain series; nothing
+applies them unless asked (``affectkit fuse --median-window`` and
+``--smooth-alpha``).
 """
 
 from __future__ import annotations

@@ -104,8 +104,8 @@ class RunConfig:
     dropout: float = 0.0
     recurrent_dropout: float = 0.0
     compound_classes: int = 11
-    ensemble_members: int = 0  # >= 2 trains an end-to-end fused ensemble
-    ensemble_fusion: str = "fc"
+    ensemble_members: int = 0  # 0, or >= 2 to train an end-to-end fused ensemble
+    ensemble_fusion: str = "fc"  # fc | rnn
     fusion_width: int = 16
 
     # objective
@@ -188,7 +188,7 @@ class RunConfig:
             ) from None
 
     def model_spec(self) -> ModelSpec:
-        base = ModelSpec(
+        return ModelSpec(
             backbone=self.backbone,
             taps=self.taps,
             recurrent=self._recurrent_spec(),
@@ -198,16 +198,10 @@ class RunConfig:
             dropout=self.dropout,
             recurrent_dropout=self.recurrent_dropout,
             compound_classes=self.compound_classes,
+            members=self.ensemble_members,
+            fusion=self.ensemble_fusion,
+            fusion_width=self.fusion_width,
         )
-        if self.ensemble_members >= 2:
-            return ModelSpec(
-                members=tuple([base] * self.ensemble_members),
-                fusion=self.ensemble_fusion,
-                fusion_width=self.fusion_width,
-                heads=self.heads,
-                compound_classes=self.compound_classes,
-            )
-        return base
 
     def input_dims(self) -> InputDims:
         return InputDims(

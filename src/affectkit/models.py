@@ -8,9 +8,11 @@ per-frame landmark features appended to the last tap; and any subset of
 the four output heads (VA regression, expression logits, AU logits, and a
 compound-expression head for transfer experiments).
 
-Composite specs (``members`` set) concatenate several member trunks into
-one fusion trunk - recurrent or dense - and train the whole stack
-end-to-end.
+A composite spec (``members`` >= 2) builds that many copies of its own
+trunk, each drawn on its own (parameters ``member{i}.*``), concatenates
+their outputs into one fusion layer - a GRU (``rnn``) or a dense ReLU
+layer (``fc``) of ``fusion_width`` units - under the heads, and trains the
+whole stack end to end.
 
 Parameters are made in a fixed order by one ``autodiff.Parameters``: drawn
 from the seed, or adopted from a checkpoint (``Model(..., values=...)``).
@@ -81,9 +83,9 @@ class ModelSpec:
     dropout: float = 0.0
     recurrent_dropout: float = 0.0
     compound_classes: int = 11
-    # composite (model-level fusion) fields
-    members: Optional[Tuple["ModelSpec", ...]] = None
-    fusion: Optional[str] = None  # "rnn" | "fc"
+    # composite (model-level fusion): 0, or that many copies of this trunk
+    members: int = 0
+    fusion: str = "fc"  # "rnn" | "fc"
     fusion_width: int = 16
 
     def validate(self) -> None:
@@ -94,18 +96,12 @@ class ModelSpec:
                 raise InvalidSpec(f"unknown head {h!r}")
         if len(set(self.heads)) != len(self.heads):
             raise InvalidSpec("duplicate heads")
-        if self.members is not None:
-            if not self.members:
-                raise InvalidSpec("composite spec needs at least one member")
-            if self.fusion not in ("rnn", "fc"):
-                raise InvalidSpec(f"fusion mode {self.fusion!r}")
-            if self.fusion_width < 1:
-                raise InvalidSpec("fusion_width must be positive")
-            for m in self.members:
-                if m.members is not None:
-                    raise InvalidSpec("nested composites are not supported")
-                m.validate()
-            return
+        if self.members < 0 or self.members == 1:
+            raise InvalidSpec(f"members = {self.members}: a fused ensemble needs 0 or >= 2")
+        if self.fusion not in ("rnn", "fc"):
+            raise InvalidSpec(f"fusion mode {self.fusion!r}")
+        if self.fusion_width < 1:
+            raise InvalidSpec(f"fusion_width = {self.fusion_width} must be positive")
         if self.streams not in (1, 2):
             raise InvalidSpec(f"streams must be 1 or 2, got {self.streams}")
         for w in self.backbone:
@@ -135,8 +131,7 @@ class ModelSpec:
     def stateful(self) -> bool:
         """Whether the model carries state from frame to frame: a GRU
         anywhere in it. A stateless model maps every row on its own."""
-        specs = self.members if self.members is not None else (self,)
-        return self.fusion == "rnn" or any(s.recurrent is not None for s in specs)
+        return self.recurrent is not None or (self.members > 0 and self.fusion == "rnn")
 
 
 @dataclass
@@ -225,18 +220,13 @@ def pack_rows(features: np.ndarray, keys: Optional[np.ndarray] = None) -> Sequen
 
 
 class _Trunk:
-    """Backbone + taps + optional recurrence for one (sub)spec.
+    """Backbone + taps + optional recurrence of a validated spec.
 
     Makes its parameters with ``param`` in a fixed order, each named under
     ``prefix``, so a seed or a checkpoint fully determines them.
     """
 
     def __init__(self, spec: ModelSpec, dims: InputDims, param: ad.Parameters, prefix: str):
-        spec.validate()
-        if spec.streams == 2 and dims.audio < 1:
-            raise InvalidSpec("two-stream spec needs audio feature dims")
-        if spec.landmark_concat and dims.landmarks < 1:
-            raise InvalidSpec("landmark_concat needs landmark dims")
         self.spec = spec
         stream_inputs = [dims.features, dims.audio][: spec.streams]
         self.layers: List[List[Tuple[DiffTensor, DiffTensor]]] = []
@@ -314,27 +304,26 @@ class Model:
         values: Optional[Dict[str, np.ndarray]] = None,
     ):
         spec.validate()
+        if spec.streams == 2 and dims.audio < 1:
+            raise InvalidSpec("two-stream spec needs audio feature dims")
+        if spec.landmark_concat and dims.landmarks < 1:
+            raise InvalidSpec("landmark_concat needs landmark dims")
         self.spec = spec
         self.dims = dims
         param = ad.Parameters(seed, values)
 
-        if spec.members is not None:
-            self.trunks = [
-                _Trunk(m, dims, param, f"member{i}.") for i, m in enumerate(spec.members)
-            ]
-            member_width = sum(t.out_width for t in self.trunks)
-            width = spec.fusion_width
+        prefixes = [f"member{i}." for i in range(spec.members)] or [""]
+        self.trunks = [_Trunk(spec, dims, param, prefix) for prefix in prefixes]
+        trunk_out = sum(t.out_width for t in self.trunks)
+        self.fusion_layer: object = None
+        if spec.members:
+            member_width, trunk_out = trunk_out, spec.fusion_width
             if spec.fusion == "fc":
-                self.fusion_layer: object = (
-                    "fc", param("fusion.w", (member_width, width)), param("fusion.b", (width,))
+                self.fusion_layer = (
+                    param("fusion.w", (member_width, trunk_out)), param("fusion.b", (trunk_out,))
                 )
             else:
-                self.fusion_layer = ("rnn", GruCell(member_width, width, param, "fusion"))
-            trunk_out = width
-        else:
-            self.trunks = [_Trunk(spec, dims, param, "")]
-            self.fusion_layer = None
-            trunk_out = self.trunks[0].out_width
+                self.fusion_layer = GruCell(member_width, trunk_out, param, "fusion")
 
         self.trunk_width = trunk_out
         self.heads: Dict[str, Tuple[DiffTensor, DiffTensor]] = {}
@@ -361,19 +350,18 @@ class Model:
     # -- execution ----------------------------------------------------------
 
     def _check_batch(self, batch: SequenceBatch) -> None:
-        specs = self.spec.members if self.spec.members is not None else (self.spec,)
         if batch.features.shape[2] != self.dims.features:
             raise ShapeMismatch(
                 f"features dim {batch.features.shape[2]}, model expects {self.dims.features}"
             )
-        if any(s.streams == 2 for s in specs):
+        if self.spec.streams == 2:
             if batch.audio is None:
                 raise ShapeMismatch("two-stream model needs audio features")
             if batch.audio.shape[2] != self.dims.audio:
                 raise ShapeMismatch(
                     f"audio dim {batch.audio.shape[2]}, model expects {self.dims.audio}"
                 )
-        if any(s.landmark_concat for s in specs):
+        if self.spec.landmark_concat:
             if batch.landmarks is None:
                 raise ShapeMismatch("landmark_concat model needs landmark features")
             if batch.landmarks.shape[2] != self.dims.landmarks:
@@ -396,17 +384,14 @@ class Model:
                 return None
             return DiffTensor(arr.transpose(1, 0, 2).reshape(t_len * b_size, arr.shape[2]))
 
-        feats, audio, lmk = rows(batch.features), rows(batch.audio), rows(batch.landmarks)
-        feat = _cat([
-            trunk.forward([feats, audio][: trunk.spec.streams], lmk, b_size, t_len, train, rng)
-            for trunk in self.trunks
-        ])
-        if self.fusion_layer is not None:
-            if self.fusion_layer[0] == "fc":
-                _, w, b = self.fusion_layer
-                feat = ad.relu(ad.dense(feat, w, b))
+        xs = [rows(batch.features), rows(batch.audio)][: self.spec.streams]
+        lmk = rows(batch.landmarks)
+        feat = _cat([trunk.forward(xs, lmk, b_size, t_len, train, rng) for trunk in self.trunks])
+        if self.spec.members:
+            if self.spec.fusion == "fc":
+                feat = ad.relu(ad.dense(feat, *self.fusion_layer))
             else:
-                feat = _recur([self.fusion_layer[1]], feat, b_size, t_len)
+                feat = _recur([self.fusion_layer], feat, b_size, t_len)
         out = {name: ad.dense(feat, w, b) for name, (w, b) in self.heads.items()}
         if batch.index is not None:
             out = {name: ad.take_rows(head, batch.index) for name, head in out.items()}

@@ -155,16 +155,6 @@ def _score(
     return score
 
 
-def candidate_score(cdef: CompoundClassDef, pred: PredictionRecord) -> float:
-    """score = weighted mean of p(AU_k) over the class AU set
-    + p(emo1) + p(emo2) + bonus.
-
-    The bonus (only on positive-valence compounds) is 0.5*(sign(v)+1):
-    1 for positive valence, 0 for negative, 0.5 at exactly zero.
-    """
-    return _score(cdef, *_record_values((cdef,), pred))
-
-
 def classify_compound(
     defs: Sequence[CompoundClassDef], pred: PredictionRecord
 ) -> CompoundClassDef:

@@ -1,5 +1,7 @@
 """Reverse-mode tensor core: ops vs central differences, optimizer, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -646,3 +648,72 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
+
+    @staticmethod
+    def raw(*entries, version=1):
+        """Checkpoint bytes holding ``entries``, each (name bytes, shape),
+        with zero values."""
+        out = [b"AFMT", struct.pack("<II", version, len(entries))]
+        for name, shape in entries:
+            out += [struct.pack("<H", len(name)), name, struct.pack("<B", len(shape))]
+            out += [struct.pack("<I", d) for d in shape]
+            out.append(np.zeros(shape).tobytes())
+        return b"".join(out)
+
+    def test_raw_layout_loads(self, tmp_path):
+        # the layout the refusals below break, read as written
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.raw((b"ab", (2, 3))))
+        save_checkpoint(tmp_path / "saved.ckpt", {"ab": np.zeros((2, 3))})
+        assert path.read_bytes() == (tmp_path / "saved.ckpt").read_bytes()
+        assert load_checkpoint(path)["ab"].shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "size,message",
+        [
+            (9, "wanted 8 bytes, got 5"),  # the version and entry count
+            (13, "wanted 2 bytes, got 1"),  # the name length
+            (15, "wanted 2 bytes, got 1"),  # the name "ab"
+            (16, "wanted 1 bytes, got 0"),  # the dimension count
+            (19, "wanted 4 bytes, got 2"),  # the first dimension
+        ],
+        ids=["header", "name_length", "name", "ndim", "dimension"],
+    )
+    def test_short_read_is_refused(self, tmp_path, size, message):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.raw((b"ab", (2, 3)))[:size])
+        with pytest.raises(BadCheckpoint, match=f"^truncated checkpoint: {message}$"):
+            load_checkpoint(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.raw((b"w", (2,)), version=2))
+        with pytest.raises(BadCheckpoint, match="^unsupported version 2$"):
+            load_checkpoint(path)
+
+    def test_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.raw((b"w\xff", (2,))))
+        with pytest.raises(BadCheckpoint, match="^parameter name is not UTF-8$"):
+            load_checkpoint(path)
+
+    def test_duplicate_parameter(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.raw((b"w", (2,)), (b"w", (3,))))
+        with pytest.raises(BadCheckpoint, match="^duplicate parameter 'w'$"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self.raw((b"w", (2,))) + b"\x00")
+        with pytest.raises(BadCheckpoint, match="^trailing bytes after last entry$"):
+            load_checkpoint(path)
+
+    def test_many_dimensions_round_trip(self, tmp_path):
+        # the u8 dimension count holds any array's: numpy caps ndim at 64
+        # (32 before numpy 2), so save needs no refusal for it
+        with pytest.raises(ValueError):
+            np.zeros((1,) * 65)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.full((1,) * 31 + (2,), 0.5)})
+        assert load_checkpoint(path)["w"].shape == (1,) * 31 + (2,)

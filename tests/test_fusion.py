@@ -96,20 +96,19 @@ class TestModelLevelFuseSpec:
             backbone=(8,), ensemble_members=2, ensemble_fusion="rnn", fusion_width=12
         )
         spec = cfg.model_spec()
-        member = ModelSpec(backbone=(8,), heads=cfg.heads)
-        assert spec.members == (member, member)
-        assert spec.fusion == "rnn"
-        assert spec.fusion_width == 12
+        assert spec == ModelSpec(
+            backbone=(8,), heads=cfg.heads, members=2, fusion="rnn", fusion_width=12
+        )
 
-    def test_heads_default_to_first_member(self):
+    def test_heads_come_from_the_config(self):
         spec = RunConfig(
             backbone=(8,), heads=("EXPR", "VA"), ensemble_members=2
         ).model_spec()
-        assert spec.heads == spec.members[0].heads == ("EXPR", "VA")
+        assert spec.heads == ("EXPR", "VA")
 
     def test_invalid_mode(self):
         with pytest.raises(InvalidSpec):
-            ModelSpec(members=(ModelSpec(),), fusion="sum").validate()
+            ModelSpec(members=2, fusion="sum").validate()
 
     @pytest.mark.parametrize("fusion", ["fc", "rnn"])
     def test_compound_ensemble_head_width(self, fusion):

@@ -20,6 +20,7 @@ from affectkit.errors import (
     ConfigError,
     DivergedLoss,
     IncompatibleHeads,
+    InvalidSpec,
     KeyMisalignment,
     UnknownClass,
 )
@@ -42,12 +43,14 @@ from affectkit.harness.dataio import (
     write_predictions,
     write_report,
 )
+from affectkit.fusion import median_filter, smooth
 from affectkit.harness.evaluate import evaluate_model
+from affectkit.preprocess import CANONICAL_LANDMARKS, read_landmarks
 from affectkit.harness.synth import SyntheticSpec, generate_dataset, make_dataset
 from affectkit.harness import dataio, synth, training
 from affectkit.harness.training import load_model, train_run
 from affectkit.losses import TASKS, objective
-from affectkit.models import Model
+from affectkit.models import InputDims, Model, ModelSpec, load_parameters
 from affectkit.relatedness import RelatednessTable
 from affectkit.types import PredictionRecord, au_index, expression_id
 from affectkit.zeroshot import classify_compound, default_compound_defs
@@ -164,6 +167,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("relatedness = telepathic\n", ConfigError, "relatedness='telepathic'"),
+            ("total_batch = 0\n", ConfigError, "total_batch must be positive"),
+            ("epochs = -1\n", ConfigError, "epochs must be nonnegative"),
+            ("lr_decay = 0\n", ConfigError, "lr_decay must be in (0,1]"),
+            ("lr_decay = 1.5\n", ConfigError, "lr_decay must be in (0,1]"),
+            ("recurrent = single:many\n", ConfigError,
+             "recurrent='single:many'; expected none or kind:HIDDENxLAYERS"),
+            ("ensemble_members = 1\n", InvalidSpec,
+             "members = 1: a fused ensemble needs 0 or >= 2"),
+            ("ensemble_fusion = bogus\n", InvalidSpec, "fusion mode 'bogus'"),
+            ("ensemble_members = 2\nensemble_fusion = bogus\n", InvalidSpec,
+             "fusion mode 'bogus'"),
+            ("fusion_width = 0\n", InvalidSpec, "fusion_width = 0 must be positive"),
+        ],
+        ids=[
+            "relatedness", "total_batch", "epochs", "lr_decay_zero", "lr_decay_above_one",
+            "recurrent", "ensemble_members_1", "ensemble_fusion", "ensemble_fusion_fused",
+            "fusion_width",
+        ],
+    )
+    def test_from_file_refusal_names_the_file(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+            RunConfig.from_file(path)
+
     def test_range_bounds_validate(self):
         RunConfig(lr=5e-324, au_threshold=0.0, lambda1=0.0, lambda2=0.0).validate()
         RunConfig(au_threshold=1.0).validate()
@@ -177,7 +209,7 @@ class TestConfig:
     def test_ensemble_spec_is_composite(self):
         cfg = RunConfig(ensemble_members=3, ensemble_fusion="rnn")
         spec = cfg.model_spec()
-        assert spec.members is not None and len(spec.members) == 3
+        assert spec.members == 3
         assert spec.fusion == "rnn"
 
     def test_recurrent_spec_parsing(self):
@@ -834,8 +866,6 @@ class TestEvaluate:
             evaluate_model(result.model, val, tasks=["GAZE"])
 
     def test_constant_model_hits_chance_recall(self):
-        from affectkit.models import InputDims, ModelSpec, load_parameters
-
         model = Model(
             ModelSpec(backbone=(4,), heads=("EXPR",)), InputDims(features=10), seed=0
         )
@@ -845,6 +875,25 @@ class TestEvaluate:
         # every row predicts the same class: recall 1 on one class, 0 elsewhere
         assert metrics["expr.mean_diagonal"] == pytest.approx(1 / 7)
         assert metrics["expr.accuracy"] == pytest.approx(1 / 7)
+
+    def test_compound_metrics_of_a_known_confusion(self):
+        # no trunk and an identity head: each row predicts the class its
+        # one-hot feature row names
+        truth, pred = [0, 0, 0, 1, 1, 2], [0, 0, 1, 1, 2, 2]
+        data = blank_columns([f"c{i}" for i in range(6)], np.eye(3)[pred])
+        data.labels.task[:], data.labels.compound[:] = TASKS.index("COMPOUND"), truth
+        model = Model(ModelSpec(heads=("COMPOUND",), compound_classes=3), InputDims(3), seed=0)
+        load_parameters(model, {"head.compound.w": np.eye(3), "head.compound.b": np.zeros(3)})
+        metrics, records = evaluate_model(model, data)
+        # confusion, rows by true class: [2, 1, 0], [0, 1, 1], [0, 0, 1]
+        assert metrics["compound.accuracy"] == 4 / 6
+        assert metrics["compound.mean_diagonal"] == pytest.approx((2 / 3 + 1 / 2 + 1) / 3)
+        # per-class F1: 2*2/(2+3), 2*1/(2+2), 2*1/(2+1)
+        assert metrics["compound.f1"] == pytest.approx((4 / 5 + 1 / 2 + 2 / 3) / 3)
+        assert set(metrics) == {
+            "compound.accuracy", "compound.f1", "compound.mean_diagonal", "degenerate_count"
+        }
+        assert metrics["degenerate_count"] == 0.0 and len(records) == 6
 
     def test_audio_model_on_a_split_names_its_first_row(self):
         # no split carries audio, so a two-stream model is refused
@@ -1662,6 +1711,122 @@ class TestCLI:
         lines = compound_csv.read_text().strip().splitlines()
         assert lines[0] == "id,compound"
         assert len(lines) == 1 + 36  # header plus one row per val sample
+
+    def test_train_seed_and_out_dir_flags(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, epochs=1)
+        cfg.to_file(tmp_path / "run.cfg")
+        out = tmp_path / "cli"
+        assert self.run_cli(
+            "train", "--config", tmp_path / "run.cfg", "--seed", 3, "--out-dir", out
+        ) == 0
+        capsys.readouterr()
+        want = train_run(cfg.override(seed=3, out_dir=str(tmp_path / "api")))
+        assert (out / "model.ckpt").read_bytes() == open(want.checkpoint_path, "rb").read()
+        saved = RunConfig.from_file(out / "config.txt")
+        assert (saved.seed, saved.out_dir) == (3, str(out))
+        assert not os.path.exists(cfg.out_dir)
+
+    def test_train_init_from_and_freeze_trunk_flags(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, epochs=1)
+        cfg.to_file(tmp_path / "run.cfg")
+        donor = train_run(cfg.override(seed=5, out_dir=str(tmp_path / "donor")))
+        donor_params = load_checkpoint(donor.checkpoint_path)
+        base = ["train", "--config", tmp_path / "run.cfg", "--init-from", donor.checkpoint_path]
+        # with no step, the job saves the arrays it started from
+        assert self.run_cli(*base, "--epochs", 0, "--out-dir", tmp_path / "loaded") == 0
+        loaded = tmp_path / "loaded" / "model.ckpt"
+        assert loaded.read_bytes() == open(donor.checkpoint_path, "rb").read()
+        assert self.run_cli(*base, "--freeze-trunk", "--out-dir", tmp_path / "frozen") == 0
+        capsys.readouterr()
+        frozen = load_checkpoint(tmp_path / "frozen" / "model.ckpt")
+        assert set(frozen) == set(donor_params)
+        for name, arr in frozen.items():
+            same = arr.tobytes() == donor_params[name].tobytes()
+            assert same != name.startswith("head."), name
+        saved = RunConfig.from_file(tmp_path / "frozen" / "config.txt")
+        assert saved.freeze_trunk and saved.init_from == donor.checkpoint_path
+
+    def test_train_heads_flag(self, tmp_path, capsys):
+        small_config(tmp_path, epochs=1).to_file(tmp_path / "run.cfg")
+        out = tmp_path / "cli"
+        assert self.run_cli(
+            "train", "--config", tmp_path / "run.cfg", "--heads", "va, expr", "--out-dir", out
+        ) == 0
+        capsys.readouterr()
+        assert RunConfig.from_file(out / "config.txt").heads == ("VA", "EXPR")
+        heads = {n.split(".")[1] for n in load_checkpoint(out / "model.ckpt") if "head." in n}
+        assert heads == {"va", "expr"}
+
+    def test_eval_tasks_flag(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, epochs=1)
+        result = train_run(cfg)
+        report = tmp_path / "report.txt"
+        assert self.run_cli(
+            "eval", "--config", os.path.join(cfg.out_dir, "config.txt"),
+            "--checkpoint", result.checkpoint_path, "--annotations", cfg.val_annotations,
+            "--features", cfg.val_features, "--split", "val", "--tasks", "va,Expr",
+            "--out", report,
+        ) == 0
+        capsys.readouterr()
+        val = load_dataset(cfg.val_annotations, cfg.val_features, split="val")
+        want, _ = evaluate_model(result.model, val, tasks=["VA", "EXPR"])
+        write_report(tmp_path / "want.txt", want)
+        assert report.read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert {k.split(".")[0] for k in want} == {"va", "expr", "degenerate_count"}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--median-window", 3), ("--smooth-alpha", 0.4),
+         ("--median-window", 5, "--smooth-alpha", 0.25)],
+        ids=["median", "smooth", "median_then_smooth"],
+    )
+    def test_fuse_temporal_flags(self, tmp_path, capsys, flags):
+        rng = np.random.default_rng(3)
+        manifest = tmp_path / "members.csv"
+        lines = ["member_id,ccc_v,ccc_a,path"]
+        for m, (ccc_v, ccc_a) in enumerate([(0.6, 0.3), (0.2, 0.5)]):
+            path = tmp_path / f"m{m}.csv"
+            va = rng.uniform(-1, 1, (9, 2))
+            write_predictions(path, [
+                PredictionRecord(id=f"f{i}", valence=v, arousal=a) for i, (v, a) in enumerate(va)
+            ])
+            lines.append(f"m{m},{ccc_v},{ccc_a},{path}")
+        manifest.write_text("\n".join(lines) + "\n")
+        plain, filtered = tmp_path / "plain.csv", tmp_path / "filtered.csv"
+        assert self.run_cli("fuse", "--manifest", manifest, "--out", plain) == 0
+        assert self.run_cli("fuse", "--manifest", manifest, "--out", filtered, *flags) == 0
+        capsys.readouterr()
+        options = dict(zip(flags[::2], flags[1::2]))
+        got = read_predictions(filtered)
+        for dim in ("valence", "arousal"):
+            want = np.array([getattr(r, dim) for r in read_predictions(plain)])
+            if "--median-window" in options:
+                want = median_filter(want, options["--median-window"])
+            if "--smooth-alpha" in options:
+                want = smooth(want, options["--smooth-alpha"])
+            assert np.array_equal([getattr(r, dim) for r in got], want), dim
+        assert [r.id for r in got] == [f"f{i}" for i in range(9)]
+
+    def test_align_canonical_flag(self, tmp_path, capsys):
+        # each frame is an affine image of the built-in canonical points, so
+        # it aligns onto whichever target points it is given
+        canon = np.array(CANONICAL_LANDMARKS.points)
+        target = canon @ np.array([[1.2, 0.1], [-0.1, 1.2]]) + (5.0, -3.0)
+        header = "frame,x1,y1,x2,y2,x3,y3,x4,y4,x5,y5\n"
+        faces, canonical = tmp_path / "faces.landmarks", tmp_path / "target.landmarks"
+        faces.write_text(header + "".join(
+            f"{f}," + ",".join(map(repr, (canon * scale + shift).ravel().tolist())) + "\n"
+            for f, (scale, shift) in enumerate([(0.5, 10.0), (2.0, -4.0)])
+        ))
+        canonical.write_text(header + "7," + ",".join(map(repr, target.ravel().tolist())) + "\n")
+        for args, want in (((), canon), (("--canonical", canonical), target)):
+            out = tmp_path / "aligned.csv"
+            assert self.run_cli("align", "--landmarks", faces, "--out", out, *args) == 0
+            aligned = read_landmarks(out)
+            assert sorted(aligned) == [0, 1]
+            for points in aligned.values():
+                np.testing.assert_allclose(points.as_array(), want, atol=1e-9)
+        capsys.readouterr()
 
     def test_grad_check_command(self, capsys):
         assert self.run_cli("grad-check", "loss.ccc", "--points", 10) == 0

@@ -195,8 +195,8 @@ def test_co_annotation_targets_meet_the_formula_preconditions(
         heads=("VA", "EXPR", "AU", "COMPOUND"), compound_classes=9,
     ),
     ModelSpec(
-        members=(ModelSpec(backbone=(4,)), ModelSpec(backbone=(3,))), fusion="rnn",
-        fusion_width=5, heads=("VA", "EXPR", "AU", "COMPOUND"), compound_classes=3,
+        backbone=(4,), members=2, fusion="rnn", fusion_width=5,
+        heads=("VA", "EXPR", "AU", "COMPOUND"), compound_classes=3,
     ),
 ], ids=["dense", "per_tap", "ensemble"])
 def test_each_head_has_the_width_its_loss_reads(spec):

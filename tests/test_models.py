@@ -94,14 +94,35 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             ModelSpec(heads=("COMPOUND",), compound_classes=1).validate()
 
-    def test_nested_composite_rejected(self):
-        inner = ModelSpec(members=(ModelSpec(),), fusion="fc")
-        with pytest.raises(InvalidSpec):
-            ModelSpec(members=(inner,), fusion="fc").validate()
+    @pytest.mark.parametrize("members", [1, -2])
+    def test_ensemble_of_fewer_than_two_rejected(self, members):
+        with pytest.raises(InvalidSpec, match=f"members = {members}: a fused ensemble"):
+            ModelSpec(members=members).validate()
 
-    def test_bad_fusion_mode(self):
-        with pytest.raises(InvalidSpec):
-            ModelSpec(members=(ModelSpec(),), fusion="avg").validate()
+    @pytest.mark.parametrize("members", [0, 2])
+    def test_bad_fusion_mode(self, members):
+        # the fusion fields are checked whether or not the spec fuses members
+        with pytest.raises(InvalidSpec, match="fusion mode 'avg'"):
+            ModelSpec(members=members, fusion="avg").validate()
+
+    @pytest.mark.parametrize("members", [0, 3])
+    def test_fusion_width_floor(self, members):
+        with pytest.raises(InvalidSpec, match="fusion_width = 0 must be positive"):
+            ModelSpec(members=members, fusion_width=0).validate()
+
+    def test_backbone_width_floor(self):
+        with pytest.raises(InvalidSpec, match="backbone widths must be positive"):
+            ModelSpec(backbone=(4, 0)).validate()
+
+    def test_unknown_recurrent_kind(self):
+        with pytest.raises(InvalidSpec, match="recurrent kind 'lstm'"):
+            ModelSpec(backbone=(4,), recurrent=RecurrentSpec("lstm", 3)).validate()
+
+    @pytest.mark.parametrize("hidden,layers", [(0, 1), (3, 0), (-1, 2)])
+    def test_recurrent_hidden_and_layers_floor(self, hidden, layers):
+        spec = ModelSpec(backbone=(4,), recurrent=RecurrentSpec("single", hidden, layers))
+        with pytest.raises(InvalidSpec, match="recurrent hidden/layers must be positive"):
+            spec.validate()
 
 
 class TestBatchShapes:
@@ -256,9 +277,9 @@ class TestStreamsAndLandmarks:
 
 class TestComposite:
     def composite_spec(self, fusion):
-        member = ModelSpec(backbone=(6,))
         return ModelSpec(
-            members=(member, member),
+            backbone=(6,),
+            members=2,
             fusion=fusion,
             fusion_width=8,
             heads=("EXPR", "VA"),
@@ -424,9 +445,9 @@ def per_frame_forward(model, batch):
         [[initial_state(cell, b_size) for cell in stack] for stack in trunk.branches]
         for trunk in model.trunks
     ]
-    fusion_h = None
-    if model.fusion_layer is not None and model.fusion_layer[0] == "rnn":
-        fusion_h = initial_state(model.fusion_layer[1], b_size)
+    fusion = model.spec.fusion if model.spec.members else None
+    if fusion == "rnn":
+        fusion_h = initial_state(model.fusion_layer, b_size)
     rows = {name: [] for name in model.heads}
     for t in range(batch.seq_len):
         outs = []
@@ -454,17 +475,16 @@ def per_frame_forward(model, batch):
                     hs[k] = x = gru_step(cell, x, hs[k])
             outs.append(ad.concat([hs[-1] for hs in state], axis=1))
         feat = ad.concat(outs, axis=1)
-        if model.fusion_layer is not None and model.fusion_layer[0] == "fc":
-            feat = ad.relu(ad.dense(feat, model.fusion_layer[1], model.fusion_layer[2]))
-        elif fusion_h is not None:
-            feat = fusion_h = gru_step(model.fusion_layer[1], feat, fusion_h)
+        if fusion == "fc":
+            feat = ad.relu(ad.dense(feat, *model.fusion_layer))
+        elif fusion == "rnn":
+            feat = fusion_h = gru_step(model.fusion_layer, feat, fusion_h)
         for name, (w, b) in model.heads.items():
             rows[name].append(ad.dense(feat, w, b))
     return {name: ad.concat(r, axis=0) for name, r in rows.items()}
 
 
 ALL_DIMS = InputDims(features=5, audio=3, landmarks=4)
-_REC = ModelSpec(backbone=(6,), recurrent=RecurrentSpec("single", 4))
 EQUIVALENCE_SPECS = {
     "dense": ModelSpec(backbone=(6, 5), heads=("EXPR", "AU", "VA")),
     "tapped": ModelSpec(backbone=(6, 4), taps=(0, 1), heads=("VA", "COMPOUND")),
@@ -479,12 +499,12 @@ EQUIVALENCE_SPECS = {
         backbone=(6, 4), taps=(0, 1), recurrent=RecurrentSpec("per_tap", 3), heads=("VA",)
     ),
     "composite_fc": ModelSpec(
-        members=(ModelSpec(backbone=(6,)), _REC), fusion="fc", fusion_width=5,
-        heads=("EXPR", "VA"),
+        backbone=(6,), recurrent=RecurrentSpec("single", 4), members=2, fusion="fc",
+        fusion_width=5, heads=("EXPR", "VA"),
     ),
     "composite_rnn": ModelSpec(
-        members=(ModelSpec(backbone=(6,), streams=2), _REC), fusion="rnn",
-        fusion_width=5, heads=("AU", "VA"),
+        backbone=(5,), streams=2, members=2, fusion="rnn", fusion_width=5,
+        heads=("AU", "VA"),
     ),
 }
 _PRED_FIELDS = {"VA": "va", "EXPR": "expr_logits", "AU": "au_logits", "COMPOUND": "compound_logits"}

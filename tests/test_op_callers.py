@@ -47,8 +47,6 @@ HELPERS = {"sigmoid_values", "backward", "glorot_uniform", "save_checkpoint", "l
 ENTRY_POINTS = {
     "models.predict_sequence": "the serving entry point: one clip of frames in, per-frame "
     "outputs and the VA median out; the benchmark's stream_predict workload calls it",
-    "zeroshot.candidate_score": "the benchmark tracer counts zeroshot.score_calls by "
-    "wrapping it, until that counter moves to what the scoring path calls",
 }
 
 # imports a module keeps without using them, per module

@@ -37,15 +37,13 @@ STATEFUL = {
         heads=HEADS,
     ),
     "rnn_ensemble": ModelSpec(
-        members=(ModelSpec(backbone=(6,)), ModelSpec(backbone=(5,))), fusion="rnn",
-        fusion_width=5, heads=HEADS,
+        backbone=(6,), members=2, fusion="rnn", fusion_width=5, heads=HEADS
     ),
 }
 STATELESS = {
     "dense": ModelSpec(backbone=(8,), heads=HEADS),
     "fc_ensemble": ModelSpec(
-        members=(ModelSpec(backbone=(6,)), ModelSpec(backbone=(5,))), fusion="fc",
-        fusion_width=5, heads=HEADS,
+        backbone=(6,), members=2, fusion="fc", fusion_width=5, heads=HEADS
     ),
 }
 

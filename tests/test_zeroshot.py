@@ -15,11 +15,20 @@ from affectkit.relatedness import COGNITIVE
 from affectkit.types import PredictionRecord, au_index, expression_id
 from affectkit.zeroshot import (
     CompoundClassDef,
-    candidate_score,
+    _record_values,
+    _score,
     classify_compound,
     default_compound_defs,
     load_compound_defs,
 )
+
+
+def candidate_score(cdef, pred):
+    """One definition's score, as ``classify_compound`` computes it: the
+    weighted mean of p(AU_k) over the class AU set, plus p(emo1) + p(emo2),
+    plus on positive-valence compounds the bonus 0.5*(sign(v)+1) - 1 for
+    positive valence, 0 for negative, 0.5 at exactly zero."""
+    return _score(cdef, *_record_values((cdef,), pred))
 
 
 def record(au_probs=None, expr_probs=None, valence=None):
